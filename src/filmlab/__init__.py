@@ -30,6 +30,7 @@ from .overlay import chains_equal_mod2, is_zero_geometric
 from .dipolyhedra import (
     Dipolyhedron,
     ProjectionDir,
+    SpanningContext,
     boundary_dip,
     clamp_dip,
     cone_dip,
@@ -38,7 +39,6 @@ from .dipolyhedra import (
     make_massive,
     pushforward_dip,
     restrict_dip,
-    shadow,
     spanning_check,
 )
 from .flatnorm import (

@@ -13,6 +13,7 @@ preconditions, 3 when a solver could certify only an upper bound and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -78,12 +79,12 @@ def _chain_mass(obj):
 
 
 def _solver_config(args) -> SolverConfig:
-    cfg = SolverConfig()
-    if getattr(args, "node_budget", None) is not None:
-        cfg.node_budget = args.node_budget
-    if getattr(args, "exhaustive_limit", None) is not None:
-        cfg.exhaustive_limit = args.exhaustive_limit
-    return cfg
+    overrides = {
+        name: getattr(args, name)
+        for name in ("node_budget", "exhaustive_limit")
+        if getattr(args, name, None) is not None
+    }
+    return dataclasses.replace(SolverConfig(), **overrides)
 
 
 def _status_exit(args, status: str) -> int:
@@ -367,7 +368,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", help="grid cell counts a,b,c")
     p.add_argument("--mesh-prefix", help="write PREFIX-P/Q/R meshes")
 
-    p = add("span-check", _cmd_span_check, "shadow-spanning verdict for a pair")
+    p = add("span-check", _cmd_span_check, "spanning verdict for a pair")
     p.add_argument("--curve", required=True, help="closed curve JSON")
     p.add_argument("--dirs", type=int, default=10, help="extra oblique directions")
     p.add_argument("--seed", type=int, default=0)

@@ -9,22 +9,29 @@ or simplicial.  Energy charges both parts.  The boundary mixes them,
 which squares to zero mod 2.  Cone, pushforward, clamp and restriction
 act componentwise.
 
-Spanning a closed curve gamma is decided by shadows: the pair spans when
-its film projects, with mod-2 multiplicity, exactly onto the region
-bounded by the projected curve, for every admissible projection
-direction.  Equality of a projected film with that region is decided by
-a jump-set argument: the coverage-parity function of the projected film
-plus the region is piecewise constant, vanishes far away, and can only
-jump across projected film edges or projected curve segments.  It is
-therefore zero almost everywhere iff those segments cancel mod 2 in the
-one-dimensional interval-parity overlay.  Degenerate (edge-on) images
-cancel automatically, so no direction needs special casing.
+Spanning means "the mass part is invisible".  A pair with boundary(C) =
+0 and boundary(B) + C = gamma spans gamma when, along every admissible
+projection direction d (one along which gamma projects to a simple
+closed plane curve), the mod-2 projection of C onto the plane orthogonal
+to d is the zero chain.  This is the shadow rule restated.  The film
+spans when its projection, with mod-2 multiplicity, equals the region
+bounded by proj_d(gamma).  The coverage parity of that projection plus
+the region is piecewise constant, vanishes far away, and jumps only
+across projected face borders and proj_d(gamma), so it is zero almost
+everywhere iff those segments cancel in the interval-parity overlay.
+That overlay is additive mod 2.  The face borders of B sum to
+boundary(B), since an edge shared by two faces appears twice, and
+boundary(B) + gamma = C.  So the jump set is proj_d(C), and d matches
+iff overlay_leftover(proj_d C) is empty; C = 0 matches every admissible
+direction outright.  Edges parallel to d project to points and drop out,
+so no direction needs special casing.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exact import RadicalSum
@@ -53,7 +60,6 @@ from .simplicial import (
     mass_simplicial,
     pushforward,
     restrict_simplicial,
-    simplicial_chain,
 )
 
 Chain = Union[GridChain, SimplicialChain]
@@ -318,7 +324,9 @@ class ProjectionDir:
 
     Plane points are reported in rational coordinates (s, t) over an
     orthogonal rational basis (u, v) of the plane; only areas pick up
-    the irrational scale |u||v|.
+    the irrational scale |u||v|.  The basis and its squared norms are
+    built on first use and kept, so projecting a point costs two dot
+    products.
     """
 
     direction: Point
@@ -342,30 +350,39 @@ class ProjectionDir:
         live = [i for i in range(3) if self.direction[i] != 0]
         return live[0] if len(live) == 1 else None
 
-    def plane_basis(self) -> tuple[Point, Point]:
+    @cached_property
+    def _frame(self):
+        """Basis (u, v), its squared norms, and the duals u/|u|^2, v/|v|^2."""
         if self.axis is not None:
             j, l = [i for i in range(3) if i != self.axis]
             u = [Fraction(0)] * 3
             v = [Fraction(0)] * 3
             u[j] = Fraction(1)
             v[l] = Fraction(1)
-            return as_point(u), as_point(v)
-        d = self.direction
-        if d[0] == 0 and d[1] == 0:
-            u = as_point((1, 0, 0))
+            u, v = as_point(u), as_point(v)
         else:
-            u = as_point((-d[1], d[0], 0))
-        return u, vcross(d, u)
+            d = self.direction
+            if d[0] == 0 and d[1] == 0:
+                u = as_point((1, 0, 0))
+            else:
+                u = as_point((-d[1], d[0], 0))
+            v = vcross(d, u)
+        uu, vv = vnorm_sq(u), vnorm_sq(v)
+        duals = (tuple(c / uu for c in u), tuple(c / vv for c in v))
+        return (u, v), (uu, vv), duals
+
+    def plane_basis(self) -> tuple[Point, Point]:
+        return self._frame[0]
 
     def project2(self, p: Sequence) -> Point2:
-        u, v = self.plane_basis()
         q = as_point(p)
-        return (vdot(q, u) / vnorm_sq(u), vdot(q, v) / vnorm_sq(v))
+        du, dv = self._frame[2]
+        return (vdot(q, du), vdot(q, dv))
 
     def area_scale(self) -> RadicalSum:
         """True plane area per unit of (s, t) coordinate area."""
-        u, v = self.plane_basis()
-        return RadicalSum.sqrt(vnorm_sq(u) * vnorm_sq(v))
+        uu, vv = self._frame[1]
+        return RadicalSum.sqrt(uu * vv)
 
     def label(self) -> str:
         if self.axis is not None:
@@ -394,144 +411,10 @@ def default_directions(seed: int = 0, extra: int = 10) -> list[ProjectionDir]:
 
 
 # ---------------------------------------------------------------------------
-# planar mod-2 chains and shadows
+# spanning
 
 def _lift2(p: Point2) -> Point:
     return (p[0], p[1], Fraction(0))
-
-
-def _overlay2(segments) -> tuple:
-    """Canonical mod-2 reduction of plane segments (interval parity)."""
-    lifted = [(_lift2(a), _lift2(b)) for a, b in segments]
-    reduced = overlay_leftover(lifted)
-    return tuple(sorted(((a[0], a[1]), (b[0], b[1])) for a, b in reduced))
-
-
-def _point_in_triangle2(p: Point2, tri) -> str:
-    def orient(a, b, c):
-        d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return (d > 0) - (d < 0)
-
-    a, b, c = tri
-    s1, s2, s3 = orient(a, b, p), orient(b, c, p), orient(c, a, p)
-    if s1 == s2 == s3 != 0:
-        return "in"
-    signs = {s1, s2, s3} - {0}
-    if len(signs) <= 1:
-        return "on"
-    return "out"
-
-
-@dataclass(frozen=True)
-class PlanarChain:
-    """Mod-2 chain in projection-plane coordinates.
-
-    kind "cells": lattice squares of side epsilon anchored at origin
-    (axis shadows of grid films).  kind "triangles": a presentation
-    whose coverage parity is the chain (projected simplicial films);
-    overlaps are resolved lazily by jump-set tests.  kind "segments":
-    overlay-reduced plane segments (shadows of curves).
-    """
-
-    k: int
-    kind: str
-    cells: frozenset = frozenset()
-    epsilon: Optional[Fraction] = None
-    origin: Optional[Point2] = None
-    segments: tuple = ()
-    triangles: tuple = ()
-    area_scale: RadicalSum = RadicalSum.from_fraction(1)
-
-    def jump_segments(self) -> list:
-        if self.kind == "triangles":
-            out = []
-            for tri in self.triangles:
-                for i in range(3):
-                    a, b = tri[i], tri[(i + 1) % 3]
-                    if a != b:
-                        out.append((a, b))
-            return out
-        if self.kind == "cells":
-            out = []
-            for cell in self.cells:
-                sq = _cell_square(cell, self.epsilon, self.origin)
-                for i in range(4):
-                    out.append((sq[i], sq[(i + 1) % 4]))
-            return out
-        raise ValueError("jump segments are defined for 2-dimensional shadows")
-
-    def is_empty(self) -> bool:
-        if self.kind == "cells":
-            return not self.cells
-        if self.kind == "segments":
-            return not self.segments
-        return not _overlay2(self.jump_segments())
-
-    def cell_area(self):
-        if self.kind != "cells":
-            raise ValueError("exact area is only tracked for cell shadows")
-        return self.epsilon * self.epsilon * len(self.cells)
-
-    def sampled_cells(self, epsilon, margin: int = 1) -> frozenset:
-        """Coverage parity at reference-grid cell centers, exact tests.
-
-        Centers on a triangle edge count as covered; the sample is an
-        advisory picture, equality decisions go through jump sets.
-        """
-        if self.kind != "triangles":
-            raise ValueError("sampling applies to triangle shadows")
-        eps = Fraction(epsilon)
-        pts = [p for tri in self.triangles for p in tri]
-        if not pts:
-            return frozenset()
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        i_lo = int((min(xs) / eps).__floor__()) - margin
-        i_hi = int((max(xs) / eps).__ceil__()) + margin
-        j_lo = int((min(ys) / eps).__floor__()) - margin
-        j_hi = int((max(ys) / eps).__ceil__()) + margin
-        out = set()
-        for i in range(i_lo, i_hi):
-            for j in range(j_lo, j_hi):
-                center = (eps * i + eps / 2, eps * j + eps / 2)
-                parity = sum(
-                    1 for tri in self.triangles if _point_in_triangle2(center, tri) != "out"
-                )
-                if parity % 2:
-                    out.add((i, j))
-        return frozenset(out)
-
-    def as_simplicial_plane(self) -> SimplicialChain:
-        """The shadow as a 3D chain in the z = 0 plane (for comparisons)."""
-        if self.kind == "segments":
-            return simplicial_chain(1, [(_lift2(a), _lift2(b)) for a, b in self.segments])
-        if self.kind == "triangles":
-            return simplicial_chain(2, [tuple(_lift2(p) for p in tri) for tri in self.triangles])
-        tris = []
-        for cell in self.cells:
-            sq = _cell_square(cell, self.epsilon, self.origin)
-            tris.append(tuple(_lift2(p) for p in (sq[0], sq[1], sq[2])))
-            tris.append(tuple(_lift2(p) for p in (sq[0], sq[2], sq[3])))
-        return simplicial_chain(2, tris)
-
-
-def _cell_square(cell, epsilon, origin) -> list[Point2]:
-    i, j = cell
-    x = origin[0] + epsilon * i
-    y = origin[1] + epsilon * j
-    return [(x, y), (x + epsilon, y), (x + epsilon, y + epsilon), (x, y + epsilon)]
-
-
-def _grid_face_corners(grid: GridSpec, cell) -> list[Point]:
-    a1, a2 = cell.axes
-    base = list(cell.base)
-    cyc = []
-    for da1, da2 in ((0, 0), (1, 0), (1, 1), (0, 1)):
-        lat = list(base)
-        lat[a1] += da1
-        lat[a2] += da2
-        cyc.append(grid.world(tuple(lat)))
-    return cyc
 
 
 def _grid_edge_ends(grid: GridSpec, cell) -> tuple[Point, Point]:
@@ -542,86 +425,11 @@ def _grid_edge_ends(grid: GridSpec, cell) -> tuple[Point, Point]:
     return grid.world(tuple(lo)), grid.world(tuple(hi))
 
 
-def shadow(chain: Chain, proj: ProjectionDir) -> PlanarChain:
-    """Mod-2 projection of a 1- or 2-chain onto the target plane.
-
-    Grid chains support axis directions only (embed to simplicial for
-    oblique ones).  Edge-on cells and degenerate triangle images carry
-    no area and are dropped.
-    """
-    if chain.k not in (1, 2):
-        raise ValueError("shadows are defined for 1- and 2-chains")
+def _segments_3d(chain: Chain) -> list[tuple[Point, Point]]:
+    """World end points of the edges of a 1-chain."""
     if is_grid_chain(chain):
-        axis = proj.axis
-        if axis is None:
-            raise ValueError("grid shadows need an axis direction; embed to simplicial first")
-        grid = chain.grid
-        j, l = [i for i in range(3) if i != axis]
-        if chain.k == 2:
-            cells = set()
-            for cell in chain.cells:
-                if axis in cell.axes:
-                    continue
-                cells ^= {(cell.base[j], cell.base[l])}
-            return PlanarChain(
-                k=2,
-                kind="cells",
-                cells=frozenset(cells),
-                epsilon=grid.epsilon,
-                origin=(grid.origin[j], grid.origin[l]),
-            )
-        segs = []
-        for cell in chain.cells:
-            if cell.axes[0] == axis:
-                continue
-            p, q = _grid_edge_ends(grid, cell)
-            segs.append((proj.project2(p), proj.project2(q)))
-        return PlanarChain(k=1, kind="segments", segments=_overlay2(segs))
-    if chain.k == 2:
-        tris = set()
-        for simplex in chain.simplices:
-            img = tuple(sorted(proj.project2(p) for p in simplex))
-            if shoelace_twice(img) == 0:
-                continue
-            tris ^= {img}
-        return PlanarChain(
-            k=2, kind="triangles", triangles=tuple(sorted(tris)), area_scale=proj.area_scale()
-        )
-    segs = []
-    for a, b in chain.simplices:
-        pa, pb = proj.project2(a), proj.project2(b)
-        if pa != pb:
-            segs.append((pa, pb))
-    return PlanarChain(k=1, kind="segments", segments=_overlay2(segs))
-
-
-# ---------------------------------------------------------------------------
-# spanning
-
-def _gamma_segments_3d(gamma: Chain) -> list[tuple[Point, Point]]:
-    if is_grid_chain(gamma):
-        return [_grid_edge_ends(gamma.grid, cell) for cell in gamma.cells]
-    return [(s[0], s[1]) for s in gamma.simplices]
-
-
-def _film_jump_segments(B: Chain, proj: ProjectionDir) -> list[tuple[Point2, Point2]]:
-    """Projected cell borders; parity jumps of the shadow live on these."""
-    out = []
-    if is_grid_chain(B):
-        for cell in B.cells:
-            cyc = [proj.project2(p) for p in _grid_face_corners(B.grid, cell)]
-            for i in range(4):
-                a, b = cyc[i], cyc[(i + 1) % 4]
-                if a != b:
-                    out.append((a, b))
-    else:
-        for simplex in B.simplices:
-            img = [proj.project2(p) for p in simplex]
-            for i in range(3):
-                a, b = img[i], img[(i + 1) % 3]
-                if a != b:
-                    out.append((a, b))
-    return out
+        return [_grid_edge_ends(chain.grid, cell) for cell in chain.cells]
+    return [(s[0], s[1]) for s in chain.simplices]
 
 
 def _segments_share_ground(a, b, shared: int) -> bool:
@@ -660,7 +468,7 @@ def _segments_share_ground(a, b, shared: int) -> bool:
 
 def _admissibility(gamma: Chain, proj: ProjectionDir):
     """(ok, reason, projected segments); embedded-closed-curve test."""
-    segs3 = _gamma_segments_3d(gamma)
+    segs3 = _segments_3d(gamma)
     if not segs3:
         return False, "empty curve", []
     axis_dir = primitive_direction(proj.direction)
@@ -782,54 +590,83 @@ class SpanningReport:
         return self.spans
 
 
+class SpanningContext:
+    """What a spanning check needs of the curve alone, computed once.
+
+    For every direction: the projection (with its cached plane basis),
+    whether the curve is admissible along it and why not, and the area
+    of the region its projection encloses.  check(A) then only projects
+    the mass part of A.  A context is built per top-level call and holds
+    no state beyond these per-curve facts.
+    """
+
+    def __init__(self, gamma: Chain, dirs: Optional[Sequence[ProjectionDir]] = None):
+        if dirs is None:
+            dirs = default_directions()
+        self.gamma = gamma
+        facts = []
+        max_area = None
+        for proj in dirs:
+            ok, reason, segs2 = _admissibility(gamma, proj)
+            area = _cycle_area(segs2, proj.area_scale()) if ok else None
+            if ok and (max_area is None or area > max_area):
+                max_area = area
+            facts.append((proj, ok, reason, area))
+        self.directions = tuple(facts)
+        self.max_region_area = max_area
+
+    def check(self, A: Dipolyhedron) -> SpanningReport:
+        """Does the pair span the context's curve?
+
+        Preconditions checked first: boundary(C) = 0 and boundary(B) + C =
+        gamma.  Then the mass part C must project to the zero chain, as
+        decided by the interval-parity overlay, along every admissible
+        direction (see the module docstring for why this is the shadow
+        rule).  Verdicts: "spans", "fails", "vacuous" (no admissible
+        direction, inconclusive), "boundary-mismatch".
+        """
+        if A.k != 2:
+            raise ValueError("spanning is defined for films of dimension 2")
+        gamma = self.gamma
+        if is_grid_chain(gamma) != (A.rep == "grid"):
+            raise ValueError("curve and pair must share one representation")
+
+        residual = chain_boundary(A.B) + A.C + gamma
+        boundary_ok = chain_is_zero(chain_boundary(A.C)) and chain_is_zero(residual)
+        if not boundary_ok:
+            return SpanningReport(False, "boundary-mismatch", (), None)
+
+        mass_segments = _segments_3d(A.C)
+        reports = []
+        all_match = True
+        for proj, ok, reason, area in self.directions:
+            if not ok:
+                reports.append(DirectionReport(proj, False, reason, None, None))
+                continue
+            matches = not mass_segments or not overlay_leftover(
+                [
+                    (_lift2(proj.project2(p)), _lift2(proj.project2(q)))
+                    for p, q in mass_segments
+                ]
+            )
+            all_match = all_match and matches
+            reports.append(DirectionReport(proj, True, "ok", matches, area))
+
+        if self.max_region_area is None:
+            verdict = "vacuous"
+        elif all_match:
+            verdict = "spans"
+        else:
+            verdict = "fails"
+        return SpanningReport(True, verdict, tuple(reports), self.max_region_area)
+
+
 def spanning_check(
     A: Dipolyhedron, gamma: Chain, dirs: Optional[Sequence[ProjectionDir]] = None
 ) -> SpanningReport:
-    """Does the pair span the closed curve gamma?
+    """Does the pair span the closed curve gamma?  See SpanningContext.check.
 
-    Preconditions checked first: boundary(C) = 0 and boundary(B) + C =
-    gamma.  Then, for every admissible direction, the film shadow must
-    equal the region enclosed by the projected curve; the jump segments
-    of shadow plus region must cancel in the interval-parity overlay.
-    Verdicts: "spans", "fails", "vacuous" (no admissible direction,
-    inconclusive), "boundary-mismatch".
+    Builds the per-curve context for this one call; callers that check
+    many pairs against one curve build a SpanningContext and reuse it.
     """
-    if A.k != 2:
-        raise ValueError("spanning is defined for films of dimension 2")
-    if is_grid_chain(gamma) != (A.rep == "grid"):
-        raise ValueError("curve and pair must share one representation")
-    if dirs is None:
-        dirs = default_directions()
-
-    residual = chain_boundary(A.B) + A.C + gamma
-    boundary_ok = chain_is_zero(chain_boundary(A.C)) and chain_is_zero(residual)
-    if not boundary_ok:
-        return SpanningReport(False, "boundary-mismatch", (), None)
-
-    reports = []
-    max_area = None
-    all_match = True
-    any_admissible = False
-    for proj in dirs:
-        ok, reason, segs2 = _admissibility(gamma, proj)
-        if not ok:
-            reports.append(DirectionReport(proj, False, reason, None, None))
-            continue
-        any_admissible = True
-        area = _cycle_area(segs2, proj.area_scale())
-        matches = not overlay_leftover(
-            [(_lift2(a), _lift2(b)) for a, b in _film_jump_segments(A.B, proj) + segs2]
-        )
-        if not matches:
-            all_match = False
-        if max_area is None or area > max_area:
-            max_area = area
-        reports.append(DirectionReport(proj, True, "ok", matches, area))
-
-    if not any_admissible:
-        verdict = "vacuous"
-    elif all_match:
-        verdict = "spans"
-    else:
-        verdict = "fails"
-    return SpanningReport(True, verdict, tuple(reports), max_area)
+    return SpanningContext(gamma, dirs).check(A)

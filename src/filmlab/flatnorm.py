@@ -47,7 +47,8 @@ DEFAULT_CONFIG = SolverConfig()
 # choosing free variable i XORs `effects[i]` into the state and pays
 # `own[i]`.  The final score adds `bit_weights[b]` for every set state
 # bit.  Ties between optimal choices go to the smallest variable mask
-# (bit i of the mask is variable i in canonical order).
+# (bit i of the mask is variable i in canonical order).  Branch-and-bound
+# may branch on the variables in another order, `branch_order`.
 
 @dataclass
 class _Problem:
@@ -55,6 +56,7 @@ class _Problem:
     effects: list
     own: list
     weight_masks: list  # (integer weight, universe bitmask) pairs
+    branch_order: Optional[list] = None  # variable indices, first branched first
 
 
 def _lanes_of(value: int, lanes: int) -> list[int]:
@@ -111,11 +113,14 @@ def _solve_exhaustive(problem: _Problem, chunk_bits: int) -> tuple[int, int, str
 
 def _solve_bnb(problem: _Problem, node_budget: int) -> tuple[int, int, str]:
     n = len(problem.effects)
+    order = problem.branch_order or list(range(n))
+    effects = [problem.effects[i] for i in order]
+    own = [problem.own[i] for i in order]
     universe = 0
     for _, m in problem.weight_masks:
         universe |= m
     last_touch: dict[int, int] = {}
-    for i, eff in enumerate(problem.effects):
+    for i, eff in enumerate(effects):
         rem = eff & universe
         while rem:
             b = rem & -rem
@@ -157,10 +162,10 @@ def _solve_bnb(problem: _Problem, node_budget: int) -> tuple[int, int, str]:
                 best_mask = mask
             continue
         for bit in (1, 0):  # LIFO: the 0 branch is explored first
-            state2 = state ^ (problem.effects[depth] if bit else 0)
-            lb2 = lb + (problem.own[depth] if bit else 0)
+            state2 = state ^ (effects[depth] if bit else 0)
+            lb2 = lb + (own[depth] if bit else 0)
             lb2 += _weighted_popcount(state2, decided_masks[depth])
-            stack.append((depth + 1, state2, lb2, mask | (bit << depth)))
+            stack.append((depth + 1, state2, lb2, mask | (bit << order[depth])))
     if best_score is None:
         # budget too small to reach any leaf: fall back to the empty choice
         state = problem.base
@@ -186,6 +191,33 @@ def _solve(problem: _Problem, method: str, config: SolverConfig) -> tuple[int, i
 
 def _chosen(cells: Sequence[GridCell], mask: int) -> list[GridCell]:
     return [c for i, c in enumerate(cells) if (mask >> i) & 1]
+
+
+def _sweep_order(free: Sequence[GridCell], given, grid: GridSpec) -> list[int]:
+    """Branching order of the free cells: a lattice sweep that ends at the input.
+
+    Depth-first search starts from the empty choice and first revisits
+    the variables it branched on last, so the sweep runs towards the
+    input: it reverses every axis along which the given cells' centre
+    lies below the grid's centre.  Reflecting the input along an axis
+    where its centre is off the grid's centre reflects the sweep with
+    it, so the answer under a node budget does not depend on which way
+    the input faces.
+    """
+    reverse = []
+    for a in range(3):
+        doubled = sum(2 * c.base[a] + (a in c.axes) for c in given)
+        reverse.append(doubled < len(given) * grid.dims[a])
+
+    def key(i):
+        c = free[i]
+        base = tuple(
+            grid.dims[a] - c.base[a] - (a in c.axes) if reverse[a] else c.base[a]
+            for a in range(3)
+        )
+        return base, c.axes
+
+    return sorted(range(len(free)), key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +264,8 @@ def flat_norm(
     q_weight = q  # epsilon^k scaled by q^(k+1)/p^k
     r_cost = p
     weight_masks = [(q_weight, (1 << len(universe)) - 1)]
-    problem = _Problem(base, effects, [r_cost] * len(free), weight_masks)
+    order = _sweep_order(free, P.cells, grid)
+    problem = _Problem(base, effects, [r_cost] * len(free), weight_masks, order)
 
     mask, score, status = _solve(problem, method, config)
     R = chain_of(grid, k + 1, _chosen(free, mask))
@@ -324,7 +357,10 @@ def energy_flat_norm(
     weight_masks = [(scaled(k), film_mask)]
     if mass_mask:
         weight_masks.append((scaled(k - 1), mass_mask))
-    problem = _Problem(base, effects, own, weight_masks)
+    given = A.B.cells | A.C.cells
+    order = _sweep_order(free_br, given, grid)
+    order += [len(free_br) + i for i in _sweep_order(free_cr, given, grid)]
+    problem = _Problem(base, effects, own, weight_masks, order)
     if method == "exhaustive" and n_total > config.exhaustive_limit:
         raise ValueError(
             f"{n_total} free cells exceed the exhaustive limit "

@@ -10,6 +10,15 @@ budget lam, search for a film/mass pair A = (B, C) with
 spanning gamma in every admissible projection direction, and of least
 weight W = M(B).
 
+Spanning means "the mass part is invisible": along every admissible
+direction the projection of C cancels mod 2.  The film's shadow equals
+the region enclosed by the projected curve iff the projected face
+borders plus the projected curve cancel in the interval-parity overlay;
+the borders sum to boundary(B) and boundary(B) + gamma = C, so those
+segments are the projection of C (see filmlab.dipolyhedra).  The
+per-curve part of that check (admissibility, region areas, plane bases)
+is built once per minimize_weight call and shared by every candidate.
+
 The mass part is never searched independently: any pair passing the
 boundary precondition has C = gamma + boundary(B) exactly, so the search
 ranges over subsets of the admissible grid faces alone.  Candidates are
@@ -22,6 +31,7 @@ column by column.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +41,7 @@ from .dipolyhedra import (
     Dipolyhedron,
     EnergySplit,
     ProjectionDir,
+    SpanningContext,
     SpanningReport,
     clamp_dip,
     cone_dip,
@@ -38,7 +49,6 @@ from .dipolyhedra import (
     energy,
     is_grid_chain,
     region_cells,
-    spanning_check,
 )
 from .exact import SQRT3
 from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
@@ -214,6 +224,12 @@ def _support_in_cube(A: Dipolyhedron, half: Fraction) -> bool:
     return True
 
 
+def _spanning_context(problem: PlateauProblem, rep: str) -> SpanningContext:
+    """Spanning context of the problem's curve in the given representation."""
+    curve = problem.gamma if rep == "grid" else embed_grid_chain(problem.gamma)
+    return SpanningContext(curve, problem.dirs)
+
+
 def gamma_membership(A: Dipolyhedron, problem: PlateauProblem) -> MembershipReport:
     """Check every admissibility clause of the pair, itemised.
 
@@ -222,22 +238,25 @@ def gamma_membership(A: Dipolyhedron, problem: PlateauProblem) -> MembershipRepo
     """
     if A.k != 2:
         raise ValueError("membership is defined for films of dimension 2")
+    return _membership(A, problem, _spanning_context(problem, A.rep))
+
+
+def _membership(A: Dipolyhedron, problem: PlateauProblem, ctx: SpanningContext) -> MembershipReport:
+    """gamma_membership against a context built for A's representation."""
     gamma = problem.gamma
     if A.rep == "grid":
         if A.B.grid != problem.grid:
             raise ValueError("pair lives on a different grid than the problem")
         cycle_ok = boundary_grid(A.C).is_zero()
         boundary_ok = (boundary_grid(A.B) + A.C + gamma).is_zero()
-        curve = gamma
     else:
         # 0-simplices are canonical points, so presentational zero is exact
         cycle_ok = boundary_simplicial(A.C).is_zero_presentation()
-        curve = embed_grid_chain(gamma)
-        boundary_ok = bool(chains_equal_mod2(boundary_simplicial(A.B) + A.C, curve))
+        boundary_ok = bool(chains_equal_mod2(boundary_simplicial(A.B) + A.C, ctx.gamma))
     split = energy(A)
     budget_ok = bool(split.energy <= problem.lam)
     support_ok = _support_in_cube(A, problem.cube_half)
-    span = spanning_check(A, curve, problem.dirs)
+    span = ctx.check(A)
     trivial = gamma.is_zero() and not span.spans and cycle_ok and boundary_ok and _is_zero_pair(A)
     return MembershipReport(cycle_ok, boundary_ok, split, budget_ok, support_ok, span, trivial)
 
@@ -325,29 +344,31 @@ def _admissible_faces(problem: PlateauProblem) -> list[GridCell]:
     cardinality enumeration keeps the minimizer exact regardless.  Films
     hug their boundary curve, so candidates close to it come first and
     the first parity-feasible subset tends to pass the full check.
+
+    Distances are taken in doubled lattice coordinates, where face
+    centres and curve vertices are integer points; the world distance
+    squared is epsilon^2 / 4 times that, so the order is the world order.
     """
     half = problem.cube_half
     grid = problem.grid
-    out = []
-    for cell in grid.cells(2):
-        if all(
-            all(abs(c) <= half for c in grid.world(corner)) for corner in cell.corners()
-        ):
-            out.append(cell)
-    anchors = sorted(
-        {grid.world(v) for c in problem.gamma.cells for v in _edge_ends(c)}
-    )
+    eps = grid.epsilon
+    # lattice indices n with |origin + eps n| <= half, per axis
+    lo = [math.ceil((-half - o) / eps) for o in grid.origin]
+    hi = [math.floor((half - o) / eps) for o in grid.origin]
+    out = [
+        cell
+        for cell in grid.cells(2)
+        if all(lo[a] <= cell.base[a] and cell.base[a] + (a in cell.axes) <= hi[a] for a in range(3))
+    ]
+    anchors = {tuple(2 * x for x in v) for c in problem.gamma.cells for v in _edge_ends(c)}
     if not anchors:
         return sorted(out)
 
-    eps = grid.epsilon
-
-    def center_dist_sq(cell: GridCell) -> Fraction:
-        center = list(grid.world(cell.base))
-        for a in cell.axes:
-            center[a] += eps / 2
+    def center_dist_sq(cell: GridCell) -> int:
+        center = [2 * b + (a in cell.axes) for a, b in enumerate(cell.base)]
         return min(
-            sum((center[i] - p[i]) ** 2 for i in range(3)) for p in anchors
+            (center[0] - p[0]) ** 2 + (center[1] - p[1]) ** 2 + (center[2] - p[2]) ** 2
+            for p in anchors
         )
 
     return sorted(out, key=lambda c: (center_dist_sq(c), c.base, c.axes))
@@ -377,8 +398,11 @@ class _Search:
     branch outright.
     """
 
-    def __init__(self, problem: PlateauProblem, faces: list[GridCell], node_budget):
+    def __init__(
+        self, problem: PlateauProblem, faces: list[GridCell], node_budget, ctx: SpanningContext
+    ):
         self.problem = problem
+        self.ctx = ctx
         self.faces = faces
         self.node_budget = node_budget
         self.nodes = 0
@@ -420,7 +444,7 @@ class _Search:
         pair = Dipolyhedron(B, C)
         if not _support_in_cube(pair, problem.cube_half):
             return None
-        if not spanning_check(pair, problem.gamma, problem.dirs).spans:
+        if not self.ctx.check(pair).spans:
             return None
         return pair, e
 
@@ -473,12 +497,14 @@ def _region_bound(problem: PlateauProblem) -> Fraction:
     return best
 
 
-def _as_solution(problem, pair, e, optimality, method, nodes) -> PlateauSolution:
-    report = gamma_membership(pair, problem)
+def _as_solution(problem, pair, e, optimality, method, nodes, ctx) -> PlateauSolution:
+    report = _membership(pair, problem, ctx)
     w = mass_grid(pair.B)
     bound = _region_bound(problem)
-    if report.member:
-        assert w >= bound, "weight fell below the projected-region area bound"
+    if report.member and w < bound:
+        raise RuntimeError(
+            f"weight {w} of a member pair fell below the projected-region area bound {bound}"
+        )
     return PlateauSolution(pair, w, Fraction(e), report, optimality, method, nodes, bound)
 
 
@@ -504,8 +530,9 @@ def minimize_weight(
     if problem.gamma.is_zero():
         return _zero_solution(problem, method)
 
+    ctx = SpanningContext(problem.gamma, problem.dirs)
     if method == "local":
-        return _local_descent(problem, start)
+        return _local_descent(problem, start, ctx)
 
     faces = _admissible_faces(problem)
     if method == "exhaustive" and node_budget is None and len(faces) > 512:
@@ -517,13 +544,13 @@ def minimize_weight(
         node_budget = 10 ** 6
     eps2 = problem.grid.epsilon ** 2
     max_faces = min(len(faces), int(problem.lam / eps2))
-    search = _Search(problem, faces, node_budget)
+    search = _Search(problem, faces, node_budget, ctx)
     search.run(max_faces)
 
     if search.best is not None:
         status = "exact" if search.exhausted_cleanly else "upper-bound"
         pair, e = search.best
-        return _as_solution(problem, pair, e, status, method, search.nodes)
+        return _as_solution(problem, pair, e, status, method, search.nodes, ctx)
     if search.exhausted_cleanly:
         raise BudgetError(
             "no admissible pair within the energy budget; "
@@ -533,15 +560,17 @@ def minimize_weight(
     # budget ran out without a feasible pair: fall back to the cone start
     fallback = initial_cone_solution(problem).pair
     e = energy(fallback).energy
-    return _as_solution(problem, fallback, e, "upper-bound", method, search.nodes)
+    return _as_solution(problem, fallback, e, "upper-bound", method, search.nodes, ctx)
 
 
-def _local_descent(problem: PlateauProblem, start: Optional[Dipolyhedron]) -> PlateauSolution:
+def _local_descent(
+    problem: PlateauProblem, start: Optional[Dipolyhedron], ctx: SpanningContext
+) -> PlateauSolution:
     if start is None:
         start = initial_cone_solution(problem).pair
     if not (is_grid_chain(start.B) and start.B.grid == problem.grid):
         raise ValueError("local search needs a grid pair on the problem grid")
-    report = gamma_membership(start, problem)
+    report = _membership(start, problem, ctx)
     if not report.member:
         w = mass_grid(start.B)
         e = energy(start).energy
@@ -572,7 +601,7 @@ def _local_descent(problem: PlateauProblem, start: Optional[Dipolyhedron]) -> Pl
             pair = Dipolyhedron(B, C)
             if not _support_in_cube(pair, problem.cube_half):
                 continue
-            if not spanning_check(pair, problem.gamma, problem.dirs).spans:
+            if not ctx.check(pair).spans:
                 continue
             current, cur_w, cur_e = trial, w, e
             improved = True
@@ -581,7 +610,7 @@ def _local_descent(problem: PlateauProblem, start: Optional[Dipolyhedron]) -> Pl
         chain_of(problem.grid, 2, current),
         problem.gamma + boundary_grid(chain_of(problem.grid, 2, current)),
     )
-    return _as_solution(problem, pair, cur_e, "upper-bound", "local", nodes)
+    return _as_solution(problem, pair, cur_e, "upper-bound", "local", nodes, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +645,9 @@ def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:
     the clamp can flatten film onto the cube walls and break a shadow
     match, so the report carries both verdicts.
     """
-    gamma = problem.gamma
-    curve = gamma if A.rep == "grid" else embed_grid_chain(gamma)
+    ctx = _spanning_context(problem, A.rep)
     before_split = energy(A)
-    before_span = spanning_check(A, curve, problem.dirs)
+    before_span = ctx.check(A)
     if _support_in_cube(A, problem.cube_half):
         return ClampReport(
             A,
@@ -635,7 +663,9 @@ def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:
         )
     clamped = clamp_dip(problem.cube_half, A)
     after_split = energy(clamped)
-    after_span = spanning_check(clamped, embed_grid_chain(gamma), problem.dirs)
+    if A.rep == "grid":
+        ctx = _spanning_context(problem, clamped.rep)
+    after_span = ctx.check(clamped)
     return ClampReport(
         clamped,
         True,

@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filmlab.dipolyhedra import (
+    DirectionReport,
     Dipolyhedron,
     ProjectionDir,
+    SpanningReport,
+    _admissibility,
+    _cycle_area,
     boundary_dip,
+    chain_boundary,
+    chain_is_zero,
     clamp_dip,
     cone_dip,
     cone_energy_bound,
@@ -16,12 +22,12 @@ from filmlab.dipolyhedra import (
     default_directions,
     dip_equal,
     energy,
+    is_grid_chain,
     make_dipole,
     make_massive,
     pushforward_dip,
     region_cells,
     restrict_dip,
-    shadow,
     spanning_check,
     support_dip,
     support_in_cube,
@@ -29,7 +35,8 @@ from filmlab.dipolyhedra import (
 )
 from filmlab.exact import RadicalSum
 from filmlab.grid import BoxRegion, GridCell, boundary_grid, chain_of, empty_chain
-from filmlab.simplicial import PLMap, empty_simplicial, simplicial_chain
+from filmlab.overlay import overlay_leftover
+from filmlab.simplicial import PLMap, boundary_simplicial, empty_simplicial, simplicial_chain
 
 from conftest import make_grid, random_grid_chain, square_curve
 
@@ -274,34 +281,61 @@ def test_support_is_union_of_parts():
 
 
 def test_shadow_single_face_along_its_normal():
+    # a single face spans its own boundary along its normal
     grid = make_grid((2, 2, 1))
     face = chain_of(grid, 2, [GridCell((0, 0, 0), (0, 1))])
-    sh = shadow(face, ProjectionDir.along_axis(2))
-    assert sh.kind == "cells" and sh.cells == frozenset({(0, 0)})
-    assert sh.cell_area() == 1
+    gamma = square_curve(grid, 0, 0, 1)
+    report = spanning_check(make_dipole(face), gamma, [ProjectionDir.along_axis(2)])
+    (z,) = report.directions
+    assert report.spans and z.admissible and z.matches
+    assert z.region_area == 1 and report.max_region_area == 1
 
 
 def test_shadow_stacked_faces_cancel():
+    # two stacked faces cancel along z, so they fail to span the bottom
+    # square: the mass part is the top square, visible along z
     grid = make_grid((1, 1, 2))
-    pair = chain_of(
-        grid, 2, [GridCell((0, 0, 0), (0, 1)), GridCell((0, 0, 2), (0, 1))]
-    )
-    sh = shadow(pair, ProjectionDir.along_axis(2))
-    assert sh.is_empty()
+    B = chain_of(grid, 2, [GridCell((0, 0, 0), (0, 1)), GridCell((0, 0, 2), (0, 1))])
+    gamma = square_curve(grid, 0, 0, 1)
+    A = Dipolyhedron(B, gamma + boundary_grid(B))
+    report = spanning_check(A, gamma, [ProjectionDir.along_axis(2)])
+    assert report.boundary_ok and report.verdict == "fails"
+    assert report.directions[0].admissible and not report.directions[0].matches
 
 
 def test_shadow_edge_on_face_is_empty():
+    # seen edge on, a vertical face projects to nothing: as the curve its
+    # direction is inadmissible, and as extra film its mass part matches
     grid = make_grid((1, 1, 1))
     vertical = chain_of(grid, 2, [GridCell((0, 0, 0), (0, 2))])  # xz face
-    sh = shadow(vertical, ProjectionDir.along_axis(2))
-    assert sh.is_empty()
+    z = ProjectionDir.along_axis(2)
+    alone = spanning_check(make_dipole(vertical), boundary_grid(vertical), [z])
+    assert alone.verdict == "vacuous" and not alone.directions[0].admissible
+    gamma = square_curve(grid, 0, 0, 1)
+    B = chain_of(grid, 2, [GridCell((0, 0, 0), (0, 1))]) + vertical
+    A = Dipolyhedron(B, gamma + boundary_grid(B))
+    assert not A.C.is_zero()
+    report = spanning_check(A, gamma, [ProjectionDir.along_axis(i) for i in range(3)])
+    assert report.spans
+    assert all(not r.admissible or r.matches for r in report.directions)
 
 
 def test_shadow_of_curve_projects_segments():
+    # the curve's projection alone decides admissibility and region area
     grid = make_grid((1, 1, 1))
+    face = chain_of(grid, 2, [GridCell((0, 0, 0), (0, 1))])
     gamma = square_curve(grid, 0, 0, 1)
-    sh = shadow(gamma, ProjectionDir.along_axis(2))
-    assert sh.kind == "segments" and len(sh.segments) == 4
+    oblique = ProjectionDir.from_direction((1, 1, 1))
+    dirs = [ProjectionDir.along_axis(i) for i in range(3)] + [oblique]
+    x, y, z, o = spanning_check(make_dipole(face), gamma, dirs).directions
+    for edge_on in (x, y):
+        assert not edge_on.admissible
+        assert edge_on.reason == "curve segment parallel to projection direction"
+    assert z.admissible and z.region_area == 1
+    # the unit square seen along (1,1,1) has area 1/sqrt(3)
+    assert o.admissible and o.region_area * RadicalSum.sqrt(3) == 1
+    bare = spanning_check(make_massive(gamma), gamma, dirs)
+    assert [r.admissible for r in bare.directions] == [False, False, True, True]
 
 
 def test_region_cells_unit_square():
@@ -409,3 +443,108 @@ def test_boundary_dip_squared_zero(seed):
     )
     dd = boundary_dip(boundary_dip(A))
     assert dd.B.is_zero() and dd.C.is_zero()
+
+
+
+# ---------------------------------------------------------------------------
+# differential test: the mass-part criterion against the film-border rule
+
+
+def _film_borders(B):
+    """World segments of every face border of the film, with multiplicity."""
+    if not is_grid_chain(B):
+        return [(t[i], t[(i + 1) % 3]) for t in B.simplices for i in range(3)]
+    out = []
+    for cell in B.cells:
+        a1, a2 = cell.axes
+        cyc = []
+        for d1, d2 in ((0, 0), (1, 0), (1, 1), (0, 1)):
+            lat = list(cell.base)
+            lat[a1] += d1
+            lat[a2] += d2
+            cyc.append(B.grid.world(tuple(lat)))
+        out += [(cyc[i], cyc[(i + 1) % 4]) for i in range(4)]
+    return out
+
+
+def film_border_rule(A, gamma, dirs):
+    """Reference spanning check by the jump set of shadow plus region.
+
+    A direction matches when the projected face borders of the film and
+    the projected curve cancel in the interval-parity overlay.
+    """
+    residual = chain_boundary(A.B) + A.C + gamma
+    if not (chain_is_zero(chain_boundary(A.C)) and chain_is_zero(residual)):
+        return SpanningReport(False, "boundary-mismatch", (), None)
+    lift = lambda p: (p[0], p[1], F(0))  # noqa: E731
+    reports, max_area = [], None
+    for proj in dirs:
+        ok, reason, segs2 = _admissibility(gamma, proj)
+        if not ok:
+            reports.append(DirectionReport(proj, False, reason, None, None))
+            continue
+        area = _cycle_area(segs2, proj.area_scale())
+        jumps = [(proj.project2(p), proj.project2(q)) for p, q in _film_borders(A.B)] + segs2
+        matches = not overlay_leftover([(lift(a), lift(b)) for a, b in jumps])
+        reports.append(DirectionReport(proj, True, "ok", matches, area))
+        if max_area is None or area > max_area:
+            max_area = area
+    admissible = [r for r in reports if r.admissible]
+    if not admissible:
+        verdict = "vacuous"
+    elif all(r.matches for r in admissible):
+        verdict = "spans"
+    else:
+        verdict = "fails"
+    return SpanningReport(True, verdict, tuple(reports), max_area)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    kind=st.sampled_from(["film", "film+stray", "random", "mismatch"]),
+)
+def test_spanning_agrees_with_film_border_rule(seed, kind):
+    rng = random.Random(seed)
+    grid = make_grid((3, 3, 2))
+    lo = rng.randint(0, 1)
+    hi = rng.randint(lo + 1, 3)
+    gamma = square_curve(grid, 1, lo, hi)
+    film = chain_of(
+        grid, 2, [GridCell((i, j, 1), (0, 1)) for i in range(lo, hi) for j in range(lo, hi)]
+    )
+    if kind == "random":
+        B = random_grid_chain(grid, 2, rng, density=0.15)
+    else:
+        # film plus the boundary of a random 3-chain spans the same curve
+        B = film + boundary_grid(random_grid_chain(grid, 3, rng, density=0.2))
+        if kind == "film+stray":
+            B = B + random_grid_chain(grid, 2, rng, density=0.05)
+    C = gamma + boundary_grid(B)
+    if kind == "mismatch":
+        C = C + random_grid_chain(grid, 1, rng, density=0.1)
+    A = Dipolyhedron(B, C)
+    dirs = default_directions()
+    report = spanning_check(A, gamma, dirs)
+    assert report == film_border_rule(A, gamma, dirs)
+    if kind == "film":
+        assert report.spans
+
+
+def test_spanning_agrees_with_film_border_rule_on_cone():
+    grid = make_grid((2, 2, 1), origin=(-1, -1, 0))
+    gamma = square_curve(grid, 0, 0, 2)
+    pA = cone_dip((0, 0, 0), Dipolyhedron(gamma, empty_chain(grid, 0)))
+    from filmlab.simplicial import embed_grid_chain
+
+    curve = embed_grid_chain(gamma)
+    dirs = default_directions()
+    report = spanning_check(pA, curve, dirs)
+    assert report.spans
+    assert report == film_border_rule(pA, curve, dirs)
+    # a stray triangle off the cone breaks both rules alike
+    stray = simplicial_chain(2, [((F(0), F(0), F(1)), (F(1), F(0), F(1)), (F(0), F(1), F(1)))])
+    bent = Dipolyhedron(pA.B + stray, pA.C + boundary_simplicial(stray))
+    report = spanning_check(bent, curve, dirs)
+    assert report.verdict == "fails"
+    assert report == film_border_rule(bent, curve, dirs)

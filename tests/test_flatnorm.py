@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -242,3 +243,23 @@ def test_solver_reports_budget_exhaustion():
     assert verify_certificate(cert, P)
     exact = flat_norm(P, method="exhaustive")
     assert cert.value >= exact.value
+
+
+def test_bnb_budget_answer_does_not_depend_on_facing():
+    # the boundary of a 2x2x2 block in each corner of a 3x3x3 grid: the
+    # same chain seen from the eight ways the axes can face
+    grid = make_grid((3, 3, 3))
+    cfg = SolverConfig(node_budget=1000)
+    for corner in itertools.product((0, 1), repeat=3):
+        block = chain_of(
+            grid,
+            3,
+            [
+                GridCell(tuple(c + d for c, d in zip(corner, offset)), (0, 1, 2))
+                for offset in itertools.product((0, 1), repeat=3)
+            ],
+        )
+        P = boundary_grid(block)
+        cert = flat_norm(P, method="bnb", config=cfg)
+        assert (cert.value, cert.status) == (8, "exact"), corner
+        assert cert.R == block and cert.Q.is_zero()

@@ -374,3 +374,28 @@ def test_cli_output_file(capsys, tmp_path):
     assert code == 0
     saved = json.loads(out_path.read_text())
     assert saved["value"] == "4"
+
+
+def test_cli_flatnorm_node_budget(capsys):
+    argv = ("flatnorm", f"{FIX}/square.json", "--method", "bnb", "--node-budget")
+    code, out, _ = run_cli(capsys, *argv, "1000")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == "1"
+    assert doc["status"] == "exact"
+    # a budget too small to finish the search falls back to an upper bound
+    code, out, _ = run_cli(capsys, *argv, "1")
+    assert code == 0
+    assert json.loads(out)["status"] == "upper-bound"
+
+
+def test_cli_eflat_exhaustive_limit(capsys, tmp_path):
+    grid = make_grid((1, 1, 1))
+    p = tmp_path / "pair.json"
+    p.write_text(dumps_report(make_dipole(square_curve(grid, 0, 0, 1))))
+    code, out, _ = run_cli(capsys, "eflat", str(p), "--exhaustive-limit", "30")
+    assert code == 0
+    assert json.loads(out)["value"] == "1"
+    # a limit below the free-cell count is refused as a usage error
+    code, _, err = run_cli(capsys, "eflat", str(p), "--exhaustive-limit", "0")
+    assert code == 2 and "exhaustive limit 0" in err

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from filmlab import plateau
 from filmlab.dipolyhedra import (
     Dipolyhedron,
     boundary_dip,
@@ -10,7 +12,7 @@ from filmlab.dipolyhedra import (
     make_massive,
 )
 from filmlab.exact import SQRT3
-from filmlab.grid import GridCell, boundary_grid, chain_of, empty_chain, mass_grid
+from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
 from filmlab.plateau import (
     BudgetError,
     PlateauProblem,
@@ -271,3 +273,89 @@ def test_diagnostics_empty_pair():
     report = diagnostics(A)
     assert report.loop_count == 0 and report.film_components == 0
     assert not report.has_film_curves
+
+
+def test_member_below_region_bound_raises(monkeypatch):
+    # the weight >= region-area invariant is checked without assert, so it
+    # also holds under python -O
+    problem = unit_problem()
+    monkeypatch.setattr(plateau, "_region_bound", lambda problem: F(2))
+    with pytest.raises(RuntimeError, match="region area bound"):
+        minimize_weight(problem, method="exhaustive")
+
+
+# ---------------------------------------------------------------------------
+# candidate face order: lattice keys against world distances
+
+
+def _world_face_order(problem):
+    """Reference order: working-cube faces by Fraction world distance."""
+    grid, half, eps = problem.grid, problem.cube_half, problem.grid.epsilon
+    faces = [
+        cell
+        for cell in grid.cells(2)
+        if all(all(abs(c) <= half for c in grid.world(v)) for v in cell.corners())
+    ]
+    anchors = {grid.world(v) for c in problem.gamma.cells for v in c.corners()}
+
+    def key(cell):
+        center = list(grid.world(cell.base))
+        for a in cell.axes:
+            center[a] += eps / 2
+        dist = min(sum((center[i] - p[i]) ** 2 for i in range(3)) for p in anchors)
+        return dist, cell.base, cell.axes
+
+    return sorted(faces, key=key)
+
+
+def _centred_grid(dims):
+    return GridSpec(epsilon=F(1), origin=tuple(-F(d, 2) for d in dims), dims=tuple(dims))
+
+
+def _centred_square(n):
+    """n x n square at z = 0 on the smallest centred grid covering its cube."""
+    side = -(-3 * n // 2)
+    d = side + (side - n) % 2
+    dz = side + side % 2
+    return square_curve(_centred_grid((d, d, dz)), dz // 2, (d - n) // 2, (d + n) // 2)
+
+
+def _polygon(points, dims):
+    grid = _centred_grid((dims,) * 3)
+    cells = []
+    for a, b in zip(points, points[1:] + points[:1]):
+        (axis,) = [i for i in range(3) if a[i] != b[i]]
+        lo = min(a, b, key=lambda p: p[axis])
+        cells.append(GridCell(tuple(int(c - o) for c, o in zip(lo, grid.origin)), (axis,)))
+    return chain_of(grid, 1, cells)
+
+
+_H = F(1, 2)
+HEX = [(_H, -_H, -_H), (_H, _H, -_H), (-_H, _H, -_H), (-_H, _H, _H), (-_H, -_H, _H), (_H, -_H, _H)]
+FOLD = [(-_H, 0, 1), (-_H, 0, 0), (-_H, 1, 0), (_H, 1, 0), (_H, 0, 0), (_H, 0, 1)]
+FOLD2 = [
+    tuple(2 * (x + (y - x) * t) for x, y in zip(a, b))
+    for a, b in zip(FOLD, FOLD[1:] + FOLD[:1])
+    for t in (0, _H)
+]
+SYMMETRIES = list(
+    itertools.product(itertools.permutations(range(3)), itertools.product((1, -1), repeat=3))
+)[::7]
+
+
+def _oriented(points, sym):
+    perm, signs = sym
+    return [tuple(signs[i] * p[perm[i]] for i in range(3)) for p in points]
+
+
+def test_admissible_faces_lattice_order_matches_world_order():
+    curves = [_centred_square(n) for n in range(1, 6)]
+    for points, dims in ((HEX, 3), (FOLD, 2), (FOLD2, 4)):
+        curves += [_polygon(_oriented(points, sym), dims) for sym in SYMMETRIES]
+    # off-lattice origin and a finer spacing
+    curves.append(square_curve(make_grid((3, 3, 2), origin=(F(-3, 2), F(-3, 2), F(-1))), 1, 1, 2))
+    curves.append(square_curve(make_grid((8, 8, 8), origin=(-2, -2, -2), eps=F(1, 2)), 4, 2, 6))
+    assert len(SYMMETRIES) == 7
+    for gamma in curves:
+        problem = plateau_problem(gamma)
+        assert plateau._admissible_faces(problem) == _world_face_order(problem)
