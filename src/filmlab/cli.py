@@ -7,7 +7,9 @@ and every report is emitted with sorted keys.
 
 Exit codes: 0 on success, 2 on malformed input or violated
 preconditions, 3 when a solver could certify only an upper bound and
---require-exact was given.
+--require-exact was given, 4 when an internal verification failed (a
+result did not pass its own check, or an exact comparison could not be
+decided); each error is one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .dipolyhedra import (
     restrict_dip,
     spanning_check,
 )
+from .exact import UndecidableComparison
 from .flatnorm import SolverConfig, energy_flat_norm, flat_norm, natural_norm_upper
 from .grid import BoxRegion, GridChain, GridSpec, boundary_grid, mass_grid, restrict_grid
 from .plateau import diagnostics as plateau_diagnostics
@@ -402,6 +405,13 @@ def main(argv=None) -> int:
     except (iof.SchemaError, ValueError, OSError) as exc:
         print(f"filmlab {args.subcommand}: error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError, UndecidableComparison) as exc:
+        detail = " ".join(str(exc).split()) or "no detail"
+        print(
+            f"filmlab {args.subcommand}: internal error ({type(exc).__name__}): {detail}",
+            file=sys.stderr,
+        )
+        return 4
 
 
 if __name__ == "__main__":

@@ -10,6 +10,14 @@ straight simplex.  Once the chain lies in the k-skeleton, covering parity
 at a generic point of each k-face decides which whole faces make up the
 grid chain P.
 
+The center is a heuristic choice (least projected mass among candidates
+that keep clear of the chain), so floats may make it: a float twin of the
+wedge split and projection ranks the candidates, and the exact projection
+runs only for those within the float tie band, where the exact masses
+(60-digit square roots on near ties) pick the winner.  The choice is the
+one an all-exact ranking makes, and the exact identity below certifies
+the result whichever center is used.
+
 Every run returns chains Q (dim k) and R (dim k+1) with the exact mod-2
 identity  A = P + Q + dR,  verified geometrically before returning, plus
 measured mass ratios and support distances.  Q is assembled as
@@ -193,9 +201,13 @@ def _center_candidates(grid: GridSpec, cell: GridCell, cfg: DeformConfig) -> lis
     return out
 
 
-def _wedge_planes(grid: GridSpec, cell: GridCell, center: Point) -> list:
-    """Planes through the center and the cell's boundary edges (or corners)."""
-    planes = []
+def _wedge_edges(grid: GridSpec, cell: GridCell) -> list:
+    """Point pairs (p, q) that span a wedge plane together with the center.
+
+    For a 3-cell these are the cell's boundary edges; for a 2-cell, each
+    corner and that corner moved one unit along the face normal.
+    """
+    edges = []
     if cell.dim == 3:
         for a in (0, 1, 2):
             others = [x for x in (0, 1, 2) if x != a]
@@ -206,18 +218,23 @@ def _wedge_planes(grid: GridSpec, cell: GridCell, center: Point) -> list:
                     corner[others[1]] += o2
                     p = grid.world(tuple(corner))
                     corner[a] += 1
-                    q = grid.world(tuple(corner))
-                    planes.append(
-                        Plane.through(center, vsub(p, center), vsub(q, center))
-                    )
+                    edges.append((p, grid.world(tuple(corner))))
     elif cell.dim == 2:
         normal_axis = next(a for a in (0, 1, 2) if a not in cell.axes)
         for corner in cell.corners():
             p = grid.world(corner)
-            planes.append(Plane.through(center, vsub(p, center), _UNIT[normal_axis]))
+            edges.append((p, vadd(p, _UNIT[normal_axis])))
     else:
         raise ValueError("projection cells must have dimension 2 or 3")
-    return planes
+    return edges
+
+
+def _wedge_planes(grid: GridSpec, cell: GridCell, center: Point) -> list:
+    """Planes through the center and the cell's boundary edges (or corners)."""
+    return [
+        Plane.through(center, vsub(p, center), vsub(q, center))
+        for p, q in _wedge_edges(grid, cell)
+    ]
 
 
 def _exit_facet(grid: GridSpec, cell: GridCell, center: Point, x: Point):
@@ -292,6 +309,101 @@ def _float_point(p) -> tuple:
     return (float(p[0]), float(p[1]), float(p[2]))
 
 
+# Float ranking of candidate centers.  A vertex within _SIGN_BAND (times
+# the grid spacing) of a wedge plane counts as on it, and a split child
+# keeping less than _SLIVER of its parent's measure is dropped; without
+# both, rounding makes the float split recurse on ever thinner slivers.
+# Either moves a score by orders of magnitude less than _RANK_BAND, the
+# band within which candidates are projected exactly.
+_SIGN_BAND = 1e-12
+_SLIVER = 1e-9
+_RANK_BAND = 1e-6
+
+
+def _fcross(a: tuple, b: tuple) -> tuple:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _split_float(pieces: list, n: tuple, tol: float) -> list:
+    """Float twin of split_chain_pieces for the plane <n, x> = 0."""
+    out = []
+    stack = list(pieces)
+    while stack:
+        s = stack.pop()
+        signs = []
+        for v in s:
+            x = n[0] * v[0] + n[1] * v[1] + n[2] * v[2]
+            signs.append(0.0 if -tol < x < tol else x)
+        crossing = None
+        for i in range(len(s)):
+            for j in range(i + 1, len(s)):
+                if (signs[i] > 0.0 > signs[j]) or (signs[i] < 0.0 < signs[j]):
+                    crossing = (i, j)
+                    break
+            if crossing:
+                break
+        if crossing is None:
+            out.append(s)
+            continue
+        i, j = crossing
+        t = signs[i] / (signs[i] - signs[j])
+        a, b = s[i], s[j]
+        m = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]), a[2] + t * (b[2] - a[2]))
+        # replacing s[j] by m keeps the fraction t of the measure, s[i] by m 1 - t
+        if t > _SLIVER:
+            stack.append(tuple(m if idx == j else v for idx, v in enumerate(s)))
+        if t < 1.0 - _SLIVER:
+            stack.append(tuple(m if idx == i else v for idx, v in enumerate(s)))
+    return out
+
+
+def _projected_mass_rank(
+    grid: GridSpec, cell: GridCell, center: Point, floats: list, edges: list
+) -> float:
+    """Float twin of _projected_mass_float(_project_cell_pieces(...)).
+
+    Same wedge planes (``edges`` are _wedge_edges as floats), same
+    exit-facet rule and the Gram measure, on float copies of the pieces in
+    coordinates relative to the center.  It only ranks candidates; the
+    exact projection decides among the best.
+    """
+    c = _float_point(center)
+    tol = _SIGN_BAND * float(grid.epsilon)
+    subs = [tuple((v[0] - c[0], v[1] - c[1], v[2] - c[2]) for v in s) for s in floats]
+    for p, q in edges:
+        n = _fcross(
+            (p[0] - c[0], p[1] - c[1], p[2] - c[2]), (q[0] - c[0], q[1] - c[1], q[2] - c[2])
+        )
+        norm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+        subs = _split_float(subs, (n[0] / norm, n[1] / norm, n[2] / norm), tol)
+    # offsets of the cell's two facets per axis, seen from the center
+    facets = []
+    for a in cell.axes:
+        below = grid.origin[a] + grid.epsilon * cell.base[a] - center[a]
+        facets.append((a, float(below), float(below + grid.epsilon)))
+    total = 0.0
+    for sub in subs:
+        best = None
+        for a, below, above in facets:
+            d = sum(v[a] for v in sub)
+            if d == 0.0:
+                continue
+            beta = above if d > 0.0 else below
+            t = beta * len(sub) / d
+            if best is None or t < best[0]:
+                best = (t, a, beta)
+        _, a, beta = best
+        image = [(beta / v[a] * v[0], beta / v[a] * v[1], beta / v[a] * v[2]) for v in sub]
+        e = [(w[0] - image[0][0], w[1] - image[0][1], w[2] - image[0][2]) for w in image[1:]]
+        g = e[0] if len(e) == 1 else _fcross(e[0], e[1])
+        total += math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2]) / _FACT[len(e)]
+    return total
+
+
 def _dist_sq_float(p: tuple, s: tuple) -> float:
     """Float point-to-simplex squared distance (prescreen only)."""
 
@@ -363,7 +475,12 @@ def _clearance_sq(candidate: Point, pieces: list, floats: list, cut: Fraction):
 
 def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConfig):
     """Pick the cell's projection center: cleared candidates only, least
-    projected mass, high-precision comparison when floats are too close."""
+    projected mass, high-precision comparison when floats are too close.
+
+    Floats rank the cleared candidates; only those within _RANK_BAND of
+    the float minimum are projected exactly, which covers every candidate
+    the exact rule below could pick, so the choice is the all-exact one.
+    """
     candidates = _center_candidates(grid, cell, cfg)
     cut = (cfg.tau * grid.epsilon) ** 2
     floats = [tuple(_float_point(v) for v in s) for s in pieces]
@@ -380,6 +497,13 @@ def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConf
             if best_d2 is None or d2 > best_d2:
                 best, best_d2 = i, d2
         admitted = [best]
+    if len(admitted) > 1:
+        edges = [(_float_point(p), _float_point(q)) for p, q in _wedge_edges(grid, cell)]
+        ranks = [
+            _projected_mass_rank(grid, cell, candidates[i], floats, edges) for i in admitted
+        ]
+        top = min(ranks) + _RANK_BAND * (1.0 + min(ranks))
+        admitted = [i for i, r in zip(admitted, ranks) if r <= top]
     scored = []
     for i in admitted:
         proj = _project_cell_pieces(grid, cell, candidates[i], pieces)

@@ -47,8 +47,10 @@ Segment = tuple[Point, Point]
 def overlay_leftover(segments: Iterable[Segment]) -> list[Segment]:
     """Mod-2 geometric cancellation of segments: odd-covered sub-segments.
 
-    Groups by carrying line, splits at all endpoints, and keeps elementary
-    intervals with odd coverage, merging adjacent survivors.
+    Groups by carrying line and sweeps each line once: every endpoint
+    toggles the coverage parity, an endpoint shared by an even number of
+    segments toggles nothing, and each maximal odd-covered run becomes one
+    output segment.
     """
     groups: dict = {}
     for p, q in segments:
@@ -61,34 +63,23 @@ def overlay_leftover(segments: Iterable[Segment]) -> list[Segment]:
         df = (Fraction(d[0]), Fraction(d[1]), Fraction(d[2]))
         dd = vdot(df, df)
 
-        def param(x: Point) -> Fraction:
-            return vdot(vsub(x, anchor), df) / dd
-
         def at(t: Fraction) -> Point:
-            return vadd(anchor, vscale(t, df))
+            return vadd(anchor, vscale(t / dd, df))
 
-        intervals = []
+        # x = anchor + (t / dd) d with t = <x, d>, as the anchor is the foot
+        # of the origin's perpendicular (<anchor, d> = 0)
+        toggles: dict = {}
         for p, q in segs:
-            t1, t2 = param(p), param(q)
-            if t1 > t2:
-                t1, t2 = t2, t1
-            intervals.append((t1, t2))
-        cuts = sorted({t for iv in intervals for t in iv})
+            for x in (p, q):
+                t = x[0] * d[0] + x[1] * d[1] + x[2] * d[2]
+                toggles[t] = toggles.get(t, 0) ^ 1
         run_start = None
-        prev_end = None
-        for i in range(len(cuts) - 1):
-            a, b = cuts[i], cuts[i + 1]
-            mid = (a + b) / 2
-            odd = sum(1 for t1, t2 in intervals if t1 < mid < t2) % 2 == 1
-            if odd:
-                if run_start is None:
-                    run_start = a
-                prev_end = b
-            elif run_start is not None:
-                out.append((at(run_start), at(prev_end)))
+        for t in sorted(t for t, flip in toggles.items() if flip):
+            if run_start is None:
+                run_start = t
+            else:
+                out.append((at(run_start), at(t)))
                 run_start = None
-        if run_start is not None:
-            out.append((at(run_start), at(prev_end)))
     return out
 
 

@@ -399,7 +399,12 @@ class _Search:
     """
 
     def __init__(
-        self, problem: PlateauProblem, faces: list[GridCell], node_budget, ctx: SpanningContext
+        self,
+        problem: PlateauProblem,
+        faces: list[GridCell],
+        node_budget,
+        ctx: SpanningContext,
+        targets: dict[int, frozenset],
     ):
         self.problem = problem
         self.ctx = ctx
@@ -409,7 +414,6 @@ class _Search:
         self.exhausted_cleanly = True
         self.best: Optional[tuple] = None
 
-        targets = _axis_targets(problem)
         bit_of: dict = {}
 
         def bit(axis, column):
@@ -489,18 +493,17 @@ def _zero_solution(problem: PlateauProblem, method: str) -> PlateauSolution:
     return PlateauSolution(zero, Fraction(0), Fraction(0), report, "exact", method, 0, Fraction(0))
 
 
-def _region_bound(problem: PlateauProblem) -> Fraction:
+def _region_bound(problem: PlateauProblem, targets: dict[int, frozenset]) -> Fraction:
     eps2 = problem.grid.epsilon ** 2
     best = Fraction(0)
-    for cols in _axis_targets(problem).values():
+    for cols in targets.values():
         best = max(best, eps2 * len(cols))
     return best
 
 
-def _as_solution(problem, pair, e, optimality, method, nodes, ctx) -> PlateauSolution:
+def _as_solution(problem, pair, e, optimality, method, nodes, ctx, bound) -> PlateauSolution:
     report = _membership(pair, problem, ctx)
     w = mass_grid(pair.B)
-    bound = _region_bound(problem)
     if report.member and w < bound:
         raise RuntimeError(
             f"weight {w} of a member pair fell below the projected-region area bound {bound}"
@@ -531,8 +534,10 @@ def minimize_weight(
         return _zero_solution(problem, method)
 
     ctx = SpanningContext(problem.gamma, problem.dirs)
+    targets = _axis_targets(problem)
+    bound = _region_bound(problem, targets)
     if method == "local":
-        return _local_descent(problem, start, ctx)
+        return _local_descent(problem, start, ctx, bound)
 
     faces = _admissible_faces(problem)
     if method == "exhaustive" and node_budget is None and len(faces) > 512:
@@ -544,13 +549,13 @@ def minimize_weight(
         node_budget = 10 ** 6
     eps2 = problem.grid.epsilon ** 2
     max_faces = min(len(faces), int(problem.lam / eps2))
-    search = _Search(problem, faces, node_budget, ctx)
+    search = _Search(problem, faces, node_budget, ctx, targets)
     search.run(max_faces)
 
     if search.best is not None:
         status = "exact" if search.exhausted_cleanly else "upper-bound"
         pair, e = search.best
-        return _as_solution(problem, pair, e, status, method, search.nodes, ctx)
+        return _as_solution(problem, pair, e, status, method, search.nodes, ctx, bound)
     if search.exhausted_cleanly:
         raise BudgetError(
             "no admissible pair within the energy budget; "
@@ -560,11 +565,14 @@ def minimize_weight(
     # budget ran out without a feasible pair: fall back to the cone start
     fallback = initial_cone_solution(problem).pair
     e = energy(fallback).energy
-    return _as_solution(problem, fallback, e, "upper-bound", method, search.nodes, ctx)
+    return _as_solution(problem, fallback, e, "upper-bound", method, search.nodes, ctx, bound)
 
 
 def _local_descent(
-    problem: PlateauProblem, start: Optional[Dipolyhedron], ctx: SpanningContext
+    problem: PlateauProblem,
+    start: Optional[Dipolyhedron],
+    ctx: SpanningContext,
+    bound: Fraction,
 ) -> PlateauSolution:
     if start is None:
         start = initial_cone_solution(problem).pair
@@ -575,7 +583,7 @@ def _local_descent(
         w = mass_grid(start.B)
         e = energy(start).energy
         return PlateauSolution(
-            start, w, Fraction(e), report, "upper-bound", "local", 0, _region_bound(problem)
+            start, w, Fraction(e), report, "upper-bound", "local", 0, bound
         )
     faces = _admissible_faces(problem)
     rng = random.Random(f"filmlab-plateau:{problem.seed}")
@@ -610,7 +618,7 @@ def _local_descent(
         chain_of(problem.grid, 2, current),
         problem.gamma + boundary_grid(chain_of(problem.grid, 2, current)),
     )
-    return _as_solution(problem, pair, cur_e, "upper-bound", "local", nodes, ctx)
+    return _as_solution(problem, pair, cur_e, "upper-bound", "local", nodes, ctx, bound)
 
 
 # ---------------------------------------------------------------------------

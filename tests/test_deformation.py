@@ -1,7 +1,14 @@
+import hashlib
+import os
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from filmlab import deformation as dm
+from filmlab import io_formats as iof
 from filmlab.deformation import (
     DeformConfig,
     deform_chain,
@@ -9,6 +16,7 @@ from filmlab.deformation import (
     snap_parity,
 )
 from filmlab.dipolyhedra import Dipolyhedron, energy, make_dipole
+from filmlab.geom import is_degenerate, point_simplex_dist_sq
 from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, mass_grid
 from filmlab.overlay import chains_equal_mod2
 from filmlab.simplicial import (
@@ -21,6 +29,7 @@ from filmlab.simplicial import (
 from conftest import make_grid, square_curve
 
 F = Fraction
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def small_config(eps=1, **kw):
@@ -272,3 +281,155 @@ def test_deform_rejects_dimension_three():
     )
     with pytest.raises(ValueError):
         deform_chain(tet, grid, small_config())
+
+
+_TILTED_PINS = {
+    # eps: (candidate centres, P cells, chosen centres, report sha256)
+    F(1): (
+        16,
+        [],
+        [("15/16", "53/64", "53/64")],
+        "69bc20c6916d7d3a6c664c45974dfc0e8e00b8b98ac4e1e6f6b762a8a8a2313d",
+    ),
+    F(1, 2): (
+        4,
+        [
+            ((1, 1, 1), (0, 1)), ((1, 1, 1), (0, 2)), ((1, 2, 1), (0, 2)),
+            ((1, 2, 2), (0, 1)), ((2, 1, 1), (1, 2)), ((2, 1, 2), (0, 1)),
+        ],
+        [
+            ("1/32", "43/128", "15/32"), ("3/32", "55/64", "13/32"),
+            ("81/128", "19/128", "13/128"), ("13/16", "77/128", "29/64"),
+        ],
+        "920a3c1dc141dba9889017cc1c458bec0864a06c2c594ec19bc91c4614127628",
+    ),
+    F(1, 4): (
+        4,
+        [
+            ((1, 1, 1), (0, 1)), ((1, 1, 1), (0, 2)), ((1, 2, 1), (0, 2)),
+            ((2, 1, 1), (1, 2)), ((2, 1, 2), (0, 1)), ((2, 2, 2), (0, 1)),
+            ((2, 3, 2), (0, 2)), ((2, 3, 2), (1, 2)), ((2, 3, 3), (0, 1)),
+            ((3, 1, 2), (0, 1)), ((3, 2, 2), (0, 1)), ((3, 3, 2), (1, 2)),
+        ],
+        [
+            ("1/64", "43/256", "15/64"), ("5/256", "179/256", "75/256"),
+            ("11/256", "255/256", "89/256"), ("3/64", "55/128", "13/64"),
+            ("17/256", "69/256", "23/64"), ("35/128", "39/128", "83/256"),
+            ("81/256", "19/256", "13/256"), ("99/256", "5/64", "95/256"),
+            ("7/16", "211/256", "119/256"), ("29/64", "135/256", "67/256"),
+            ("59/128", "125/256", "9/256"), ("37/64", "31/256", "21/256"),
+            ("5/8", "21/128", "87/256"), ("87/128", "97/256", "111/256"),
+            ("45/64", "87/128", "103/256"), ("201/256", "113/256", "51/128"),
+            ("127/128", "13/64", "113/256"),
+        ],
+        "9f9a3cce15af04c4f41d768f5e6e54c9a3b950ebbf511a396bd44098486fb578",
+    ),
+}
+
+
+@pytest.mark.parametrize("eps", sorted(_TILTED_PINS, reverse=True), ids=str)
+def test_tilted_triangle_choices_pinned(eps):
+    """The centre choice and the whole report of the tilted-triangle fixture
+    do not move when the way the centre is found changes."""
+    centers, cells, apexes, digest = _TILTED_PINS[eps]
+    doc = iof.load_document(os.path.join(FIXTURES, "tilted_triangle.json"))
+    tri = iof.parse_input(doc)
+    n = int(1 / eps) + 2
+    grid = make_grid((n, n, n), origin=(-eps, -eps, -eps), eps=eps)
+    cfg = DeformConfig(epsilon=eps, candidate_centers=centers)
+    result = deform_chain(tri, grid, cfg)
+    assert sorted((c.base, c.axes) for c in result.P.cells) == cells
+    # a track's apex is its cell's centre: the R vertices that are
+    # candidate centres of the 2- or 3-cell they sit in
+    chosen = set()
+    for v in {v for s in result.R.simplices for v in s}:
+        cell = dm._carrier(grid, (v,))
+        if cell.dim >= 2 and v in dm._center_candidates(grid, cell, cfg):
+            chosen.add(v)
+    assert sorted(chosen) == sorted(tuple(F(x) for x in a) for a in apexes)
+    report = iof.dumps_json(iof.to_jsonable(result))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def _all_exact_choice(grid, cell, pieces, cfg):
+    """Reference: every cleared candidate projected exactly, then scored."""
+    candidates = dm._center_candidates(grid, cell, cfg)
+    cut = (cfg.tau * grid.epsilon) ** 2
+    floats = [tuple(dm._float_point(v) for v in s) for s in pieces]
+    admitted = [
+        i for i, c in enumerate(candidates) if dm._clearance_sq(c, pieces, floats, cut)[0]
+    ]
+    fallback = not admitted
+    if fallback:
+        best, best_d2 = 0, None
+        for i, c in enumerate(candidates):
+            d2 = min(point_simplex_dist_sq(c, s) for s in pieces)
+            if best_d2 is None or d2 > best_d2:
+                best, best_d2 = i, d2
+        admitted = [best]
+    scored = []
+    for i in admitted:
+        proj = dm._project_cell_pieces(grid, cell, candidates[i], pieces)
+        scored.append((dm._projected_mass_float(proj), i, proj))
+    low = min(m for m, _, _ in scored)
+    close = [t for t in scored if t[0] <= low + 1e-9 * (1.0 + low)]
+    if len(close) == 1:
+        _, i, proj = close[0]
+        return candidates[i], proj, fallback
+    winner = winner_mass = None
+    for _, i, proj in close:
+        m = dm._projected_mass_decimal(proj)
+        if winner is None or m < winner_mass:
+            winner, winner_mass = (i, proj), m
+    i, proj = winner
+    return candidates[i], proj, fallback
+
+
+def _random_pieces(rng, grid, cell, k, count):
+    """Nondegenerate k-simplices with vertices on an eighth-lattice of the cell.
+
+    Coordinates sit on the cell's facets half the time: pieces running from
+    facet to facet project to the same mass from many centers, so the
+    exact tie-break gets exercised.
+    """
+
+    def point():
+        lattice = [F(b) for b in cell.base]
+        for a in cell.axes:
+            step = rng.choice((0, 8)) if rng.random() < 0.5 else rng.randint(1, 7)
+            lattice[a] += F(step, 8)
+        return grid.world(tuple(lattice))
+
+    pieces = []
+    while len(pieces) < count:
+        s = tuple(point() for _ in range(k + 1))
+        if not is_degenerate(s):
+            pieces.append(s)
+    return pieces
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_choose_center_matches_all_exact_rule(seed):
+    rng = random.Random(seed)
+    eps = rng.choice((F(1), F(1, 2)))
+    grid = make_grid((2, 2, 2), origin=(-eps, -eps, -eps), eps=eps)
+    corner = (rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1))
+    cases = [
+        # segments in a face: the 2-cell stage of a 1-chain
+        (GridCell(corner, (0, 1)), 1, rng.randint(1, 4)),
+        # segments or triangles in a cube: the 3-cell stage
+        (GridCell(corner, (0, 1, 2)), rng.choice((1, 2)), rng.randint(1, 3)),
+    ]
+    for cell, k, count in cases:
+        pieces = _random_pieces(rng, grid, cell, k, count)
+        cfg = DeformConfig(
+            epsilon=eps,
+            candidate_centers=rng.randint(2, 8),
+            # a wide clearance rejects every candidate now and then: the fallback
+            tau=rng.choice((F(1, 8), F(1, 4), F(7, 16))),
+            seed=rng.randint(0, 9),
+        )
+        assert dm._choose_center(grid, cell, pieces, cfg) == _all_exact_choice(
+            grid, cell, pieces, cfg
+        )

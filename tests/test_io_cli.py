@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from filmlab import cli
 from filmlab.cli import main
 from filmlab.dipolyhedra import Dipolyhedron, dip_equal, make_dipole
-from filmlab.exact import RadicalSum
+from filmlab.exact import RadicalSum, UndecidableComparison
 from filmlab.grid import GridCell, chain_of
 from filmlab.io_formats import (
     SchemaError,
@@ -341,6 +342,28 @@ def test_cli_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "mass", "no/such/file.json")
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        RuntimeError("deformation identity failed\ngeometric verification"),
+        AssertionError(),
+        UndecidableComparison("sign undecided at maximum precision"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_cli_internal_failure_exit_4(capsys, monkeypatch, exc):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_mass", failing)
+    code, out, err = run_cli(capsys, "mass", f"{FIX}/square.json")
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"filmlab mass: internal error ({type(exc).__name__}):")
+    assert "Traceback" not in err
 
 
 def test_cli_require_exact_exit_3(capsys):

@@ -153,3 +153,70 @@ def test_boundary_of_boundary_zero_geometric(seed):
     chain = random_simplicial_chain(2, random.Random(seed))
     bb = boundary_simplicial(boundary_simplicial(chain))
     assert bb.is_zero_presentation()
+
+
+def _midpoint_scan_overlay(segments):
+    """Reference: the per-interval midpoint coverage scan the sweep replaced."""
+    from filmlab.geom import line_key, vadd, vdot, vscale, vsub
+
+    groups = {}
+    for p, q in segments:
+        if p == q:
+            continue
+        d, anchor = line_key(p, q)
+        groups.setdefault((d, anchor), []).append((p, q))
+    out = []
+    for (d, anchor), segs in sorted(groups.items()):
+        df = (F(d[0]), F(d[1]), F(d[2]))
+        dd = vdot(df, df)
+
+        def param(x):
+            return vdot(vsub(x, anchor), df) / dd
+
+        def at(t):
+            return vadd(anchor, vscale(t, df))
+
+        intervals = []
+        for p, q in segs:
+            t1, t2 = sorted((param(p), param(q)))
+            intervals.append((t1, t2))
+        cuts = sorted({t for iv in intervals for t in iv})
+        run_start = prev_end = None
+        for a, b in zip(cuts, cuts[1:]):
+            mid = (a + b) / 2
+            if sum(1 for t1, t2 in intervals if t1 < mid < t2) % 2:
+                if run_start is None:
+                    run_start = a
+                prev_end = b
+            elif run_start is not None:
+                out.append((at(run_start), at(prev_end)))
+                run_start = None
+        if run_start is not None:
+            out.append((at(run_start), at(prev_end)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_overlay_sweep_matches_midpoint_scan(seed):
+    rng = random.Random(seed)
+    # a few rational lines; segments pick endpoints from a small shared
+    # pool of parameters so shared endpoints and duplicates are common
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        base = tuple(F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3))
+        direction = (0, 0, 0)
+        while direction == (0, 0, 0):
+            direction = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+        lines.append((base, direction))
+    pool = [F(rng.randint(-12, 12), rng.choice((1, 2, 3, 4))) for _ in range(rng.randint(2, 7))]
+    segments = []
+    for _ in range(rng.randint(0, 14)):
+        base, direction = lines[rng.randrange(len(lines))]
+        t1, t2 = rng.choice(pool), rng.choice(pool)
+        p = tuple(b + t1 * d for b, d in zip(base, direction))
+        q = tuple(b + t2 * d for b, d in zip(base, direction))
+        segments.append((p, q))
+        if rng.random() < 0.2:
+            segments.append((q, p) if rng.random() < 0.5 else (p, q))
+    assert overlay_leftover(segments) == _midpoint_scan_overlay(segments)

@@ -279,7 +279,7 @@ def test_member_below_region_bound_raises(monkeypatch):
     # the weight >= region-area invariant is checked without assert, so it
     # also holds under python -O
     problem = unit_problem()
-    monkeypatch.setattr(plateau, "_region_bound", lambda problem: F(2))
+    monkeypatch.setattr(plateau, "_region_bound", lambda problem, targets: F(2))
     with pytest.raises(RuntimeError, match="region area bound"):
         minimize_weight(problem, method="exhaustive")
 
