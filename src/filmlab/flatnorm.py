@@ -7,6 +7,13 @@ relaxation cells: exhaustively (vectorized, exact) when small enough, or
 by branch-and-bound with a node budget and an honest "upper-bound"
 status when the budget runs out before the gap closes.
 
+Branch-and-bound does not search where the problem is a graph cut: a
+2-chain P whose boundary vanishes on every edge with four 3-cells around
+it (every 2-cycle, for one) has its flat norm computed exactly as an s-t
+minimum cut over the 3-cells, with ties broken as the searches break
+them.  The maximum flow rides on the certificate, and replaying it
+proves the value is a lower bound as well as attained.
+
 Scores are integers throughout: every cell mass is a power of the grid
 pitch, so scaling by a common denominator makes comparisons exact and
 lets the exhaustive scan run on machine integers.
@@ -28,13 +35,13 @@ from .dipolyhedra import Dipolyhedron, chain_boundary
 from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
 
 _MASK64 = (1 << 64) - 1
+_CHUNK_BITS = 20  # the exhaustive scan tabulates 2^20 low-variable choices per block
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     exhaustive_limit: int = 24
     node_budget: int = 1_000_000
-    chunk_bits: int = 20
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -67,13 +74,13 @@ def _weighted_popcount(x: int, weight_masks) -> int:
     return sum(w * (x & m).bit_count() for w, m in weight_masks)
 
 
-def _solve_exhaustive(problem: _Problem, chunk_bits: int) -> tuple[int, int, str]:
+def _solve_exhaustive(problem: _Problem) -> tuple[int, int, str]:
     n = len(problem.effects)
     relevant = [problem.base, *problem.effects] + [m for _, m in problem.weight_masks]
     maxbit = max((v.bit_length() for v in relevant), default=0)
     lanes = max(1, (maxbit + 63) // 64)
 
-    low = min(n, chunk_bits)
+    low = min(n, _CHUNK_BITS)
     table = np.zeros((1 << low, lanes), dtype=np.uint64)
     owns = np.zeros(1 << low, dtype=np.int64)
     table[0] = np.array(_lanes_of(problem.base, lanes), dtype=np.uint64)
@@ -183,7 +190,7 @@ def _solve(problem: _Problem, method: str, config: SolverConfig) -> tuple[int, i
                 f"{n} free cells exceed the exhaustive limit "
                 f"{config.exhaustive_limit}; use method='bnb'"
             )
-        return _solve_exhaustive(problem, config.chunk_bits)
+        return _solve_exhaustive(problem)
     if method == "bnb":
         return _solve_bnb(problem, config.node_budget)
     raise ValueError(f"unknown method: {method}")
@@ -221,6 +228,213 @@ def _sweep_order(free: Sequence[GridCell], given, grid: GridSpec) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# k = 2 flat norms as a minimum cut
+#
+# With x_i = [3-cell i in R], a face on two 3-cells a, b is in Q when
+# P_f + x_a + x_b = 1, a face on one 3-cell a when P_f + x_a = 1, and a
+# face on none when P_f = 1.  If a labelling s of the 3-cells has
+# s_a + s_b = P_f on every face shared by two 3-cells, y = x + s turns
+# each shared face into [y_a != y_b] and every other term into a cost of
+# one cell, so the scaled score is the capacity of an s-t cut with y = 0
+# on the source side (Kolmogorov-Zabih 2004).  Such an s exists exactly
+# when boundary(P) vanishes on every edge with four 3-cells around it,
+# e.g. when P is a cycle.  A flow of the cut's value proves it minimal.
+
+
+@dataclass(frozen=True)
+class CutFlow:
+    """A maximum flow of a k = 2 flat norm's cut network.
+
+    Cells are the grid's 3-cells and shared faces the faces lying on two
+    of them, both in canonical order.  ``source[i]`` and ``sink[i]`` are
+    the flows on the arcs source -> cell i and cell i -> sink;
+    ``shared[j]`` is the net flow across shared face j from its lower
+    cell to its upper cell, negative when it runs the other way.
+    """
+
+    source: tuple[int, ...]
+    sink: tuple[int, ...]
+    shared: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _CutNetwork:
+    labels: list  # s per 3-cell, canonical order
+    source: list  # capacity source -> cell: the cost of y = 1
+    sink: list  # capacity cell -> sink: the cost of y = 0
+    shared: list  # (lower cell, upper cell) per shared face, canonical order
+    shared_capacity: int  # each way across a shared face
+    constant: int  # faces of P on no 3-cell
+
+
+def _cut_network(P: GridChain) -> Optional[_CutNetwork]:
+    """The cut network of a 2-chain in scaled units, or None without a labelling."""
+    p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
+    cells = sorted(P.grid.cells(3))
+    on: dict[GridCell, list[int]] = {}
+    for i, cell in enumerate(cells):
+        for facet in cell.facets():
+            on.setdefault(facet, []).append(i)
+    shared = sorted(f for f, around in on.items() if len(around) == 2)
+    neighbours = [[] for _ in cells]
+    for f in shared:
+        a, b = on[f]
+        neighbours[a].append((b, f in P.cells))
+        neighbours[b].append((a, f in P.cells))
+    labels = [None] * len(cells)
+    for start in range(len(cells)):
+        if labels[start] is not None:
+            continue
+        labels[start] = 0
+        queue = [start]
+        for a in queue:  # breadth first: the queue grows while it is read
+            for b, in_p in neighbours[a]:
+                want = labels[a] ^ in_p
+                if labels[b] is None:
+                    labels[b] = want
+                    queue.append(b)
+                elif labels[b] != want:
+                    return None
+    source = [0] * len(cells)
+    sink = [0] * len(cells)
+    for i, label in enumerate(labels):
+        (sink if label else source)[i] += p  # x_i = 1 means y_i != s_i
+    for f, around in on.items():
+        if len(around) == 1:
+            i = around[0]
+            (sink if (f in P.cells) ^ labels[i] else source)[i] += q
+    constant = q * sum(1 for f in P.cells if f not in on)
+    return _CutNetwork(labels, source, sink, [tuple(on[f]) for f in shared], q, constant)
+
+
+def _max_flow(head: list, to: list, cap: list, src: int, snk: int) -> int:
+    """Dinic's algorithm on arcs in pairs (e, e ^ 1); ``cap`` becomes the residual."""
+    total = 0
+    while True:
+        level = [-1] * len(head)
+        level[src] = 0
+        queue = [src]
+        for u in queue:
+            for e in head[u]:
+                if cap[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[snk] < 0:
+            return total
+        current = [0] * len(head)
+        path: list[int] = []
+        u = src
+        while True:
+            if u == snk:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                total += push
+                first = next(j for j, e in enumerate(path) if cap[e] == 0)
+                u = to[path[first] ^ 1]
+                del path[first:]
+                continue
+            arcs = head[u]
+            while current[u] < len(arcs):
+                e = arcs[current[u]]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = to[e]
+                    break
+                current[u] += 1
+            else:
+                if u == src:
+                    break
+                u = to[path.pop() ^ 1]
+                current[u] += 1
+
+
+def _solve_cut(net: _CutNetwork) -> tuple[int, int, CutFlow]:
+    """Minimum cut with the smallest canonical mask, and its maximum flow.
+
+    The minimum cuts are exactly the source sides closed under the
+    residual graph of a maximum flow (Picard-Queyranne 1980).  Going
+    from the highest cell index down, each cell not yet forced takes
+    x_i = 0 and closes that choice under reachability, which no earlier
+    choice contradicts; so the mask is the least among optimal ones, the
+    tie-break of the searches.
+    """
+    n = len(net.labels)
+    src, snk = n, n + 1
+    head: list[list[int]] = [[] for _ in range(n + 2)]
+    to: list[int] = []
+    cap: list[int] = []
+
+    def arc(u: int, v: int, forward: int, backward: int) -> None:
+        head[u].append(len(to))
+        to.append(v)
+        cap.append(forward)
+        head[v].append(len(to))
+        to.append(u)
+        cap.append(backward)
+
+    for i in range(n):  # arcs 4i and 4i + 2
+        arc(src, i, net.source[i], 0)
+        arc(i, snk, net.sink[i], 0)
+    for a, b in net.shared:  # arc 4n + 2j
+        arc(a, b, net.shared_capacity, net.shared_capacity)
+    value = _max_flow(head, to, cap, src, snk)
+
+    side: list[Optional[int]] = [None] * (n + 2)  # 0: source side, y = 0
+
+    def close(start: int, mark: int) -> None:
+        # side 0 is closed under residual arcs out of it, side 1 under arcs into it
+        side[start] = mark
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for e in head[u]:
+                if side[to[e]] is None and cap[e if mark == 0 else e ^ 1] > 0:
+                    side[to[e]] = mark
+                    stack.append(to[e])
+
+    close(src, 0)
+    close(snk, 1)
+    for i in reversed(range(n)):
+        if side[i] is None:
+            close(i, net.labels[i])
+    mask = sum((side[i] ^ net.labels[i]) << i for i in range(n))
+    flow = CutFlow(
+        tuple(net.source[i] - cap[4 * i] for i in range(n)),
+        tuple(net.sink[i] - cap[4 * i + 2] for i in range(n)),
+        tuple(net.shared_capacity - cap[4 * n + 2 * j] for j in range(len(net.shared))),
+    )
+    return mask, value + net.constant, flow
+
+
+def _flow_certifies(cert, P: GridChain) -> bool:
+    """Replay a certificate's cut flow in P's rebuilt network: a lower bound equal to the value."""
+    net = _cut_network(P) if P.k == 2 else None
+    if net is None or cert.status != "exact":
+        return False
+    flow = cert.flow
+    n = len(net.labels)
+    if (len(flow.source), len(flow.sink), len(flow.shared)) != (n, n, len(net.shared)):
+        return False
+    if not all(type(f) is int for f in (*flow.source, *flow.sink, *flow.shared)):
+        return False
+    excess = [flow.source[i] - flow.sink[i] for i in range(n)]
+    for i in range(n):
+        if not (0 <= flow.source[i] <= net.source[i] and 0 <= flow.sink[i] <= net.sink[i]):
+            return False
+    for (a, b), f in zip(net.shared, flow.shared):
+        if abs(f) > net.shared_capacity:
+            return False
+        excess[a] -= f
+        excess[b] += f
+    if any(excess):
+        return False
+    p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
+    return cert.value == Fraction((sum(flow.source) + net.constant) * p**2, q**3)
+
+
+# ---------------------------------------------------------------------------
 # flat norm
 
 @dataclass(frozen=True)
@@ -229,24 +443,11 @@ class FlatNormCertificate:
     Q: GridChain
     R: GridChain
     status: str
+    flow: Optional[CutFlow] = None  # the minimum cut's dual; None from the searches
 
 
-def flat_norm(
-    P: GridChain, method: str = "exhaustive", config: SolverConfig = DEFAULT_CONFIG
-) -> FlatNormCertificate:
-    """Minimal M(Q) + M(R) with P = Q + boundary(R) over grid chains.
-
-    Exhaustive search scans every subset of the grid's (k+1)-cells and
-    is exact; branch-and-bound prunes with the mass of already-decided
-    cells and reports an upper bound if its node budget runs out.
-    """
-    k = P.k
-    if not 0 <= k <= 2:
-        raise ValueError("flat norm needs relaxation cells one dimension up (k <= 2)")
-    grid = P.grid
-    free = sorted(grid.cells(k + 1))
-    p, q = grid.epsilon.numerator, grid.epsilon.denominator
-
+def _search_problem(P: GridChain, free: list) -> _Problem:
+    p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
     universe: dict[GridCell, int] = {}
 
     def bit_of(cell: GridCell) -> int:
@@ -264,16 +465,46 @@ def flat_norm(
     q_weight = q  # epsilon^k scaled by q^(k+1)/p^k
     r_cost = p
     weight_masks = [(q_weight, (1 << len(universe)) - 1)]
-    order = _sweep_order(free, P.cells, grid)
-    problem = _Problem(base, effects, [r_cost] * len(free), weight_masks, order)
+    order = _sweep_order(free, P.cells, P.grid)
+    return _Problem(base, effects, [r_cost] * len(free), weight_masks, order)
 
-    mask, score, status = _solve(problem, method, config)
+
+def flat_norm(
+    P: GridChain, method: str = "exhaustive", config: SolverConfig = DEFAULT_CONFIG
+) -> FlatNormCertificate:
+    """Minimal M(Q) + M(R) with P = Q + boundary(R) over grid chains.
+
+    Exhaustive search scans every subset of the grid's (k+1)-cells and
+    is exact; branch-and-bound prunes with the mass of already-decided
+    cells and reports an upper bound if its node budget runs out.
+
+    With ``method="bnb"`` a 2-chain whose boundary vanishes on every
+    edge with four 3-cells around it (a 2-cycle, say) is instead solved
+    exactly as a minimum cut, with no node budget.  Its certificate
+    carries the maximum flow, which ``verify_certificate`` replays as a
+    lower bound equal to the value; the cut breaks ties like the
+    searches, so the certificate is the exhaustive scan's.
+    """
+    k = P.k
+    if not 0 <= k <= 2:
+        raise ValueError("flat norm needs relaxation cells one dimension up (k <= 2)")
+    grid = P.grid
+    free = sorted(grid.cells(k + 1))
+    p, q = grid.epsilon.numerator, grid.epsilon.denominator
+
+    network = _cut_network(P) if method == "bnb" and k == 2 else None
+    if network is not None:
+        mask, score, flow = _solve_cut(network)
+        status = "exact"
+    else:
+        mask, score, status = _solve(_search_problem(P, free), method, config)
+        flow = None
     R = chain_of(grid, k + 1, _chosen(free, mask))
     Q = P + boundary_grid(R)
     value = mass_grid(Q) + mass_grid(R)
     if status == "exact" and value != Fraction(score * p**k, q ** (k + 1)):
         raise AssertionError("solver score does not match the rebuilt certificate")
-    cert = FlatNormCertificate(value, Q, R, status)
+    cert = FlatNormCertificate(value, Q, R, status, flow)
     if not verify_certificate(cert, P):
         raise AssertionError("flat norm certificate failed replay")
     return cert
@@ -315,7 +546,6 @@ def energy_flat_norm(
 
     free_br = sorted(grid.cells(k + 1))
     free_cr = sorted(grid.cells(k))
-    n_total = len(free_br) + len(free_cr)
 
     film_bits: dict[GridCell, int] = {}
     mass_bits: dict[GridCell, int] = {}
@@ -361,11 +591,6 @@ def energy_flat_norm(
     order = _sweep_order(free_br, given, grid)
     order += [len(free_br) + i for i in _sweep_order(free_cr, given, grid)]
     problem = _Problem(base, effects, own, weight_masks, order)
-    if method == "exhaustive" and n_total > config.exhaustive_limit:
-        raise ValueError(
-            f"{n_total} free cells exceed the exhaustive limit "
-            f"{config.exhaustive_limit}; use method='bnb'"
-        )
     mask, score, status = _solve(problem, method, config)
 
     br_mask = mask & ((1 << len(free_br)) - 1)
@@ -524,6 +749,8 @@ def natural_norm_upper(
         raise ValueError("the estimator keeps C one dimension up; k <= 2 only")
     if not 0 <= r <= 3:
         raise ValueError("levels r in 0..3")
+    if translation_radius < 0:
+        raise ValueError("the translation radius must be nonnegative")
     pieces = [(Multicell(cell, ()), frozenset({cell})) for cell in sorted(P.cells)]
     for _ in range(r):
         pieces = _pair_level(pieces, translation_radius, P.grid)
@@ -549,7 +776,9 @@ def verify_certificate(cert, original) -> bool:
                 return False
             if not (P + cert.Q + boundary_grid(cert.R)).is_zero():
                 return False
-            return cert.value == mass_grid(cert.Q) + mass_grid(cert.R) and cert.value >= 0
+            if cert.value != mass_grid(cert.Q) + mass_grid(cert.R) or cert.value < 0:
+                return False
+            return cert.flow is None or _flow_certifies(cert, P)
         if isinstance(cert, EnergyFlatCertificate):
             A = original
             film = A.B + cert.B_Q + chain_boundary(cert.B_R) + cert.C_R
@@ -577,6 +806,6 @@ def verify_certificate(cert, original) -> bool:
             if frozenset(cells) != P.cells:
                 return False
             return cost == cert.cost
-    except (ValueError, AttributeError):
+    except (ValueError, AttributeError, TypeError):
         return False
     return False

@@ -38,6 +38,10 @@ def _frac_str(x) -> str:
     return str(Fraction(x))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_frac(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise SchemaError(f"{path}: expected a rational string, got a bool")
@@ -103,7 +107,7 @@ def grid_from_json(doc, path: str = "grid") -> GridSpec:
     origin = _parse_point(_get(doc, "origin", path), f"{path}.origin")
     epsilon = _parse_frac(_get(doc, "epsilon", path), f"{path}.epsilon")
     dims = _get(doc, "dims", path)
-    if not isinstance(dims, list) or len(dims) != 3 or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or len(dims) != 3 or not all(_is_int(d) for d in dims):
         raise SchemaError(f"{path}.dims: expected three integers")
     return GridSpec(origin=origin, epsilon=epsilon, dims=tuple(dims))
 
@@ -115,7 +119,7 @@ def _cell_json(cell: GridCell) -> dict:
 def _parse_cell(doc, path: str) -> GridCell:
     base = _get(doc, "base", path)
     axes = _get(doc, "axes", path)
-    if not isinstance(base, list) or len(base) != 3 or not all(isinstance(b, int) for b in base):
+    if not isinstance(base, list) or len(base) != 3 or not all(_is_int(b) for b in base):
         raise SchemaError(f"{path}.base: expected three integers")
     if not isinstance(axes, str) or any(ch not in "xyz" for ch in axes):
         raise SchemaError(f"{path}.axes: expected a subset of 'xyz'")
@@ -149,7 +153,7 @@ def chain_from_json(doc, path: str = "$"):
     if doc.get("schema") != SCHEMA:
         raise SchemaError(f"{path}.schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
     k = _get(doc, "k", path)
-    if not isinstance(k, int):
+    if not _is_int(k):
         raise SchemaError(f"{path}.k: expected an integer")
     if kind == "grid-chain":
         grid = grid_from_json(_get(doc, "grid", path), f"{path}.grid")
@@ -199,7 +203,7 @@ def dip_from_json(doc, path: str = "$") -> Dipolyhedron:
         A = Dipolyhedron(B, C)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    if "k" in doc and doc["k"] != A.k:
+    if "k" in doc and (not _is_int(doc["k"]) or doc["k"] != A.k):
         raise SchemaError(f"{path}.k: declared {doc['k']}, parts give {A.k}")
     if "rep" in doc and doc["rep"] != A.rep:
         raise SchemaError(f"{path}.rep: declared {doc['rep']!r}, parts give {A.rep!r}")

@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filmlab.dipolyhedra import Dipolyhedron, make_dipole, make_massive
 from filmlab.flatnorm import (
+    CutFlow,
     EnergyFlatCertificate,
     FlatNormCertificate,
     SolverConfig,
@@ -233,6 +237,13 @@ def test_natural_norm_level_range_checked():
         natural_norm_upper(P, -1)
 
 
+def test_natural_norm_rejects_negative_radius():
+    grid = make_grid((1, 1, 2))
+    P = chain_of(grid, 2, [GridCell((0, 0, 0), (0, 1)), GridCell((0, 0, 1), (0, 1))])
+    with pytest.raises(ValueError, match="radius"):
+        natural_norm_upper(P, 1, translation_radius=-1)
+
+
 def test_solver_reports_budget_exhaustion():
     grid = make_grid((2, 2, 1))
     rng = random.Random(79)
@@ -246,20 +257,131 @@ def test_solver_reports_budget_exhaustion():
 
 
 def test_bnb_budget_answer_does_not_depend_on_facing():
-    # the boundary of a 2x2x2 block in each corner of a 3x3x3 grid: the
-    # same chain seen from the eight ways the axes can face
+    # two chains seen from the eight ways the axes can face: the boundary
+    # of a 2x2x2 block in a corner of a 3x3x3 grid, which bnb solves as a
+    # cut, and the same boundary opened at the face touching the grid's
+    # centre, whose boundary on interior edges keeps it in the search
     grid = make_grid((3, 3, 3))
     cfg = SolverConfig(node_budget=1000)
-    for corner in itertools.product((0, 1), repeat=3):
-        block = chain_of(
-            grid,
-            3,
-            [
-                GridCell(tuple(c + d for c, d in zip(corner, offset)), (0, 1, 2))
-                for offset in itertools.product((0, 1), repeat=3)
-            ],
-        )
+    block = chain_of(
+        grid, 3, [GridCell(offset, (0, 1, 2)) for offset in itertools.product((0, 1), repeat=3)]
+    )
+    hole = chain_of(grid, 2, [GridCell((2, 1, 1), (1, 2))])
+    for flips in itertools.product((False, True), repeat=3):
+
+        def image(chain):
+            return chain_of(grid, chain.k, [_reflect(c, grid, flips) for c in chain.cells])
+
+        R = image(block)
+        for Q, value, by_cut in ((empty_chain(grid, 2), 8, True), (image(hole), 9, False)):
+            P = boundary_grid(R) + Q
+            cert = flat_norm(P, method="bnb", config=cfg)
+            assert (cert.value, cert.status) == (value, "exact"), flips
+            assert cert.R == R and cert.Q == Q
+            assert (cert.flow is not None) == by_cut
+
+
+def _reflect(cell, grid, flips):
+    return GridCell(
+        tuple(
+            grid.dims[a] - cell.base[a] - (a in cell.axes) if flips[a] else cell.base[a]
+            for a in range(3)
+        ),
+        cell.axes,
+    )
+
+
+# -- k = 2 flat norms by minimum cut ------------------------------------------
+
+
+def _cube(grid, lo, side):
+    cells = [
+        GridCell(tuple(l + o for l, o in zip(lo, offset)), (0, 1, 2))
+        for offset in itertools.product(range(side), repeat=3)
+    ]
+    return chain_of(grid, 3, cells)
+
+
+@pytest.mark.parametrize("side", [2, 3, 4])
+def test_cut_block_boundary_ladder_is_exact(side):
+    for n in range(side + 1, 9):
+        grid = make_grid((n, n, n))
+        block = _cube(grid, ((n - side) // 2,) * 3, side)
         P = boundary_grid(block)
-        cert = flat_norm(P, method="bnb", config=cfg)
-        assert (cert.value, cert.status) == (8, "exact"), corner
+        cert = flat_norm(P, method="bnb")
+        assert (cert.value, cert.status) == (side**3, "exact"), n
         assert cert.R == block and cert.Q.is_zero()
+        assert cert.flow is not None and verify_certificate(cert, P)
+
+
+def _shared_face_counts(grid):
+    counts = {}
+    for cell in grid.cells(3):
+        for facet in cell.facets():
+            counts[facet] = counts.get(facet, 0) + 1
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.sampled_from([(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 2), (3, 2, 1), (3, 2, 2), (3, 3, 2)]),
+    eps=st.sampled_from([F(1), F(1, 2), F(2, 3)]),
+    seed=st.integers(0, 10**6),
+)
+def test_cut_matches_exhaustive_on_qualifying_chains(dims, eps, seed):
+    # P = boundary(X) + faces on the grid's boundary: the qualifying 2-chains
+    grid = make_grid(dims, eps=eps)
+    rng = random.Random(seed)
+    counts = _shared_face_counts(grid)
+    X = random_grid_chain(grid, 3, rng, density=rng.random())
+    outer = [f for f in sorted(counts) if counts[f] == 1 and rng.random() < 0.3]
+    P = boundary_grid(X) + chain_of(grid, 2, outer)
+    ex = flat_norm(P, method="exhaustive")
+    cut = flat_norm(P, method="bnb")
+    assert cut.flow is not None and cut.status == "exact"
+    assert (cut.value, cut.Q, cut.R) == (ex.value, ex.Q, ex.R)
+    assert verify_certificate(cut, P)
+
+
+def test_cut_flow_tampering_fails():
+    grid = make_grid((3, 3, 3), eps=F(1, 2))
+    P = boundary_grid(_cube(grid, (0, 1, 0), 2))
+    cert = flat_norm(P, method="bnb")
+    flow = cert.flow
+    assert cert.value == 1 and verify_certificate(cert, P)
+    i = next(i for i, f in enumerate(flow.source) if f > 0)
+    j = next(j for j, f in enumerate(flow.shared) if f != 0)
+    bad_flows = [
+        # conservation broken at one cell
+        dataclasses.replace(flow, source=flow.source[:i] + (flow.source[i] - 1,) + flow.source[i + 1 :]),
+        dataclasses.replace(flow, shared=flow.shared[:j] + (0,) + flow.shared[j + 1 :]),
+        # over capacity
+        dataclasses.replace(flow, shared=flow.shared[:j] + (10**6,) + flow.shared[j + 1 :]),
+        # wrong shape
+        dataclasses.replace(flow, sink=flow.sink[:-1]),
+    ]
+    for bad in bad_flows:
+        assert not verify_certificate(dataclasses.replace(cert, flow=bad), P)
+    # a feasible flow proves no more than its value
+    assert not verify_certificate(dataclasses.replace(cert, value=cert.value + 1), P)
+    zero = CutFlow((0,) * len(flow.source), (0,) * len(flow.sink), (0,) * len(flow.shared))
+    assert not verify_certificate(dataclasses.replace(cert, flow=zero), P)
+    # a flow cannot certify a budgeted answer, nor an input without a cut network
+    assert not verify_certificate(dataclasses.replace(cert, status="upper-bound"), P)
+    opened = P + chain_of(grid, 2, [GridCell((2, 1, 0), (1, 2))])
+    searched = flat_norm(opened, method="bnb")
+    assert searched.flow is None and verify_certificate(searched, opened)
+    assert not verify_certificate(dataclasses.replace(searched, flow=flow), opened)
+
+
+def test_bnb_searches_when_boundary_meets_an_interior_edge():
+    # one face across the middle of a 2x2x1 grid: its boundary runs along
+    # the vertical edge with four 3-cells around it, so no cut applies
+    grid = make_grid((2, 2, 1))
+    P = chain_of(grid, 2, [GridCell((0, 1, 0), (0, 2))])
+    ex = flat_norm(P, method="exhaustive")
+    bb = flat_norm(P, method="bnb")
+    assert bb.flow is None and ex.flow is None
+    assert (bb.value, bb.status, bb.Q, bb.R) == (ex.value, "exact", ex.Q, ex.R)
+    budgeted = flat_norm(P, method="bnb", config=SolverConfig(node_budget=1))
+    assert budgeted.status == "upper-bound" and budgeted.flow is None

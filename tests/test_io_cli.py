@@ -1,8 +1,13 @@
+import copy
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filmlab import cli
 from filmlab.cli import main
@@ -98,6 +103,91 @@ def test_schema_errors_carry_paths():
         chain_from_json({"schema": "filmlab/1", "type": "grid-chain"})
     with pytest.raises(SchemaError):
         parse_input({"schema": "filmlab/1", "type": "no-such-thing"})
+
+
+@pytest.mark.parametrize("where", ["k", "dims", "base", "declared k"])
+def test_schema_rejects_bools_as_integers(where):
+    grid = make_grid((1, 1, 1))
+    edge = chain_of(grid, 1, [GridCell((0, 0, 0), (0,))])
+    doc = chain_to_json(edge)
+    if where == "k":
+        doc["k"] = True
+    elif where == "dims":
+        doc["grid"]["dims"] = [True, 1, 1]
+    elif where == "base":
+        doc["cells"][0]["base"] = [False, 0, 0]
+    else:
+        doc = dip_to_json(make_dipole(edge))
+        doc["k"] = True
+    with pytest.raises(SchemaError):
+        parse_input(doc)
+
+
+FIXTURES = (
+    "square.json",
+    "square_curve.json",
+    "patch2x2.json",
+    "tilted_triangle.json",
+    "cone.json",
+    "empty_curve.json",
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_DELETE = object()
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, value):
+    if not path:
+        return doc if value is _DELETE else value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_input_fuzz_raises_only_schema_errors(data, tmp_path_factory):
+    # arbitrary JSON values, and fixtures with up to three subtrees
+    # replaced or deleted
+    if data.draw(st.booleans(), label="arbitrary"):
+        doc = data.draw(JSON_VALUES, label="doc")
+    else:
+        doc = copy.deepcopy(load_document(f"{FIX}/{data.draw(st.sampled_from(FIXTURES))}"))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+            doc = _mutate(doc, path, data.draw(st.just(_DELETE) | JSON_VALUES, label="value"))
+    try:
+        parse_input(doc)
+        malformed = False
+    except ValueError:  # SchemaError included
+        malformed = True
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["mass", str(path)])
+    if malformed:
+        assert code == 2
+        assert err.getvalue().startswith("filmlab mass: error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code == 0
 
 
 def test_scalar_encodings():
@@ -290,6 +380,14 @@ def test_cli_natural_norm(capsys):
     )
     assert code1 == 0
     assert json.loads(out1)["status"] == "upper-bound"
+
+
+def test_cli_natural_norm_rejects_negative_radius(capsys):
+    argv = ("natural-norm", f"{FIX}/square.json", "--levels", "1", "--radius")
+    code, out, err = run_cli(capsys, *argv, "-3")
+    assert code == 2 and out == ""
+    assert "radius" in err
+    assert run_cli(capsys, *argv, "3")[0] == 0
 
 
 def test_cli_deform_triangle(capsys):
