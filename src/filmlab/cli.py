@@ -25,6 +25,7 @@ from .deformation import DeformConfig, deform_chain
 from .dipolyhedra import (
     Dipolyhedron,
     boundary_dip,
+    chain_mass,
     clamp_dip,
     cone_dip,
     default_directions,
@@ -33,9 +34,9 @@ from .dipolyhedra import (
     restrict_dip,
     spanning_check,
 )
-from .exact import UndecidableComparison
+from .exact import UndecidableComparison, parse_fraction
 from .flatnorm import SolverConfig, energy_flat_norm, flat_norm, natural_norm_upper
-from .grid import BoxRegion, GridChain, GridSpec, boundary_grid, mass_grid, restrict_grid
+from .grid import BoxRegion, GridChain, GridSpec, boundary_grid, restrict_grid
 from .plateau import diagnostics as plateau_diagnostics
 from .plateau import minimize_weight, plateau_problem
 from .simplicial import (
@@ -45,7 +46,6 @@ from .simplicial import (
     clamp_to_cube,
     cone,
     embed_grid_chain,
-    mass_simplicial,
     pushforward,
     restrict_simplicial,
 )
@@ -55,7 +55,7 @@ def _fracs(text: str, n: int, what: str) -> list[Fraction]:
     parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"{what}: expected {n} comma-separated rationals")
-    return [Fraction(p) for p in parts]
+    return [parse_fraction(p) for p in parts]
 
 
 def _emit(args, payload, op: str) -> None:
@@ -73,12 +73,6 @@ def _emit(args, payload, op: str) -> None:
 
 def _load(path: str):
     return iof.parse_input(iof.load_document(path))
-
-
-def _chain_mass(obj):
-    if isinstance(obj, GridChain):
-        return mass_grid(obj)
-    return mass_simplicial(obj)
 
 
 def _solver_config(args) -> SolverConfig:
@@ -106,7 +100,7 @@ def _cmd_mass(args) -> int:
         split = energy(obj)
         _emit(args, {"value": split.energy, "split": split}, "mass")
     else:
-        _emit(args, {"value": _chain_mass(obj)}, "mass")
+        _emit(args, {"value": chain_mass(obj)}, "mass")
     return 0
 
 
@@ -153,7 +147,7 @@ def _cmd_cone(args) -> int:
 
 def _cmd_clamp(args) -> int:
     obj = _load(args.input)
-    r = Fraction(args.radius)
+    r = parse_fraction(args.radius)
     if isinstance(obj, Dipolyhedron):
         _emit(args, clamp_dip(r, obj), "clamp")
     else:
@@ -168,7 +162,7 @@ def _cmd_pushforward(args) -> int:
     m = _fracs(args.matrix, 9, "--matrix")
     matrix = (tuple(m[0:3]), tuple(m[3:6]), tuple(m[6:9]))
     offset = tuple(_fracs(args.offset, 3, "--offset"))
-    f = PLMap.affine(matrix, offset, Fraction(args.lipschitz))
+    f = PLMap.affine(matrix, offset, parse_fraction(args.lipschitz))
     if isinstance(obj, Dipolyhedron):
         _emit(args, pushforward_dip(f, obj), "pushforward")
     else:
@@ -194,7 +188,7 @@ def _cmd_deform(args) -> int:
     obj = _load(args.input)
     if isinstance(obj, Dipolyhedron):
         raise ValueError("deform expects a chain; pairs go through the plateau pipeline")
-    eps = Fraction(args.eps)
+    eps = parse_fraction(args.eps)
     if isinstance(obj, GridChain):
         obj = embed_grid_chain(obj)
     if obj.is_zero_presentation():
@@ -210,7 +204,7 @@ def _cmd_deform(args) -> int:
     cfg = DeformConfig(
         epsilon=eps,
         candidate_centers=args.centers,
-        tau=Fraction(args.tau),
+        tau=parse_fraction(args.tau),
         seed=args.seed,
         c_max=args.cmax,
     )
@@ -246,11 +240,11 @@ def _cmd_plateau(args) -> int:
     curve = _load(args.curve)
     if not isinstance(curve, GridChain):
         raise ValueError("plateau expects a grid 1-chain curve")
-    if args.eps is not None and Fraction(args.eps) != curve.grid.epsilon:
+    if args.eps is not None and parse_fraction(args.eps) != curve.grid.epsilon:
         raise ValueError(
             f"--eps {args.eps} disagrees with the curve grid spacing {curve.grid.epsilon}"
         )
-    lam = Fraction(args.lam) if args.lam is not None else None
+    lam = parse_fraction(args.lam) if args.lam is not None else None
     dirs = default_directions(args.seed, args.dirs)
     problem = plateau_problem(curve, lam=lam, dirs=dirs, seed=args.seed)
     solution = minimize_weight(problem, method=args.method, node_budget=args.node_budget)
@@ -275,8 +269,8 @@ def _cmd_restrict(args) -> int:
         hi = tuple(int(v) for v in vals[3:])
         box = BoxRegion(lo, hi)
     else:
-        lo = tuple(Fraction(v) for v in vals[:3])
-        hi = tuple(Fraction(v) for v in vals[3:])
+        lo = tuple(parse_fraction(v) for v in vals[:3])
+        hi = tuple(parse_fraction(v) for v in vals[3:])
         box = (lo, hi)
     if isinstance(obj, Dipolyhedron):
         inside, report = restrict_dip(obj, box)
@@ -291,8 +285,8 @@ def _cmd_restrict(args) -> int:
             {
                 "inside": inside,
                 "outside": outside,
-                "mass_inside": _chain_mass(inside),
-                "mass_outside": _chain_mass(outside),
+                "mass_inside": chain_mass(inside),
+                "mass_outside": chain_mass(outside),
             },
             "restrict",
         )

@@ -39,6 +39,9 @@ from .geom import (
     Point,
     Point2,
     as_point,
+    closed_cycle,
+    point_in_polygon_parity,
+    polygon_is_simple,
     primitive_direction,
     shoelace_twice,
     sup_norm,
@@ -371,9 +374,6 @@ class ProjectionDir:
         duals = (tuple(c / uu for c in u), tuple(c / vv for c in v))
         return (u, v), (uu, vv), duals
 
-    def plane_basis(self) -> tuple[Point, Point]:
-        return self._frame[0]
-
     def project2(self, p: Sequence) -> Point2:
         q = as_point(p)
         du, dv = self._frame[2]
@@ -432,42 +432,19 @@ def _segments_3d(chain: Chain) -> list[tuple[Point, Point]]:
     return [(s[0], s[1]) for s in chain.simplices]
 
 
-def _segments_share_ground(a, b, shared: int) -> bool:
-    """True when two plane segments meet outside common endpoints."""
-
-    def orient(p, q, r):
-        d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        return (d > 0) - (d < 0)
-
-    def within(p, q, r):
-        return (
-            min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
-        )
-
-    (a1, a2), (b1, b2) = a, b
-    if shared == 1:
-        common = ({a1, a2} & {b1, b2}).pop()
-        ao = a2 if a1 == common else a1
-        bo = b2 if b1 == common else b1
-        if orient(common, ao, bo) != 0:
-            return False
-        dot = (ao[0] - common[0]) * (bo[0] - common[0]) + (ao[1] - common[1]) * (
-            bo[1] - common[1]
-        )
-        return dot > 0
-    o1, o2 = orient(a1, a2, b1), orient(a1, a2, b2)
-    o3, o4 = orient(b1, b2, a1), orient(b1, b2, a2)
-    if o1 != o2 and o3 != o4:
-        return True
-    for p, q, r in ((a1, a2, b1), (a1, a2, b2), (b1, b2, a1), (b1, b2, a2)):
-        if orient(p, q, r) == 0 and within(p, q, r):
-            return True
-    return False
+_CYCLE_FAILURES = {
+    "degree": "projected curve is not a single closed curve",
+    "connectivity": "projected curve is not connected",
+}
 
 
 def _admissibility(gamma: Chain, proj: ProjectionDir):
-    """(ok, reason, projected segments); embedded-closed-curve test."""
+    """(ok, reason, projected segments): is proj_d(gamma) a simple closed curve?
+
+    No segment may be parallel to the direction; the projected segments
+    must order into one closed vertex cycle (geom.closed_cycle), and that
+    polygon must be simple (geom.polygon_is_simple).
+    """
     segs3 = _segments_3d(gamma)
     if not segs3:
         return False, "empty curve", []
@@ -476,92 +453,45 @@ def _admissibility(gamma: Chain, proj: ProjectionDir):
         if primitive_direction(vsub(q, p)) == axis_dir:
             return False, "curve segment parallel to projection direction", []
     segs2 = [(proj.project2(p), proj.project2(q)) for p, q in segs3]
-    degree: dict[Point2, int] = {}
-    for a, b in segs2:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    if any(d != 2 for d in degree.values()):
-        return False, "projected curve is not a single closed curve", segs2
-    adjacency: dict[Point2, list[Point2]] = {}
-    for a, b in segs2:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    start = next(iter(adjacency))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) != len(adjacency):
-        return False, "projected curve is not connected", segs2
-    for i in range(len(segs2)):
-        for j in range(i + 1, len(segs2)):
-            shared = len(set(segs2[i]) & set(segs2[j]))
-            if shared == 2:
-                return False, "projected curve self-intersects", segs2
-            if _segments_share_ground(segs2[i], segs2[j], shared):
-                return False, "projected curve self-intersects", segs2
+    cycle, failure = closed_cycle(segs2)
+    if failure is not None:
+        return False, _CYCLE_FAILURES[failure], segs2
+    if not polygon_is_simple(cycle):
+        return False, "projected curve self-intersects", segs2
     return True, "ok", segs2
 
 
 def _cycle_area(segs2, scale: RadicalSum) -> RadicalSum:
-    adjacency: dict[Point2, list[Point2]] = {}
-    for a, b in segs2:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    start = min(adjacency)
-    cycle = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [p for p in adjacency[cur] if p != prev]
-        step = nxt[0] if nxt else prev
-        if step == start:
-            break
-        cycle.append(step)
-        prev, cur = cur, step
-    doubled = shoelace_twice(cycle)
-    return scale * (abs(doubled) / 2)
+    cycle, _ = closed_cycle(segs2)
+    return scale * (abs(shoelace_twice(cycle)) / 2)
 
 
 def region_cells(gamma: GridChain, axis: int) -> frozenset:
     """Lattice cells of the plane region enclosed by an axis shadow of gamma.
 
-    Decided per cell center by even-odd ray crossing; centers sit at
-    half-integer lattice points and projected grid edges on integer
+    Decided per cell centre by geom.point_in_polygon_parity; centres sit
+    at half-integer lattice points and projected grid edges on integer
     lines, so no crossing is ever ambiguous.
     """
     proj = ProjectionDir.along_axis(axis)
     ok, reason, segs2 = _admissibility(gamma, proj)
     if not ok:
         raise ValueError(f"inadmissible axis projection: {reason}")
+    cycle, _ = closed_cycle(segs2)
     grid = gamma.grid
     j, l = [i for i in range(3) if i != axis]
-    sx = [(a[0], b[0]) for a, b in segs2]
-    sy = [(a[1], b[1]) for a, b in segs2]
-    lo_x = min(min(p) for p in sx)
-    hi_x = max(max(p) for p in sx)
-    lo_y = min(min(p) for p in sy)
-    hi_y = max(max(p) for p in sy)
     eps = grid.epsilon
-    i_lo = int(((lo_x - grid.origin[j]) / eps).__floor__())
-    i_hi = int(((hi_x - grid.origin[j]) / eps).__ceil__())
-    m_lo = int(((lo_y - grid.origin[l]) / eps).__floor__())
-    m_hi = int(((hi_y - grid.origin[l]) / eps).__ceil__())
+    xs = [p[0] for p in cycle]
+    ys = [p[1] for p in cycle]
+    i_lo = int(((min(xs) - grid.origin[j]) / eps).__floor__())
+    i_hi = int(((max(xs) - grid.origin[j]) / eps).__ceil__())
+    m_lo = int(((min(ys) - grid.origin[l]) / eps).__floor__())
+    m_hi = int(((max(ys) - grid.origin[l]) / eps).__ceil__())
     out = set()
     for i in range(i_lo, i_hi):
         for m in range(m_lo, m_hi):
-            cx = grid.origin[j] + eps * i + eps / 2
-            cy = grid.origin[l] + eps * m + eps / 2
-            crossings = 0
-            for (x1, y1), (x2, y2) in segs2:
-                if (y1 > cy) != (y2 > cy):
-                    x_at = x1 + (cy - y1) * (x2 - x1) / (y2 - y1)
-                    if x_at > cx:
-                        crossings += 1
-            if crossings % 2:
+            centre = (grid.origin[j] + eps * i + eps / 2, grid.origin[l] + eps * m + eps / 2)
+            if point_in_polygon_parity(centre, cycle):
                 out.add((i, m))
     return frozenset(out)
 

@@ -36,8 +36,17 @@ class UndecidableComparison(ArithmeticError):
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact Fraction."""
-    return Fraction(text)
+    """Parse an integer, 'p/q' or a plain decimal into an exact Fraction.
+
+    Exponent notation is refused: '1e1000000' would expand to a
+    million-digit integer before anything could reject it.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator: {text!r}") from exc
 
 
 def format_fraction(q: Fraction) -> str:
@@ -293,13 +302,6 @@ class RadicalSum:
             else:
                 parts.append(f"{format_fraction(coeff)}*sqrt({core})")
         return " + ".join(parts)
-
-    def to_json(self, bits: int = DEFAULT_BITS):
-        """Exact rational string, or a certified enclosure pair."""
-        if self.is_rational():
-            return format_fraction(self.as_fraction())
-        lo, hi = self.enclosure(bits)
-        return {"lo": format_fraction(lo), "hi": format_fraction(hi)}
 
 
 _ZERO = RadicalSum.__new__(RadicalSum)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exact import RadicalSum, radical_zero
 
@@ -48,10 +48,6 @@ def vcross(a: Point, b: Point) -> Point:
 
 def vnorm_sq(a: Point) -> Fraction:
     return vdot(a, a)
-
-
-def vnorm(a: Point) -> RadicalSum:
-    return RadicalSum.sqrt(vnorm_sq(a))
 
 
 def sup_norm(a: Point) -> Fraction:
@@ -341,6 +337,37 @@ def centroid(simplex: Simplex) -> Point:
 Point2 = tuple[Fraction, Fraction]
 
 
+def closed_cycle(edges: Iterable[tuple]) -> tuple[list, Optional[str]]:
+    """Order an edge set into one closed vertex cycle.
+
+    Returns (cycle, None) when every vertex meets exactly two edges and
+    the edges are connected: the cycle starts at the least vertex and
+    follows that vertex's first edge.  Otherwise returns ([], "degree")
+    when some vertex does not meet exactly two edges, or
+    ([], "connectivity") when the edges form more than one cycle.  The
+    empty edge set gives the empty cycle.  Vertices may be any hashable,
+    mutually ordered values (plane points, lattice indices).
+    """
+    adjacency: dict = {}
+    for a, b in edges:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    if any(len(nbrs) != 2 for nbrs in adjacency.values()):
+        return [], "degree"
+    if not adjacency:
+        return [], None
+    start = min(adjacency)
+    cycle = [start]
+    prev, cur = start, adjacency[start][0]
+    while cur != start:
+        cycle.append(cur)
+        a, b = adjacency[cur]
+        prev, cur = cur, (b if a == prev else a)
+    if len(cycle) != len(adjacency):
+        return [], "connectivity"
+    return cycle, None
+
+
 def shoelace_twice(polygon: Sequence[Point2]) -> Fraction:
     """Twice the signed area of a closed polygon given by its vertex cycle."""
     total = Fraction(0)
@@ -387,35 +414,30 @@ def segments_properly_intersect(p1: Point2, p2: Point2, q1: Point2, q2: Point2) 
 
 
 def polygon_is_simple(vertices: Sequence[Point2]) -> bool:
-    """Exact simplicity test for a closed polygon (distinct vertices, no
-    degenerate edges, non-adjacent edges disjoint)."""
+    """Exact simplicity test for a closed polygon (distinct vertices, and
+    no two edges meeting outside the endpoint adjacent edges share).
+
+    Edges whose bounding boxes are disjoint can neither cross nor touch,
+    so only pairs with meeting boxes reach the orientation tests.
+    """
     n = len(vertices)
-    if n < 3:
-        return False
-    if len(set(vertices)) != n:
+    if n < 3 or len(set(vertices)) != n:
         return False
     edges = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
-    for a, b in edges:
-        if a == b:
-            return False
+    boxes = [
+        (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])) for a, b in edges
+    ]
     for i in range(n):
+        x_lo, x_hi, y_lo, y_hi = boxes[i]
+        p1, p2 = edges[i]
         for j in range(i + 1, n):
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            p1, p2 = edges[i]
-            q1, q2 = edges[j]
-            if adjacent:
-                # adjacent edges may only share the common endpoint
-                shared = {p1, p2} & {q1, q2}
-                if len(shared) != 1:
-                    return False
-                if segments_properly_intersect(p1, p2, q1, q2):
-                    return False
-            else:
-                if segments_properly_intersect(p1, p2, q1, q2):
-                    return False
-                # also reject containment overlaps with shared endpoints
-                if {p1, p2} & {q1, q2}:
-                    return False
+            u_lo, u_hi, v_lo, v_hi = boxes[j]
+            if u_lo > x_hi or x_lo > u_hi or v_lo > y_hi or y_lo > v_hi:
+                continue
+            # distinct vertices: adjacent edges share exactly one endpoint,
+            # others none, so any further contact is a crossing or overlap
+            if segments_properly_intersect(p1, p2, *edges[j]):
+                return False
     return True
 
 

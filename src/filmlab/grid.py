@@ -189,9 +189,6 @@ class BoxRegion:
                 return False
         return True
 
-    def world_box(self, grid: GridSpec) -> tuple[Point, Point]:
-        return grid.world(self.lo), grid.world(self.hi)
-
 
 def restrict_grid(chain: GridChain, box: BoxRegion) -> tuple[GridChain, GridChain]:
     """Split a chain into (inside, outside) parts along an aligned box.

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .dipolyhedra import Dipolyhedron, EnergySplit
-from .exact import RadicalSum
+from .exact import RadicalSum, parse_fraction
 from .grid import GridCell, GridChain, GridSpec, cell_from_label
 from .simplicial import SimplicialChain, simplicial_chain
 
@@ -47,7 +47,7 @@ def _parse_frac(value, path: str) -> Fraction:
         raise SchemaError(f"{path}: expected a rational string, got a bool")
     if isinstance(value, (str, int)):
         try:
-            return Fraction(value)
+            return Fraction(value) if isinstance(value, int) else parse_fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{path}: not a rational: {value!r}") from exc
     raise SchemaError(f"{path}: expected a rational string, got {type(value).__name__}")
@@ -216,6 +216,8 @@ def load_document(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: JSON nested too deeply") from exc
 
 
 def parse_input(doc, path: str = "$"):
@@ -282,11 +284,6 @@ def dumps_report(obj) -> str:
     if isinstance(doc, dict):
         doc.setdefault("schema", SCHEMA)
     return dumps_json(doc)
-
-
-def save_json(obj, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_report(obj))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from .dipolyhedra import (
     region_cells,
 )
 from .exact import SQRT3
+from .geom import closed_cycle
 from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
 from .overlay import chains_equal_mod2
 from .simplicial import boundary_simplicial, embed_grid_chain
@@ -75,26 +76,10 @@ def _edge_ends(cell: GridCell) -> tuple[tuple, tuple]:
 def _validate_curve(gamma: GridChain) -> None:
     if gamma.k != 1:
         raise ValueError("the curve must be a grid 1-chain")
-    degree: dict = {}
-    for cell in gamma.cells:
-        for v in _edge_ends(cell):
-            degree[v] = degree.get(v, 0) + 1
-    if any(d != 2 for d in degree.values()):
+    _, failure = closed_cycle(_edge_ends(cell) for cell in gamma.cells)
+    if failure == "degree":
         raise ValueError("the curve must be simple and closed (every vertex of degree 2)")
-    adj: dict = {}
-    for cell in gamma.cells:
-        p, q = _edge_ends(cell)
-        adj.setdefault(p, []).append(q)
-        adj.setdefault(q, []).append(p)
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) != len(adj):
+    if failure == "connectivity":
         raise ValueError("the curve must be connected")
 
 
@@ -296,13 +281,18 @@ def initial_cone_solution(problem: PlateauProblem, deform_config=None) -> ConeSt
     grid pair (P_B, gamma + dP_B).  Raises BudgetError when even the cone
     exceeds the energy budget.
     """
+    return _cone_start(problem, _spanning_context(problem, "grid"), deform_config)
+
+
+def _cone_start(problem: PlateauProblem, ctx: SpanningContext, deform_config=None) -> ConeStart:
+    """initial_cone_solution against a grid spanning context of the problem."""
     from .deformation import DeformConfig, deform_dipolyhedron
 
     gamma = problem.gamma
     grid = problem.grid
     if gamma.is_zero():
         zero = Dipolyhedron(empty_chain(grid, 2), empty_chain(grid, 1))
-        return ConeStart(zero, Fraction(0), gamma_membership(zero, problem), {}, {})
+        return ConeStart(zero, Fraction(0), _membership(zero, problem, ctx), {}, {})
     cone = _cone_pair(gamma)
     e = energy(cone).energy
     if not e <= problem.lam:
@@ -318,7 +308,7 @@ def initial_cone_solution(problem: PlateauProblem, deform_config=None) -> ConeSt
     D, _, _, report = deform_dipolyhedron(cone, embed_grid_chain(gamma), grid, deform_config)
     B0 = D.B
     pair = Dipolyhedron(B0, gamma + boundary_grid(B0))
-    return ConeStart(pair, e, gamma_membership(pair, problem), bounds, bounds_ok, report.fallback_cells)
+    return ConeStart(pair, e, _membership(pair, problem, ctx), bounds, bounds_ok, report.fallback_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +553,7 @@ def minimize_weight(
             required=cone_energy(problem.gamma),
         )
     # budget ran out without a feasible pair: fall back to the cone start
-    fallback = initial_cone_solution(problem).pair
+    fallback = _cone_start(problem, ctx).pair
     e = energy(fallback).energy
     return _as_solution(problem, fallback, e, "upper-bound", method, search.nodes, ctx, bound)
 
@@ -575,7 +565,7 @@ def _local_descent(
     bound: Fraction,
 ) -> PlateauSolution:
     if start is None:
-        start = initial_cone_solution(problem).pair
+        start = _cone_start(problem, ctx).pair
     if not (is_grid_chain(start.B) and start.B.grid == problem.grid):
         raise ValueError("local search needs a grid pair on the problem grid")
     report = _membership(start, problem, ctx)

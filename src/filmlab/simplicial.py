@@ -60,9 +60,6 @@ class SimplicialChain:
     def is_zero_presentation(self) -> bool:
         return not self.simplices
 
-    def sorted_simplices(self) -> list[Simplex]:
-        return sorted(self.simplices)
-
     def vertices(self) -> list[Point]:
         seen = set()
         for s in self.simplices:

@@ -99,3 +99,14 @@ def test_zero_detection_despite_mixed_presentation():
 def test_division_by_rational():
     x = (RadicalSum.sqrt(2) + 4) / 2
     assert x == RadicalSum.sqrt(2) / 2 + 2
+
+
+def test_parse_fraction_accepts_plain_forms_and_refuses_exponents():
+    assert parse_fraction("-3/4") == Fraction(-3, 4)
+    assert parse_fraction("0.125") == Fraction(1, 8)
+    assert parse_fraction("12") == 12
+    for text in ("1e3", "2E-1", "1.5e0", "1e1000000"):
+        with pytest.raises(ValueError, match="exponent notation"):
+            parse_fraction(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_fraction("1/0")

@@ -1,7 +1,10 @@
 import copy
+import importlib.util
 import io
 import json
+import os
 import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -520,3 +523,61 @@ def test_cli_eflat_exhaustive_limit(capsys, tmp_path):
     # a limit below the free-cell count is refused as a usage error
     code, _, err = run_cli(capsys, "eflat", str(p), "--exhaustive-limit", "0")
     assert code == 2 and "exhaustive limit 0" in err
+
+
+def test_cli_deeply_nested_json_exit_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "mass", str(deep))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("filmlab mass: error: ") and "nested too deeply" in err
+
+
+def test_cli_refuses_exponent_in_document(capsys, tmp_path):
+    doc = chain_to_json(square_curve(make_grid((2, 2, 1)), 0, 0, 1))
+    doc["grid"]["epsilon"] = "1e10000000"
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mass", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "$.grid.epsilon: not a rational" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plateau", "--curve", f"{FIX}/square_curve.json", "--eps", "1e10000000"),
+        ("deform", f"{FIX}/tilted_triangle.json", "--eps", "1E10000000"),
+        ("clamp", f"{FIX}/square.json", "--radius", "1e400"),
+        ("cone", f"{FIX}/square.json", "--apex", "0,0,1e9"),
+    ],
+    ids=["plateau-eps", "deform-eps", "clamp-radius", "cone-apex"],
+)
+def test_cli_refuses_exponent_arguments(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "exponent notation is not accepted" in err
+
+
+def test_cli_zero_denominator_exit_2(capsys):
+    code, _, err = run_cli(capsys, "clamp", f"{FIX}/square.json", "--radius", "1/0")
+    assert code == 2
+    assert err.count("\n") == 1 and "zero denominator" in err
+
+
+def test_fixtures_regenerate_byte_for_byte(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("make_fixtures", "scripts/make_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", str(tmp_path))
+    module.main()
+    written = sorted(os.listdir(tmp_path))
+    assert written == sorted(os.listdir(FIX))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == open(os.path.join(FIX, name), "rb").read(), name

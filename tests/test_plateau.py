@@ -359,3 +359,41 @@ def test_admissible_faces_lattice_order_matches_world_order():
     for gamma in curves:
         problem = plateau_problem(gamma)
         assert plateau._admissible_faces(problem) == _world_face_order(problem)
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("sq1", 1), ("sq2", 4), ("sq3", 9), ("hex1", 3), ("fold1", 2)],
+)
+def test_local_descent_never_below_exact(name, expected):
+    curves = {
+        "sq1": lambda: _centred_square(1),
+        "sq2": lambda: _centred_square(2),
+        "sq3": lambda: _centred_square(3),
+        "hex1": lambda: _polygon(HEX, 3),
+        "fold1": lambda: _polygon(FOLD, 2),
+    }
+    problem = plateau_problem(curves[name]())
+    exact = minimize_weight(problem, method="bnb")
+    assert exact.optimality == "exact" and exact.weight == expected
+    local = minimize_weight(problem, method="local")
+    assert local.feasibility.member
+    assert local.weight >= exact.weight
+
+
+def test_minimize_weight_builds_one_spanning_context(monkeypatch):
+    built = []
+
+    class CountingContext(plateau.SpanningContext):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(plateau, "SpanningContext", CountingContext)
+    problem = unit_problem()
+    # local descent from the cone start, and bnb falling back to the cone start
+    for kwargs in ({"method": "local"}, {"method": "bnb", "node_budget": 1}):
+        built.clear()
+        sol = minimize_weight(problem, **kwargs)
+        assert sol.optimality == "upper-bound" and sol.feasibility.member
+        assert len(built) == 1
