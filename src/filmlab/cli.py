@@ -193,6 +193,13 @@ def _cmd_deform(args) -> int:
         obj = embed_grid_chain(obj)
     if obj.is_zero_presentation():
         raise ValueError("deform expects a nonempty chain")
+    cfg = DeformConfig(
+        epsilon=eps,
+        candidate_centers=args.centers,
+        tau=parse_fraction(args.tau),
+        seed=args.seed,
+        c_max=args.cmax,
+    )
     if args.origin and args.dims:
         grid = GridSpec(
             origin=tuple(_fracs(args.origin, 3, "--origin")),
@@ -201,13 +208,6 @@ def _cmd_deform(args) -> int:
         )
     else:
         grid = _auto_grid(obj, eps)
-    cfg = DeformConfig(
-        epsilon=eps,
-        candidate_centers=args.centers,
-        tau=parse_fraction(args.tau),
-        seed=args.seed,
-        c_max=args.cmax,
-    )
     result = deform_chain(obj, grid, cfg)
     _emit(args, result, "deform")
     if args.mesh_prefix:

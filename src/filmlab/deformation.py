@@ -42,7 +42,6 @@ from .geom import (
     Simplex,
     centroid,
     is_degenerate,
-    line_key,
     plane_key,
     point_simplex_dist_sq,
     simplex_measure_sq,
@@ -59,7 +58,7 @@ from .overlay import (
     _point_status,
     chains_equal_mod2,
     is_zero_geometric,
-    overlay_leftover,
+    reduce_1chain,
 )
 from .simplicial import (
     SimplicialChain,
@@ -628,13 +627,7 @@ def _prune_zero_groups(chain: SimplicialChain) -> SimplicialChain:
     presentation on planes that carry actual content.
     """
     if chain.k == 1:
-        groups = {}
-        for s in chain.simplices:
-            groups.setdefault(line_key(*s), []).append(s)
-        kept = []
-        for segs in groups.values():
-            kept.extend(overlay_leftover(segs))
-        return simplicial_chain(1, kept)
+        return reduce_1chain(chain)
     if chain.k == 2:
         groups = {}
         for s in chain.simplices:

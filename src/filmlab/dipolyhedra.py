@@ -22,9 +22,21 @@ everywhere iff those segments cancel in the interval-parity overlay.
 That overlay is additive mod 2.  The face borders of B sum to
 boundary(B), since an edge shared by two faces appears twice, and
 boundary(B) + gamma = C.  So the jump set is proj_d(C), and d matches
-iff overlay_leftover(proj_d C) is empty; C = 0 matches every admissible
-direction outright.  Edges parallel to d project to points and drop out,
-so no direction needs special casing.
+iff overlay_leftover(proj_d C) is empty (overlay.overlay_vanishes asks
+exactly that without building the leftover); C = 0 matches every
+admissible direction outright.  Edges parallel to d project to points
+and drop out, so no direction needs special casing.
+
+For grid curves the check never leaves the integers.  With (u*, v*) the
+duals of the plane basis and D_u, D_v the least common denominators of
+their entries, the integer frame (U, V) = (D_u u*, D_v v*) sends a lattice
+point n to (n.U, n.V).  A world point o + eps n projects to (s, t) =
+(o.u* + eps n.u*, o.v* + eps n.v*), so the two coordinates differ by the
+affine map (s, t) -> ((s - o.u*) D_u / eps, (t - o.v*) D_v / eps), which is
+invertible.  An affine bijection maps lines to lines and keeps the order
+of points along each line, so it maps the overlay leftover of one set of
+segments onto that of their images: the leftover is empty in one set of
+coordinates iff it is empty in the other.
 """
 from __future__ import annotations
 
@@ -32,6 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .exact import RadicalSum
@@ -51,7 +64,7 @@ from .geom import (
     vsub,
 )
 from .grid import BoxRegion, GridChain, GridSpec, empty_chain, boundary_grid, mass_grid, restrict_grid
-from .overlay import chains_equal_mod2, is_zero_geometric, overlay_leftover
+from .overlay import chains_equal_mod2, is_zero_geometric, overlay_vanishes
 from .simplicial import (
     PLMap,
     SimplicialChain,
@@ -417,6 +430,20 @@ def _lift2(p: Point2) -> Point:
     return (p[0], p[1], Fraction(0))
 
 
+def _lattice_frame(proj: ProjectionDir) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The integer frame (U, V) = (D_u u*, D_v v*) of a projection.
+
+    D_u and D_v clear the denominators of the dual basis vectors, so a
+    lattice point n projects to the integer pair (n.U, n.V); see the
+    module docstring for why spanning may be decided there.
+    """
+    out = []
+    for dual in proj._frame[2]:
+        den = lcm(*(c.denominator for c in dual))
+        out.append(tuple(c.numerator * (den // c.denominator) for c in dual))
+    return out[0], out[1]
+
+
 def _grid_edge_ends(grid: GridSpec, cell) -> tuple[Point, Point]:
     (a,) = cell.axes
     lo = list(cell.base)
@@ -525,15 +552,17 @@ class SpanningContext:
 
     For every direction: the projection (with its cached plane basis),
     whether the curve is admissible along it and why not, and the area
-    of the region its projection encloses.  check(A) then only projects
-    the mass part of A.  A context is built per top-level call and holds
-    no state beyond these per-curve facts.
+    of the region its projection encloses, and, for a grid curve, the
+    integer frame of each admissible direction.  check(A) then only
+    projects the mass part of A.  A context is built per top-level call
+    and holds no state beyond these per-curve facts.
     """
 
     def __init__(self, gamma: Chain, dirs: Optional[Sequence[ProjectionDir]] = None):
         if dirs is None:
             dirs = default_directions()
         self.gamma = gamma
+        grid = is_grid_chain(gamma)
         facts = []
         max_area = None
         for proj in dirs:
@@ -541,7 +570,8 @@ class SpanningContext:
             area = _cycle_area(segs2, proj.area_scale()) if ok else None
             if ok and (max_area is None or area > max_area):
                 max_area = area
-            facts.append((proj, ok, reason, area))
+            frame = _lattice_frame(proj) if ok and grid else None
+            facts.append((proj, ok, reason, area, frame))
         self.directions = tuple(facts)
         self.max_region_area = max_area
 
@@ -566,19 +596,30 @@ class SpanningContext:
         if not boundary_ok:
             return SpanningReport(False, "boundary-mismatch", (), None)
 
-        mass_segments = _segments_3d(A.C)
+        if A.rep == "grid":
+            edges = [(cell.base, cell.axes[0]) for cell in A.C.cells]
+        else:
+            mass_segments = _segments_3d(A.C)
         reports = []
         all_match = True
-        for proj, ok, reason, area in self.directions:
+        for proj, ok, reason, area, frame in self.directions:
             if not ok:
                 reports.append(DirectionReport(proj, False, reason, None, None))
                 continue
-            matches = not mass_segments or not overlay_leftover(
-                [
+            if frame is not None:
+                U, V = frame
+                (u0, u1, u2), (v0, v1, v2) = U, V
+                segments = []
+                for (n0, n1, n2), a in edges:
+                    s = n0 * u0 + n1 * u1 + n2 * u2
+                    t = n0 * v0 + n1 * v1 + n2 * v2
+                    segments.append(((s, t, 0), (s + U[a], t + V[a], 0)))
+            else:
+                segments = [
                     (_lift2(proj.project2(p)), _lift2(proj.project2(q)))
                     for p, q in mass_segments
                 ]
-            )
+            matches = overlay_vanishes(segments)
             all_match = all_match and matches
             reports.append(DirectionReport(proj, True, "ok", matches, area))
 

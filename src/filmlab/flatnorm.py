@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .exact import RadicalSum
 from .dipolyhedra import Dipolyhedron, chain_boundary
 from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
@@ -75,6 +73,9 @@ def _weighted_popcount(x: int, weight_masks) -> int:
 
 
 def _solve_exhaustive(problem: _Problem) -> tuple[int, int, str]:
+    # numpy costs about 0.1 s to import; only this solver needs it
+    import numpy as np
+
     n = len(problem.effects)
     relevant = [problem.base, *problem.effects] + [m for _, m in problem.weight_masks]
     maxbit = max((v.bit_length() for v in relevant), default=0)
@@ -94,6 +95,12 @@ def _solve_exhaustive(problem: _Problem) -> tuple[int, int, str]:
         (w, np.array(_lanes_of(m, lanes), dtype=np.uint64)) for w, m in problem.weight_masks
     ]
 
+    # per-block buffers, allocated once and written in place
+    block = np.empty_like(table)
+    masked = np.empty_like(table)
+    counts = np.empty(table.shape, dtype=np.uint8)
+    weighted = np.empty(1 << low, dtype=np.int64)
+    score = np.empty(1 << low, dtype=np.int64)
     best_score = None
     best_mask = 0
     for high in range(1 << (n - low)):
@@ -103,12 +110,14 @@ def _solve_exhaustive(problem: _Problem) -> tuple[int, int, str]:
             if (high >> i) & 1:
                 hx ^= problem.effects[low + i]
                 ho += problem.own[low + i]
-        block = table ^ np.array(_lanes_of(hx, lanes), dtype=np.uint64)
-        score = owns + np.int64(ho)
+        np.bitwise_xor(table, np.array(_lanes_of(hx, lanes), dtype=np.uint64), out=block)
+        np.add(owns, np.int64(ho), out=score)
         for w, marr in lane_masks:
-            score = score + np.int64(w) * np.bitwise_count(block & marr).sum(
-                axis=1, dtype=np.int64
-            )
+            np.bitwise_and(block, marr, out=masked)
+            np.bitwise_count(masked, out=counts)
+            counts.sum(axis=1, dtype=np.int64, out=weighted)
+            weighted *= w
+            score += weighted
         idx = int(np.argmin(score))
         s = int(score[idx])
         # within a block, argmin's first hit is the smallest variable mask

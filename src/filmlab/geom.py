@@ -276,11 +276,16 @@ def split_simplex(simplex: Simplex, plane: Plane):
     Splits recursively at plane-crossing edges, so output pieces are honest
     simplices with pairwise disjoint interiors whose union is the input.
     Pieces whose affine hull lies inside the plane go to the 'on' bucket.
+    A degenerate simplex that the plane crosses yields no pieces.  That is
+    decided once, on the input: a child swaps one end of a crossing edge
+    for an interior point of it, which scales the measure by t or 1 - t
+    with 0 < t < 1, so children are degenerate exactly when the input is.
     """
     neg: list[Simplex] = []
     on: list[Simplex] = []
     pos: list[Simplex] = []
     stack = [tuple(simplex)]
+    root = True
     while stack:
         s = stack.pop()
         signs = [plane.eval(v) for v in s]
@@ -300,14 +305,15 @@ def split_simplex(simplex: Simplex, plane: Plane):
             else:
                 neg.append(s)
             continue
+        if root:
+            if is_degenerate(s):
+                break
+            root = False
         i, j = crossing
         t = signs[i] / (signs[i] - signs[j])
         m = vadd(s[i], vscale(t, vsub(s[j], s[i])))
-        left = tuple(m if idx == j else v for idx, v in enumerate(s))
-        right = tuple(m if idx == i else v for idx, v in enumerate(s))
-        for child in (left, right):
-            if not is_degenerate(child):
-                stack.append(child)
+        stack.append(tuple(m if idx == j else v for idx, v in enumerate(s)))
+        stack.append(tuple(m if idx == i else v for idx, v in enumerate(s)))
     return neg, on, pos
 
 

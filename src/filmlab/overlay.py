@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .geom import (
@@ -44,22 +45,75 @@ DEFAULT_TRIALS = 200
 Segment = tuple[Point, Point]
 
 
-def overlay_leftover(segments: Iterable[Segment]) -> list[Segment]:
-    """Mod-2 geometric cancellation of segments: odd-covered sub-segments.
+def _homogeneous(p: Point) -> tuple[int, int, int, int]:
+    """Integer numerators of a rational point over its least common denominator."""
+    x, y, z = p
+    dx, dy, dz = x.denominator, y.denominator, z.denominator
+    if dx == dy == dz == 1:
+        return x.numerator, y.numerator, z.numerator, 1
+    den = lcm(dx, dy, dz)
+    return x.numerator * (den // dx), y.numerator * (den // dy), z.numerator * (den // dz), den
 
-    Groups by carrying line and sweeps each line once: every endpoint
-    toggles the coverage parity, an endpoint shared by an even number of
-    segments toggles nothing, and each maximal odd-covered run becomes one
-    output segment.
+
+def _line_toggles(segments: Iterable[Segment]) -> dict:
+    """Endpoint toggles per carrying line, all in Python ints.
+
+    Maps each line's integer Pluecker key, the primitive direction d (first
+    nonzero entry positive) and the moment p x d as a gcd-reduced integer
+    vector over a positive denominator, to (a representative segment,
+    {parameter: parity}).  A parameter is <x, d> as a reduced pair
+    (numerator, denominator > 0); an endpoint shared by an even number of
+    segments toggles nothing.
     """
     groups: dict = {}
     for p, q in segments:
         if p == q:
             continue
-        d, anchor = line_key(p, q)
-        groups.setdefault((d, anchor), []).append((p, q))
+        px, py, pz, pw = _homogeneous(p)
+        qx, qy, qz, qw = _homogeneous(q)
+        dx, dy, dz = qx * pw - px * qw, qy * pw - py * qw, qz * pw - pz * qw
+        g = gcd(dx, dy, dz)
+        if dx < 0 or (dx == 0 and (dy < 0 or (dy == 0 and dz < 0))):
+            g = -g
+        dx, dy, dz = dx // g, dy // g, dz // g
+        mx, my, mz = py * dz - pz * dy, pz * dx - px * dz, px * dy - py * dx
+        g = gcd(mx, my, mz, pw)
+        key = (dx, dy, dz, mx // g, my // g, mz // g, pw // g)
+        entry = groups.get(key)
+        if entry is None:
+            entry = groups[key] = ((p, q), {})
+        toggles = entry[1]
+        for t, w in ((px * dx + py * dy + pz * dz, pw), (qx * dx + qy * dy + qz * dz, qw)):
+            g = gcd(t, w)
+            t = (t // g, w // g)
+            toggles[t] = toggles.get(t, 0) ^ 1
+    return groups
+
+
+def overlay_vanishes(segments: Iterable[Segment]) -> bool:
+    """True iff overlay_leftover(segments) is empty; builds no points."""
+    return not any(
+        any(toggles.values()) for _, toggles in _line_toggles(segments).values()
+    )
+
+
+def overlay_leftover(segments: Iterable[Segment]) -> list[Segment]:
+    """Mod-2 geometric cancellation of segments: odd-covered sub-segments.
+
+    Groups by carrying line (integer Pluecker key) and sweeps each line
+    once: every endpoint toggles the coverage parity, an endpoint shared
+    by an even number of segments toggles nothing, and each maximal
+    odd-covered run becomes one output segment.  Lines with odd toggles
+    are reported in the order of geom.line_key, which is computed once
+    per such line.
+    """
+    live = []
+    for (p, q), toggles in _line_toggles(segments).values():
+        odd = sorted(Fraction(t, w) for (t, w), flip in toggles.items() if flip)
+        if odd:
+            live.append((line_key(p, q), odd))
     out: list[Segment] = []
-    for (d, anchor), segs in sorted(groups.items()):
+    for (d, anchor), odd in sorted(live):
         df = (Fraction(d[0]), Fraction(d[1]), Fraction(d[2]))
         dd = vdot(df, df)
 
@@ -68,18 +122,8 @@ def overlay_leftover(segments: Iterable[Segment]) -> list[Segment]:
 
         # x = anchor + (t / dd) d with t = <x, d>, as the anchor is the foot
         # of the origin's perpendicular (<anchor, d> = 0)
-        toggles: dict = {}
-        for p, q in segs:
-            for x in (p, q):
-                t = x[0] * d[0] + x[1] * d[1] + x[2] * d[2]
-                toggles[t] = toggles.get(t, 0) ^ 1
-        run_start = None
-        for t in sorted(t for t, flip in toggles.items() if flip):
-            if run_start is None:
-                run_start = t
-            else:
-                out.append((at(run_start), at(t)))
-                run_start = None
+        for i in range(0, len(odd), 2):
+            out.append((at(odd[i]), at(odd[i + 1])))
     return out
 
 
@@ -103,13 +147,13 @@ def is_zero_geometric(chain: SimplicialChain) -> bool:
     if chain.k <= 0:
         return chain.is_zero_presentation()
     if chain.k == 1:
-        return not overlay_leftover((s[0], s[1]) for s in chain.simplices)
+        return overlay_vanishes((s[0], s[1]) for s in chain.simplices)
     if chain.k == 2:
         for _, tris in _plane_groups(chain).items():
             edges = []
             for t in tris:
                 edges.extend(((t[0], t[1]), (t[0], t[2]), (t[1], t[2])))
-            if overlay_leftover(edges):
+            if not overlay_vanishes(edges):
                 return False
         return True
     # k == 3: coverage jumps across faces

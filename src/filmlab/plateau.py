@@ -142,10 +142,9 @@ def plateau_problem(
         raise ValueError("the energy budget must be positive")
     lam_prime = Fraction(3) * lam / mass_grid(gamma)
     half = lam_prime / 2
-    for cell in gamma.cells:
-        for v in _edge_ends(cell):
-            if any(abs(c) > half for c in grid.world(v)):
-                raise ValueError("energy budget too small: the curve leaves the working cube")
+    bounds = _lattice_bounds(grid, half)
+    if not all(_cell_in_bounds(cell, *bounds) for cell in gamma.cells):
+        raise ValueError("energy budget too small: the curve leaves the working cube")
     lo, hi = grid.box()
     if any(lo[i] > -half or hi[i] < half for i in range(3)):
         raise ValueError("grid does not cover the working cube of the budget")
@@ -193,14 +192,25 @@ class MembershipReport:
         return out
 
 
+def _lattice_bounds(grid: GridSpec, half: Fraction) -> tuple[list[int], list[int]]:
+    """Per axis, the least and greatest lattice index n with |origin + eps n| <= half."""
+    eps = grid.epsilon
+    lo = [math.ceil((-half - o) / eps) for o in grid.origin]
+    hi = [math.floor((half - o) / eps) for o in grid.origin]
+    return lo, hi
+
+
+def _cell_in_bounds(cell: GridCell, lo: list[int], hi: list[int]) -> bool:
+    base = cell.base
+    return all(lo[a] <= base[a] and base[a] + (a in cell.axes) <= hi[a] for a in range(3))
+
+
 def _support_in_cube(A: Dipolyhedron, half: Fraction) -> bool:
     if A.rep == "grid":
-        for chain in (A.B, A.C):
-            for cell in chain.cells:
-                for corner in cell.corners():
-                    if any(abs(c) > half for c in chain.grid.world(corner)):
-                        return False
-        return True
+        lo, hi = _lattice_bounds(A.B.grid, half)
+        return all(
+            _cell_in_bounds(cell, lo, hi) for chain in (A.B, A.C) for cell in chain.cells
+        )
     for chain in (A.B, A.C):
         for s in chain.simplices:
             for v in s:
@@ -339,17 +349,8 @@ def _admissible_faces(problem: PlateauProblem) -> list[GridCell]:
     centres and curve vertices are integer points; the world distance
     squared is epsilon^2 / 4 times that, so the order is the world order.
     """
-    half = problem.cube_half
-    grid = problem.grid
-    eps = grid.epsilon
-    # lattice indices n with |origin + eps n| <= half, per axis
-    lo = [math.ceil((-half - o) / eps) for o in grid.origin]
-    hi = [math.floor((half - o) / eps) for o in grid.origin]
-    out = [
-        cell
-        for cell in grid.cells(2)
-        if all(lo[a] <= cell.base[a] and cell.base[a] + (a in cell.axes) <= hi[a] for a in range(3))
-    ]
+    lo, hi = _lattice_bounds(problem.grid, problem.cube_half)
+    out = [cell for cell in problem.grid.cells(2) if _cell_in_bounds(cell, lo, hi)]
     anchors = {tuple(2 * x for x in v) for c in problem.gamma.cells for v in _edge_ends(c)}
     if not anchors:
         return sorted(out)

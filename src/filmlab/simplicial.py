@@ -98,9 +98,11 @@ def boundary_simplicial(chain: SimplicialChain) -> SimplicialChain:
         raise ValueError("boundary undefined for 0-chains")
     acc: set[Simplex] = set()
     for s in chain.simplices:
+        # facets of a nondegenerate simplex are nondegenerate
+        degenerate = chain.k > 1 and is_degenerate(s)
         for i in range(len(s)):
             facet = s[:i] + s[i + 1 :]
-            if chain.k - 1 > 0 and is_degenerate(facet):
+            if degenerate and is_degenerate(facet):
                 continue
             acc ^= {facet}
     return SimplicialChain(chain.k - 1, frozenset(acc))
@@ -263,6 +265,8 @@ def restrict_simplicial(
     """
     lo = as_point(lo)
     hi = as_point(hi)
+    if any(lo[a] > hi[a] for a in range(3)):
+        raise ValueError("box corners out of order")
     if chain.k == 0:
         inside, outside = [], []
         for s in chain.simplices:

@@ -137,3 +137,59 @@ def test_cross_orthogonality():
     n = vcross(EX, EY)
     assert n == EZ
     assert vdot(n, EX) == 0 and vdot(n, EY) == 0
+
+
+def _split_simplex_testing_every_child(simplex, plane):
+    """Reference: split_simplex testing every child for degeneracy."""
+    neg, on, pos = [], [], []
+    stack = [tuple(simplex)]
+    while stack:
+        s = stack.pop()
+        signs = [plane.eval(v) for v in s]
+        crossing = next(
+            ((i, j) for i in range(len(s)) for j in range(i + 1, len(s)) if signs[i] * signs[j] < 0),
+            None,
+        )
+        if crossing is None:
+            if all(v == 0 for v in signs):
+                on.append(s)
+            elif any(v > 0 for v in signs):
+                pos.append(s)
+            else:
+                neg.append(s)
+            continue
+        i, j = crossing
+        t = signs[i] / (signs[i] - signs[j])
+        m = tuple(a + t * (b - a) for a, b in zip(s[i], s[j]))
+        for child in (
+            tuple(m if idx == j else v for idx, v in enumerate(s)),
+            tuple(m if idx == i else v for idx, v in enumerate(s)),
+        ):
+            if not is_degenerate(child):
+                stack.append(child)
+    return neg, on, pos
+
+
+@st.composite
+def maybe_degenerate_simplices(draw):
+    """1- to 3-simplices; about half have a vertex on the hull of the others."""
+    k = draw(st.integers(1, 3))
+    verts = [draw(points(span=2, den=2)) for _ in range(k + 1)]
+    if draw(st.booleans()):
+        a, b = verts[0], verts[-2]
+        t = draw(st.fractions(min_value=-1, max_value=2, max_denominator=3))
+        verts[-1] = tuple(x + t * (y - x) for x, y in zip(a, b))
+    return tuple(verts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    s=maybe_degenerate_simplices(),
+    n=points(span=2, den=1),
+    b0=st.fractions(min_value=-2, max_value=2, max_denominator=2),
+)
+def test_split_simplex_matches_per_child_degeneracy_rule(s, n, b0):
+    if n == (0, 0, 0):
+        return
+    plane = Plane(n, b0)
+    assert split_simplex(s, plane) == _split_simplex_testing_every_child(s, plane)

@@ -415,6 +415,21 @@ def test_cli_restrict(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("fixture", ["square.json", "tilted_triangle.json"])
+def test_cli_restrict_rejects_reversed_box(capsys, fixture):
+    # grid chains take lattice corners, simplicial chains world corners
+    code, out, err = run_cli(capsys, "restrict", f"{FIX}/{fixture}", "--box", "0,0,0,-1,1,1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "out of order" in err
+
+
+@pytest.mark.parametrize("eps", ["0", "-1/2"])
+def test_cli_deform_rejects_nonpositive_eps(capsys, eps):
+    code, out, err = run_cli(capsys, "deform", f"{FIX}/tilted_triangle.json", f"--eps={eps}")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "epsilon must be positive" in err
+
+
 def test_cli_diagnostics(capsys, tmp_path):
     grid = make_grid((3, 3, 2), origin=(F(-3, 2), F(-3, 2), F(-1)))
     gamma = square_curve(grid, 1, 1, 2)

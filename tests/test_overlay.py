@@ -10,6 +10,7 @@ from filmlab.overlay import (
     coverage_parity,
     is_zero_geometric,
     overlay_leftover,
+    overlay_vanishes,
     reduce_1chain,
 )
 from filmlab.simplicial import boundary_simplicial, simplicial_chain
@@ -220,3 +221,44 @@ def test_overlay_sweep_matches_midpoint_scan(seed):
         if rng.random() < 0.2:
             segments.append((q, p) if rng.random() < 0.5 else (p, q))
     assert overlay_leftover(segments) == _midpoint_scan_overlay(segments)
+
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 100_000), cancel=st.sampled_from(["none", "reverse", "split"]))
+def test_overlay_vanishes_iff_leftover_empty(seed, cancel):
+    # the generator of test_overlay_sweep_matches_midpoint_scan; then every
+    # segment once more, reversed or split at a pool point, so that empty
+    # leftovers are common, and integral coordinates as plain ints
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        base = tuple(F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3))
+        direction = (0, 0, 0)
+        while direction == (0, 0, 0):
+            direction = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+        lines.append((base, direction))
+    pool = [F(rng.randint(-12, 12), rng.choice((1, 2, 3, 4))) for _ in range(rng.randint(2, 7))]
+
+    def at(line, t):
+        base, direction = line
+        return tuple(b + t * d for b, d in zip(base, direction))
+
+    segments = []
+    for _ in range(rng.randint(0, 14)):
+        line = lines[rng.randrange(len(lines))]
+        t1, t2 = rng.choice(pool), rng.choice(pool)
+        p, q = at(line, t1), at(line, t2)
+        segments.append((p, q))
+        if cancel == "reverse":
+            segments.append((q, p))
+        elif cancel == "split":
+            tm = rng.choice(pool)
+            segments += [(p, at(line, tm)), (at(line, tm), q)]
+        if rng.random() < 0.2:
+            segments.append((q, p) if rng.random() < 0.5 else (p, q))
+    segments = [
+        tuple(tuple(int(c) if c.denominator == 1 else c for c in x) for x in seg)
+        for seg in segments
+    ]
+    assert overlay_vanishes(segments) == (overlay_leftover(segments) == [])

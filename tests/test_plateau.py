@@ -1,18 +1,29 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filmlab import plateau
 from filmlab.dipolyhedra import (
     Dipolyhedron,
+    DirectionReport,
+    ProjectionDir,
+    SpanningContext,
+    SpanningReport,
+    _admissibility,
+    _cycle_area,
     boundary_dip,
+    default_directions,
     energy,
     make_dipole,
     make_massive,
 )
 from filmlab.exact import SQRT3
 from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
+from filmlab.overlay import overlay_leftover
 from filmlab.plateau import (
     BudgetError,
     PlateauProblem,
@@ -26,7 +37,7 @@ from filmlab.plateau import (
     plateau_problem,
 )
 
-from conftest import make_grid, square_curve
+from conftest import make_grid, random_grid_chain, square_curve
 
 F = Fraction
 
@@ -361,6 +372,29 @@ def test_admissible_faces_lattice_order_matches_world_order():
         assert plateau._admissible_faces(problem) == _world_face_order(problem)
 
 
+def test_support_in_cube_lattice_bounds_match_world_corners():
+    rng = random.Random(5)
+    grids = [
+        make_grid((3, 3, 2), origin=(F(-3, 2), F(-3, 2), F(-1))),
+        make_grid((4, 4, 4), origin=(F(-7, 3), -2, F(-5, 4)), eps=F(1, 2)),
+    ]
+    for grid in grids:
+        for half in (F(1, 2), F(3, 4), F(1), F(5, 4), F(2)):
+            for _ in range(10):
+                A = Dipolyhedron(
+                    random_grid_chain(grid, 2, rng, density=0.05),
+                    random_grid_chain(grid, 1, rng, density=0.05),
+                )
+                world = all(
+                    abs(c) <= half
+                    for chain in (A.B, A.C)
+                    for cell in chain.cells
+                    for corner in cell.corners()
+                    for c in grid.world(corner)
+                )
+                assert plateau._support_in_cube(A, half) == world
+
+
 @pytest.mark.parametrize(
     "name, expected",
     [("sq1", 1), ("sq2", 4), ("sq3", 9), ("hex1", 3), ("fold1", 2)],
@@ -397,3 +431,123 @@ def test_minimize_weight_builds_one_spanning_context(monkeypatch):
         sol = minimize_weight(problem, **kwargs)
         assert sol.optimality == "upper-bound" and sol.feasibility.member
         assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# spanning in lattice coordinates against the world projection
+
+
+PLATEAU_CURVES = {
+    **{f"sq{n}": lambda sym, n=n: _centred_square(n) for n in range(1, 5)},
+    "hex1": lambda sym: _polygon(_oriented(HEX, sym), 3),
+    "fold1": lambda sym: _polygon(_oriented(FOLD, sym), 2),
+    "fold2": lambda sym: _polygon(_oriented(FOLD2, sym), 4),
+}
+
+
+def _world_spanning_check(gamma, dirs, A):
+    """Reference: C's edges projected from world points by proj.project2,
+    each admissible direction decided by overlay_leftover."""
+    if not (boundary_grid(A.C).is_zero() and (boundary_grid(A.B) + A.C + gamma).is_zero()):
+        return SpanningReport(False, "boundary-mismatch", (), None)
+    grid = gamma.grid
+    mass = [tuple(grid.world(v) for v in plateau._edge_ends(cell)) for cell in A.C.cells]
+    reports, max_area = [], None
+    for proj in dirs:
+        ok, reason, segs2 = _admissibility(gamma, proj)
+        if not ok:
+            reports.append(DirectionReport(proj, False, reason, None, None))
+            continue
+        area = _cycle_area(segs2, proj.area_scale())
+        if max_area is None or area > max_area:
+            max_area = area
+        lifted = [
+            tuple((*proj.project2(x), F(0)) for x in seg) for seg in mass
+        ]
+        reports.append(DirectionReport(proj, True, "ok", not overlay_leftover(lifted), area))
+    if max_area is None:
+        verdict = "vacuous"
+    elif all(r.matches for r in reports if r.admissible):
+        verdict = "spans"
+    else:
+        verdict = "fails"
+    return SpanningReport(True, verdict, tuple(reports), max_area)
+
+
+def _sweep_film(gamma):
+    """A grid film bounded by gamma.
+
+    Each edge sweeps down to lattice height z = 0; the walls' boundary is
+    gamma plus its floor shadow (the vertical edges cancel in pairs), and
+    the shadow is filled by sweeping its x edges to y = 0.
+    """
+
+    def sweep(edges, down):
+        faces = []
+        for base, a in edges:
+            if a != down:
+                axes = tuple(sorted((a, down)))
+                faces += [
+                    GridCell(tuple(h if i == down else b for i, b in enumerate(base)), axes)
+                    for h in range(base[down])
+                ]
+        return faces
+
+    grid = gamma.grid
+    edges = [(c.base, c.axes[0]) for c in gamma.cells]
+    shadow = chain_of(grid, 1, [GridCell((b[0], b[1], 0), (a,)) for b, a in edges if a != 2])
+    faces = sweep(edges, 2) + sweep([(c.base, c.axes[0]) for c in shadow.cells], 1)
+    return chain_of(grid, 2, faces)
+
+
+def _translated_pair(grid, rng):
+    """A face, a copy of it moved by a lattice vector t, and t.
+
+    Along t the two borders project onto each other and cancel, so the
+    pair's border sum is invisible along t and visible along most other
+    directions.
+    """
+    while True:
+        face = rng.choice(list(grid.cells(2)))
+        t = tuple(rng.randint(-2, 2) for _ in range(3))
+        copy = GridCell(tuple(b + s for b, s in zip(face.base, t)), face.axes)
+        if t != (0, 0, 0) and grid.contains_cell(copy):
+            return [face, copy], t
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    name=st.sampled_from(sorted(PLATEAU_CURVES)),
+    kind=st.sampled_from(["film", "stray", "translated", "random", "mismatch"]),
+)
+def test_spanning_in_lattice_frame_matches_world_projection(seed, name, kind):
+    rng = random.Random(seed)
+    gamma = PLATEAU_CURVES[name](SYMMETRIES[rng.randrange(len(SYMMETRIES))])
+    grid = gamma.grid
+    film = _sweep_film(gamma)
+    assert boundary_grid(film) == gamma
+    B = film + boundary_grid(random_grid_chain(grid, 3, rng, density=0.15))
+    faces, t = _translated_pair(grid, rng)
+    if kind == "stray":
+        B = B + chain_of(grid, 2, faces[:1])
+    elif kind == "translated":
+        B = B + chain_of(grid, 2, faces)
+    elif kind == "random":
+        B = random_grid_chain(grid, 2, rng, density=0.1)
+    C = gamma + boundary_grid(B)
+    if kind == "mismatch":
+        C = C + chain_of(grid, 1, [rng.choice(list(grid.cells(1)))])
+    A = Dipolyhedron(B, C)
+    # a face's border vanishes along directions in its plane: one such
+    # direction per face orientation, then t
+    steps = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(6)]
+    extra = [
+        ProjectionDir.from_direction(tuple(0 if i == normal else steps.pop() for i in range(3)))
+        for normal in range(3)
+    ] + [ProjectionDir.from_direction(t)]
+    dirs = default_directions(seed % 3) + extra
+    if kind == "translated" and rng.random() < 0.5:
+        dirs = extra[-1:]  # t alone: a nonzero mass part that spans
+    report = SpanningContext(gamma, dirs).check(A)
+    assert report == _world_spanning_check(gamma, dirs, A)

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filmlab.exact import RadicalSum
-from filmlab.geom import simplex_measure, sup_norm
+from filmlab.geom import is_degenerate, simplex_measure, sup_norm
 from filmlab.grid import GridCell, chain_of
 from filmlab.simplicial import (
     LipschitzViolation,
     PLMap,
+    SimplicialChain,
     boundary_simplicial,
     canonical_simplex,
     clamp_to_cube,
@@ -23,7 +24,7 @@ from filmlab.simplicial import (
     simplicial_chain,
 )
 
-from conftest import make_grid, random_simplicial_chain
+from conftest import make_grid, random_point, random_simplicial_chain
 
 F = Fraction
 
@@ -201,6 +202,38 @@ def test_boundary_squared_random(seed, k):
         assert boundary_simplicial(chain).k == 0
     else:
         assert boundary_simplicial(boundary_simplicial(chain)).is_zero_presentation()
+
+
+def _boundary_testing_every_facet(chain):
+    """Reference: boundary_simplicial testing every facet for degeneracy."""
+    acc = set()
+    for s in chain.simplices:
+        for i in range(len(s)):
+            facet = s[:i] + s[i + 1 :]
+            if chain.k - 1 > 0 and is_degenerate(facet):
+                continue
+            acc ^= {facet}
+    return SimplicialChain(chain.k - 1, frozenset(acc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), k=st.integers(1, 3))
+def test_boundary_matches_per_facet_degeneracy_rule(seed, k):
+    # the chain is built raw, so degenerate simplices (flat, or with a
+    # repeated vertex) stay in it
+    rng = random.Random(seed)
+    simplices = []
+    for _ in range(rng.randint(1, 4)):
+        verts = [random_point(rng, span=1, den=2) for _ in range(k + 1)]
+        pick = rng.random()
+        if pick < 0.3:
+            verts[-1] = verts[0]
+        elif pick < 0.6:
+            t = F(rng.randint(-2, 4), 2)
+            verts[-1] = tuple(a + t * (b - a) for a, b in zip(verts[0], verts[-2]))
+        simplices.append(tuple(verts))
+    chain = SimplicialChain(k, frozenset(simplices))
+    assert boundary_simplicial(chain) == _boundary_testing_every_facet(chain)
 
 
 @settings(max_examples=25, deadline=None)
