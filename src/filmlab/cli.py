@@ -58,6 +58,16 @@ def _fracs(text: str, n: int, what: str) -> list[Fraction]:
     return [parse_fraction(p) for p in parts]
 
 
+def _dims(text: str) -> tuple[int, int, int]:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError("--dims: expected 3 comma-separated positive integers")
+    dims = tuple(int(p) for p in parts)
+    if min(dims) <= 0:
+        raise ValueError(f"--dims: cell counts must be positive, got {text}")
+    return dims
+
+
 def _emit(args, payload, op: str) -> None:
     doc = iof.to_jsonable(payload)
     if isinstance(doc, dict):
@@ -200,11 +210,13 @@ def _cmd_deform(args) -> int:
         seed=args.seed,
         c_max=args.cmax,
     )
-    if args.origin and args.dims:
+    if (args.origin is None) != (args.dims is None):
+        raise ValueError("--origin and --dims must be given together")
+    if args.origin is not None:
         grid = GridSpec(
             origin=tuple(_fracs(args.origin, 3, "--origin")),
             epsilon=eps,
-            dims=tuple(int(d) for d in args.dims.split(",")),
+            dims=_dims(args.dims),
         )
     else:
         grid = _auto_grid(obj, eps)

@@ -34,15 +34,14 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
-from .dipolyhedra import Dipolyhedron, EnergySplit, boundary_dip, energy, is_grid_chain
-from .exact import RadicalSum, sqrt_enclosure
+from .dipolyhedra import Dipolyhedron, EnergySplit, boundary_dip, chain_mass, energy, is_grid_chain
+from .exact import RadicalSum, radical_sum
 from .geom import (
     Plane,
     Point,
     Simplex,
     centroid,
     is_degenerate,
-    plane_key,
     point_simplex_dist_sq,
     simplex_measure_sq,
     split_chain_pieces,
@@ -55,9 +54,10 @@ from .overlay import (
     IN,
     ON,
     EqualityCertificate,
+    _plane_groups,
+    _plane_vanishes,
     _point_status,
     chains_equal_mod2,
-    is_zero_geometric,
     reduce_1chain,
 )
 from .simplicial import (
@@ -65,7 +65,6 @@ from .simplicial import (
     boundary_simplicial,
     embed_grid_chain,
     empty_simplicial,
-    mass_simplicial,
     simplicial_chain,
 )
 
@@ -74,9 +73,6 @@ _UNIT = (
     (Fraction(0), Fraction(1), Fraction(0)),
     (Fraction(0), Fraction(0), Fraction(1)),
 )
-
-# equality checks must stay exact regardless of presentation size
-_VERIFY_LIMIT = 10**9
 
 
 @dataclass(frozen=True)
@@ -629,24 +625,17 @@ def _prune_zero_groups(chain: SimplicialChain) -> SimplicialChain:
     if chain.k == 1:
         return reduce_1chain(chain)
     if chain.k == 2:
-        groups = {}
-        for s in chain.simplices:
-            groups.setdefault(plane_key(*s), []).append(s)
-        kept = []
-        for group in groups.values():
-            if not is_zero_geometric(SimplicialChain(2, frozenset(group))):
-                kept.extend(group)
+        kept = [
+            s
+            for tris in _plane_groups(chain).values()
+            if not _plane_vanishes(tris)
+            for s in tris
+        ]
         return SimplicialChain(2, frozenset(kept))
     raise ValueError("pruning supports 1- and 2-chains only")
 
 
 # -- reports -----------------------------------------------------------------
-
-
-def _leq(a, b) -> bool:
-    ra = a if isinstance(a, RadicalSum) else RadicalSum.from_fraction(a)
-    rb = b if isinstance(b, RadicalSum) else RadicalSum.from_fraction(b)
-    return ra <= rb
 
 
 def _ratio(num, den) -> float:
@@ -656,20 +645,6 @@ def _ratio(num, den) -> float:
     return n / d
 
 
-def _mass_interval(x, bits: int):
-    """Rational enclosure of a mass: exact for grid masses and Fractions."""
-    if isinstance(x, SimplicialChain):
-        lo = hi = Fraction(0)
-        fact = int(_FACT[x.k])
-        for s in x.simplices:
-            a, b = sqrt_enclosure(simplex_measure_sq(s), bits)
-            lo += a / fact
-            hi += b / fact
-        return lo, hi
-    f = Fraction(x)
-    return f, f
-
-
 def _mass_float(x) -> float:
     if isinstance(x, SimplicialChain):
         fact = _FACT[x.k]
@@ -677,29 +652,9 @@ def _mass_float(x) -> float:
     return float(x)
 
 
-def _exact_mass(x):
-    if isinstance(x, SimplicialChain):
-        return mass_simplicial(x)
-    return Fraction(x)
-
-
-def _leq_mass(lhs, rhs_terms) -> bool:
-    """Sound test  mass(lhs) <= sum coeff * mass(term),  enclosures first."""
-    for bits in (64, 256):
-        llo, lhi = _mass_interval(lhs, bits)
-        rlo = rhi = Fraction(0)
-        for coeff, term in rhs_terms:
-            tlo, thi = _mass_interval(term, bits)
-            rlo += coeff * tlo
-            rhi += coeff * thi
-        if lhi <= rlo:
-            return True
-        if llo > rhi:
-            return False
-    rhs = RadicalSum.from_fraction(0)
-    for coeff, term in rhs_terms:
-        rhs = rhs + _exact_mass(term) * coeff
-    return _leq(_exact_mass(lhs), rhs)
+def _mass_at_most(lhs, rhs_terms) -> bool:
+    """Exact test  lhs <= sum coeff * M(term)  for a mass lhs."""
+    return lhs <= radical_sum(chain_mass(term) * coeff for coeff, term in rhs_terms)
 
 
 def _support_dist_sq(vertices, targets) -> Optional[Fraction]:
@@ -754,7 +709,7 @@ def _finish_entry(
     dR = boundary_simplicial(R)
     embedded_P = embed_grid_chain(P)
     Q = _prune_zero_groups(A + embedded_P + dR)
-    cert = chains_equal_mod2(A + embedded_P, Q + dR, mode="exact", max_exact=_VERIFY_LIMIT)
+    cert = chains_equal_mod2(A + embedded_P, Q + dR)
     if not cert.equal:
         raise RuntimeError("deformation identity failed geometric verification")
 
@@ -771,10 +726,10 @@ def _finish_entry(
     }
     c = cfg.c_max
     bounds_ok = {
-        "cP": _leq_mass(mP, [(c, A), (c * eps, dA)]),
-        "cdP": _leq_mass(mdP, [(c, dA)]),
-        "cQ": _leq_mass(Q, [(c * eps, dA)]),
-        "cR": _leq_mass(R, [(c * eps, A)]),
+        "cP": _mass_at_most(mP, [(c, A), (c * eps, dA)]),
+        "cdP": _mass_at_most(mdP, [(c, dA)]),
+        "cQ": _mass_at_most(chain_mass(Q), [(c * eps, dA)]),
+        "cR": _mass_at_most(chain_mass(R), [(c * eps, A)]),
     }
 
     chain_d2 = _support_dist_sq(
@@ -855,9 +810,7 @@ def deform_dipolyhedron(A: Dipolyhedron, gamma, grid: GridSpec, cfg: DeformConfi
         raise ValueError("gamma must be a 1-chain")
     if not boundary_simplicial(C).is_zero_presentation():
         raise ValueError("precondition failed: the mass part must be a cycle")
-    closure = chains_equal_mod2(
-        boundary_simplicial(B) + C, curve, mode="exact", max_exact=_VERIFY_LIMIT
-    )
+    closure = chains_equal_mod2(boundary_simplicial(B) + C, curve)
     if not closure.equal:
         raise ValueError("precondition failed: dB + C must equal gamma")
 
@@ -871,12 +824,8 @@ def deform_dipolyhedron(A: Dipolyhedron, gamma, grid: GridSpec, cfg: DeformConfi
     R = Dipolyhedron(film.R, mass.R)
 
     dR = boundary_dip(R)
-    film_cert = chains_equal_mod2(
-        B + embed_grid_chain(D.B), Q.B + dR.B, mode="exact", max_exact=_VERIFY_LIMIT
-    )
-    mass_cert = chains_equal_mod2(
-        C + embed_grid_chain(D.C), Q.C + dR.C, mode="exact", max_exact=_VERIFY_LIMIT
-    )
+    film_cert = chains_equal_mod2(B + embed_grid_chain(D.B), Q.B + dR.B)
+    mass_cert = chains_equal_mod2(C + embed_grid_chain(D.C), Q.C + dR.C)
     if not (film_cert.equal and mass_cert.equal):
         raise RuntimeError("dipolyhedron deformation identity failed verification")
 
@@ -897,8 +846,8 @@ def deform_dipolyhedron(A: Dipolyhedron, gamma, grid: GridSpec, cfg: DeformConfi
     }
     two_c = 2 * cfg.c_max
     bounds_ok = {
-        "cE": _leq_mass(e_D.energy, [(two_c, B), (two_c, C), (two_c * eps, dB)]),
-        "cdD": _leq_mass(boundary_mass, [(cfg.c_max, curve)]),
+        "cE": _mass_at_most(e_D.energy, [(two_c, B), (two_c, C), (two_c * eps, dB)]),
+        "cdD": _mass_at_most(boundary_mass, [(cfg.c_max, curve)]),
     }
     report = DipoleDeformationReport(
         film=film,

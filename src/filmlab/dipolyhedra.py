@@ -107,13 +107,11 @@ def chain_boundary(chain: Chain) -> Chain:
     return boundary_simplicial(chain)
 
 
-def chain_is_zero(chain: Chain, mode: str = "exact") -> bool:
+def chain_is_zero(chain: Chain) -> bool:
     """Mod-2 triviality; geometric (not presentational) for simplicial."""
     if is_grid_chain(chain):
         return chain.is_zero()
-    if mode == "exact":
-        return is_zero_geometric(chain)
-    return chain.is_zero_presentation()
+    return is_zero_geometric(chain)
 
 
 def _empty_like(chain: Chain, k: int) -> Chain:
@@ -197,15 +195,13 @@ def boundary_dip(A: Dipolyhedron) -> Dipolyhedron:
     return Dipolyhedron(chain_boundary(A.B) + A.C, chain_boundary(A.C))
 
 
-def dip_equal(A: Dipolyhedron, other: Dipolyhedron, mode: str = "exact") -> bool:
+def dip_equal(A: Dipolyhedron, other: Dipolyhedron) -> bool:
     """Componentwise mod-2 equality (geometric for simplicial reps)."""
     if A.rep != other.rep or A.k != other.k:
         return False
     if A.rep == "grid":
         return A.B.cells == other.B.cells and A.C.cells == other.C.cells
-    return bool(chains_equal_mod2(A.B, other.B, mode=mode)) and bool(
-        chains_equal_mod2(A.C, other.C, mode=mode)
-    )
+    return chains_equal_mod2(A.B, other.B).equal and chains_equal_mod2(A.C, other.C).equal
 
 
 def support_dip(A: Dipolyhedron) -> list:
@@ -250,13 +246,13 @@ def cone_dip(apex: Sequence, A: Dipolyhedron) -> Dipolyhedron:
     return Dipolyhedron(cone(apex, S.B), cone(apex, S.C))
 
 
-def cone_identity_holds(apex: Sequence, A: Dipolyhedron, mode: str = "exact") -> bool:
+def cone_identity_holds(apex: Sequence, A: Dipolyhedron) -> bool:
     """A = boundary(cone(A)) + cone(boundary(A)), checked mod 2."""
     if not 1 <= A.k <= 2:
         raise ValueError("cone identity check needs film dimension 1 or 2")
     S = to_simplicial(A)
     recomposed = boundary_dip(cone_dip(apex, S)) + cone_dip(apex, boundary_dip(S))
-    return dip_equal(recomposed, S, mode=mode)
+    return dip_equal(recomposed, S)
 
 
 @dataclass(frozen=True)
@@ -403,8 +399,15 @@ class ProjectionDir:
         return "dir(" + ",".join(str(x) for x in self.direction) + ")"
 
 
+# Distinct directions (up to sign) the generator below can draw: u and v
+# range over the 71 values p/q with |p| <= 7 and 1 <= q <= 7.
+_DIRECTION_POOL = 4882
+
+
 def default_directions(seed: int = 0, extra: int = 10) -> list[ProjectionDir]:
     """The three axes plus seeded rational unit directions off the sphere."""
+    if not 0 <= extra <= _DIRECTION_POOL:
+        raise ValueError(f"extra directions must lie in 0..{_DIRECTION_POOL}, got {extra}")
     dirs = [ProjectionDir.along_axis(i) for i in range(3)]
     rng = random.Random(f"filmlab-span:{seed}")
     seen = set()

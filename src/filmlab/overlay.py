@@ -12,19 +12,16 @@ off a measure-zero set.  The exact decision reduces dimension by one twice:
 * a 3-chain vanishes iff the overlay of its tetrahedron faces vanishes as a
   2-chain, by the same jump argument in space.
 
-This is sound and complete for rational inputs.  A sampled mode decides
-parity agreement at seeded generic points instead; it is sound for
-"unequal" and probabilistic for "equal", and exact mode falls back to it
-beyond a configured presentation size.
+This is sound and complete for rational inputs, whatever the presentation
+size.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .geom import (
     Point,
@@ -32,15 +29,12 @@ from .geom import (
     line_key,
     plane_key,
     vadd,
+    vcross,
     vdot,
     vscale,
     vsub,
 )
 from .simplicial import SimplicialChain, boundary_simplicial, simplicial_chain
-
-DEFAULT_MAX_EXACT = 20000
-DEFAULT_TRIALS = 200
-
 
 Segment = tuple[Point, Point]
 
@@ -142,6 +136,13 @@ def _plane_groups(chain: SimplicialChain) -> dict:
     return groups
 
 
+def _plane_vanishes(tris: list) -> bool:
+    """True iff coplanar triangles cover their plane evenly a.e."""
+    return overlay_vanishes(
+        e for t in tris for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
+    )
+
+
 def is_zero_geometric(chain: SimplicialChain) -> bool:
     """Exact test that a chain's coverage parity vanishes a.e."""
     if chain.k <= 0:
@@ -149,18 +150,14 @@ def is_zero_geometric(chain: SimplicialChain) -> bool:
     if chain.k == 1:
         return overlay_vanishes((s[0], s[1]) for s in chain.simplices)
     if chain.k == 2:
-        for _, tris in _plane_groups(chain).items():
-            edges = []
-            for t in tris:
-                edges.extend(((t[0], t[1]), (t[0], t[2]), (t[1], t[2])))
-            if not overlay_vanishes(edges):
-                return False
-        return True
+        return all(_plane_vanishes(tris) for tris in _plane_groups(chain).values())
     # k == 3: coverage jumps across faces
     return is_zero_geometric(boundary_simplicial(chain))
 
 
 # -- point parity -----------------------------------------------------------
+# deformation.snap_parity decides a grid face's membership by the covering
+# parity of its pieces at one generic point; these are its point tests.
 
 OUT, IN, ON = 0, 1, 2
 
@@ -172,8 +169,6 @@ def _point_segment_status(p: Point, s: Simplex) -> int:
     if vdot(ab, ab) == 0:
         return OUT
     # collinearity
-    from .geom import vcross
-
     if vcross(ab, ap) != (0, 0, 0):
         return OUT
     t = vdot(ap, ab) / vdot(ab, ab)
@@ -186,8 +181,6 @@ def _point_segment_status(p: Point, s: Simplex) -> int:
 
 def _point_triangle_status(p: Point, s: Simplex) -> int:
     a, b, c = s
-    from .geom import vcross
-
     n = vcross(vsub(b, a), vsub(c, a))
     if vdot(n, vsub(p, a)) != 0:
         return OUT
@@ -211,58 +204,11 @@ def _point_triangle_status(p: Point, s: Simplex) -> int:
     return IN
 
 
-def _point_tet_status(p: Point, s: Simplex) -> int:
-    a = s[0]
-    edges = [vsub(v, a) for v in s[1:]]
-    mat = [[edges[j][i] for j in range(3)] for i in range(3)]
-
-    def det3(mm):
-        return (
-            mm[0][0] * (mm[1][1] * mm[2][2] - mm[1][2] * mm[2][1])
-            - mm[0][1] * (mm[1][0] * mm[2][2] - mm[1][2] * mm[2][0])
-            + mm[0][2] * (mm[1][0] * mm[2][1] - mm[1][1] * mm[2][0])
-        )
-
-    d0 = det3(mat)
-    if d0 == 0:
-        return OUT
-    rhs = vsub(p, a)
-    coords = []
-    for i in range(3):
-        mm = [row[:] for row in mat]
-        for r in range(3):
-            mm[r][i] = rhs[r]
-        coords.append(det3(mm) / d0)
-    coords.append(1 - sum(coords))
-    if any(c < 0 for c in coords):
-        return OUT
-    if any(c == 0 for c in coords):
-        return ON
-    return IN
-
-
 def _point_status(p: Point, s: Simplex) -> int:
-    k = len(s) - 1
-    if k == 1:
+    """OUT, IN or ON for a point against a segment or triangle."""
+    if len(s) == 2:
         return _point_segment_status(p, s)
-    if k == 2:
-        return _point_triangle_status(p, s)
-    return _point_tet_status(p, s)
-
-
-class BoundaryHit(Exception):
-    pass
-
-
-def coverage_parity(p: Point, chain: SimplicialChain) -> int:
-    """Parity of the number of simplices containing p; raises on boundary hits."""
-    count = 0
-    for s in chain.simplices:
-        st = _point_status(p, s)
-        if st == ON:
-            raise BoundaryHit
-        count += st
-    return count % 2
+    return _point_triangle_status(p, s)
 
 
 # -- equality ---------------------------------------------------------------
@@ -271,71 +217,14 @@ def coverage_parity(p: Point, chain: SimplicialChain) -> int:
 @dataclass(frozen=True)
 class EqualityCertificate:
     equal: bool
-    mode: str  # exact | sampled | sampled-fallback
-    trials: int = 0
-    witness: Optional[Point] = None
-    note: str = ""
+    mode: str  # always "exact"; kept for report readers
 
     def __bool__(self) -> bool:
         return self.equal
 
 
-def _sample_point(rng: random.Random, s: Simplex) -> Point:
-    weights = [Fraction(rng.randint(1, 997)) for _ in s]
-    total = sum(weights)
-    acc = (Fraction(0), Fraction(0), Fraction(0))
-    for w, v in zip(weights, s):
-        acc = vadd(acc, vscale(w / total, v))
-    return acc
-
-
-def _sampled_equal(
-    a: SimplicialChain, b: SimplicialChain, seed: int, trials: int, mode: str
-) -> EqualityCertificate:
-    diff = sorted(a.simplices ^ b.simplices)
-    if not diff:
-        return EqualityCertificate(True, mode, 0, note="identical presentations")
-    rng = random.Random(f"filmlab-equal:{seed}")
-    done = 0
-    attempts = 0
-    while done < trials and attempts < 50 * trials:
-        attempts += 1
-        s = diff[rng.randrange(len(diff))]
-        p = _sample_point(rng, s)
-        try:
-            pa = coverage_parity(p, a)
-            pb = coverage_parity(p, b)
-        except BoundaryHit:
-            continue
-        if pa != pb:
-            return EqualityCertificate(False, mode, done + 1, witness=p)
-        done += 1
-    return EqualityCertificate(True, mode, done, note="no disagreement found")
-
-
-def chains_equal_mod2(
-    a: SimplicialChain,
-    b: SimplicialChain,
-    mode: str = "exact",
-    seed: int = 0,
-    trials: int = DEFAULT_TRIALS,
-    max_exact: int = DEFAULT_MAX_EXACT,
-) -> EqualityCertificate:
-    """Decide geometric equality of two mod-2 chains.
-
-    Exact mode is sound and complete up to ``max_exact`` presentation
-    simplices in the symmetric difference, beyond which it falls back to
-    sampling and says so in the certificate.
-    """
+def chains_equal_mod2(a: SimplicialChain, b: SimplicialChain) -> EqualityCertificate:
+    """Decide geometric equality of two mod-2 chains, exactly at any size."""
     if a.k != b.k:
         raise ValueError("chains of different dimension")
-    if mode == "sampled":
-        return _sampled_equal(a, b, seed, trials, "sampled")
-    if mode != "exact":
-        raise ValueError(f"unknown equality mode: {mode}")
-    diff = a + b
-    if len(diff) > max_exact:
-        cert = _sampled_equal(a, b, seed, trials, "sampled-fallback")
-        note = f"exact size limit {max_exact} exceeded ({len(diff)}); " + cert.note
-        return EqualityCertificate(cert.equal, cert.mode, cert.trials, cert.witness, note)
-    return EqualityCertificate(is_zero_geometric(diff), "exact")
+    return EqualityCertificate(is_zero_geometric(a + b), "exact")

@@ -119,6 +119,14 @@ def cone(apex: Sequence, chain: SimplicialChain) -> SimplicialChain:
 # -- piecewise-linear maps --------------------------------------------------
 
 
+def _declared_lipschitz(lipschitz) -> RadicalSum:
+    """A declared Lipschitz constant as a RadicalSum; negative ones are refused."""
+    lip = lipschitz if isinstance(lipschitz, RadicalSum) else RadicalSum.from_fraction(lipschitz)
+    if lip.sign() < 0:
+        raise ValueError(f"Lipschitz constant must be nonnegative, got {lip}")
+    return lip
+
+
 @dataclass(frozen=True)
 class PLMap:
     """A piecewise-linear map with a declared Lipschitz bound.
@@ -137,14 +145,12 @@ class PLMap:
     @staticmethod
     def affine(matrix, offset, lipschitz) -> "PLMap":
         m = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        lip = lipschitz if isinstance(lipschitz, RadicalSum) else RadicalSum.from_fraction(lipschitz)
-        return PLMap(lipschitz=lip, matrix=m, offset=as_point(offset))
+        return PLMap(lipschitz=_declared_lipschitz(lipschitz), matrix=m, offset=as_point(offset))
 
     @staticmethod
     def relocation(table: Mapping, lipschitz) -> "PLMap":
         t = {as_point(k): as_point(v) for k, v in table.items()}
-        lip = lipschitz if isinstance(lipschitz, RadicalSum) else RadicalSum.from_fraction(lipschitz)
-        return PLMap(lipschitz=lip, table=t)
+        return PLMap(lipschitz=_declared_lipschitz(lipschitz), table=t)
 
     def apply_point(self, p: Point) -> Point:
         if self.matrix is not None:

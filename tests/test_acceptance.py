@@ -256,7 +256,7 @@ def test_criterion_06_cone_identity_and_energy_bound():
         B = random_simplicial_chain(k, rng)
         C = random_simplicial_chain(k - 1, rng, count=2)
         A = Dipolyhedron(B, C)
-        assert cone_identity_holds((0, 0, 0), A, mode="exact")
+        assert cone_identity_holds((0, 0, 0), A)
         pts = support_points(A)
         if pts:
             r = 2 * max(max(abs(c) for c in p) for p in pts)

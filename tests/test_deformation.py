@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 from fractions import Fraction
@@ -16,17 +17,19 @@ from filmlab.deformation import (
     snap_parity,
 )
 from filmlab.dipolyhedra import Dipolyhedron, energy, make_dipole
-from filmlab.geom import is_degenerate, point_simplex_dist_sq
+from filmlab.exact import RadicalSum, radical_sum, sqrt_enclosure
+from filmlab.geom import is_degenerate, point_simplex_dist_sq, simplex_measure_sq
 from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, mass_grid
 from filmlab.overlay import chains_equal_mod2
 from filmlab.simplicial import (
+    SimplicialChain,
     boundary_simplicial,
     embed_grid_chain,
     mass_simplicial,
     simplicial_chain,
 )
 
-from conftest import make_grid, square_curve
+from conftest import make_grid, random_simplicial_chain, square_curve
 
 F = Fraction
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -40,7 +43,7 @@ def small_config(eps=1, **kw):
 def _identity_holds(A, result, grid):
     lhs = A + embed_grid_chain(result.P)
     rhs = result.Q + boundary_simplicial(result.R)
-    return chains_equal_mod2(lhs, rhs, mode="exact").equal
+    return chains_equal_mod2(lhs, rhs).equal
 
 
 def test_config_validation():
@@ -239,7 +242,7 @@ def test_deform_dipolyhedron_tilted_film():
     dR = boundary_dip(R)
     lhs = tri + embed_grid_chain(D.B)
     rhs = Q.B + dR.B
-    assert chains_equal_mod2(lhs, rhs, mode="exact").equal
+    assert chains_equal_mod2(lhs, rhs).equal
 
 
 def test_deform_dipolyhedron_precondition_errors():
@@ -289,7 +292,7 @@ _TILTED_PINS = {
         16,
         [],
         [("15/16", "53/64", "53/64")],
-        "69bc20c6916d7d3a6c664c45974dfc0e8e00b8b98ac4e1e6f6b762a8a8a2313d",
+        "8af54787eaa650b586cf9bf235b1612dd2162cd626306851b84352256b06a54a",
     ),
     F(1, 2): (
         4,
@@ -301,7 +304,7 @@ _TILTED_PINS = {
             ("1/32", "43/128", "15/32"), ("3/32", "55/64", "13/32"),
             ("81/128", "19/128", "13/128"), ("13/16", "77/128", "29/64"),
         ],
-        "920a3c1dc141dba9889017cc1c458bec0864a06c2c594ec19bc91c4614127628",
+        "3400cea13716faeaff43ede75d860e601db78262070ff0da4c54d53ccbb76cb1",
     ),
     F(1, 4): (
         4,
@@ -322,7 +325,7 @@ _TILTED_PINS = {
             ("45/64", "87/128", "103/256"), ("201/256", "113/256", "51/128"),
             ("127/128", "13/64", "113/256"),
         ],
-        "9f9a3cce15af04c4f41d768f5e6e54c9a3b950ebbf511a396bd44098486fb578",
+        "2f2c38469b3113cfadf2209a34d225567a06e92cc536a568dd2c80646a28e64c",
     ),
 }
 
@@ -433,3 +436,99 @@ def test_choose_center_matches_all_exact_rule(seed):
         assert dm._choose_center(grid, cell, pieces, cfg) == _all_exact_choice(
             grid, cell, pieces, cfg
         )
+
+
+def _ladder_interval(x, bits):
+    """Rational enclosure of a mass, as the old enclosure ladder took it."""
+    if isinstance(x, SimplicialChain):
+        lo = hi = F(0)
+        for s in x.simplices:
+            a, b = sqrt_enclosure(simplex_measure_sq(s), bits)
+            lo += a / math.factorial(x.k)
+            hi += b / math.factorial(x.k)
+        return lo, hi
+    if isinstance(x, RadicalSum):
+        return x.enclosure(bits)
+    return F(x), F(x)
+
+
+def _ladder_exact(x):
+    if isinstance(x, SimplicialChain):
+        return mass_simplicial(x)
+    return x if isinstance(x, RadicalSum) else RadicalSum.from_fraction(x)
+
+
+def _ladder_leq_mass(lhs, rhs_terms):
+    """Reference: the enclosure ladder that decided the mass bounds before
+    RadicalSum comparison did (64- then 256-bit enclosures, exact last);
+    a RadicalSum left side is enclosed by its own enclosure."""
+    for bits in (64, 256):
+        llo, lhi = _ladder_interval(lhs, bits)
+        rlo = rhi = F(0)
+        for coeff, term in rhs_terms:
+            tlo, thi = _ladder_interval(term, bits)
+            rlo += coeff * tlo
+            rhi += coeff * thi
+        if lhi <= rlo:
+            return True
+        if llo > rhi:
+            return False
+    rhs = RadicalSum.from_fraction(0)
+    for coeff, term in rhs_terms:
+        rhs = rhs + _ladder_exact(term) * coeff
+    return _ladder_exact(lhs) <= rhs
+
+
+def _split_at_midpoints(chain):
+    """The same chain with every simplex cut in two at its first edge's midpoint."""
+    out = []
+    for s in chain.simplices:
+        mid = tuple((a + b) / 2 for a, b in zip(s[0], s[1]))
+        out += [(s[0], mid) + s[2:], (mid, s[1]) + s[2:]]
+    return simplicial_chain(chain.k, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    kind=st.sampled_from(["random", "tie", "grid", "near", "energy"]),
+)
+def test_mass_bound_matches_enclosure_ladder(seed, kind):
+    rng = random.Random(seed)
+    coeff = lambda: F(rng.randint(0, 8), rng.choice((2, 4, 8)))  # noqa: E731
+    chains = [random_simplicial_chain(rng.choice((1, 2)), rng) for _ in range(3)]
+    terms = [(coeff(), ch) for ch in chains[: rng.randint(1, 3)]]
+    if kind == "random":
+        lhs = random_simplicial_chain(rng.choice((1, 2)), rng)
+    elif kind == "tie":
+        # rhs is c * M(lhs), split over two coefficients or a re-presentation
+        L = chains[0]
+        c = F(rng.randint(1, 8), rng.randint(1, 4)) if rng.random() < 0.5 else F(1)
+        part = F(rng.randint(0, 8), 8) * c
+        terms = [(part, L), (c - part, _split_at_midpoints(L))]
+        lhs = L if c == 1 else mass_simplicial(L) * c
+    elif kind == "grid":
+        grid = make_grid((2, 2, 2), eps=rng.choice((F(1), F(1, 2), F(1, 3))))
+        P = chain_of(grid, 2, [c for c in grid.cells(2) if rng.random() < 0.4])
+        P = P if rng.random() < 0.5 else boundary_grid(P)
+        lhs = mass_grid(P)
+        if rng.random() < 0.5:
+            # a tie: c times the grid mass against c times its embedding
+            c = F(rng.randint(1, 6), rng.randint(1, 3))
+            lhs, terms = lhs * c, [(c, embed_grid_chain(P))]
+    elif kind == "near":
+        # a rational just below or above the bound: enclosures must refine
+        bound = radical_sum(mass_simplicial(ch) * c for c, ch in terms)
+        lo, hi = bound.enclosure(rng.choice((40, 64, 128)))
+        lhs = rng.choice((lo, hi, (lo + hi) / 2))
+    else:
+        # energies: a pair's M(B) + M(C) on the left, cE-shaped bound on the right
+        B = random_simplicial_chain(2, rng)
+        C = random_simplicial_chain(1, rng)
+        lhs = energy(Dipolyhedron(B, C)).energy
+        c, eps = F(rng.randint(0, 3)), F(1, rng.randint(1, 4))
+        terms = [(2 * c, B), (2 * c, C), (2 * c * eps, boundary_simplicial(B))]
+    mass = mass_simplicial(lhs) if isinstance(lhs, SimplicialChain) else lhs
+    assert dm._mass_at_most(mass, terms) == _ladder_leq_mass(lhs, terms)
+    if kind == "tie":
+        assert dm._mass_at_most(mass, terms)

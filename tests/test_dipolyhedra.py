@@ -10,6 +10,7 @@ from filmlab.dipolyhedra import (
     Dipolyhedron,
     ProjectionDir,
     SpanningReport,
+    _DIRECTION_POOL,
     _admissibility,
     _cycle_area,
     boundary_dip,
@@ -34,6 +35,7 @@ from filmlab.dipolyhedra import (
     weight,
 )
 from filmlab.exact import RadicalSum
+from filmlab.geom import primitive_direction
 from filmlab.grid import BoxRegion, GridCell, boundary_grid, chain_of, empty_chain
 from filmlab.overlay import overlay_leftover
 from filmlab.simplicial import PLMap, boundary_simplicial, empty_simplicial, simplicial_chain
@@ -419,6 +421,23 @@ def test_default_directions_deterministic():
     assert [d.label() for d in a[:3]] == ["x", "y", "z"]
     c = default_directions(seed=4, extra=5)
     assert [d.direction for d in a] != [d.direction for d in c]
+
+
+def test_default_directions_pool_is_bounded():
+    """The generator draws from a finite pool; asking for more than it holds
+    (or for a negative count) is refused instead of looping forever."""
+    values = {F(p, q) for p in range(-7, 8) for q in range(1, 8)}
+    pool = set()
+    for u in values:
+        for v in values:
+            if u or v:
+                w = 1 + u * u + v * v
+                pool.add(primitive_direction((2 * u / w, 2 * v / w, (1 - u * u - v * v) / w)))
+    assert len(pool) == _DIRECTION_POOL
+    for extra in (-1, _DIRECTION_POOL + 1):
+        with pytest.raises(ValueError, match="extra directions"):
+            default_directions(0, extra)
+    assert len(default_directions(0, 0)) == 3
 
 
 def test_projection_rejects_zero_direction():

@@ -430,6 +430,43 @@ def test_cli_deform_rejects_nonpositive_eps(capsys, eps):
     assert err.count("\n") == 1 and "epsilon must be positive" in err
 
 
+@pytest.mark.parametrize(
+    "grid_args, message",
+    [
+        (["--origin=0,0,0", "--dims=1,1"], "expected 3"),
+        (["--origin=0,0,0", "--dims=3,0,3"], "must be positive"),
+        (["--origin=0,0,0"], "together"),
+        (["--dims=3,3,3"], "together"),
+    ],
+    ids=["two-dims", "zero-dim", "origin-alone", "dims-alone"],
+)
+def test_cli_deform_grid_flags_validated(capsys, grid_args, message):
+    code, out, err = run_cli(
+        capsys, "deform", f"{FIX}/tilted_triangle.json", "--eps=1", *grid_args
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_cli_pushforward_rejects_negative_lipschitz(capsys):
+    args = ["pushforward", f"{FIX}/tilted_triangle.json", "--matrix=2,0,0,0,2,0,0,0,2"]
+    code, out, err = run_cli(capsys, *args, "--lipschitz=-2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "nonnegative" in err
+    code, _, err = run_cli(capsys, *args, "--lipschitz=1")
+    assert code == 2 and "exceeds declared Lipschitz" in err
+
+
+@pytest.mark.parametrize("dirs", ["-1", "5000"])
+def test_cli_direction_count_out_of_range(capsys, dirs):
+    code, out, err = run_cli(
+        capsys, "span-check", f"{FIX}/cone.json",
+        f"--curve={FIX}/square_curve.json", f"--dirs={dirs}",
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "extra directions" in err
+
+
 def test_cli_diagnostics(capsys, tmp_path):
     grid = make_grid((3, 3, 2), origin=(F(-3, 2), F(-3, 2), F(-1)))
     gamma = square_curve(grid, 1, 1, 2)

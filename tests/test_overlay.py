@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from filmlab.overlay import (
     chains_equal_mod2,
-    coverage_parity,
     is_zero_geometric,
     overlay_leftover,
     overlay_vanishes,
@@ -69,37 +68,18 @@ def test_zero_geometric_across_presentations():
         ],
     )
     assert is_zero_geometric(a + b)
-    cert = chains_equal_mod2(a, b, mode="exact")
+    cert = chains_equal_mod2(a, b)
     assert cert.equal and cert.mode == "exact"
 
 
 def test_unequal_chains_detected():
     a = simplicial_chain(2, [(seg((0, 0, 0), (1, 0, 0)) + ((F(0), F(1), F(0)),))])
     b = simplicial_chain(2, [(seg((0, 0, 0), (1, 0, 0)) + ((F(0), F(0), F(1)),))])
-    assert not chains_equal_mod2(a, b, mode="exact").equal
+    assert not chains_equal_mod2(a, b).equal
     assert not is_zero_geometric(a + b)
 
 
-def test_coverage_parity_counts_mod2():
-    tri1 = seg((0, 0, 0), (2, 0, 0)) + ((F(0), F(2), F(0)),)
-    chain = simplicial_chain(2, [tri1])
-    p = (F(1, 3), F(1, 3), F(0))
-    assert coverage_parity(p, chain) == 1
-    assert coverage_parity((F(5), F(5), F(0)), chain) == 0
-    doubled = simplicial_chain(2, [tri1]) + simplicial_chain(2, [tri1])
-    assert coverage_parity(p, doubled) == 0 if doubled.simplices else True
-
-
-def test_sampled_mode_finds_witness():
-    a = simplicial_chain(2, [(seg((0, 0, 0), (1, 0, 0)) + ((F(0), F(1), F(0)),))])
-    b = simplicial_chain(2, [])
-    b = simplicial_chain(2, [])
-    cert = chains_equal_mod2(a, b, mode="sampled", trials=40)
-    assert not cert.equal
-    assert cert.witness is not None
-
-
-def test_sampled_fallback_is_labelled():
+def test_split_triangle_equals_whole():
     tri_whole = seg((0, 0, 0), (2, 0, 0)) + ((F(0), F(2), F(0)),)
     mid = (F(1), F(0), F(0))
     a = simplicial_chain(2, [tri_whole])
@@ -110,11 +90,20 @@ def test_sampled_fallback_is_labelled():
             (mid, tri_whole[1], tri_whole[2]),
         ],
     )
-    assert chains_equal_mod2(a, b, mode="exact").equal
-    cert = chains_equal_mod2(a, b, mode="exact", max_exact=1)
-    assert cert.mode == "sampled-fallback"
-    assert "exceeded" in cert.note
-    assert cert.equal
+    assert chains_equal_mod2(a, b).equal
+
+
+def test_equality_has_no_size_limit():
+    """A segment against its 20 001-piece subdivision is decided exactly,
+    and so is the same subdivision with one piece missing."""
+    n = 20_001
+    whole = simplicial_chain(1, [seg((0, 0, 0), (1, 0, 0))])
+    pieces = [seg((F(i, n), 0, 0), (F(i + 1, n), 0, 0)) for i in range(n)]
+    cert = chains_equal_mod2(whole, simplicial_chain(1, pieces))
+    assert cert.equal and cert.mode == "exact"
+    del pieces[n // 2]
+    cert = chains_equal_mod2(whole, simplicial_chain(1, pieces))
+    assert not cert.equal and cert.mode == "exact"
 
 
 def test_dimension_mismatch_raises():
@@ -144,7 +133,7 @@ def test_zero_geometric_3chain_via_boundary():
 @given(seed=st.integers(0, 100_000), k=st.integers(1, 2))
 def test_chain_equals_itself_re_presented(seed, k):
     chain = random_simplicial_chain(k, random.Random(seed))
-    assert chains_equal_mod2(chain, chain, mode="exact").equal
+    assert chains_equal_mod2(chain, chain).equal
     assert is_zero_geometric(chain + chain)
 
 

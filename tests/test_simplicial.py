@@ -77,7 +77,7 @@ def test_embed_unit_face():
 
     left = embed_grid_chain(boundary_grid(face))
     right = boundary_simplicial(emb)
-    assert chains_equal_mod2(left, right, mode="exact").equal
+    assert chains_equal_mod2(left, right).equal
 
 
 def test_cone_over_square_boundary():
@@ -95,7 +95,7 @@ def test_cone_over_square_boundary():
     assert mass_simplicial(filled) == 1
     from filmlab.overlay import chains_equal_mod2
 
-    assert chains_equal_mod2(boundary_simplicial(filled), square, mode="exact").equal
+    assert chains_equal_mod2(boundary_simplicial(filled), square).equal
 
 
 def test_cone_drops_degenerate_joins():
@@ -132,6 +132,15 @@ def test_pushforward_rejects_understated_lipschitz():
         pushforward(doubling, chain)
 
 
+@pytest.mark.parametrize("lip", [F(-2), -1, RadicalSum.sqrt(2) * -1])
+def test_plmap_rejects_negative_lipschitz(lip):
+    with pytest.raises(ValueError, match="nonnegative"):
+        PLMap.affine([[2, 0, 0], [0, 2, 0], [0, 0, 2]], (0, 0, 0), lip)
+    with pytest.raises(ValueError, match="nonnegative"):
+        PLMap.relocation({(0, 0, 0): (1, 0, 0)}, lip)
+    assert PLMap.affine([[0] * 3] * 3, (0, 0, 0), 0).lipschitz_sq() == 0
+
+
 def test_pushforward_boundary_commutes():
     rng = random.Random(11)
     chain = random_simplicial_chain(2, rng)
@@ -140,7 +149,7 @@ def test_pushforward_boundary_commutes():
 
     left = boundary_simplicial(pushforward(f, chain))
     right = pushforward(f, boundary_simplicial(chain))
-    assert chains_equal_mod2(left, right, mode="exact").equal
+    assert chains_equal_mod2(left, right).equal
 
 
 def test_relocation_map_applies_table():
@@ -159,7 +168,7 @@ def test_clamp_inside_is_identity():
     chain = simplicial_chain(2, [tri((0, 0, 0), (1, 0, 0), (0, 1, 0))])
     out = clamp_to_cube(chain, F(2))
     assert mass_simplicial(out) == mass_simplicial(chain)
-    assert chains_equal_mod2(out, chain, mode="exact").equal
+    assert chains_equal_mod2(out, chain).equal
 
 
 def test_clamp_idempotent_and_contained():
@@ -185,7 +194,7 @@ def test_restrict_simplicial_partition():
     )
     from filmlab.overlay import chains_equal_mod2
 
-    assert chains_equal_mod2(inside + outside, chain, mode="exact").equal
+    assert chains_equal_mod2(inside + outside, chain).equal
 
 
 def test_boundary_refuses_zero_chains():
