@@ -27,16 +27,22 @@ exactly that without building the leftover); C = 0 matches every
 admissible direction outright.  Edges parallel to d project to points
 and drop out, so no direction needs special casing.
 
-For grid curves the check never leaves the integers.  With (u*, v*) the
-duals of the plane basis and D_u, D_v the least common denominators of
-their entries, the integer frame (U, V) = (D_u u*, D_v v*) sends a lattice
-point n to (n.U, n.V).  A world point o + eps n projects to (s, t) =
-(o.u* + eps n.u*, o.v* + eps n.v*), so the two coordinates differ by the
-affine map (s, t) -> ((s - o.u*) D_u / eps, (t - o.v*) D_v / eps), which is
-invertible.  An affine bijection maps lines to lines and keeps the order
-of points along each line, so it maps the overlay leftover of one set of
-segments onto that of their images: the leftover is empty in one set of
-coordinates iff it is empty in the other.
+Every projection is taken in an integer frame.  With (u*, v*) the duals
+of the plane basis and D_u, D_v the least common denominators of their
+entries, the frame (U, V) = (D_u u*, D_v v*) sends a point x to (x.U,
+x.V).  A grid chain's points are its lattice indices n, so the frame
+never leaves the integers; a simplicial chain's are its world points.
+Either way the frame point differs from the world projection (s, t) by
+an affine bijection with positive scales: a world point o + eps n (eps =
+1, o = 0 for simplicial chains) lands at (s, t) = (o.u* + eps n.u*, o.v*
++ eps n.v*), and its frame point is ((s - o.u*) D_u / eps, (t - o.v*)
+D_v / eps).  Such a map keeps lines and the order of points along them,
+so an edge is parallel to d iff its ends land on one point, and
+closedness, connectivity, simplicity, the lexicographic order of
+vertices and the emptiness of an overlay leftover are the same in both
+coordinates.  Areas scale by eps^2 / (D_u D_v), so the region enclosed
+by the projected curve has area |u||v| eps^2 / (D_u D_v) times half the
+absolute shoelace sum of its frame cycle.
 """
 from __future__ import annotations
 
@@ -63,7 +69,7 @@ from .geom import (
     vnorm_sq,
     vsub,
 )
-from .grid import BoxRegion, GridChain, GridSpec, empty_chain, boundary_grid, mass_grid, restrict_grid
+from .grid import BoxRegion, GridChain, boundary_grid, edge_ends, empty_chain, mass_grid, restrict_grid
 from .overlay import chains_equal_mod2, is_zero_geometric, overlay_vanishes
 from .simplicial import (
     PLMap,
@@ -336,9 +342,10 @@ class ProjectionDir:
 
     Plane points are reported in rational coordinates (s, t) over an
     orthogonal rational basis (u, v) of the plane; only areas pick up
-    the irrational scale |u||v|.  The basis and its squared norms are
-    built on first use and kept, so projecting a point costs two dot
-    products.
+    the irrational scale |u||v|.  The basis, its squared norms and its
+    duals are built on first use and kept.  The spanning check projects
+    through the integer frame built from the duals (see the module
+    docstring); project2 gives the world coordinates (s, t).
     """
 
     direction: Point
@@ -382,6 +389,22 @@ class ProjectionDir:
         uu, vv = vnorm_sq(u), vnorm_sq(v)
         duals = (tuple(c / uu for c in u), tuple(c / vv for c in v))
         return (u, v), (uu, vv), duals
+
+    @cached_property
+    def _integer_frame(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """The integer frame (U, V) = (D_u u*, D_v v*), and D_u D_v.
+
+        D_u and D_v clear the denominators of the duals u*, v*, so a
+        lattice point n projects to the integer pair (n.U, n.V); see the
+        module docstring for why every projection may be taken there.
+        """
+        out = []
+        dens = 1
+        for dual in self._frame[2]:
+            den = lcm(*(c.denominator for c in dual))
+            out.append(tuple(c.numerator * (den // c.denominator) for c in dual))
+            dens *= den
+        return out[0], out[1], dens
 
     def project2(self, p: Sequence) -> Point2:
         q = as_point(p)
@@ -429,37 +452,22 @@ def default_directions(seed: int = 0, extra: int = 10) -> list[ProjectionDir]:
 # ---------------------------------------------------------------------------
 # spanning
 
-def _lift2(p: Point2) -> Point:
-    return (p[0], p[1], Fraction(0))
-
-
-def _lattice_frame(proj: ProjectionDir) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The integer frame (U, V) = (D_u u*, D_v v*) of a projection.
-
-    D_u and D_v clear the denominators of the dual basis vectors, so a
-    lattice point n projects to the integer pair (n.U, n.V); see the
-    module docstring for why spanning may be decided there.
-    """
-    out = []
-    for dual in proj._frame[2]:
-        den = lcm(*(c.denominator for c in dual))
-        out.append(tuple(c.numerator * (den // c.denominator) for c in dual))
-    return out[0], out[1]
-
-
-def _grid_edge_ends(grid: GridSpec, cell) -> tuple[Point, Point]:
-    (a,) = cell.axes
-    lo = list(cell.base)
-    hi = list(cell.base)
-    hi[a] += 1
-    return grid.world(tuple(lo)), grid.world(tuple(hi))
-
-
-def _segments_3d(chain: Chain) -> list[tuple[Point, Point]]:
-    """World end points of the edges of a 1-chain."""
+def _edge_points(chain: Chain) -> list[tuple[Point, Point]]:
+    """End points of the edges of a 1-chain, as the integer frame reads them:
+    lattice indices for a grid chain, world points for a simplicial one."""
     if is_grid_chain(chain):
-        return [_grid_edge_ends(chain.grid, cell) for cell in chain.cells]
+        return [edge_ends(cell) for cell in chain.cells]
     return [(s[0], s[1]) for s in chain.simplices]
+
+
+def _project(ends, U, V) -> list[tuple[Point2, Point2]]:
+    """Each edge's end points x mapped to (x.U, x.V)."""
+    (u0, u1, u2), (v0, v1, v2) = U, V
+    return [
+        ((p0 * u0 + p1 * u1 + p2 * u2, p0 * v0 + p1 * v1 + p2 * v2),
+         (q0 * u0 + q1 * u1 + q2 * u2, q0 * v0 + q1 * v1 + q2 * v2))
+        for (p0, p1, p2), (q0, q1, q2) in ends
+    ]
 
 
 _CYCLE_FAILURES = {
@@ -468,62 +476,48 @@ _CYCLE_FAILURES = {
 }
 
 
-def _admissibility(gamma: Chain, proj: ProjectionDir):
-    """(ok, reason, projected segments): is proj_d(gamma) a simple closed curve?
+def _admissibility(ends, U, V):
+    """(ok, reason, cycle): do the edges project to a simple closed curve?
 
-    No segment may be parallel to the direction; the projected segments
-    must order into one closed vertex cycle (geom.closed_cycle), and that
-    polygon must be simple (geom.polygon_is_simple).
+    `ends` are a curve's _edge_points and (U, V) an integer frame.  No
+    edge may be parallel to the direction (project to a point); the
+    projected edges must order into one closed vertex cycle
+    (geom.closed_cycle), which is returned, and that polygon must be
+    simple (geom.polygon_is_simple).
     """
-    segs3 = _segments_3d(gamma)
-    if not segs3:
+    if not ends:
         return False, "empty curve", []
-    axis_dir = primitive_direction(proj.direction)
-    for p, q in segs3:
-        if primitive_direction(vsub(q, p)) == axis_dir:
-            return False, "curve segment parallel to projection direction", []
-    segs2 = [(proj.project2(p), proj.project2(q)) for p, q in segs3]
+    segs2 = _project(ends, U, V)
+    if any(p == q for p, q in segs2):
+        return False, "curve segment parallel to projection direction", []
     cycle, failure = closed_cycle(segs2)
     if failure is not None:
-        return False, _CYCLE_FAILURES[failure], segs2
+        return False, _CYCLE_FAILURES[failure], []
     if not polygon_is_simple(cycle):
-        return False, "projected curve self-intersects", segs2
-    return True, "ok", segs2
-
-
-def _cycle_area(segs2, scale: RadicalSum) -> RadicalSum:
-    cycle, _ = closed_cycle(segs2)
-    return scale * (abs(shoelace_twice(cycle)) / 2)
+        return False, "projected curve self-intersects", []
+    return True, "ok", cycle
 
 
 def region_cells(gamma: GridChain, axis: int) -> frozenset:
     """Lattice cells of the plane region enclosed by an axis shadow of gamma.
 
-    Decided per cell centre by geom.point_in_polygon_parity; centres sit
-    at half-integer lattice points and projected grid edges on integer
-    lines, so no crossing is ever ambiguous.
+    Along an axis the integer frame is the other two lattice indices, so
+    the projected curve runs on integer lines and the cell (i, m) is
+    decided at its centre (i + 1/2, m + 1/2) by
+    geom.point_in_polygon_parity, which no crossing can make ambiguous.
     """
-    proj = ProjectionDir.along_axis(axis)
-    ok, reason, segs2 = _admissibility(gamma, proj)
+    U, V, _ = ProjectionDir.along_axis(axis)._integer_frame
+    ok, reason, cycle = _admissibility(_edge_points(gamma), U, V)
     if not ok:
         raise ValueError(f"inadmissible axis projection: {reason}")
-    cycle, _ = closed_cycle(segs2)
-    grid = gamma.grid
-    j, l = [i for i in range(3) if i != axis]
-    eps = grid.epsilon
     xs = [p[0] for p in cycle]
     ys = [p[1] for p in cycle]
-    i_lo = int(((min(xs) - grid.origin[j]) / eps).__floor__())
-    i_hi = int(((max(xs) - grid.origin[j]) / eps).__ceil__())
-    m_lo = int(((min(ys) - grid.origin[l]) / eps).__floor__())
-    m_hi = int(((max(ys) - grid.origin[l]) / eps).__ceil__())
-    out = set()
-    for i in range(i_lo, i_hi):
-        for m in range(m_lo, m_hi):
-            centre = (grid.origin[j] + eps * i + eps / 2, grid.origin[l] + eps * m + eps / 2)
-            if point_in_polygon_parity(centre, cycle):
-                out.add((i, m))
-    return frozenset(out)
+    return frozenset(
+        (i, m)
+        for i in range(min(xs), max(xs))
+        for m in range(min(ys), max(ys))
+        if point_in_polygon_parity((Fraction(2 * i + 1, 2), Fraction(2 * m + 1, 2)), cycle)
+    )
 
 
 @dataclass(frozen=True)
@@ -554,27 +548,30 @@ class SpanningContext:
     """What a spanning check needs of the curve alone, computed once.
 
     For every direction: the projection (with its cached plane basis),
-    whether the curve is admissible along it and why not, and the area
-    of the region its projection encloses, and, for a grid curve, the
-    integer frame of each admissible direction.  check(A) then only
-    projects the mass part of A.  A context is built per top-level call
-    and holds no state beyond these per-curve facts.
+    its integer frame, whether the curve is admissible along it and why
+    not, and the area of the region its projection encloses.  check(A)
+    then only projects the mass part of A.  A context is built per
+    top-level call and holds no state beyond these per-curve facts.
     """
 
     def __init__(self, gamma: Chain, dirs: Optional[Sequence[ProjectionDir]] = None):
         if dirs is None:
             dirs = default_directions()
         self.gamma = gamma
-        grid = is_grid_chain(gamma)
+        ends = _edge_points(gamma)
+        # frame areas are (D_u D_v / pitch^2) times world areas
+        pitch = gamma.grid.epsilon if is_grid_chain(gamma) else Fraction(1)
         facts = []
         max_area = None
         for proj in dirs:
-            ok, reason, segs2 = _admissibility(gamma, proj)
-            area = _cycle_area(segs2, proj.area_scale()) if ok else None
-            if ok and (max_area is None or area > max_area):
-                max_area = area
-            frame = _lattice_frame(proj) if ok and grid else None
-            facts.append((proj, ok, reason, area, frame))
+            U, V, dens = proj._integer_frame
+            ok, reason, cycle = _admissibility(ends, U, V)
+            area = None
+            if ok:
+                area = proj.area_scale() * (pitch * pitch / dens * abs(shoelace_twice(cycle)) / 2)
+                if max_area is None or area > max_area:
+                    max_area = area
+            facts.append((proj, ok, reason, area, (U, V)))
         self.directions = tuple(facts)
         self.max_region_area = max_area
 
@@ -599,30 +596,16 @@ class SpanningContext:
         if not boundary_ok:
             return SpanningReport(False, "boundary-mismatch", (), None)
 
-        if A.rep == "grid":
-            edges = [(cell.base, cell.axes[0]) for cell in A.C.cells]
-        else:
-            mass_segments = _segments_3d(A.C)
+        ends = _edge_points(A.C)
         reports = []
         all_match = True
-        for proj, ok, reason, area, frame in self.directions:
+        for proj, ok, reason, area, (U, V) in self.directions:
             if not ok:
                 reports.append(DirectionReport(proj, False, reason, None, None))
                 continue
-            if frame is not None:
-                U, V = frame
-                (u0, u1, u2), (v0, v1, v2) = U, V
-                segments = []
-                for (n0, n1, n2), a in edges:
-                    s = n0 * u0 + n1 * u1 + n2 * u2
-                    t = n0 * v0 + n1 * v1 + n2 * v2
-                    segments.append(((s, t, 0), (s + U[a], t + V[a], 0)))
-            else:
-                segments = [
-                    (_lift2(proj.project2(p)), _lift2(proj.project2(q)))
-                    for p, q in mass_segments
-                ]
-            matches = overlay_vanishes(segments)
+            matches = overlay_vanishes(
+                [((s, t, 0), (x, y, 0)) for (s, t), (x, y) in _project(ends, U, V)]
+            )
             all_match = all_match and matches
             reports.append(DirectionReport(proj, True, "ok", matches, area))
 

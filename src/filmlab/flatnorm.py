@@ -41,6 +41,12 @@ class SolverConfig:
     exhaustive_limit: int = 24
     node_budget: int = 1_000_000
 
+    def __post_init__(self):
+        if self.exhaustive_limit < 0:
+            raise ValueError("exhaustive limit must be nonnegative")
+        if self.node_budget < 0:
+            raise ValueError("node budget must be nonnegative")
+
 
 DEFAULT_CONFIG = SolverConfig()
 

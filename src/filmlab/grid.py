@@ -52,6 +52,14 @@ class GridCell:
             yield tuple(b + p for b, p in zip(self.base, picks))
 
 
+def edge_ends(cell: GridCell) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Lattice end points of an edge (a 1-cell), base corner first."""
+    (a,) = cell.axes
+    q = list(cell.base)
+    q[a] += 1
+    return cell.base, tuple(q)
+
+
 def cell_from_label(base, axes_label: str) -> GridCell:
     axes = tuple(sorted(AXIS_NAMES.index(ch) for ch in axes_label))
     return GridCell(tuple(int(b) for b in base), axes)

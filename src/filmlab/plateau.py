@@ -52,7 +52,7 @@ from .dipolyhedra import (
 )
 from .exact import SQRT3
 from .geom import closed_cycle
-from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
+from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, edge_ends, empty_chain, mass_grid
 from .overlay import chains_equal_mod2
 from .simplicial import boundary_simplicial, embed_grid_chain
 
@@ -66,17 +66,10 @@ class BudgetError(ValueError):
         self.required = required
 
 
-def _edge_ends(cell: GridCell) -> tuple[tuple, tuple]:
-    a = cell.axes[0]
-    q = list(cell.base)
-    q[a] += 1
-    return cell.base, tuple(q)
-
-
 def _validate_curve(gamma: GridChain) -> None:
     if gamma.k != 1:
         raise ValueError("the curve must be a grid 1-chain")
-    _, failure = closed_cycle(_edge_ends(cell) for cell in gamma.cells)
+    _, failure = closed_cycle(edge_ends(cell) for cell in gamma.cells)
     if failure == "degree":
         raise ValueError("the curve must be simple and closed (every vertex of degree 2)")
     if failure == "connectivity":
@@ -351,7 +344,7 @@ def _admissible_faces(problem: PlateauProblem) -> list[GridCell]:
     """
     lo, hi = _lattice_bounds(problem.grid, problem.cube_half)
     out = [cell for cell in problem.grid.cells(2) if _cell_in_bounds(cell, lo, hi)]
-    anchors = {tuple(2 * x for x in v) for c in problem.gamma.cells for v in _edge_ends(c)}
+    anchors = {tuple(2 * x for x in v) for c in problem.gamma.cells for v in edge_ends(c)}
     if not anchors:
         return sorted(out)
 
@@ -521,6 +514,8 @@ def minimize_weight(
     """
     if method not in ("exhaustive", "bnb", "local"):
         raise ValueError(f"unknown method: {method}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError("node budget must be nonnegative")
     if problem.gamma.is_zero():
         return _zero_solution(problem, method)
 
@@ -704,7 +699,7 @@ def loop_decomposition(C: GridChain) -> list[list[GridCell]]:
         raise ValueError("loop decomposition expects a 1-chain")
     incident: dict = {}
     for cell in C.cells:
-        for v in _edge_ends(cell):
+        for v in edge_ends(cell):
             incident.setdefault(v, []).append(cell)
     for v, edges in incident.items():
         if len(edges) % 2:
@@ -717,13 +712,13 @@ def loop_decomposition(C: GridChain) -> list[list[GridCell]]:
         if start_edge not in unused:
             continue
         loop = []
-        vertex = _edge_ends(start_edge)[0]
+        vertex = edge_ends(start_edge)[0]
         here = vertex
         while True:
             edge = next(e for e in incident[here] if e in unused)
             unused.discard(edge)
             loop.append(edge)
-            p, q = _edge_ends(edge)
+            p, q = edge_ends(edge)
             here = q if here == p else p
             if here == vertex:
                 break

@@ -77,7 +77,8 @@ def simplicial_chain(k: int, simplices: Iterable[Sequence[Sequence]]) -> Simplic
         s = canonical_simplex(raw)
         if len(s) != k + 1:
             raise ValueError("simplex arity does not match chain dimension")
-        if len(set(s)) != len(s) or (k > 0 and is_degenerate(s)):
+        # a segment with distinct ends is never degenerate
+        if len(set(s)) != len(s) or (k > 1 and is_degenerate(s)):
             continue
         acc ^= {s}
     return SimplicialChain(k, frozenset(acc))

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from filmlab.grid import GridCell, GridSpec, chain_of
+from filmlab.geom import closed_cycle, polygon_is_simple, primitive_direction, shoelace_twice, vsub
+from filmlab.grid import GridCell, GridChain, GridSpec, chain_of
 from filmlab.simplicial import simplicial_chain
 
 
@@ -53,6 +54,44 @@ def random_simplicial_chain(k, rng, count=3, span=2, den=4):
         if chain.simplices:
             return chain
     raise AssertionError("could not build a nonempty random chain")
+
+
+def world_edges(chain):
+    """World end points of the edges of a grid or simplicial 1-chain."""
+    if not isinstance(chain, GridChain):
+        return [(s[0], s[1]) for s in chain.simplices]
+    out = []
+    for cell in chain.cells:
+        (a,) = cell.axes
+        q = list(cell.base)
+        q[a] += 1
+        out.append((chain.grid.world(cell.base), chain.grid.world(tuple(q))))
+    return out
+
+
+def world_shadow(curve, proj):
+    """(ok, reason, projected segments, region area) of a curve along proj,
+    all in the world coordinates of ProjectionDir.project2.
+
+    Admissible means no edge parallel to the direction and a projection
+    that is one simple closed polygon; the area is |u||v| times the
+    shoelace area in (s, t).
+    """
+    segs3 = world_edges(curve)
+    if not segs3:
+        return False, "empty curve", [], None
+    axis_dir = primitive_direction(proj.direction)
+    if any(primitive_direction(vsub(q, p)) == axis_dir for p, q in segs3):
+        return False, "curve segment parallel to projection direction", [], None
+    segs2 = [(proj.project2(p), proj.project2(q)) for p, q in segs3]
+    cycle, failure = closed_cycle(segs2)
+    if failure == "degree":
+        return False, "projected curve is not a single closed curve", segs2, None
+    if failure == "connectivity":
+        return False, "projected curve is not connected", segs2, None
+    if not polygon_is_simple(cycle):
+        return False, "projected curve self-intersects", segs2, None
+    return True, "ok", segs2, proj.area_scale() * (abs(shoelace_twice(cycle)) / 2)
 
 
 @pytest.fixture

@@ -7,9 +7,12 @@ geom.point_in_polygon_parity.  The reference functions below are copies
 of the per-caller code that answered it before: a degree check, a DFS
 and a pairwise segment test for admissibility, an inline even-odd ray
 cast for region cells, and polygon_is_simple without its bounding-box
-reject.  Inputs are random grid curves seen along random directions and
-random lattice vertex cycles, which are full of collinear overlaps,
-touches and crossings.
+reject.  The references project world points with ProjectionDir.project2,
+while the code projects through the integer frame, so results are
+compared where they do not depend on coordinates: admissible or not,
+why not, region areas and region cells.  Inputs are random grid curves
+seen along random directions and random lattice vertex cycles, which
+are full of collinear overlaps, touches and crossings.
 """
 
 import random
@@ -19,14 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filmlab.dipolyhedra import (
-    ProjectionDir,
-    _admissibility,
-    _cycle_area,
-    _segments_3d,
-    default_directions,
-    region_cells,
-)
+from filmlab.dipolyhedra import ProjectionDir, SpanningContext, default_directions, region_cells
 from filmlab.geom import (
     closed_cycle,
     polygon_is_simple,
@@ -39,7 +35,7 @@ from filmlab.grid import GridCell, boundary_grid, chain_of
 from filmlab.plateau import plateau_problem
 from filmlab.simplicial import simplicial_chain
 
-from conftest import make_grid
+from conftest import make_grid, world_edges
 
 F = Fraction
 
@@ -81,7 +77,7 @@ def _ref_segments_share_ground(a, b, shared):
 
 
 def ref_admissibility(gamma, proj):
-    segs3 = _segments_3d(gamma)
+    segs3 = world_edges(gamma)
     if not segs3:
         return False, "empty curve", []
     axis_dir = primitive_direction(proj.direction)
@@ -218,7 +214,8 @@ def _grid_curve(rng, kind):
     The patch grows from one face by faces sharing an edge with it, so its
     boundary is often a single closed curve, bent in space unless planar.
     """
-    grid = make_grid((3, 3, 3), origin=(rng.choice([0, -1, F(-3, 2)]),) * 3)
+    origin = (rng.choice([0, -1, F(-3, 2)]),) * 3
+    grid = make_grid((3, 3, 3), origin=origin, eps=rng.choice([1, F(1, 2)]))
     if kind == "scatter":
         faces = [cell for cell in grid.cells(2) if cell.axes == (0, 1) and rng.random() < 0.2]
         return boundary_grid(chain_of(grid, 2, faces))
@@ -258,12 +255,10 @@ def _vertex_cycle_curve(rng):
 def test_admissibility_matches_pairwise_rule(seed, kind):
     rng = random.Random(seed)
     gamma = _vertex_cycle_curve(rng) if kind == "cycle" else _grid_curve(rng, kind)
-    for proj in _directions(seed):
-        new = _admissibility(gamma, proj)
-        assert new == ref_admissibility(gamma, proj)
-        if new[0]:
-            scale = proj.area_scale()
-            assert _cycle_area(new[2], scale) == ref_cycle_area(new[2], scale)
+    for proj, ok, reason, area, _ in SpanningContext(gamma, _directions(seed)).directions:
+        ref_ok, ref_reason, segs2 = ref_admissibility(gamma, proj)
+        assert (ok, reason) == (ref_ok, ref_reason)
+        assert area == (ref_cycle_area(segs2, proj.area_scale()) if ok else None)
 
 
 @settings(max_examples=80, deadline=None)

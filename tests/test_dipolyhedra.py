@@ -11,8 +11,6 @@ from filmlab.dipolyhedra import (
     ProjectionDir,
     SpanningReport,
     _DIRECTION_POOL,
-    _admissibility,
-    _cycle_area,
     boundary_dip,
     chain_boundary,
     chain_is_zero,
@@ -40,7 +38,7 @@ from filmlab.grid import BoxRegion, GridCell, boundary_grid, chain_of, empty_cha
 from filmlab.overlay import overlay_leftover
 from filmlab.simplicial import PLMap, boundary_simplicial, empty_simplicial, simplicial_chain
 
-from conftest import make_grid, random_grid_chain, square_curve
+from conftest import make_grid, random_grid_chain, square_curve, world_shadow
 
 F = Fraction
 
@@ -498,11 +496,10 @@ def film_border_rule(A, gamma, dirs):
     lift = lambda p: (p[0], p[1], F(0))  # noqa: E731
     reports, max_area = [], None
     for proj in dirs:
-        ok, reason, segs2 = _admissibility(gamma, proj)
+        ok, reason, segs2, area = world_shadow(gamma, proj)
         if not ok:
             reports.append(DirectionReport(proj, False, reason, None, None))
             continue
-        area = _cycle_area(segs2, proj.area_scale())
         jumps = [(proj.project2(p), proj.project2(q)) for p, q in _film_borders(A.B)] + segs2
         matches = not overlay_leftover([(lift(a), lift(b)) for a, b in jumps])
         reports.append(DirectionReport(proj, True, "ok", matches, area))

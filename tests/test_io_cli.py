@@ -565,6 +565,20 @@ def test_cli_flatnorm_node_budget(capsys):
     assert json.loads(out)["status"] == "upper-bound"
 
 
+def test_cli_flatnorm_negative_node_budget_exit_2(capsys):
+    argv = ("flatnorm", f"{FIX}/square_curve.json", "--method", "bnb", "--node-budget", "-3")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "node budget must be nonnegative" in err
+
+
+def test_cli_plateau_negative_node_budget_exit_2(capsys):
+    argv = ("plateau", "--curve", f"{FIX}/square_curve.json", "--method", "bnb", "--node-budget", "-1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "node budget must be nonnegative" in err
+
+
 def test_cli_eflat_exhaustive_limit(capsys, tmp_path):
     grid = make_grid((1, 1, 1))
     p = tmp_path / "pair.json"

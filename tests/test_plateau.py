@@ -13,16 +13,17 @@ from filmlab.dipolyhedra import (
     ProjectionDir,
     SpanningContext,
     SpanningReport,
-    _admissibility,
-    _cycle_area,
     boundary_dip,
+    chain_boundary,
+    chain_is_zero,
     default_directions,
     energy,
     make_dipole,
     make_massive,
+    to_simplicial,
 )
 from filmlab.exact import SQRT3
-from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
+from filmlab.grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
 from filmlab.overlay import overlay_leftover
 from filmlab.plateau import (
     BudgetError,
@@ -36,8 +37,9 @@ from filmlab.plateau import (
     minimize_weight,
     plateau_problem,
 )
+from filmlab.simplicial import embed_grid_chain
 
-from conftest import make_grid, random_grid_chain, square_curve
+from conftest import make_grid, random_grid_chain, square_curve, world_edges, world_shadow
 
 F = Fraction
 
@@ -448,17 +450,16 @@ PLATEAU_CURVES = {
 def _world_spanning_check(gamma, dirs, A):
     """Reference: C's edges projected from world points by proj.project2,
     each admissible direction decided by overlay_leftover."""
-    if not (boundary_grid(A.C).is_zero() and (boundary_grid(A.B) + A.C + gamma).is_zero()):
+    residual = chain_boundary(A.B) + A.C + gamma
+    if not (chain_is_zero(chain_boundary(A.C)) and chain_is_zero(residual)):
         return SpanningReport(False, "boundary-mismatch", (), None)
-    grid = gamma.grid
-    mass = [tuple(grid.world(v) for v in plateau._edge_ends(cell)) for cell in A.C.cells]
+    mass = world_edges(A.C)
     reports, max_area = [], None
     for proj in dirs:
-        ok, reason, segs2 = _admissibility(gamma, proj)
+        ok, reason, _, area = world_shadow(gamma, proj)
         if not ok:
             reports.append(DirectionReport(proj, False, reason, None, None))
             continue
-        area = _cycle_area(segs2, proj.area_scale())
         if max_area is None or area > max_area:
             max_area = area
         lifted = [
@@ -520,10 +521,16 @@ def _translated_pair(grid, rng):
     seed=st.integers(0, 100_000),
     name=st.sampled_from(sorted(PLATEAU_CURVES)),
     kind=st.sampled_from(["film", "stray", "translated", "random", "mismatch"]),
+    fine=st.booleans(),
 )
-def test_spanning_in_lattice_frame_matches_world_projection(seed, name, kind):
+def test_spanning_in_lattice_frame_matches_world_projection(seed, name, kind, fine):
     rng = random.Random(seed)
     gamma = PLATEAU_CURVES[name](SYMMETRIES[rng.randrange(len(SYMMETRIES))])
+    if fine:
+        # the same lattice curve at spacing 1/2 off the lattice: frame
+        # areas are eps^2 / (D_u D_v) times world areas
+        grid = GridSpec(F(1, 2), (F(-7, 3), F(-2), F(-5, 4)), gamma.grid.dims)
+        gamma = GridChain(grid, 1, gamma.cells)
     grid = gamma.grid
     film = _sweep_film(gamma)
     assert boundary_grid(film) == gamma
@@ -551,3 +558,6 @@ def test_spanning_in_lattice_frame_matches_world_projection(seed, name, kind):
         dirs = extra[-1:]  # t alone: a nonzero mass part that spans
     report = SpanningContext(gamma, dirs).check(A)
     assert report == _world_spanning_check(gamma, dirs, A)
+    # the simplicial path projects world points through the same frame
+    curve, S = embed_grid_chain(gamma), to_simplicial(A)
+    assert SpanningContext(curve, dirs).check(S) == _world_spanning_check(curve, dirs, S) == report
