@@ -42,10 +42,10 @@ from .plateau import minimize_weight, plateau_problem
 from .simplicial import (
     PLMap,
     SimplicialChain,
+    as_simplicial,
     boundary_simplicial,
     clamp_to_cube,
     cone,
-    embed_grid_chain,
     pushforward,
     restrict_simplicial,
 )
@@ -149,9 +149,7 @@ def _cmd_cone(args) -> int:
     if isinstance(obj, Dipolyhedron):
         _emit(args, cone_dip(apex, obj), "cone")
     else:
-        if isinstance(obj, GridChain):
-            obj = embed_grid_chain(obj)
-        _emit(args, cone(apex, obj), "cone")
+        _emit(args, cone(apex, as_simplicial(obj)), "cone")
     return 0
 
 
@@ -161,9 +159,7 @@ def _cmd_clamp(args) -> int:
     if isinstance(obj, Dipolyhedron):
         _emit(args, clamp_dip(r, obj), "clamp")
     else:
-        if isinstance(obj, GridChain):
-            obj = embed_grid_chain(obj)
-        _emit(args, clamp_to_cube(obj, r), "clamp")
+        _emit(args, clamp_to_cube(as_simplicial(obj), r), "clamp")
     return 0
 
 
@@ -176,9 +172,7 @@ def _cmd_pushforward(args) -> int:
     if isinstance(obj, Dipolyhedron):
         _emit(args, pushforward_dip(f, obj), "pushforward")
     else:
-        if isinstance(obj, GridChain):
-            obj = embed_grid_chain(obj)
-        _emit(args, pushforward(f, obj), "pushforward")
+        _emit(args, pushforward(f, as_simplicial(obj)), "pushforward")
     return 0
 
 
@@ -199,8 +193,7 @@ def _cmd_deform(args) -> int:
     if isinstance(obj, Dipolyhedron):
         raise ValueError("deform expects a chain; pairs go through the plateau pipeline")
     eps = parse_fraction(args.eps)
-    if isinstance(obj, GridChain):
-        obj = embed_grid_chain(obj)
+    obj = as_simplicial(obj)
     if obj.is_zero_presentation():
         raise ValueError("deform expects a nonempty chain")
     cfg = DeformConfig(
@@ -223,9 +216,7 @@ def _cmd_deform(args) -> int:
     result = deform_chain(obj, grid, cfg)
     _emit(args, result, "deform")
     if args.mesh_prefix:
-        stages = [("P", result.P if not isinstance(result.P, GridChain) else embed_grid_chain(result.P))]
-        stages.append(("Q", result.Q))
-        stages.append(("R", result.R))
+        stages = [("P", as_simplicial(result.P)), ("Q", result.Q), ("R", result.R)]
         for name, chain in stages:
             if chain.k == 2:
                 iof.write_off(chain, f"{args.mesh_prefix}-{name}.off")
@@ -241,8 +232,8 @@ def _cmd_span_check(args) -> int:
     curve = _load(args.curve)
     if isinstance(curve, Dipolyhedron):
         raise ValueError("--curve must be a chain")
-    if obj.rep == "simplicial" and isinstance(curve, GridChain):
-        curve = embed_grid_chain(curve)
+    if obj.rep == "simplicial":
+        curve = as_simplicial(curve)
     dirs = default_directions(args.seed, args.dirs)
     _emit(args, spanning_check(obj, curve, dirs), "span-check")
     return 0

@@ -69,7 +69,17 @@ from .geom import (
     vnorm_sq,
     vsub,
 )
-from .grid import BoxRegion, GridChain, boundary_grid, edge_ends, empty_chain, mass_grid, restrict_grid
+from .grid import (
+    BoxRegion,
+    GridChain,
+    boundary_grid,
+    cell_in_bounds,
+    edge_ends,
+    empty_chain,
+    lattice_bounds,
+    mass_grid,
+    restrict_grid,
+)
 from .overlay import chains_equal_mod2, is_zero_geometric, overlay_vanishes
 from .simplicial import (
     PLMap,
@@ -231,9 +241,16 @@ def support_points(A: Dipolyhedron) -> list[Point]:
 
 
 def support_in_cube(A: Dipolyhedron, center: Sequence, r) -> bool:
-    """Support inside the axis cube of side r centered at the given point."""
+    """Support inside the axis cube of side r centered at the given point.
+
+    A grid pair is inside iff every cell lies in the cube's lattice box,
+    which decides the corner test without building world points.
+    """
     c = as_point(center)
     half = Fraction(r) / 2
+    if A.rep == "grid":
+        lo, hi = lattice_bounds(A.B.grid, [x - half for x in c], [x + half for x in c])
+        return all(cell_in_bounds(cell, lo, hi) for chain in (A.B, A.C) for cell in chain.cells)
     return all(sup_norm(vsub(p, c)) <= half for p in support_points(A))
 
 

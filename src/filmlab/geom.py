@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .exact import RadicalSum, radical_zero
+from .exact import RadicalSum, det3, radical_zero
 
 Point = tuple[Fraction, Fraction, Fraction]
 Simplex = tuple[Point, ...]
@@ -122,11 +122,7 @@ def simplex_measure_sq(simplex: Simplex) -> Fraction:
         g01 = vdot(edges[0], edges[1])
         return g00 * g11 - g01 * g01
     if k == 3:
-        d = (
-            edges[0][0] * (edges[1][1] * edges[2][2] - edges[1][2] * edges[2][1])
-            - edges[0][1] * (edges[1][0] * edges[2][2] - edges[1][2] * edges[2][0])
-            + edges[0][2] * (edges[1][0] * edges[2][1] - edges[1][1] * edges[2][0])
-        )
+        d = det3(edges)
         return d * d
     raise ValueError(f"unsupported simplex dimension {k}")
 
@@ -221,25 +217,12 @@ def _point_in_tetra(p: Point, t: Simplex) -> bool:
     a, b, c, d = t
     edges = [vsub(b, a), vsub(c, a), vsub(d, a)]
     rhs = vsub(p, a)
-    # barycentric solve: columns of the system are the edge vectors
-    mat = [[edges[j][i] for j in range(3)] for i in range(3)]
-
-    def det3(mm):
-        return (
-            mm[0][0] * (mm[1][1] * mm[2][2] - mm[1][2] * mm[2][1])
-            - mm[0][1] * (mm[1][0] * mm[2][2] - mm[1][2] * mm[2][0])
-            + mm[0][2] * (mm[1][0] * mm[2][1] - mm[1][1] * mm[2][0])
-        )
-
-    d0 = det3(mat)
+    # barycentric solve by Cramer's rule, one edge vector per row: a
+    # determinant is invariant under transposition
+    d0 = det3(edges)
     if d0 == 0:
         return False
-    coords = []
-    for i in range(3):
-        mm = [row[:] for row in mat]
-        for r in range(3):
-            mm[r][i] = rhs[r]
-        coords.append(det3(mm) / d0)
+    coords = [det3([rhs if r == i else edges[r] for r in range(3)]) / d0 for i in range(3)]
     return all(c >= 0 for c in coords) and sum(coords) <= 1
 
 
@@ -327,6 +310,19 @@ def split_chain_pieces(pieces: Iterable[Simplex], plane: Plane):
         on.extend(b)
         pos.extend(c)
     return neg, on, pos
+
+
+def split_by_planes(pieces: Iterable[Simplex], planes: Iterable[Plane]) -> list[Simplex]:
+    """Cut pieces by each plane in turn, regrouped as negative, on, positive.
+
+    Every output piece lies on one side of (or in) each plane, and the
+    pieces partition the input.
+    """
+    pieces = list(pieces)
+    for plane in planes:
+        neg, on, pos = split_chain_pieces(pieces, plane)
+        pieces = neg + on + pos
+    return pieces
 
 
 def centroid(simplex: Simplex) -> Point:

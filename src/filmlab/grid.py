@@ -9,6 +9,7 @@ from the grid origin and spacing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -60,9 +61,22 @@ def edge_ends(cell: GridCell) -> tuple[tuple[int, int, int], tuple[int, int, int
     return cell.base, tuple(q)
 
 
+def cell_in_bounds(cell: GridCell, lo, hi) -> bool:
+    """True iff the closed cell lies in the lattice box lo <= n <= hi."""
+    base = cell.base
+    axes = cell.axes
+    for a in (0, 1, 2):
+        if base[a] < lo[a] or base[a] + (a in axes) > hi[a]:
+            return False
+    return True
+
+
 def cell_from_label(base, axes_label: str) -> GridCell:
     axes = tuple(sorted(AXIS_NAMES.index(ch) for ch in axes_label))
     return GridCell(tuple(int(b) for b in base), axes)
+
+
+_ZERO_INDEX = (0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -80,11 +94,7 @@ class GridSpec:
             raise ValueError("dims must be nonnegative")
 
     def contains_cell(self, cell: GridCell) -> bool:
-        for a in (0, 1, 2):
-            extent = 1 if a in cell.axes else 0
-            if cell.base[a] < 0 or cell.base[a] + extent > self.dims[a]:
-                return False
-        return True
+        return cell_in_bounds(cell, _ZERO_INDEX, self.dims)
 
     def world(self, lattice: tuple[int, int, int]) -> Point:
         return (
@@ -112,6 +122,16 @@ class GridSpec:
         return lo, hi
 
 
+def lattice_bounds(grid: GridSpec, lo: Point, hi: Point) -> tuple[tuple, tuple]:
+    """Per axis, the least and greatest lattice index n with
+    lo <= origin + epsilon n <= hi: the lattice box of a world box."""
+    eps = grid.epsilon
+    return (
+        tuple(math.ceil((Fraction(lo[a]) - grid.origin[a]) / eps) for a in (0, 1, 2)),
+        tuple(math.floor((Fraction(hi[a]) - grid.origin[a]) / eps) for a in (0, 1, 2)),
+    )
+
+
 @dataclass(frozen=True)
 class GridChain:
     """Mod-2 chain on the k-skeleton: a finite set of k-cells."""
@@ -125,10 +145,11 @@ class GridChain:
             raise ValueError(f"chain dimension out of range: {self.k}")
         if self.k == -1 and self.cells:
             raise ValueError("(-1)-chains are identically empty")
+        dims = self.grid.dims
         for c in self.cells:
             if c.dim != self.k:
                 raise ValueError(f"cell dimension {c.dim} != chain dimension {self.k}")
-            if not self.grid.contains_cell(c):
+            if not cell_in_bounds(c, _ZERO_INDEX, dims):
                 raise ValueError(f"cell outside grid: {c}")
 
     def __add__(self, other: "GridChain") -> "GridChain":
@@ -191,11 +212,7 @@ class BoxRegion:
             raise ValueError("box corners out of order")
 
     def contains_cell(self, cell: GridCell) -> bool:
-        for a in (0, 1, 2):
-            extent = 1 if a in cell.axes else 0
-            if cell.base[a] < self.lo[a] or cell.base[a] + extent > self.hi[a]:
-                return False
-        return True
+        return cell_in_bounds(cell, self.lo, self.hi)
 
 
 def restrict_grid(chain: GridChain, box: BoxRegion) -> tuple[GridChain, GridChain]:
@@ -215,16 +232,11 @@ def restrict_grid(chain: GridChain, box: BoxRegion) -> tuple[GridChain, GridChai
 
 def aligned_box_from_world(grid: GridSpec, lo: Point, hi: Point) -> BoxRegion:
     """Convert world coordinates to a lattice box; non-aligned input errors."""
-    lat = []
-    for corner in (lo, hi):
-        out = []
-        for a in (0, 1, 2):
-            t = (Fraction(corner[a]) - grid.origin[a]) / grid.epsilon
-            if t.denominator != 1:
-                raise ValueError(f"box corner not grid-aligned: {corner}")
-            out.append(int(t))
-        lat.append(tuple(out))
-    return BoxRegion(lat[0], lat[1])
+    lat = lattice_bounds(grid, lo, hi)
+    for corner, n in zip((lo, hi), lat):
+        if grid.world(n) != tuple(Fraction(c) for c in corner):
+            raise ValueError(f"box corner not grid-aligned: {corner}")
+    return BoxRegion(*lat)
 
 
 def refine_grid_chain(chain: GridChain, factor: int) -> GridChain:

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .dipolyhedra import Dipolyhedron, EnergySplit
 from .exact import RadicalSum, parse_fraction
-from .grid import GridCell, GridChain, GridSpec, cell_from_label
+from .grid import GridCell, GridChain, GridSpec, cell_from_label, edge_ends
 from .simplicial import SimplicialChain, simplicial_chain
 
 SCHEMA = "filmlab/1"
@@ -334,12 +334,8 @@ def write_off(chain, path: str) -> None:
 
 def _segments_of(chain) -> list:
     if isinstance(chain, GridChain):
-        out = []
-        for cell in chain.sorted_cells():
-            q = list(cell.base)
-            q[cell.axes[0]] += 1
-            out.append((chain.grid.world(cell.base), chain.grid.world(tuple(q))))
-        return out
+        world = chain.grid.world
+        return [(world(p), world(q)) for p, q in map(edge_ends, chain.sorted_cells())]
     return [(s[0], s[1]) for s in sorted(chain.simplices)]
 
 

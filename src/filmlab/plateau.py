@@ -31,7 +31,6 @@ column by column.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,10 +48,22 @@ from .dipolyhedra import (
     energy,
     is_grid_chain,
     region_cells,
+    support_in_cube,
 )
 from .exact import SQRT3
 from .geom import closed_cycle
-from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, edge_ends, empty_chain, mass_grid
+from .grid import (
+    GridCell,
+    GridChain,
+    GridSpec,
+    boundary_grid,
+    cell_in_bounds,
+    chain_of,
+    edge_ends,
+    empty_chain,
+    lattice_bounds,
+    mass_grid,
+)
 from .overlay import chains_equal_mod2
 from .simplicial import boundary_simplicial, embed_grid_chain
 
@@ -96,9 +107,12 @@ class PlateauProblem:
         return self.lam_prime / 2
 
 
+_ORIGIN = (0, 0, 0)
+
+
 def _cone_pair(gamma: GridChain) -> Dipolyhedron:
     curve = Dipolyhedron(gamma, empty_chain(gamma.grid, 0))
-    return cone_dip((0, 0, 0), curve)
+    return cone_dip(_ORIGIN, curve)
 
 
 def cone_energy(gamma: GridChain):
@@ -135,8 +149,7 @@ def plateau_problem(
         raise ValueError("the energy budget must be positive")
     lam_prime = Fraction(3) * lam / mass_grid(gamma)
     half = lam_prime / 2
-    bounds = _lattice_bounds(grid, half)
-    if not all(_cell_in_bounds(cell, *bounds) for cell in gamma.cells):
+    if not support_in_cube(Dipolyhedron(gamma, empty_chain(grid, 0)), _ORIGIN, lam_prime):
         raise ValueError("energy budget too small: the curve leaves the working cube")
     lo, hi = grid.box()
     if any(lo[i] > -half or hi[i] < half for i in range(3)):
@@ -185,33 +198,6 @@ class MembershipReport:
         return out
 
 
-def _lattice_bounds(grid: GridSpec, half: Fraction) -> tuple[list[int], list[int]]:
-    """Per axis, the least and greatest lattice index n with |origin + eps n| <= half."""
-    eps = grid.epsilon
-    lo = [math.ceil((-half - o) / eps) for o in grid.origin]
-    hi = [math.floor((half - o) / eps) for o in grid.origin]
-    return lo, hi
-
-
-def _cell_in_bounds(cell: GridCell, lo: list[int], hi: list[int]) -> bool:
-    base = cell.base
-    return all(lo[a] <= base[a] and base[a] + (a in cell.axes) <= hi[a] for a in range(3))
-
-
-def _support_in_cube(A: Dipolyhedron, half: Fraction) -> bool:
-    if A.rep == "grid":
-        lo, hi = _lattice_bounds(A.B.grid, half)
-        return all(
-            _cell_in_bounds(cell, lo, hi) for chain in (A.B, A.C) for cell in chain.cells
-        )
-    for chain in (A.B, A.C):
-        for s in chain.simplices:
-            for v in s:
-                if any(abs(c) > half for c in v):
-                    return False
-    return True
-
-
 def _spanning_context(problem: PlateauProblem, rep: str) -> SpanningContext:
     """Spanning context of the problem's curve in the given representation."""
     curve = problem.gamma if rep == "grid" else embed_grid_chain(problem.gamma)
@@ -243,7 +229,7 @@ def _membership(A: Dipolyhedron, problem: PlateauProblem, ctx: SpanningContext) 
         boundary_ok = bool(chains_equal_mod2(boundary_simplicial(A.B) + A.C, ctx.gamma))
     split = energy(A)
     budget_ok = bool(split.energy <= problem.lam)
-    support_ok = _support_in_cube(A, problem.cube_half)
+    support_ok = support_in_cube(A, _ORIGIN, problem.lam_prime)
     span = ctx.check(A)
     trivial = gamma.is_zero() and not span.spans and cycle_ok and boundary_ok and _is_zero_pair(A)
     return MembershipReport(cycle_ok, boundary_ok, split, budget_ok, support_ok, span, trivial)
@@ -342,8 +328,9 @@ def _admissible_faces(problem: PlateauProblem) -> list[GridCell]:
     centres and curve vertices are integer points; the world distance
     squared is epsilon^2 / 4 times that, so the order is the world order.
     """
-    lo, hi = _lattice_bounds(problem.grid, problem.cube_half)
-    out = [cell for cell in problem.grid.cells(2) if _cell_in_bounds(cell, lo, hi)]
+    half = problem.cube_half
+    lo, hi = lattice_bounds(problem.grid, (-half,) * 3, (half,) * 3)
+    out = [cell for cell in problem.grid.cells(2) if cell_in_bounds(cell, lo, hi)]
     anchors = {tuple(2 * x for x in v) for c in problem.gamma.cells for v in edge_ends(c)}
     if not anchors:
         return sorted(out)
@@ -430,7 +417,7 @@ class _Search:
         if e > problem.lam:
             return None
         pair = Dipolyhedron(B, C)
-        if not _support_in_cube(pair, problem.cube_half):
+        if not support_in_cube(pair, _ORIGIN, problem.lam_prime):
             return None
         if not self.ctx.check(pair).spans:
             return None
@@ -508,12 +495,14 @@ def minimize_weight(
     proved minimiser.  "bnb" is the same search under a node budget
     (default 10^6); if the budget runs out, the cone start is returned as
     an upper bound.  "local" does seeded single-face descent from the
-    cone start and always reports an upper bound.  When no admissible
-    pair exists at all, raises BudgetError quoting the energy the cone
-    start would need.
+    cone start, takes no node budget, and always reports an upper bound.
+    When no admissible pair exists at all, raises BudgetError quoting the
+    energy the cone start would need.
     """
     if method not in ("exhaustive", "bnb", "local"):
         raise ValueError(f"unknown method: {method}")
+    if method == "local" and node_budget is not None:
+        raise ValueError("the local method takes no node budget")
     if node_budget is not None and node_budget < 0:
         raise ValueError("node budget must be nonnegative")
     if problem.gamma.is_zero():
@@ -593,7 +582,7 @@ def _local_descent(
             if (w, e) >= (cur_w, cur_e) or e > problem.lam:
                 continue
             pair = Dipolyhedron(B, C)
-            if not _support_in_cube(pair, problem.cube_half):
+            if not support_in_cube(pair, _ORIGIN, problem.lam_prime):
                 continue
             if not ctx.check(pair).spans:
                 continue
@@ -642,7 +631,7 @@ def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:
     ctx = _spanning_context(problem, A.rep)
     before_split = energy(A)
     before_span = ctx.check(A)
-    if _support_in_cube(A, problem.cube_half):
+    if support_in_cube(A, _ORIGIN, problem.lam_prime):
         return ClampReport(
             A,
             False,

@@ -22,13 +22,13 @@ from .geom import (
     centroid,
     is_degenerate,
     simplex_measure,
-    split_simplex,
+    split_by_planes,
     sup_norm,
     vdot,
     vscale,
     vsub,
 )
-from .grid import GridChain
+from .grid import GridChain, edge_ends
 
 
 def canonical_simplex(vertices: Sequence[Sequence]) -> Simplex:
@@ -213,13 +213,6 @@ _DIAGONAL_PLANES = [
 ]
 
 
-def _clamp_point(p: Point, r: Fraction) -> Point:
-    s = sup_norm(p)
-    if s <= r:
-        return p
-    return vscale(r / s, p)
-
-
 def clamp_to_cube(chain: SimplicialChain, r) -> SimplicialChain:
     """Clamp onto the cube {sup-norm <= r}: identity inside, radial rescale
     along the sup-norm outside.  1-Lipschitz, so mass never increases.
@@ -231,30 +224,18 @@ def clamp_to_cube(chain: SimplicialChain, r) -> SimplicialChain:
     r = Fraction(r)
     if r <= 0:
         raise ValueError("clamp radius must be positive")
-    if chain.k == 0:
-        return simplicial_chain(0, [(_clamp_point(s[0], r),) for s in chain.simplices])
     face_planes = [Plane(n, r) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] + [
         Plane(n, -r) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     ]
     out = []
-    for s in sorted(chain.simplices):
-        pieces = [s]
-        for plane in face_planes + _DIAGONAL_PLANES:
-            nxt = []
-            for piece in pieces:
-                neg, on, pos = split_simplex(piece, plane)
-                nxt.extend(neg)
-                nxt.extend(on)
-                nxt.extend(pos)
-            pieces = nxt
-        for piece in pieces:
-            if all(sup_norm(v) <= r for v in piece):
-                out.append(piece)
-                continue
-            c = centroid(piece)
-            axis = max(range(3), key=lambda a: abs(c[a]))
-            # all vertices of an outside piece satisfy |v_axis| >= r > 0
-            out.append(tuple(vscale(r / abs(v[axis]), v) for v in piece))
+    for piece in split_by_planes(sorted(chain.simplices), face_planes + _DIAGONAL_PLANES):
+        if all(sup_norm(v) <= r for v in piece):
+            out.append(piece)
+            continue
+        c = centroid(piece)
+        axis = max(range(3), key=lambda a: abs(c[a]))
+        # all vertices of an outside piece satisfy |v_axis| >= r > 0
+        out.append(tuple(vscale(r / abs(v[axis]), v) for v in piece))
     return simplicial_chain(chain.k, out)
 
 
@@ -274,35 +255,16 @@ def restrict_simplicial(
     hi = as_point(hi)
     if any(lo[a] > hi[a] for a in range(3)):
         raise ValueError("box corners out of order")
-    if chain.k == 0:
-        inside, outside = [], []
-        for s in chain.simplices:
-            p = s[0]
-            if all(lo[a] <= p[a] <= hi[a] for a in range(3)):
-                inside.append(s)
-            else:
-                outside.append(s)
-        return simplicial_chain(0, inside), simplicial_chain(0, outside)
     planes = []
     for a, n in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
         planes.append(Plane(n, lo[a]))
         planes.append(Plane(n, hi[a]))
     ins, outs = [], []
-    for s in sorted(chain.simplices):
-        pieces = [s]
-        for plane in planes:
-            nxt = []
-            for piece in pieces:
-                neg, on, pos = split_simplex(piece, plane)
-                nxt.extend(neg)
-                nxt.extend(on)
-                nxt.extend(pos)
-            pieces = nxt
-        for piece in pieces:
-            if all(lo[a] <= v[a] <= hi[a] for v in piece for a in range(3)):
-                ins.append(piece)
-            else:
-                outs.append(piece)
+    for piece in split_by_planes(sorted(chain.simplices), planes):
+        if all(lo[a] <= v[a] <= hi[a] for v in piece for a in range(3)):
+            ins.append(piece)
+        else:
+            outs.append(piece)
     return simplicial_chain(chain.k, ins), simplicial_chain(chain.k, outs)
 
 
@@ -325,10 +287,8 @@ def embed_grid_chain(chain: GridChain) -> SimplicialChain:
     out = []
     for cell in chain.sorted_cells():
         if chain.k == 1:
-            a = cell.axes[0]
-            far = list(cell.base)
-            far[a] += 1
-            out.append((g.world(cell.base), g.world(tuple(far))))
+            p, q = edge_ends(cell)
+            out.append((g.world(p), g.world(q)))
         else:
             a, b = cell.axes
             c00 = list(cell.base)
@@ -347,3 +307,8 @@ def embed_grid_chain(chain: GridChain) -> SimplicialChain:
             out.append((p00, p10, p11))
             out.append((p00, p11, p01))
     return simplicial_chain(chain.k, out)
+
+
+def as_simplicial(chain) -> SimplicialChain:
+    """The chain itself if simplicial, else its grid embedding."""
+    return embed_grid_chain(chain) if isinstance(chain, GridChain) else chain

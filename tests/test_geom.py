@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filmlab.exact import radical_sum
 from filmlab.geom import (
     Plane,
     is_degenerate,
@@ -14,6 +15,7 @@ from filmlab.geom import (
     shoelace_twice,
     simplex_measure,
     simplex_measure_sq,
+    split_by_planes,
     split_simplex,
     sup_norm,
     vcross,
@@ -171,9 +173,11 @@ def _split_simplex_testing_every_child(simplex, plane):
 
 
 @st.composite
-def maybe_degenerate_simplices(draw):
-    """1- to 3-simplices; about half have a vertex on the hull of the others."""
-    k = draw(st.integers(1, 3))
+def maybe_degenerate_simplices(draw, k=None):
+    """k-simplices (1 <= k <= 3 when not given); about half have a vertex
+    on the hull of the others."""
+    if k is None:
+        k = draw(st.integers(1, 3))
     verts = [draw(points(span=2, den=2)) for _ in range(k + 1)]
     if draw(st.booleans()):
         a, b = verts[0], verts[-2]
@@ -193,3 +197,31 @@ def test_split_simplex_matches_per_child_degeneracy_rule(s, n, b0):
         return
     plane = Plane(n, b0)
     assert split_simplex(s, plane) == _split_simplex_testing_every_child(s, plane)
+
+
+@st.composite
+def pieces_of_one_dimension(draw):
+    """One to four k-simplices for one k in 1..3, some degenerate."""
+    k = draw(st.integers(1, 3))
+    return draw(st.lists(maybe_degenerate_simplices(k), min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pieces=pieces_of_one_dimension(),
+    cuts=st.lists(
+        st.tuples(points(span=2, den=1), st.fractions(min_value=-2, max_value=2, max_denominator=2)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_split_by_planes_sides_and_measure(pieces, cuts):
+    planes = [Plane(n, b0) for n, b0 in cuts if n != (0, 0, 0)]
+    out = split_by_planes(pieces, planes)
+    for piece in out:
+        for plane in planes:
+            values = [plane.eval(v) for v in piece]
+            assert all(x >= 0 for x in values) or all(x <= 0 for x in values)
+    assert radical_sum(simplex_measure(s) for s in out) == radical_sum(
+        simplex_measure(s) for s in pieces
+    )

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -635,6 +637,53 @@ def test_cli_zero_denominator_exit_2(capsys):
     code, _, err = run_cli(capsys, "clamp", f"{FIX}/square.json", "--radius", "1/0")
     assert code == 2
     assert err.count("\n") == 1 and "zero denominator" in err
+
+
+def test_cli_plateau_local_rejects_node_budget(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "plateau",
+        "--curve",
+        f"{FIX}/square_curve.json",
+        "--method",
+        "local",
+        "--node-budget",
+        "5",
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "no node budget" in err
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mass", f"{FIX}/cone.json"),
+        ("boundary", f"{FIX}/tilted_triangle.json"),
+        ("flatnorm", f"{FIX}/square.json"),
+        ("plateau", "--curve", f"{FIX}/square_curve.json"),
+        ("deform", f"{FIX}/tilted_triangle.json", "--eps", "1", "--centers", "4"),
+    ],
+    ids=["mass", "boundary", "flatnorm", "plateau", "deform"],
+)
+def test_cli_reports_survive_python_O(argv):
+    """Invariants hold under python -O: no result depends on an assert."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "filmlab.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        for flags in ((), ("-O",))
+    ]
+    plain, optimised = runs
+    assert plain.returncode == 0, plain.stderr
+    assert (optimised.returncode, optimised.stdout) == (plain.returncode, plain.stdout)
 
 
 def test_fixtures_regenerate_byte_for_byte(tmp_path, monkeypatch, capsys):

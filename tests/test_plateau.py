@@ -20,9 +20,12 @@ from filmlab.dipolyhedra import (
     energy,
     make_dipole,
     make_massive,
+    support_in_cube,
+    support_points,
     to_simplicial,
 )
 from filmlab.exact import SQRT3
+from filmlab.geom import sup_norm, vsub
 from filmlab.grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
 from filmlab.overlay import overlay_leftover
 from filmlab.plateau import (
@@ -126,6 +129,13 @@ def test_local_descent_gives_upper_bound():
     assert sol.optimality == "upper-bound"
     assert sol.feasibility.member
     assert sol.weight >= 1
+
+
+def test_local_descent_rejects_node_budget():
+    problem = unit_problem()
+    for budget in (0, 5):
+        with pytest.raises(ValueError, match="no node budget"):
+            minimize_weight(problem, method="local", node_budget=budget)
 
 
 def test_membership_rejects_bare_mass_pair():
@@ -376,6 +386,8 @@ def test_admissible_faces_lattice_order_matches_world_order():
 
 def test_support_in_cube_lattice_bounds_match_world_corners():
     rng = random.Random(5)
+    centers = random.Random(6)
+    off_centre = []
     grids = [
         make_grid((3, 3, 2), origin=(F(-3, 2), F(-3, 2), F(-1))),
         make_grid((4, 4, 4), origin=(F(-7, 3), -2, F(-5, 4)), eps=F(1, 2)),
@@ -394,7 +406,19 @@ def test_support_in_cube_lattice_bounds_match_world_corners():
                     for corner in cell.corners()
                     for c in grid.world(corner)
                 )
-                assert plateau._support_in_cube(A, half) == world
+                assert support_in_cube(A, (0, 0, 0), 2 * half) == world
+                # an off-centre cube, near the middle of the support's bounding
+                # box, against the world corners of the support
+                pts = support_points(A)
+                c = tuple(
+                    (min(p[a] for p in pts) + max(p[a] for p in pts)) / 2
+                    + F(centers.randint(-2, 2), 4)
+                    for a in range(3)
+                )
+                world = all(sup_norm(vsub(p, c)) <= half for p in pts)
+                assert support_in_cube(A, c, 2 * half) == world
+                off_centre.append(world)
+    assert True in off_centre and False in off_centre
 
 
 @pytest.mark.parametrize(
