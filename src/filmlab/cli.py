@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -317,8 +318,29 @@ def _cmd_diagnostics(args) -> int:
 # parser
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with one-line usage errors and negative rational values.
+
+    A value such as "-3,-3,-3" or "-1/2" is taken as the option's value,
+    not as an unknown flag (argparse 3.13 reads negative numbers this
+    way).  Usage errors raise _UsageError instead of printing the usage
+    block and exiting.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="filmlab",
         description="mod-2 films, flat norms, deformation, and Plateau search",
     )
@@ -396,7 +418,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     try:
         return args.handler(args)
     except (iof.SchemaError, ValueError, OSError) as exc:

@@ -567,8 +567,9 @@ class SpanningContext:
     For every direction: the projection (with its cached plane basis),
     its integer frame, whether the curve is admissible along it and why
     not, and the area of the region its projection encloses.  check(A)
-    then only projects the mass part of A.  A context is built per
-    top-level call and holds no state beyond these per-curve facts.
+    then only projects the mass part of A.  A context is built once per
+    curve (a plateau problem keeps one per representation) and holds no
+    state beyond these per-curve facts.
     """
 
     def __init__(self, gamma: Chain, dirs: Optional[Sequence[ProjectionDir]] = None):

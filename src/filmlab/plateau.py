@@ -17,7 +17,9 @@ borders plus the projected curve cancel in the interval-parity overlay;
 the borders sum to boundary(B) and boundary(B) + gamma = C, so those
 segments are the projection of C (see filmlab.dipolyhedra).  The
 per-curve part of that check (admissibility, region areas, plane bases)
-is built once per minimize_weight call and shared by every candidate.
+belongs to the problem: PlateauProblem builds it on first use, with the
+axis targets, the region bound and the candidate faces, and every call
+on that problem shares them.
 
 The mass part is never searched independently: any pair passing the
 boundary precondition has C = gamma + boundary(B) exactly, so the search
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -92,7 +95,10 @@ class PlateauProblem:
     """A spanning problem: curve, energy budget, working cube, directions.
 
     lam_prime is the side of the centred cube that confines admissible
-    pairs; the grid must cover it.
+    pairs; the grid must cover it.  What depends only on the curve (its
+    spanning contexts, axis targets, region bound and candidate faces) is
+    built on first use and kept on the instance; equality and hashing
+    still read only the fields.
     """
 
     gamma: GridChain
@@ -105,6 +111,63 @@ class PlateauProblem:
     @property
     def cube_half(self) -> Fraction:
         return self.lam_prime / 2
+
+    @cached_property
+    def grid_context(self) -> SpanningContext:
+        """Spanning context of the curve, for grid pairs."""
+        return SpanningContext(self.gamma, self.dirs)
+
+    @cached_property
+    def simplicial_context(self) -> SpanningContext:
+        """Spanning context of the embedded curve, for simplicial pairs."""
+        return SpanningContext(embed_grid_chain(self.gamma), self.dirs)
+
+    def context(self, rep: str) -> SpanningContext:
+        return self.grid_context if rep == "grid" else self.simplicial_context
+
+    @cached_property
+    def axis_targets(self) -> dict[int, frozenset]:
+        """Region cells enclosed by each admissible axis shadow of the curve."""
+        targets = {}
+        for axis in range(3):
+            try:
+                targets[axis] = region_cells(self.gamma, axis)
+            except ValueError:
+                continue
+        return targets
+
+    @cached_property
+    def region_bound(self) -> Fraction:
+        """Largest admissible axis-shadow area: no member film weighs less."""
+        eps2 = self.grid.epsilon ** 2
+        return max((eps2 * len(cols) for cols in self.axis_targets.values()), default=Fraction(0))
+
+    @cached_property
+    def faces(self) -> tuple[GridCell, ...]:
+        """Faces inside the working cube, nearest the curve first.
+
+        The order is a search heuristic only (ascending-cardinality search
+        is exact regardless): films hug their curve, so the first
+        parity-feasible subset tends to pass the full check.  Distances
+        are taken in doubled lattice coordinates, where face centres and
+        curve vertices are integer points; the world distance squared is
+        epsilon^2 / 4 times that, so the order is the world order.
+        """
+        half = self.cube_half
+        lo, hi = lattice_bounds(self.grid, (-half,) * 3, (half,) * 3)
+        out = [cell for cell in self.grid.cells(2) if cell_in_bounds(cell, lo, hi)]
+        anchors = {tuple(2 * x for x in v) for c in self.gamma.cells for v in edge_ends(c)}
+        if not anchors:
+            return tuple(sorted(out))
+
+        def center_dist_sq(cell: GridCell) -> int:
+            center = [2 * b + (a in cell.axes) for a, b in enumerate(cell.base)]
+            return min(
+                (center[0] - p[0]) ** 2 + (center[1] - p[1]) ** 2 + (center[2] - p[2]) ** 2
+                for p in anchors
+            )
+
+        return tuple(sorted(out, key=lambda c: (center_dist_sq(c), c.base, c.axes)))
 
 
 _ORIGIN = (0, 0, 0)
@@ -198,12 +261,6 @@ class MembershipReport:
         return out
 
 
-def _spanning_context(problem: PlateauProblem, rep: str) -> SpanningContext:
-    """Spanning context of the problem's curve in the given representation."""
-    curve = problem.gamma if rep == "grid" else embed_grid_chain(problem.gamma)
-    return SpanningContext(curve, problem.dirs)
-
-
 def gamma_membership(A: Dipolyhedron, problem: PlateauProblem) -> MembershipReport:
     """Check every admissibility clause of the pair, itemised.
 
@@ -212,11 +269,7 @@ def gamma_membership(A: Dipolyhedron, problem: PlateauProblem) -> MembershipRepo
     """
     if A.k != 2:
         raise ValueError("membership is defined for films of dimension 2")
-    return _membership(A, problem, _spanning_context(problem, A.rep))
-
-
-def _membership(A: Dipolyhedron, problem: PlateauProblem, ctx: SpanningContext) -> MembershipReport:
-    """gamma_membership against a context built for A's representation."""
+    ctx = problem.context(A.rep)
     gamma = problem.gamma
     if A.rep == "grid":
         if A.B.grid != problem.grid:
@@ -270,18 +323,13 @@ def initial_cone_solution(problem: PlateauProblem, deform_config=None) -> ConeSt
     grid pair (P_B, gamma + dP_B).  Raises BudgetError when even the cone
     exceeds the energy budget.
     """
-    return _cone_start(problem, _spanning_context(problem, "grid"), deform_config)
-
-
-def _cone_start(problem: PlateauProblem, ctx: SpanningContext, deform_config=None) -> ConeStart:
-    """initial_cone_solution against a grid spanning context of the problem."""
     from .deformation import DeformConfig, deform_dipolyhedron
 
     gamma = problem.gamma
     grid = problem.grid
     if gamma.is_zero():
         zero = Dipolyhedron(empty_chain(grid, 2), empty_chain(grid, 1))
-        return ConeStart(zero, Fraction(0), _membership(zero, problem, ctx), {}, {})
+        return ConeStart(zero, Fraction(0), gamma_membership(zero, problem), {}, {})
     cone = _cone_pair(gamma)
     e = energy(cone).energy
     if not e <= problem.lam:
@@ -297,7 +345,7 @@ def _cone_start(problem: PlateauProblem, ctx: SpanningContext, deform_config=Non
     D, _, _, report = deform_dipolyhedron(cone, embed_grid_chain(gamma), grid, deform_config)
     B0 = D.B
     pair = Dipolyhedron(B0, gamma + boundary_grid(B0))
-    return ConeStart(pair, e, _membership(pair, problem, ctx), bounds, bounds_ok, report.fallback_cells)
+    return ConeStart(pair, e, gamma_membership(pair, problem), bounds, bounds_ok, report.fallback_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -316,165 +364,107 @@ class PlateauSolution:
     region_bound: Fraction  # largest admissible axis-shadow area
 
 
-def _admissible_faces(problem: PlateauProblem) -> list[GridCell]:
-    """Faces inside the working cube, nearest the curve first.
+def _candidate(problem: PlateauProblem, faces) -> Optional[tuple[Dipolyhedron, Fraction]]:
+    """(B, gamma + dB) for a face set B, with its energy, if it is a member.
 
-    The ordering is a deterministic search heuristic only; ascending-
-    cardinality enumeration keeps the minimizer exact regardless.  Films
-    hug their boundary curve, so candidates close to it come first and
-    the first parity-feasible subset tends to pass the full check.
-
-    Distances are taken in doubled lattice coordinates, where face
-    centres and curve vertices are integer points; the world distance
-    squared is epsilon^2 / 4 times that, so the order is the world order.
+    The boundary identity holds by construction; the working cube is
+    checked because a hand-built problem may put its curve outside it.
     """
-    half = problem.cube_half
-    lo, hi = lattice_bounds(problem.grid, (-half,) * 3, (half,) * 3)
-    out = [cell for cell in problem.grid.cells(2) if cell_in_bounds(cell, lo, hi)]
-    anchors = {tuple(2 * x for x in v) for c in problem.gamma.cells for v in edge_ends(c)}
-    if not anchors:
-        return sorted(out)
-
-    def center_dist_sq(cell: GridCell) -> int:
-        center = [2 * b + (a in cell.axes) for a, b in enumerate(cell.base)]
-        return min(
-            (center[0] - p[0]) ** 2 + (center[1] - p[1]) ** 2 + (center[2] - p[2]) ** 2
-            for p in anchors
-        )
-
-    return sorted(out, key=lambda c: (center_dist_sq(c), c.base, c.axes))
-
-
-def _axis_targets(problem: PlateauProblem) -> dict[int, frozenset]:
-    targets = {}
-    for axis in range(3):
-        try:
-            targets[axis] = region_cells(problem.gamma, axis)
-        except ValueError:
-            continue
-    return targets
+    B = chain_of(problem.grid, 2, faces)
+    C = problem.gamma + boundary_grid(B)
+    e = mass_grid(B) + mass_grid(C)
+    if e > problem.lam:
+        return None
+    pair = Dipolyhedron(B, C)
+    if not support_in_cube(pair, _ORIGIN, problem.lam_prime):
+        return None
+    if not problem.grid_context.check(pair).spans:
+        return None
+    return pair, e
 
 
 class _Found(Exception):
     pass
 
 
-class _Search:
+def _search(problem: PlateauProblem, node_budget, max_faces: int):
     """Ascending-cardinality subset search with parity-shadow pruning.
 
     State is one integer: a bit per (axis, column) that any candidate face
     or target region touches.  A face perpendicular to an admissible axis
     toggles exactly one bit, so the number of wrong bits is a lower bound
     on the faces still needed; bits no remaining face can reach prune the
-    branch outright.
+    branch outright.  Returns the first member found with its energy (or
+    None), the nodes visited, and whether the node budget was never hit.
     """
+    faces = problem.faces
+    targets = problem.axis_targets
+    bit_of: dict = {}
 
-    def __init__(
-        self,
-        problem: PlateauProblem,
-        faces: list[GridCell],
-        node_budget,
-        ctx: SpanningContext,
-        targets: dict[int, frozenset],
-    ):
-        self.problem = problem
-        self.ctx = ctx
-        self.faces = faces
-        self.node_budget = node_budget
-        self.nodes = 0
-        self.exhausted_cleanly = True
-        self.best: Optional[tuple] = None
+    def bit(axis, column):
+        key = (axis, column)
+        if key not in bit_of:
+            bit_of[key] = 1 << len(bit_of)
+        return bit_of[key]
 
-        bit_of: dict = {}
+    target = 0
+    for axis, cols in targets.items():
+        for col in cols:
+            target |= bit(axis, col)
+    masks = []
+    for cell in faces:
+        axis = next(a for a in range(3) if a not in cell.axes)
+        if axis in targets:
+            j, l = cell.axes
+            masks.append(bit(axis, (cell.base[j], cell.base[l])))
+        else:
+            masks.append(0)
+    suffix = [0] * (len(faces) + 1)
+    for i in range(len(faces) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
 
-        def bit(axis, column):
-            key = (axis, column)
-            if key not in bit_of:
-                bit_of[key] = 1 << len(bit_of)
-            return bit_of[key]
+    best = None
+    nodes = 0
+    clean = True
+    chosen: list[GridCell] = []
 
-        self.target = 0
-        for axis, cols in targets.items():
-            for col in cols:
-                self.target |= bit(axis, col)
-        self.masks = []
-        for cell in faces:
-            axis = next(a for a in range(3) if a not in cell.axes)
-            if axis in targets:
-                j, l = cell.axes
-                self.masks.append(bit(axis, (cell.base[j], cell.base[l])))
-            else:
-                self.masks.append(0)
-        self.suffix = [0] * (len(faces) + 1)
-        for i in range(len(faces) - 1, -1, -1):
-            self.suffix[i] = self.suffix[i + 1] | self.masks[i]
+    def dfs(idx: int, left: int, state: int):
+        nonlocal best, nodes, clean
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            clean = False
+            raise _Found
+        wrong = state ^ target
+        if left == 0:
+            if wrong == 0:
+                hit = _candidate(problem, chosen)
+                if hit is not None:
+                    best = hit
+                    raise _Found
+            return
+        if len(faces) - idx < left:
+            return
+        if bin(wrong).count("1") > left:
+            return
+        if wrong & ~suffix[idx]:
+            return
+        chosen.append(faces[idx])
+        dfs(idx + 1, left - 1, state ^ masks[idx])
+        chosen.pop()
+        dfs(idx + 1, left, state)
 
-    def _full_check(self, chosen: list[GridCell]):
-        problem = self.problem
-        B = chain_of(problem.grid, 2, chosen)
-        C = problem.gamma + boundary_grid(B)
-        e = mass_grid(B) + mass_grid(C)
-        if e > problem.lam:
-            return None
-        pair = Dipolyhedron(B, C)
-        if not support_in_cube(pair, _ORIGIN, problem.lam_prime):
-            return None
-        if not self.ctx.check(pair).spans:
-            return None
-        return pair, e
-
-    def run(self, max_faces: int):
-        chosen: list[GridCell] = []
-
-        def dfs(idx: int, left: int, state: int):
-            self.nodes += 1
-            if self.node_budget is not None and self.nodes > self.node_budget:
-                self.exhausted_cleanly = False
-                raise _Found
-            wrong = state ^ self.target
-            if left == 0:
-                if wrong == 0:
-                    hit = self._full_check(chosen)
-                    if hit is not None:
-                        self.best = hit
-                        raise _Found
-                return
-            if len(self.faces) - idx < left:
-                return
-            if bin(wrong).count("1") > left:
-                return
-            if wrong & ~self.suffix[idx]:
-                return
-            chosen.append(self.faces[idx])
-            dfs(idx + 1, left - 1, state ^ self.masks[idx])
-            chosen.pop()
-            dfs(idx + 1, left, state)
-
-        for w in range(0, max_faces + 1):
-            try:
-                dfs(0, w, 0)
-            except _Found:
-                return
-        return
+    for w in range(0, max_faces + 1):
+        try:
+            dfs(0, w, 0)
+        except _Found:
+            break
+    return best, nodes, clean
 
 
-def _zero_solution(problem: PlateauProblem, method: str) -> PlateauSolution:
-    zero = Dipolyhedron(empty_chain(problem.grid, 2), empty_chain(problem.grid, 1))
-    report = gamma_membership(zero, problem)
-    return PlateauSolution(zero, Fraction(0), Fraction(0), report, "exact", method, 0, Fraction(0))
-
-
-def _region_bound(problem: PlateauProblem, targets: dict[int, frozenset]) -> Fraction:
-    eps2 = problem.grid.epsilon ** 2
-    best = Fraction(0)
-    for cols in targets.values():
-        best = max(best, eps2 * len(cols))
-    return best
-
-
-def _as_solution(problem, pair, e, optimality, method, nodes, ctx, bound) -> PlateauSolution:
-    report = _membership(pair, problem, ctx)
+def _as_solution(problem, pair, e, optimality, method, nodes) -> PlateauSolution:
+    report = gamma_membership(pair, problem)
     w = mass_grid(pair.B)
+    bound = problem.region_bound
     if report.member and w < bound:
         raise RuntimeError(
             f"weight {w} of a member pair fell below the projected-region area bound {bound}"
@@ -506,15 +496,12 @@ def minimize_weight(
     if node_budget is not None and node_budget < 0:
         raise ValueError("node budget must be nonnegative")
     if problem.gamma.is_zero():
-        return _zero_solution(problem, method)
-
-    ctx = SpanningContext(problem.gamma, problem.dirs)
-    targets = _axis_targets(problem)
-    bound = _region_bound(problem, targets)
+        zero = Dipolyhedron(empty_chain(problem.grid, 2), empty_chain(problem.grid, 1))
+        return _as_solution(problem, zero, 0, "exact", method, 0)
     if method == "local":
-        return _local_descent(problem, start, ctx, bound)
+        return _local_descent(problem, start)
 
-    faces = _admissible_faces(problem)
+    faces = problem.faces
     if method == "exhaustive" and node_budget is None and len(faces) > 512:
         raise ValueError(
             f"{len(faces)} candidate faces is beyond the exhaustive budget; "
@@ -524,76 +511,50 @@ def minimize_weight(
         node_budget = 10 ** 6
     eps2 = problem.grid.epsilon ** 2
     max_faces = min(len(faces), int(problem.lam / eps2))
-    search = _Search(problem, faces, node_budget, ctx, targets)
-    search.run(max_faces)
+    best, nodes, clean = _search(problem, node_budget, max_faces)
 
-    if search.best is not None:
-        status = "exact" if search.exhausted_cleanly else "upper-bound"
-        pair, e = search.best
-        return _as_solution(problem, pair, e, status, method, search.nodes, ctx, bound)
-    if search.exhausted_cleanly:
+    if best is not None:
+        pair, e = best
+        return _as_solution(problem, pair, e, "exact" if clean else "upper-bound", method, nodes)
+    if clean:
         raise BudgetError(
             "no admissible pair within the energy budget; "
             f"the cone start needs {float(cone_energy(problem.gamma)):.6g}",
             required=cone_energy(problem.gamma),
         )
     # budget ran out without a feasible pair: fall back to the cone start
-    fallback = _cone_start(problem, ctx).pair
-    e = energy(fallback).energy
-    return _as_solution(problem, fallback, e, "upper-bound", method, search.nodes, ctx, bound)
+    fallback = initial_cone_solution(problem).pair
+    return _as_solution(problem, fallback, energy(fallback).energy, "upper-bound", method, nodes)
 
 
-def _local_descent(
-    problem: PlateauProblem,
-    start: Optional[Dipolyhedron],
-    ctx: SpanningContext,
-    bound: Fraction,
-) -> PlateauSolution:
+def _local_descent(problem: PlateauProblem, start: Optional[Dipolyhedron]) -> PlateauSolution:
+    """Seeded single-face descent from a member start.
+
+    Toggling one face changes the face count by one, so only a removal
+    can lower (weight, energy): faces not in the film count as visited
+    nodes but are not tried.
+    """
     if start is None:
-        start = _cone_start(problem, ctx).pair
+        start = initial_cone_solution(problem).pair
     if not (is_grid_chain(start.B) and start.B.grid == problem.grid):
         raise ValueError("local search needs a grid pair on the problem grid")
-    report = _membership(start, problem, ctx)
-    if not report.member:
-        w = mass_grid(start.B)
-        e = energy(start).energy
-        return PlateauSolution(
-            start, w, Fraction(e), report, "upper-bound", "local", 0, bound
-        )
-    faces = _admissible_faces(problem)
+    pair, e = start, energy(start).energy
+    if not gamma_membership(start, problem).member:
+        return _as_solution(problem, pair, e, "upper-bound", "local", 0)
+    faces = problem.faces
     rng = random.Random(f"filmlab-plateau:{problem.seed}")
     order = list(range(len(faces)))
-    current = set(start.B.cells)
-    cur_w = mass_grid(start.B)
-    cur_e = energy(start).energy
     nodes = 0
-    improved = True
-    while improved:
-        improved = False
+    while True:
         rng.shuffle(order)
         for i in order:
             nodes += 1
-            trial = set(current)
-            trial ^= {faces[i]}
-            B = chain_of(problem.grid, 2, trial)
-            C = problem.gamma + boundary_grid(B)
-            w = mass_grid(B)
-            e = w + mass_grid(C)
-            if (w, e) >= (cur_w, cur_e) or e > problem.lam:
-                continue
-            pair = Dipolyhedron(B, C)
-            if not support_in_cube(pair, _ORIGIN, problem.lam_prime):
-                continue
-            if not ctx.check(pair).spans:
-                continue
-            current, cur_w, cur_e = trial, w, e
-            improved = True
-            break
-    pair = Dipolyhedron(
-        chain_of(problem.grid, 2, current),
-        problem.gamma + boundary_grid(chain_of(problem.grid, 2, current)),
-    )
-    return _as_solution(problem, pair, cur_e, "upper-bound", "local", nodes, ctx, bound)
+            film = pair.B.cells
+            if faces[i] in film and (hit := _candidate(problem, film - {faces[i]})):
+                pair, e = hit
+                break
+        else:
+            return _as_solution(problem, pair, e, "upper-bound", "local", nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +589,8 @@ def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:
     the clamp can flatten film onto the cube walls and break a shadow
     match, so the report carries both verdicts.
     """
-    ctx = _spanning_context(problem, A.rep)
     before_split = energy(A)
-    before_span = ctx.check(A)
+    before_span = problem.context(A.rep).check(A)
     if support_in_cube(A, _ORIGIN, problem.lam_prime):
         return ClampReport(
             A,
@@ -646,9 +606,7 @@ def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:
         )
     clamped = clamp_dip(problem.cube_half, A)
     after_split = energy(clamped)
-    if A.rep == "grid":
-        ctx = _spanning_context(problem, clamped.rep)
-    after_span = ctx.check(clamped)
+    after_span = problem.context(clamped.rep).check(clamped)
     return ClampReport(
         clamped,
         True,

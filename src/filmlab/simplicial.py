@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import RadicalSum, is_psd, mat_vec, radical_sum
+from .exact import RadicalSum, format_fraction, is_psd, mat_vec, radical_sum
 from .geom import (
     Plane,
     Point,
@@ -194,8 +194,9 @@ def pushforward(f: PLMap, chain: SimplicialChain) -> SimplicialChain:
     for s in sorted(chain.simplices):
         img = tuple(f.apply_point(v) for v in s)
         if not _check_stretch(s, img, lip_sq):
+            points = ", ".join("(" + ", ".join(map(format_fraction, v)) + ")" for v in s)
             raise LipschitzViolation(
-                f"stretch on simplex {s} exceeds declared Lipschitz constant"
+                f"stretch on simplex ({points}) exceeds declared Lipschitz constant"
             )
         images.append(img)
     return simplicial_chain(chain.k, images)

@@ -18,7 +18,7 @@ from filmlab import cli
 from filmlab.cli import main
 from filmlab.dipolyhedra import Dipolyhedron, dip_equal, make_dipole
 from filmlab.exact import RadicalSum, UndecidableComparison
-from filmlab.grid import GridCell, chain_of
+from filmlab.grid import GridCell, chain_of, empty_chain
 from filmlab.io_formats import (
     SchemaError,
     chain_from_json,
@@ -469,6 +469,74 @@ def test_cli_direction_count_out_of_range(capsys, dirs):
     assert err.count("\n") == 1 and "extra directions" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["deform", f"{FIX}/patch2x2.json", "--eps", "1", "--dims", "6,6,6"], "--origin", "-3,-3,-3"),
+        (["restrict", f"{FIX}/square.json"], "--box", "-1,-1,-1,1,1,1"),
+        (["restrict", f"{FIX}/tilted_triangle.json"], "--box", "-1/2,-1,-1,1,1,1"),
+        (["cone", f"{FIX}/square.json"], "--apex", "-1,0,0"),
+        (
+            ["pushforward", f"{FIX}/square.json", "--lipschitz", "1", "--matrix", "1,0,0,0,1,0,0,0,1"],
+            "--offset",
+            "-1/2,0,0",
+        ),
+        (["pushforward", f"{FIX}/square.json", "--lipschitz", "1"], "--matrix", "-1,0,0,0,1,0,0,0,1"),
+    ],
+    ids=["deform-origin", "restrict-grid-box", "restrict-world-box", "cone-apex",
+         "pushforward-offset", "pushforward-matrix"],
+)
+def test_cli_negative_value_after_space(capsys, argv, option, value):
+    # a value starting with "-" is the option's value, not a flag
+    joined = run_cli(capsys, *argv, f"{option}={value}")
+    spaced = run_cli(capsys, *argv, option, value)
+    assert joined[0] == 0 and joined[1]
+    assert spaced == joined
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mass"], "filmlab mass: error: the following arguments are required: input"),
+        (
+            ["plateau", "--curve", f"{FIX}/square_curve.json", "--method", "nope"],
+            "filmlab plateau: error: argument --method: invalid choice: 'nope'",
+        ),
+        (["flatnorm", f"{FIX}/square.json", "--node-budget", "x"], "filmlab flatnorm: error: argument"),
+        (["mass", f"{FIX}/square.json", "--nosuch"], "filmlab: error: unrecognized arguments"),
+        ([], "filmlab: error: the following arguments are required: subcommand"),
+    ],
+    ids=["missing-input", "bad-choice", "bad-int", "unknown-flag", "no-subcommand"],
+)
+def test_cli_usage_errors_are_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(message)
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["mass", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: filmlab mass")
+
+
+def test_cli_lipschitz_violation_prints_rationals(capsys):
+    code, out, err = run_cli(
+        capsys, "pushforward", f"{FIX}/patch2x2.json", "--matrix", "2,0,0,0,1,0,0,0,1", "--lipschitz", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "filmlab pushforward: error: stretch on simplex ((-1, -1, 0), (0, -1, 0)) "
+        "exceeds declared Lipschitz constant\n"
+    )
+    code, _, err = run_cli(
+        capsys, "pushforward", f"{FIX}/tilted_triangle.json", "--matrix=3,0,0,0,1,0,0,0,1",
+        "--lipschitz=1",
+    )
+    assert code == 2 and "simplex ((0, 0, 0), (1/4, 1, 1/2), (1, 0, 1/3)) exceeds" in err
+
+
 def test_cli_diagnostics(capsys, tmp_path):
     grid = make_grid((3, 3, 2), origin=(F(-3, 2), F(-3, 2), F(-1)))
     gamma = square_curve(grid, 1, 1, 2)
@@ -664,12 +732,22 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         ("boundary", f"{FIX}/tilted_triangle.json"),
         ("flatnorm", f"{FIX}/square.json"),
         ("plateau", "--curve", f"{FIX}/square_curve.json"),
+        ("plateau", "--curve", f"{FIX}/patch2x2.json", "--method", "local"),
         ("deform", f"{FIX}/tilted_triangle.json", "--eps", "1", "--centers", "4"),
+        ("span-check", f"{FIX}/cone.json", "--curve", f"{FIX}/square_curve.json"),
+        ("clamp", f"{FIX}/cone.json", "--radius", "1/2"),
+        ("diagnostics", "{pair}"),
     ],
-    ids=["mass", "boundary", "flatnorm", "plateau", "deform"],
+    ids=["mass", "boundary", "flatnorm", "plateau", "plateau-local", "deform", "span-check",
+         "clamp", "diagnostics"],
 )
-def test_cli_reports_survive_python_O(argv):
+def test_cli_reports_survive_python_O(argv, tmp_path):
     """Invariants hold under python -O: no result depends on an assert."""
+    # diagnostics reads a grid pair: the fixture square as a bare mass part
+    curve = parse_input(load_document(f"{FIX}/square_curve.json"))
+    pair = tmp_path / "pair.json"
+    pair.write_text(dumps_report(Dipolyhedron(empty_chain(curve.grid, 2), curve)))
+    argv = [str(pair) if a == "{pair}" else a for a in argv]
     env = {**os.environ, "PYTHONPATH": SRC}
     runs = [
         subprocess.run(

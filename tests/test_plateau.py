@@ -302,7 +302,7 @@ def test_member_below_region_bound_raises(monkeypatch):
     # the weight >= region-area invariant is checked without assert, so it
     # also holds under python -O
     problem = unit_problem()
-    monkeypatch.setattr(plateau, "_region_bound", lambda problem, targets: F(2))
+    monkeypatch.setattr(plateau.PlateauProblem, "region_bound", F(2))
     with pytest.raises(RuntimeError, match="region area bound"):
         minimize_weight(problem, method="exhaustive")
 
@@ -381,7 +381,7 @@ def test_admissible_faces_lattice_order_matches_world_order():
     assert len(SYMMETRIES) == 7
     for gamma in curves:
         problem = plateau_problem(gamma)
-        assert plateau._admissible_faces(problem) == _world_face_order(problem)
+        assert list(problem.faces) == _world_face_order(problem)
 
 
 def test_support_in_cube_lattice_bounds_match_world_corners():
@@ -453,10 +453,111 @@ def test_minimize_weight_builds_one_spanning_context(monkeypatch):
     problem = unit_problem()
     # local descent from the cone start, and bnb falling back to the cone start
     for kwargs in ({"method": "local"}, {"method": "bnb", "node_budget": 1}):
-        built.clear()
         sol = minimize_weight(problem, **kwargs)
         assert sol.optimality == "upper-bound" and sol.feasibility.member
-        assert len(built) == 1
+    assert len(built) == 1
+
+
+def test_one_spanning_context_per_problem(monkeypatch):
+    built = []
+
+    class CountingContext(plateau.SpanningContext):
+        def __init__(self, gamma, *args, **kwargs):
+            built.append("grid" if isinstance(gamma, GridChain) else "simplicial")
+            super().__init__(gamma, *args, **kwargs)
+
+    monkeypatch.setattr(plateau, "SpanningContext", CountingContext)
+    problem = unit_problem()
+    start = initial_cone_solution(problem)
+    assert gamma_membership(start.pair, problem).member
+    assert gamma_membership(to_simplicial(start.pair), problem).member
+    for method in ("exhaustive", "bnb", "local"):
+        assert minimize_weight(problem, method=method).feasibility.member
+    # a film poking out of the working cube is clamped into a simplicial pair
+    B = start.pair.B + chain_of(problem.grid, 2, [GridCell((0, 0, 0), (0, 1))])
+    report = clamp_improvement(Dipolyhedron(B, problem.gamma + boundary_grid(B)), problem)
+    assert report.changed and report.pair.rep == "simplicial"
+    assert sorted(built) == ["grid", "simplicial"]
+
+
+def _toggle_descent(problem, start):
+    """Local descent as a full toggle loop: every face in the working cube
+    is toggled in turn and a trial is kept when (weight, energy) drops.
+    Returns the final faces, energy and visited-face count."""
+    faces = list(problem.faces)
+    ctx = SpanningContext(problem.gamma, problem.dirs)
+    rng = random.Random(f"filmlab-plateau:{problem.seed}")
+    order = list(range(len(faces)))
+    current = set(start.B.cells)
+    cur_w, cur_e = mass_grid(start.B), energy(start).energy
+    nodes = 0
+    improved = True
+    while improved:
+        improved = False
+        rng.shuffle(order)
+        for i in order:
+            nodes += 1
+            trial = current ^ {faces[i]}
+            B = chain_of(problem.grid, 2, trial)
+            C = problem.gamma + boundary_grid(B)
+            w = mass_grid(B)
+            e = w + mass_grid(C)
+            if (w, e) >= (cur_w, cur_e) or e > problem.lam:
+                continue
+            pair = Dipolyhedron(B, C)
+            if not support_in_cube(pair, (0, 0, 0), problem.lam_prime):
+                continue
+            if not ctx.check(pair).spans:
+                continue
+            current, cur_w, cur_e = trial, w, e
+            improved = True
+            break
+    return frozenset(current), cur_e, nodes
+
+
+def _shelled_starts(problem, film):
+    """Member pairs: the film toggled by the boundary of one unit cube of
+    the working cube.  The mass part is unchanged, so only the budget can
+    rule them out; the shell's extra faces are what descent can remove."""
+    faces = set(problem.faces)
+    starts = []
+    for cube in problem.grid.cells(3):
+        shell = boundary_grid(chain_of(problem.grid, 3, [cube]))
+        if set(shell.cells) <= faces:
+            B = film + shell
+            A = Dipolyhedron(B, problem.gamma + boundary_grid(B))
+            if gamma_membership(A, problem).member:
+                starts.append(A)
+    return starts
+
+
+@pytest.mark.parametrize("name", ["sq2", "sq3", "hex1", "fold1"])
+def test_local_descent_matches_toggle_rule(name):
+    # with the axes alone, a square's mass part only has to vanish along
+    # its normal, so faces can be removed one at a time; sq2 needs a larger
+    # budget (and a grid covering its cube) for a shelled start to fit it
+    builds = {
+        "sq2": lambda: (square_curve(_centred_grid((6, 6, 6)), 3, 2, 4), 12),
+        "sq3": lambda: (_centred_square(3), None),
+        "hex1": lambda: (_polygon(HEX, 3), None),
+        "fold1": lambda: (_polygon(FOLD, 2), None),
+    }
+    gamma, lam = builds[name]()
+    moved = 0
+    for seed in (0, 1, 2):
+        extras = (0, 10) if name.startswith("sq") else (10,)
+        for extra in extras:
+            problem = plateau_problem(gamma, lam=lam, dirs=default_directions(seed, extra), seed=seed)
+            cone = initial_cone_solution(problem).pair
+            starts = [cone] + _shelled_starts(problem, cone.B)[seed::8]
+            for start in starts:
+                sol = minimize_weight(problem, method="local", start=start)
+                cells, e, nodes = _toggle_descent(problem, start)
+                assert (sol.pair.B.cells, sol.energy, sol.nodes) == (cells, e, nodes)
+                assert sol.pair.C == problem.gamma + boundary_grid(sol.pair.B)
+                moved += sol.weight < mass_grid(start.B)
+    if name.startswith("sq"):
+        assert moved, "no start was descended from"
 
 
 # ---------------------------------------------------------------------------
