@@ -10,13 +10,12 @@ straight simplex.  Once the chain lies in the k-skeleton, covering parity
 at a generic point of each k-face decides which whole faces make up the
 grid chain P.
 
-The center is a heuristic choice (least projected mass among candidates
-that keep clear of the chain), so floats may make it: a float twin of the
-wedge split and projection ranks the candidates, and the exact projection
-runs only for those within the float tie band, where the exact masses
-(60-digit square roots on near ties) pick the winner.  The choice is the
-one an all-exact ranking makes, and the exact identity below certifies
-the result whichever center is used.
+The center follows one rule: among the candidates that keep clear of the
+chain, the least exact projected mass wins, and equal masses go to the
+lowest candidate index.  A float twin of the wedge split and projection
+only narrows the field to a band that holds every candidate the rule can
+pick; RadicalSum comparison of the exact masses decides within it.  The
+exact identity below certifies the result whichever center is used.
 
 Every run returns chains Q (dim k) and R (dim k+1) with the exact mod-2
 identity  A = P + Q + dR,  verified geometrically before returning, plus
@@ -30,7 +29,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -43,6 +41,7 @@ from .geom import (
     centroid,
     is_degenerate,
     point_simplex_dist_sq,
+    simplex_measure,
     simplex_measure_sq,
     split_by_planes,
     vadd,
@@ -276,25 +275,8 @@ def _project_cell_pieces(grid: GridSpec, cell: GridCell, center: Point, pieces: 
 _FACT = (1.0, 1.0, 2.0, 6.0)
 
 
-def _projected_mass_float(proj) -> float:
-    total = 0.0
-    for pairs in proj:
-        for _, image in pairs:
-            total += math.sqrt(float(simplex_measure_sq(image))) / _FACT[len(image) - 1]
-    return total
-
-
-def _projected_mass_decimal(proj) -> Decimal:
-    # 60-digit sqrt: deterministic tie-break without radical factorization
-    with localcontext() as ctx:
-        ctx.prec = 60
-        total = Decimal(0)
-        for pairs in proj:
-            for _, image in pairs:
-                q = simplex_measure_sq(image)
-                root = (Decimal(q.numerator) / Decimal(q.denominator)).sqrt()
-                total += root / int(_FACT[len(image) - 1])
-        return total
+def _projected_mass(proj) -> RadicalSum:
+    return radical_sum(simplex_measure(image) for pairs in proj for _, image in pairs)
 
 
 def _float_point(p) -> tuple:
@@ -356,7 +338,7 @@ def _split_float(pieces: list, n: tuple, tol: float) -> list:
 def _projected_mass_rank(
     grid: GridSpec, cell: GridCell, center: Point, floats: list, edges: list
 ) -> float:
-    """Float twin of _projected_mass_float(_project_cell_pieces(...)).
+    """Float twin of _projected_mass(_project_cell_pieces(...)).
 
     Same wedge planes (``edges`` are _wedge_edges as floats), same
     exit-facet rule and the Gram measure, on float copies of the pieces in
@@ -452,43 +434,56 @@ def _dist_sq_float(p: tuple, s: tuple) -> float:
     return dot(d, d)
 
 
-def _clearance_sq(candidate: Point, pieces: list, floats: list, cut: Fraction):
-    """Clearance classification: float prescreen, exact at the 2% band."""
+def _clears(candidate: Point, pieces: list, floats: list, cut: Fraction) -> bool:
+    """Clearance test: float prescreen, exact at the 2% band."""
     fcut = float(cut)
-    fc = _float_point(candidate)
-    fd = min(_dist_sq_float(fc, fs) for fs in floats)
+    fd = min(_dist_sq_float(_float_point(candidate), fs) for fs in floats)
     if fd > fcut * 1.02:
-        return True, None
+        return True
     if fd < fcut * 0.98:
-        return False, None
-    d2 = min(point_simplex_dist_sq(candidate, s) for s in pieces)
-    return d2 >= cut, d2
+        return False
+    return min(point_simplex_dist_sq(candidate, s) for s in pieces) >= cut
+
+
+def _farthest(points: list, pieces: list):
+    """Index and exact squared distance of the point farthest from the pieces
+    (max over points of the min over pieces); ties go to the lowest index.
+
+    A float prescreen picks the band of candidate points; exact distances
+    decide within it.
+    """
+    floats = [tuple(_float_point(v) for v in s) for s in pieces]
+    scores = [min(_dist_sq_float(_float_point(p), fs) for fs in floats) for p in points]
+    top = max(scores)
+    band = top - 1e-6 * (1.0 + top)
+    best, best_d2 = None, None
+    for i, (p, score) in enumerate(zip(points, scores)):
+        if score < band:
+            continue
+        d2 = min(point_simplex_dist_sq(p, s) for s in pieces)
+        if best_d2 is None or d2 > best_d2:
+            best, best_d2 = i, d2
+    return best, best_d2
 
 
 def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConfig):
-    """Pick the cell's projection center: cleared candidates only, least
-    projected mass, high-precision comparison when floats are too close.
+    """Pick the cell's projection center by the one rule: among the
+    candidates that clear the chain (if none does, the farthest one alone),
+    the least exact projected mass wins, equal masses going to the lowest
+    candidate index.
 
     Floats rank the cleared candidates; only those within _RANK_BAND of
-    the float minimum are projected exactly, which covers every candidate
-    the exact rule below could pick, so the choice is the all-exact one.
+    the float minimum, which covers every candidate the rule can pick, are
+    projected exactly.  A band of one needs no mass.
     """
     candidates = _center_candidates(grid, cell, cfg)
     cut = (cfg.tau * grid.epsilon) ** 2
     floats = [tuple(_float_point(v) for v in s) for s in pieces]
-    admitted = [
-        i for i, c in enumerate(candidates)
-        if _clearance_sq(c, pieces, floats, cut)[0]
-    ]
+    admitted = [i for i, c in enumerate(candidates) if _clears(c, pieces, floats, cut)]
     fallback = not admitted
     if fallback:
         # every candidate is too close to the chain: take the farthest one
-        best, best_d2 = 0, None
-        for i, c in enumerate(candidates):
-            d2 = min(point_simplex_dist_sq(c, s) for s in pieces)
-            if best_d2 is None or d2 > best_d2:
-                best, best_d2 = i, d2
-        admitted = [best]
+        admitted = [_farthest(candidates, pieces)[0]]
     if len(admitted) > 1:
         edges = [(_float_point(p), _float_point(q)) for p, q in _wedge_edges(grid, cell)]
         ranks = [
@@ -496,22 +491,11 @@ def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConf
         ]
         top = min(ranks) + _RANK_BAND * (1.0 + min(ranks))
         admitted = [i for i, r in zip(admitted, ranks) if r <= top]
-    scored = []
-    for i in admitted:
-        proj = _project_cell_pieces(grid, cell, candidates[i], pieces)
-        scored.append((_projected_mass_float(proj), i, proj))
-    low = min(m for m, _, _ in scored)
-    close = [t for t in scored if t[0] <= low + 1e-9 * (1.0 + low)]
-    if len(close) == 1:
-        _, i, proj = close[0]
-        return candidates[i], proj, fallback
-    winner = None
-    winner_mass = None
-    for _, i, proj in close:
-        m = _projected_mass_decimal(proj)
-        if winner is None or m < winner_mass:
-            winner, winner_mass = (i, proj), m
-    i, proj = winner
+    scored = [(i, _project_cell_pieces(grid, cell, candidates[i], pieces)) for i in admitted]
+    i, proj = scored[0]
+    if len(scored) > 1:
+        # min keeps the first of equal masses, so ties go to the lowest index
+        i, proj = min(scored, key=lambda t: _projected_mass(t[1]))
     return candidates[i], proj, fallback
 
 
@@ -655,31 +639,12 @@ def _mass_at_most(lhs, rhs_terms) -> bool:
 
 
 def _support_dist_sq(vertices, targets) -> Optional[Fraction]:
-    """Max-min squared distance from output vertices to target pieces.
-
-    Float prescreen picks the candidate worst vertices; the returned value
-    is computed exactly on that band.
-    """
+    """Max-min squared distance from output vertices to target pieces."""
     if not vertices:
         return Fraction(0)
     if not targets:
         return None
-    floats = [tuple(_float_point(v) for v in s) for s in targets]
-    verts = sorted(set(vertices))
-    scores = []
-    for v in verts:
-        fv = _float_point(v)
-        scores.append(min(_dist_sq_float(fv, fs) for fs in floats))
-    top = max(scores)
-    band = top - 1e-6 * (1.0 + top)
-    worst = Fraction(0)
-    for v, score in zip(verts, scores):
-        if score < band:
-            continue
-        d2 = min(point_simplex_dist_sq(v, s) for s in targets)
-        if d2 > worst:
-            worst = d2
-    return worst
+    return _farthest(sorted(set(vertices)), targets)[1]
 
 
 def _grid_vertices(grid: GridSpec, chain: GridChain) -> list:

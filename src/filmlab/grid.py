@@ -195,11 +195,6 @@ def mass_grid(chain: GridChain) -> Fraction:
     return len(chain.cells) * chain.grid.cell_mass(chain.k)
 
 
-def support_grid(chain: GridChain) -> list[GridCell]:
-    """Minimal closed carrier, reported as the sorted cell list."""
-    return chain.sorted_cells()
-
-
 @dataclass(frozen=True)
 class BoxRegion:
     """Closed axis box given by lattice corners of a grid."""
@@ -228,27 +223,3 @@ def restrict_grid(chain: GridChain, box: BoxRegion) -> tuple[GridChain, GridChai
         GridChain(chain.grid, chain.k, inside),
         GridChain(chain.grid, chain.k, outside),
     )
-
-
-def aligned_box_from_world(grid: GridSpec, lo: Point, hi: Point) -> BoxRegion:
-    """Convert world coordinates to a lattice box; non-aligned input errors."""
-    lat = lattice_bounds(grid, lo, hi)
-    for corner, n in zip((lo, hi), lat):
-        if grid.world(n) != tuple(Fraction(c) for c in corner):
-            raise ValueError(f"box corner not grid-aligned: {corner}")
-    return BoxRegion(*lat)
-
-
-def refine_grid_chain(chain: GridChain, factor: int) -> GridChain:
-    """Re-express a chain on the factor-refined grid (same geometric support)."""
-    if factor < 1:
-        raise ValueError("refinement factor must be >= 1")
-    g = chain.grid
-    fine = GridSpec(g.epsilon / factor, g.origin, tuple(d * factor for d in g.dims))
-    cells = []
-    for cell in chain.cells:
-        offsets = [range(factor) if a in cell.axes else (0,) for a in (0, 1, 2)]
-        for off in itertools.product(*offsets):
-            base = tuple(cell.base[a] * factor + off[a] for a in (0, 1, 2))
-            cells.append(GridCell(base, cell.axes))
-    return GridChain(fine, chain.k, frozenset(cells))

@@ -61,18 +61,6 @@ def _radical_json(x: RadicalSum) -> dict:
     }
 
 
-def scalar_json(x):
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return _frac_str(x)
-    if isinstance(x, RadicalSum):
-        return _radical_json(x)
-    if isinstance(x, float):
-        return x
-    raise TypeError(f"not a serializable scalar: {type(x).__name__}")
-
-
 def _get(doc, key: str, path: str):
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected an object")

@@ -315,7 +315,7 @@ class ConeStart:
     fallback_cells: tuple = ()
 
 
-def initial_cone_solution(problem: PlateauProblem, deform_config=None) -> ConeStart:
+def initial_cone_solution(problem: PlateauProblem) -> ConeStart:
     """Cone the curve from the origin, then push the cone onto the grid.
 
     The cone pair delta(0 gamma) has boundary delta gamma by the cone
@@ -340,9 +340,8 @@ def initial_cone_solution(problem: PlateauProblem, deform_config=None) -> ConeSt
     plain = problem.lam_prime * mass_grid(gamma) / 3
     bounds = {"lam": plain, "lam_scaled": SQRT3 * plain}
     bounds_ok = {name: bool(e <= value) for name, value in bounds.items()}
-    if deform_config is None:
-        deform_config = DeformConfig(epsilon=grid.epsilon, seed=problem.seed)
-    D, _, _, report = deform_dipolyhedron(cone, embed_grid_chain(gamma), grid, deform_config)
+    cfg = DeformConfig(epsilon=grid.epsilon, seed=problem.seed)
+    D, _, _, report = deform_dipolyhedron(cone, embed_grid_chain(gamma), grid, cfg)
     B0 = D.B
     pair = Dipolyhedron(B0, gamma + boundary_grid(B0))
     return ConeStart(pair, e, gamma_membership(pair, problem), bounds, bounds_ok, report.fallback_cells)

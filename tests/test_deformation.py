@@ -18,7 +18,12 @@ from filmlab.deformation import (
 )
 from filmlab.dipolyhedra import Dipolyhedron, energy, make_dipole
 from filmlab.exact import RadicalSum, radical_sum, sqrt_enclosure
-from filmlab.geom import is_degenerate, point_simplex_dist_sq, simplex_measure_sq
+from filmlab.geom import (
+    is_degenerate,
+    point_simplex_dist_sq,
+    simplex_measure,
+    simplex_measure_sq,
+)
 from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, mass_grid
 from filmlab.overlay import chains_equal_mod2
 from filmlab.simplicial import (
@@ -318,14 +323,14 @@ _TILTED_PINS = {
             ("1/64", "43/256", "15/64"), ("5/256", "179/256", "75/256"),
             ("11/256", "255/256", "89/256"), ("3/64", "55/128", "13/64"),
             ("17/256", "69/256", "23/64"), ("35/128", "39/128", "83/256"),
-            ("81/256", "19/256", "13/256"), ("99/256", "5/64", "95/256"),
-            ("7/16", "211/256", "119/256"), ("29/64", "135/256", "67/256"),
-            ("59/128", "125/256", "9/256"), ("37/64", "31/256", "21/256"),
-            ("5/8", "21/128", "87/256"), ("87/128", "97/256", "111/256"),
+            ("35/128", "99/256", "5/128"), ("81/256", "19/256", "13/256"),
+            ("99/256", "5/64", "95/256"), ("7/16", "211/256", "119/256"),
+            ("29/64", "135/256", "67/256"), ("5/8", "21/128", "87/256"),
+            ("87/128", "11/64", "5/64"), ("87/128", "97/256", "111/256"),
             ("45/64", "87/128", "103/256"), ("201/256", "113/256", "51/128"),
             ("127/128", "13/64", "113/256"),
         ],
-        "2f2c38469b3113cfadf2209a34d225567a06e92cc536a568dd2c80646a28e64c",
+        "d72d246506092ca569f0a7c7fd53aa1d343d4937a36459fe5018d250f9f78de4",
     ),
 }
 
@@ -355,37 +360,49 @@ def test_tilted_triangle_choices_pinned(eps):
 
 
 def _all_exact_choice(grid, cell, pieces, cfg):
-    """Reference: every cleared candidate projected exactly, then scored."""
+    """Reference: every candidate cleared exactly and every cleared one
+    projected, then the least exact projected mass, lowest index on ties;
+    with none cleared, the farthest candidate, lowest index on ties."""
     candidates = dm._center_candidates(grid, cell, cfg)
     cut = (cfg.tau * grid.epsilon) ** 2
-    floats = [tuple(dm._float_point(v) for v in s) for s in pieces]
-    admitted = [
-        i for i, c in enumerate(candidates) if dm._clearance_sq(c, pieces, floats, cut)[0]
-    ]
+    dists = [min(point_simplex_dist_sq(c, s) for s in pieces) for c in candidates]
+    admitted = [i for i, d2 in enumerate(dists) if d2 >= cut]
     fallback = not admitted
     if fallback:
-        best, best_d2 = 0, None
-        for i, c in enumerate(candidates):
-            d2 = min(point_simplex_dist_sq(c, s) for s in pieces)
-            if best_d2 is None or d2 > best_d2:
-                best, best_d2 = i, d2
-        admitted = [best]
-    scored = []
+        admitted = [dists.index(max(dists))]
+    winner = winner_mass = None
     for i in admitted:
         proj = dm._project_cell_pieces(grid, cell, candidates[i], pieces)
-        scored.append((dm._projected_mass_float(proj), i, proj))
-    low = min(m for m, _, _ in scored)
-    close = [t for t in scored if t[0] <= low + 1e-9 * (1.0 + low)]
-    if len(close) == 1:
-        _, i, proj = close[0]
-        return candidates[i], proj, fallback
-    winner = winner_mass = None
-    for _, i, proj in close:
-        m = dm._projected_mass_decimal(proj)
+        m = radical_sum(simplex_measure(image) for pairs in proj for _, image in pairs)
         if winner is None or m < winner_mass:
             winner, winner_mass = (i, proj), m
     i, proj = winner
     return candidates[i], proj, fallback
+
+
+def test_boundary_choices_follow_the_exact_rule(monkeypatch):
+    """Every centre chosen while deforming the tilted triangle's boundary is
+    the one the exact rule picks.  Several face cells here hold candidates
+    whose projected masses are equal exactly; in the face at base (1, 1, 1)
+    with axes (1, 2), candidates 0 and 15 tie and candidate 0 wins."""
+    tri = iof.parse_input(iof.load_document(os.path.join(FIXTURES, "tilted_triangle.json")))
+    eps = F(1, 2)
+    grid = make_grid((4, 4, 3), origin=(-eps, -eps, -eps), eps=eps)
+    cfg = DeformConfig(epsilon=eps, candidate_centers=16)
+    choose = dm._choose_center
+    calls = {}
+
+    def checked(grid, cell, pieces, cfg):
+        got = choose(grid, cell, pieces, cfg)
+        calls[cell] = (got == _all_exact_choice(grid, cell, pieces, cfg), got[0])
+        return got
+
+    monkeypatch.setattr(dm, "_choose_center", checked)
+    deform_chain(boundary_simplicial(tri), grid, cfg)
+    wrong = [cell for cell, (ok, _) in calls.items() if not ok]
+    assert calls and not wrong, wrong
+    face = GridCell((1, 1, 1), (1, 2))
+    assert calls[face][1] == dm._center_candidates(grid, face, cfg)[0]
 
 
 def _random_pieces(rng, grid, cell, k, count):

@@ -10,15 +10,12 @@ from filmlab.grid import (
     BoxRegion,
     GridCell,
     GridSpec,
-    aligned_box_from_world,
     boundary_grid,
     cell_from_label,
     chain_of,
     empty_chain,
     mass_grid,
-    refine_grid_chain,
     restrict_grid,
-    support_grid,
 )
 
 from filmlab.dipolyhedra import chain_boundary
@@ -125,34 +122,6 @@ def test_restrict_partitions_chain():
     assert mass_grid(inside) + mass_grid(outside) == mass_grid(chain)
 
 
-def test_aligned_box_from_world():
-    grid = make_grid((4, 4, 4), origin=(-2, -2, -2))
-    box = aligned_box_from_world(
-        grid,
-        (Fraction(-1), Fraction(-1), Fraction(-1)),
-        (Fraction(1), Fraction(1), Fraction(1)),
-    )
-    assert box.lo == (1, 1, 1) and box.hi == (3, 3, 3)
-    with pytest.raises(ValueError):
-        aligned_box_from_world(
-            grid,
-            (Fraction(-1, 3), Fraction(0), Fraction(0)),
-            (Fraction(1), Fraction(1), Fraction(1)),
-        )
-
-
-def test_refine_preserves_mass_and_boundary():
-    grid = make_grid((2, 2, 1))
-    chain = chain_of(
-        grid, 2, [GridCell((0, 0, 0), (0, 1)), GridCell((1, 1, 0), (0, 1))]
-    )
-    fine = refine_grid_chain(chain, 2)
-    assert fine.grid.epsilon == Fraction(1, 2)
-    assert len(fine) == 8
-    assert mass_grid(fine) == mass_grid(chain)
-    assert refine_grid_chain(boundary_grid(chain), 2) == boundary_grid(fine)
-
-
 def test_world_coordinates():
     grid = make_grid((2, 2, 2), origin=(-1, -1, 0), eps=Fraction(1, 2))
     assert grid.world((1, 0, 2)) == (Fraction(-1, 2), Fraction(-1), Fraction(1))
@@ -180,5 +149,5 @@ def test_boundary_squared_random(seed, k):
 def test_support_matches_cells(seed):
     grid = make_grid((2, 2, 1))
     chain = random_grid_chain(grid, 1, random.Random(seed))
-    assert frozenset(support_grid(chain)) == chain.cells
-    assert support_grid(chain) == sorted(chain.cells, key=lambda c: (c.base, c.axes))
+    assert frozenset(chain.sorted_cells()) == chain.cells
+    assert chain.sorted_cells() == sorted(chain.cells, key=lambda c: (c.base, c.axes))

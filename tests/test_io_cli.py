@@ -30,7 +30,7 @@ from filmlab.io_formats import (
     grid_to_json,
     load_document,
     parse_input,
-    scalar_json,
+    to_jsonable,
     write_obj,
     write_off,
 )
@@ -196,9 +196,9 @@ def test_parse_input_fuzz_raises_only_schema_errors(data, tmp_path_factory):
 
 
 def test_scalar_encodings():
-    assert scalar_json(F(3, 7)) == "3/7"
-    assert scalar_json(5) == "5"
-    enc = scalar_json(RadicalSum.sqrt(2))
+    assert to_jsonable(F(3, 7)) == "3/7"
+    assert to_jsonable(5) == "5"
+    enc = to_jsonable(RadicalSum.sqrt(2))
     assert set(enc) == {"terms", "enclosure"}
     lo = F(enc["enclosure"]["lo"])
     hi = F(enc["enclosure"]["hi"])
@@ -737,13 +737,19 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         ("span-check", f"{FIX}/cone.json", "--curve", f"{FIX}/square_curve.json"),
         ("clamp", f"{FIX}/cone.json", "--radius", "1/2"),
         ("diagnostics", "{pair}"),
+        ("eflat", "{pair}", "--method", "bnb", "--node-budget", "1000"),
+        ("cone", f"{FIX}/square.json", "--apex", "1/2,1/2,1"),
+        ("pushforward", f"{FIX}/patch2x2.json", "--matrix", "1,0,0,0,1,0,0,0,1",
+         "--offset", "1/2,0,0", "--lipschitz", "1"),
+        ("restrict", f"{FIX}/tilted_triangle.json", "--box", "0,0,0,1/2,1/2,1/2"),
+        ("natural-norm", f"{FIX}/square.json", "--levels", "1"),
     ],
     ids=["mass", "boundary", "flatnorm", "plateau", "plateau-local", "deform", "span-check",
-         "clamp", "diagnostics"],
+         "clamp", "diagnostics", "eflat", "cone", "pushforward", "restrict", "natural-norm"],
 )
 def test_cli_reports_survive_python_O(argv, tmp_path):
     """Invariants hold under python -O: no result depends on an assert."""
-    # diagnostics reads a grid pair: the fixture square as a bare mass part
+    # diagnostics and eflat read a grid pair: the fixture square as a bare mass part
     curve = parse_input(load_document(f"{FIX}/square_curve.json"))
     pair = tmp_path / "pair.json"
     pair.write_text(dumps_report(Dipolyhedron(empty_chain(curve.grid, 2), curve)))
