@@ -423,6 +423,64 @@ def _solve_cut(net: _CutNetwork) -> tuple[int, int, CutFlow]:
     return mask, value + net.constant, flow
 
 
+# A 0/1 labelling x of n cells, with an outside node o = n labelled 0, pays
+# one for each face (a, b, p) with p ^ x_a ^ x_b = 1.  In the doubled cover
+# every cell v and o has two lifts (v, 0) and (v, 1), and each face joins
+# (a, s) to (b, s ^ p) with unit capacity both ways, for both s.  The lifts
+# {(v, x_v)} cut (o, 0) from (o, 1), and that cut severs both of a face's
+# arcs exactly when the face is paid, so a maximum flow F bounds every
+# labelling below by F / 2.  This is the roof dual of quadratic 0-1
+# optimisation (Boros-Hammer 2002) on QPBO's doubled graph
+# (Kolmogorov-Rother 2007).
+
+
+def _cover_cut(n: int, faces, fixed: dict) -> tuple[int, list]:
+    """(F, labels): the doubled cover's maximum flow and the cells it decides.
+
+    ``faces`` are (a, b, p) with a, b in 0..n; ``fixed`` maps cells to
+    labels, and a fixed cell's lifts are merged into o's.  labels[v] is
+    the fixed label, or s when (v, s) is reachable from (o, 0) in the
+    residual graph, or None.  The reachable set is the least minimum cut
+    whatever flow was found; it never holds both lifts of a cell, since
+    the cover's mirror (v, s) -> (v, 1 - s) would then join (o, 0) to
+    (o, 1), and the cells it decides are persistent: some least labelling
+    that agrees with ``fixed`` agrees with them (Boros-Hammer 2002).
+    """
+    src, snk = 2 * n, 2 * n + 1
+
+    def lift(v: int, s: int) -> int:
+        if v < n and v not in fixed:
+            return 2 * v + s
+        return src + (s ^ fixed.get(v, 0))
+
+    head: list[list[int]] = [[] for _ in range(2 * n + 2)]
+    to: list[int] = []
+    for a, b, p in faces:
+        for s in (0, 1):
+            u, w = lift(a, s), lift(b, s ^ p)
+            if u != w:
+                head[u].append(len(to))
+                to.append(w)
+                head[w].append(len(to))
+                to.append(u)
+    cap = [1] * len(to)
+    value = _max_flow(head, to, cap, src, snk)
+    reached = [False] * len(head)
+    reached[src] = True
+    stack = [src]
+    while stack:
+        u = stack.pop()
+        for e in head[u]:
+            if cap[e] > 0 and not reached[to[e]]:
+                reached[to[e]] = True
+                stack.append(to[e])
+    labels = [
+        fixed[v] if v in fixed else 0 if reached[2 * v] else 1 if reached[2 * v + 1] else None
+        for v in range(n)
+    ]
+    return value, labels
+
+
 def _flow_certifies(cert, P: GridChain) -> bool:
     """Replay a certificate's cut flow in P's rebuilt network: a lower bound equal to the value."""
     net = _cut_network(P) if P.k == 2 else None

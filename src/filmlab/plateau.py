@@ -22,21 +22,37 @@ axis targets, the region bound and the candidate faces, and every call
 on that problem shares them.
 
 The mass part is never searched independently: any pair passing the
-boundary precondition has C = gamma + boundary(B) exactly, so the search
-ranges over subsets of the admissible grid faces alone.  Candidates are
-enumerated in ascending face count (weight is face count times the cell
-area, so the first feasible subset is optimal) with two cheap rejections
-before the full spanning check: the energy budget, and per-axis shadow
-parities, which must match the region enclosed by the projected curve
-column by column.
+boundary precondition has C = gamma + boundary(B) exactly, so a search
+ranges over films B alone.  Two searches do that.
+
+When some admissible direction sees every lattice edge of the working
+cube apart (PlateauProblem.injective_direction), a pair in the cube
+spans iff C = 0, so the members are the cube films with boundary(B) =
+gamma within the budget.  Clamping onto the curve's lattice box is a
+cellular retraction that fixes gamma and never adds faces, so some least
+film lies in that box, and there every film is the sweep film plus the
+boundary of a 0/1 label on the box's 3-cells.  "bnb" minimises over
+those labels: a maximum flow in the doubled cover bounds each node
+below, the cells its cut decides are fixed, and the rest are branched
+on (see _least_labelling).
+
+Otherwise, and for "exhaustive" and "local", the search ranges over
+subsets of the working cube's faces.  Candidates are enumerated in
+ascending face count (weight is face count times the cell area, so the
+first feasible subset is optimal) with two cheap rejections before the
+full spanning check: the energy budget, and per-axis shadow parities,
+which must match the region enclosed by the projected curve column by
+column.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .dipolyhedra import (
@@ -54,7 +70,8 @@ from .dipolyhedra import (
     support_in_cube,
 )
 from .exact import SQRT3
-from .geom import closed_cycle
+from .flatnorm import _cover_cut
+from .geom import closed_cycle, primitive_direction
 from .grid import (
     GridCell,
     GridChain,
@@ -72,8 +89,8 @@ from .simplicial import boundary_simplicial, embed_grid_chain
 
 
 class BudgetError(ValueError):
-    """The energy budget cannot be met; carries the budget the cone start
-    would need."""
+    """The energy budget cannot be met; carries the budget needed: the
+    least film's weight when it is known, else the cone start's energy."""
 
     def __init__(self, message, required=None):
         super().__init__(message)
@@ -143,6 +160,75 @@ class PlateauProblem:
         return max((eps2 * len(cols) for cols in self.axis_targets.values()), default=Fraction(0))
 
     @cached_property
+    def cube_box(self) -> tuple[tuple, tuple]:
+        """Lattice box of the working cube."""
+        half = self.cube_half
+        return lattice_bounds(self.grid, (-half,) * 3, (half,) * 3)
+
+    @cached_property
+    def injective_direction(self) -> Optional[ProjectionDir]:
+        """First admissible direction along which no two cube edges overlap.
+
+        Let d be the direction's primitive integer vector and L the
+        longest side of the cube's lattice box.  It qualifies when d has
+        no zero component and, for every axis a with other axes j and l,
+        max(|d_j|, |d_l|) / gcd(d_j, d_l) > L.
+
+        Why this makes "spans" mean C = 0 for every pair in the cube:
+        two edges along a whose bases differ by a lattice vector D
+        project onto one line iff (D_j, D_l) is parallel to (d_j, d_l),
+        i.e. an integer multiple of (d_j, d_l) / gcd(d_j, d_l).  Inside
+        the cube |D_j|, |D_l| <= L, so the only such multiple is zero:
+        the edges lie on one 3D line, which the projection maps one to
+        one (d is not along a).  Edges of different axes a, b project to
+        non-parallel lines, as d is not in the plane of a and b.  So
+        distinct cube edges never overlap in projection, the mass part
+        projects to zero iff it is zero, and, the direction being
+        admissible, a pair in the cube spans iff C = 0.  The members are
+        then the cube films B with boundary(B) = gamma and
+        |B| eps^2 <= lam.  None when no direction qualifies.
+        """
+        lo, hi = self.cube_box
+        side = max(h - l for l, h in zip(lo, hi))
+        for proj, admissible, *_ in self.grid_context.directions:
+            if not admissible:
+                continue
+            d = primitive_direction(proj.direction)
+            if 0 not in d and all(
+                max(abs(d[j]), abs(d[l])) // gcd(d[j], d[l]) > side
+                for j, l in ((1, 2), (0, 2), (0, 1))
+            ):
+                return proj
+        return None
+
+    @cached_property
+    def box_labelling(self) -> Optional["_BoxLabelling"]:
+        """The curve's lattice box as a labelling problem (see _BoxLabelling).
+
+        None without an injective direction, or when the curve's box
+        leaves the working cube (a hand-built problem can do that).
+        """
+        if self.injective_direction is None:
+            return None
+        ends = [v for cell in self.gamma.cells for v in edge_ends(cell)]
+        lo = tuple(min(v[a] for v in ends) for a in range(3))
+        hi = tuple(max(v[a] for v in ends) for a in range(3))
+        cube_lo, cube_hi = self.cube_box
+        if any(lo[a] < cube_lo[a] or hi[a] > cube_hi[a] for a in range(3)):
+            return None
+        film = sweep_film(self.gamma)
+        bases = list(itertools.product(*(range(lo[a], hi[a]) for a in range(3))))
+        n = len(bases)
+        around: dict[GridCell, list[int]] = {face: [] for face in film.cells}
+        for i, base in enumerate(bases):
+            for face in GridCell(base, (0, 1, 2)).facets():
+                around.setdefault(face, []).append(i)
+        faces = tuple(sorted(around))
+        # a face on fewer than two box cells meets the outside node n
+        sides = tuple((*(around[f] + [n, n])[:2], int(f in film.cells)) for f in faces)
+        return _BoxLabelling(n, faces, sides)
+
+    @cached_property
     def faces(self) -> tuple[GridCell, ...]:
         """Faces inside the working cube, nearest the curve first.
 
@@ -153,8 +239,7 @@ class PlateauProblem:
         curve vertices are integer points; the world distance squared is
         epsilon^2 / 4 times that, so the order is the world order.
         """
-        half = self.cube_half
-        lo, hi = lattice_bounds(self.grid, (-half,) * 3, (half,) * 3)
+        lo, hi = self.cube_box
         out = [cell for cell in self.grid.cells(2) if cell_in_bounds(cell, lo, hi)]
         anchors = {tuple(2 * x for x in v) for c in self.gamma.cells for v in edge_ends(c)}
         if not anchors:
@@ -168,6 +253,54 @@ class PlateauProblem:
             )
 
         return tuple(sorted(out, key=lambda c: (center_dist_sq(c), c.base, c.axes)))
+
+
+def sweep_film(gamma: GridChain) -> GridChain:
+    """A grid film bounded by the curve, inside the curve's lattice box.
+
+    Each edge sweeps down along z to the curve's lowest height z0; the
+    walls' boundary is gamma plus its shadow at z0 (the vertical edges
+    cancel in pairs), and the shadow is filled by sweeping its x edges
+    down along y to the curve's lowest y0.
+    """
+    ends = [v for cell in gamma.cells for v in edge_ends(cell)]
+    z0 = min((v[2] for v in ends), default=0)
+    y0 = min((v[1] for v in ends), default=0)
+
+    def sweep(edges, down: int, floor: int) -> list[GridCell]:
+        faces = []
+        for cell in edges:
+            (a,) = cell.axes
+            if a != down:
+                axes = tuple(sorted((a, down)))
+                faces += [
+                    GridCell(tuple(h if i == down else b for i, b in enumerate(cell.base)), axes)
+                    for h in range(floor, cell.base[down])
+                ]
+        return faces
+
+    grid = gamma.grid
+    shadow = chain_of(
+        grid, 1, [GridCell((*c.base[:2], z0), c.axes) for c in gamma.cells if c.axes != (2,)]
+    )
+    return chain_of(grid, 2, sweep(gamma.cells, 2, z0) + sweep(shadow.cells, 1, y0))
+
+
+@dataclass(frozen=True)
+class _BoxLabelling:
+    """Films bounded by the curve inside its lattice box, as cell labels.
+
+    Every film B in the box with boundary(B) = gamma is B0 + boundary(x),
+    B0 the sweep film, for a 0/1 label x on the box's `cells` 3-cells, as
+    the box is contractible.  `faces` are the faces on a box cell or in
+    B0; `sides[i]` is (a, b, [faces[i] in B0]) with a, b the cells on
+    either side of faces[i], the index `cells` standing for the outside,
+    which is labelled 0.
+    """
+
+    cells: int
+    faces: tuple[GridCell, ...]
+    sides: tuple[tuple[int, int, int], ...]
 
 
 _ORIGIN = (0, 0, 0)
@@ -460,6 +593,70 @@ def _search(problem: PlateauProblem, node_budget, max_faces: int):
     return best, nodes, clean
 
 
+def _least_labelling(n: int, sides, node_budget: int):
+    """Branch-and-bound for the least labelling of n cells (see flatnorm._cover_cut).
+
+    Each node solves the doubled cover with the cells fixed so far:
+    ceil(F / 2) bounds the node below, the cells the cut decides are
+    fixed, and the other cells set to 0 give a labelling that may lower
+    the incumbent.  A node whose bound meets the incumbent is closed;
+    otherwise it branches on its lowest free cell, 0 first.  The
+    incumbent starts at all zeros.  Returns (labels with the outside
+    last, their cost, the root bound, nodes, whether every node closed).
+    """
+
+    def cost(x: list) -> int:
+        return sum(p ^ x[a] ^ x[b] for a, b, p in sides)
+
+    best = [0] * (n + 1)
+    best_cost = cost(best)
+    root_bound = 0
+    stack: list[dict] = [{}]
+    nodes = 0
+    while stack and nodes < node_budget:
+        fixed = stack.pop()
+        nodes += 1
+        value, labels = _cover_cut(n, sides, fixed)
+        bound = (value + 1) // 2
+        if nodes == 1:
+            root_bound = bound
+        if bound >= best_cost:
+            continue
+        x = [label or 0 for label in labels] + [0]
+        if (c := cost(x)) < best_cost:
+            best, best_cost = x, c
+        if bound >= best_cost:
+            continue
+        if None not in labels:
+            raise RuntimeError("the cover decided every cell, yet its bound is below the labelling")
+        free = labels.index(None)
+        decided = {v: label for v, label in enumerate(labels) if label is not None}
+        stack += [{**decided, free: 1}, {**decided, free: 0}]
+    return best, best_cost, root_bound, nodes, not stack
+
+
+def _label_cells(problem: PlateauProblem, node_budget: int) -> PlateauSolution:
+    """Least film B0 + boundary(x) over labels x of the curve's box cells,
+    B0 being the sweep film; an upper bound if the node budget runs out."""
+    lab = problem.box_labelling
+    x, cost, root_bound, nodes, exact = _least_labelling(lab.cells, lab.sides, node_budget)
+    grid = problem.grid
+    B = chain_of(grid, 2, [f for f, (a, b, p) in zip(lab.faces, lab.sides) if p ^ x[a] ^ x[b]])
+    if boundary_grid(B) != problem.gamma:
+        raise RuntimeError("the labelled film is not bounded by the curve")
+    if not len(B) == cost >= root_bound:
+        raise RuntimeError(f"labelled film of {len(B)} faces, cost {cost}, bound {root_bound}")
+    e = mass_grid(B)
+    if e > problem.lam and exact:
+        raise BudgetError(
+            f"energy budget {problem.lam} below the least spanning film's weight {e}", required=e
+        )
+    if e > problem.lam:
+        raise BudgetError(f"the node budget ran out before a film within {problem.lam} was found")
+    pair = Dipolyhedron(B, empty_chain(grid, 1))
+    return _as_solution(problem, pair, e, "exact" if exact else "upper-bound", "bnb", nodes)
+
+
 def _as_solution(problem, pair, e, optimality, method, nodes) -> PlateauSolution:
     report = gamma_membership(pair, problem)
     w = mass_grid(pair.B)
@@ -479,14 +676,19 @@ def minimize_weight(
 ) -> PlateauSolution:
     """Minimise the film weight over admissible grid pairs.
 
-    "exhaustive" enumerates subsets of the admissible faces in ascending
-    cardinality and returns the first feasible pair, which is therefore a
-    proved minimiser.  "bnb" is the same search under a node budget
-    (default 10^6); if the budget runs out, the cone start is returned as
-    an upper bound.  "local" does seeded single-face descent from the
-    cone start, takes no node budget, and always reports an upper bound.
-    When no admissible pair exists at all, raises BudgetError quoting the
-    energy the cone start would need.
+    "exhaustive" enumerates subsets of the working cube's faces in
+    ascending cardinality and returns the first feasible pair, which is
+    therefore a proved minimiser.  "bnb" (node budget default 10^6) labels
+    the 3-cells of the curve's box when the problem has an injective
+    direction; each node is one max-flow solve, the answer is exact when
+    the flow bound meets the film found, and a spent budget returns the
+    best film so far (the sweep film at budget 0) as an upper bound.
+    Without an injective direction "bnb" is the face search under the
+    budget, and falls back to the cone start when the budget runs out.
+    "local" does seeded single-face descent from the cone start, takes no
+    node budget, and always reports an upper bound.  Raises BudgetError
+    when no admissible pair fits the energy budget, and ValueError when
+    no direction is admissible for the curve, as then no pair can span it.
     """
     if method not in ("exhaustive", "bnb", "local"):
         raise ValueError(f"unknown method: {method}")
@@ -497,8 +699,23 @@ def minimize_weight(
     if problem.gamma.is_zero():
         zero = Dipolyhedron(empty_chain(problem.grid, 2), empty_chain(problem.grid, 1))
         return _as_solution(problem, zero, 0, "exact", method, 0)
+    eps2 = problem.grid.epsilon ** 2
+    if problem.lam < eps2:
+        # the empty film leaves C = gamma, of mass at least 4 eps^2; any other film has a face
+        raise BudgetError(
+            f"energy budget {problem.lam} below one face's area {eps2}: no pair fits it",
+            required=cone_energy(problem.gamma),
+        )
+    if problem.grid_context.max_region_area is None:
+        raise ValueError(
+            "no projection direction is admissible for the curve, so no pair can span it"
+        )
     if method == "local":
         return _local_descent(problem, start)
+    if method == "bnb":
+        node_budget = 10 ** 6 if node_budget is None else node_budget
+        if problem.box_labelling is not None:
+            return _label_cells(problem, node_budget)
 
     faces = problem.faces
     if method == "exhaustive" and node_budget is None and len(faces) > 512:
@@ -506,9 +723,6 @@ def minimize_weight(
             f"{len(faces)} candidate faces is beyond the exhaustive budget; "
             "use method='bnb' or pass a node budget"
         )
-    if method == "bnb" and node_budget is None:
-        node_budget = 10 ** 6
-    eps2 = problem.grid.epsilon ** 2
     max_faces = min(len(faces), int(problem.lam / eps2))
     best, nodes, clean = _search(problem, node_budget, max_faces)
 

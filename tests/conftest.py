@@ -31,6 +31,40 @@ def square_curve(grid, z, lo, hi):
     return chain_of(grid, 1, cells)
 
 
+def centred_grid(dims):
+    origin = tuple(-Fraction(d, 2) for d in dims)
+    return GridSpec(epsilon=Fraction(1), origin=origin, dims=tuple(dims))
+
+
+def polygon_curve(points, dims):
+    """Grid 1-chain of a closed polygon of unit axis steps on the centred
+    dims^3 grid; lattice indices are the world points less the origin,
+    truncated."""
+    grid = centred_grid((dims,) * 3)
+    cells = []
+    for a, b in zip(points, points[1:] + points[:1]):
+        (axis,) = [i for i in range(3) if a[i] != b[i]]
+        lo = min(a, b, key=lambda p: p[axis])
+        cells.append(GridCell(tuple(int(c - o) for c, o in zip(lo, grid.origin)), (axis,)))
+    return chain_of(grid, 1, cells)
+
+
+def refine_polygon(points, factor):
+    """The polygon scaled by factor, with every side cut into unit steps."""
+    return [
+        tuple(factor * (x + (y - x) * Fraction(t, factor)) for x, y in zip(a, b))
+        for a, b in zip(points, points[1:] + points[:1])
+        for t in range(factor)
+    ]
+
+
+_H = Fraction(1, 2)
+# skew hexagon on the edges of the unit cube, and two unit faces folded
+# along a shared edge through the origin
+HEX = [(_H, -_H, -_H), (_H, _H, -_H), (-_H, _H, -_H), (-_H, _H, _H), (-_H, -_H, _H), (_H, -_H, _H)]
+FOLD = [(-_H, 0, 1), (-_H, 0, 0), (-_H, 1, 0), (_H, 1, 0), (_H, 0, 0), (_H, 0, 1)]
+
+
 def random_grid_chain(grid, k, rng, density=0.3):
     cells = [c for c in grid.cells(k) if rng.random() < density]
     return chain_of(grid, k, cells)

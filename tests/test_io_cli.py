@@ -36,7 +36,7 @@ from filmlab.io_formats import (
 )
 from filmlab.simplicial import simplicial_chain
 
-from conftest import make_grid, random_grid_chain, square_curve
+from conftest import FOLD, HEX, make_grid, polygon_curve, random_grid_chain, refine_polygon, square_curve
 
 F = Fraction
 FIX = "fixtures"
@@ -707,6 +707,17 @@ def test_cli_zero_denominator_exit_2(capsys):
     assert err.count("\n") == 1 and "zero denominator" in err
 
 
+@pytest.mark.parametrize("method", ["bnb", "exhaustive", "local"])
+def test_cli_plateau_without_admissible_direction_exit_2(capsys, tmp_path, method):
+    # the skew hexagon has an edge along every axis, so no axis alone is admissible
+    hex1 = tmp_path / "hex1.json"
+    hex1.write_text(dumps_report(polygon_curve(HEX, 3)))
+    argv = ("plateau", "--curve", str(hex1), "--dirs", "0", "--method", method)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "no projection direction is admissible" in err
+
+
 def test_cli_plateau_local_rejects_node_budget(capsys):
     code, out, err = run_cli(
         capsys,
@@ -743,9 +754,12 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
          "--offset", "1/2,0,0", "--lipschitz", "1"),
         ("restrict", f"{FIX}/tilted_triangle.json", "--box", "0,0,0,1/2,1/2,1/2"),
         ("natural-norm", f"{FIX}/square.json", "--levels", "1"),
+        ("plateau", "--curve", "{fold2}", "--method", "bnb"),
+        ("plateau", "--curve", f"{FIX}/square_curve.json", "--dirs", "0", "--method", "bnb"),
     ],
     ids=["mass", "boundary", "flatnorm", "plateau", "plateau-local", "deform", "span-check",
-         "clamp", "diagnostics", "eflat", "cone", "pushforward", "restrict", "natural-norm"],
+         "clamp", "diagnostics", "eflat", "cone", "pushforward", "restrict", "natural-norm",
+         "plateau-bnb-fold2", "plateau-bnb-axes"],
 )
 def test_cli_reports_survive_python_O(argv, tmp_path):
     """Invariants hold under python -O: no result depends on an assert."""
@@ -753,7 +767,11 @@ def test_cli_reports_survive_python_O(argv, tmp_path):
     curve = parse_input(load_document(f"{FIX}/square_curve.json"))
     pair = tmp_path / "pair.json"
     pair.write_text(dumps_report(Dipolyhedron(empty_chain(curve.grid, 2), curve)))
-    argv = [str(pair) if a == "{pair}" else a for a in argv]
+    fold2 = tmp_path / "fold2.json"
+    fold2.write_text(dumps_report(polygon_curve(refine_polygon(FOLD, 2), 4)))
+    paths = {"{pair}": str(pair), "{fold2}": str(fold2)}
+    labelled = "{fold2}" in argv
+    argv = [paths.get(a, a) for a in argv]
     env = {**os.environ, "PYTHONPATH": SRC}
     runs = [
         subprocess.run(
@@ -768,6 +786,8 @@ def test_cli_reports_survive_python_O(argv, tmp_path):
     plain, optimised = runs
     assert plain.returncode == 0, plain.stderr
     assert (optimised.returncode, optimised.stdout) == (plain.returncode, plain.stdout)
+    if labelled:
+        assert json.loads(plain.stdout)["optimality"] == "exact"
 
 
 def test_fixtures_regenerate_byte_for_byte(tmp_path, monkeypatch, capsys):

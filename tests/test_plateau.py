@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from filmlab import plateau
@@ -39,18 +39,30 @@ from filmlab.plateau import (
     loop_decomposition,
     minimize_weight,
     plateau_problem,
+    sweep_film,
 )
 from filmlab.simplicial import embed_grid_chain
 
-from conftest import make_grid, random_grid_chain, square_curve, world_edges, world_shadow
+from conftest import (
+    FOLD,
+    HEX,
+    centred_grid,
+    make_grid,
+    polygon_curve,
+    random_grid_chain,
+    refine_polygon,
+    square_curve,
+    world_edges,
+    world_shadow,
+)
 
 F = Fraction
 
 
-def unit_problem(lam=None):
+def unit_problem(lam=None, dirs=None):
     grid = make_grid((3, 3, 2), origin=(F(-3, 2), F(-3, 2), F(-1)))
     gamma = square_curve(grid, 1, 1, 2)  # unit square centered at the origin
-    return plateau_problem(gamma, lam=lam)
+    return plateau_problem(gamma, lam=lam, dirs=dirs)
 
 
 def patch_problem():
@@ -331,36 +343,15 @@ def _world_face_order(problem):
     return sorted(faces, key=key)
 
 
-def _centred_grid(dims):
-    return GridSpec(epsilon=F(1), origin=tuple(-F(d, 2) for d in dims), dims=tuple(dims))
-
-
 def _centred_square(n):
     """n x n square at z = 0 on the smallest centred grid covering its cube."""
     side = -(-3 * n // 2)
     d = side + (side - n) % 2
     dz = side + side % 2
-    return square_curve(_centred_grid((d, d, dz)), dz // 2, (d - n) // 2, (d + n) // 2)
+    return square_curve(centred_grid((d, d, dz)), dz // 2, (d - n) // 2, (d + n) // 2)
 
 
-def _polygon(points, dims):
-    grid = _centred_grid((dims,) * 3)
-    cells = []
-    for a, b in zip(points, points[1:] + points[:1]):
-        (axis,) = [i for i in range(3) if a[i] != b[i]]
-        lo = min(a, b, key=lambda p: p[axis])
-        cells.append(GridCell(tuple(int(c - o) for c, o in zip(lo, grid.origin)), (axis,)))
-    return chain_of(grid, 1, cells)
-
-
-_H = F(1, 2)
-HEX = [(_H, -_H, -_H), (_H, _H, -_H), (-_H, _H, -_H), (-_H, _H, _H), (-_H, -_H, _H), (_H, -_H, _H)]
-FOLD = [(-_H, 0, 1), (-_H, 0, 0), (-_H, 1, 0), (_H, 1, 0), (_H, 0, 0), (_H, 0, 1)]
-FOLD2 = [
-    tuple(2 * (x + (y - x) * t) for x, y in zip(a, b))
-    for a, b in zip(FOLD, FOLD[1:] + FOLD[:1])
-    for t in (0, _H)
-]
+FOLD2 = refine_polygon(FOLD, 2)
 SYMMETRIES = list(
     itertools.product(itertools.permutations(range(3)), itertools.product((1, -1), repeat=3))
 )[::7]
@@ -374,7 +365,7 @@ def _oriented(points, sym):
 def test_admissible_faces_lattice_order_matches_world_order():
     curves = [_centred_square(n) for n in range(1, 6)]
     for points, dims in ((HEX, 3), (FOLD, 2), (FOLD2, 4)):
-        curves += [_polygon(_oriented(points, sym), dims) for sym in SYMMETRIES]
+        curves += [polygon_curve(_oriented(points, sym), dims) for sym in SYMMETRIES]
     # off-lattice origin and a finer spacing
     curves.append(square_curve(make_grid((3, 3, 2), origin=(F(-3, 2), F(-3, 2), F(-1))), 1, 1, 2))
     curves.append(square_curve(make_grid((8, 8, 8), origin=(-2, -2, -2), eps=F(1, 2)), 4, 2, 6))
@@ -430,8 +421,8 @@ def test_local_descent_never_below_exact(name, expected):
         "sq1": lambda: _centred_square(1),
         "sq2": lambda: _centred_square(2),
         "sq3": lambda: _centred_square(3),
-        "hex1": lambda: _polygon(HEX, 3),
-        "fold1": lambda: _polygon(FOLD, 2),
+        "hex1": lambda: polygon_curve(HEX, 3),
+        "fold1": lambda: polygon_curve(FOLD, 2),
     }
     problem = plateau_problem(curves[name]())
     exact = minimize_weight(problem, method="bnb")
@@ -450,12 +441,21 @@ def test_minimize_weight_builds_one_spanning_context(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(plateau, "SpanningContext", CountingContext)
-    problem = unit_problem()
+    # the axes alone see no cube edges apart, so bnb searches faces
+    problem = unit_problem(dirs=default_directions(0, 0))
+    assert problem.injective_direction is None
     # local descent from the cone start, and bnb falling back to the cone start
     for kwargs in ({"method": "local"}, {"method": "bnb", "node_budget": 1}):
         sol = minimize_weight(problem, **kwargs)
         assert sol.optimality == "upper-bound" and sol.feasibility.member
     assert len(built) == 1
+    # with an injective direction bnb labels cells; a zero budget returns the sweep film
+    problem = unit_problem()
+    assert problem.injective_direction is not None
+    sol = minimize_weight(problem, method="bnb", node_budget=0)
+    assert (sol.optimality, sol.nodes) == ("upper-bound", 0) and sol.feasibility.member
+    assert sol.pair.B == sweep_film(problem.gamma)
+    assert len(built) == 2
 
 
 def test_one_spanning_context_per_problem(monkeypatch):
@@ -537,10 +537,10 @@ def test_local_descent_matches_toggle_rule(name):
     # its normal, so faces can be removed one at a time; sq2 needs a larger
     # budget (and a grid covering its cube) for a shelled start to fit it
     builds = {
-        "sq2": lambda: (square_curve(_centred_grid((6, 6, 6)), 3, 2, 4), 12),
+        "sq2": lambda: (square_curve(centred_grid((6, 6, 6)), 3, 2, 4), 12),
         "sq3": lambda: (_centred_square(3), None),
-        "hex1": lambda: (_polygon(HEX, 3), None),
-        "fold1": lambda: (_polygon(FOLD, 2), None),
+        "hex1": lambda: (polygon_curve(HEX, 3), None),
+        "fold1": lambda: (polygon_curve(FOLD, 2), None),
     }
     gamma, lam = builds[name]()
     moved = 0
@@ -566,9 +566,9 @@ def test_local_descent_matches_toggle_rule(name):
 
 PLATEAU_CURVES = {
     **{f"sq{n}": lambda sym, n=n: _centred_square(n) for n in range(1, 5)},
-    "hex1": lambda sym: _polygon(_oriented(HEX, sym), 3),
-    "fold1": lambda sym: _polygon(_oriented(FOLD, sym), 2),
-    "fold2": lambda sym: _polygon(_oriented(FOLD2, sym), 4),
+    "hex1": lambda sym: polygon_curve(_oriented(HEX, sym), 3),
+    "fold1": lambda sym: polygon_curve(_oriented(FOLD, sym), 2),
+    "fold2": lambda sym: polygon_curve(_oriented(FOLD2, sym), 4),
 }
 
 
@@ -598,32 +598,6 @@ def _world_spanning_check(gamma, dirs, A):
     else:
         verdict = "fails"
     return SpanningReport(True, verdict, tuple(reports), max_area)
-
-
-def _sweep_film(gamma):
-    """A grid film bounded by gamma.
-
-    Each edge sweeps down to lattice height z = 0; the walls' boundary is
-    gamma plus its floor shadow (the vertical edges cancel in pairs), and
-    the shadow is filled by sweeping its x edges to y = 0.
-    """
-
-    def sweep(edges, down):
-        faces = []
-        for base, a in edges:
-            if a != down:
-                axes = tuple(sorted((a, down)))
-                faces += [
-                    GridCell(tuple(h if i == down else b for i, b in enumerate(base)), axes)
-                    for h in range(base[down])
-                ]
-        return faces
-
-    grid = gamma.grid
-    edges = [(c.base, c.axes[0]) for c in gamma.cells]
-    shadow = chain_of(grid, 1, [GridCell((b[0], b[1], 0), (a,)) for b, a in edges if a != 2])
-    faces = sweep(edges, 2) + sweep([(c.base, c.axes[0]) for c in shadow.cells], 1)
-    return chain_of(grid, 2, faces)
 
 
 def _translated_pair(grid, rng):
@@ -657,7 +631,7 @@ def test_spanning_in_lattice_frame_matches_world_projection(seed, name, kind, fi
         grid = GridSpec(F(1, 2), (F(-7, 3), F(-2), F(-5, 4)), gamma.grid.dims)
         gamma = GridChain(grid, 1, gamma.cells)
     grid = gamma.grid
-    film = _sweep_film(gamma)
+    film = sweep_film(gamma)
     assert boundary_grid(film) == gamma
     B = film + boundary_grid(random_grid_chain(grid, 3, rng, density=0.15))
     faces, t = _translated_pair(grid, rng)
@@ -686,3 +660,168 @@ def test_spanning_in_lattice_frame_matches_world_projection(seed, name, kind, fi
     # the simplicial path projects world points through the same frame
     curve, S = embed_grid_chain(gamma), to_simplicial(A)
     assert SpanningContext(curve, dirs).check(S) == _world_spanning_check(curve, dirs, S) == report
+
+
+# ---------------------------------------------------------------------------
+# bnb as a labelling of 3-cells, under an injective direction
+
+SYMMETRIES_48 = list(
+    itertools.product(itertools.permutations(range(3)), itertools.product((1, -1), repeat=3))
+)
+
+
+def _square_points(n):
+    """The n x n square at z = 0 centred on the origin, in unit steps."""
+    h = F(n, 2)
+    corners = [(-h, -h), (h, -h), (h, h), (-h, h)]
+    return [
+        (x + (u - x) * F(t, n), y + (v - y) * F(t, n), F(0))
+        for (x, y), (u, v) in zip(corners, corners[1:] + corners[:1])
+        for t in range(n)
+    ]
+
+
+ORIENTED_CURVES = {
+    "sq1": (_square_points(1), 3),
+    "sq2": (_square_points(2), 4),
+    "sq3": (_square_points(3), 5),
+    "hex1": (HEX, 3),
+    "fold1": (FOLD, 2),
+    "fold2": (FOLD2, 4),
+}
+
+
+def _oriented_curve(name, sym):
+    points, dims = ORIENTED_CURVES[name]
+    return polygon_curve(_oriented(points, sym), dims)
+
+
+@pytest.mark.parametrize("name", ["sq1", "sq2", "sq3", "hex1", "fold1"])
+def test_labelling_matches_exhaustive_face_search(name):
+    for sym in SYMMETRIES_48:
+        gamma = _oriented_curve(name, sym)
+        labelled = plateau_problem(gamma)
+        assert labelled.injective_direction is not None
+        bb = minimize_weight(labelled, method="bnb")
+        ex = minimize_weight(plateau_problem(gamma), method="exhaustive")
+        assert (bb.weight, bb.optimality) == (ex.weight, ex.optimality) == (bb.weight, "exact")
+        assert gamma_membership(bb.pair, labelled).member
+        assert gamma_membership(ex.pair, labelled).member
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    name=st.sampled_from(["sq3", "fold2", "hex1"]),
+    strays=st.integers(0, 3),
+)
+def test_injective_direction_means_spanning_is_zero_mass(seed, name, strays):
+    rng = random.Random(seed)
+    gamma = _oriented_curve(name, rng.choice(SYMMETRIES_48))
+    problem = plateau_problem(gamma, dirs=default_directions(seed % 5))
+    assume(problem.injective_direction is not None)
+    grid = gamma.grid
+    lo, hi = problem.cube_box
+    cells = [
+        GridCell(base, (0, 1, 2))
+        for base in itertools.product(*(range(lo[a], hi[a]) for a in range(3)))
+        if rng.random() < 0.3
+    ]
+    B = sweep_film(gamma) + boundary_grid(chain_of(grid, 3, cells))
+    B = B + chain_of(grid, 2, rng.sample(problem.faces, strays))
+    C = gamma + boundary_grid(B)
+    assert problem.grid_context.check(Dipolyhedron(B, C)).spans == C.is_zero()
+
+
+@pytest.mark.parametrize("name", ["hex1", "sq3", "fold2"])
+def test_injective_direction_needs_every_ratio_above_the_cube_side(name):
+    gamma = _oriented_curve(name, SYMMETRIES_48[0])
+    lo, hi = plateau_problem(gamma).cube_box
+    side = max(h - l for l, h in zip(lo, hi))
+    for d, qualifies in [
+        ((0, 2 * side + 1, 2 * side + 3), False),  # a zero component
+        ((1, side, side + 1), False),  # z edges: max(1, side) / 1 = side
+        ((2, 2 * side, 2 * side + 1), False),  # z edges: 2 side / gcd 2 = side
+        ((1, side + 1, side + 2), True),
+    ]:
+        proj = ProjectionDir.from_direction(d)
+        problem = plateau_problem(gamma, dirs=[ProjectionDir.along_axis(0), proj])
+        assert problem.grid_context.directions[1][1], d  # admissible
+        assert problem.injective_direction == (proj if qualifies else None), d
+
+
+@pytest.mark.parametrize("name, factor, dims, weight", [
+    ("fold3", 3, 6, 18), ("hex3", 3, 7, 27), ("fold4", 4, 8, 32),
+])
+def test_labelling_solves_the_ladder(name, factor, dims, weight):
+    points = refine_polygon(FOLD if name.startswith("fold") else HEX, factor)
+    problem = plateau_problem(polygon_curve(points, dims))
+    sol = minimize_weight(problem, method="bnb")
+    assert (sol.weight, sol.optimality) == (weight, "exact")
+    assert sol.feasibility.member and sol.pair.C.is_zero()
+
+
+def test_least_labelling_matches_enumeration():
+    rng = random.Random(7)
+    branched = 0
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        sides = [
+            (rng.randint(0, n), rng.randint(0, n), rng.randint(0, 1))
+            for _ in range(rng.randint(0, 3 * n + 3))
+        ]
+
+        def cost(x):
+            return sum(p ^ x[a] ^ x[b] for a, b, p in sides)
+
+        least = min(cost([*bits, 0]) for bits in itertools.product((0, 1), repeat=n))
+        labels, value, root, nodes, exact = plateau._least_labelling(n, sides, 10**6)
+        assert exact and value == cost(labels) == least >= root
+        branched += nodes > 1
+    assert branched  # frustrated systems need the persistent cells and the branching
+
+
+def test_label_budget_error_quotes_the_least_film():
+    # hex1's cube fits a budget of 5/2, but its least film weighs 3
+    problem = plateau_problem(polygon_curve(HEX, 3), lam=F(5, 2))
+    assert problem.injective_direction is not None
+    with pytest.raises(BudgetError) as err:
+        minimize_weight(problem, method="bnb")
+    assert err.value.required == 3
+    with pytest.raises(BudgetError):
+        minimize_weight(problem, method="exhaustive")
+    # the sweep film alone is over the budget too, and proves nothing
+    with pytest.raises(BudgetError, match="node budget ran out") as err:
+        minimize_weight(problem, method="bnb", node_budget=0)
+    assert err.value.required is None
+
+
+@pytest.mark.parametrize("name", ["hex1", "fold1", "fold2"])
+def test_no_admissible_direction_is_named_not_blamed_on_the_budget(name):
+    problem = plateau_problem(_oriented_curve(name, SYMMETRIES_48[0]), dirs=default_directions(0, 0))
+    assert problem.grid_context.max_region_area is None
+    for method, budget in (("exhaustive", None), ("bnb", 2000), ("local", None)):
+        with pytest.raises(ValueError, match="no projection direction is admissible") as err:
+            minimize_weight(problem, method=method, node_budget=budget)
+        assert not isinstance(err.value, BudgetError)
+
+
+@pytest.mark.parametrize("n, weight, nodes", [(2, 4, 41), (3, 9, 183)])
+def test_axes_alone_keep_the_face_search(n, weight, nodes):
+    problem = plateau_problem(_centred_square(n), dirs=default_directions(0, 0))
+    assert problem.injective_direction is None
+    sol = minimize_weight(problem, method="bnb")
+    assert (sol.weight, sol.optimality, sol.nodes) == (weight, "exact", nodes)
+    assert sol.feasibility.member
+
+
+def test_curve_outside_its_cube_takes_the_face_search():
+    # a hand-built problem whose working cube is smaller than the curve:
+    # the labelling does not apply, and no face set fits in the cube
+    grid = make_grid((3, 3, 2), origin=(F(-3, 2), F(-3, 2), F(-1)))
+    gamma = square_curve(grid, 1, 1, 2)
+    dirs = tuple(default_directions(0))
+    problem = PlateauProblem(gamma, F(4), F(1, 2), grid, dirs)
+    assert problem.box_labelling is None
+    with pytest.raises(BudgetError, match="no admissible pair"):
+        minimize_weight(problem, method="bnb")
