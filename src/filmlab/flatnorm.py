@@ -7,12 +7,13 @@ relaxation cells: exhaustively (vectorized, exact) when small enough, or
 by branch-and-bound with a node budget and an honest "upper-bound"
 status when the budget runs out before the gap closes.
 
-Branch-and-bound does not search where the problem is a graph cut: a
-2-chain P whose boundary vanishes on every edge with four 3-cells around
-it (every 2-cycle, for one) has its flat norm computed exactly as an s-t
-minimum cut over the 3-cells, with ties broken as the searches break
-them.  The maximum flow rides on the certificate, and replaying it
-proves the value is a lower bound as well as attained.
+For a 2-chain, branch-and-bound first solves one maximum flow in the
+doubled cover of the 3-cell labelling (the plateau's least films use the
+same cover).  When the flow's residual closure is a symmetric cut (every
+2-cycle, for one, and most other 2-chains) the flat norm is exact there,
+with ties broken as the searches break them; the flow rides on the
+certificate, and replaying it proves the value is a lower bound as well
+as attained.  Otherwise the search runs.
 
 Scores are integers throughout: every cell mass is a power of the grid
 pitch, so scaling by a common denominator makes comparisons exact and
@@ -24,6 +25,7 @@ the boundary freedom (C = 0), so for r >= 1 it reports an upper bound.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -243,83 +245,77 @@ def _sweep_order(free: Sequence[GridCell], given, grid: GridSpec) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# k = 2 flat norms as a minimum cut
+# k = 2 labellings: the doubled cover
 #
-# With x_i = [3-cell i in R], a face on two 3-cells a, b is in Q when
-# P_f + x_a + x_b = 1, a face on one 3-cell a when P_f + x_a = 1, and a
-# face on none when P_f = 1.  If a labelling s of the 3-cells has
-# s_a + s_b = P_f on every face shared by two 3-cells, y = x + s turns
-# each shared face into [y_a != y_b] and every other term into a cost of
-# one cell, so the scaled score is the capacity of an s-t cut with y = 0
-# on the source side (Kolmogorov-Zabih 2004).  Such an s exists exactly
-# when boundary(P) vanishes on every edge with four 3-cells around it,
-# e.g. when P is a cycle.  A flow of the cut's value proves it minimal.
+# A 0/1 labelling x of n 3-cells, with an outside node o = n labelled 0,
+# pays w for each face (a, b, p) with p ^ x_a ^ x_b = 1 and r for each cell
+# with x_v = 1.  A flat norm has p = [f in P], w = q and r = p in scaled
+# units (epsilon^2 -> q, epsilon^3 -> p, as in _search_problem); the
+# plateau has p = [f in B0], w = 1 and r = 0.  In the doubled cover every
+# cell v and o has two lifts (v, 0) and (v, 1); each face joins (a, s) to
+# (b, s ^ p) with capacity w both ways, for both s, and each cell ties
+# (v, s) to (o, s) with capacity r, as a face (v, o, 0) would.  The lifts
+# {(v, x_v)} cut (o, 0) from (o, 1), and that cut severs both of a term's
+# arcs exactly when the term is paid, so a maximum flow F bounds every
+# labelling below by F / 2.  This is the roof dual of quadratic 0-1
+# optimisation (Boros-Hammer 2002) on QPBO's doubled graph
+# (Kolmogorov-Rother 2007).
 
 
 @dataclass(frozen=True)
-class CutFlow:
-    """A maximum flow of a k = 2 flat norm's cut network.
+class _BoxLabelling:
+    """Chains B + boundary(x) over 0/1 labels x of a lattice box's 3-cells.
 
-    Cells are the grid's 3-cells and shared faces the faces lying on two
-    of them, both in canonical order.  ``source[i]`` and ``sink[i]`` are
-    the flows on the arcs source -> cell i and cell i -> sink;
-    ``shared[j]`` is the net flow across shared face j from its lower
-    cell to its upper cell, negative when it runs the other way.
+    `cells` counts the box's 3-cells, in canonical order.  `faces` are
+    the faces on a box cell or in B, in canonical order; `sides[i]` is
+    (a, b, [faces[i] in B]) with a, b the cells on either side of
+    faces[i], the index `cells` standing for the outside.  A face of B on
+    no box cell has the outside on both sides: a constant term.
     """
 
-    source: tuple[int, ...]
-    sink: tuple[int, ...]
-    shared: tuple[int, ...]
+    cells: int
+    faces: tuple[GridCell, ...]
+    sides: tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class _CutNetwork:
-    labels: list  # s per 3-cell, canonical order
-    source: list  # capacity source -> cell: the cost of y = 1
-    sink: list  # capacity cell -> sink: the cost of y = 0
-    shared: list  # (lower cell, upper cell) per shared face, canonical order
-    shared_capacity: int  # each way across a shared face
-    constant: int  # faces of P on no 3-cell
+def _box_labelling(lo, hi, B: GridChain) -> _BoxLabelling:
+    """The labelling of the 3-cells with lattice bases in [lo, hi) around the 2-chain B."""
+    bases = list(itertools.product(*(range(lo[a], hi[a]) for a in range(3))))
+    n = len(bases)
+    around: dict[GridCell, list[int]] = {face: [] for face in B.cells}
+    for i, base in enumerate(bases):
+        for face in GridCell(base, (0, 1, 2)).facets():
+            around.setdefault(face, []).append(i)
+    # canonical order; the key skips the dataclass comparisons, half the sort's time
+    faces = tuple(sorted(around, key=lambda f: (f.base, f.axes)))
+    sides = tuple((*(around[f] + [n, n])[:2], int(f in B.cells)) for f in faces)
+    return _BoxLabelling(n, faces, sides)
 
 
-def _cut_network(P: GridChain) -> Optional[_CutNetwork]:
-    """The cut network of a 2-chain in scaled units, or None without a labelling."""
-    p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
-    cells = sorted(P.grid.cells(3))
-    on: dict[GridCell, list[int]] = {}
-    for i, cell in enumerate(cells):
-        for facet in cell.facets():
-            on.setdefault(facet, []).append(i)
-    shared = sorted(f for f, around in on.items() if len(around) == 2)
-    neighbours = [[] for _ in cells]
-    for f in shared:
-        a, b = on[f]
-        neighbours[a].append((b, f in P.cells))
-        neighbours[b].append((a, f in P.cells))
-    labels = [None] * len(cells)
-    for start in range(len(cells)):
-        if labels[start] is not None:
-            continue
-        labels[start] = 0
-        queue = [start]
-        for a in queue:  # breadth first: the queue grows while it is read
-            for b, in_p in neighbours[a]:
-                want = labels[a] ^ in_p
-                if labels[b] is None:
-                    labels[b] = want
-                    queue.append(b)
-                elif labels[b] != want:
-                    return None
-    source = [0] * len(cells)
-    sink = [0] * len(cells)
-    for i, label in enumerate(labels):
-        (sink if label else source)[i] += p  # x_i = 1 means y_i != s_i
-    for f, around in on.items():
-        if len(around) == 1:
-            i = around[0]
-            (sink if (f in P.cells) ^ labels[i] else source)[i] += q
-    constant = q * sum(1 for f in P.cells if f not in on)
-    return _CutNetwork(labels, source, sink, [tuple(on[f]) for f in shared], q, constant)
+def _cover_arcs(n: int, sides, face_cap: int, cell_cap: int, fixed: dict) -> list:
+    """The doubled cover's arcs (u, w, capacity), in canonical order.
+
+    Lift (v, s) is node 2v + s and (o, s) is node 2n + s; a fixed cell's
+    lifts are merged into o's.  The arcs run face by face, then cell by
+    cell when cells cost anything, s = 0 before s = 1; an arc whose two
+    ends merge is left out.
+    """
+    src = 2 * n
+
+    def lift(v: int, s: int) -> int:
+        if v < n and v not in fixed:
+            return 2 * v + s
+        return src + (s ^ fixed.get(v, 0))
+
+    ties = [(v, n, 0) for v in range(n)] if cell_cap else []
+    arcs = []
+    for terms, cap in ((sides, face_cap), (ties, cell_cap)):
+        for a, b, p in terms:
+            for s in (0, 1):
+                u, w = lift(a, s), lift(b, s ^ p)
+                if u != w:
+                    arcs.append((u, w, cap))
+    return arcs
 
 
 def _max_flow(head: list, to: list, cap: list, src: int, snk: int) -> int:
@@ -365,41 +361,47 @@ def _max_flow(head: list, to: list, cap: list, src: int, snk: int) -> int:
                 current[u] += 1
 
 
-def _solve_cut(net: _CutNetwork) -> tuple[int, int, CutFlow]:
-    """Minimum cut with the smallest canonical mask, and its maximum flow.
+def _cover_cut(n: int, sides, fixed: dict, face_cap: int, cell_cap: int):
+    """(F, labels, closure, flow) of the doubled cover (see _cover_arcs).
 
-    The minimum cuts are exactly the source sides closed under the
-    residual graph of a maximum flow (Picard-Queyranne 1980).  Going
-    from the highest cell index down, each cell not yet forced takes
-    x_i = 0 and closes that choice under reachability, which no earlier
-    choice contradicts; so the mask is the least among optimal ones, the
-    tie-break of the searches.
+    F is the maximum flow from (o, 0) to (o, 1) and ``flow`` its net
+    value on each arc, from the arc's first end to its second.
+    labels[v] is the fixed label, or s when (v, s) is reachable from
+    (o, 0) in the residual graph, or None.  The reachable set is the
+    least minimum cut whatever flow was found; it never holds both lifts
+    of a cell, since the cover's mirror (v, s) -> (v, 1 - s) would then
+    join (o, 0) to (o, 1), and the cells it decides are persistent: some
+    least labelling that agrees with ``fixed`` agrees with them
+    (Hammer-Hansen-Simeone 1984).
+
+    ``closure`` is the least-mask tie rule.  The minimum cuts are the
+    source sides closed under the residual graph (Picard-Queyranne
+    1980).  Going from the highest cell down, each cell takes x_v = 0
+    unless an earlier choice forces 1: (v, x_v) joins the source side
+    with all it reaches, (v, 1 - x_v) the sink side with all that reaches
+    it.  If every cell ends with one lift on each side, the source side
+    is a symmetric minimum cut, a labelling of cost exactly F / 2, and
+    the least mask among optimal labellings, as no choice excluded an
+    optimum with a smaller one; otherwise ``closure`` is None.
     """
-    n = len(net.labels)
-    src, snk = n, n + 1
-    head: list[list[int]] = [[] for _ in range(n + 2)]
+    src, snk = 2 * n, 2 * n + 1
+    arcs = _cover_arcs(n, sides, face_cap, cell_cap, fixed)
+    head: list[list[int]] = [[] for _ in range(2 * n + 2)]
     to: list[int] = []
-    cap: list[int] = []
-
-    def arc(u: int, v: int, forward: int, backward: int) -> None:
-        head[u].append(len(to))
-        to.append(v)
-        cap.append(forward)
-        head[v].append(len(to))
-        to.append(u)
-        cap.append(backward)
-
-    for i in range(n):  # arcs 4i and 4i + 2
-        arc(src, i, net.source[i], 0)
-        arc(i, snk, net.sink[i], 0)
-    for a, b in net.shared:  # arc 4n + 2j
-        arc(a, b, net.shared_capacity, net.shared_capacity)
+    for j, (u, w, _) in enumerate(arcs):  # arc j is 2j one way and 2j + 1 back
+        head[u].append(2 * j)
+        head[w].append(2 * j + 1)
+        to += [w, u]
+    cap = [c for _, _, c in arcs for _ in (0, 1)]
     value = _max_flow(head, to, cap, src, snk)
+    flow = tuple(c - cap[2 * j] for j, (_, _, c) in enumerate(arcs))
 
-    side: list[Optional[int]] = [None] * (n + 2)  # 0: source side, y = 0
+    side: list[Optional[int]] = [None] * len(head)  # 0: source side
 
     def close(start: int, mark: int) -> None:
         # side 0 is closed under residual arcs out of it, side 1 under arcs into it
+        if side[start] is not None:
+            return
         side[start] = mark
         stack = [start]
         while stack:
@@ -410,101 +412,59 @@ def _solve_cut(net: _CutNetwork) -> tuple[int, int, CutFlow]:
                     stack.append(to[e])
 
     close(src, 0)
-    close(snk, 1)
-    for i in reversed(range(n)):
-        if side[i] is None:
-            close(i, net.labels[i])
-    mask = sum((side[i] ^ net.labels[i]) << i for i in range(n))
-    flow = CutFlow(
-        tuple(net.source[i] - cap[4 * i] for i in range(n)),
-        tuple(net.sink[i] - cap[4 * i + 2] for i in range(n)),
-        tuple(net.shared_capacity - cap[4 * n + 2 * j] for j in range(len(net.shared))),
-    )
-    return mask, value + net.constant, flow
-
-
-# A 0/1 labelling x of n cells, with an outside node o = n labelled 0, pays
-# one for each face (a, b, p) with p ^ x_a ^ x_b = 1.  In the doubled cover
-# every cell v and o has two lifts (v, 0) and (v, 1), and each face joins
-# (a, s) to (b, s ^ p) with unit capacity both ways, for both s.  The lifts
-# {(v, x_v)} cut (o, 0) from (o, 1), and that cut severs both of a face's
-# arcs exactly when the face is paid, so a maximum flow F bounds every
-# labelling below by F / 2.  This is the roof dual of quadratic 0-1
-# optimisation (Boros-Hammer 2002) on QPBO's doubled graph
-# (Kolmogorov-Rother 2007).
-
-
-def _cover_cut(n: int, faces, fixed: dict) -> tuple[int, list]:
-    """(F, labels): the doubled cover's maximum flow and the cells it decides.
-
-    ``faces`` are (a, b, p) with a, b in 0..n; ``fixed`` maps cells to
-    labels, and a fixed cell's lifts are merged into o's.  labels[v] is
-    the fixed label, or s when (v, s) is reachable from (o, 0) in the
-    residual graph, or None.  The reachable set is the least minimum cut
-    whatever flow was found; it never holds both lifts of a cell, since
-    the cover's mirror (v, s) -> (v, 1 - s) would then join (o, 0) to
-    (o, 1), and the cells it decides are persistent: some least labelling
-    that agrees with ``fixed`` agrees with them (Boros-Hammer 2002).
-    """
-    src, snk = 2 * n, 2 * n + 1
-
-    def lift(v: int, s: int) -> int:
-        if v < n and v not in fixed:
-            return 2 * v + s
-        return src + (s ^ fixed.get(v, 0))
-
-    head: list[list[int]] = [[] for _ in range(2 * n + 2)]
-    to: list[int] = []
-    for a, b, p in faces:
-        for s in (0, 1):
-            u, w = lift(a, s), lift(b, s ^ p)
-            if u != w:
-                head[u].append(len(to))
-                to.append(w)
-                head[w].append(len(to))
-                to.append(u)
-    cap = [1] * len(to)
-    value = _max_flow(head, to, cap, src, snk)
-    reached = [False] * len(head)
-    reached[src] = True
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        for e in head[u]:
-            if cap[e] > 0 and not reached[to[e]]:
-                reached[to[e]] = True
-                stack.append(to[e])
     labels = [
-        fixed[v] if v in fixed else 0 if reached[2 * v] else 1 if reached[2 * v + 1] else None
+        fixed[v] if v in fixed else 0 if side[2 * v] == 0 else 1 if side[2 * v + 1] == 0 else None
         for v in range(n)
     ]
-    return value, labels
+    close(snk, 1)
+    for v in reversed(range(n)):
+        x = int(side[2 * v] == 1 or side[2 * v + 1] == 0)
+        close(2 * v + x, 0)
+        close(2 * v + 1 - x, 1)
+    closure = None
+    if all(side[2 * v] != side[2 * v + 1] for v in range(n)):
+        closure = [fixed.get(v, side[2 * v]) for v in range(n)]
+    return value, labels, closure, flow
+
+
+@dataclass(frozen=True)
+class CutFlow:
+    """A maximum flow of a k = 2 flat norm's doubled cover.
+
+    The cover is the one of the grid's 3-cells around P, with a face
+    capacity of epsilon^2 and a cell capacity of epsilon^3 in scaled
+    units; ``arcs[j]`` is the net flow on its arc j in canonical order
+    (see _cover_arcs), from the arc's first end to its second, negative
+    when it runs the other way.
+    """
+
+    arcs: tuple[int, ...]
 
 
 def _flow_certifies(cert, P: GridChain) -> bool:
-    """Replay a certificate's cut flow in P's rebuilt network: a lower bound equal to the value."""
-    net = _cut_network(P) if P.k == 2 else None
-    if net is None or cert.status != "exact":
-        return False
-    flow = cert.flow
-    n = len(net.labels)
-    if (len(flow.source), len(flow.sink), len(flow.shared)) != (n, n, len(net.shared)):
-        return False
-    if not all(type(f) is int for f in (*flow.source, *flow.sink, *flow.shared)):
-        return False
-    excess = [flow.source[i] - flow.sink[i] for i in range(n)]
-    for i in range(n):
-        if not (0 <= flow.source[i] <= net.source[i] and 0 <= flow.sink[i] <= net.sink[i]):
-            return False
-    for (a, b), f in zip(net.shared, flow.shared):
-        if abs(f) > net.shared_capacity:
-            return False
-        excess[a] -= f
-        excess[b] += f
-    if any(excess):
+    """Replay a certificate's cover flow in P's rebuilt cover: a lower bound equal to the value.
+
+    Every labelling's symmetric cut costs twice its score, so a feasible
+    flow of value F bounds every score below by F / 2.
+    """
+    if P.k != 2 or cert.status != "exact":
         return False
     p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
-    return cert.value == Fraction((sum(flow.source) + net.constant) * p**2, q**3)
+    lab = _box_labelling((0, 0, 0), P.grid.dims, P)
+    arcs = _cover_arcs(lab.cells, lab.sides, q, p, {})
+    flow = cert.flow.arcs
+    if len(flow) != len(arcs) or not all(type(f) is int for f in flow):
+        return False
+    excess = [0] * (2 * lab.cells + 2)
+    for (u, w, c), f in zip(arcs, flow):
+        if abs(f) > c:
+            return False
+        excess[u] -= f
+        excess[w] += f
+    value = excess[-1]  # into (o, 1); conservation holds at every lift of a cell
+    if any(excess[:-2]) or value % 2:
+        return False
+    return cert.value == Fraction(value // 2 * p**2, q**3)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +476,7 @@ class FlatNormCertificate:
     Q: GridChain
     R: GridChain
     status: str
-    flow: Optional[CutFlow] = None  # the minimum cut's dual; None from the searches
+    flow: Optional[CutFlow] = None  # the doubled cover's maximum flow; None from the searches
 
 
 def _search_problem(P: GridChain, free: list) -> _Problem:
@@ -551,12 +511,16 @@ def flat_norm(
     is exact; branch-and-bound prunes with the mass of already-decided
     cells and reports an upper bound if its node budget runs out.
 
-    With ``method="bnb"`` a 2-chain whose boundary vanishes on every
-    edge with four 3-cells around it (a 2-cycle, say) is instead solved
-    exactly as a minimum cut, with no node budget.  Its certificate
-    carries the maximum flow, which ``verify_certificate`` replays as a
-    lower bound equal to the value; the cut breaks ties like the
-    searches, so the certificate is the exhaustive scan's.
+    With ``method="bnb"`` a 2-chain first gets one maximum flow in the
+    doubled cover of its 3-cell labelling, outside the node budget.  When
+    the cover's least-mask closure is consistent (always when the
+    boundary of P vanishes on every edge with four 3-cells around it, a
+    2-cycle say) that closure is the answer, exact: its certificate
+    carries the flow, which ``verify_certificate`` replays as a lower
+    bound equal to the value, and the closure breaks ties like the
+    searches, so the certificate is the exhaustive scan's.  Otherwise
+    branch-and-bound runs as for any chain.  It does not branch on the
+    cover: one flow per node costs far more than the search's nodes.
     """
     k = P.k
     if not 0 <= k <= 2:
@@ -565,10 +529,13 @@ def flat_norm(
     free = sorted(grid.cells(k + 1))
     p, q = grid.epsilon.numerator, grid.epsilon.denominator
 
-    network = _cut_network(P) if method == "bnb" and k == 2 else None
-    if network is not None:
-        mask, score, flow = _solve_cut(network)
-        status = "exact"
+    closure = None
+    if method == "bnb" and k == 2:
+        lab = _box_labelling((0, 0, 0), grid.dims, P)
+        flow_value, _, closure, arcs = _cover_cut(lab.cells, lab.sides, {}, q, p)
+    if closure is not None:
+        mask = sum(x << i for i, x in enumerate(closure))
+        score, status, flow = flow_value // 2, "exact", CutFlow(arcs)
     else:
         mask, score, status = _solve(_search_problem(P, free), method, config)
         flow = None

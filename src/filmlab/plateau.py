@@ -33,8 +33,10 @@ cellular retraction that fixes gamma and never adds faces, so some least
 film lies in that box, and there every film is the sweep film plus the
 boundary of a 0/1 label on the box's 3-cells.  "bnb" minimises over
 those labels: a maximum flow in the doubled cover bounds each node
-below, the cells its cut decides are fixed, and the rest are branched
-on (see _least_labelling).
+below, a node whose residual closure is a symmetric cut is solved
+outright, and otherwise the cells its cut decides are fixed and the rest
+are branched on (see _least_labelling).  Flat norms of 2-chains share
+that cover (filmlab.flatnorm).
 
 Otherwise, and for "exhaustive" and "local", the search ranges over
 subsets of the working cube's faces.  Candidates are enumerated in
@@ -47,7 +49,6 @@ column.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,7 +71,7 @@ from .dipolyhedra import (
     support_in_cube,
 )
 from .exact import SQRT3
-from .flatnorm import _cover_cut
+from .flatnorm import _box_labelling, _BoxLabelling, _cover_cut
 from .geom import closed_cycle, primitive_direction
 from .grid import (
     GridCell,
@@ -202,11 +203,14 @@ class PlateauProblem:
         return None
 
     @cached_property
-    def box_labelling(self) -> Optional["_BoxLabelling"]:
-        """The curve's lattice box as a labelling problem (see _BoxLabelling).
+    def box_labelling(self) -> Optional[_BoxLabelling]:
+        """The curve's lattice box as a labelling problem around the sweep film.
 
-        None without an injective direction, or when the curve's box
-        leaves the working cube (a hand-built problem can do that).
+        Every film B in the box with boundary(B) = gamma is B0 + boundary(x),
+        B0 the sweep film, for a 0/1 label x on the box's 3-cells, as the
+        box is contractible.  None without an injective direction, or
+        when the curve's box leaves the working cube (a hand-built
+        problem can do that).
         """
         if self.injective_direction is None:
             return None
@@ -216,17 +220,7 @@ class PlateauProblem:
         cube_lo, cube_hi = self.cube_box
         if any(lo[a] < cube_lo[a] or hi[a] > cube_hi[a] for a in range(3)):
             return None
-        film = sweep_film(self.gamma)
-        bases = list(itertools.product(*(range(lo[a], hi[a]) for a in range(3))))
-        n = len(bases)
-        around: dict[GridCell, list[int]] = {face: [] for face in film.cells}
-        for i, base in enumerate(bases):
-            for face in GridCell(base, (0, 1, 2)).facets():
-                around.setdefault(face, []).append(i)
-        faces = tuple(sorted(around))
-        # a face on fewer than two box cells meets the outside node n
-        sides = tuple((*(around[f] + [n, n])[:2], int(f in film.cells)) for f in faces)
-        return _BoxLabelling(n, faces, sides)
+        return _box_labelling(lo, hi, sweep_film(self.gamma))
 
     @cached_property
     def faces(self) -> tuple[GridCell, ...]:
@@ -284,23 +278,6 @@ def sweep_film(gamma: GridChain) -> GridChain:
         grid, 1, [GridCell((*c.base[:2], z0), c.axes) for c in gamma.cells if c.axes != (2,)]
     )
     return chain_of(grid, 2, sweep(gamma.cells, 2, z0) + sweep(shadow.cells, 1, y0))
-
-
-@dataclass(frozen=True)
-class _BoxLabelling:
-    """Films bounded by the curve inside its lattice box, as cell labels.
-
-    Every film B in the box with boundary(B) = gamma is B0 + boundary(x),
-    B0 the sweep film, for a 0/1 label x on the box's `cells` 3-cells, as
-    the box is contractible.  `faces` are the faces on a box cell or in
-    B0; `sides[i]` is (a, b, [faces[i] in B0]) with a, b the cells on
-    either side of faces[i], the index `cells` standing for the outside,
-    which is labelled 0.
-    """
-
-    cells: int
-    faces: tuple[GridCell, ...]
-    sides: tuple[tuple[int, int, int], ...]
 
 
 _ORIGIN = (0, 0, 0)
@@ -597,12 +574,13 @@ def _least_labelling(n: int, sides, node_budget: int):
     """Branch-and-bound for the least labelling of n cells (see flatnorm._cover_cut).
 
     Each node solves the doubled cover with the cells fixed so far:
-    ceil(F / 2) bounds the node below, the cells the cut decides are
-    fixed, and the other cells set to 0 give a labelling that may lower
-    the incumbent.  A node whose bound meets the incumbent is closed;
-    otherwise it branches on its lowest free cell, 0 first.  The
-    incumbent starts at all zeros.  Returns (labels with the outside
-    last, their cost, the root bound, nodes, whether every node closed).
+    ceil(F / 2) bounds the node below.  A consistent closure is a
+    labelling of cost F / 2 and closes the node; otherwise the cells the
+    cut decides are fixed, the other cells set to 0 give a labelling that
+    may lower the incumbent, and a node whose bound is still below the
+    incumbent branches on its lowest free cell, 0 first.  The incumbent
+    starts at all zeros.  Returns (labels with the outside last, their
+    cost, the root bound, nodes, whether every node closed).
     """
 
     def cost(x: list) -> int:
@@ -616,19 +594,19 @@ def _least_labelling(n: int, sides, node_budget: int):
     while stack and nodes < node_budget:
         fixed = stack.pop()
         nodes += 1
-        value, labels = _cover_cut(n, sides, fixed)
+        value, labels, closure, _ = _cover_cut(n, sides, fixed, 1, 0)
         bound = (value + 1) // 2
         if nodes == 1:
             root_bound = bound
         if bound >= best_cost:
             continue
-        x = [label or 0 for label in labels] + [0]
+        x = (closure if closure is not None else [label or 0 for label in labels]) + [0]
         if (c := cost(x)) < best_cost:
             best, best_cost = x, c
         if bound >= best_cost:
             continue
-        if None not in labels:
-            raise RuntimeError("the cover decided every cell, yet its bound is below the labelling")
+        if closure is not None:
+            raise RuntimeError("the cover's symmetric cut costs more than its bound")
         free = labels.index(None)
         decided = {v: label for v, label in enumerate(labels) if label is not None}
         stack += [{**decided, free: 1}, {**decided, free: 0}]

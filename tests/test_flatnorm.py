@@ -16,6 +16,8 @@ from filmlab.flatnorm import (
     energy_flat_norm,
     flat_norm,
     natural_norm_upper,
+    _box_labelling,
+    _cover_cut,
     verify_certificate,
 )
 from filmlab.grid import GridCell, boundary_grid, chain_of, empty_chain, mass_grid
@@ -258,9 +260,9 @@ def test_solver_reports_budget_exhaustion():
 
 def test_bnb_budget_answer_does_not_depend_on_facing():
     # two chains seen from the eight ways the axes can face: the boundary
-    # of a 2x2x2 block in a corner of a 3x3x3 grid, which bnb solves as a
-    # cut, and the same boundary opened at the face touching the grid's
-    # centre, whose boundary on interior edges keeps it in the search
+    # of a 2x2x2 block in a corner of a 3x3x3 grid, and the same boundary
+    # opened at the face touching the grid's centre; bnb closes both at
+    # the doubled cover's root flow
     grid = make_grid((3, 3, 3))
     cfg = SolverConfig(node_budget=1000)
     block = chain_of(
@@ -273,12 +275,12 @@ def test_bnb_budget_answer_does_not_depend_on_facing():
             return chain_of(grid, chain.k, [_reflect(c, grid, flips) for c in chain.cells])
 
         R = image(block)
-        for Q, value, by_cut in ((empty_chain(grid, 2), 8, True), (image(hole), 9, False)):
+        for Q, value in ((empty_chain(grid, 2), 8), (image(hole), 9)):
             P = boundary_grid(R) + Q
             cert = flat_norm(P, method="bnb", config=cfg)
             assert (cert.value, cert.status) == (value, "exact"), flips
             assert cert.R == R and cert.Q == Q
-            assert (cert.flow is not None) == by_cut
+            assert cert.flow is not None
 
 
 def _reflect(cell, grid, flips):
@@ -291,7 +293,7 @@ def _reflect(cell, grid, flips):
     )
 
 
-# -- k = 2 flat norms by minimum cut ------------------------------------------
+# -- k = 2 flat norms by the doubled cover ------------------------------------
 
 
 def _cube(grid, lo, side):
@@ -343,45 +345,91 @@ def test_cut_matches_exhaustive_on_qualifying_chains(dims, eps, seed):
     assert verify_certificate(cut, P)
 
 
+def _seed16_chain():
+    # 22 faces whose cover flow is 30: a bound of 15 below the optimum 16
+    return random_grid_chain(make_grid((2, 2, 2)), 2, random.Random(16), density=0.5)
+
+
 def test_cut_flow_tampering_fails():
     grid = make_grid((3, 3, 3), eps=F(1, 2))
     P = boundary_grid(_cube(grid, (0, 1, 0), 2))
     cert = flat_norm(P, method="bnb")
-    flow = cert.flow
+    arcs = cert.flow.arcs
     assert cert.value == 1 and verify_certificate(cert, P)
-    i = next(i for i, f in enumerate(flow.source) if f > 0)
-    j = next(j for j, f in enumerate(flow.shared) if f != 0)
+    j = next(j for j, f in enumerate(arcs) if f > 0)
+
+    def tampered(j, f):
+        return CutFlow(arcs[:j] + (f,) + arcs[j + 1 :])
+
     bad_flows = [
-        # conservation broken at one cell
-        dataclasses.replace(flow, source=flow.source[:i] + (flow.source[i] - 1,) + flow.source[i + 1 :]),
-        dataclasses.replace(flow, shared=flow.shared[:j] + (0,) + flow.shared[j + 1 :]),
+        # conservation broken at one lift
+        tampered(j, arcs[j] - 1),
+        tampered(j, 0),
         # over capacity
-        dataclasses.replace(flow, shared=flow.shared[:j] + (10**6,) + flow.shared[j + 1 :]),
-        # wrong shape
-        dataclasses.replace(flow, sink=flow.sink[:-1]),
+        tampered(j, 10**6),
+        # wrong length
+        CutFlow(arcs[:-1]),
+        # entries that are not plain ints
+        CutFlow(tuple(bool(f) if f in (0, 1) else f for f in arcs)),
     ]
     for bad in bad_flows:
         assert not verify_certificate(dataclasses.replace(cert, flow=bad), P)
     # a feasible flow proves no more than its value
     assert not verify_certificate(dataclasses.replace(cert, value=cert.value + 1), P)
-    zero = CutFlow((0,) * len(flow.source), (0,) * len(flow.sink), (0,) * len(flow.shared))
+    zero = CutFlow((0,) * len(arcs))
     assert not verify_certificate(dataclasses.replace(cert, flow=zero), P)
-    # a flow cannot certify a budgeted answer, nor an input without a cut network
+    # a flow cannot certify a budgeted answer, nor an input whose flow falls short
     assert not verify_certificate(dataclasses.replace(cert, status="upper-bound"), P)
-    opened = P + chain_of(grid, 2, [GridCell((2, 1, 0), (1, 2))])
-    searched = flat_norm(opened, method="bnb")
-    assert searched.flow is None and verify_certificate(searched, opened)
-    assert not verify_certificate(dataclasses.replace(searched, flow=flow), opened)
+    other = _seed16_chain()
+    searched = flat_norm(other, method="bnb")
+    assert searched.flow is None and verify_certificate(searched, other)
+    assert not verify_certificate(dataclasses.replace(searched, flow=cert.flow), other)
 
 
-def test_bnb_searches_when_boundary_meets_an_interior_edge():
+def test_bnb_closes_at_the_root_when_boundary_meets_an_interior_edge():
     # one face across the middle of a 2x2x1 grid: its boundary runs along
-    # the vertical edge with four 3-cells around it, so no cut applies
+    # the vertical edge with four 3-cells around it, and the cover's
+    # closure still settles it before any search node
     grid = make_grid((2, 2, 1))
     P = chain_of(grid, 2, [GridCell((0, 1, 0), (0, 2))])
     ex = flat_norm(P, method="exhaustive")
     bb = flat_norm(P, method="bnb")
-    assert bb.flow is None and ex.flow is None
+    assert bb.flow is not None and ex.flow is None
     assert (bb.value, bb.status, bb.Q, bb.R) == (ex.value, "exact", ex.Q, ex.R)
+    assert bb.value == 1
+    budgeted = flat_norm(P, method="bnb", config=SolverConfig(node_budget=1))
+    assert (budgeted.value, budgeted.status) == (1, "exact") and budgeted.flow is not None
+
+
+def test_bnb_searches_when_the_cover_closure_is_inconsistent():
+    P = _seed16_chain()
+    assert len(P) == 22
+    ex = flat_norm(P, method="exhaustive")
+    bb = flat_norm(P, method="bnb")
+    assert (bb.value, bb.status, bb.flow) == (16, "exact", None)
+    assert (bb.Q, bb.R) == (ex.Q, ex.R)
     budgeted = flat_norm(P, method="bnb", config=SolverConfig(node_budget=1))
     assert budgeted.status == "upper-bound" and budgeted.flow is None
+    assert budgeted.value > 16 and verify_certificate(budgeted, P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.sampled_from([(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 2), (3, 2, 1), (3, 2, 2), (3, 3, 2)]),
+    eps=st.sampled_from([F(1), F(1, 2), F(2, 3)]),
+    seed=st.integers(0, 10**6),
+)
+def test_cover_matches_exhaustive_on_any_chain(dims, eps, seed):
+    # arbitrary 2-chains, frustrated ones included: bnb answers at the
+    # root flow exactly when the cover's closure is consistent
+    grid = make_grid(dims, eps=eps)
+    rng = random.Random(seed)
+    P = random_grid_chain(grid, 2, rng, density=rng.random())
+    ex = flat_norm(P, method="exhaustive")
+    bb = flat_norm(P, method="bnb")
+    assert (bb.value, bb.Q, bb.R, bb.status) == (ex.value, ex.Q, ex.R, ex.status)
+    lab = _box_labelling((0, 0, 0), dims, P)
+    p, q = eps.numerator, eps.denominator
+    closure = _cover_cut(lab.cells, lab.sides, {}, q, p)[2]
+    assert (bb.flow is not None) == (closure is not None)
+    assert verify_certificate(bb, P) and verify_certificate(ex, P)

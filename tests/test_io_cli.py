@@ -1,6 +1,7 @@
 import copy
 import importlib.util
 import io
+import itertools
 import json
 import os
 import random
@@ -18,7 +19,7 @@ from filmlab import cli
 from filmlab.cli import main
 from filmlab.dipolyhedra import Dipolyhedron, dip_equal, make_dipole
 from filmlab.exact import RadicalSum, UndecidableComparison
-from filmlab.grid import GridCell, chain_of, empty_chain
+from filmlab.grid import GridCell, boundary_grid, chain_of, empty_chain
 from filmlab.io_formats import (
     SchemaError,
     chain_from_json,
@@ -756,10 +757,12 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         ("natural-norm", f"{FIX}/square.json", "--levels", "1"),
         ("plateau", "--curve", "{fold2}", "--method", "bnb"),
         ("plateau", "--curve", f"{FIX}/square_curve.json", "--dirs", "0", "--method", "bnb"),
+        ("flatnorm", "{block}", "--method", "bnb", "--node-budget", "0"),
+        ("flatnorm", "{frustrated}", "--method", "bnb"),
     ],
     ids=["mass", "boundary", "flatnorm", "plateau", "plateau-local", "deform", "span-check",
          "clamp", "diagnostics", "eflat", "cone", "pushforward", "restrict", "natural-norm",
-         "plateau-bnb-fold2", "plateau-bnb-axes"],
+         "plateau-bnb-fold2", "plateau-bnb-axes", "flatnorm-bnb-cover", "flatnorm-bnb-search"],
 )
 def test_cli_reports_survive_python_O(argv, tmp_path):
     """Invariants hold under python -O: no result depends on an assert."""
@@ -769,8 +772,18 @@ def test_cli_reports_survive_python_O(argv, tmp_path):
     pair.write_text(dumps_report(Dipolyhedron(empty_chain(curve.grid, 2), curve)))
     fold2 = tmp_path / "fold2.json"
     fold2.write_text(dumps_report(polygon_curve(refine_polygon(FOLD, 2), 4)))
-    paths = {"{pair}": str(pair), "{fold2}": str(fold2)}
+    # a block boundary closes at the cover's root flow; seed 16's chain needs the search
+    grid = make_grid((3, 3, 3))
+    block = tmp_path / "block.json"
+    cube = [GridCell(base, (0, 1, 2)) for base in itertools.product((0, 1), repeat=3)]
+    block.write_text(dumps_report(boundary_grid(chain_of(grid, 3, cube))))
+    frustrated = tmp_path / "frustrated.json"
+    P = random_grid_chain(make_grid((2, 2, 2)), 2, random.Random(16), density=0.5)
+    frustrated.write_text(dumps_report(P))
+    paths = {"{pair}": str(pair), "{fold2}": str(fold2), "{block}": str(block),
+             "{frustrated}": str(frustrated)}
     labelled = "{fold2}" in argv
+    covered = {"{block}": True, "{frustrated}": False}.get(argv[1])
     argv = [paths.get(a, a) for a in argv]
     env = {**os.environ, "PYTHONPATH": SRC}
     runs = [
@@ -788,6 +801,10 @@ def test_cli_reports_survive_python_O(argv, tmp_path):
     assert (optimised.returncode, optimised.stdout) == (plain.returncode, plain.stdout)
     if labelled:
         assert json.loads(plain.stdout)["optimality"] == "exact"
+    if covered is not None:
+        doc = json.loads(plain.stdout)
+        assert doc["status"] == "exact"
+        assert (doc["flow"] is not None) == covered
 
 
 def test_fixtures_regenerate_byte_for_byte(tmp_path, monkeypatch, capsys):
