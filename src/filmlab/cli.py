@@ -360,7 +360,8 @@ def _parser() -> argparse.ArgumentParser:
     add("boundary", _cmd_boundary, "boundary chain/pair")
 
     p = add("flatnorm", _cmd_flatnorm, "flat norm of a grid chain with certificate")
-    p.add_argument("--method", choices=("exhaustive", "bnb"), default="exhaustive")
+    p.add_argument("--method", choices=("exhaustive", "bnb"), default="exhaustive",
+                   help="search used when the cover cannot answer")
     p.add_argument("--node-budget", type=int)
     p.add_argument("--exhaustive-limit", type=int)
 
@@ -399,7 +400,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True, help="grid 1-cycle JSON")
     p.add_argument("--lambda", dest="lam", help="energy budget (default: twice cone energy)")
     p.add_argument("--eps", help="expected grid spacing; errors if it disagrees")
-    p.add_argument("--method", choices=("exhaustive", "bnb", "local"), default="exhaustive")
+    p.add_argument("--method", choices=("exhaustive", "bnb", "local"), default="exhaustive",
+                   help="search used when the cover cannot answer; local always descends")
     p.add_argument("--dirs", type=int, default=10, help="extra oblique directions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--node-budget", type=int)

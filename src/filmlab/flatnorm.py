@@ -7,13 +7,13 @@ relaxation cells: exhaustively (vectorized, exact) when small enough, or
 by branch-and-bound with a node budget and an honest "upper-bound"
 status when the budget runs out before the gap closes.
 
-For a 2-chain, branch-and-bound first solves one maximum flow in the
-doubled cover of the 3-cell labelling (the plateau's least films use the
-same cover).  When the flow's residual closure is a symmetric cut (every
+A 2-chain first gets one maximum flow in the doubled cover of the 3-cell
+labelling (the plateau's least films use the same cover), whatever the
+method.  When the flow's residual closure is a symmetric cut (every
 2-cycle, for one, and most other 2-chains) the flat norm is exact there,
 with ties broken as the searches break them; the flow rides on the
 certificate, and replaying it proves the value is a lower bound as well
-as attained.  Otherwise the search runs.
+as attained.  Otherwise the method's search runs.
 
 Scores are integers throughout: every cell mass is a power of the grid
 pitch, so scaling by a common denominator makes comparisons exact and
@@ -250,7 +250,7 @@ def _sweep_order(free: Sequence[GridCell], given, grid: GridSpec) -> list[int]:
 # A 0/1 labelling x of n 3-cells, with an outside node o = n labelled 0,
 # pays w for each face (a, b, p) with p ^ x_a ^ x_b = 1 and r for each cell
 # with x_v = 1.  A flat norm has p = [f in P], w = q and r = p in scaled
-# units (epsilon^2 -> q, epsilon^3 -> p, as in _search_problem); the
+# units (epsilon^2 -> q, epsilon^3 -> p, as in _searched); the
 # plateau has p = [f in B0], w = 1 and r = 0.  In the doubled cover every
 # cell v and o has two lifts (v, 0) and (v, 1); each face joins (a, s) to
 # (b, s ^ p) with capacity w both ways, for both s, and each cell ties
@@ -479,8 +479,10 @@ class FlatNormCertificate:
     flow: Optional[CutFlow] = None  # the doubled cover's maximum flow; None from the searches
 
 
-def _search_problem(P: GridChain, free: list) -> _Problem:
+def _searched(P: GridChain, method: str, config: SolverConfig) -> FlatNormCertificate:
+    """flat_norm by the method's search alone, without the cover."""
     p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
+    free = sorted(P.grid.cells(P.k + 1))
     universe: dict[GridCell, int] = {}
 
     def bit_of(cell: GridCell) -> int:
@@ -499,7 +501,8 @@ def _search_problem(P: GridChain, free: list) -> _Problem:
     r_cost = p
     weight_masks = [(q_weight, (1 << len(universe)) - 1)]
     order = _sweep_order(free, P.cells, P.grid)
-    return _Problem(base, effects, [r_cost] * len(free), weight_masks, order)
+    problem = _Problem(base, effects, [r_cost] * len(free), weight_masks, order)
+    return _certified(P, *_solve(problem, method, config))
 
 
 def flat_norm(
@@ -507,42 +510,39 @@ def flat_norm(
 ) -> FlatNormCertificate:
     """Minimal M(Q) + M(R) with P = Q + boundary(R) over grid chains.
 
-    Exhaustive search scans every subset of the grid's (k+1)-cells and
-    is exact; branch-and-bound prunes with the mass of already-decided
-    cells and reports an upper bound if its node budget runs out.
-
-    With ``method="bnb"`` a 2-chain first gets one maximum flow in the
-    doubled cover of its 3-cell labelling, outside the node budget.  When
-    the cover's least-mask closure is consistent (always when the
-    boundary of P vanishes on every edge with four 3-cells around it, a
-    2-cycle say) that closure is the answer, exact: its certificate
+    A 2-chain first gets one maximum flow in the doubled cover of its
+    3-cell labelling, outside every limit and budget.  When the cover's
+    least-mask closure is consistent (always when the boundary of P
+    vanishes on every edge with four 3-cells around it, a 2-cycle say)
+    it is the searches' answer, ties included, and exact: its certificate
     carries the flow, which ``verify_certificate`` replays as a lower
-    bound equal to the value, and the closure breaks ties like the
-    searches, so the certificate is the exhaustive scan's.  Otherwise
-    branch-and-bound runs as for any chain.  It does not branch on the
-    cover: one flow per node costs far more than the search's nodes.
+    bound equal to the value.  Otherwise ``method`` names the search (it
+    does not branch on the cover: a flow per node costs more than its
+    nodes): "exhaustive" scans every subset of the grid's (k+1)-cells,
+    exact; "bnb" prunes with the mass of already-decided cells and
+    reports an upper bound if its node budget runs out.
     """
-    k = P.k
-    if not 0 <= k <= 2:
+    if method not in ("exhaustive", "bnb"):
+        raise ValueError(f"unknown method: {method}")
+    if not 0 <= P.k <= 2:
         raise ValueError("flat norm needs relaxation cells one dimension up (k <= 2)")
-    grid = P.grid
-    free = sorted(grid.cells(k + 1))
-    p, q = grid.epsilon.numerator, grid.epsilon.denominator
-
-    closure = None
-    if method == "bnb" and k == 2:
-        lab = _box_labelling((0, 0, 0), grid.dims, P)
+    if P.k == 2:
+        p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
+        lab = _box_labelling((0, 0, 0), P.grid.dims, P)
         flow_value, _, closure, arcs = _cover_cut(lab.cells, lab.sides, {}, q, p)
-    if closure is not None:
-        mask = sum(x << i for i, x in enumerate(closure))
-        score, status, flow = flow_value // 2, "exact", CutFlow(arcs)
-    else:
-        mask, score, status = _solve(_search_problem(P, free), method, config)
-        flow = None
-    R = chain_of(grid, k + 1, _chosen(free, mask))
+        if closure is not None:
+            mask = sum(x << i for i, x in enumerate(closure))
+            return _certified(P, mask, flow_value // 2, "exact", CutFlow(arcs))
+    return _searched(P, method, config)
+
+
+def _certified(P: GridChain, mask: int, score: int, status: str, flow=None) -> FlatNormCertificate:
+    """The certificate of relaxation cells ``mask``, checked against the solver's score."""
+    p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
+    R = chain_of(P.grid, P.k + 1, _chosen(sorted(P.grid.cells(P.k + 1)), mask))
     Q = P + boundary_grid(R)
     value = mass_grid(Q) + mass_grid(R)
-    if status == "exact" and value != Fraction(score * p**k, q ** (k + 1)):
+    if status == "exact" and value != Fraction(score * p**P.k, q ** (P.k + 1)):
         raise AssertionError("solver score does not match the rebuilt certificate")
     cert = FlatNormCertificate(value, Q, R, status, flow)
     if not verify_certificate(cert, P):

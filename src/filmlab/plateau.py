@@ -31,20 +31,19 @@ spans iff C = 0, so the members are the cube films with boundary(B) =
 gamma within the budget.  Clamping onto the curve's lattice box is a
 cellular retraction that fixes gamma and never adds faces, so some least
 film lies in that box, and there every film is the sweep film plus the
-boundary of a 0/1 label on the box's 3-cells.  "bnb" minimises over
-those labels: a maximum flow in the doubled cover bounds each node
-below, a node whose residual closure is a symmetric cut is solved
-outright, and otherwise the cells its cut decides are fixed and the rest
-are branched on (see _least_labelling).  Flat norms of 2-chains share
-that cover (filmlab.flatnorm).
+boundary of a 0/1 label on the box's 3-cells.  Both exact methods then
+minimise over those labels: a maximum flow in the doubled cover bounds
+each node below, a node whose residual closure is a symmetric cut is
+solved outright, and otherwise the cells its cut decides are fixed and
+the rest are branched on (see _least_labelling).  Flat norms of 2-chains
+share that cover (filmlab.flatnorm).
 
-Otherwise, and for "exhaustive" and "local", the search ranges over
-subsets of the working cube's faces.  Candidates are enumerated in
-ascending face count (weight is face count times the cell area, so the
-first feasible subset is optimal) with two cheap rejections before the
-full spanning check: the energy budget, and per-axis shadow parities,
-which must match the region enclosed by the projected curve column by
-column.
+Otherwise, and for "local" always, the search ranges over subsets of
+the working cube's faces.  Candidates are enumerated in ascending face
+count (weight is face count times the cell area, so the first feasible
+subset is optimal) with two cheap rejections before the full spanning
+check: the energy budget, and per-axis shadow parities, which must match
+the region enclosed by the projected curve column by column.
 """
 
 from __future__ import annotations
@@ -570,7 +569,7 @@ def _search(problem: PlateauProblem, node_budget, max_faces: int):
     return best, nodes, clean
 
 
-def _least_labelling(n: int, sides, node_budget: int):
+def _least_labelling(n: int, sides, node_budget: Optional[int]):
     """Branch-and-bound for the least labelling of n cells (see flatnorm._cover_cut).
 
     Each node solves the doubled cover with the cells fixed so far:
@@ -591,7 +590,7 @@ def _least_labelling(n: int, sides, node_budget: int):
     root_bound = 0
     stack: list[dict] = [{}]
     nodes = 0
-    while stack and nodes < node_budget:
+    while stack and (node_budget is None or nodes < node_budget):
         fixed = stack.pop()
         nodes += 1
         value, labels, closure, _ = _cover_cut(n, sides, fixed, 1, 0)
@@ -613,7 +612,7 @@ def _least_labelling(n: int, sides, node_budget: int):
     return best, best_cost, root_bound, nodes, not stack
 
 
-def _label_cells(problem: PlateauProblem, node_budget: int) -> PlateauSolution:
+def _label_cells(problem: PlateauProblem, method: str, node_budget: Optional[int]) -> PlateauSolution:
     """Least film B0 + boundary(x) over labels x of the curve's box cells,
     B0 being the sweep film; an upper bound if the node budget runs out."""
     lab = problem.box_labelling
@@ -632,7 +631,7 @@ def _label_cells(problem: PlateauProblem, node_budget: int) -> PlateauSolution:
     if e > problem.lam:
         raise BudgetError(f"the node budget ran out before a film within {problem.lam} was found")
     pair = Dipolyhedron(B, empty_chain(grid, 1))
-    return _as_solution(problem, pair, e, "exact" if exact else "upper-bound", "bnb", nodes)
+    return _as_solution(problem, pair, e, "exact" if exact else "upper-bound", method, nodes)
 
 
 def _as_solution(problem, pair, e, optimality, method, nodes) -> PlateauSolution:
@@ -654,17 +653,16 @@ def minimize_weight(
 ) -> PlateauSolution:
     """Minimise the film weight over admissible grid pairs.
 
-    "exhaustive" enumerates subsets of the working cube's faces in
-    ascending cardinality and returns the first feasible pair, which is
-    therefore a proved minimiser.  "bnb" (node budget default 10^6) labels
-    the 3-cells of the curve's box when the problem has an injective
-    direction; each node is one max-flow solve, the answer is exact when
-    the flow bound meets the film found, and a spent budget returns the
-    best film so far (the sweep film at budget 0) as an upper bound.
-    Without an injective direction "bnb" is the face search under the
-    budget, and falls back to the cone start when the budget runs out.
-    "local" does seeded single-face descent from the cone start, takes no
-    node budget, and always reports an upper bound.  Raises BudgetError
+    "bnb" has a node budget (default 10^6); "exhaustive" has none unless
+    one is passed.  With an injective direction both label the 3-cells
+    of the curve's box: each node is one max-flow solve, the answer is
+    exact when the flow bound meets the film found, and a spent budget
+    returns the best film so far (the sweep film at budget 0) as an
+    upper bound.  Otherwise both search subsets of the working cube's
+    faces in ascending cardinality, so the first feasible pair is a
+    proved minimiser, and a spent budget falls back to the cone start.
+    "local" does seeded single-face descent from the cone start, takes
+    no node budget, and always reports an upper bound.  Raises BudgetError
     when no admissible pair fits the energy budget, and ValueError when
     no direction is admissible for the curve, as then no pair can span it.
     """
@@ -690,10 +688,10 @@ def minimize_weight(
         )
     if method == "local":
         return _local_descent(problem, start)
-    if method == "bnb":
-        node_budget = 10 ** 6 if node_budget is None else node_budget
-        if problem.box_labelling is not None:
-            return _label_cells(problem, node_budget)
+    if method == "bnb" and node_budget is None:
+        node_budget = 10 ** 6
+    if problem.box_labelling is not None:
+        return _label_cells(problem, method, node_budget)
 
     faces = problem.faces
     if method == "exhaustive" and node_budget is None and len(faces) > 512:

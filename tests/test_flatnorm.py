@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filmlab.dipolyhedra import Dipolyhedron, make_dipole, make_massive
 from filmlab.flatnorm import (
+    DEFAULT_CONFIG,
     CutFlow,
     EnergyFlatCertificate,
     FlatNormCertificate,
@@ -18,6 +19,7 @@ from filmlab.flatnorm import (
     natural_norm_upper,
     _box_labelling,
     _cover_cut,
+    _searched,
     verify_certificate,
 )
 from filmlab.grid import GridCell, boundary_grid, chain_of, empty_chain, mass_grid
@@ -90,14 +92,13 @@ def test_flat_norm_methods_agree_seeded():
         assert ex.R == bb.R and ex.Q == bb.Q
 
 
-def test_flat_norm_2chain_instances():
+def test_unknown_method_is_refused_before_the_cover():
     grid = make_grid((2, 2, 1))
-    rng = random.Random(59)
-    for _ in range(8):
-        P = random_grid_chain(grid, 2, rng, density=0.3)
-        ex = flat_norm(P, method="exhaustive")
-        bb = flat_norm(P, method="bnb")
-        assert ex.value == bb.value and ex.status == bb.status == "exact"
+    face = chain_of(grid, 2, [GridCell((0, 0, 0), (0, 1))])
+    assert flat_norm(face).flow is not None  # the cover answers the 2-chain
+    for P in (face, boundary_grid(face)):
+        with pytest.raises(ValueError, match="unknown method"):
+            flat_norm(P, method="simplex")
 
 
 def test_eflat_zero_pair():
@@ -338,10 +339,11 @@ def test_cut_matches_exhaustive_on_qualifying_chains(dims, eps, seed):
     X = random_grid_chain(grid, 3, rng, density=rng.random())
     outer = [f for f in sorted(counts) if counts[f] == 1 and rng.random() < 0.3]
     P = boundary_grid(X) + chain_of(grid, 2, outer)
-    ex = flat_norm(P, method="exhaustive")
+    scan = _searched(P, "exhaustive", DEFAULT_CONFIG)
     cut = flat_norm(P, method="bnb")
     assert cut.flow is not None and cut.status == "exact"
-    assert (cut.value, cut.Q, cut.R) == (ex.value, ex.Q, ex.R)
+    assert (cut.value, cut.Q, cut.R) == (scan.value, scan.Q, scan.R)
+    assert flat_norm(P, method="exhaustive") == cut
     assert verify_certificate(cut, P)
 
 
@@ -389,13 +391,14 @@ def test_cut_flow_tampering_fails():
 def test_bnb_closes_at_the_root_when_boundary_meets_an_interior_edge():
     # one face across the middle of a 2x2x1 grid: its boundary runs along
     # the vertical edge with four 3-cells around it, and the cover's
-    # closure still settles it before any search node
+    # closure still settles it before any search node, under either method
     grid = make_grid((2, 2, 1))
     P = chain_of(grid, 2, [GridCell((0, 1, 0), (0, 2))])
+    scan = _searched(P, "exhaustive", DEFAULT_CONFIG)
     ex = flat_norm(P, method="exhaustive")
     bb = flat_norm(P, method="bnb")
-    assert bb.flow is not None and ex.flow is None
-    assert (bb.value, bb.status, bb.Q, bb.R) == (ex.value, "exact", ex.Q, ex.R)
+    assert bb.flow is not None and ex == bb and scan.flow is None
+    assert (bb.value, bb.status, bb.Q, bb.R) == (scan.value, "exact", scan.Q, scan.R)
     assert bb.value == 1
     budgeted = flat_norm(P, method="bnb", config=SolverConfig(node_budget=1))
     assert (budgeted.value, budgeted.status) == (1, "exact") and budgeted.flow is not None
@@ -419,17 +422,21 @@ def test_bnb_searches_when_the_cover_closure_is_inconsistent():
     eps=st.sampled_from([F(1), F(1, 2), F(2, 3)]),
     seed=st.integers(0, 10**6),
 )
+@example(dims=(2, 2, 1), eps=F(1), seed=59)
 def test_cover_matches_exhaustive_on_any_chain(dims, eps, seed):
-    # arbitrary 2-chains, frustrated ones included: bnb answers at the
-    # root flow exactly when the cover's closure is consistent
+    # arbitrary 2-chains, frustrated ones included: both methods answer at
+    # the root flow exactly when the cover's closure is consistent, and
+    # agree with the exhaustive scan either way
     grid = make_grid(dims, eps=eps)
     rng = random.Random(seed)
     P = random_grid_chain(grid, 2, rng, density=rng.random())
+    scan = _searched(P, "exhaustive", DEFAULT_CONFIG)
     ex = flat_norm(P, method="exhaustive")
     bb = flat_norm(P, method="bnb")
-    assert (bb.value, bb.Q, bb.R, bb.status) == (ex.value, ex.Q, ex.R, ex.status)
+    assert (bb.value, bb.Q, bb.R, bb.status) == (scan.value, scan.Q, scan.R, scan.status)
     lab = _box_labelling((0, 0, 0), dims, P)
     p, q = eps.numerator, eps.denominator
     closure = _cover_cut(lab.cells, lab.sides, {}, q, p)[2]
     assert (bb.flow is not None) == (closure is not None)
+    assert ex == (bb if closure is not None else scan)
     assert verify_certificate(bb, P) and verify_certificate(ex, P)

@@ -759,10 +759,14 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         ("plateau", "--curve", f"{FIX}/square_curve.json", "--dirs", "0", "--method", "bnb"),
         ("flatnorm", "{block}", "--method", "bnb", "--node-budget", "0"),
         ("flatnorm", "{frustrated}", "--method", "bnb"),
+        ("plateau", "--curve", "{fold2}"),
+        ("flatnorm", "{block}"),
+        ("flatnorm", "{frustrated27}"),
     ],
     ids=["mass", "boundary", "flatnorm", "plateau", "plateau-local", "deform", "span-check",
          "clamp", "diagnostics", "eflat", "cone", "pushforward", "restrict", "natural-norm",
-         "plateau-bnb-fold2", "plateau-bnb-axes", "flatnorm-bnb-cover", "flatnorm-bnb-search"],
+         "plateau-bnb-fold2", "plateau-bnb-axes", "flatnorm-bnb-cover", "flatnorm-bnb-search",
+         "plateau-fold2", "flatnorm-cover", "flatnorm-over-limit"],
 )
 def test_cli_reports_survive_python_O(argv, tmp_path):
     """Invariants hold under python -O: no result depends on an assert."""
@@ -780,10 +784,16 @@ def test_cli_reports_survive_python_O(argv, tmp_path):
     frustrated = tmp_path / "frustrated.json"
     P = random_grid_chain(make_grid((2, 2, 2)), 2, random.Random(16), density=0.5)
     frustrated.write_text(dumps_report(P))
+    # seed 1's chain needs the search too, over 27 cells: past the exhaustive limit
+    frustrated27 = tmp_path / "frustrated27.json"
+    P = random_grid_chain(grid, 2, random.Random(1), density=0.5)
+    frustrated27.write_text(dumps_report(P))
     paths = {"{pair}": str(pair), "{fold2}": str(fold2), "{block}": str(block),
-             "{frustrated}": str(frustrated)}
+             "{frustrated}": str(frustrated), "{frustrated27}": str(frustrated27)}
     labelled = "{fold2}" in argv
+    method = argv[argv.index("--method") + 1] if "--method" in argv else "exhaustive"
     covered = {"{block}": True, "{frustrated}": False}.get(argv[1])
+    refused = "{frustrated27}" in argv
     argv = [paths.get(a, a) for a in argv]
     env = {**os.environ, "PYTHONPATH": SRC}
     runs = [
@@ -797,10 +807,15 @@ def test_cli_reports_survive_python_O(argv, tmp_path):
         for flags in ((), ("-O",))
     ]
     plain, optimised = runs
-    assert plain.returncode == 0, plain.stderr
+    assert plain.returncode == (2 if refused else 0), plain.stderr
     assert (optimised.returncode, optimised.stdout) == (plain.returncode, plain.stdout)
+    if refused:
+        assert "27 free cells exceed the exhaustive limit 24" in plain.stderr
+        assert optimised.stderr == plain.stderr
     if labelled:
-        assert json.loads(plain.stdout)["optimality"] == "exact"
+        doc = json.loads(plain.stdout)
+        assert (doc["weight"], doc["optimality"], doc["method"], doc["nodes"]) == (
+            "8", "exact", method, "1")
     if covered is not None:
         doc = json.loads(plain.stdout)
         assert doc["status"] == "exact"

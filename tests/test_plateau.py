@@ -104,14 +104,6 @@ def test_unit_square_minimum_is_one():
     assert sol.weight >= sol.region_bound
 
 
-def test_unit_square_bnb_agrees():
-    problem = unit_problem()
-    ex = minimize_weight(problem, method="exhaustive")
-    bb = minimize_weight(problem, method="bnb")
-    assert bb.weight == ex.weight == 1
-    assert bb.optimality == "exact"
-
-
 def test_patch_minimum_is_four():
     problem = patch_problem()
     sol = minimize_weight(problem, method="exhaustive")
@@ -125,14 +117,17 @@ def test_patch_refined_grid_same_value():
     grid = make_grid((8, 8, 8), origin=(-2, -2, -2), eps=F(1, 2))
     gamma = square_curve(grid, 4, 2, 6)
     problem = plateau_problem(gamma)
-    # too many candidate faces for the plain exhaustive guard
-    with pytest.raises(ValueError):
-        minimize_weight(problem, method="exhaustive")
-    sol = minimize_weight(problem, method="bnb")
-    assert sol.weight == 4
-    assert sol.optimality == "exact"
-    assert len(sol.pair.B) == 16
-    assert sol.pair.C.is_zero()
+    for method in ("exhaustive", "bnb"):
+        sol = minimize_weight(problem, method=method)
+        assert (sol.weight, sol.optimality, sol.method) == (4, "exact", method)
+        assert len(sol.pair.B) == 16
+        assert sol.pair.C.is_zero()
+    # with the axes alone no direction labels cells, and the faces are too
+    # many for the face search's exhaustive guard
+    axes = plateau_problem(gamma, dirs=default_directions(0, 0))
+    assert axes.injective_direction is None
+    with pytest.raises(ValueError, match="beyond the exhaustive budget"):
+        minimize_weight(axes, method="exhaustive")
 
 
 def test_local_descent_gives_upper_bound():
@@ -698,15 +693,20 @@ def _oriented_curve(name, sym):
 
 @pytest.mark.parametrize("name", ["sq1", "sq2", "sq3", "hex1", "fold1"])
 def test_labelling_matches_exhaustive_face_search(name):
+    # sq1 is also the unit square of unit_problem, on a 3x3x3 grid
     for sym in SYMMETRIES_48:
         gamma = _oriented_curve(name, sym)
         labelled = plateau_problem(gamma)
         assert labelled.injective_direction is not None
         bb = minimize_weight(labelled, method="bnb")
         ex = minimize_weight(plateau_problem(gamma), method="exhaustive")
-        assert (bb.weight, bb.optimality) == (ex.weight, ex.optimality) == (bb.weight, "exact")
+        assert (bb.pair, bb.weight, bb.nodes) == (ex.pair, ex.weight, ex.nodes)
+        assert (bb.optimality, ex.optimality) == ("exact", "exact")
+        assert (bb.method, ex.method) == ("bnb", "exhaustive")
         assert gamma_membership(bb.pair, labelled).member
-        assert gamma_membership(ex.pair, labelled).member
+        found, _, clean = plateau._search(labelled, None, len(labelled.faces))
+        assert clean and mass_grid(found[0].B) == bb.weight
+        assert gamma_membership(found[0], labelled).member
 
 
 @settings(max_examples=60, deadline=None)
@@ -788,8 +788,9 @@ def test_label_budget_error_quotes_the_least_film():
     with pytest.raises(BudgetError) as err:
         minimize_weight(problem, method="bnb")
     assert err.value.required == 3
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as err:
         minimize_weight(problem, method="exhaustive")
+    assert err.value.required == 3
     # the sweep film alone is over the budget too, and proves nothing
     with pytest.raises(BudgetError, match="node budget ran out") as err:
         minimize_weight(problem, method="bnb", node_budget=0)
