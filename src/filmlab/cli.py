@@ -401,7 +401,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", help="energy budget (default: twice cone energy)")
     p.add_argument("--eps", help="expected grid spacing; errors if it disagrees")
     p.add_argument("--method", choices=("exhaustive", "bnb", "local"), default="exhaustive",
-                   help="search used when the cover cannot answer; local always descends")
+                   help="search used when the cover cannot answer; "
+                        "local: the labelling's root film, no search")
     p.add_argument("--dirs", type=int, default=10, help="extra oblique directions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--node-budget", type=int)

@@ -23,32 +23,34 @@ on that problem shares them.
 
 The mass part is never searched independently: any pair passing the
 boundary precondition has C = gamma + boundary(B) exactly, so a search
-ranges over films B alone.  Two searches do that.
+ranges over films B alone.
+
+Every method starts from one labelled film.  Clamping onto the curve's
+lattice box is a cellular retraction that fixes gamma and never adds
+faces, and there every film bounded by gamma is the sweep film plus the
+boundary of a 0/1 label on the box's 3-cells (the box is contractible).
+Such a film has C = 0, so it spans along every admissible direction.  A
+maximum flow in the doubled cover bounds each labelling node below, a
+node whose residual closure is a symmetric cut is solved outright, and
+otherwise the cells its cut decides are fixed and the rest are branched
+on (see _least_labelling).  Flat norms of 2-chains share that cover
+(filmlab.flatnorm).  "local" takes the root node alone.
 
 When some admissible direction sees every lattice edge of the working
 cube apart (PlateauProblem.injective_direction), a pair in the cube
-spans iff C = 0, so the members are the cube films with boundary(B) =
-gamma within the budget.  Clamping onto the curve's lattice box is a
-cellular retraction that fixes gamma and never adds faces, so some least
-film lies in that box, and there every film is the sweep film plus the
-boundary of a 0/1 label on the box's 3-cells.  Both exact methods then
-minimise over those labels: a maximum flow in the doubled cover bounds
-each node below, a node whose residual closure is a symmetric cut is
-solved outright, and otherwise the cells its cut decides are fixed and
-the rest are branched on (see _least_labelling).  Flat norms of 2-chains
-share that cover (filmlab.flatnorm).
+spans iff C = 0, so the least labelled film is the least member, and
+both exact methods branch the labelling to the end.
 
-Otherwise, and for "local" always, the search ranges over subsets of
-the working cube's faces.  Candidates are enumerated in ascending face
-count (weight is face count times the cell area, so the first feasible
-subset is optimal) with two cheap rejections before the full spanning
-check: the energy budget, and per-axis shadow parities, which must match
-the region enclosed by the projected curve column by column.
+Otherwise the root film is their incumbent, and they search subsets of
+the working cube's faces below its face count, in ascending count
+(weight is face count times the cell area, so the first feasible subset
+is optimal) with two cheap rejections before the full spanning check:
+the energy budget, and per-axis shadow parities, which must match the
+region enclosed by the projected curve column by column.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -65,7 +67,6 @@ from .dipolyhedra import (
     cone_dip,
     default_directions,
     energy,
-    is_grid_chain,
     region_cells,
     support_in_cube,
 )
@@ -89,8 +90,9 @@ from .simplicial import boundary_simplicial, embed_grid_chain
 
 
 class BudgetError(ValueError):
-    """The energy budget cannot be met; carries the budget needed: the
-    least film's weight when it is known, else the cone start's energy."""
+    """The energy budget cannot be met; carries the budget needed when it
+    is known: the least film's weight, or the cone's energy when not even
+    one face fits the budget."""
 
     def __init__(self, message, required=None):
         super().__init__(message)
@@ -207,12 +209,9 @@ class PlateauProblem:
 
         Every film B in the box with boundary(B) = gamma is B0 + boundary(x),
         B0 the sweep film, for a 0/1 label x on the box's 3-cells, as the
-        box is contractible.  None without an injective direction, or
-        when the curve's box leaves the working cube (a hand-built
-        problem can do that).
+        box is contractible.  None when the curve's box leaves the
+        working cube (a hand-built problem can do that).
         """
-        if self.injective_direction is None:
-            return None
         ends = [v for cell in self.gamma.cells for v in edge_ends(cell)]
         lo = tuple(min(v[a] for v in ends) for a in range(3))
         hi = tuple(max(v[a] for v in ends) for a in range(3))
@@ -475,8 +474,9 @@ class PlateauSolution:
 def _candidate(problem: PlateauProblem, faces) -> Optional[tuple[Dipolyhedron, Fraction]]:
     """(B, gamma + dB) for a face set B, with its energy, if it is a member.
 
-    The boundary identity holds by construction; the working cube is
-    checked because a hand-built problem may put its curve outside it.
+    The boundary identity holds by construction, and the support lies in
+    the working cube: the faces do, and minimize_weight checks the
+    curve's box before it searches.
     """
     B = chain_of(problem.grid, 2, faces)
     C = problem.gamma + boundary_grid(B)
@@ -484,15 +484,9 @@ def _candidate(problem: PlateauProblem, faces) -> Optional[tuple[Dipolyhedron, F
     if e > problem.lam:
         return None
     pair = Dipolyhedron(B, C)
-    if not support_in_cube(pair, _ORIGIN, problem.lam_prime):
-        return None
     if not problem.grid_context.check(pair).spans:
         return None
     return pair, e
-
-
-class _Found(Exception):
-    pass
 
 
 def _search(problem: PlateauProblem, node_budget, max_faces: int):
@@ -502,8 +496,10 @@ def _search(problem: PlateauProblem, node_budget, max_faces: int):
     or target region touches.  A face perpendicular to an admissible axis
     toggles exactly one bit, so the number of wrong bits is a lower bound
     on the faces still needed; bits no remaining face can reach prune the
-    branch outright.  Returns the first member found with its energy (or
-    None), the nodes visited, and whether the node budget was never hit.
+    branch outright.  Each cardinality is a depth-first walk on an
+    explicit stack that takes a face before it skips it.  Returns the
+    first member found with its energy (or None), the nodes visited, and
+    whether the node budget was never hit.
     """
     faces = problem.faces
     targets = problem.axis_targets
@@ -531,42 +527,24 @@ def _search(problem: PlateauProblem, node_budget, max_faces: int):
     for i in range(len(faces) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | masks[i]
 
-    best = None
     nodes = 0
-    clean = True
-    chosen: list[GridCell] = []
-
-    def dfs(idx: int, left: int, state: int):
-        nonlocal best, nodes, clean
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            clean = False
-            raise _Found
-        wrong = state ^ target
-        if left == 0:
-            if wrong == 0:
-                hit = _candidate(problem, chosen)
-                if hit is not None:
-                    best = hit
-                    raise _Found
-            return
-        if len(faces) - idx < left:
-            return
-        if bin(wrong).count("1") > left:
-            return
-        if wrong & ~suffix[idx]:
-            return
-        chosen.append(faces[idx])
-        dfs(idx + 1, left - 1, state ^ masks[idx])
-        chosen.pop()
-        dfs(idx + 1, left, state)
-
     for w in range(0, max_faces + 1):
-        try:
-            dfs(0, w, 0)
-        except _Found:
-            break
-    return best, nodes, clean
+        stack = [(0, w, 0, ())]
+        while stack:
+            idx, left, state, chosen = stack.pop()
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return None, nodes, False
+            wrong = state ^ target
+            if left == 0:
+                if wrong == 0 and (hit := _candidate(problem, chosen)) is not None:
+                    return hit, nodes, True
+                continue
+            if len(faces) - idx < left or bin(wrong).count("1") > left or wrong & ~suffix[idx]:
+                continue
+            stack.append((idx + 1, left, state, chosen))
+            stack.append((idx + 1, left - 1, state ^ masks[idx], chosen + (faces[idx],)))
+    return None, nodes, True
 
 
 def _least_labelling(n: int, sides, node_budget: Optional[int]):
@@ -612,26 +590,19 @@ def _least_labelling(n: int, sides, node_budget: Optional[int]):
     return best, best_cost, root_bound, nodes, not stack
 
 
-def _label_cells(problem: PlateauProblem, method: str, node_budget: Optional[int]) -> PlateauSolution:
+def _label_cells(problem: PlateauProblem, node_budget: Optional[int]):
     """Least film B0 + boundary(x) over labels x of the curve's box cells,
-    B0 being the sweep film; an upper bound if the node budget runs out."""
+    B0 being the sweep film, or the best one when the node budget runs
+    out; with the nodes visited and whether every node closed."""
     lab = problem.box_labelling
-    x, cost, root_bound, nodes, exact = _least_labelling(lab.cells, lab.sides, node_budget)
+    x, cost, root_bound, nodes, closed = _least_labelling(lab.cells, lab.sides, node_budget)
     grid = problem.grid
     B = chain_of(grid, 2, [f for f, (a, b, p) in zip(lab.faces, lab.sides) if p ^ x[a] ^ x[b]])
     if boundary_grid(B) != problem.gamma:
         raise RuntimeError("the labelled film is not bounded by the curve")
     if not len(B) == cost >= root_bound:
         raise RuntimeError(f"labelled film of {len(B)} faces, cost {cost}, bound {root_bound}")
-    e = mass_grid(B)
-    if e > problem.lam and exact:
-        raise BudgetError(
-            f"energy budget {problem.lam} below the least spanning film's weight {e}", required=e
-        )
-    if e > problem.lam:
-        raise BudgetError(f"the node budget ran out before a film within {problem.lam} was found")
-    pair = Dipolyhedron(B, empty_chain(grid, 1))
-    return _as_solution(problem, pair, e, "exact" if exact else "upper-bound", method, nodes)
+    return B, nodes, closed
 
 
 def _as_solution(problem, pair, e, optimality, method, nodes) -> PlateauSolution:
@@ -649,22 +620,26 @@ def minimize_weight(
     problem: PlateauProblem,
     method: str = "exhaustive",
     node_budget: Optional[int] = None,
-    start: Optional[Dipolyhedron] = None,
 ) -> PlateauSolution:
     """Minimise the film weight over admissible grid pairs.
 
-    "bnb" has a node budget (default 10^6); "exhaustive" has none unless
-    one is passed.  With an injective direction both label the 3-cells
-    of the curve's box: each node is one max-flow solve, the answer is
-    exact when the flow bound meets the film found, and a spent budget
-    returns the best film so far (the sweep film at budget 0) as an
-    upper bound.  Otherwise both search subsets of the working cube's
-    faces in ascending cardinality, so the first feasible pair is a
-    proved minimiser, and a spent budget falls back to the cone start.
-    "local" does seeded single-face descent from the cone start, takes
-    no node budget, and always reports an upper bound.  Raises BudgetError
-    when no admissible pair fits the energy budget, and ValueError when
-    no direction is admissible for the curve, as then no pair can span it.
+    Every method labels the 3-cells of the curve's box, each labelling
+    node one max-flow solve; the film found has C = 0, so it is a member
+    whenever it fits the energy budget.  "local" takes the root node
+    alone and no node budget.  "bnb" has a node budget (default 10^6);
+    "exhaustive" has none unless one is passed.  With an injective
+    direction both branch the labelling, the answer is exact when the
+    flow bound meets the film found, and a spent budget returns the best
+    film so far (the sweep film at budget 0) as an upper bound.
+    Otherwise the root film is their incumbent and they search subsets
+    of the working cube's faces below its face count, in ascending
+    cardinality, so the first feasible pair is a proved minimiser, and a
+    clean search that finds none proves the root film; the nodes are the
+    labelling's and the search's, under one budget.  "local" is exact
+    only when the root closes under an injective direction.  Raises
+    BudgetError when no admissible pair fits the energy budget, and
+    ValueError when no direction is admissible for the curve, as then no
+    pair can span it.
     """
     if method not in ("exhaustive", "bnb", "local"):
         raise ValueError(f"unknown method: {method}")
@@ -686,64 +661,50 @@ def minimize_weight(
         raise ValueError(
             "no projection direction is admissible for the curve, so no pair can span it"
         )
-    if method == "local":
-        return _local_descent(problem, start)
+    if problem.box_labelling is None:
+        # every pair contains the curve's edges outside the cube
+        raise BudgetError(
+            f"the curve leaves the working cube of the budget {problem.lam}: no pair fits it"
+        )
     if method == "bnb" and node_budget is None:
         node_budget = 10 ** 6
-    if problem.box_labelling is not None:
-        return _label_cells(problem, method, node_budget)
-
+    witness = problem.injective_direction is not None
+    search = method != "local" and not witness
     faces = problem.faces
-    if method == "exhaustive" and node_budget is None and len(faces) > 512:
+    if search and method == "exhaustive" and node_budget is None and len(faces) > 512:
         raise ValueError(
             f"{len(faces)} candidate faces is beyond the exhaustive budget; "
             "use method='bnb' or pass a node budget"
         )
-    max_faces = min(len(faces), int(problem.lam / eps2))
-    best, nodes, clean = _search(problem, node_budget, max_faces)
-
-    if best is not None:
-        pair, e = best
-        return _as_solution(problem, pair, e, "exact" if clean else "upper-bound", method, nodes)
-    if clean:
+    if witness and method != "local":
+        label_budget = node_budget
+    else:
+        # the root node alone, inside the node budget
+        label_budget = 1 if node_budget is None else min(1, node_budget)
+    B, nodes, exact = _label_cells(problem, label_budget)
+    exact = exact and witness
+    if search:
+        budget = None if node_budget is None else node_budget - nodes
+        max_faces = min(len(faces), int(problem.lam / eps2), len(B) - 1)
+        best, more, exact = _search(problem, budget, max_faces)
+        nodes += more
+        if best is not None:
+            pair, e = best
+            optimality = "exact" if exact else "upper-bound"
+            return _as_solution(problem, pair, e, optimality, method, nodes)
+    e = mass_grid(B)
+    if e > problem.lam:
+        if not exact:
+            raise BudgetError(
+                f"the node budget ran out before a film within {problem.lam} was found"
+            )
+        if not witness:
+            raise BudgetError(f"no admissible pair within the energy budget {problem.lam}")
         raise BudgetError(
-            "no admissible pair within the energy budget; "
-            f"the cone start needs {float(cone_energy(problem.gamma)):.6g}",
-            required=cone_energy(problem.gamma),
+            f"energy budget {problem.lam} below the least spanning film's weight {e}", required=e
         )
-    # budget ran out without a feasible pair: fall back to the cone start
-    fallback = initial_cone_solution(problem).pair
-    return _as_solution(problem, fallback, energy(fallback).energy, "upper-bound", method, nodes)
-
-
-def _local_descent(problem: PlateauProblem, start: Optional[Dipolyhedron]) -> PlateauSolution:
-    """Seeded single-face descent from a member start.
-
-    Toggling one face changes the face count by one, so only a removal
-    can lower (weight, energy): faces not in the film count as visited
-    nodes but are not tried.
-    """
-    if start is None:
-        start = initial_cone_solution(problem).pair
-    if not (is_grid_chain(start.B) and start.B.grid == problem.grid):
-        raise ValueError("local search needs a grid pair on the problem grid")
-    pair, e = start, energy(start).energy
-    if not gamma_membership(start, problem).member:
-        return _as_solution(problem, pair, e, "upper-bound", "local", 0)
-    faces = problem.faces
-    rng = random.Random(f"filmlab-plateau:{problem.seed}")
-    order = list(range(len(faces)))
-    nodes = 0
-    while True:
-        rng.shuffle(order)
-        for i in order:
-            nodes += 1
-            film = pair.B.cells
-            if faces[i] in film and (hit := _candidate(problem, film - {faces[i]})):
-                pair, e = hit
-                break
-        else:
-            return _as_solution(problem, pair, e, "upper-bound", "local", nodes)
+    pair = Dipolyhedron(B, empty_chain(problem.grid, 1))
+    return _as_solution(problem, pair, e, "exact" if exact else "upper-bound", method, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,42 @@ HEX = [(_H, -_H, -_H), (_H, _H, -_H), (-_H, _H, -_H), (-_H, _H, _H), (-_H, -_H, 
 FOLD = [(-_H, 0, 1), (-_H, 0, 0), (-_H, 1, 0), (_H, 1, 0), (_H, 0, 0), (_H, 0, 1)]
 
 
+def unit_steps(corners):
+    """The closed polygon through the corners, each side cut into unit steps."""
+    points = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        (axis,) = [i for i in range(3) if a[i] != b[i]]
+        step = 1 if b[axis] > a[axis] else -1
+        points += [
+            tuple(c + step * t if i == axis else c for i, c in enumerate(a))
+            for t in range(abs(b[axis] - a[axis]))
+        ]
+    return points
+
+
+# lifted staircase polygons with an admissible direction but no injective one
+STAIR22 = [
+    (-2, -2, -2), (-2, 1, -2), (-2, 1, 0), (-1, 1, 0), (-1, 1, -1), (0, 1, -1), (0, 1, 0),
+    (0, -1, 0), (0, -1, -1), (1, -1, -1), (1, -1, 0), (1, -2, 0), (1, -2, -2), (-1, -2, -2),
+    (-1, -2, -1), (-2, -2, -1),
+]
+STAIR44 = [
+    (-3, -3, -1), (-3, -2, -1), (-3, -2, -3), (-3, -1, -3), (-3, -1, -1), (-3, 0, -1),
+    (-3, 0, 0), (-3, 1, 0), (-3, 1, -3), (-2, 1, -3), (-2, 1, -1), (-2, 0, -1), (-2, 0, -2),
+    (-2, -1, -2), (-2, -1, -1), (-1, -1, -1), (-1, -1, -3), (0, -1, -3), (0, -1, -1),
+    (0, -2, -1), (1, -2, -1), (1, -2, -3), (2, -2, -3), (2, -2, -1), (2, -3, -1), (2, -3, -3),
+    (0, -3, -3), (0, -3, -2), (-2, -3, -2), (-2, -3, 0), (-3, -3, 0),
+]
+
+
+def stair22():
+    return polygon_curve(unit_steps(STAIR22), 10)
+
+
+def stair44():
+    return polygon_curve(unit_steps(STAIR44), 14)
+
+
 def random_grid_chain(grid, k, rng, density=0.3):
     cells = [c for c in grid.cells(k) if rng.random() < density]
     return chain_of(grid, k, cells)

@@ -37,7 +37,16 @@ from filmlab.io_formats import (
 )
 from filmlab.simplicial import simplicial_chain
 
-from conftest import FOLD, HEX, make_grid, polygon_curve, random_grid_chain, refine_polygon, square_curve
+from conftest import (
+    FOLD,
+    HEX,
+    make_grid,
+    polygon_curve,
+    random_grid_chain,
+    refine_polygon,
+    square_curve,
+    stair22,
+)
 
 F = Fraction
 FIX = "fixtures"
@@ -599,12 +608,14 @@ def test_cli_require_exact_exit_3(capsys):
         "--eps",
         "1",
         "--method",
-        "local",
+        "bnb",
+        "--node-budget",
+        "0",
         "--require-exact",
     )
     assert code == 3
     doc = json.loads(out)
-    assert doc["optimality"] == "upper-bound"
+    assert (doc["optimality"], doc["nodes"]) == ("upper-bound", "0")
 
 
 def test_cli_byte_determinism(capsys):
@@ -762,11 +773,12 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         ("plateau", "--curve", "{fold2}"),
         ("flatnorm", "{block}"),
         ("flatnorm", "{frustrated27}"),
+        ("plateau", "--curve", "{stair22}", "--method", "local"),
     ],
     ids=["mass", "boundary", "flatnorm", "plateau", "plateau-local", "deform", "span-check",
          "clamp", "diagnostics", "eflat", "cone", "pushforward", "restrict", "natural-norm",
          "plateau-bnb-fold2", "plateau-bnb-axes", "flatnorm-bnb-cover", "flatnorm-bnb-search",
-         "plateau-fold2", "flatnorm-cover", "flatnorm-over-limit"],
+         "plateau-fold2", "flatnorm-cover", "flatnorm-over-limit", "plateau-local-stair22"],
 )
 def test_cli_reports_survive_python_O(argv, tmp_path):
     """Invariants hold under python -O: no result depends on an assert."""
@@ -788,12 +800,16 @@ def test_cli_reports_survive_python_O(argv, tmp_path):
     frustrated27 = tmp_path / "frustrated27.json"
     P = random_grid_chain(grid, 2, random.Random(1), density=0.5)
     frustrated27.write_text(dumps_report(P))
+    stairs = tmp_path / "stair22.json"
+    stairs.write_text(dumps_report(stair22()))
     paths = {"{pair}": str(pair), "{fold2}": str(fold2), "{block}": str(block),
-             "{frustrated}": str(frustrated), "{frustrated27}": str(frustrated27)}
+             "{frustrated}": str(frustrated), "{frustrated27}": str(frustrated27),
+             "{stair22}": str(stairs)}
     labelled = "{fold2}" in argv
     method = argv[argv.index("--method") + 1] if "--method" in argv else "exhaustive"
     covered = {"{block}": True, "{frustrated}": False}.get(argv[1])
     refused = "{frustrated27}" in argv
+    rooted = "{stair22}" in argv
     argv = [paths.get(a, a) for a in argv]
     env = {**os.environ, "PYTHONPATH": SRC}
     runs = [
@@ -816,6 +832,9 @@ def test_cli_reports_survive_python_O(argv, tmp_path):
         doc = json.loads(plain.stdout)
         assert (doc["weight"], doc["optimality"], doc["method"], doc["nodes"]) == (
             "8", "exact", method, "1")
+    if rooted:
+        doc = json.loads(plain.stdout)
+        assert (doc["weight"], doc["optimality"], doc["nodes"]) == ("16", "upper-bound", "1")
     if covered is not None:
         doc = json.loads(plain.stdout)
         assert doc["status"] == "exact"

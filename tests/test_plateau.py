@@ -52,6 +52,8 @@ from conftest import (
     random_grid_chain,
     refine_polygon,
     square_curve,
+    stair22,
+    stair44,
     world_edges,
     world_shadow,
 )
@@ -122,8 +124,8 @@ def test_patch_refined_grid_same_value():
         assert (sol.weight, sol.optimality, sol.method) == (4, "exact", method)
         assert len(sol.pair.B) == 16
         assert sol.pair.C.is_zero()
-    # with the axes alone no direction labels cells, and the faces are too
-    # many for the face search's exhaustive guard
+    # with the axes alone nothing proves the labelled film least, and the
+    # faces are too many for the face search's exhaustive guard
     axes = plateau_problem(gamma, dirs=default_directions(0, 0))
     assert axes.injective_direction is None
     with pytest.raises(ValueError, match="beyond the exhaustive budget"):
@@ -131,11 +133,17 @@ def test_patch_refined_grid_same_value():
 
 
 def test_local_descent_gives_upper_bound():
-    problem = unit_problem()
+    # local is the labelling's root film; with the axes alone nothing
+    # proves it least
+    problem = unit_problem(dirs=default_directions(0, 0))
+    assert problem.injective_direction is None
     sol = minimize_weight(problem, method="local")
-    assert sol.optimality == "upper-bound"
+    assert (sol.weight, sol.optimality, sol.nodes) == (1, "upper-bound", 1)
     assert sol.feasibility.member
-    assert sol.weight >= 1
+    # the root closes under an injective direction: the unit face, proved
+    sol = minimize_weight(unit_problem(), method="local")
+    assert (sol.weight, sol.optimality, sol.nodes) == (1, "exact", 1)
+    assert sol.feasibility.member
 
 
 def test_local_descent_rejects_node_budget():
@@ -436,10 +444,12 @@ def test_minimize_weight_builds_one_spanning_context(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(plateau, "SpanningContext", CountingContext)
-    # the axes alone see no cube edges apart, so bnb searches faces
+    # the axes alone see no cube edges apart, so bnb searches faces below
+    # the labelling's root film
     problem = unit_problem(dirs=default_directions(0, 0))
     assert problem.injective_direction is None
-    # local descent from the cone start, and bnb falling back to the cone start
+    # local takes the root film; bnb spends its one node on the root and
+    # returns it when the search's first node is over the budget
     for kwargs in ({"method": "local"}, {"method": "bnb", "node_budget": 1}):
         sol = minimize_weight(problem, **kwargs)
         assert sol.optimality == "upper-bound" and sol.feasibility.member
@@ -473,86 +483,6 @@ def test_one_spanning_context_per_problem(monkeypatch):
     report = clamp_improvement(Dipolyhedron(B, problem.gamma + boundary_grid(B)), problem)
     assert report.changed and report.pair.rep == "simplicial"
     assert sorted(built) == ["grid", "simplicial"]
-
-
-def _toggle_descent(problem, start):
-    """Local descent as a full toggle loop: every face in the working cube
-    is toggled in turn and a trial is kept when (weight, energy) drops.
-    Returns the final faces, energy and visited-face count."""
-    faces = list(problem.faces)
-    ctx = SpanningContext(problem.gamma, problem.dirs)
-    rng = random.Random(f"filmlab-plateau:{problem.seed}")
-    order = list(range(len(faces)))
-    current = set(start.B.cells)
-    cur_w, cur_e = mass_grid(start.B), energy(start).energy
-    nodes = 0
-    improved = True
-    while improved:
-        improved = False
-        rng.shuffle(order)
-        for i in order:
-            nodes += 1
-            trial = current ^ {faces[i]}
-            B = chain_of(problem.grid, 2, trial)
-            C = problem.gamma + boundary_grid(B)
-            w = mass_grid(B)
-            e = w + mass_grid(C)
-            if (w, e) >= (cur_w, cur_e) or e > problem.lam:
-                continue
-            pair = Dipolyhedron(B, C)
-            if not support_in_cube(pair, (0, 0, 0), problem.lam_prime):
-                continue
-            if not ctx.check(pair).spans:
-                continue
-            current, cur_w, cur_e = trial, w, e
-            improved = True
-            break
-    return frozenset(current), cur_e, nodes
-
-
-def _shelled_starts(problem, film):
-    """Member pairs: the film toggled by the boundary of one unit cube of
-    the working cube.  The mass part is unchanged, so only the budget can
-    rule them out; the shell's extra faces are what descent can remove."""
-    faces = set(problem.faces)
-    starts = []
-    for cube in problem.grid.cells(3):
-        shell = boundary_grid(chain_of(problem.grid, 3, [cube]))
-        if set(shell.cells) <= faces:
-            B = film + shell
-            A = Dipolyhedron(B, problem.gamma + boundary_grid(B))
-            if gamma_membership(A, problem).member:
-                starts.append(A)
-    return starts
-
-
-@pytest.mark.parametrize("name", ["sq2", "sq3", "hex1", "fold1"])
-def test_local_descent_matches_toggle_rule(name):
-    # with the axes alone, a square's mass part only has to vanish along
-    # its normal, so faces can be removed one at a time; sq2 needs a larger
-    # budget (and a grid covering its cube) for a shelled start to fit it
-    builds = {
-        "sq2": lambda: (square_curve(centred_grid((6, 6, 6)), 3, 2, 4), 12),
-        "sq3": lambda: (_centred_square(3), None),
-        "hex1": lambda: (polygon_curve(HEX, 3), None),
-        "fold1": lambda: (polygon_curve(FOLD, 2), None),
-    }
-    gamma, lam = builds[name]()
-    moved = 0
-    for seed in (0, 1, 2):
-        extras = (0, 10) if name.startswith("sq") else (10,)
-        for extra in extras:
-            problem = plateau_problem(gamma, lam=lam, dirs=default_directions(seed, extra), seed=seed)
-            cone = initial_cone_solution(problem).pair
-            starts = [cone] + _shelled_starts(problem, cone.B)[seed::8]
-            for start in starts:
-                sol = minimize_weight(problem, method="local", start=start)
-                cells, e, nodes = _toggle_descent(problem, start)
-                assert (sol.pair.B.cells, sol.energy, sol.nodes) == (cells, e, nodes)
-                assert sol.pair.C == problem.gamma + boundary_grid(sol.pair.B)
-                moved += sol.weight < mass_grid(start.B)
-    if name.startswith("sq"):
-        assert moved, "no start was descended from"
 
 
 # ---------------------------------------------------------------------------
@@ -795,6 +725,10 @@ def test_label_budget_error_quotes_the_least_film():
     with pytest.raises(BudgetError, match="node budget ran out") as err:
         minimize_weight(problem, method="bnb", node_budget=0)
     assert err.value.required is None
+    # local's root closes on the least film
+    with pytest.raises(BudgetError) as err:
+        minimize_weight(problem, method="local")
+    assert err.value.required == 3
 
 
 @pytest.mark.parametrize("name", ["hex1", "fold1", "fold2"])
@@ -807,22 +741,69 @@ def test_no_admissible_direction_is_named_not_blamed_on_the_budget(name):
         assert not isinstance(err.value, BudgetError)
 
 
-@pytest.mark.parametrize("n, weight, nodes", [(2, 4, 41), (3, 9, 183)])
+@pytest.mark.parametrize("n, weight, nodes", [(2, 4, 5), (3, 9, 10)])
 def test_axes_alone_keep_the_face_search(n, weight, nodes):
+    # the root film is the least film, and the search below it takes one
+    # node per cardinality
     problem = plateau_problem(_centred_square(n), dirs=default_directions(0, 0))
     assert problem.injective_direction is None
     sol = minimize_weight(problem, method="bnb")
     assert (sol.weight, sol.optimality, sol.nodes) == (weight, "exact", nodes)
     assert sol.feasibility.member
+    assert sol.pair.B == sweep_film(problem.gamma)
 
 
-def test_curve_outside_its_cube_takes_the_face_search():
+def test_curve_outside_its_cube_fits_no_pair():
     # a hand-built problem whose working cube is smaller than the curve:
-    # the labelling does not apply, and no face set fits in the cube
+    # every pair contains the curve's edges outside the cube
     grid = make_grid((3, 3, 2), origin=(F(-3, 2), F(-3, 2), F(-1)))
     gamma = square_curve(grid, 1, 1, 2)
     dirs = tuple(default_directions(0))
     problem = PlateauProblem(gamma, F(4), F(1, 2), grid, dirs)
     assert problem.box_labelling is None
-    with pytest.raises(BudgetError, match="no admissible pair"):
-        minimize_weight(problem, method="bnb")
+    for method in ("exhaustive", "bnb", "local"):
+        with pytest.raises(BudgetError, match="no pair fits"):
+            minimize_weight(problem, method=method)
+
+
+# ---------------------------------------------------------------------------
+# curves with an admissible direction but no injective one
+
+
+@pytest.mark.parametrize("build, length, weight", [(stair22, 22, 16), (stair44, 44, 27)])
+def test_local_takes_the_root_film_without_a_witness(build, length, weight):
+    problem = plateau_problem(build())
+    assert mass_grid(problem.gamma) == length
+    assert problem.grid_context.max_region_area is not None
+    assert problem.injective_direction is None
+    sol = minimize_weight(problem, method="local")
+    assert (sol.weight, sol.optimality, sol.nodes) == (weight, "upper-bound", 1)
+    assert sol.feasibility.member and sol.pair.C.is_zero()
+
+
+def test_face_search_runs_on_an_explicit_stack():
+    # stair44's 1728 faces once recursed one Python frame per face index
+    problem = plateau_problem(stair44())
+    sol = minimize_weight(problem, method="bnb", node_budget=2000)
+    root = minimize_weight(problem, method="local")
+    assert (sol.weight, sol.optimality, sol.nodes) == (27, "upper-bound", 2001)
+    assert sol.pair == root.pair and sol.feasibility.member
+
+
+def test_minimize_weight_never_builds_a_cone_start(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimize_weight deformed the cone")
+
+    monkeypatch.setattr(plateau, "initial_cone_solution", refuse)
+    monkeypatch.setattr("filmlab.deformation.deform_dipolyhedron", refuse)
+    axes = default_directions(0, 0)
+    cases = [
+        (unit_problem(), None),
+        (unit_problem(dirs=axes), 1),
+        (plateau_problem(polygon_curve(HEX, 3)), None),
+        (plateau_problem(stair22()), 2000),
+    ]
+    for problem, budget in cases:
+        for method in ("exhaustive", "bnb", "local"):
+            sol = minimize_weight(problem, method, None if method == "local" else budget)
+            assert sol.feasibility.member and sol.method == method
