@@ -30,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .dipolyhedra import Dipolyhedron, EnergySplit, boundary_dip, chain_mass, energy
@@ -38,15 +39,16 @@ from .geom import (
     Plane,
     Point,
     Simplex,
-    centroid,
-    is_degenerate,
+    affine_pieces,
+    homogeneous,
+    homogeneous_measure_sq,
+    measure_of_gram,
     point_simplex_dist_sq,
-    simplex_measure,
+    reduced,
     simplex_measure_sq,
     split_by_planes,
+    split_homogeneous,
     vadd,
-    vscale,
-    vsub,
 )
 from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, mass_grid
 from .overlay import (
@@ -226,48 +228,75 @@ def _wedge_edges(grid: GridSpec, cell: GridCell) -> list:
 
 def _wedge_planes(grid: GridSpec, cell: GridCell, center: Point) -> list:
     """Planes through the center and the cell's boundary edges (or corners)."""
+    c = homogeneous(center)
     return [
-        Plane.through(center, vsub(p, center), vsub(q, center))
-        for p, q in _wedge_edges(grid, cell)
+        Plane.through(c, homogeneous(p), homogeneous(q)) for p, q in _wedge_edges(grid, cell)
     ]
 
 
-def _exit_facet(grid: GridSpec, cell: GridCell, center: Point, x: Point):
-    """Axis and plane offset of the boundary facet hit first by the ray center -> x."""
-    best = None
+def _facet_offsets(grid: GridSpec, cell: GridCell, center: Point):
+    """Offsets of the cell's two facets per axis from the center, as
+    integers over one positive denominator: (K, [(axis, below, above)])."""
+    offsets = []
     for a in cell.axes:
-        d = x[a] - center[a]
-        if d == 0:
-            continue
-        step = cell.base[a] + 1 if d > 0 else cell.base[a]
-        beta = grid.origin[a] + grid.epsilon * step
-        t = (beta - center[a]) / d
-        if best is None or t < best[0]:
-            best = (t, a, beta)
-    if best is None:
-        raise ValueError("projection ray is undefined at the center")
-    return best[1], best[2]
-
-
-def _project_vertex(center: Point, v: Point, axis: int, beta: Fraction) -> Point:
-    t = (beta - center[axis]) / (v[axis] - center[axis])
-    return vadd(center, vscale(t, vsub(v, center)))
+        below = grid.origin[a] + grid.epsilon * cell.base[a] - center[a]
+        offsets.append((a, below, below + grid.epsilon))
+    k = lcm(*(q.denominator for _, lo, hi in offsets for q in (lo, hi)))
+    return k, [
+        (a, lo.numerator * (k // lo.denominator), hi.numerator * (k // hi.denominator))
+        for a, lo, hi in offsets
+    ]
 
 
 def _project_cell_pieces(grid: GridSpec, cell: GridCell, center: Point, pieces: list):
     """Wedge-split each piece and project it radially onto the cell boundary.
 
-    Returns, per input piece, a list of (sub-piece, image) pairs; images can
-    be degenerate when a sub-piece lies in a plane through the center.
+    Pieces and results are homogeneous integer simplices (geom.HSimplex).
+    Returns, per input piece, a list of (sub-piece, image) pairs; images
+    can be degenerate when a sub-piece lies in a plane through the center.
+    A sub-piece goes to the facet that the ray from the center through its
+    centroid meets first (on equal ray parameters, the first such axis),
+    and each vertex v to c + t (v - c) on that facet.  With the center
+    C / Cw, a vertex X / W, R = X Cw - C W (a positive multiple of v - c)
+    and the facet at offset O / K from the center along axis a, the image
+    is (C K R_a + O Cw R) / (Cw K R_a).
     """
     planes = _wedge_planes(grid, cell, center)
+    k, facets = _facet_offsets(grid, cell, center)
+    cx, cy, cz, cw = homogeneous(center)
     out = []
     for s in pieces:
         pairs = []
-        for sub in split_by_planes([s], planes):
-            axis, beta = _exit_facet(grid, cell, center, centroid(sub))
-            image = tuple(_project_vertex(center, v, axis, beta) for v in sub)
-            pairs.append((sub, image))
+        for sub in split_homogeneous([s], planes):
+            # the centroid minus the center, times len(sub) * d * Cw > 0
+            d = lcm(*(v[3] for v in sub))
+            sx = sy = sz = 0
+            for x, y, z, w in sub:
+                f = d // w
+                sx, sy, sz = sx + x * f, sy + y * f, sz + z * f
+            nd = len(sub) * d
+            ray = (sx * cw - cx * nd, sy * cw - cy * nd, sz * cw - cz * nd)
+            best = None
+            for a, below, above in facets:
+                da = ray[a]
+                if da == 0:
+                    continue
+                off = above if da > 0 else below
+                # the ray parameter off / da > 0, compared as |off| / |da|
+                if best is None or abs(off) * best[2] < best[1] * abs(da):
+                    best = (a, abs(off), abs(da), off)
+            if best is None:
+                raise ValueError("projection ray is undefined at the center")
+            a, off = best[0], best[3]
+            image = []
+            for x, y, z, w in sub:
+                r = (x * cw - cx * w, y * cw - cy * w, z * cw - cz * w)
+                if r[a] == 0:
+                    raise ValueError("projection ray is undefined at the center")
+                u, v = k * r[a], off * cw
+                x, y, z = cx * u + v * r[0], cy * u + v * r[1], cz * u + v * r[2]
+                image.append(reduced(x, y, z, cw * u))
+            pairs.append((sub, tuple(image)))
         out.append(pairs)
     return out
 
@@ -276,7 +305,11 @@ _FACT = (1.0, 1.0, 2.0, 6.0)
 
 
 def _projected_mass(proj) -> RadicalSum:
-    return radical_sum(simplex_measure(image) for pairs in proj for _, image in pairs)
+    return radical_sum(
+        measure_of_gram(homogeneous_measure_sq(image), len(image) - 1)
+        for pairs in proj
+        for _, image in pairs
+    )
 
 
 def _float_point(p) -> tuple:
@@ -303,7 +336,7 @@ def _fcross(a: tuple, b: tuple) -> tuple:
 
 
 def _split_float(pieces: list, n: tuple, tol: float) -> list:
-    """Float twin of split_chain_pieces for the plane <n, x> = 0."""
+    """Float twin of geom.split_homogeneous for the plane <n, x> = 0."""
     out = []
     stack = list(pieces)
     while stack:
@@ -491,7 +524,8 @@ def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConf
         ]
         top = min(ranks) + _RANK_BAND * (1.0 + min(ranks))
         admitted = [i for i, r in zip(admitted, ranks) if r <= top]
-    scored = [(i, _project_cell_pieces(grid, cell, candidates[i], pieces)) for i in admitted]
+    hpieces = [tuple(map(homogeneous, s)) for s in pieces]
+    scored = [(i, _project_cell_pieces(grid, cell, candidates[i], hpieces)) for i in admitted]
     i, proj = scored[0]
     if len(scored) > 1:
         # min keeps the first of equal masses, so ties go to the lowest index
@@ -527,13 +561,15 @@ def _run_pipeline(entries: list, grid: GridSpec, cfg: DeformConfig):
             center, proj, fb = _choose_center(grid, cell, cell_pieces, cfg)
             if fb:
                 fallbacks.append(cell)
+            points: dict = {}
             for (ei, pi), pairs in zip(members, proj):
                 images = []
                 for sub, image in pairs:
-                    tracks[ei].append(sub + (center,))
-                    tracks[ei].append(image + (center,))
-                    if not is_degenerate(image):
-                        images.append(image)
+                    sub_p, image_p = affine_pieces((sub, image), points)
+                    tracks[ei].append(sub_p + (center,))
+                    tracks[ei].append(image_p + (center,))
+                    if homogeneous_measure_sq(image) != 0:
+                        images.append(image_p)
                 replacements[ei][pi] = images
         for ei, repl in enumerate(replacements):
             if not repl:
@@ -633,6 +669,17 @@ def _mass_float(x) -> float:
     return float(x)
 
 
+def _masses(chain: SimplicialChain) -> tuple[float, RadicalSum]:
+    """_mass_float and the exact mass of a simplicial chain, from one Gram
+    determinant per simplex; the float sum runs in _mass_float's order."""
+    grams = [simplex_measure_sq(s) for s in chain.simplices]
+    fact = _FACT[chain.k]
+    return (
+        sum(math.sqrt(float(g)) / fact for g in grams),
+        radical_sum(measure_of_gram(g, chain.k) for g in grams),
+    )
+
+
 def _mass_at_most(lhs, rhs_terms) -> bool:
     """Exact test  lhs <= sum coeff * M(term)  for a mass lhs."""
     return lhs <= radical_sum(chain_mass(term) * coeff for coeff, term in rhs_terms)
@@ -680,18 +727,19 @@ def _finish_entry(
     eps = grid.epsilon
     mA, mdA = _mass_float(A), _mass_float(dA)
     mP, mdP = mass_grid(P), mass_grid(dP)
+    (mQ, exact_Q), (mR, exact_R) = _masses(Q), _masses(R)
     measured = {
         "cP": _ratio(mP, mA + float(eps) * mdA),
         "cdP": _ratio(mdP, mdA),
-        "cQ": _ratio(_mass_float(Q), float(eps) * mdA),
-        "cR": _ratio(_mass_float(R), float(eps) * mA),
+        "cQ": _ratio(mQ, float(eps) * mdA),
+        "cR": _ratio(mR, float(eps) * mA),
     }
     c = cfg.c_max
     bounds_ok = {
         "cP": _mass_at_most(mP, [(c, A), (c * eps, dA)]),
         "cdP": _mass_at_most(mdP, [(c, dA)]),
-        "cQ": _mass_at_most(chain_mass(Q), [(c * eps, dA)]),
-        "cR": _mass_at_most(chain_mass(R), [(c * eps, A)]),
+        "cQ": _mass_at_most(exact_Q, [(c * eps, dA)]),
+        "cR": _mass_at_most(exact_R, [(c * eps, A)]),
     }
 
     chain_d2 = _support_dist_sq(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, "RadicalSum"]
@@ -56,24 +56,44 @@ def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+@lru_cache(maxsize=1)
+def _trial_primes() -> tuple[tuple[int, ...], int]:
+    """The primes up to _TRIAL_LIMIT and their product."""
+    sieve = bytearray([1]) * (_TRIAL_LIMIT + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, isqrt(_TRIAL_LIMIT) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, _TRIAL_LIMIT + 1, p)))
+    primes = tuple(p for p, is_prime in enumerate(sieve) if is_prime)
+    return primes, prod(primes)
+
+
 @lru_cache(maxsize=None)
 def _split_square(n: int) -> tuple[int, int]:
-    """Return (s, f) with n = s*s*f and f square-free up to _TRIAL_LIMIT."""
+    """Return (s, f) with n = s*s*f and f square-free up to _TRIAL_LIMIT.
+
+    One gcd with the product of the primes up to the limit finds which of
+    them divide n; only those are divided out.
+    """
     if n <= 0:
         raise ValueError("radicand must be positive")
     s, f = 1, 1
     m = n
-    p = 2
-    while p <= _TRIAL_LIMIT and p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                f *= p
-        p += 1 if p == 2 else 2
+    primes, product = _trial_primes()
+    small = gcd(m, product)
+    for p in primes:
+        if small == 1:
+            break
+        if small % p:
+            continue
+        small //= p
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        s *= p ** (e // 2)
+        if e % 2:
+            f *= p
     # Leftover m has no prime factor <= _TRIAL_LIMIT; it may itself be square.
     r = isqrt(m)
     if r * r == m:
@@ -319,7 +339,8 @@ def radical_sum(values: Iterable[RadicalSum]) -> RadicalSum:
     return RadicalSum(terms)
 
 
-SQRT3 = RadicalSum.sqrt(3)
+# 3 is square-free: built directly, so importing builds no trial-prime table
+SQRT3 = RadicalSum([(3, Fraction(1))])
 
 
 # -- exact linear algebra ---------------------------------------------------

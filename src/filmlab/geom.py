@@ -3,18 +3,26 @@
 Points are 3-tuples of Fraction.  A k-simplex is a tuple of k+1 points.
 Everything here is deterministic and division-safe; degeneracy is detected
 by exact rank/measure tests, never by epsilon thresholds.
+
+The hot kernels (the plane split and the Gram measure) run on homogeneous
+integer points instead: (X, Y, Z, W) with W > 0 and gcd(X, Y, Z, W) = 1
+stands for (X/W, Y/W, Z/W).  The map from reduced Fraction triples is one
+to one, so a kernel that converts at its boundary returns the very points
+a Fraction computation would, without a Fraction in between.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .exact import RadicalSum, det3, radical_zero
 
 Point = tuple[Fraction, Fraction, Fraction]
 Simplex = tuple[Point, ...]
+HPoint = tuple[int, int, int, int]
+HSimplex = tuple[HPoint, ...]
 
 
 def as_point(coords: Sequence) -> Point:
@@ -97,50 +105,120 @@ def line_key(p: Point, q: Point):
 
 def plane_key(a: Point, b: Point, c: Point):
     """Canonical key (primitive normal, offset) of the plane through a, b, c."""
-    n = vcross(vsub(b, a), vsub(c, a))
+    A, B, C = homogeneous(a), homogeneous(b), homogeneous(c)
+    n = _normal(A, B, C)
     if n == (0, 0, 0):
         raise ValueError("collinear points do not span a plane")
-    dn = primitive_direction(n)
-    nf = (Fraction(dn[0]), Fraction(dn[1]), Fraction(dn[2]))
-    return dn, vdot(nf, a)
+    g = gcd(*n)
+    if n[0] < 0 or (n[0] == 0 and (n[1] < 0 or (n[1] == 0 and n[2] < 0))):
+        g = -g
+    dn = (n[0] // g, n[1] // g, n[2] // g)
+    return dn, Fraction(dn[0] * A[0] + dn[1] * A[1] + dn[2] * A[2], A[3])
+
+
+# -- homogeneous integer points ---------------------------------------------
+
+
+def homogeneous(p: Point) -> HPoint:
+    """Integer numerators of a rational point over its least common denominator.
+
+    For reduced coordinates no prime divides the denominator and all three
+    numerators, so the tuple is the point's unique homogeneous form.
+    """
+    x, y, z = p
+    dx, dy, dz = x.denominator, y.denominator, z.denominator
+    if dx == dy == dz == 1:
+        return x.numerator, y.numerator, z.numerator, 1
+    den = lcm(dx, dy, dz)
+    return x.numerator * (den // dx), y.numerator * (den // dy), z.numerator * (den // dz), den
+
+
+def _normal(c: HPoint, p: HPoint, q: HPoint) -> tuple[int, int, int]:
+    """A positive multiple of (p - c) x (q - c), in integers."""
+    cx, cy, cz, cw = c
+    ux, uy, uz = p[0] * cw - cx * p[3], p[1] * cw - cy * p[3], p[2] * cw - cz * p[3]
+    vx, vy, vz = q[0] * cw - cx * q[3], q[1] * cw - cy * q[3], q[2] * cw - cz * q[3]
+    return uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+
+
+def affine(h: HPoint) -> Point:
+    x, y, z, w = h
+    return (Fraction(x, w), Fraction(y, w), Fraction(z, w))
+
+
+def reduced(x: int, y: int, z: int, w: int) -> HPoint:
+    """The homogeneous form of (x, y, z)/w for any nonzero w."""
+    if w < 0:
+        x, y, z, w = -x, -y, -z, -w
+    g = gcd(x, y, z, w)
+    return x // g, y // g, z // g, w // g
 
 
 # -- simplex measure --------------------------------------------------------
 
 
-def simplex_measure_sq(simplex: Simplex) -> Fraction:
-    """Squared k-volume times (k!)^2, i.e. the Gram determinant."""
+def _gram(simplex: HSimplex) -> tuple[int, int]:
+    """(G, D): the Gram determinant of a homogeneous simplex is G / D^(2k).
+
+    The edges are integer vectors over D, the least common denominator of
+    the vertices; G is zero exactly when the simplex is degenerate.
+    """
     k = len(simplex) - 1
     if k == 0:
-        return Fraction(1)
-    edges = [vsub(v, simplex[0]) for v in simplex[1:]]
+        return 1, 1
+    x0, y0, z0, w0 = simplex[0]
+    d = w0
+    for v in simplex[1:]:
+        if v[3] != d:
+            d = lcm(d, v[3])
+    a0 = d // w0
+    x0, y0, z0 = x0 * a0, y0 * a0, z0 * a0
+    edges = []
+    for x, y, z, w in simplex[1:]:
+        a = d // w
+        edges.append((x * a - x0, y * a - y0, z * a - z0))
     if k == 1:
-        return vnorm_sq(edges[0])
+        ex, ey, ez = edges[0]
+        return ex * ex + ey * ey + ez * ez, d
     if k == 2:
-        g00 = vnorm_sq(edges[0])
-        g11 = vnorm_sq(edges[1])
-        g01 = vdot(edges[0], edges[1])
-        return g00 * g11 - g01 * g01
+        # |u x v|^2 = |u|^2 |v|^2 - (u . v)^2
+        (ux, uy, uz), (vx, vy, vz) = edges
+        cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        return cx * cx + cy * cy + cz * cz, d
     if k == 3:
-        d = det3(edges)
-        return d * d
+        det = det3(edges)
+        return det * det, d
     raise ValueError(f"unsupported simplex dimension {k}")
+
+
+def homogeneous_measure_sq(simplex: HSimplex) -> Fraction:
+    """Squared k-volume times (k!)^2 of a homogeneous simplex."""
+    g, d = _gram(simplex)
+    return Fraction(g, d ** (2 * len(simplex) - 2))
+
+
+def simplex_measure_sq(simplex: Simplex) -> Fraction:
+    """Squared k-volume times (k!)^2, i.e. the Gram determinant."""
+    return homogeneous_measure_sq(tuple(map(homogeneous, simplex)))
 
 
 _FACTORIALS = (1, 1, 2, 6)
 
 
-def simplex_measure(simplex: Simplex) -> RadicalSum:
-    """Exact k-volume: sqrt(Gram)/k!.  Rational whenever the Gram is square."""
-    k = len(simplex) - 1
-    gram = simplex_measure_sq(simplex)
+def measure_of_gram(gram: Fraction, k: int) -> RadicalSum:
+    """Exact k-volume sqrt(gram)/k! of a k-simplex with Gram determinant gram."""
     if gram == 0:
         return radical_zero()
     return RadicalSum.sqrt(gram) / _FACTORIALS[k]
 
 
+def simplex_measure(simplex: Simplex) -> RadicalSum:
+    """Exact k-volume: sqrt(Gram)/k!.  Rational whenever the Gram is square."""
+    return measure_of_gram(simplex_measure_sq(simplex), len(simplex) - 1)
+
+
 def is_degenerate(simplex: Simplex) -> bool:
-    return simplex_measure_sq(simplex) == 0
+    return _gram(tuple(map(homogeneous, simplex)))[0] == 0
 
 
 # -- point-to-simplex squared distance --------------------------------------
@@ -230,48 +308,54 @@ def _point_in_tetra(p: Point, t: Simplex) -> bool:
 
 
 class Plane:
-    """Oriented rational plane  {x : <n, x> = b}."""
+    """Oriented rational plane  {x : <n, x> = b}.
+
+    Stored as the primitive integer (n, b) of the same orientation, so the
+    side of a homogeneous point (X, W) is the sign of <n, X> - b W.
+    """
 
     __slots__ = ("n", "b")
 
-    def __init__(self, n: Point, b: Fraction):
-        self.n = (Fraction(n[0]), Fraction(n[1]), Fraction(n[2]))
-        self.b = Fraction(b)
-
-    def eval(self, p: Point) -> Fraction:
-        return vdot(self.n, p) - self.b
+    def __init__(self, n: Sequence, b):
+        """n and b are ints or Fractions."""
+        coeffs = (*n, b)
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        g = gcd(*ints) or 1
+        self.n = (ints[0] // g, ints[1] // g, ints[2] // g)
+        self.b = ints[3] // g
 
     @staticmethod
-    def through(c: Point, u: Point, v: Point) -> "Plane":
-        """Plane containing point c with directions u, v."""
-        n = vcross(u, v)
+    def through(c: HPoint, p: HPoint, q: HPoint) -> "Plane":
+        """Plane through homogeneous points c, p, q, with normal (p - c) x (q - c)."""
+        n = _normal(c, p, q)
         if n == (0, 0, 0):
             raise ValueError("degenerate plane directions")
-        return Plane(n, vdot(n, c))
+        # <n, x> = <n, c> is <Cw n, x> = <n, C>
+        return Plane([x * c[3] for x in n], n[0] * c[0] + n[1] * c[1] + n[2] * c[2])
 
     def __repr__(self):
         return f"Plane(n={self.n}, b={self.b})"
 
 
-def split_simplex(simplex: Simplex, plane: Plane):
-    """Partition a simplex by a plane into (negative, on, positive) simplices.
+def _split_into(simplex: HSimplex, plane: Plane, neg: list, on: list, pos: list) -> None:
+    """Partition a homogeneous simplex by a plane into the three buckets.
 
     Splits recursively at plane-crossing edges, so output pieces are honest
     simplices with pairwise disjoint interiors whose union is the input.
-    Pieces whose affine hull lies inside the plane go to the 'on' bucket.
-    A degenerate simplex that the plane crosses yields no pieces.  That is
+    Pieces whose affine hull lies inside the plane go to 'on'.  A
+    degenerate simplex that the plane crosses yields no pieces.  That is
     decided once, on the input: a child swaps one end of a crossing edge
     for an interior point of it, which scales the measure by t or 1 - t
     with 0 < t < 1, so children are degenerate exactly when the input is.
     """
-    neg: list[Simplex] = []
-    on: list[Simplex] = []
-    pos: list[Simplex] = []
-    stack = [tuple(simplex)]
+    n0, n1, n2 = plane.n
+    b = plane.b
+    stack = [simplex]
     root = True
     while stack:
         s = stack.pop()
-        signs = [plane.eval(v) for v in s]
+        signs = [n0 * x + n1 * y + n2 * z - b * w for x, y, z, w in s]
         crossing = None
         for i in range(len(s)):
             for j in range(i + 1, len(s)):
@@ -281,35 +365,67 @@ def split_simplex(simplex: Simplex, plane: Plane):
             if crossing:
                 break
         if crossing is None:
-            if all(v == 0 for v in signs):
+            if not any(signs):
                 on.append(s)
-            elif any(v > 0 for v in signs):
+            elif max(signs) > 0:
                 pos.append(s)
             else:
                 neg.append(s)
             continue
         if root:
-            if is_degenerate(s):
-                break
+            if _gram(s)[0] == 0:
+                return
             root = False
+        # the crossing point (E_i s_j - E_j s_i) / (E_i W_j - E_j W_i)
         i, j = crossing
-        t = signs[i] / (signs[i] - signs[j])
-        m = vadd(s[i], vscale(t, vsub(s[j], s[i])))
+        ea, eb = signs[i], signs[j]
+        xa, ya, za, wa = s[i]
+        xb, yb, zb, wb = s[j]
+        m = reduced(ea * xb - eb * xa, ea * yb - eb * ya, ea * zb - eb * za, ea * wb - eb * wa)
         stack.append(tuple(m if idx == j else v for idx, v in enumerate(s)))
         stack.append(tuple(m if idx == i else v for idx, v in enumerate(s)))
-    return neg, on, pos
 
 
-def split_chain_pieces(pieces: Iterable[Simplex], plane: Plane):
-    neg: list[Simplex] = []
-    on: list[Simplex] = []
-    pos: list[Simplex] = []
+def split_homogeneous(pieces: Iterable[HSimplex], planes: Iterable[Plane]) -> list[HSimplex]:
+    """Cut homogeneous pieces by each plane in turn, regrouped as
+    negative, on, positive.
+
+    Every output piece lies on one side of (or in) each plane, and the
+    pieces partition the input.
+    """
+    pieces = list(pieces)
+    for plane in planes:
+        neg: list[HSimplex] = []
+        on: list[HSimplex] = []
+        pos: list[HSimplex] = []
+        for s in pieces:
+            _split_into(s, plane, neg, on, pos)
+        pieces = neg + on + pos
+    return pieces
+
+
+def affine_pieces(pieces: list[HSimplex], points: dict) -> list[Simplex]:
+    """Fraction pieces of homogeneous ones; points caches the conversions."""
+    out = []
     for s in pieces:
-        a, b, c = split_simplex(s, plane)
-        neg.extend(a)
-        on.extend(b)
-        pos.extend(c)
-    return neg, on, pos
+        piece = []
+        for h in s:
+            p = points.get(h)
+            if p is None:
+                p = points[h] = affine(h)
+            piece.append(p)
+        out.append(tuple(piece))
+    return out
+
+
+def split_simplex(simplex: Simplex, plane: Plane):
+    """Partition a simplex by a plane into (negative, on, positive) simplices
+    (see split_homogeneous)."""
+    h = tuple(map(homogeneous, simplex))
+    points = dict(zip(h, simplex))
+    buckets: tuple[list, list, list] = ([], [], [])
+    _split_into(h, plane, *buckets)
+    return tuple(affine_pieces(b, points) for b in buckets)
 
 
 def split_by_planes(pieces: Iterable[Simplex], planes: Iterable[Plane]) -> list[Simplex]:
@@ -318,11 +434,13 @@ def split_by_planes(pieces: Iterable[Simplex], planes: Iterable[Plane]) -> list[
     Every output piece lies on one side of (or in) each plane, and the
     pieces partition the input.
     """
-    pieces = list(pieces)
-    for plane in planes:
-        neg, on, pos = split_chain_pieces(pieces, plane)
-        pieces = neg + on + pos
-    return pieces
+    points: dict = {}
+    hs = []
+    for s in pieces:
+        h = tuple(map(homogeneous, s))
+        points.update(zip(h, s))
+        hs.append(h)
+    return affine_pieces(split_homogeneous(hs, planes), points)
 
 
 def centroid(simplex: Simplex) -> Point:

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from .geom import (
     Point,
     Simplex,
+    homogeneous,
     line_key,
     plane_key,
     vadd,
@@ -37,16 +38,6 @@ from .geom import (
 from .simplicial import SimplicialChain, boundary_simplicial, simplicial_chain
 
 Segment = tuple[Point, Point]
-
-
-def _homogeneous(p: Point) -> tuple[int, int, int, int]:
-    """Integer numerators of a rational point over its least common denominator."""
-    x, y, z = p
-    dx, dy, dz = x.denominator, y.denominator, z.denominator
-    if dx == dy == dz == 1:
-        return x.numerator, y.numerator, z.numerator, 1
-    den = lcm(dx, dy, dz)
-    return x.numerator * (den // dx), y.numerator * (den // dy), z.numerator * (den // dz), den
 
 
 def _line_toggles(segments: Iterable[Segment]) -> dict:
@@ -63,8 +54,8 @@ def _line_toggles(segments: Iterable[Segment]) -> dict:
     for p, q in segments:
         if p == q:
             continue
-        px, py, pz, pw = _homogeneous(p)
-        qx, qy, qz, qw = _homogeneous(q)
+        px, py, pz, pw = homogeneous(p)
+        qx, qy, qz, qw = homogeneous(q)
         dx, dy, dz = qx * pw - px * qw, qy * pw - py * qw, qz * pw - pz * qw
         g = gcd(dx, dy, dz)
         if dx < 0 or (dx == 0 and (dy < 0 or (dy == 0 and dz < 0))):

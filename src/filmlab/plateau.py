@@ -630,13 +630,16 @@ def minimize_weight(
     "exhaustive" has none unless one is passed.  With an injective
     direction both branch the labelling, the answer is exact when the
     flow bound meets the film found, and a spent budget returns the best
-    film so far (the sweep film at budget 0) as an upper bound.
-    Otherwise the root film is their incumbent and they search subsets
-    of the working cube's faces below its face count, in ascending
-    cardinality, so the first feasible pair is a proved minimiser, and a
-    clean search that finds none proves the root film; the nodes are the
-    labelling's and the search's, under one budget.  "local" is exact
-    only when the root closes under an injective direction.  Raises
+    film so far (the sweep film at budget 0) as an upper bound.  Under
+    every method a film whose weight meets region_bound, a proved lower
+    bound, is exact as it stands.  Otherwise, without an injective
+    direction, the root film is the incumbent of "bnb" and "exhaustive",
+    and they search subsets of the working cube's faces below its face
+    count, in ascending cardinality, so the first feasible pair is a
+    proved minimiser, and a clean search that finds none proves the root
+    film; the nodes are the labelling's and the search's, under one
+    budget.  "local" is otherwise exact only when the root closes under
+    an injective direction.  Raises
     BudgetError when no admissible pair fits the energy budget, and
     ValueError when no direction is admissible for the curve, as then no
     pair can span it.
@@ -669,21 +672,22 @@ def minimize_weight(
     if method == "bnb" and node_budget is None:
         node_budget = 10 ** 6
     witness = problem.injective_direction is not None
-    search = method != "local" and not witness
-    faces = problem.faces
-    if search and method == "exhaustive" and node_budget is None and len(faces) > 512:
-        raise ValueError(
-            f"{len(faces)} candidate faces is beyond the exhaustive budget; "
-            "use method='bnb' or pass a node budget"
-        )
     if witness and method != "local":
         label_budget = node_budget
     else:
         # the root node alone, inside the node budget
         label_budget = 1 if node_budget is None else min(1, node_budget)
-    B, nodes, exact = _label_cells(problem, label_budget)
-    exact = exact and witness
-    if search:
+    B, nodes, closed = _label_cells(problem, label_budget)
+    weight = mass_grid(B)
+    # a film that meets the proved lower bound is least under any method
+    exact = (closed and witness) or weight == problem.region_bound
+    if not exact and not witness and method != "local":
+        faces = problem.faces
+        if method == "exhaustive" and node_budget is None and len(faces) > 512:
+            raise ValueError(
+                f"{len(faces)} candidate faces is beyond the exhaustive budget; "
+                "use method='bnb' or pass a node budget"
+            )
         budget = None if node_budget is None else node_budget - nodes
         max_faces = min(len(faces), int(problem.lam / eps2), len(B) - 1)
         best, more, exact = _search(problem, budget, max_faces)
@@ -692,8 +696,7 @@ def minimize_weight(
             pair, e = best
             optimality = "exact" if exact else "upper-bound"
             return _as_solution(problem, pair, e, optimality, method, nodes)
-    e = mass_grid(B)
-    if e > problem.lam:
+    if weight > problem.lam:
         if not exact:
             raise BudgetError(
                 f"the node budget ran out before a film within {problem.lam} was found"
@@ -701,10 +704,11 @@ def minimize_weight(
         if not witness:
             raise BudgetError(f"no admissible pair within the energy budget {problem.lam}")
         raise BudgetError(
-            f"energy budget {problem.lam} below the least spanning film's weight {e}", required=e
+            f"energy budget {problem.lam} below the least spanning film's weight {weight}",
+            required=weight,
         )
     pair = Dipolyhedron(B, empty_chain(problem.grid, 1))
-    return _as_solution(problem, pair, e, "exact" if exact else "upper-bound", method, nodes)
+    return _as_solution(problem, pair, weight, "exact" if exact else "upper-bound", method, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from filmlab.deformation import (
 from filmlab.dipolyhedra import Dipolyhedron, energy, make_dipole
 from filmlab.exact import RadicalSum, radical_sum, sqrt_enclosure
 from filmlab.geom import (
+    affine,
+    homogeneous,
     is_degenerate,
     point_simplex_dist_sq,
     simplex_measure,
@@ -26,6 +28,7 @@ from filmlab.geom import (
 )
 from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, mass_grid
 from filmlab.overlay import chains_equal_mod2
+from filmlab.plateau import initial_cone_solution, plateau_problem
 from filmlab.simplicial import (
     SimplicialChain,
     boundary_simplicial,
@@ -34,7 +37,7 @@ from filmlab.simplicial import (
     simplicial_chain,
 )
 
-from conftest import make_grid, random_simplicial_chain, square_curve
+from conftest import HEX, make_grid, polygon_curve, random_simplicial_chain, square_curve
 
 F = Fraction
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -359,6 +362,37 @@ def test_tilted_triangle_choices_pinned(eps):
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
+# report sha256 of the benchmark's other deform shapes, as the Fraction
+# kernels produced them: exact integer kernels must not move a byte
+_SHAPE_PINS = {
+    # the tilted triangle's boundary at (eps, candidate centres) on the grid
+    # of pitch eps around it with one cell of margin
+    (F(1, 2), 16): "394fb2b6a729d1f328dd2516ee7515b63d403c88f1d7595f21bbe2229b866b2e",
+    (F(1, 4), 4): "8e7c48ec8615ba3774bffdb1f02ae4cc9d5aad366bd4fa2f301b814578e46b44",
+}
+_CONE_HEX1_PIN = "3421672eacf8a6669c890cbc155bd5fd81ac28409d5747f94c2af06ddca12599"
+
+
+def _report_digest(result):
+    return hashlib.sha256(iof.dumps_json(iof.to_jsonable(result)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("eps, centers", sorted(_SHAPE_PINS, reverse=True), ids=str)
+def test_tilted_boundary_report_pinned(eps, centers):
+    tri = iof.parse_input(iof.load_document(os.path.join(FIXTURES, "tilted_triangle.json")))
+    # the triangle spans [0, 1] x [0, 1] x [0, 1/2]
+    dims = (int(1 / eps) + 2, int(1 / eps) + 2, int(F(1, 2) / eps) + 2)
+    grid = make_grid(dims, origin=(-eps, -eps, -eps), eps=eps)
+    cfg = DeformConfig(epsilon=eps, candidate_centers=centers)
+    result = deform_chain(boundary_simplicial(tri), grid, cfg)
+    assert _report_digest(result) == _SHAPE_PINS[eps, centers]
+
+
+def test_hex_cone_start_report_pinned():
+    start = initial_cone_solution(plateau_problem(polygon_curve(HEX, 3)))
+    assert _report_digest(start) == _CONE_HEX1_PIN
+
+
 def _all_exact_choice(grid, cell, pieces, cfg):
     """Reference: every candidate cleared exactly and every cleared one
     projected, then the least exact projected mass, lowest index on ties;
@@ -371,9 +405,12 @@ def _all_exact_choice(grid, cell, pieces, cfg):
     if fallback:
         admitted = [dists.index(max(dists))]
     winner = winner_mass = None
+    hpieces = [tuple(map(homogeneous, s)) for s in pieces]
     for i in admitted:
-        proj = dm._project_cell_pieces(grid, cell, candidates[i], pieces)
-        m = radical_sum(simplex_measure(image) for pairs in proj for _, image in pairs)
+        proj = dm._project_cell_pieces(grid, cell, candidates[i], hpieces)
+        m = radical_sum(
+            simplex_measure(tuple(map(affine, image))) for pairs in proj for _, image in pairs
+        )
         if winner is None or m < winner_mass:
             winner, winner_mass = (i, proj), m
     i, proj = winner

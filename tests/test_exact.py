@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filmlab import exact
 from filmlab.exact import (
     RadicalSum,
     format_fraction,
@@ -110,3 +112,42 @@ def test_parse_fraction_accepts_plain_forms_and_refuses_exponents():
             parse_fraction(text)
     with pytest.raises(ValueError, match="zero denominator"):
         parse_fraction("1/0")
+
+
+def _trial_division_split(n):
+    """Reference: _split_square by plain trial division up to the limit."""
+    s, f, m, p = 1, 1, n, 2
+    while p <= exact._TRIAL_LIMIT and p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        s *= p ** (e // 2)
+        f *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    r = isqrt(m)
+    return (s * r, f) if r * r == m else (s, f * m)
+
+
+# primes just below and just above the trial limit of 10 000, and large ones
+_BELOW = (9931, 9941, 9949, 9967, 9973)
+_ABOVE = (10007, 10009, 10037, 10039)
+_LARGE = (999_983, 2**31 - 1, 10**12 + 39)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    factors=st.lists(st.sampled_from(_BELOW + _ABOVE + _LARGE + (2, 3, 5, 7, 97)), max_size=8),
+    squares=st.lists(st.sampled_from(_ABOVE + _LARGE), max_size=2),
+    rest=st.integers(1, 10**30),
+)
+def test_split_square_matches_trial_division(factors, squares, rest):
+    n = rest
+    for p in factors:
+        n *= p
+    for p in squares:
+        n *= p * p
+    got = exact._split_square(n)
+    assert got == _trial_division_split(n)
+    s, f = got
+    assert s * s * f == n

@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filmlab.exact import radical_sum
+from filmlab.exact import det3, radical_sum
 from filmlab.geom import (
     Plane,
+    homogeneous,
     is_degenerate,
     point_in_polygon_parity,
     point_simplex_dist_sq,
@@ -20,6 +22,7 @@ from filmlab.geom import (
     sup_norm,
     vcross,
     vdot,
+    vsub,
 )
 
 F = Fraction
@@ -27,6 +30,12 @@ O = (F(0), F(0), F(0))
 EX = (F(1), F(0), F(0))
 EY = (F(0), F(1), F(0))
 EZ = (F(0), F(0), F(1))
+
+
+def _value(plane, v):
+    """<n, v> - b for the plane's stored (n, b): a positive multiple of the
+    value for the (n, b) it was built from."""
+    return vdot(plane.n, v) - plane.b
 
 
 def test_measure_sq_edge_and_triangle():
@@ -75,8 +84,8 @@ def test_split_simplex_partitions_measure():
     neg, on, pos = split_simplex(tri, plane)
     total = sum(simplex_measure(s) for s in neg + on + pos)
     assert total == simplex_measure(tri)
-    assert all(plane.eval(v) <= 0 for s in neg for v in s)
-    assert all(plane.eval(v) >= 0 for s in pos for v in s)
+    assert all(_value(plane, v) <= 0 for s in neg for v in s)
+    assert all(_value(plane, v) >= 0 for s in pos for v in s)
     assert neg and pos
 
 
@@ -89,7 +98,7 @@ def test_split_simplex_keeps_coplanar_pieces():
 
 def test_plane_through_rejects_degenerate():
     with pytest.raises(ValueError):
-        Plane.through(O, EX, (F(2), F(0), F(0)))
+        Plane.through(homogeneous(O), homogeneous(EX), homogeneous((F(2), F(0), F(0))))
 
 
 def test_sup_norm():
@@ -141,13 +150,32 @@ def test_cross_orthogonality():
     assert vdot(n, EX) == 0 and vdot(n, EY) == 0
 
 
-def _split_simplex_testing_every_child(simplex, plane):
-    """Reference: split_simplex testing every child for degeneracy."""
+def _fraction_measure_sq(simplex):
+    """Reference: the Gram determinant in Fraction arithmetic."""
+    k = len(simplex) - 1
+    if k == 0:
+        return F(1)
+    edges = [vsub(v, simplex[0]) for v in simplex[1:]]
+    if k == 1:
+        return vdot(edges[0], edges[0])
+    if k == 2:
+        g00, g11, g01 = vdot(edges[0], edges[0]), vdot(edges[1], edges[1]), vdot(*edges)
+        return g00 * g11 - g01 * g01
+    d = det3(edges)
+    return d * d
+
+
+def _fraction_split(simplex, n, b, every_child=False):
+    """Reference: the split loop on Fraction points for the plane <n, x> = b.
+
+    Degeneracy is tested on the input only, as split_simplex does, or on
+    every child with every_child."""
     neg, on, pos = [], [], []
     stack = [tuple(simplex)]
+    root = True
     while stack:
         s = stack.pop()
-        signs = [plane.eval(v) for v in s]
+        signs = [vdot(n, v) - b for v in s]
         crossing = next(
             ((i, j) for i in range(len(s)) for j in range(i + 1, len(s)) if signs[i] * signs[j] < 0),
             None,
@@ -160,16 +188,34 @@ def _split_simplex_testing_every_child(simplex, plane):
             else:
                 neg.append(s)
             continue
+        if root and not every_child:
+            if _fraction_measure_sq(s) == 0:
+                break
+            root = False
         i, j = crossing
         t = signs[i] / (signs[i] - signs[j])
-        m = tuple(a + t * (b - a) for a, b in zip(s[i], s[j]))
+        m = tuple(a + t * (c - a) for a, c in zip(s[i], s[j]))
         for child in (
             tuple(m if idx == j else v for idx, v in enumerate(s)),
             tuple(m if idx == i else v for idx, v in enumerate(s)),
         ):
-            if not is_degenerate(child):
+            if not every_child or _fraction_measure_sq(child) != 0:
                 stack.append(child)
     return neg, on, pos
+
+
+def _fraction_split_by_planes(pieces, cuts):
+    """Reference: split_by_planes through _fraction_split."""
+    pieces = list(pieces)
+    for n, b in cuts:
+        neg, on, pos = [], [], []
+        for s in pieces:
+            a, c, d = _fraction_split(s, n, b)
+            neg += a
+            on += c
+            pos += d
+        pieces = neg + on + pos
+    return pieces
 
 
 @st.composite
@@ -195,8 +241,7 @@ def maybe_degenerate_simplices(draw, k=None):
 def test_split_simplex_matches_per_child_degeneracy_rule(s, n, b0):
     if n == (0, 0, 0):
         return
-    plane = Plane(n, b0)
-    assert split_simplex(s, plane) == _split_simplex_testing_every_child(s, plane)
+    assert split_simplex(s, Plane(n, b0)) == _fraction_split(s, n, b0, every_child=True)
 
 
 @st.composite
@@ -220,8 +265,100 @@ def test_split_by_planes_sides_and_measure(pieces, cuts):
     out = split_by_planes(pieces, planes)
     for piece in out:
         for plane in planes:
-            values = [plane.eval(v) for v in piece]
+            values = [_value(plane, v) for v in piece]
             assert all(x >= 0 for x in values) or all(x <= 0 for x in values)
     assert radical_sum(simplex_measure(s) for s in out) == radical_sum(
         simplex_measure(s) for s in pieces
     )
+
+
+# -- the integer kernels against the Fraction references ---------------------
+
+# small, large, prime and mixed denominators
+_DENOMINATORS = st.one_of(
+    st.integers(1, 8),
+    st.integers(1, 10**9),
+    st.sampled_from([9973, 999_983, 2**31 - 1, 3**19, 10**12 + 39]),
+)
+
+
+@st.composite
+def rationals(draw, span=3):
+    den = draw(_DENOMINATORS)
+    return F(draw(st.integers(-span * den, span * den)), den)
+
+
+@st.composite
+def rational_points(draw, span=3):
+    return tuple(draw(rationals(span)) for _ in range(3))
+
+
+@st.composite
+def rational_planes(draw):
+    """(n, b) with n != 0, as rationals."""
+    n = draw(rational_points(span=2))
+    if n == (0, 0, 0):
+        n = (F(1), n[1], n[2])
+    return n, draw(rationals(span=2))
+
+
+def _onto_plane(p, n, b):
+    """The foot of p on the plane <n, x> = b."""
+    t = (b - vdot(n, p)) / vdot(n, n)
+    return tuple(x + t * c for x, c in zip(p, n))
+
+
+@st.composite
+def rational_simplices(draw, k, planes=()):
+    """k-simplices with rational vertices; some vertices are moved onto one
+    of the planes, and some simplices are degenerate: a vertex repeated or
+    an affine combination of the others."""
+    verts = [draw(rational_points()) for _ in range(k + 1)]
+    for i in range(k + 1):
+        if planes and draw(st.integers(0, 2)) == 0:
+            n, b = draw(st.sampled_from(planes))
+            verts[i] = _onto_plane(verts[i], n, b)
+    if k >= 1 and draw(st.integers(0, 2)) == 0:
+        weights = [draw(rationals(span=2)) for _ in range(k - 1)]
+        last = verts[0]
+        for w, v in zip(weights, verts[1:k]):
+            last = tuple(x + w * (y - z) for x, y, z in zip(last, v, verts[0]))
+        verts[k] = last
+    return tuple(verts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(0, 3))
+def test_measure_sq_matches_fraction_gram(data, k):
+    s = data.draw(rational_simplices(k))
+    gram = _fraction_measure_sq(s)
+    assert simplex_measure_sq(s) == gram
+    assert is_degenerate(s) == (gram == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(0, 3), cut=rational_planes())
+def test_split_simplex_matches_fraction_split(data, k, cut):
+    n, b = cut
+    s = data.draw(rational_simplices(k, planes=[cut]))
+    assert split_simplex(s, Plane(n, b)) == _fraction_split(s, n, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(0, 3),
+    cuts=st.lists(rational_planes(), min_size=1, max_size=3),
+)
+def test_split_by_planes_matches_fraction_split(data, k, cuts):
+    pieces = data.draw(st.lists(rational_simplices(k, planes=cuts), min_size=1, max_size=3))
+    planes = [Plane(n, b) for n, b in cuts]
+    assert split_by_planes(pieces, planes) == _fraction_split_by_planes(pieces, cuts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=rational_points(span=50))
+def test_homogeneous_points_are_primitive(p):
+    x, y, z, w = homogeneous(p)
+    assert w > 0 and math.gcd(x, y, z, w) == 1
+    assert (F(x, w), F(y, w), F(z, w)) == p

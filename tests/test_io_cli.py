@@ -599,12 +599,16 @@ def test_cli_internal_failure_exit_4(capsys, monkeypatch, exc):
     assert "Traceback" not in err
 
 
-def test_cli_require_exact_exit_3(capsys):
+def test_cli_require_exact_exit_3(capsys, tmp_path):
+    # the skew hexagon's sweep film is not least, and no admissible axis
+    # bounds it (the square's sweep film meets its axis-shadow bound)
+    path = tmp_path / "hex.json"
+    path.write_text(json.dumps(chain_to_json(polygon_curve(HEX, 3))))
     code, out, _ = run_cli(
         capsys,
         "plateau",
         "--curve",
-        f"{FIX}/square_curve.json",
+        str(path),
         "--eps",
         "1",
         "--method",

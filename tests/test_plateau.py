@@ -124,22 +124,32 @@ def test_patch_refined_grid_same_value():
         assert (sol.weight, sol.optimality, sol.method) == (4, "exact", method)
         assert len(sol.pair.B) == 16
         assert sol.pair.C.is_zero()
-    # with the axes alone nothing proves the labelled film least, and the
-    # faces are too many for the face search's exhaustive guard
+    # with the axes alone the labelled film meets the axis-shadow bound,
+    # which proves it least at the root, so the face search never runs
     axes = plateau_problem(gamma, dirs=default_directions(0, 0))
     assert axes.injective_direction is None
+    sol = minimize_weight(axes, method="exhaustive")
+    assert (sol.weight, sol.optimality, sol.nodes) == (4, "exact", 1)
+    assert len(axes.faces) > 512
+    # stair44 has no witness and nothing proves its root film: its faces
+    # are too many for the face search's exhaustive guard
     with pytest.raises(ValueError, match="beyond the exhaustive budget"):
-        minimize_weight(axes, method="exhaustive")
+        minimize_weight(plateau_problem(stair44()), method="exhaustive")
 
 
 def test_local_descent_gives_upper_bound():
-    # local is the labelling's root film; with the axes alone nothing
-    # proves it least
+    # local is the labelling's root film; with the axes alone the unit
+    # face meets the axis-shadow bound, which proves it least
     problem = unit_problem(dirs=default_directions(0, 0))
     assert problem.injective_direction is None
     sol = minimize_weight(problem, method="local")
-    assert (sol.weight, sol.optimality, sol.nodes) == (1, "upper-bound", 1)
+    assert (sol.weight, sol.optimality, sol.nodes) == (1, "exact", 1)
     assert sol.feasibility.member
+    # stair22 has no witness and no admissible axis to bound it
+    stair = plateau_problem(stair22())
+    assert stair.injective_direction is None and stair.region_bound == 0
+    sol = minimize_weight(stair, method="local")
+    assert (sol.weight, sol.optimality, sol.nodes) == (16, "upper-bound", 1)
     # the root closes under an injective direction: the unit face, proved
     sol = minimize_weight(unit_problem(), method="local")
     assert (sol.weight, sol.optimality, sol.nodes) == (1, "exact", 1)
@@ -444,9 +454,9 @@ def test_minimize_weight_builds_one_spanning_context(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(plateau, "SpanningContext", CountingContext)
-    # the axes alone see no cube edges apart, so bnb searches faces below
-    # the labelling's root film
-    problem = unit_problem(dirs=default_directions(0, 0))
+    # stair22 has no injective direction and nothing proves its root film,
+    # so bnb searches faces below it
+    problem = plateau_problem(stair22())
     assert problem.injective_direction is None
     # local takes the root film; bnb spends its one node on the root and
     # returns it when the search's first node is over the budget
@@ -454,11 +464,12 @@ def test_minimize_weight_builds_one_spanning_context(monkeypatch):
         sol = minimize_weight(problem, **kwargs)
         assert sol.optimality == "upper-bound" and sol.feasibility.member
     assert len(built) == 1
-    # with an injective direction bnb labels cells; a zero budget returns the sweep film
+    # with an injective direction bnb labels cells; a zero budget returns
+    # the sweep film, here the unit face, which meets the axis-shadow bound
     problem = unit_problem()
     assert problem.injective_direction is not None
     sol = minimize_weight(problem, method="bnb", node_budget=0)
-    assert (sol.optimality, sol.nodes) == ("upper-bound", 0) and sol.feasibility.member
+    assert (sol.optimality, sol.nodes) == ("exact", 0) and sol.feasibility.member
     assert sol.pair.B == sweep_film(problem.gamma)
     assert len(built) == 2
 
@@ -741,16 +752,18 @@ def test_no_admissible_direction_is_named_not_blamed_on_the_budget(name):
         assert not isinstance(err.value, BudgetError)
 
 
-@pytest.mark.parametrize("n, weight, nodes", [(2, 4, 5), (3, 9, 10)])
-def test_axes_alone_keep_the_face_search(n, weight, nodes):
-    # the root film is the least film, and the search below it takes one
-    # node per cardinality
+@pytest.mark.parametrize("n, weight", [(2, 4), (3, 9)])
+def test_axes_alone_close_at_the_region_bound(n, weight):
+    # the root film is the least film: its weight meets the axis-shadow
+    # bound, so every method proves it at the root, with no face search
     problem = plateau_problem(_centred_square(n), dirs=default_directions(0, 0))
     assert problem.injective_direction is None
-    sol = minimize_weight(problem, method="bnb")
-    assert (sol.weight, sol.optimality, sol.nodes) == (weight, "exact", nodes)
-    assert sol.feasibility.member
-    assert sol.pair.B == sweep_film(problem.gamma)
+    assert problem.region_bound == weight
+    for method in ("exhaustive", "bnb", "local"):
+        sol = minimize_weight(problem, method=method)
+        assert (sol.weight, sol.optimality, sol.nodes) == (weight, "exact", 1)
+        assert sol.feasibility.member
+        assert sol.pair.B == sweep_film(problem.gamma)
 
 
 def test_curve_outside_its_cube_fits_no_pair():
