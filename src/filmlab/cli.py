@@ -361,7 +361,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("flatnorm", _cmd_flatnorm, "flat norm of a grid chain with certificate")
     p.add_argument("--method", choices=("exhaustive", "bnb"), default="exhaustive",
-                   help="search used when the cover cannot answer")
+                   help="search used when the root cannot answer: the cover (k=2) "
+                   "or the projection bound (k=1)")
     p.add_argument("--node-budget", type=int)
     p.add_argument("--exhaustive-limit", type=int)
 

@@ -15,6 +15,16 @@ with ties broken as the searches break them; the flow rides on the
 certificate, and replaying it proves the value is a lower bound as well
 as attained.  Otherwise the method's search runs.
 
+A 1-chain first gets the projection bound, whatever the method.  Each
+axis projection is a chain map that never raises mass mod 2, so the flat
+norm of P's shadow on the squares normal to an axis, a labelling of
+those squares bounded by the same doubled cover, bounds P's from below;
+and as every edge is seen by two projections and every face by one,
+half the sum of the three shadows' flat norms with doubled square costs
+does too.  The shadows' least-mask closures, lifted to every height,
+are the candidates; when the best meets the bound it is exact, with the
+three flows as its certificate.  Otherwise the method's search runs.
+
 Scores are integers throughout: every cell mass is a power of the grid
 pitch, so scaling by a common denominator makes comparisons exact and
 lets the exhaustive scan run on machine integers.
@@ -264,13 +274,14 @@ def _sweep_order(free: Sequence[GridCell], given, grid: GridSpec) -> list[int]:
 
 @dataclass(frozen=True)
 class _BoxLabelling:
-    """Chains B + boundary(x) over 0/1 labels x of a lattice box's 3-cells.
+    """Chains B + boundary(x) over 0/1 labels x of a lattice box's cells.
 
-    `cells` counts the box's 3-cells, in canonical order.  `faces` are
-    the faces on a box cell or in B, in canonical order; `sides[i]` is
-    (a, b, [faces[i] in B]) with a, b the cells on either side of
-    faces[i], the index `cells` standing for the outside.  A face of B on
-    no box cell has the outside on both sides: a constant term.
+    The cells are the box's 3-cells, or for the projection bound its
+    squares normal to one axis.  `cells` counts them, in canonical order.
+    `faces` are the cells' facets and B's cells, in canonical order;
+    `sides[i]` is (a, b, [faces[i] in B]) with a, b the cells on either
+    side of faces[i], the index `cells` standing for the outside.  A cell
+    of B on no box cell has the outside on both sides: a constant term.
     """
 
     cells: int
@@ -278,13 +289,13 @@ class _BoxLabelling:
     sides: tuple[tuple[int, int, int], ...]
 
 
-def _box_labelling(lo, hi, B: GridChain) -> _BoxLabelling:
-    """The labelling of the 3-cells with lattice bases in [lo, hi) around the 2-chain B."""
+def _box_labelling(lo, hi, B: GridChain, axes=(0, 1, 2)) -> _BoxLabelling:
+    """The labelling of the cells along ``axes`` with lattice bases in [lo, hi) around B."""
     bases = list(itertools.product(*(range(lo[a], hi[a]) for a in range(3))))
     n = len(bases)
     around: dict[GridCell, list[int]] = {face: [] for face in B.cells}
     for i, base in enumerate(bases):
-        for face in GridCell(base, (0, 1, 2)).facets():
+        for face in GridCell(base, axes).facets():
             around.setdefault(face, []).append(i)
     # canonical order; the key skips the dataclass comparisons, half the sort's time
     faces = tuple(sorted(around, key=lambda f: (f.base, f.axes)))
@@ -441,30 +452,96 @@ class CutFlow:
     arcs: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class ProjectionFlows:
+    """Maximum flows of a k = 1 flat norm's three projection covers.
+
+    ``arcs[a]`` is the net flow on each arc of the doubled cover of the
+    squares normal to axis a around P's projection along a (see
+    _projection_labelling), with an edge capacity of epsilon and a square
+    capacity of ``scale`` epsilon^2 in scaled units.  With flow values
+    F_a, the bound is max_a ceil(F_a / 2) when ``scale`` is 1 and
+    ceil(sum_a ceil(F_a / 2) / 2) when it is 2.
+    """
+
+    scale: int
+    arcs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _projection_labelling(P: GridChain, a: int) -> tuple[_BoxLabelling, list[GridCell]]:
+    """The labelling of the squares normal to axis a, at height 0, around P's projection.
+
+    The projection drops P's edges along a and moves the others to
+    height 0 along a, mod 2: a chain map that never raises mass.  The
+    squares come second, in the labelling's order.
+    """
+    shadow = chain_of(P.grid, 1, [
+        GridCell(tuple(0 if i == a else x for i, x in enumerate(e.base)), e.axes)
+        for e in P.cells
+        if a not in e.axes
+    ])
+    hi = tuple(1 if i == a else d for i, d in enumerate(P.grid.dims))
+    axes = tuple(i for i in range(3) if i != a)
+    squares = [GridCell(base, axes) for base in itertools.product(*(range(h) for h in hi))]
+    return _box_labelling((0, 0, 0), hi, shadow, axes), squares
+
+
+def _projection_bound(values, scale: int) -> int:
+    """The projection bound's term ``scale`` from the three covers' flow values."""
+    halves = [-(-v // 2) for v in values]
+    return max(halves) if scale == 1 else -(-sum(halves) // 2)
+
+
+def _flow_value(n: int, arcs: list, flow) -> Optional[int]:
+    """The value of ``flow`` on a doubled cover of n cells, or None unless it is feasible.
+
+    Feasible means a plain int within capacity on every arc and
+    conservation at every lift of a cell; the value is the net flow into
+    (o, 1).
+    """
+    if len(flow) != len(arcs) or not all(type(f) is int for f in flow):
+        return None
+    excess = [0] * (2 * n + 2)
+    for (u, w, c), f in zip(arcs, flow):
+        if abs(f) > c:
+            return None
+        excess[u] -= f
+        excess[w] += f
+    if any(excess[:-2]):
+        return None
+    return excess[-1]
+
+
 def _flow_certifies(cert, P: GridChain) -> bool:
-    """Replay a certificate's cover flow in P's rebuilt cover: a lower bound equal to the value.
+    """Replay a certificate's cover flows in P's rebuilt covers: a lower bound equal to the value.
 
     Every labelling's symmetric cut costs twice its score, so a feasible
     flow of value F bounds every score below by F / 2.
     """
-    if P.k != 2 or cert.status != "exact":
+    if cert.status != "exact":
         return False
     p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
-    lab = _box_labelling((0, 0, 0), P.grid.dims, P)
-    arcs = _cover_arcs(lab.cells, lab.sides, q, p, {})
-    flow = cert.flow.arcs
-    if len(flow) != len(arcs) or not all(type(f) is int for f in flow):
-        return False
-    excess = [0] * (2 * lab.cells + 2)
-    for (u, w, c), f in zip(arcs, flow):
-        if abs(f) > c:
+    flow = cert.flow
+    if isinstance(flow, CutFlow) and P.k == 2:
+        lab = _box_labelling((0, 0, 0), P.grid.dims, P)
+        value = _flow_value(lab.cells, _cover_arcs(lab.cells, lab.sides, q, p, {}), flow.arcs)
+        if value is None or value % 2:
             return False
-        excess[u] -= f
-        excess[w] += f
-    value = excess[-1]  # into (o, 1); conservation holds at every lift of a cell
-    if any(excess[:-2]) or value % 2:
+        bound = value // 2
+    elif isinstance(flow, ProjectionFlows) and P.k == 1:
+        if type(flow.scale) is not int or flow.scale not in (1, 2) or len(flow.arcs) != 3:
+            return False
+        values = []
+        for a, arcs in enumerate(flow.arcs):
+            lab = _projection_labelling(P, a)[0]
+            cover = _cover_arcs(lab.cells, lab.sides, q, flow.scale * p, {})
+            values.append(_flow_value(lab.cells, cover, arcs))
+        if None in values:
+            return False
+        bound = _projection_bound(values, flow.scale)
+    else:
         return False
-    return cert.value == Fraction(value // 2 * p**2, q**3)
+    return cert.value == Fraction(bound * p**P.k, q ** (P.k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +553,9 @@ class FlatNormCertificate:
     Q: GridChain
     R: GridChain
     status: str
-    flow: Optional[CutFlow] = None  # the doubled cover's maximum flow; None from the searches
+    # the doubled cover's maximum flow (k = 2) or the projection covers' (k = 1);
+    # None from the searches
+    flow: Optional[CutFlow | ProjectionFlows] = None
 
 
 def _searched(P: GridChain, method: str, config: SolverConfig) -> FlatNormCertificate:
@@ -510,13 +589,16 @@ def flat_norm(
 ) -> FlatNormCertificate:
     """Minimal M(Q) + M(R) with P = Q + boundary(R) over grid chains.
 
-    A 2-chain first gets one maximum flow in the doubled cover of its
-    3-cell labelling, outside every limit and budget.  When the cover's
-    least-mask closure is consistent (always when the boundary of P
-    vanishes on every edge with four 3-cells around it, a 2-cycle say)
-    it is the searches' answer, ties included, and exact: its certificate
-    carries the flow, which ``verify_certificate`` replays as a lower
-    bound equal to the value.  Otherwise ``method`` names the search (it
+    Before any search, outside every limit and budget, a 2-chain gets one
+    maximum flow in the doubled cover of its 3-cell labelling, and a
+    1-chain the projection bound (see _projection_root).  When the
+    cover's least-mask closure is consistent (always when the boundary of
+    P vanishes on every edge with four 3-cells around it, a 2-cycle say),
+    or when the best lift of the projections' closures meets the
+    projection bound, that is the answer, and exact: its certificate
+    carries the flows, which ``verify_certificate`` replays as a lower
+    bound equal to the value.  A 2-chain's answer there is the searches'
+    answer, ties included.  Otherwise ``method`` names the search (it
     does not branch on the cover: a flow per node costs more than its
     nodes): "exhaustive" scans every subset of the grid's (k+1)-cells,
     exact; "bnb" prunes with the mass of already-decided cells and
@@ -533,7 +615,48 @@ def flat_norm(
         if closure is not None:
             mask = sum(x << i for i, x in enumerate(closure))
             return _certified(P, mask, flow_value // 2, "exact", CutFlow(arcs))
+    if P.k == 1:
+        cert = _projection_root(P)
+        if cert is not None:
+            return cert
     return _searched(P, method, config)
+
+
+def _projection_root(P: GridChain) -> Optional[FlatNormCertificate]:
+    """A 1-chain's flat norm from its three axis projections, or None if they fall short.
+
+    For each axis a, the squares normal to a around P's projection get
+    two cover flows: F_a with square capacity epsilon^2 and G_a with
+    2 epsilon^2.  The bound is the larger of max_a ceil(F_a / 2) and
+    ceil(sum_a ceil(G_a / 2) / 2) in scaled units.  Each axis's
+    least-mask closure, or its persistent labels with the undecided
+    squares at 0, is lifted to the squares normal to a at every height;
+    the least (score, mask) of these lifts is the answer when it meets
+    the bound.
+    """
+    p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
+    index = {face: i for i, face in enumerate(sorted(P.grid.cells(2)))}
+    cuts = {1: [], 2: []}  # square capacity / epsilon^2 -> each axis's _cover_cut
+    lifts = []
+    for a in range(3):
+        lab, squares = _projection_labelling(P, a)
+        for scale, found in cuts.items():
+            found.append(_cover_cut(lab.cells, lab.sides, {}, q, scale * p))
+        _, labels, closure, _ = cuts[1][a]
+        chosen = [s for s, x in zip(squares, labels if closure is None else closure) if x]
+        for height in range(P.grid.dims[a] + 1):
+            R = [GridCell(s.base[:a] + (height,) + s.base[a + 1 :], s.axes) for s in chosen]
+            Q = set(P.cells)
+            for face in R:
+                Q ^= set(face.facets())
+            lifts.append((q * len(Q) + p * len(R), sum(1 << index[face] for face in R)))
+    bounds = {s: _projection_bound([cut[0] for cut in found], s) for s, found in cuts.items()}
+    scale = 1 if bounds[1] >= bounds[2] else 2
+    score, mask = min(lifts)
+    if score != bounds[scale]:
+        return None
+    witness = ProjectionFlows(scale, tuple(cut[3] for cut in cuts[scale]))
+    return _certified(P, mask, score, "exact", witness)
 
 
 def _certified(P: GridChain, mask: int, score: int, status: str, flow=None) -> FlatNormCertificate:

@@ -13,12 +13,16 @@ from filmlab.flatnorm import (
     CutFlow,
     EnergyFlatCertificate,
     FlatNormCertificate,
+    ProjectionFlows,
     SolverConfig,
     energy_flat_norm,
     flat_norm,
     natural_norm_upper,
     _box_labelling,
+    _cover_arcs,
     _cover_cut,
+    _projection_bound,
+    _projection_labelling,
     _searched,
     verify_certificate,
 )
@@ -440,3 +444,124 @@ def test_cover_matches_exhaustive_on_any_chain(dims, eps, seed):
     assert (bb.flow is not None) == (closure is not None)
     assert ex == (bb if closure is not None else scan)
     assert verify_certificate(bb, P) and verify_certificate(ex, P)
+
+
+# -- k = 1 flat norms by the projection bound ---------------------------------
+
+
+def _projection_lower(P):
+    """The projection bound, from the three shadows' cover flows."""
+    p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
+    values = {1: [], 2: []}
+    for a in range(3):
+        lab = _projection_labelling(P, a)[0]
+        for scale in values:
+            values[scale].append(_cover_cut(lab.cells, lab.sides, {}, q, scale * p)[0])
+    return max(_projection_bound(values[s], s) for s in values) * F(p, q**2)
+
+
+def _square_boundary():
+    # the boundary of a 3x3 square in a 4^3 grid: its z-shadow alone proves 9
+    grid = make_grid((4, 4, 4))
+    square = [GridCell((i, j, 0), (0, 1)) for i in range(3) for j in range(3)]
+    return boundary_grid(chain_of(grid, 2, square)), chain_of(grid, 2, square)
+
+
+def _staircase():
+    # edges along y, x, y: each shadow alone proves at most 2, the doubled
+    # shadows 2 + 1 + 3, half of which is the mass 3
+    grid = make_grid((1, 1, 1))
+    edges = [GridCell((0, 0, 0), (1,)), GridCell((0, 0, 1), (0,)), GridCell((1, 0, 1), (1,))]
+    return chain_of(grid, 1, edges)
+
+
+def _cli_k1():
+    # the cli benchmark's 2x2x1 chain: projection bound 7, best lift 9, optimum 8
+    return random_grid_chain(make_grid((2, 2, 1)), 1, random.Random("filmlab-bench:cli-k1"), 0.35)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=st.sampled_from(
+        [(1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 1, 3), (3, 1, 1), (4, 4, 0), (2, 2, 0), (3, 0, 0), (0, 2, 1)]
+    ),
+    eps=st.sampled_from([F(1), F(1, 2), F(3)]),
+    faces=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+def test_projection_root_matches_exhaustive_on_k1_chains(dims, eps, faces, seed):
+    # random 1-chains, or boundaries of random face sets, on grids of at
+    # most 20 faces: the bound never passes the optimum, and both methods
+    # give the scan's answer, ties included, whether the root closes or not
+    grid = make_grid(dims, eps=eps)
+    rng = random.Random(seed)
+    if faces:
+        P = boundary_grid(random_grid_chain(grid, 2, rng, density=rng.random()))
+    else:
+        P = random_grid_chain(grid, 1, rng, density=rng.random())
+    scan = _searched(P, "exhaustive", DEFAULT_CONFIG)
+    lower = _projection_lower(P)
+    assert lower <= scan.value
+    for method in ("exhaustive", "bnb"):
+        cert = flat_norm(P, method=method)
+        assert (cert.value, cert.Q, cert.R, cert.status) == (scan.value, scan.Q, scan.R, "exact")
+        assert cert.flow is None or (isinstance(cert.flow, ProjectionFlows) and cert.value == lower)
+        assert verify_certificate(cert, P)
+
+
+def test_projection_root_closes_the_square_boundary():
+    P, square = _square_boundary()
+    for method in ("exhaustive", "bnb"):
+        cert = flat_norm(P, method=method, config=SolverConfig(node_budget=0))
+        assert (cert.value, cert.status, cert.flow.scale) == (9, "exact", 1)
+        assert cert.R == square and cert.Q.is_zero()
+    P = _staircase()
+    cert = flat_norm(P)
+    assert (cert.value, cert.status, cert.flow.scale) == (3, "exact", 2)
+    assert cert.Q == P and cert.R.is_zero()
+
+
+def test_projection_flows_tampering_fails():
+    for P, scale in ((_square_boundary()[0], 1), (_staircase(), 2)):
+        cert = flat_norm(P, method="bnb")
+        flows = cert.flow.arcs
+        assert cert.flow.scale == scale and verify_certificate(cert, P)
+        # one arc changed, on an arc that ends at a lift of a square
+        a = next(a for a in range(3) if any(flows[a]))
+        lab = _projection_labelling(P, a)[0]
+        p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
+        ends = _cover_arcs(lab.cells, lab.sides, q, scale * p, {})
+        j = next(j for j, (u, w, _) in enumerate(ends) if flows[a][j] and min(u, w) < 2 * lab.cells)
+        changed = flows[a][:j] + (flows[a][j] - 1,) + flows[a][j + 1 :]
+        bad_flows = [
+            ProjectionFlows(scale, flows[:a] + (changed,) + flows[a + 1 :]),
+            ProjectionFlows(scale, flows[:2]),
+            ProjectionFlows(3 - scale, flows),
+            ProjectionFlows(True, flows),
+        ]
+        for bad in bad_flows:
+            assert not verify_certificate(dataclasses.replace(cert, flow=bad), P)
+        assert not verify_certificate(dataclasses.replace(cert, value=cert.value + 1), P)
+        assert not verify_certificate(dataclasses.replace(cert, status="upper-bound"), P)
+    # projection flows certify no k = 2 answer, and a cover flow no k = 1 answer
+    grid = make_grid((3, 3, 3))
+    block = boundary_grid(_cube(grid, (0, 0, 0), 2))
+    covered = flat_norm(block)
+    assert isinstance(covered.flow, CutFlow)
+    assert not verify_certificate(dataclasses.replace(covered, flow=cert.flow), block)
+    assert not verify_certificate(dataclasses.replace(cert, flow=covered.flow), P)
+
+
+def test_projection_root_answers_past_the_exhaustive_limit():
+    # 240 free faces, far past the limit of 24: the root closes it anyway
+    P, square = _square_boundary()
+    cert = flat_norm(P, method="exhaustive")
+    assert (cert.value, cert.status, cert.R) == (9, "exact", square)
+    assert cert == flat_norm(P, method="bnb")
+
+
+def test_unclosed_k1_chain_past_the_exhaustive_limit_is_refused():
+    P = _cli_k1()
+    assert (_projection_lower(P), flat_norm(P).value) == (7, 8)
+    with pytest.raises(ValueError, match="20 free cells exceed the exhaustive limit 10"):
+        flat_norm(P, config=SolverConfig(exhaustive_limit=10))

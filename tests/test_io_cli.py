@@ -638,17 +638,23 @@ def test_cli_output_file(capsys, tmp_path):
     assert saved["value"] == "4"
 
 
-def test_cli_flatnorm_node_budget(capsys):
+def test_cli_flatnorm_node_budget(capsys, tmp_path):
     argv = ("flatnorm", f"{FIX}/square.json", "--method", "bnb", "--node-budget")
     code, out, _ = run_cli(capsys, *argv, "1000")
     assert code == 0
     doc = json.loads(out)
     assert doc["value"] == "1"
     assert doc["status"] == "exact"
-    # a budget too small to finish the search falls back to an upper bound
-    code, out, _ = run_cli(capsys, *argv, "1")
+    # the cli benchmark's 2x2x1 chain: its projection bound is 7, the best
+    # lift 9 and the optimum 8, so a budget too small to finish the search
+    # falls back to an upper bound
+    path = tmp_path / "chain_k1.json"
+    P = random_grid_chain(make_grid((2, 2, 1)), 1, random.Random("filmlab-bench:cli-k1"), 0.35)
+    path.write_text(dumps_report(P))
+    code, out, _ = run_cli(capsys, "flatnorm", str(path), "--method", "bnb", "--node-budget", "1")
     assert code == 0
-    assert json.loads(out)["status"] == "upper-bound"
+    doc = json.loads(out)
+    assert (doc["status"], doc["value"], doc["flow"]) == ("upper-bound", "9", None)
 
 
 def test_cli_flatnorm_negative_node_budget_exit_2(capsys):
@@ -778,11 +784,13 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         ("flatnorm", "{block}"),
         ("flatnorm", "{frustrated27}"),
         ("plateau", "--curve", "{stair22}", "--method", "local"),
+        ("flatnorm", f"{FIX}/square.json", "--method", "bnb", "--node-budget", "0"),
     ],
     ids=["mass", "boundary", "flatnorm", "plateau", "plateau-local", "deform", "span-check",
          "clamp", "diagnostics", "eflat", "cone", "pushforward", "restrict", "natural-norm",
          "plateau-bnb-fold2", "plateau-bnb-axes", "flatnorm-bnb-cover", "flatnorm-bnb-search",
-         "plateau-fold2", "flatnorm-cover", "flatnorm-over-limit", "plateau-local-stair22"],
+         "plateau-fold2", "flatnorm-cover", "flatnorm-over-limit", "plateau-local-stair22",
+         "flatnorm-projection"],
 )
 def test_cli_reports_survive_python_O(argv, tmp_path):
     """Invariants hold under python -O: no result depends on an assert."""
@@ -811,7 +819,9 @@ def test_cli_reports_survive_python_O(argv, tmp_path):
              "{stair22}": str(stairs)}
     labelled = "{fold2}" in argv
     method = argv[argv.index("--method") + 1] if "--method" in argv else "exhaustive"
-    covered = {"{block}": True, "{frustrated}": False}.get(argv[1])
+    # the block closes at the cover, the square at the projection bound
+    roots = {"{block}": True, "{frustrated}": False, f"{FIX}/square.json": True}
+    covered = roots.get(argv[1]) if argv[0] == "flatnorm" else None
     refused = "{frustrated27}" in argv
     rooted = "{stair22}" in argv
     argv = [paths.get(a, a) for a in argv]
