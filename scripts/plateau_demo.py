@@ -2,9 +2,9 @@
 """Solve the two reference spanning instances and export their meshes.
 
 Runs the unit square and the 2x2 patch end to end: cone start, exact
-weight minimisation, per-direction shadow areas, and a refined-grid
-re-run of the patch, too large for the face search, which the 3-cell
-labelling solves.  Writes OFF/OBJ meshes next to the chosen output prefix.
+weight minimisation, per-direction shadow areas, the shadow bound, and
+a refined-grid re-run of the patch, which the 3-cell labelling solves.
+Writes OFF/OBJ meshes next to the chosen output prefix.
 """
 
 import argparse
@@ -53,7 +53,7 @@ def report(name, problem):
     for d in sol.feasibility.spanning.directions:
         if d.admissible and d.region_area is not None:
             print(f"  shadow {d.direction.label():>3}: region area {d.region_area}")
-    print(f"region bound   W >= {sol.region_bound}")
+    print(f"shadow bound   W >= {sol.shadow_bound}")
     print()
     return sol
 
@@ -80,8 +80,8 @@ def main():
     patch = plateau_problem(square_curve(g_patch, 2, 1, 3))
     sol4 = report("2x2 patch", patch)
 
-    # same patch on a half-step grid: too many faces for the face search,
-    # but an injective direction lets the 3-cell labelling certify the minimiser
+    # same patch on a half-step grid: an injective direction proves that no
+    # mass part but 0 spans, so the 3-cell labelling certifies the minimiser
     g_fine = GridSpec(
         origin=(Fraction(-2), Fraction(-2), Fraction(-2)),
         epsilon=Fraction(1, 2),

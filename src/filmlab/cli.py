@@ -402,8 +402,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", help="energy budget (default: twice cone energy)")
     p.add_argument("--eps", help="expected grid spacing; errors if it disagrees")
     p.add_argument("--method", choices=("exhaustive", "bnb", "local"), default="exhaustive",
-                   help="search used when the cover cannot answer; "
-                        "local: the labelling's root film, no search")
+                   help="exhaustive: label every coset of the invisible cycles; "
+                        "bnb: the same under a node budget (default 10^6); "
+                        "local: the root node of the coset C = 0")
     p.add_argument("--dirs", type=int, default=10, help="extra oblique directions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--node-budget", type=int)

@@ -59,7 +59,6 @@ from .geom import (
     Point2,
     as_point,
     closed_cycle,
-    point_in_polygon_parity,
     polygon_is_simple,
     primitive_direction,
     shoelace_twice,
@@ -513,28 +512,6 @@ def _admissibility(ends, U, V):
     if not polygon_is_simple(cycle):
         return False, "projected curve self-intersects", []
     return True, "ok", cycle
-
-
-def region_cells(gamma: GridChain, axis: int) -> frozenset:
-    """Lattice cells of the plane region enclosed by an axis shadow of gamma.
-
-    Along an axis the integer frame is the other two lattice indices, so
-    the projected curve runs on integer lines and the cell (i, m) is
-    decided at its centre (i + 1/2, m + 1/2) by
-    geom.point_in_polygon_parity, which no crossing can make ambiguous.
-    """
-    U, V, _ = ProjectionDir.along_axis(axis)._integer_frame
-    ok, reason, cycle = _admissibility(_edge_points(gamma), U, V)
-    if not ok:
-        raise ValueError(f"inadmissible axis projection: {reason}")
-    xs = [p[0] for p in cycle]
-    ys = [p[1] for p in cycle]
-    return frozenset(
-        (i, m)
-        for i in range(min(xs), max(xs))
-        for m in range(min(ys), max(ys))
-        if point_in_polygon_parity((Fraction(2 * i + 1, 2), Fraction(2 * m + 1, 2)), cycle)
-    )
 
 
 @dataclass(frozen=True)

@@ -559,24 +559,3 @@ def polygon_is_simple(vertices: Sequence[Point2]) -> bool:
             if segments_properly_intersect(p1, p2, *edges[j]):
                 return False
     return True
-
-
-def point_in_polygon_parity(point: Point2, vertices: Sequence[Point2]) -> bool:
-    """Even-odd crossing parity of a point against a closed polygon.
-
-    The caller must ensure the point avoids the polygon's edges; generic
-    sample points (half-lattice offsets against lattice polygons) satisfy
-    this by construction.
-    """
-    x, y = point
-    inside = False
-    n = len(vertices)
-    for i in range(n):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            t = (y - y1) / (y2 - y1)
-            xi = x1 + t * (x2 - x1)
-            if xi > x:
-                inside = not inside
-    return inside

@@ -18,35 +18,30 @@ the borders sum to boundary(B) and boundary(B) + gamma = C, so those
 segments are the projection of C (see filmlab.dipolyhedra).  The
 per-curve part of that check (admissibility, region areas, plane bases)
 belongs to the problem: PlateauProblem builds it on first use, with the
-axis targets, the region bound and the candidate faces, and every call
-on that problem shares them.
+invisible cycles and the shadow bound, and every call on that problem
+shares them.
 
-The mass part is never searched independently: any pair passing the
-boundary precondition has C = gamma + boundary(B) exactly, so a search
-ranges over films B alone.
+The overlay is additive mod 2, so the cube's 1-cycles invisible along
+every admissible direction form a GF(2) space V
+(PlateauProblem.invisible_cycles), and a pair in the cube spans iff its
+mass part C lies in V.  The members are therefore the films bounded by
+gamma + C, one coset per C in V, within the energy budget.  Clamping
+onto a cycle's lattice box is a cellular retraction that fixes the
+cycle and never adds faces, and there every film bounded by it is the
+cycle's sweep film plus the boundary of a 0/1 label on the box's
+3-cells (the box is contractible).  So each coset is one labelling: a
+maximum flow in the doubled cover bounds each node below, a node whose
+residual closure is a symmetric cut is solved outright, and otherwise
+the cells its cut decides are fixed and the rest are branched on (see
+_least_labelling).  Flat norms of 2-chains share that cover
+(filmlab.flatnorm).
 
-Every method starts from one labelled film.  Clamping onto the curve's
-lattice box is a cellular retraction that fixes gamma and never adds
-faces, and there every film bounded by gamma is the sweep film plus the
-boundary of a 0/1 label on the box's 3-cells (the box is contractible).
-Such a film has C = 0, so it spans along every admissible direction.  A
-maximum flow in the doubled cover bounds each labelling node below, a
-node whose residual closure is a symmetric cut is solved outright, and
-otherwise the cells its cut decides are fixed and the rest are branched
-on (see _least_labelling).  Flat norms of 2-chains share that cover
-(filmlab.flatnorm).  "local" takes the root node alone.
-
-When some admissible direction sees every lattice edge of the working
-cube apart (PlateauProblem.injective_direction), a pair in the cube
-spans iff C = 0, so the least labelled film is the least member, and
-both exact methods branch the labelling to the end.
-
-Otherwise the root film is their incumbent, and they search subsets of
-the working cube's faces below its face count, in ascending count
-(weight is face count times the cell area, so the first feasible subset
-is optimal) with two cheap rejections before the full spanning check:
-the energy budget, and per-axis shadow parities, which must match the
-region enclosed by the projected curve column by column.
+minimize_weight solves the coset C = 0 first, then the others in
+Gray-code order under one node budget.  Two certificates make the
+answer exact: every coset closed, or a film whose weight meets the
+shadow bound (PlateauProblem.shadow_bound), which no member undercuts.
+A witness (PlateauProblem.injective_direction, an admissible direction
+that sees every cube edge apart) proves V = 0 without building it.
 """
 
 from __future__ import annotations
@@ -54,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import ceil, gcd
 from typing import Optional, Sequence
 
 from .dipolyhedra import (
@@ -63,11 +59,11 @@ from .dipolyhedra import (
     ProjectionDir,
     SpanningContext,
     SpanningReport,
+    _project,
     clamp_dip,
     cone_dip,
     default_directions,
     energy,
-    region_cells,
     support_in_cube,
 )
 from .exact import SQRT3
@@ -115,8 +111,8 @@ class PlateauProblem:
 
     lam_prime is the side of the centred cube that confines admissible
     pairs; the grid must cover it.  What depends only on the curve (its
-    spanning contexts, axis targets, region bound and candidate faces) is
-    built on first use and kept on the instance; equality and hashing
+    spanning contexts, box labelling, invisible cycles and shadow bound)
+    is built on first use and kept on the instance; equality and hashing
     still read only the fields.
     """
 
@@ -143,23 +139,6 @@ class PlateauProblem:
 
     def context(self, rep: str) -> SpanningContext:
         return self.grid_context if rep == "grid" else self.simplicial_context
-
-    @cached_property
-    def axis_targets(self) -> dict[int, frozenset]:
-        """Region cells enclosed by each admissible axis shadow of the curve."""
-        targets = {}
-        for axis in range(3):
-            try:
-                targets[axis] = region_cells(self.gamma, axis)
-            except ValueError:
-                continue
-        return targets
-
-    @cached_property
-    def region_bound(self) -> Fraction:
-        """Largest admissible axis-shadow area: no member film weighs less."""
-        eps2 = self.grid.epsilon ** 2
-        return max((eps2 * len(cols) for cols in self.axis_targets.values()), default=Fraction(0))
 
     @cached_property
     def cube_box(self) -> tuple[tuple, tuple]:
@@ -212,39 +191,146 @@ class PlateauProblem:
         box is contractible.  None when the curve's box leaves the
         working cube (a hand-built problem can do that).
         """
-        ends = [v for cell in self.gamma.cells for v in edge_ends(cell)]
-        lo = tuple(min(v[a] for v in ends) for a in range(3))
-        hi = tuple(max(v[a] for v in ends) for a in range(3))
+        lo, hi = _lattice_box(self.gamma)
         cube_lo, cube_hi = self.cube_box
         if any(lo[a] < cube_lo[a] or hi[a] > cube_hi[a] for a in range(3)):
             return None
         return _box_labelling(lo, hi, sweep_film(self.gamma))
 
     @cached_property
-    def faces(self) -> tuple[GridCell, ...]:
-        """Faces inside the working cube, nearest the curve first.
-
-        The order is a search heuristic only (ascending-cardinality search
-        is exact regardless): films hug their curve, so the first
-        parity-feasible subset tends to pass the full check.  Distances
-        are taken in doubled lattice coordinates, where face centres and
-        curve vertices are integer points; the world distance squared is
-        epsilon^2 / 4 times that, so the order is the world order.
-        """
+    def cube_edges(self) -> tuple[GridCell, ...]:
+        """The working cube's lattice edges in canonical order."""
         lo, hi = self.cube_box
-        out = [cell for cell in self.grid.cells(2) if cell_in_bounds(cell, lo, hi)]
-        anchors = {tuple(2 * x for x in v) for c in self.gamma.cells for v in edge_ends(c)}
-        if not anchors:
-            return tuple(sorted(out))
+        return tuple(cell for cell in self.grid.cells(1) if cell_in_bounds(cell, lo, hi))
 
-        def center_dist_sq(cell: GridCell) -> int:
-            center = [2 * b + (a in cell.axes) for a, b in enumerate(cell.base)]
-            return min(
-                (center[0] - p[0]) ** 2 + (center[1] - p[1]) ** 2 + (center[2] - p[2]) ** 2
-                for p in anchors
-            )
+    @cached_property
+    def invisible_cycles(self) -> tuple[int, ...]:
+        """A basis of V, the cube's 1-cycles invisible along every admissible direction.
 
-        return tuple(sorted(out, key=lambda c: (center_dist_sq(c), c.base, c.axes)))
+        Bit i of a member stands for cube_edges[i].  V is the kernel of
+        one bit matrix: a row per cube vertex, for boundary(C) = 0, and
+        per admissible direction, in its integer frame, a row per point
+        of each carrying line, holding the edges of that line that end
+        there.  The latter rows are the jumps of each line's coverage
+        parity between its atomic intervals, so they span what the
+        atomic intervals' rows span, and the projection cancels mod 2
+        iff C meets each of them evenly.  Rows with one edge left force
+        that edge to 0, which peels most of the cube; the rest is
+        eliminated on Python-int bitsets, and the basis is read off the
+        free edges.  A witness sees every cube edge apart, so it proves
+        V = 0: then nothing is built.
+        """
+        if self.injective_direction is not None:
+            return ()
+        edges = self.cube_edges
+        ends = [edge_ends(cell) for cell in edges]
+        vertices: dict = {}
+        lines: dict = {}
+        for i, (p, q) in enumerate(ends):
+            vertices.setdefault(p, []).append(i)
+            vertices.setdefault(q, []).append(i)
+        for k, (_, admissible, _, _, (U, V)) in enumerate(self.grid_context.directions):
+            if not admissible:
+                continue
+            slopes = []  # each axis's projected step, primitive, first nonzero entry positive
+            for a in range(3):
+                u, v = U[a], V[a]
+                g = gcd(u, v) * (1 if (u, v) > (0, 0) else -1)
+                slopes.append((u // g, v // g) if g else None)
+            for i, (P, Q) in enumerate(_project(ends, U, V)):
+                slope = slopes[edges[i].axes[0]]
+                if slope is not None:
+                    lines.setdefault((k, slope, P), []).append(i)
+                    lines.setdefault((k, slope, Q), []).append(i)
+        rows = [*vertices.values(), *lines.values()]
+        rows_of: list[list[int]] = [[] for _ in edges]
+        for r, row in enumerate(rows):
+            for i in row:
+                rows_of[i].append(r)
+        alive = [True] * len(edges)
+        left = [len(row) for row in rows]
+        queue = [r for r, n in enumerate(left) if n == 1]
+        while queue:
+            r = queue.pop()
+            if left[r] != 1:
+                continue
+            i = next(i for i in rows[r] if alive[i])
+            alive[i] = False
+            for s in rows_of[i]:
+                left[s] -= 1
+                if left[s] == 1:
+                    queue.append(s)
+        pivots: dict[int, int] = {}  # a row's lowest bit -> the row
+        for r, row in enumerate(rows):
+            bits = sum(1 << i for i in row if alive[i]) if left[r] else 0
+            while bits:
+                low = bits & -bits
+                if low not in pivots:
+                    pivots[low] = bits
+                    break
+                bits ^= pivots[low]
+        order = sorted(pivots, reverse=True)
+        basis = []
+        for i in range(len(edges)):
+            if alive[i] and (1 << i) not in pivots:
+                x = 1 << i
+                for low in order:  # a pivot row's other bits are higher, so already set
+                    if (pivots[low] & x).bit_count() & 1:
+                        x |= low
+                basis.append(x)
+        return tuple(basis)
+
+    @cached_property
+    def shadow_bound(self) -> Fraction:
+        """No member film weighs less: eps^2 ceil(min sum_a n_a) over n >= 0
+        with sum_a n_a |d_a| >= |A.d| for each admissible primitive d.
+
+        A is the curve's vector area, (1/2) sum p_i x p_{i+1} over its
+        vertex cycle, in lattice units.  Along an admissible direction
+        the curve projects to a simple polygon of area |A.d| / |d|.  A
+        member's mass part is invisible there, so its film's shadow
+        covers that polygon mod 2, and a face normal to axis a has a
+        shadow of area |d_a| / |d|: the face counts n_a of a member
+        meet every constraint.  The LP has three variables, so its least
+        value is at a vertex, where three constraints are tight; each
+        vertex is solved by Cramer's rule in integers, with m = 2n to
+        clear the halves.
+        """
+        cycle, _ = closed_cycle(edge_ends(cell) for cell in self.gamma.cells)
+        area2 = [0, 0, 0]  # 2A
+        for p, q in zip(cycle, cycle[1:] + cycle[:1]):
+            for a, (j, l) in enumerate(((1, 2), (2, 0), (0, 1))):
+                area2[a] += p[j] * q[l] - p[l] * q[j]
+        rows = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]  # (c, b): c.m >= b
+        for proj, admissible, *_ in self.grid_context.directions:
+            if admissible:
+                d = primitive_direction(proj.direction)
+                rows.append((*(abs(x) for x in d), abs(sum(x * y for x, y in zip(d, area2)))))
+        values = []
+        for tight in combinations(rows, 3):
+            det = _det3(tight)
+            if det:
+                # Cramer's rule: the vertex is m = num / det
+                num = [_det3([(*r[:a], r[3], *r[a + 1:3]) for r in tight]) for a in range(3)]
+                if all((c0 * num[0] + c1 * num[1] + c2 * num[2] - b * det) * det >= 0
+                       for c0, c1, c2, b in rows):
+                    values.append(Fraction(sum(num), det))
+        return self.grid.epsilon ** 2 * ceil(min(values) / 2)
+
+
+def _det3(rows) -> int:
+    """Determinant of the 3x3 matrix of the rows' first three entries."""
+    (a, b, c), (d, e, f), (g, h, k) = (r[:3] for r in rows)
+    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+
+
+def _lattice_box(cycle: GridChain) -> tuple[tuple, tuple]:
+    """Least and greatest lattice indices of a 1-chain's vertices, per axis."""
+    ends = [v for cell in cycle.cells for v in edge_ends(cell)]
+    return (
+        tuple(min(v[a] for v in ends) for a in range(3)),
+        tuple(max(v[a] for v in ends) for a in range(3)),
+    )
 
 
 def sweep_film(gamma: GridChain) -> GridChain:
@@ -468,86 +554,10 @@ class PlateauSolution:
     optimality: str  # "exact" | "upper-bound"
     method: str
     nodes: int
-    region_bound: Fraction  # largest admissible axis-shadow area
+    shadow_bound: Fraction  # no member film weighs less
 
 
-def _candidate(problem: PlateauProblem, faces) -> Optional[tuple[Dipolyhedron, Fraction]]:
-    """(B, gamma + dB) for a face set B, with its energy, if it is a member.
-
-    The boundary identity holds by construction, and the support lies in
-    the working cube: the faces do, and minimize_weight checks the
-    curve's box before it searches.
-    """
-    B = chain_of(problem.grid, 2, faces)
-    C = problem.gamma + boundary_grid(B)
-    e = mass_grid(B) + mass_grid(C)
-    if e > problem.lam:
-        return None
-    pair = Dipolyhedron(B, C)
-    if not problem.grid_context.check(pair).spans:
-        return None
-    return pair, e
-
-
-def _search(problem: PlateauProblem, node_budget, max_faces: int):
-    """Ascending-cardinality subset search with parity-shadow pruning.
-
-    State is one integer: a bit per (axis, column) that any candidate face
-    or target region touches.  A face perpendicular to an admissible axis
-    toggles exactly one bit, so the number of wrong bits is a lower bound
-    on the faces still needed; bits no remaining face can reach prune the
-    branch outright.  Each cardinality is a depth-first walk on an
-    explicit stack that takes a face before it skips it.  Returns the
-    first member found with its energy (or None), the nodes visited, and
-    whether the node budget was never hit.
-    """
-    faces = problem.faces
-    targets = problem.axis_targets
-    bit_of: dict = {}
-
-    def bit(axis, column):
-        key = (axis, column)
-        if key not in bit_of:
-            bit_of[key] = 1 << len(bit_of)
-        return bit_of[key]
-
-    target = 0
-    for axis, cols in targets.items():
-        for col in cols:
-            target |= bit(axis, col)
-    masks = []
-    for cell in faces:
-        axis = next(a for a in range(3) if a not in cell.axes)
-        if axis in targets:
-            j, l = cell.axes
-            masks.append(bit(axis, (cell.base[j], cell.base[l])))
-        else:
-            masks.append(0)
-    suffix = [0] * (len(faces) + 1)
-    for i in range(len(faces) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-
-    nodes = 0
-    for w in range(0, max_faces + 1):
-        stack = [(0, w, 0, ())]
-        while stack:
-            idx, left, state, chosen = stack.pop()
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                return None, nodes, False
-            wrong = state ^ target
-            if left == 0:
-                if wrong == 0 and (hit := _candidate(problem, chosen)) is not None:
-                    return hit, nodes, True
-                continue
-            if len(faces) - idx < left or bin(wrong).count("1") > left or wrong & ~suffix[idx]:
-                continue
-            stack.append((idx + 1, left, state, chosen))
-            stack.append((idx + 1, left - 1, state ^ masks[idx], chosen + (faces[idx],)))
-    return None, nodes, True
-
-
-def _least_labelling(n: int, sides, node_budget: Optional[int]):
+def _least_labelling(n: int, sides, node_budget: Optional[int], limit: Optional[int] = None):
     """Branch-and-bound for the least labelling of n cells (see flatnorm._cover_cut).
 
     Each node solves the doubled cover with the cells fixed so far:
@@ -556,15 +566,20 @@ def _least_labelling(n: int, sides, node_budget: Optional[int]):
     cut decides are fixed, the other cells set to 0 give a labelling that
     may lower the incumbent, and a node whose bound is still below the
     incumbent branches on its lowest free cell, 0 first.  The incumbent
-    starts at all zeros.  Returns (labels with the outside last, their
-    cost, the root bound, nodes, whether every node closed).
+    starts at all zeros, or at none of cost ``limit`` when all zeros
+    costs no less: only labellings below the limit are then sought.
+    Returns (labels with the outside last, or None when none was found
+    below the limit, their cost, the root bound, nodes, whether every
+    node closed).
     """
 
     def cost(x: list) -> int:
         return sum(p ^ x[a] ^ x[b] for a, b, p in sides)
 
-    best = [0] * (n + 1)
+    best: Optional[list] = [0] * (n + 1)
     best_cost = cost(best)
+    if limit is not None and best_cost >= limit:
+        best, best_cost = None, limit
     root_bound = 0
     stack: list[dict] = [{}]
     nodes = 0
@@ -590,30 +605,38 @@ def _least_labelling(n: int, sides, node_budget: Optional[int]):
     return best, best_cost, root_bound, nodes, not stack
 
 
-def _label_cells(problem: PlateauProblem, node_budget: Optional[int]):
-    """Least film B0 + boundary(x) over labels x of the curve's box cells,
-    B0 being the sweep film, or the best one when the node budget runs
-    out; with the nodes visited and whether every node closed."""
-    lab = problem.box_labelling
-    x, cost, root_bound, nodes, closed = _least_labelling(lab.cells, lab.sides, node_budget)
+def _least_film(problem: PlateauProblem, C: GridChain, node_budget, limit=None):
+    """Least film bounded by gamma + C: B0 + boundary(x) over labels x of
+    the cells of that cycle's lattice box, B0 its sweep film; or the best
+    one when the node budget runs out.  Only films of fewer than ``limit``
+    faces are sought when it is given (None if none was found).  With the
+    nodes visited and whether every node closed."""
+    if C.is_zero():
+        cycle, lab = problem.gamma, problem.box_labelling
+    else:
+        cycle = problem.gamma + C
+        lab = _box_labelling(*_lattice_box(cycle), sweep_film(cycle))
+    x, cost, root_bound, nodes, closed = _least_labelling(lab.cells, lab.sides, node_budget, limit)
+    if x is None:
+        return None, nodes, closed
     grid = problem.grid
     B = chain_of(grid, 2, [f for f, (a, b, p) in zip(lab.faces, lab.sides) if p ^ x[a] ^ x[b]])
-    if boundary_grid(B) != problem.gamma:
-        raise RuntimeError("the labelled film is not bounded by the curve")
+    if boundary_grid(B) != cycle:
+        raise RuntimeError("the labelled film is not bounded by the curve and its mass part")
     if not len(B) == cost >= root_bound:
         raise RuntimeError(f"labelled film of {len(B)} faces, cost {cost}, bound {root_bound}")
     return B, nodes, closed
 
 
-def _as_solution(problem, pair, e, optimality, method, nodes) -> PlateauSolution:
+def _as_solution(problem, pair, optimality, method, nodes) -> PlateauSolution:
     report = gamma_membership(pair, problem)
+    if not report.member:
+        raise RuntimeError(f"the film found is not a member: {'; '.join(report.failures())}")
     w = mass_grid(pair.B)
-    bound = problem.region_bound
-    if report.member and w < bound:
-        raise RuntimeError(
-            f"weight {w} of a member pair fell below the projected-region area bound {bound}"
-        )
-    return PlateauSolution(pair, w, Fraction(e), report, optimality, method, nodes, bound)
+    bound = problem.shadow_bound
+    if w < bound:
+        raise RuntimeError(f"weight {w} of a member pair fell below the shadow bound {bound}")
+    return PlateauSolution(pair, w, report.budget.energy, report, optimality, method, nodes, bound)
 
 
 def minimize_weight(
@@ -623,26 +646,24 @@ def minimize_weight(
 ) -> PlateauSolution:
     """Minimise the film weight over admissible grid pairs.
 
-    Every method labels the 3-cells of the curve's box, each labelling
-    node one max-flow solve; the film found has C = 0, so it is a member
-    whenever it fits the energy budget.  "local" takes the root node
-    alone and no node budget.  "bnb" has a node budget (default 10^6);
-    "exhaustive" has none unless one is passed.  With an injective
-    direction both branch the labelling, the answer is exact when the
-    flow bound meets the film found, and a spent budget returns the best
-    film so far (the sweep film at budget 0) as an upper bound.  Under
-    every method a film whose weight meets region_bound, a proved lower
-    bound, is exact as it stands.  Otherwise, without an injective
-    direction, the root film is the incumbent of "bnb" and "exhaustive",
-    and they search subsets of the working cube's faces below its face
-    count, in ascending cardinality, so the first feasible pair is a
-    proved minimiser, and a clean search that finds none proves the root
-    film; the nodes are the labelling's and the search's, under one
-    budget.  "local" is otherwise exact only when the root closes under
-    an injective direction.  Raises
-    BudgetError when no admissible pair fits the energy budget, and
-    ValueError when no direction is admissible for the curve, as then no
-    pair can span it.
+    A pair in the working cube spans iff its mass part C lies in V, the
+    invisible cycles, so the least member is the least film bounded by
+    gamma + C over C in V that fits the energy budget.  Every method
+    labels the 3-cells of a cycle's box, each labelling node one
+    max-flow solve, one coset at a time: C = 0 first, then the others in
+    Gray-code order, all under one node budget.  A later coset seeks
+    only films lighter than the lightest member so far that fit the
+    budget with its mass part, and the loop stops once that film meets
+    the shadow bound.  The answer is exact when every coset closed or
+    the film meets the shadow bound; a spent budget returns the best
+    member so far (at budget 0, the sweep film) as an upper bound.
+    "local" is the root node of the coset C = 0 and takes no node
+    budget.  "bnb" has a node budget (default 10^6).  "exhaustive" has
+    none unless one is passed, and without one it refuses a space V of
+    dimension above 16 whose coset C = 0 has not met the shadow bound.
+    Raises BudgetError when no admissible pair fits the energy budget,
+    and ValueError when no direction is admissible for the curve, as
+    then no pair can span it.
     """
     if method not in ("exhaustive", "bnb", "local"):
         raise ValueError(f"unknown method: {method}")
@@ -650,14 +671,16 @@ def minimize_weight(
         raise ValueError("the local method takes no node budget")
     if node_budget is not None and node_budget < 0:
         raise ValueError("node budget must be nonnegative")
+    grid = problem.grid
     if problem.gamma.is_zero():
-        zero = Dipolyhedron(empty_chain(problem.grid, 2), empty_chain(problem.grid, 1))
-        return _as_solution(problem, zero, 0, "exact", method, 0)
-    eps2 = problem.grid.epsilon ** 2
-    if problem.lam < eps2:
+        zero = Dipolyhedron(empty_chain(grid, 2), empty_chain(grid, 1))
+        return _as_solution(problem, zero, "exact", method, 0)
+    eps2 = grid.epsilon ** 2
+    lam = problem.lam
+    if lam < eps2:
         # the empty film leaves C = gamma, of mass at least 4 eps^2; any other film has a face
         raise BudgetError(
-            f"energy budget {problem.lam} below one face's area {eps2}: no pair fits it",
+            f"energy budget {lam} below one face's area {eps2}: no pair fits it",
             required=cone_energy(problem.gamma),
         )
     if problem.grid_context.max_region_area is None:
@@ -666,49 +689,52 @@ def minimize_weight(
         )
     if problem.box_labelling is None:
         # every pair contains the curve's edges outside the cube
-        raise BudgetError(
-            f"the curve leaves the working cube of the budget {problem.lam}: no pair fits it"
-        )
+        raise BudgetError(f"the curve leaves the working cube of the budget {lam}: no pair fits it")
     if method == "bnb" and node_budget is None:
         node_budget = 10 ** 6
-    witness = problem.injective_direction is not None
-    if witness and method != "local":
-        label_budget = node_budget
-    else:
-        # the root node alone, inside the node budget
-        label_budget = 1 if node_budget is None else min(1, node_budget)
-    B, nodes, closed = _label_cells(problem, label_budget)
-    weight = mass_grid(B)
-    # a film that meets the proved lower bound is least under any method
-    exact = (closed and witness) or weight == problem.region_bound
-    if not exact and not witness and method != "local":
-        faces = problem.faces
-        if method == "exhaustive" and node_budget is None and len(faces) > 512:
+    elif method == "local":
+        node_budget = 1
+    basis = problem.invisible_cycles
+    bound = problem.shadow_bound
+    edges = problem.cube_edges if basis else ()
+    cycles = [chain_of(grid, 1, [edges[j] for j in range(b.bit_length()) if b >> j & 1]) for b in basis]
+    C = empty_chain(grid, 1)
+    best = root = limit = None
+    nodes, exact = 0, True
+    for i in range(1 << len(basis)):
+        if i:
+            if nodes == node_budget:  # local's one node included
+                exact = False
+                break
+            C = C + cycles[(i & -i).bit_length() - 1]
+            limit = (lam - mass_grid(C)) // eps2 + 1
+            if best is not None:
+                limit = min(limit, len(best.B))
+        left = None if node_budget is None else node_budget - nodes
+        B, used, done = _least_film(problem, C, left, limit)
+        nodes += used
+        exact = exact and done
+        if i == 0:
+            root = B
+        if B is not None and (best is None or len(B) < len(best.B)) and mass_grid(B) + mass_grid(C) <= lam:
+            best = Dipolyhedron(B, C)
+            if mass_grid(B) == bound:  # no member is lighter
+                exact = True
+                break
+        if i == 0 and method == "exhaustive" and node_budget is None and len(basis) > 16:
             raise ValueError(
-                f"{len(faces)} candidate faces is beyond the exhaustive budget; "
-                "use method='bnb' or pass a node budget"
+                f"the invisible cycles span a space of dimension {len(basis)}, beyond the "
+                f"exhaustive budget, and the root film weighs {mass_grid(root)} against the "
+                f"shadow bound {bound}; use method='bnb' or pass a node budget"
             )
-        budget = None if node_budget is None else node_budget - nodes
-        max_faces = min(len(faces), int(problem.lam / eps2), len(B) - 1)
-        best, more, exact = _search(problem, budget, max_faces)
-        nodes += more
-        if best is not None:
-            pair, e = best
-            optimality = "exact" if exact else "upper-bound"
-            return _as_solution(problem, pair, e, optimality, method, nodes)
-    if weight > problem.lam:
+    if best is None:
         if not exact:
-            raise BudgetError(
-                f"the node budget ran out before a film within {problem.lam} was found"
-            )
-        if not witness:
-            raise BudgetError(f"no admissible pair within the energy budget {problem.lam}")
-        raise BudgetError(
-            f"energy budget {problem.lam} below the least spanning film's weight {weight}",
-            required=weight,
-        )
-    pair = Dipolyhedron(B, empty_chain(problem.grid, 1))
-    return _as_solution(problem, pair, weight, "exact" if exact else "upper-bound", method, nodes)
+            raise BudgetError(f"the node budget ran out before a film within {lam} was found")
+        if basis:
+            raise BudgetError(f"no admissible pair within the energy budget {lam}")
+        w = mass_grid(root)
+        raise BudgetError(f"energy budget {lam} below the least spanning film's weight {w}", required=w)
+    return _as_solution(problem, best, "exact" if exact else "upper-bound", method, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -442,8 +442,8 @@ def test_criterion_09_plateau_model_instances():
 
     # the winning weight dominates every admissible shadow area
     for sol, bound in ((sol1, 1), (sol4, 4)):
-        assert sol.region_bound == bound
-        assert sol.weight >= sol.region_bound
+        assert sol.shadow_bound == bound
+        assert sol.weight >= sol.shadow_bound
         areas = [
             d.region_area
             for d in sol.feasibility.spanning.directions

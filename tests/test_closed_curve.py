@@ -1,18 +1,17 @@
 """The shared closed-curve path against copies of the hand-written tests it replaced.
 
-Spanning admissibility, projected areas, axis regions and curve
-validation answer one question (does this edge set bound a simple closed
-plane curve?) through geom.closed_cycle, geom.polygon_is_simple and
-geom.point_in_polygon_parity.  The reference functions below are copies
-of the per-caller code that answered it before: a degree check, a DFS
-and a pairwise segment test for admissibility, an inline even-odd ray
-cast for region cells, and polygon_is_simple without its bounding-box
-reject.  The references project world points with ProjectionDir.project2,
-while the code projects through the integer frame, so results are
-compared where they do not depend on coordinates: admissible or not,
-why not, region areas and region cells.  Inputs are random grid curves
-seen along random directions and random lattice vertex cycles, which
-are full of collinear overlaps, touches and crossings.
+Spanning admissibility, projected areas and curve validation answer one
+question (does this edge set bound a simple closed plane curve?) through
+geom.closed_cycle and geom.polygon_is_simple.  The reference functions
+below are copies of the per-caller code that answered it before: a
+degree check, a DFS and a pairwise segment test for admissibility, and
+polygon_is_simple without its bounding-box reject.  The references
+project world points with ProjectionDir.project2, while the code
+projects through the integer frame, so results are compared where they
+do not depend on coordinates: admissible or not, why not, and region
+areas.  Inputs are random grid curves seen along random directions and
+random lattice vertex cycles, which are full of collinear overlaps,
+touches and crossings.
 """
 
 import random
@@ -22,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filmlab.dipolyhedra import ProjectionDir, SpanningContext, default_directions, region_cells
+from filmlab.dipolyhedra import ProjectionDir, SpanningContext, default_directions
 from filmlab.geom import (
     closed_cycle,
     polygon_is_simple,
@@ -134,36 +133,6 @@ def ref_cycle_area(segs2, scale):
     return scale * (abs(shoelace_twice(cycle)) / 2)
 
 
-def ref_region_cells(gamma, axis):
-    proj = ProjectionDir.along_axis(axis)
-    ok, reason, segs2 = ref_admissibility(gamma, proj)
-    if not ok:
-        raise ValueError(f"inadmissible axis projection: {reason}")
-    grid = gamma.grid
-    j, l = [i for i in range(3) if i != axis]
-    sx = [(a[0], b[0]) for a, b in segs2]
-    sy = [(a[1], b[1]) for a, b in segs2]
-    eps = grid.epsilon
-    i_lo = int(((min(min(p) for p in sx) - grid.origin[j]) / eps).__floor__())
-    i_hi = int(((max(max(p) for p in sx) - grid.origin[j]) / eps).__ceil__())
-    m_lo = int(((min(min(p) for p in sy) - grid.origin[l]) / eps).__floor__())
-    m_hi = int(((max(max(p) for p in sy) - grid.origin[l]) / eps).__ceil__())
-    out = set()
-    for i in range(i_lo, i_hi):
-        for m in range(m_lo, m_hi):
-            cx = grid.origin[j] + eps * i + eps / 2
-            cy = grid.origin[l] + eps * m + eps / 2
-            crossings = 0
-            for (x1, y1), (x2, y2) in segs2:
-                if (y1 > cy) != (y2 > cy):
-                    x_at = x1 + (cy - y1) * (x2 - x1) / (y2 - y1)
-                    if x_at > cx:
-                        crossings += 1
-            if crossings % 2:
-                out.add((i, m))
-    return frozenset(out)
-
-
 def ref_polygon_is_simple(vertices):
     n = len(vertices)
     if n < 3:
@@ -259,21 +228,6 @@ def test_admissibility_matches_pairwise_rule(seed, kind):
         ref_ok, ref_reason, segs2 = ref_admissibility(gamma, proj)
         assert (ok, reason) == (ref_ok, ref_reason)
         assert area == (ref_cycle_area(segs2, proj.area_scale()) if ok else None)
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 10**6), kind=st.sampled_from(["plane", "scatter", "surface", "any"]))
-def test_region_cells_match_ray_cast(seed, kind):
-    gamma = _grid_curve(random.Random(seed), kind)
-    for axis in range(3):
-        try:
-            expected = ref_region_cells(gamma, axis)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as info:
-                region_cells(gamma, axis)
-            assert str(info.value) == str(exc)
-            continue
-        assert region_cells(gamma, axis) == expected
 
 
 _coords = st.sampled_from([F(0), F(1), F(2), F(3), F(1, 2), F(3, 2)])

@@ -25,7 +25,6 @@ from filmlab.dipolyhedra import (
     make_dipole,
     make_massive,
     pushforward_dip,
-    region_cells,
     restrict_dip,
     spanning_check,
     support_dip,
@@ -336,18 +335,6 @@ def test_shadow_of_curve_projects_segments():
     assert o.admissible and o.region_area * RadicalSum.sqrt(3) == 1
     bare = spanning_check(make_massive(gamma), gamma, dirs)
     assert [r.admissible for r in bare.directions] == [False, False, True, True]
-
-
-def test_region_cells_unit_square():
-    grid = make_grid((1, 1, 1))
-    gamma = square_curve(grid, 0, 0, 1)
-    assert region_cells(gamma, 2) == frozenset({(0, 0)})
-
-
-def test_region_cells_two_by_two():
-    grid = make_grid((2, 2, 1))
-    gamma = square_curve(grid, 0, 0, 2)
-    assert region_cells(gamma, 2) == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
 
 
 def test_spanning_filled_face():

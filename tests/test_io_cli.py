@@ -600,10 +600,11 @@ def test_cli_internal_failure_exit_4(capsys, monkeypatch, exc):
 
 
 def test_cli_require_exact_exit_3(capsys, tmp_path):
-    # the skew hexagon's sweep film is not least, and no admissible axis
-    # bounds it (the square's sweep film meets its axis-shadow bound)
-    path = tmp_path / "hex.json"
-    path.write_text(json.dumps(chain_to_json(polygon_curve(HEX, 3))))
+    # stair22's sweep film (18 faces) is above its shadow bound (6), so a
+    # zero budget proves nothing (the square's and the skew hexagon's sweep
+    # films meet their shadow bounds)
+    path = tmp_path / "stair22.json"
+    path.write_text(json.dumps(chain_to_json(stair22())))
     code, out, _ = run_cli(
         capsys,
         "plateau",
@@ -740,6 +741,32 @@ def test_cli_plateau_without_admissible_direction_exit_2(capsys, tmp_path, metho
     assert err.count("\n") == 1 and "no projection direction is admissible" in err
 
 
+def test_cli_plateau_without_a_witness(capsys, tmp_path):
+    # hex1 at direction seed 4 with three extra directions: two invisible
+    # cycles, four cosets, all closed
+    hex1 = tmp_path / "hex1.json"
+    hex1.write_text(dumps_report(polygon_curve(HEX, 3)))
+    argv = ("plateau", "--curve", str(hex1), "--seed", "4", "--dirs", "3", "--method", "exhaustive")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["weight"], doc["optimality"], doc["shadow_bound"]) == ("3", "exact", "2")
+    # fold2 at direction seed 4 with one extra direction: 40 invisible
+    # cycles and a root film above the shadow bound, too many cosets for
+    # exhaustive without a budget, and upper-bound under a one-node budget
+    fold2 = tmp_path / "fold2.json"
+    fold2.write_text(dumps_report(polygon_curve(refine_polygon(FOLD, 2), 4)))
+    argv = ("plateau", "--curve", str(fold2), "--seed", "4", "--dirs", "1")
+    code, out, err = run_cli(capsys, *argv, "--method", "exhaustive")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "dimension 40" in err and "root film weighs 8 against the shadow bound 6" in err
+    code, out, _ = run_cli(capsys, *argv, "--method", "bnb", "--node-budget", "1", "--require-exact")
+    assert code == 3
+    doc = json.loads(out)
+    assert (doc["weight"], doc["optimality"], doc["nodes"]) == ("8", "upper-bound", "1")
+
+
 def test_cli_plateau_local_rejects_node_budget(capsys):
     code, out, err = run_cli(
         capsys,
@@ -848,7 +875,7 @@ def test_cli_reports_survive_python_O(argv, tmp_path):
             "8", "exact", method, "1")
     if rooted:
         doc = json.loads(plain.stdout)
-        assert (doc["weight"], doc["optimality"], doc["nodes"]) == ("16", "upper-bound", "1")
+        assert (doc["weight"], doc["optimality"], doc["nodes"]) == ("16", "exact", "1")
     if covered is not None:
         doc = json.loads(plain.stdout)
         assert doc["status"] == "exact"

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filmlab import plateau
@@ -26,7 +26,17 @@ from filmlab.dipolyhedra import (
 )
 from filmlab.exact import SQRT3
 from filmlab.geom import sup_norm, vsub
-from filmlab.grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
+from filmlab.grid import (
+    GridCell,
+    GridChain,
+    GridSpec,
+    boundary_grid,
+    cell_in_bounds,
+    chain_of,
+    edge_ends,
+    empty_chain,
+    mass_grid,
+)
 from filmlab.overlay import overlay_leftover
 from filmlab.plateau import (
     BudgetError,
@@ -102,8 +112,8 @@ def test_unit_square_minimum_is_one():
     assert sol.feasibility.member
     assert sol.pair.C.is_zero()
     assert mass_grid(sol.pair.B) == 1
-    assert sol.region_bound == 1
-    assert sol.weight >= sol.region_bound
+    assert sol.shadow_bound == 1
+    assert sol.weight >= sol.shadow_bound
 
 
 def test_patch_minimum_is_four():
@@ -112,7 +122,7 @@ def test_patch_minimum_is_four():
     assert sol.weight == 4
     assert sol.optimality == "exact"
     assert len(sol.pair.B) == 4
-    assert sol.region_bound == 4
+    assert sol.shadow_bound == 4
 
 
 def test_patch_refined_grid_same_value():
@@ -124,17 +134,20 @@ def test_patch_refined_grid_same_value():
         assert (sol.weight, sol.optimality, sol.method) == (4, "exact", method)
         assert len(sol.pair.B) == 16
         assert sol.pair.C.is_zero()
-    # with the axes alone the labelled film meets the axis-shadow bound,
-    # which proves it least at the root, so the face search never runs
+    # with the axes alone the labelled film meets the shadow bound, which
+    # proves it least at the root, so no other coset is searched
     axes = plateau_problem(gamma, dirs=default_directions(0, 0))
     assert axes.injective_direction is None
     sol = minimize_weight(axes, method="exhaustive")
     assert (sol.weight, sol.optimality, sol.nodes) == (4, "exact", 1)
-    assert len(axes.faces) > 512
-    # stair44 has no witness and nothing proves its root film: its faces
-    # are too many for the face search's exhaustive guard
-    with pytest.raises(ValueError, match="beyond the exhaustive budget"):
-        minimize_weight(plateau_problem(stair44()), method="exhaustive")
+    assert len(axes.invisible_cycles) > 16
+    # fold2 at direction seed 4 with one extra direction: its root film is
+    # above the shadow bound, and its cosets are too many for exhaustive
+    fold2 = plateau_problem(polygon_curve(FOLD2, 4), dirs=default_directions(4, 1))
+    assert len(fold2.invisible_cycles) == 40
+    with pytest.raises(ValueError, match="dimension 40, beyond the exhaustive budget") as err:
+        minimize_weight(fold2, method="exhaustive")
+    assert "root film weighs 8 against the shadow bound 6" in str(err.value)
 
 
 def test_local_descent_gives_upper_bound():
@@ -145,11 +158,14 @@ def test_local_descent_gives_upper_bound():
     sol = minimize_weight(problem, method="local")
     assert (sol.weight, sol.optimality, sol.nodes) == (1, "exact", 1)
     assert sol.feasibility.member
-    # stair22 has no witness and no admissible axis to bound it
-    stair = plateau_problem(stair22())
-    assert stair.injective_direction is None and stair.region_bound == 0
-    sol = minimize_weight(stair, method="local")
-    assert (sol.weight, sol.optimality, sol.nodes) == (16, "upper-bound", 1)
+    # hex1 at direction seed 4 with three extra directions has no witness,
+    # two invisible cycles, and a shadow bound below its root film
+    hex1 = plateau_problem(polygon_curve(HEX, 3), dirs=default_directions(4, 3))
+    assert hex1.injective_direction is None and len(hex1.invisible_cycles) == 2
+    assert hex1.shadow_bound == 2
+    sol = minimize_weight(hex1, method="local")
+    assert (sol.weight, sol.optimality, sol.nodes) == (3, "upper-bound", 1)
+    assert sol.feasibility.member
     # the root closes under an injective direction: the unit face, proved
     sol = minimize_weight(unit_problem(), method="local")
     assert (sol.weight, sol.optimality, sol.nodes) == (1, "exact", 1)
@@ -235,7 +251,7 @@ def test_cone_energy_of_square():
 def test_solution_never_below_region_bound():
     problem = patch_problem()
     sol = minimize_weight(problem, method="bnb")
-    assert sol.weight >= sol.region_bound == 4
+    assert sol.weight >= sol.shadow_bound == 4
 
 
 def test_clamp_improvement_fast_path():
@@ -324,16 +340,123 @@ def test_diagnostics_empty_pair():
 
 
 def test_member_below_region_bound_raises(monkeypatch):
-    # the weight >= region-area invariant is checked without assert, so it
+    # the weight >= shadow-bound invariant is checked without assert, so it
     # also holds under python -O
     problem = unit_problem()
-    monkeypatch.setattr(plateau.PlateauProblem, "region_bound", F(2))
-    with pytest.raises(RuntimeError, match="region area bound"):
+    monkeypatch.setattr(plateau.PlateauProblem, "shadow_bound", F(2))
+    with pytest.raises(RuntimeError, match="fell below the shadow bound 2"):
         minimize_weight(problem, method="exhaustive")
 
 
 # ---------------------------------------------------------------------------
-# candidate face order: lattice keys against world distances
+# the face search: a reference that shares nothing with the labelling
+
+
+def _face_order(problem):
+    """Faces inside the working cube, nearest the curve first.
+
+    The order is a search heuristic only (ascending-cardinality search
+    is exact regardless): films hug their curve, so the first
+    parity-feasible subset tends to pass the full check.  Distances are
+    taken in doubled lattice coordinates, where face centres and curve
+    vertices are integer points; the world distance squared is
+    epsilon^2 / 4 times that, so the order is the world order.
+    """
+    lo, hi = problem.cube_box
+    out = [cell for cell in problem.grid.cells(2) if cell_in_bounds(cell, lo, hi)]
+    anchors = {tuple(2 * x for x in v) for c in problem.gamma.cells for v in edge_ends(c)}
+
+    def center_dist_sq(cell):
+        center = [2 * b + (a in cell.axes) for a, b in enumerate(cell.base)]
+        return min(sum((center[i] - p[i]) ** 2 for i in range(3)) for p in anchors)
+
+    return sorted(out, key=lambda c: (center_dist_sq(c), c.base, c.axes))
+
+
+def _axis_targets(problem):
+    """Per admissible axis, the lattice cells (i, m) its shadow of the curve encloses.
+
+    Along an axis the curve projects onto lattice lines; a row m of cells
+    crosses the projected edges along the second other axis at their
+    first coordinate, and a cell lies inside iff an odd number of those
+    crossings lie to its right.
+    """
+    targets = {}
+    for proj, admissible, *_ in problem.grid_context.directions:
+        if admissible and proj.axis is not None:
+            j, l = [a for a in range(3) if a != proj.axis]
+            rows = {}
+            for cell in problem.gamma.cells:
+                if cell.axes == (l,):
+                    rows.setdefault(cell.base[l], []).append(cell.base[j])
+            targets[proj.axis] = frozenset(
+                (i, m)
+                for m, xs in rows.items()
+                for a, b in zip(sorted(xs)[::2], sorted(xs)[1::2])
+                for i in range(a, b)
+            )
+    return targets
+
+
+def _candidate(problem, faces):
+    """(B, gamma + dB) for a face set B if it is a member, checked in full."""
+    B = chain_of(problem.grid, 2, faces)
+    C = problem.gamma + boundary_grid(B)
+    if mass_grid(B) + mass_grid(C) > problem.lam:
+        return None
+    pair = Dipolyhedron(B, C)
+    return pair if problem.grid_context.check(pair).spans else None
+
+
+def _face_search(problem, node_budget):
+    """Ascending-cardinality subset search of the working cube's faces.
+
+    State is one integer: a bit per (axis, column) that any candidate face
+    or target region touches.  A face perpendicular to an admissible axis
+    toggles exactly one bit, so the number of wrong bits is a lower bound
+    on the faces still needed; bits no remaining face can reach prune the
+    branch outright.  Each cardinality is a depth-first walk on an
+    explicit stack that takes a face before it skips it.  Returns the
+    first member found (or None), the nodes visited, and whether the node
+    budget was never hit.
+    """
+    faces = _face_order(problem)
+    targets = _axis_targets(problem)
+    bit_of = {}
+
+    def bit(axis, column):
+        return bit_of.setdefault((axis, column), 1 << len(bit_of))
+
+    target = 0
+    for axis, cols in targets.items():
+        for col in cols:
+            target |= bit(axis, col)
+    masks = []
+    for cell in faces:
+        axis = next(a for a in range(3) if a not in cell.axes)
+        j, l = cell.axes
+        masks.append(bit(axis, (cell.base[j], cell.base[l])) if axis in targets else 0)
+    suffix = [0] * (len(faces) + 1)
+    for i in range(len(faces) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    nodes = 0
+    for w in range(min(len(faces), int(problem.lam / problem.grid.epsilon ** 2)) + 1):
+        stack = [(0, w, 0, ())]
+        while stack:
+            idx, left, state, chosen = stack.pop()
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return None, nodes, False
+            wrong = state ^ target
+            if left == 0:
+                if wrong == 0 and (hit := _candidate(problem, chosen)) is not None:
+                    return hit, nodes, True
+                continue
+            if len(faces) - idx < left or wrong.bit_count() > left or wrong & ~suffix[idx]:
+                continue
+            stack.append((idx + 1, left, state, chosen))
+            stack.append((idx + 1, left - 1, state ^ masks[idx], chosen + (faces[idx],)))
+    return None, nodes, True
 
 
 def _world_face_order(problem):
@@ -385,7 +508,7 @@ def test_admissible_faces_lattice_order_matches_world_order():
     assert len(SYMMETRIES) == 7
     for gamma in curves:
         problem = plateau_problem(gamma)
-        assert list(problem.faces) == _world_face_order(problem)
+        assert _face_order(problem) == _world_face_order(problem)
 
 
 def test_support_in_cube_lattice_bounds_match_world_corners():
@@ -454,15 +577,16 @@ def test_minimize_weight_builds_one_spanning_context(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(plateau, "SpanningContext", CountingContext)
-    # stair22 has no injective direction and nothing proves its root film,
-    # so bnb searches faces below it
-    problem = plateau_problem(stair22())
+    # hex1 at direction seed 4 with three extra directions has no witness:
+    # its invisible cycles are built from the same context
+    problem = plateau_problem(polygon_curve(HEX, 3), dirs=default_directions(4, 3))
     assert problem.injective_direction is None
     # local takes the root film; bnb spends its one node on the root and
-    # returns it when the search's first node is over the budget
+    # returns it when the next coset is over the budget
     for kwargs in ({"method": "local"}, {"method": "bnb", "node_budget": 1}):
         sol = minimize_weight(problem, **kwargs)
         assert sol.optimality == "upper-bound" and sol.feasibility.member
+    assert len(problem.invisible_cycles) == 2
     assert len(built) == 1
     # with an injective direction bnb labels cells; a zero budget returns
     # the sweep film, here the unit face, which meets the axis-shadow bound
@@ -645,33 +769,131 @@ def test_labelling_matches_exhaustive_face_search(name):
         assert (bb.optimality, ex.optimality) == ("exact", "exact")
         assert (bb.method, ex.method) == ("bnb", "exhaustive")
         assert gamma_membership(bb.pair, labelled).member
-        found, _, clean = plateau._search(labelled, None, len(labelled.faces))
-        assert clean and mass_grid(found[0].B) == bb.weight
-        assert gamma_membership(found[0], labelled).member
+        found, _, clean = _face_search(labelled, None)
+        assert clean and mass_grid(found.B) == bb.weight
+        assert gamma_membership(found, labelled).member
+
+
+# witness-less curves: (name, direction seed, extra directions, dim V, least weight)
+WITNESS_LESS = [
+    ("sq1", 0, 0, 4, 1),
+    ("sq2", 1, 1, 12, 4),
+    ("sq2", 4, 1, 0, 4),
+    ("hex1", 4, 3, 2, 3),
+    ("hex1", 10, 1, 0, 3),
+    ("fold1", 4, 1, 0, 2),
+    ("fold1", 40, 2, 12, 2),
+]
+
+
+@pytest.mark.parametrize("name, seed, extra, dim, weight", WITNESS_LESS)
+def test_coset_search_matches_the_face_search_without_a_witness(name, seed, extra, dim, weight, monkeypatch):
+    def build():
+        return plateau_problem(_oriented_curve(name, SYMMETRIES_48[0]), dirs=default_directions(seed, extra))
+
+    problem = build()
+    assert problem.injective_direction is None
+    assert len(problem.invisible_cycles) == dim
+    found, _, clean = _face_search(problem, None)
+    assert clean and mass_grid(found.B) == weight
+    for method in ("exhaustive", "bnb"):
+        sol = minimize_weight(problem, method=method)
+        assert (sol.weight, sol.optimality) == (weight, "exact")
+        assert sol.feasibility.member
+    # with the shadow bound withheld, every coset must close
+    monkeypatch.setattr(plateau.PlateauProblem, "shadow_bound", F(0))
+    sol = minimize_weight(build(), method="exhaustive")
+    assert (sol.weight, sol.optimality) == (weight, "exact")
+    assert sol.nodes >= 2 ** dim
+
+
+def test_a_lighter_member_can_carry_an_invisible_mass_part():
+    # hex2 at (4, 3): dim V = 36, and a later coset holds a member lighter
+    # than every film the curve bounds alone
+    problem = plateau_problem(polygon_curve(refine_polygon(HEX, 2), 5), dirs=default_directions(4, 3))
+    assert len(problem.invisible_cycles) == 36 and problem.shadow_bound == 7
+    root = minimize_weight(problem, method="local")
+    assert (root.weight, root.optimality) == (12, "upper-bound") and root.pair.C.is_zero()
+    sol = minimize_weight(problem, method="bnb", node_budget=20)
+    assert (sol.weight, sol.optimality, sol.nodes) == (8, "upper-bound", 20)
+    assert len(sol.pair.C) == 8 and sol.feasibility.member
+    # the reference's own full check agrees that the pair spans
+    assert _candidate(problem, sol.pair.B.cells) == sol.pair
+
+
+def _edge_bits(problem, C):
+    index = {cell: i for i, cell in enumerate(problem.cube_edges)}
+    return sum(1 << index[cell] for cell in C.cells)
+
+
+def _in_span(basis, x):
+    """Is the bitset x a sum of members of basis?  Asserts they are independent."""
+    pivots = {}
+    for b in basis:
+        while b and b.bit_length() in pivots:
+            b ^= pivots[b.bit_length()]
+        assert b, "the basis is dependent"
+        pivots[b.bit_length()] = b
+    while x and x.bit_length() in pivots:
+        x ^= pivots[x.bit_length()]
+    return x == 0
+
+
+INVISIBLE_CASES = {
+    # name: (curve, direction seed and extra directions, witness, dim V)
+    "sq3": (lambda: _oriented_curve("sq3", SYMMETRIES_48[5]), (0, 10), True, 0),
+    "fold2": (lambda: _oriented_curve("fold2", SYMMETRIES_48[17]), (1, 10), True, 0),
+    "stair22": (stair22, (0, 10), False, 0),
+    "hex1-4-3": (lambda: _oriented_curve("hex1", SYMMETRIES_48[0]), (4, 3), False, 2),
+    "sq2-axes": (lambda: _centred_square(2), (0, 0), False, 24),
+}
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 100_000),
-    name=st.sampled_from(["sq3", "fold2", "hex1"]),
-    strays=st.integers(0, 3),
+    name=st.sampled_from(sorted(INVISIBLE_CASES)),
+    kind=st.sampled_from(["faces", "invisible", "both"]),
 )
-def test_injective_direction_means_spanning_is_zero_mass(seed, name, strays):
+def test_spanning_means_the_mass_part_lies_in_the_invisible_space(seed, name, kind):
+    # C is the boundary of a few cube faces, a random member of V, or both;
+    # the sweep film of gamma + C completes it to a pair
+    build, dirs, witness, dim = INVISIBLE_CASES[name]
+    problem = plateau_problem(build(), dirs=default_directions(*dirs))
+    assert (problem.injective_direction is not None) == witness
+    basis = problem.invisible_cycles
+    assert len(basis) == dim
+    edges = problem.cube_edges
+    cycles = [chain_of(problem.grid, 1, [e for j, e in enumerate(edges) if b >> j & 1]) for b in basis]
+    assert all(boundary_grid(c).is_zero() for c in cycles)
     rng = random.Random(seed)
-    gamma = _oriented_curve(name, rng.choice(SYMMETRIES_48))
-    problem = plateau_problem(gamma, dirs=default_directions(seed % 5))
-    assume(problem.injective_direction is not None)
-    grid = gamma.grid
+    grid = problem.grid
     lo, hi = problem.cube_box
-    cells = [
-        GridCell(base, (0, 1, 2))
-        for base in itertools.product(*(range(lo[a], hi[a]) for a in range(3)))
-        if rng.random() < 0.3
-    ]
-    B = sweep_film(gamma) + boundary_grid(chain_of(grid, 3, cells))
-    B = B + chain_of(grid, 2, rng.sample(problem.faces, strays))
-    C = gamma + boundary_grid(B)
-    assert problem.grid_context.check(Dipolyhedron(B, C)).spans == C.is_zero()
+    C = empty_chain(grid, 1)
+    if kind != "invisible":
+        faces = [cell for cell in grid.cells(2) if cell_in_bounds(cell, lo, hi)]
+        C = boundary_grid(chain_of(grid, 2, rng.sample(faces, rng.randint(1, 3))))
+    if kind != "faces":
+        for cycle in cycles:
+            if rng.random() < 0.5:
+                C = C + cycle
+    A = Dipolyhedron(sweep_film(problem.gamma + C), C)
+    assert problem.grid_context.check(A).spans == _in_span(basis, _edge_bits(problem, C))
+
+
+@pytest.mark.parametrize(
+    "name, tight_count", [(name, 32 if name == "fold2" else 48) for name in sorted(ORIENTED_CURVES)]
+)
+def test_shadow_bound_never_above_the_proved_optimum(name, tight_count):
+    # under a witness the labelling's closure alone proves the optimum
+    tight = 0
+    for sym in SYMMETRIES_48:
+        problem = plateau_problem(_oriented_curve(name, sym))
+        assert problem.injective_direction is not None
+        B, _, closed = plateau._least_film(problem, empty_chain(problem.grid, 1), None)
+        assert closed and problem.shadow_bound <= mass_grid(B)
+        tight += problem.shadow_bound == mass_grid(B)
+    assert tight == tight_count
 
 
 @pytest.mark.parametrize("name", ["hex1", "sq3", "fold2"])
@@ -754,11 +976,12 @@ def test_no_admissible_direction_is_named_not_blamed_on_the_budget(name):
 
 @pytest.mark.parametrize("n, weight", [(2, 4), (3, 9)])
 def test_axes_alone_close_at_the_region_bound(n, weight):
-    # the root film is the least film: its weight meets the axis-shadow
-    # bound, so every method proves it at the root, with no face search
+    # the root film is the least film: its weight meets the shadow bound,
+    # here the sum of the admissible axis-shadow areas, so every method
+    # proves it at the root, with no other coset searched
     problem = plateau_problem(_centred_square(n), dirs=default_directions(0, 0))
     assert problem.injective_direction is None
-    assert problem.region_bound == weight
+    assert problem.shadow_bound == weight
     for method in ("exhaustive", "bnb", "local"):
         sol = minimize_weight(problem, method=method)
         assert (sol.weight, sol.optimality, sol.nodes) == (weight, "exact", 1)
@@ -785,22 +1008,41 @@ def test_curve_outside_its_cube_fits_no_pair():
 
 @pytest.mark.parametrize("build, length, weight", [(stair22, 22, 16), (stair44, 44, 27)])
 def test_local_takes_the_root_film_without_a_witness(build, length, weight):
+    # no witness, but no invisible cycle either: the root closes, proved
     problem = plateau_problem(build())
     assert mass_grid(problem.gamma) == length
     assert problem.grid_context.max_region_area is not None
     assert problem.injective_direction is None
-    sol = minimize_weight(problem, method="local")
-    assert (sol.weight, sol.optimality, sol.nodes) == (weight, "upper-bound", 1)
-    assert sol.feasibility.member and sol.pair.C.is_zero()
+    assert problem.invisible_cycles == ()
+    for method in ("exhaustive", "bnb", "local"):
+        sol = minimize_weight(problem, method=method)
+        assert (sol.weight, sol.optimality, sol.nodes) == (weight, "exact", 1)
+        assert sol.feasibility.member and sol.pair.C.is_zero()
+        assert sol.shadow_bound < weight
 
 
-def test_face_search_runs_on_an_explicit_stack():
-    # stair44's 1728 faces once recursed one Python frame per face index
-    problem = plateau_problem(stair44())
-    sol = minimize_weight(problem, method="bnb", node_budget=2000)
+def test_shadow_bound_proves_the_root_film():
+    # fold3 at direction seed 9: 57 invisible cycles, but the root film
+    # meets the shadow bound, so no other coset is searched
+    problem = plateau_problem(polygon_curve(refine_polygon(FOLD, 3), 8), dirs=default_directions(9))
+    assert problem.injective_direction is None and len(problem.invisible_cycles) == 57
+    assert problem.shadow_bound == 18
+    for method in ("exhaustive", "bnb", "local"):
+        sol = minimize_weight(problem, method=method)
+        assert (sol.weight, sol.optimality, sol.nodes) == (18, "exact", 1)
+        assert sol.feasibility.member and sol.pair.C.is_zero()
+
+
+def test_coset_search_shares_one_node_budget():
+    # hex1 at (4, 3): four cosets of one node each; a budget that runs out
+    # between them keeps the best member so far
+    problem = plateau_problem(polygon_curve(HEX, 3), dirs=default_directions(4, 3))
     root = minimize_weight(problem, method="local")
-    assert (sol.weight, sol.optimality, sol.nodes) == (27, "upper-bound", 2001)
-    assert sol.pair == root.pair and sol.feasibility.member
+    for budget, optimality in ((0, "upper-bound"), (1, "upper-bound"), (3, "upper-bound"), (4, "exact")):
+        sol = minimize_weight(problem, method="bnb", node_budget=budget)
+        assert (sol.optimality, sol.nodes) == (optimality, budget)
+        assert sol.feasibility.member
+    assert sol.weight == root.weight == 3
 
 
 def test_minimize_weight_never_builds_a_cone_start(monkeypatch):
