@@ -17,6 +17,14 @@ only narrows the field to a band that holds every candidate the rule can
 pick; RadicalSum comparison of the exact masses decides within it.  The
 exact identity below certifies the result whichever center is used.
 
+From the grid clip through the parity snap, pieces are homogeneous integer
+simplices (geom.HSimplex): carriers, wedge splits, projections and the
+snap's point tests run in integers, and float copies x / w only rank
+centers.  Fractions appear where they must: once per distinct point for
+the chains that leave the pipeline (R, and through it dR, Q and the
+support distances), and for a cell's pieces only when a clearance needs
+an exact distance.
+
 Every run returns chains Q (dim k) and R (dim k+1) with the exact mod-2
 identity  A = P + Q + dR,  verified geometrically before returning, plus
 measured mass ratios and support distances.  Q is assembled as
@@ -36,9 +44,10 @@ from typing import Optional
 from .dipolyhedra import Dipolyhedron, EnergySplit, boundary_dip, chain_mass, energy
 from .exact import RadicalSum, radical_sum
 from .geom import (
+    HSimplex,
     Plane,
     Point,
-    Simplex,
+    affine,
     affine_pieces,
     homogeneous,
     homogeneous_measure_sq,
@@ -46,18 +55,15 @@ from .geom import (
     point_simplex_dist_sq,
     reduced,
     simplex_measure_sq,
-    split_by_planes,
     split_homogeneous,
-    vadd,
+    vcross,
+    vdot,
 )
 from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, mass_grid
 from .overlay import (
-    IN,
-    ON,
     EqualityCertificate,
     _plane_groups,
     _plane_vanishes,
-    _point_status,
     chains_equal_mod2,
     reduce_1chain,
 )
@@ -67,7 +73,6 @@ from .simplicial import (
     boundary_simplicial,
     embed_grid_chain,
     empty_simplicial,
-    simplicial_chain,
 )
 
 _UNIT = (
@@ -135,40 +140,35 @@ class DeformationResult:
 # -- lattice bookkeeping -----------------------------------------------------
 
 
-def _lattice_coord(grid: GridSpec, value: Fraction, axis: int) -> Fraction:
-    return (Fraction(value) - grid.origin[axis]) / grid.epsilon
+def _carrier(grid: GridSpec, s: HSimplex) -> GridCell:
+    """Smallest closed grid cell containing the homogeneous simplex.
 
-
-def _carrier(grid: GridSpec, s: Simplex) -> GridCell:
-    """Smallest closed grid cell containing the simplex.
-
-    Requires the simplex to fit in one cell per axis, which the initial
-    clipping guarantees.
+    With origin o_num / o_den and spacing e_num / e_den, a vertex X / W
+    has the lattice coordinate (X o_den - o_num W) e_den / (W o_den e_num)
+    along an axis, over a positive denominator, so its cell index is one
+    floor division.  Requires the simplex to fit in one cell per axis,
+    which the initial clipping guarantees.
     """
+    en, ed = grid.epsilon.numerator, grid.epsilon.denominator
     base = [0, 0, 0]
     axes = []
     for a in (0, 1, 2):
-        vals = [_lattice_coord(grid, v[a], a) for v in s]
-        first = vals[0]
-        if all(v == first for v in vals) and first.denominator == 1:
-            base[a] = int(first)
-            continue
-        lo, hi = min(vals), max(vals)
-        i = math.floor(lo)
-        if hi > i + 1:
+        on, od = grid.origin[a].numerator, grid.origin[a].denominator
+        coords = [divmod((v[a] * od - on * v[3]) * ed, v[3] * od * en) for v in s]
+        base[a] = lo = min(q for q, _ in coords)
+        if all(q == lo and r == 0 for q, r in coords):
+            continue  # every vertex on the lattice plane lo
+        if any(q + (r > 0) > lo + 1 for q, r in coords):
             raise ValueError("piece spans more than one grid cell")
-        base[a] = i
         axes.append(a)
     return GridCell(tuple(base), tuple(axes))
 
 
 def _clip_to_grid(chain: SimplicialChain, grid: GridSpec) -> list:
-    """Cut the presentation along all interior lattice planes."""
-    pieces = list(chain.simplices)
-    if not pieces:
-        return []
+    """Cut the presentation along all interior lattice planes, into
+    homogeneous pieces."""
     lo, hi = grid.box()
-    for s in pieces:
+    for s in chain.simplices:
         for v in s:
             for a in (0, 1, 2):
                 if not lo[a] <= v[a] <= hi[a]:
@@ -178,7 +178,7 @@ def _clip_to_grid(chain: SimplicialChain, grid: GridSpec) -> list:
         for a in (0, 1, 2)
         for i in range(1, grid.dims[a])
     )
-    return split_by_planes(pieces, planes)
+    return split_homogeneous((tuple(map(homogeneous, s)) for s in chain.simplices), planes)
 
 
 # -- projection centers ------------------------------------------------------
@@ -199,39 +199,25 @@ def _center_candidates(grid: GridSpec, cell: GridCell, cfg: DeformConfig) -> lis
 
 
 def _wedge_edges(grid: GridSpec, cell: GridCell) -> list:
-    """Point pairs (p, q) that span a wedge plane together with the center.
+    """Homogeneous point pairs (p, q) that span a wedge plane together with
+    the center.
 
-    For a 3-cell these are the cell's boundary edges; for a 2-cell, each
-    corner and that corner moved one unit along the face normal.
+    For a 3-cell these are the cell's boundary edges, axis by axis from the
+    corners of its lower facet; for a 2-cell, each corner and that corner
+    moved one unit along the face normal.
     """
-    edges = []
+    corners = {c: homogeneous(grid.world(c)) for c in cell.corners()}
     if cell.dim == 3:
-        for a in (0, 1, 2):
-            others = [x for x in (0, 1, 2) if x != a]
-            for o1 in (0, 1):
-                for o2 in (0, 1):
-                    corner = list(cell.base)
-                    corner[others[0]] += o1
-                    corner[others[1]] += o2
-                    p = grid.world(tuple(corner))
-                    corner[a] += 1
-                    edges.append((p, grid.world(tuple(corner))))
-    elif cell.dim == 2:
-        normal_axis = next(a for a in (0, 1, 2) if a not in cell.axes)
-        for corner in cell.corners():
-            p = grid.world(corner)
-            edges.append((p, vadd(p, _UNIT[normal_axis])))
-    else:
-        raise ValueError("projection cells must have dimension 2 or 3")
-    return edges
-
-
-def _wedge_planes(grid: GridSpec, cell: GridCell, center: Point) -> list:
-    """Planes through the center and the cell's boundary edges (or corners)."""
-    c = homogeneous(center)
-    return [
-        Plane.through(c, homogeneous(p), homogeneous(q)) for p, q in _wedge_edges(grid, cell)
-    ]
+        return [
+            (corners[c], corners[c[:a] + (c[a] + 1,) + c[a + 1 :]])
+            for a in (0, 1, 2)
+            for c in corners
+            if c[a] == cell.base[a]
+        ]
+    if cell.dim == 2:
+        (n,) = (a for a in (0, 1, 2) if a not in cell.axes)
+        return [(p, p[:n] + (p[n] + p[3],) + p[n + 1 :]) for p in corners.values()]
+    raise ValueError("projection cells must have dimension 2 or 3")
 
 
 def _facet_offsets(grid: GridSpec, cell: GridCell, center: Point):
@@ -248,10 +234,13 @@ def _facet_offsets(grid: GridSpec, cell: GridCell, center: Point):
     ]
 
 
-def _project_cell_pieces(grid: GridSpec, cell: GridCell, center: Point, pieces: list):
+def _project_cell_pieces(
+    grid: GridSpec, cell: GridCell, center: Point, pieces: list, edges: list
+):
     """Wedge-split each piece and project it radially onto the cell boundary.
 
-    Pieces and results are homogeneous integer simplices (geom.HSimplex).
+    Pieces and results are homogeneous integer simplices (geom.HSimplex);
+    the wedge planes run through the center and the cell's _wedge_edges.
     Returns, per input piece, a list of (sub-piece, image) pairs; images
     can be degenerate when a sub-piece lies in a plane through the center.
     A sub-piece goes to the facet that the ray from the center through its
@@ -261,9 +250,10 @@ def _project_cell_pieces(grid: GridSpec, cell: GridCell, center: Point, pieces: 
     and the facet at offset O / K from the center along axis a, the image
     is (C K R_a + O Cw R) / (Cw K R_a).
     """
-    planes = _wedge_planes(grid, cell, center)
+    c = homogeneous(center)
+    planes = [Plane.through(c, p, q) for p, q in edges]
     k, facets = _facet_offsets(grid, cell, center)
-    cx, cy, cz, cw = homogeneous(center)
+    cx, cy, cz, cw = c
     out = []
     for s in pieces:
         pairs = []
@@ -314,6 +304,11 @@ def _projected_mass(proj) -> RadicalSum:
 
 def _float_point(p) -> tuple:
     return (float(p[0]), float(p[1]), float(p[2]))
+
+
+def _floats(s: HSimplex) -> tuple:
+    """Float copies x / w of homogeneous points, each float(Fraction(x, w))."""
+    return tuple((x / w, y / w, z / w) for x, y, z, w in s)
 
 
 # Float ranking of candidate centers.  A vertex within _SIGN_BAND (times
@@ -468,14 +463,15 @@ def _dist_sq_float(p: tuple, s: tuple) -> float:
 
 
 def _clears(candidate: Point, pieces: list, floats: list, cut: Fraction) -> bool:
-    """Clearance test: float prescreen, exact at the 2% band."""
+    """Clearance test for homogeneous pieces: float prescreen, exact on
+    Fraction copies at the 2% band."""
     fcut = float(cut)
     fd = min(_dist_sq_float(_float_point(candidate), fs) for fs in floats)
     if fd > fcut * 1.02:
         return True
     if fd < fcut * 0.98:
         return False
-    return min(point_simplex_dist_sq(candidate, s) for s in pieces) >= cut
+    return min(point_simplex_dist_sq(candidate, tuple(map(affine, s))) for s in pieces) >= cut
 
 
 def _farthest(points: list, pieces: list):
@@ -505,27 +501,31 @@ def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConf
     the least exact projected mass wins, equal masses going to the lowest
     candidate index.
 
-    Floats rank the cleared candidates; only those within _RANK_BAND of
-    the float minimum, which covers every candidate the rule can pick, are
-    projected exactly.  A band of one needs no mass.
+    The pieces are homogeneous.  Floats rank the cleared candidates; only
+    those within _RANK_BAND of the float minimum, which covers every
+    candidate the rule can pick, are projected exactly.  A band of one
+    needs no mass.  Fraction copies of the pieces are made only when an
+    exact distance is needed.
     """
     candidates = _center_candidates(grid, cell, cfg)
     cut = (cfg.tau * grid.epsilon) ** 2
-    floats = [tuple(_float_point(v) for v in s) for s in pieces]
+    floats = [_floats(s) for s in pieces]
     admitted = [i for i, c in enumerate(candidates) if _clears(c, pieces, floats, cut)]
     fallback = not admitted
     if fallback:
         # every candidate is too close to the chain: take the farthest one
-        admitted = [_farthest(candidates, pieces)[0]]
+        admitted = [_farthest(candidates, [tuple(map(affine, s)) for s in pieces])[0]]
+    edges = _wedge_edges(grid, cell)
     if len(admitted) > 1:
-        edges = [(_float_point(p), _float_point(q)) for p, q in _wedge_edges(grid, cell)]
+        fedges = [_floats(e) for e in edges]
         ranks = [
-            _projected_mass_rank(grid, cell, candidates[i], floats, edges) for i in admitted
+            _projected_mass_rank(grid, cell, candidates[i], floats, fedges) for i in admitted
         ]
         top = min(ranks) + _RANK_BAND * (1.0 + min(ranks))
         admitted = [i for i, r in zip(admitted, ranks) if r <= top]
-    hpieces = [tuple(map(homogeneous, s)) for s in pieces]
-    scored = [(i, _project_cell_pieces(grid, cell, candidates[i], hpieces)) for i in admitted]
+    scored = [
+        (i, _project_cell_pieces(grid, cell, candidates[i], pieces, edges)) for i in admitted
+    ]
     i, proj = scored[0]
     if len(scored) > 1:
         # min keeps the first of equal masses, so ties go to the lowest index
@@ -540,7 +540,8 @@ def _run_pipeline(entries: list, grid: GridSpec, cfg: DeformConfig):
     """Deform all entry chains together, sharing the center choices.
 
     Returns per-entry final piece lists, per-entry raw track simplices (one
-    dimension up), and the cells where the clearance fallback fired.
+    dimension up), all homogeneous, and the cells where the clearance
+    fallback fired.
     """
     states = [_clip_to_grid(ch, grid) for ch in entries]
     tracks = [[] for _ in entries]
@@ -561,15 +562,14 @@ def _run_pipeline(entries: list, grid: GridSpec, cfg: DeformConfig):
             center, proj, fb = _choose_center(grid, cell, cell_pieces, cfg)
             if fb:
                 fallbacks.append(cell)
-            points: dict = {}
+            c = homogeneous(center)
             for (ei, pi), pairs in zip(members, proj):
                 images = []
                 for sub, image in pairs:
-                    sub_p, image_p = affine_pieces((sub, image), points)
-                    tracks[ei].append(sub_p + (center,))
-                    tracks[ei].append(image_p + (center,))
+                    tracks[ei].append(sub + (c,))
+                    tracks[ei].append(image + (c,))
                     if homogeneous_measure_sq(image) != 0:
-                        images.append(image_p)
+                        images.append(image)
                 replacements[ei][pi] = images
         for ei, repl in enumerate(replacements):
             if not repl:
@@ -584,6 +584,74 @@ def _run_pipeline(entries: list, grid: GridSpec, cfg: DeformConfig):
     return states, tracks, fallbacks
 
 
+def _inside_forms(s: HSimplex, axes: tuple) -> list:
+    """Linear forms in a homogeneous point's coordinates along axes, then
+    its W, for the piece s lying in the cell spanned by axes: all are
+    positive exactly inside s, and the least is zero exactly on its
+    boundary.
+
+    A triangle's forms are the 3x3 orientation determinants of the point
+    with two of its vertices, a segment's the cross-multiplied differences
+    from its two ends, each signed by the piece's own orientation.
+    """
+    pts = [tuple(v[a] for a in axes) + (v[3],) for v in s]
+    if len(pts) == 2:
+        (x0, w0), (x1, w1) = pts
+        forms = [(w0, -x0), (-w1, x1)]
+        turn = x1 * w0 - x0 * w1
+    else:
+        a, b, c = pts
+        forms = [vcross(b, c), vcross(c, a), vcross(a, b)]
+        turn = vdot(a, forms[0])
+    if turn < 0:
+        forms = [tuple(-f for f in form) for form in forms]
+    return forms
+
+
+def _snap(grid: GridSpec, k: int, pieces: list, seed: int) -> GridChain:
+    """snap_parity of the chain of homogeneous pieces, in integers.
+
+    Pieces cancel mod 2 and degenerate ones drop, as in simplicial_chain.
+    Each sample point is tested in its cell's own coordinates against the
+    _inside_forms of the cell's pieces.
+    """
+    if k not in (1, 2):
+        raise ValueError("parity snap supports 1- and 2-chains only")
+    live = set()
+    for s in pieces:
+        live ^= {tuple(sorted(s))}
+    by_cell = {}
+    for s in live:
+        if homogeneous_measure_sq(s) == 0:
+            continue
+        car = _carrier(grid, s)
+        if car.dim != k:
+            raise ValueError("residue piece is not supported in the k-skeleton")
+        by_cell.setdefault(car, []).append(_inside_forms(s, car.axes))
+    cells = []
+    for cell in sorted(by_cell):
+        group = by_cell[cell]
+        rng = random.Random(f"filmlab-snap:{seed}:{cell.axes_label()}:{cell.base}")
+        parity = None
+        for _ in range(64):
+            coords = [
+                grid.origin[a]
+                + grid.epsilon * (cell.base[a] + Fraction(rng.randint(1, 9972), 9973))
+                for a in cell.axes
+            ]
+            w = lcm(*(q.denominator for q in coords))
+            point = [q.numerator * (w // q.denominator) for q in coords] + [w]
+            lows = [min(sum(x * y for x, y in zip(f, point)) for f in forms) for forms in group]
+            if 0 not in lows:
+                parity = sum(low > 0 for low in lows) % 2
+                break
+        if parity is None:
+            raise RuntimeError("no generic sample point found for parity snap")
+        if parity:
+            cells.append(cell)
+    return chain_of(grid, k, cells)
+
+
 def snap_parity(residue: SimplicialChain, grid: GridSpec, seed: int = 0) -> GridChain:
     """Snap a chain lying in the k-skeleton to whole grid k-cells.
 
@@ -591,45 +659,7 @@ def snap_parity(residue: SimplicialChain, grid: GridSpec, seed: int = 0) -> Grid
     a generic interior rational point of that cell; sample points landing on
     a piece boundary are redrawn deterministically.
     """
-    k = residue.k
-    if k not in (1, 2):
-        raise ValueError("parity snap supports 1- and 2-chains only")
-    by_cell = {}
-    for s in residue.simplices:
-        car = _carrier(grid, s)
-        if car.dim != k:
-            raise ValueError("residue piece is not supported in the k-skeleton")
-        by_cell.setdefault(car, []).append(s)
-    cells = []
-    for cell in sorted(by_cell):
-        group = by_cell[cell]
-        rng = random.Random(f"filmlab-snap:{seed}:{cell.axes_label()}:{cell.base}")
-        parity = None
-        for _ in range(64):
-            coords = []
-            for a in (0, 1, 2):
-                q = Fraction(cell.base[a])
-                if a in cell.axes:
-                    q += Fraction(rng.randint(1, 9972), 9973)
-                coords.append(grid.origin[a] + grid.epsilon * q)
-            point = tuple(coords)
-            hits = 0
-            boundary = False
-            for s in group:
-                st = _point_status(point, s)
-                if st == ON:
-                    boundary = True
-                    break
-                hits += st == IN
-            if boundary:
-                continue
-            parity = hits % 2
-            break
-        if parity is None:
-            raise RuntimeError("no generic sample point found for parity snap")
-        if parity:
-            cells.append(cell)
-    return chain_of(grid, k, cells)
+    return _snap(grid, residue.k, [tuple(map(homogeneous, s)) for s in residue.simplices], seed)
 
 
 def _prune_zero_groups(chain: SimplicialChain) -> SimplicialChain:
@@ -669,10 +699,11 @@ def _mass_float(x) -> float:
     return float(x)
 
 
-def _masses(chain: SimplicialChain) -> tuple[float, RadicalSum]:
+def _masses(chain: SimplicialChain, gram) -> tuple[float, RadicalSum]:
     """_mass_float and the exact mass of a simplicial chain, from one Gram
-    determinant per simplex; the float sum runs in _mass_float's order."""
-    grams = [simplex_measure_sq(s) for s in chain.simplices]
+    determinant gram(s) per simplex; the float sum runs in _mass_float's
+    order."""
+    grams = [gram(s) for s in chain.simplices]
     fact = _FACT[chain.k]
     return (
         sum(math.sqrt(float(g)) / fact for g in grams),
@@ -691,7 +722,7 @@ def _support_dist_sq(vertices, targets) -> Optional[Fraction]:
         return Fraction(0)
     if not targets:
         return None
-    return _farthest(sorted(set(vertices)), targets)[1]
+    return _farthest(list(set(vertices)), targets)[1]
 
 
 def _grid_vertices(grid: GridSpec, chain: GridChain) -> list:
@@ -700,6 +731,27 @@ def _grid_vertices(grid: GridSpec, chain: GridChain) -> list:
 
 def _chain_vertices(chain: SimplicialChain) -> list:
     return [v for s in chain.simplices for v in s]
+
+
+def _track_chain(k: int, tracks: list) -> tuple[SimplicialChain, dict]:
+    """simplicial_chain(k, tracks) of homogeneous tracks, and the Gram of
+    each simplex in it.
+
+    Each distinct point becomes a Fraction once.  The degeneracy test and
+    the Gram come from the integer simplex, and the canonical Fraction
+    tuples are toggled in track order as simplicial_chain toggles them, so
+    the chain iterates, and the float mass sums over it add, in the same
+    order as a chain built from Fraction tracks.
+    """
+    acc: set = set()
+    grams = {}
+    for t, s in zip(tracks, affine_pieces(tracks, {})):
+        g = homogeneous_measure_sq(t)
+        if g != 0:
+            s = tuple(sorted(s))
+            grams[s] = g
+            acc ^= {s}
+    return SimplicialChain(k, frozenset(acc)), grams
 
 
 def _finish_entry(
@@ -712,9 +764,8 @@ def _finish_entry(
 ) -> DeformationResult:
     """Assemble P, Q, R for one deformed chain and verify the identity."""
     k = A.k
-    R = simplicial_chain(k + 1, track_raws)
-    residue = simplicial_chain(k, final_pieces)
-    P = snap_parity(residue, grid, cfg.seed)
+    R, grams = _track_chain(k + 1, track_raws)
+    P = _snap(grid, k, final_pieces, cfg.seed)
     dR = boundary_simplicial(R)
     embedded_P = embed_grid_chain(P)
     Q = _prune_zero_groups(A + embedded_P + dR)
@@ -727,7 +778,8 @@ def _finish_entry(
     eps = grid.epsilon
     mA, mdA = _mass_float(A), _mass_float(dA)
     mP, mdP = mass_grid(P), mass_grid(dP)
-    (mQ, exact_Q), (mR, exact_R) = _masses(Q), _masses(R)
+    mQ, exact_Q = _masses(Q, simplex_measure_sq)
+    mR, exact_R = _masses(R, grams.__getitem__)
     measured = {
         "cP": _ratio(mP, mA + float(eps) * mdA),
         "cdP": _ratio(mdP, mdA),

@@ -206,10 +206,11 @@ _FACTORIALS = (1, 1, 2, 6)
 
 
 def measure_of_gram(gram: Fraction, k: int) -> RadicalSum:
-    """Exact k-volume sqrt(gram)/k! of a k-simplex with Gram determinant gram."""
+    """Exact k-volume sqrt(gram)/k! = sqrt(gram / (k!)^2) of a k-simplex
+    with Gram determinant gram, built as one RadicalSum."""
     if gram == 0:
         return radical_zero()
-    return RadicalSum.sqrt(gram) / _FACTORIALS[k]
+    return RadicalSum.sqrt(gram / _FACTORIALS[k] ** 2)
 
 
 def simplex_measure(simplex: Simplex) -> RadicalSum:

@@ -25,15 +25,12 @@ from typing import Iterable
 
 from .geom import (
     Point,
-    Simplex,
     homogeneous,
     line_key,
     plane_key,
     vadd,
-    vcross,
     vdot,
     vscale,
-    vsub,
 )
 from .simplicial import SimplicialChain, boundary_simplicial, simplicial_chain
 
@@ -144,62 +141,6 @@ def is_zero_geometric(chain: SimplicialChain) -> bool:
         return all(_plane_vanishes(tris) for tris in _plane_groups(chain).values())
     # k == 3: coverage jumps across faces
     return is_zero_geometric(boundary_simplicial(chain))
-
-
-# -- point parity -----------------------------------------------------------
-# deformation.snap_parity decides a grid face's membership by the covering
-# parity of its pieces at one generic point; these are its point tests.
-
-OUT, IN, ON = 0, 1, 2
-
-
-def _point_segment_status(p: Point, s: Simplex) -> int:
-    a, b = s
-    ab = vsub(b, a)
-    ap = vsub(p, a)
-    if vdot(ab, ab) == 0:
-        return OUT
-    # collinearity
-    if vcross(ab, ap) != (0, 0, 0):
-        return OUT
-    t = vdot(ap, ab) / vdot(ab, ab)
-    if t < 0 or t > 1:
-        return OUT
-    if t == 0 or t == 1:
-        return ON
-    return IN
-
-
-def _point_triangle_status(p: Point, s: Simplex) -> int:
-    a, b, c = s
-    n = vcross(vsub(b, a), vsub(c, a))
-    if vdot(n, vsub(p, a)) != 0:
-        return OUT
-    v0 = vsub(b, a)
-    v1 = vsub(c, a)
-    v2 = vsub(p, a)
-    d00 = vdot(v0, v0)
-    d01 = vdot(v0, v1)
-    d11 = vdot(v1, v1)
-    d20 = vdot(v2, v0)
-    d21 = vdot(v2, v1)
-    denom = d00 * d11 - d01 * d01
-    beta = (d11 * d20 - d01 * d21) / denom
-    gamma = (d00 * d21 - d01 * d20) / denom
-    alpha = 1 - beta - gamma
-    coords = (alpha, beta, gamma)
-    if any(c < 0 for c in coords):
-        return OUT
-    if any(c == 0 for c in coords):
-        return ON
-    return IN
-
-
-def _point_status(p: Point, s: Simplex) -> int:
-    """OUT, IN or ON for a point against a segment or triangle."""
-    if len(s) == 2:
-        return _point_segment_status(p, s)
-    return _point_triangle_status(p, s)
 
 
 # -- equality ---------------------------------------------------------------

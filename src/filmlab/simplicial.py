@@ -31,9 +31,20 @@ from .geom import (
 from .grid import GridChain, edge_ends
 
 
+def _is_point(v) -> bool:
+    return (
+        type(v) is tuple
+        and len(v) == 3
+        and type(v[0]) is Fraction
+        and type(v[1]) is Fraction
+        and type(v[2]) is Fraction
+    )
+
+
 def canonical_simplex(vertices: Sequence[Sequence]) -> Simplex:
-    pts = tuple(sorted(as_point(v) for v in vertices))
-    return pts
+    """Sorted Fraction points; a vertex that is already a triple of
+    Fractions is kept as it is, any other one goes through as_point."""
+    return tuple(sorted(v if _is_point(v) else as_point(v) for v in vertices))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ from filmlab.geom import (
     point_simplex_dist_sq,
     simplex_measure,
     simplex_measure_sq,
+    vcross,
+    vdot,
+    vsub,
 )
 from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, mass_grid
 from filmlab.overlay import chains_equal_mod2
@@ -179,6 +182,182 @@ def test_snap_parity_cancelling_presentation():
     ]
     other = simplicial_chain(2, [(sq[0], sq[1], sq[2]), (sq[0], sq[2], sq[3])])
     assert snap_parity(embed_grid_chain(face) + other, grid).is_zero()
+
+
+# -- Fraction references for the integer carrier and parity snap -------------
+
+OUT, IN, ON = 0, 1, 2
+
+
+def _point_segment_status(p, s):
+    a, b = s
+    ab = vsub(b, a)
+    ap = vsub(p, a)
+    if vdot(ab, ab) == 0:
+        return OUT
+    # collinearity
+    if vcross(ab, ap) != (0, 0, 0):
+        return OUT
+    t = vdot(ap, ab) / vdot(ab, ab)
+    if t < 0 or t > 1:
+        return OUT
+    if t == 0 or t == 1:
+        return ON
+    return IN
+
+
+def _point_triangle_status(p, s):
+    a, b, c = s
+    n = vcross(vsub(b, a), vsub(c, a))
+    if vdot(n, vsub(p, a)) != 0:
+        return OUT
+    v0 = vsub(b, a)
+    v1 = vsub(c, a)
+    v2 = vsub(p, a)
+    d00 = vdot(v0, v0)
+    d01 = vdot(v0, v1)
+    d11 = vdot(v1, v1)
+    d20 = vdot(v2, v0)
+    d21 = vdot(v2, v1)
+    denom = d00 * d11 - d01 * d01
+    beta = (d11 * d20 - d01 * d21) / denom
+    gamma = (d00 * d21 - d01 * d20) / denom
+    alpha = 1 - beta - gamma
+    coords = (alpha, beta, gamma)
+    if any(c < 0 for c in coords):
+        return OUT
+    if any(c == 0 for c in coords):
+        return ON
+    return IN
+
+
+def _point_status(p, s):
+    """OUT, IN or ON for a point against a segment or triangle."""
+    if len(s) == 2:
+        return _point_segment_status(p, s)
+    return _point_triangle_status(p, s)
+
+
+def _fraction_carrier(grid, s):
+    """Reference: the carrier from Fraction lattice coordinates."""
+    base, axes = [0, 0, 0], []
+    for a in (0, 1, 2):
+        vals = [(v[a] - grid.origin[a]) / grid.epsilon for v in s]
+        first = vals[0]
+        if all(v == first for v in vals) and first.denominator == 1:
+            base[a] = int(first)
+            continue
+        i = math.floor(min(vals))
+        if max(vals) > i + 1:
+            raise ValueError("piece spans more than one grid cell")
+        base[a] = i
+        axes.append(a)
+    return GridCell(tuple(base), tuple(axes))
+
+
+def _snap_draws(cell, seed):
+    """The lattice coordinates of a cell's sample points, in drawing order."""
+    rng = random.Random(f"filmlab-snap:{seed}:{cell.axes_label()}:{cell.base}")
+    while True:
+        yield tuple(
+            cell.base[a] + (F(rng.randint(1, 9972), 9973) if a in cell.axes else 0)
+            for a in (0, 1, 2)
+        )
+
+
+def _fraction_snap(residue, grid, seed):
+    """Reference: the parity snap in Fraction arithmetic, and how many
+    sample points it redrew."""
+    by_cell = {}
+    for s in residue.simplices:
+        cell = _fraction_carrier(grid, s)
+        assert cell.dim == residue.k
+        by_cell.setdefault(cell, []).append(s)
+    cells, redraws = [], 0
+    for cell in sorted(by_cell):
+        for _, lattice in zip(range(64), _snap_draws(cell, seed)):
+            point = grid.world(lattice)
+            status = [_point_status(point, s) for s in by_cell[cell]]
+            if ON not in status:
+                break
+            redraws += 1
+        else:
+            raise RuntimeError("no generic sample point found for parity snap")
+        if status.count(IN) % 2:
+            cells.append(cell)
+    return chain_of(grid, residue.k, cells), redraws
+
+
+def _random_grid(rng):
+    origin = tuple(F(rng.randint(-8, 8), rng.choice((1, 2, 3, 4))) for _ in range(3))
+    return make_grid((2, 2, 2), origin=origin, eps=F(rng.randint(1, 4), rng.choice((1, 2, 3, 5))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), k=st.sampled_from((1, 2)))
+def test_integer_snap_matches_fraction_snap(seed, k):
+    """Random k-pieces in a few k-cells of a rational grid.  Half the cells
+    get a fan of pieces around their first sample point, whose shared
+    edges (or ends) put that point on a boundary and force a redraw; the
+    integer core also sees the pieces before the mod-2 cancellation."""
+    rng = random.Random(seed)
+    grid = _random_grid(rng)
+    pieces, firsts = [], set()
+    for cell in rng.sample(list(grid.cells(k)), 3):
+        lattice = [
+            tuple(
+                cell.base[a] + (F(rng.randint(0, 8), 8) if a in cell.axes else 0)
+                for a in (0, 1, 2)
+            )
+            for _ in range(rng.randint(k + 1, 5))
+        ]
+        if rng.random() < 0.5:
+            first = next(_snap_draws(cell, 0))
+            firsts.add(grid.world(first))
+            if k == 1:
+                pieces += [(first, q) for q in lattice]
+            else:
+                pieces += [(first, q, r) for q, r in zip(lattice, lattice[1:])]
+        pieces += [tuple(rng.sample(lattice, k + 1)) for _ in range(rng.randint(1, 4))]
+    pieces += [p[::-1] for p in pieces if rng.random() < 0.2]
+    pieces = [tuple(map(grid.world, p)) for p in pieces]
+    residue = simplicial_chain(k, pieces)
+    expected, redraws = _fraction_snap(residue, grid, 0)
+    assert snap_parity(residue, grid) == expected
+    assert dm._snap(grid, k, [tuple(map(homogeneous, p)) for p in pieces], 0) == expected
+    if any(v in firsts for s in residue.simplices for v in s):
+        assert redraws > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_integer_carrier_matches_fraction_carrier(seed):
+    """Vertices on lattice planes, inside one cell, or, now and then, two
+    cells apart along an axis, where both raise."""
+    rng = random.Random(seed)
+    grid = _random_grid(rng)
+    modes = [rng.choice(("plane", "cell", "cell", "span")) for _ in range(3)]
+    base = [rng.randint(0, 1) for _ in range(3)]
+    s = []
+    for _ in range(rng.randint(1, 4)):
+        lattice = []
+        for a, mode in enumerate(modes):
+            if mode == "plane":
+                lattice.append(F(base[a]))
+            elif mode == "cell":
+                lattice.append(base[a] + F(rng.randint(0, 8), 8))
+            else:
+                lattice.append(F(rng.randint(0, 16), 8))
+        s.append(grid.world(tuple(lattice)))
+
+    def outcome(carrier, piece):
+        try:
+            return carrier(grid, piece)
+        except ValueError as err:
+            return str(err)
+
+    got = outcome(dm._carrier, tuple(map(homogeneous, s)))
+    assert got == outcome(_fraction_carrier, tuple(s))
 
 
 def test_snap_parity_rejects_off_skeleton_residue():
@@ -354,7 +533,7 @@ def test_tilted_triangle_choices_pinned(eps):
     # candidate centres of the 2- or 3-cell they sit in
     chosen = set()
     for v in {v for s in result.R.simplices for v in s}:
-        cell = dm._carrier(grid, (v,))
+        cell = dm._carrier(grid, (homogeneous(v),))
         if cell.dim >= 2 and v in dm._center_candidates(grid, cell, cfg):
             chosen.add(v)
     assert sorted(chosen) == sorted(tuple(F(x) for x in a) for a in apexes)
@@ -393,6 +572,87 @@ def test_hex_cone_start_report_pinned():
     assert _report_digest(start) == _CONE_HEX1_PIN
 
 
+# report sha256 of six random triangles (first) and their boundaries, four
+# candidate centres, on the grid of pitch eps around them with one cell of
+# margin, as the Fraction pipeline produced them
+_RANDOM_TRIANGLE_PINS = {
+    (0, F(1, 2)): (
+        "ed282f634675706de2ba38b0eb062a6b6fa27ead3a0b31ad13ecd9ac3afa9691",
+        "ae062faadc788ea23b4faff25dd515f3f242499d8407c85460ecd6a6555c6523",
+    ),
+    (0, F(1, 4)): (
+        "15d9e2b4e70829004af9b41009a29841880dc89a60adac24a453d0fc23f4d45b",
+        "a3f8e82d72def6a2b6170f2e1179b19bce608e1cc58c657ece3e53391bb3fa41",
+    ),
+    (1, F(1, 2)): (
+        "8443ad255c52414470304211127ae38965176c3920ff3b47bb8f3af17624baca",
+        "274c3114b8e346962b274f9d2380b19d76525b6f622ecfca437aa347e162b363",
+    ),
+    (1, F(1, 4)): (
+        "1b8df761dd605f4b154fb5dadcac3b9c01cd41bfa429a05ae6eafde67340100a",
+        "f8987aacd7e3feca58a794902cc2a60fc42c5ceba0e416c0b6a5461d10890a44",
+    ),
+    (2, F(1, 2)): (
+        "d559edd3b445c56d45fe438a7880f1222a0470e1e5767e2bb57987b387d541e6",
+        "86b44b413dba605794c596ad4ffeca54226b91915fe2d7a41e236c8a6092a10d",
+    ),
+    (2, F(1, 4)): (
+        "275149271b92d62fe051f3aebb14984c0ab6dc5bfd18178fbdc61a0c9124ecc8",
+        "fc1a4c8eb806f17ae2d5cc4f29048bcb3ad05818d824a103310f83c19b4868ef",
+    ),
+    (3, F(1, 2)): (
+        "fa1e2d1a7f1a21d281c347aa5f0fd27a00d2e5903f9d154403c7ec56a87beb2c",
+        "0932368dcb97c3e0cf36f121510434cf6945cb278295d963a05527833be60911",
+    ),
+    (3, F(1, 4)): (
+        "6ef4b727dc1facb60b4f292cba741a22bc2bc4bce31fbc354a8b1f7fba5727d1",
+        "855400abe80802a2e36c3d80e07b7368defb72df89537909805b56e0456b0d27",
+    ),
+    (4, F(1, 2)): (
+        "bfe1570fd9f8e21c61979f2cbf06075f1d6f418893c0239069cc52c271b9657b",
+        "69ac4058663d31fa4a6ed3e53e7522ad5f3c73b98297bb525decac835e8447cd",
+    ),
+    (4, F(1, 4)): (
+        "ca5825461e64ac004fa887493e150295f90193b647c36125545203d1e3cf7e50",
+        "b220b7a8c3ea71ae3111f5c4ac2c05ed966f21afa9a54b28bf4c4007ced4a206",
+    ),
+    (5, F(1, 2)): (
+        "111492ac440633e1d98ed735a811adea23d1918e0e36f46435f03c3da454e51c",
+        "773dd2d63c4b3a5ec7ed4550c6869eb2ddf01f24493ac13994b9503854b1921a",
+    ),
+    (5, F(1, 4)): (
+        "42f6cd7de695fdbcc4c4f6d5d834111f7d83d811a896c80ae62030286ed223da",
+        "91e53dee5e472f38c92f0f85dc77478395496a3d7573288de1164294e069ec10",
+    ),
+}
+
+
+def _random_triangles(count=6):
+    rng = random.Random("filmlab-test:random-triangles")
+    tris = []
+    while len(tris) < count:
+        s = tuple(tuple(F(rng.randint(-8, 8), 8) for _ in range(3)) for _ in range(3))
+        if not is_degenerate(s):
+            tris.append(simplicial_chain(2, [s]))
+    return tris
+
+
+def _grid_around(chain, eps):
+    los = [min(v[a] for s in chain.simplices for v in s) for a in range(3)]
+    his = [max(v[a] for s in chain.simplices for v in s) for a in range(3)]
+    base = [math.floor(lo / eps) - 1 for lo in los]
+    dims = tuple(math.ceil(hi / eps) + 1 - b for hi, b in zip(his, base))
+    return GridSpec(origin=tuple(eps * b for b in base), epsilon=eps, dims=dims)
+
+
+@pytest.mark.parametrize("index, eps", sorted(_RANDOM_TRIANGLE_PINS), ids=str)
+def test_random_triangle_reports_pinned(index, eps):
+    tri = _random_triangles()[index]
+    for A, digest in zip((tri, boundary_simplicial(tri)), _RANDOM_TRIANGLE_PINS[index, eps]):
+        cfg = DeformConfig(epsilon=eps, candidate_centers=4)
+        assert _report_digest(deform_chain(A, _grid_around(A, eps), cfg)) == digest
+
+
 def _all_exact_choice(grid, cell, pieces, cfg):
     """Reference: every candidate cleared exactly and every cleared one
     projected, then the least exact projected mass, lowest index on ties;
@@ -407,7 +667,9 @@ def _all_exact_choice(grid, cell, pieces, cfg):
     winner = winner_mass = None
     hpieces = [tuple(map(homogeneous, s)) for s in pieces]
     for i in admitted:
-        proj = dm._project_cell_pieces(grid, cell, candidates[i], hpieces)
+        proj = dm._project_cell_pieces(
+            grid, cell, candidates[i], hpieces, dm._wedge_edges(grid, cell)
+        )
         m = radical_sum(
             simplex_measure(tuple(map(affine, image))) for pairs in proj for _, image in pairs
         )
@@ -431,7 +693,8 @@ def test_boundary_choices_follow_the_exact_rule(monkeypatch):
 
     def checked(grid, cell, pieces, cfg):
         got = choose(grid, cell, pieces, cfg)
-        calls[cell] = (got == _all_exact_choice(grid, cell, pieces, cfg), got[0])
+        fraction_pieces = [tuple(map(affine, s)) for s in pieces]
+        calls[cell] = (got == _all_exact_choice(grid, cell, fraction_pieces, cfg), got[0])
         return got
 
     monkeypatch.setattr(dm, "_choose_center", checked)
@@ -487,7 +750,8 @@ def test_choose_center_matches_all_exact_rule(seed):
             tau=rng.choice((F(1, 8), F(1, 4), F(7, 16))),
             seed=rng.randint(0, 9),
         )
-        assert dm._choose_center(grid, cell, pieces, cfg) == _all_exact_choice(
+        hpieces = [tuple(map(homogeneous, s)) for s in pieces]
+        assert dm._choose_center(grid, cell, hpieces, cfg) == _all_exact_choice(
             grid, cell, pieces, cfg
         )
 

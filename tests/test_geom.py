@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filmlab.exact import det3, radical_sum
+from filmlab.exact import RadicalSum, det3, radical_sum
 from filmlab.geom import (
     Plane,
     homogeneous,
     is_degenerate,
+    measure_of_gram,
     point_simplex_dist_sq,
     polygon_is_simple,
     primitive_direction,
@@ -359,3 +360,15 @@ def test_homogeneous_points_are_primitive(p):
     x, y, z, w = homogeneous(p)
     assert w > 0 and math.gcd(x, y, z, w) == 1
     assert (F(x, w), F(y, w), F(z, w)) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=st.one_of(st.just(0), st.integers(1, 10**9), st.integers(1, 10**4).map(lambda n: n * n)),
+    den=st.one_of(st.integers(1, 10**6), st.integers(1, 10**3).map(lambda n: n * n)),
+    k=st.integers(0, 3),
+)
+def test_measure_of_gram_is_one_radical(num, den, k):
+    """sqrt(gram / (k!)^2) built at once is sqrt(gram) / k!, term for term."""
+    gram = F(num, den)
+    assert measure_of_gram(gram, k)._terms == (RadicalSum.sqrt(gram) / math.factorial(k))._terms

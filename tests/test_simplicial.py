@@ -41,6 +41,16 @@ def test_canonical_form_cancels_duplicates():
     assert canonical_simplex(a) == canonical_simplex(b)
 
 
+def test_canonical_simplex_converts_int_str_and_mixed_vertices():
+    fractions = tri((0, 0, 0), (F(1, 2), 0, 0), (0, 1, F(1, 3)))
+    ints_and_strs = ((0, 0, 0), ("1/2", 0, 0), (0, 1, "1/3"))
+    mixed = [(F(0), 0, "0"), [F(1, 2), F(0), F(0)], (F(0), F(1), F(1, 3))]
+    chains = [simplicial_chain(2, [s]) for s in (fractions, ints_and_strs, mixed)]
+    assert chains[0] == chains[1] == chains[2]
+    for chain in chains:
+        assert all(type(x) is F for s in chain.simplices for v in s for x in v)
+
+
 def test_degenerate_simplices_dropped():
     flat = tri((0, 0, 0), (1, 0, 0), (2, 0, 0))
     assert simplicial_chain(2, [flat]).is_zero_presentation()
