@@ -359,15 +359,18 @@ def _parser() -> argparse.ArgumentParser:
     add("mass", _cmd_mass, "mass of a chain or energy of a pair")
     add("boundary", _cmd_boundary, "boundary chain/pair")
 
+    search = ("exhaustive: the branch-and-bound without a node budget, refused past "
+              "--exhaustive-limit free cells (default 24); bnb: the same under "
+              "--node-budget (default 10^6)")
     p = add("flatnorm", _cmd_flatnorm, "flat norm of a grid chain with certificate")
     p.add_argument("--method", choices=("exhaustive", "bnb"), default="exhaustive",
-                   help="search used when the root cannot answer: the cover (k=2) "
-                   "or the projection bound (k=1)")
+                   help="search used when the root cannot answer (the cover for k=2, "
+                   "the projection bound for k=1); " + search)
     p.add_argument("--node-budget", type=int)
     p.add_argument("--exhaustive-limit", type=int)
 
     p = add("eflat", _cmd_eflat, "energy flat norm of a grid pair with certificate")
-    p.add_argument("--method", choices=("exhaustive", "bnb"), default="exhaustive")
+    p.add_argument("--method", choices=("exhaustive", "bnb"), default="exhaustive", help=search)
     p.add_argument("--node-budget", type=int)
     p.add_argument("--exhaustive-limit", type=int)
 

@@ -219,13 +219,6 @@ def dip_equal(A: Dipolyhedron, other: Dipolyhedron) -> bool:
     return chains_equal_mod2(A.B, other.B).equal and chains_equal_mod2(A.C, other.C).equal
 
 
-def support_dip(A: Dipolyhedron) -> list:
-    """Cells (grid) or simplices (simplicial) of both parts, sorted."""
-    if A.rep == "grid":
-        return sorted(A.B.cells | A.C.cells)
-    return sorted(A.B.simplices | A.C.simplices)
-
-
 def support_points(A: Dipolyhedron) -> list[Point]:
     """Every vertex (simplicial) or cell corner (grid) in the support."""
     pts = set()

@@ -111,19 +111,6 @@ def _sqrt_bounds(core: int, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, scale), Fraction(lo + 1, scale)
 
 
-def sqrt_enclosure(value: Fraction, bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of sqrt(value) for a nonnegative rational."""
-    value = Fraction(value)
-    if value < 0:
-        raise ValueError("negative radicand")
-    if value == 0:
-        return Fraction(0), Fraction(0)
-    # sqrt(p/q) = sqrt(p*q)/q
-    pq = value.numerator * value.denominator
-    lo, hi = _sqrt_bounds(pq, bits)
-    return lo / value.denominator, hi / value.denominator
-
-
 class RadicalSum:
     """An exact number of the form  sum_i coeff_i * sqrt(core_i).
 

@@ -3,9 +3,10 @@
 flat_norm minimizes M(Q) + M(R) over decompositions P = Q + boundary(R);
 energy_flat_norm does the same for pairs, with the film allowed to trade
 against mass one dimension down.  Both search the GF(2) cube of free
-relaxation cells: exhaustively (vectorized, exact) when small enough, or
-by branch-and-bound with a node budget and an honest "upper-bound"
-status when the budget runs out before the gap closes.
+relaxation cells with one branch-and-bound: "exhaustive" runs it without
+a node budget, exact, and refuses more free cells than its limit; "bnb"
+runs it under a node budget, with an honest "upper-bound" status when
+the budget runs out before the gap closes.
 
 A 2-chain first gets one maximum flow in the doubled cover of the 3-cell
 labelling (the plateau's least films use the same cover), whatever the
@@ -26,8 +27,7 @@ are the candidates; when the best meets the bound it is exact, with the
 three flows as its certificate.  Otherwise the method's search runs.
 
 Scores are integers throughout: every cell mass is a power of the grid
-pitch, so scaling by a common denominator makes comparisons exact and
-lets the exhaustive scan run on machine integers.
+pitch, so scaling by a common denominator makes comparisons exact.
 
 natural_norm_upper estimates the translation-structured norm by
 repeatedly pairing translate pieces into multicells; it never explores
@@ -43,9 +43,6 @@ from typing import Optional, Sequence
 from .exact import RadicalSum
 from .dipolyhedra import Dipolyhedron, chain_boundary
 from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
-
-_MASK64 = (1 << 64) - 1
-_CHUNK_BITS = 20  # the exhaustive scan tabulates 2^20 low-variable choices per block
 
 
 @dataclass(frozen=True)
@@ -68,10 +65,12 @@ DEFAULT_CONFIG = SolverConfig()
 #
 # State: an integer bit vector over "universe" cells, starting at `base`;
 # choosing free variable i XORs `effects[i]` into the state and pays
-# `own[i]`.  The final score adds `bit_weights[b]` for every set state
-# bit.  Ties between optimal choices go to the smallest variable mask
-# (bit i of the mask is variable i in canonical order).  Branch-and-bound
-# may branch on the variables in another order, `branch_order`.
+# `own[i]`.  The final score adds weight w for every set state bit in a
+# mask of `weight_masks`.  Ties between optimal choices go to the
+# smallest variable mask (bit i of the mask is variable i in canonical
+# order).  The branch-and-bound may branch on the variables in another
+# order, `branch_order`; it prunes only nodes whose bound exceeds the
+# incumbent, so every tied leaf is still compared.
 
 @dataclass
 class _Problem:
@@ -82,70 +81,19 @@ class _Problem:
     branch_order: Optional[list] = None  # variable indices, first branched first
 
 
-def _lanes_of(value: int, lanes: int) -> list[int]:
-    return [(value >> (64 * i)) & _MASK64 for i in range(lanes)]
-
-
 def _weighted_popcount(x: int, weight_masks) -> int:
     return sum(w * (x & m).bit_count() for w, m in weight_masks)
 
 
-def _solve_exhaustive(problem: _Problem) -> tuple[int, int, str]:
-    # numpy costs about 0.1 s to import; only this solver needs it
-    import numpy as np
+def _solve_bnb(problem: _Problem, node_budget: Optional[int]) -> tuple[int, int, str]:
+    """(mask, score, status) of the least score, by depth-first branch-and-bound.
 
-    n = len(problem.effects)
-    relevant = [problem.base, *problem.effects] + [m for _, m in problem.weight_masks]
-    maxbit = max((v.bit_length() for v in relevant), default=0)
-    lanes = max(1, (maxbit + 63) // 64)
-
-    low = min(n, _CHUNK_BITS)
-    table = np.zeros((1 << low, lanes), dtype=np.uint64)
-    owns = np.zeros(1 << low, dtype=np.int64)
-    table[0] = np.array(_lanes_of(problem.base, lanes), dtype=np.uint64)
-    for i in range(low):
-        sz = 1 << i
-        table[sz : 2 * sz] = table[:sz] ^ np.array(
-            _lanes_of(problem.effects[i], lanes), dtype=np.uint64
-        )
-        owns[sz : 2 * sz] = owns[:sz] + problem.own[i]
-    lane_masks = [
-        (w, np.array(_lanes_of(m, lanes), dtype=np.uint64)) for w, m in problem.weight_masks
-    ]
-
-    # per-block buffers, allocated once and written in place
-    block = np.empty_like(table)
-    masked = np.empty_like(table)
-    counts = np.empty(table.shape, dtype=np.uint8)
-    weighted = np.empty(1 << low, dtype=np.int64)
-    score = np.empty(1 << low, dtype=np.int64)
-    best_score = None
-    best_mask = 0
-    for high in range(1 << (n - low)):
-        hx = 0
-        ho = 0
-        for i in range(n - low):
-            if (high >> i) & 1:
-                hx ^= problem.effects[low + i]
-                ho += problem.own[low + i]
-        np.bitwise_xor(table, np.array(_lanes_of(hx, lanes), dtype=np.uint64), out=block)
-        np.add(owns, np.int64(ho), out=score)
-        for w, marr in lane_masks:
-            np.bitwise_and(block, marr, out=masked)
-            np.bitwise_count(masked, out=counts)
-            counts.sum(axis=1, dtype=np.int64, out=weighted)
-            weighted *= w
-            score += weighted
-        idx = int(np.argmin(score))
-        s = int(score[idx])
-        # within a block, argmin's first hit is the smallest variable mask
-        if best_score is None or s < best_score:
-            best_score = s
-            best_mask = (high << low) | idx
-    return best_mask, best_score, "exact"
-
-
-def _solve_bnb(problem: _Problem, node_budget: int) -> tuple[int, int, str]:
+    A state bit's weight counts once no later variable can flip it, so
+    each node's bound never passes its leaves' scores.  The answer is
+    "exact" unless more than ``node_budget`` nodes are needed (None: no
+    budget); then it is the best leaf found, or the empty choice, as an
+    "upper-bound".
+    """
     n = len(problem.effects)
     order = problem.branch_order or list(range(n))
     effects = [problem.effects[i] for i in order]
@@ -184,7 +132,7 @@ def _solve_bnb(problem: _Problem, node_budget: int) -> tuple[int, int, str]:
     stack = [(0, problem.base, root_lb, 0)]
     while stack:
         nodes += 1
-        if nodes > node_budget:
+        if node_budget is not None and nodes > node_budget:
             exhausted = True
             break
         depth, state, lb, mask = stack.pop()
@@ -210,6 +158,12 @@ def _solve_bnb(problem: _Problem, node_budget: int) -> tuple[int, int, str]:
 
 
 def _solve(problem: _Problem, method: str, config: SolverConfig) -> tuple[int, int, str]:
+    """The branch-and-bound under the method's node budget.
+
+    "exhaustive" runs it with no budget, always exact, and refuses more
+    than ``config.exhaustive_limit`` free cells; "bnb" runs it under
+    ``config.node_budget``.
+    """
     n = len(problem.effects)
     if method == "exhaustive":
         if n > config.exhaustive_limit:
@@ -217,7 +171,7 @@ def _solve(problem: _Problem, method: str, config: SolverConfig) -> tuple[int, i
                 f"{n} free cells exceed the exhaustive limit "
                 f"{config.exhaustive_limit}; use method='bnb'"
             )
-        return _solve_exhaustive(problem)
+        return _solve_bnb(problem, None)
     if method == "bnb":
         return _solve_bnb(problem, config.node_budget)
     raise ValueError(f"unknown method: {method}")
@@ -600,9 +554,11 @@ def flat_norm(
     bound equal to the value.  A 2-chain's answer there is the searches'
     answer, ties included.  Otherwise ``method`` names the search (it
     does not branch on the cover: a flow per node costs more than its
-    nodes): "exhaustive" scans every subset of the grid's (k+1)-cells,
-    exact; "bnb" prunes with the mass of already-decided cells and
-    reports an upper bound if its node budget runs out.
+    nodes).  Both methods run one branch-and-bound over subsets of the
+    grid's (k+1)-cells, pruning with the mass of already-decided cells:
+    "exhaustive" without a node budget, exact, and refused past
+    ``config.exhaustive_limit`` free cells; "bnb" under
+    ``config.node_budget``, reporting an upper bound if it runs out.
     """
     if method not in ("exhaustive", "bnb"):
         raise ValueError(f"unknown method: {method}")
@@ -693,7 +649,10 @@ def energy_flat_norm(
 
     Free variables are the film relaxation cells B_R ((k+1)-cells, when
     k < 3) and the mass relaxation cells C_R (k-cells); the Q parts are
-    forced by the two GF(2) identities.
+    forced by the two GF(2) identities.  ``method`` chooses the search's
+    node budget as in ``flat_norm``: none for "exhaustive", refused past
+    ``config.exhaustive_limit`` free cells, ``config.node_budget`` for
+    "bnb".
     """
     if A.rep != "grid":
         raise ValueError("the energy flat norm solver works on grid pairs")

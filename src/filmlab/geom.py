@@ -419,16 +419,6 @@ def affine_pieces(pieces: list[HSimplex], points: dict) -> list[Simplex]:
     return out
 
 
-def split_simplex(simplex: Simplex, plane: Plane):
-    """Partition a simplex by a plane into (negative, on, positive) simplices
-    (see split_homogeneous)."""
-    h = tuple(map(homogeneous, simplex))
-    points = dict(zip(h, simplex))
-    buckets: tuple[list, list, list] = ([], [], [])
-    _split_into(h, plane, *buckets)
-    return tuple(affine_pieces(b, points) for b in buckets)
-
-
 def split_by_planes(pieces: Iterable[Simplex], planes: Iterable[Plane]) -> list[Simplex]:
     """Cut pieces by each plane in turn, regrouped as negative, on, positive.
 

@@ -756,10 +756,6 @@ class ClampReport:
     spanning_before: SpanningReport
     spanning_after: SpanningReport
 
-    @property
-    def spanning_preserved(self) -> bool:
-        return self.spanning_after.spans or not self.spanning_before.spans
-
 
 def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:
     """Clamp the pair onto the working cube and audit the effect.

@@ -1,0 +1,107 @@
+"""Reference implementations kept from deleted product code.
+
+Each one is the product's former version, moved here unchanged so that
+the code that replaced it is tested against an independent path:
+
+- ``solve_exhaustive``: the numpy bitmask scan that once answered
+  ``method="exhaustive"`` flat norms; both methods now run the
+  branch-and-bound, and ``scanning``/``scanned`` send the product's
+  search problems to the scan instead.
+- ``sqrt_enclosure``: the rational enclosure of sqrt(value) behind the
+  old enclosure ladder of the deformation's mass ratios.
+"""
+
+import contextlib
+from fractions import Fraction
+from unittest import mock
+
+from filmlab import flatnorm
+from filmlab.exact import DEFAULT_BITS, _sqrt_bounds
+
+_MASK64 = (1 << 64) - 1
+_CHUNK_BITS = 20  # the exhaustive scan tabulates 2^20 low-variable choices per block
+
+
+def _lanes_of(value: int, lanes: int) -> list[int]:
+    return [(value >> (64 * i)) & _MASK64 for i in range(lanes)]
+
+
+def solve_exhaustive(problem) -> tuple[int, int, str]:
+    # numpy costs about 0.1 s to import; only this solver needs it
+    import numpy as np
+
+    n = len(problem.effects)
+    relevant = [problem.base, *problem.effects] + [m for _, m in problem.weight_masks]
+    maxbit = max((v.bit_length() for v in relevant), default=0)
+    lanes = max(1, (maxbit + 63) // 64)
+
+    low = min(n, _CHUNK_BITS)
+    table = np.zeros((1 << low, lanes), dtype=np.uint64)
+    owns = np.zeros(1 << low, dtype=np.int64)
+    table[0] = np.array(_lanes_of(problem.base, lanes), dtype=np.uint64)
+    for i in range(low):
+        sz = 1 << i
+        table[sz : 2 * sz] = table[:sz] ^ np.array(
+            _lanes_of(problem.effects[i], lanes), dtype=np.uint64
+        )
+        owns[sz : 2 * sz] = owns[:sz] + problem.own[i]
+    lane_masks = [
+        (w, np.array(_lanes_of(m, lanes), dtype=np.uint64)) for w, m in problem.weight_masks
+    ]
+
+    # per-block buffers, allocated once and written in place
+    block = np.empty_like(table)
+    masked = np.empty_like(table)
+    counts = np.empty(table.shape, dtype=np.uint8)
+    weighted = np.empty(1 << low, dtype=np.int64)
+    score = np.empty(1 << low, dtype=np.int64)
+    best_score = None
+    best_mask = 0
+    for high in range(1 << (n - low)):
+        hx = 0
+        ho = 0
+        for i in range(n - low):
+            if (high >> i) & 1:
+                hx ^= problem.effects[low + i]
+                ho += problem.own[low + i]
+        np.bitwise_xor(table, np.array(_lanes_of(hx, lanes), dtype=np.uint64), out=block)
+        np.add(owns, np.int64(ho), out=score)
+        for w, marr in lane_masks:
+            np.bitwise_and(block, marr, out=masked)
+            np.bitwise_count(masked, out=counts)
+            counts.sum(axis=1, dtype=np.int64, out=weighted)
+            weighted *= w
+            score += weighted
+        idx = int(np.argmin(score))
+        s = int(score[idx])
+        # within a block, argmin's first hit is the smallest variable mask
+        if best_score is None or s < best_score:
+            best_score = s
+            best_mask = (high << low) | idx
+    return best_mask, best_score, "exact"
+
+
+@contextlib.contextmanager
+def scanning():
+    """Send every flat-norm and energy-flat-norm search to the scan, any method, no limit."""
+    with mock.patch.object(flatnorm, "_solve", lambda problem, method, config: solve_exhaustive(problem)):
+        yield
+
+
+def scanned(P):
+    """P's flat norm by the scan over every subset of its (k+1)-cells, without the root."""
+    with scanning():
+        return flatnorm._searched(P, "exhaustive", flatnorm.DEFAULT_CONFIG)
+
+
+def sqrt_enclosure(value: Fraction, bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
+    """Certified enclosure of sqrt(value) for a nonnegative rational."""
+    value = Fraction(value)
+    if value < 0:
+        raise ValueError("negative radicand")
+    if value == 0:
+        return Fraction(0), Fraction(0)
+    # sqrt(p/q) = sqrt(p*q)/q
+    pq = value.numerator * value.denominator
+    lo, hi = _sqrt_bounds(pq, bits)
+    return lo / value.denominator, hi / value.denominator

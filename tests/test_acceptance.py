@@ -20,6 +20,7 @@ from conftest import (
     rational,
     square_curve,
 )
+from references import scanned
 from filmlab.deformation import DeformConfig, deform_chain
 from filmlab.dipolyhedra import (
     Dipolyhedron,
@@ -32,7 +33,6 @@ from filmlab.dipolyhedra import (
     make_massive,
     restrict_dip,
     spanning_check,
-    support_dip,
     support_points,
     weight,
 )
@@ -134,17 +134,20 @@ def test_criterion_02_flat_norm_methods_agree():
     assert cert.value == 1
     assert cert.R.cells == frozenset({face}) and cert.Q.is_zero()
 
-    # complete sweeps over every instance on the fully enumerable shapes;
-    # a 2-chain tries the doubled cover under either method, so the
-    # reference is the exhaustive scan itself
+    # both methods run one branch-and-bound, and the root answers first
+    # under either, so the reference is the tests' bitmask scan of every
+    # subset; the search alone and the whole flat norm must both match it
+    def agree(P):
+        scan = scanned(P)
+        assert scan.status == "exact" and verify_certificate(scan, P)
+        for b in (_searched(P, "bnb", DEFAULT_CONFIG), flat_norm(P, method="bnb")):
+            assert (b.value, b.Q, b.R, b.status) == (scan.value, scan.Q, scan.R, scan.status)
+            assert verify_certificate(b, P)
+
+    # complete sweeps over every instance on the fully enumerable shapes
     for dims, k in (((1, 1, 1), 1), ((1, 1, 1), 2), ((2, 1, 1), 2)):
         for P in _all_chains(make_grid(dims), k):
-            a = _searched(P, "exhaustive", DEFAULT_CONFIG)
-            b = flat_norm(P, method="bnb")
-            assert a.status == b.status == "exact"
-            assert a.value == b.value
-            assert (a.Q, a.R) == (b.Q, b.R)
-            assert verify_certificate(a, P) and verify_certificate(b, P)
+            agree(P)
 
     # seeded families on the shapes whose chain spaces are too large
     for dims, k, n in (
@@ -156,13 +159,7 @@ def test_criterion_02_flat_norm_methods_agree():
         grid = make_grid(dims)
         for seed in range(n):
             rng = random.Random(f"acc2:{dims}:{k}:{seed}")
-            P = random_grid_chain(grid, k, rng, density=0.35)
-            a = _searched(P, "exhaustive", DEFAULT_CONFIG)
-            b = flat_norm(P, method="bnb")
-            assert a.status == b.status == "exact"
-            assert a.value == b.value
-            assert (a.Q, a.R) == (b.Q, b.R)
-            assert verify_certificate(a, P)
+            agree(random_grid_chain(grid, k, rng, density=0.35))
     assert time.monotonic() - t0 < 60.0
 
 
@@ -477,7 +474,6 @@ def test_criterion_10_restriction_splits_energy():
         assert energy(inside).energy + energy(outside).energy == energy(A).energy
         assert report.nu == energy(inside).energy
         assert report.omega == weight(inside)
-        assert support_dip(A) == sorted(A.B.cells | A.C.cells)
     assert time.monotonic() - t0 < 30.0
 
 

@@ -17,7 +17,7 @@ from filmlab.deformation import (
     snap_parity,
 )
 from filmlab.dipolyhedra import Dipolyhedron, energy, make_dipole
-from filmlab.exact import RadicalSum, radical_sum, sqrt_enclosure
+from filmlab.exact import RadicalSum, radical_sum
 from filmlab.geom import (
     affine,
     homogeneous,
@@ -41,6 +41,7 @@ from filmlab.simplicial import (
 )
 
 from conftest import HEX, make_grid, polygon_curve, random_simplicial_chain, square_curve
+from references import sqrt_enclosure
 
 F = Fraction
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")

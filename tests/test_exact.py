@@ -12,9 +12,10 @@ from filmlab.exact import (
     format_fraction,
     parse_fraction,
     radical_sum,
-    sqrt_enclosure,
     SQRT3,
 )
+
+from references import sqrt_enclosure
 
 
 def test_fraction_round_trip():

@@ -29,6 +29,7 @@ from filmlab.flatnorm import (
 from filmlab.grid import GridCell, boundary_grid, chain_of, empty_chain, mass_grid
 
 from conftest import make_grid, random_grid_chain
+from references import scanned, scanning
 
 F = Fraction
 
@@ -82,18 +83,37 @@ def test_flat_norm_tampered_certificate_fails():
     assert not verify_certificate(wrong_value, P)
 
 
+def _answer(cert):
+    return cert.value, cert.Q, cert.R, cert.status
+
+
 def test_flat_norm_methods_agree_seeded():
+    # both methods run the branch-and-bound; the reference is the scan
     grid = make_grid((2, 2, 1))
     rng = random.Random(41)
     for _ in range(12):
         P = random_grid_chain(grid, 1, rng, density=0.2)
-        ex = flat_norm(P, method="exhaustive")
-        bb = flat_norm(P, method="bnb")
-        assert ex.status == bb.status == "exact"
-        assert ex.value == bb.value
-        # ties are broken toward the lexicographically least mask, so the
-        # certificates themselves agree as well
-        assert ex.R == bb.R and ex.Q == bb.Q
+        scan = _answer(scanned(P))
+        assert scan[3] == "exact"
+        for method in ("exhaustive", "bnb"):
+            # ties are broken toward the lexicographically least mask, so the
+            # certificates themselves agree as well, with the root or without
+            assert _answer(_searched(P, method, DEFAULT_CONFIG)) == scan
+            assert _answer(flat_norm(P, method=method)) == scan
+
+
+@pytest.mark.parametrize(
+    "dims, k, eps", [((2, 3, 4), 2, F(1, 2)), ((4, 6, 0), 1, F(1))], ids=["k2-box", "k1-plane"]
+)
+def test_bnb_matches_the_scan_at_the_exhaustive_limit(dims, k, eps):
+    # 24 free cells, the default limit's full size; these chains have
+    # optimal masks that are not subsets of one another, and a search that
+    # kept its first optimal leaf would answer three of the four differently
+    grid = make_grid(dims, eps=eps)
+    assert len(list(grid.cells(k + 1))) == DEFAULT_CONFIG.exhaustive_limit
+    for seed in range(2):
+        P = random_grid_chain(grid, k, random.Random(f"limit:{dims}:{seed}"), density=0.5)
+        assert _answer(_searched(P, "exhaustive", DEFAULT_CONFIG)) == _answer(scanned(P))
 
 
 def test_unknown_method_is_refused_before_the_cover():
@@ -159,9 +179,11 @@ def test_eflat_methods_agree_seeded():
             random_grid_chain(grid, 2, rng, density=0.4),
             random_grid_chain(grid, 1, rng, density=0.25),
         )
-        ex = energy_flat_norm(A, method="exhaustive")
-        bb = energy_flat_norm(A, method="bnb")
-        assert ex.value == bb.value and ex.status == bb.status == "exact"
+        with scanning():
+            scan = energy_flat_norm(A)
+        assert scan.status == "exact"
+        for method in ("exhaustive", "bnb"):
+            assert energy_flat_norm(A, method=method) == scan
 
 
 def test_eflat_exhaustive_guard():
@@ -343,7 +365,7 @@ def test_cut_matches_exhaustive_on_qualifying_chains(dims, eps, seed):
     X = random_grid_chain(grid, 3, rng, density=rng.random())
     outer = [f for f in sorted(counts) if counts[f] == 1 and rng.random() < 0.3]
     P = boundary_grid(X) + chain_of(grid, 2, outer)
-    scan = _searched(P, "exhaustive", DEFAULT_CONFIG)
+    scan = scanned(P)
     cut = flat_norm(P, method="bnb")
     assert cut.flow is not None and cut.status == "exact"
     assert (cut.value, cut.Q, cut.R) == (scan.value, scan.Q, scan.R)
@@ -398,7 +420,7 @@ def test_bnb_closes_at_the_root_when_boundary_meets_an_interior_edge():
     # closure still settles it before any search node, under either method
     grid = make_grid((2, 2, 1))
     P = chain_of(grid, 2, [GridCell((0, 1, 0), (0, 2))])
-    scan = _searched(P, "exhaustive", DEFAULT_CONFIG)
+    scan = scanned(P)
     ex = flat_norm(P, method="exhaustive")
     bb = flat_norm(P, method="bnb")
     assert bb.flow is not None and ex == bb and scan.flow is None
@@ -414,7 +436,7 @@ def test_bnb_searches_when_the_cover_closure_is_inconsistent():
     ex = flat_norm(P, method="exhaustive")
     bb = flat_norm(P, method="bnb")
     assert (bb.value, bb.status, bb.flow) == (16, "exact", None)
-    assert (bb.Q, bb.R) == (ex.Q, ex.R)
+    assert ex == bb and _answer(bb) == _answer(scanned(P))
     budgeted = flat_norm(P, method="bnb", config=SolverConfig(node_budget=1))
     assert budgeted.status == "upper-bound" and budgeted.flow is None
     assert budgeted.value > 16 and verify_certificate(budgeted, P)
@@ -430,11 +452,11 @@ def test_bnb_searches_when_the_cover_closure_is_inconsistent():
 def test_cover_matches_exhaustive_on_any_chain(dims, eps, seed):
     # arbitrary 2-chains, frustrated ones included: both methods answer at
     # the root flow exactly when the cover's closure is consistent, and
-    # agree with the exhaustive scan either way
+    # agree with the reference scan either way
     grid = make_grid(dims, eps=eps)
     rng = random.Random(seed)
     P = random_grid_chain(grid, 2, rng, density=rng.random())
-    scan = _searched(P, "exhaustive", DEFAULT_CONFIG)
+    scan = scanned(P)
     ex = flat_norm(P, method="exhaustive")
     bb = flat_norm(P, method="bnb")
     assert (bb.value, bb.Q, bb.R, bb.status) == (scan.value, scan.Q, scan.R, scan.status)
@@ -499,7 +521,7 @@ def test_projection_root_matches_exhaustive_on_k1_chains(dims, eps, faces, seed)
         P = boundary_grid(random_grid_chain(grid, 2, rng, density=rng.random()))
     else:
         P = random_grid_chain(grid, 1, rng, density=rng.random())
-    scan = _searched(P, "exhaustive", DEFAULT_CONFIG)
+    scan = scanned(P)
     lower = _projection_lower(P)
     assert lower <= scan.value
     for method in ("exhaustive", "bnb"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from filmlab.exact import RadicalSum, det3, radical_sum
 from filmlab.geom import (
     Plane,
+    affine_pieces,
     homogeneous,
     is_degenerate,
     measure_of_gram,
@@ -18,11 +19,11 @@ from filmlab.geom import (
     simplex_measure,
     simplex_measure_sq,
     split_by_planes,
-    split_simplex,
     sup_norm,
     vcross,
     vdot,
     vsub,
+    _split_into,
 )
 
 F = Fraction
@@ -30,6 +31,16 @@ O = (F(0), F(0), F(0))
 EX = (F(1), F(0), F(0))
 EY = (F(0), F(1), F(0))
 EZ = (F(0), F(0), F(1))
+
+
+def split_simplex(simplex, plane):
+    """Partition a simplex by a plane into (negative, on, positive) simplices:
+    split_homogeneous's loop on one piece and one plane, its buckets kept apart."""
+    h = tuple(map(homogeneous, simplex))
+    points = dict(zip(h, simplex))
+    buckets = ([], [], [])
+    _split_into(h, plane, *buckets)
+    return tuple(affine_pieces(b, points) for b in buckets)
 
 
 def _value(plane, v):

@@ -882,6 +882,32 @@ def test_cli_reports_survive_python_O(argv, tmp_path):
         assert (doc["flow"] is not None) == covered
 
 
+def test_flat_norm_searches_run_without_numpy(tmp_path):
+    # the cli benchmark's 2x2x1 chain: the projection root leaves it open
+    # (bound 7, optimum 8), so the search runs; eflat always searches
+    k1 = random_grid_chain(make_grid((2, 2, 1)), 1, random.Random("filmlab-bench:cli-k1"), 0.35)
+    grid = make_grid((1, 1, 1))
+    rng = random.Random("no-numpy-eflat")
+    pair = Dipolyhedron(random_grid_chain(grid, 2, rng, 0.4), random_grid_chain(grid, 1, rng, 0.25))
+    chain_path, pair_path = tmp_path / "k1.json", tmp_path / "pair.json"
+    chain_path.write_text(dumps_report(k1))
+    pair_path.write_text(dumps_report(pair))
+    run = (
+        "import sys; from filmlab.cli import main; code = main(sys.argv[1:]); "
+        "sys.exit(code if 'numpy' not in sys.modules else 'numpy was imported')"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    for argv, value in ((("flatnorm", str(chain_path)), "8"), (("eflat", str(pair_path)), None)):
+        done = subprocess.run(
+            [sys.executable, "-c", run, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        assert doc["status"] == "exact"
+        if value is not None:
+            assert (doc["value"], doc["flow"]) == (value, None)
+
+
 def test_fixtures_regenerate_byte_for_byte(tmp_path, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("make_fixtures", "scripts/make_fixtures.py")
     module = importlib.util.module_from_spec(spec)
