@@ -30,6 +30,11 @@ identity  A = P + Q + dR,  verified geometrically before returning, plus
 measured mass ratios and support distances.  Q is assembled as
 A + P + dR with the geometrically void part pruned away, so the identity
 holds by construction and the reported M(Q) reflects actual content.
+
+Each mass is computed once, exactly, as a RadicalSum.  A measured ratio
+is the float of the mass over the float of its exact ceiling, and the
+matching bounds_ok entry compares the same two exact values, so no float
+sum over a chain's simplices reaches a report.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .dipolyhedra import Dipolyhedron, EnergySplit, boundary_dip, chain_mass, energy
+from .dipolyhedra import Dipolyhedron, boundary_dip, chain_mass, energy
 from .exact import RadicalSum, radical_sum
 from .geom import (
     HSimplex,
@@ -54,7 +59,6 @@ from .geom import (
     measure_of_gram,
     point_simplex_dist_sq,
     reduced,
-    simplex_measure_sq,
     split_homogeneous,
     vcross,
     vdot,
@@ -291,9 +295,6 @@ def _project_cell_pieces(
     return out
 
 
-_FACT = (1.0, 1.0, 2.0, 6.0)
-
-
 def _projected_mass(proj) -> RadicalSum:
     return radical_sum(
         measure_of_gram(homogeneous_measure_sq(image), len(image) - 1)
@@ -320,6 +321,7 @@ def _floats(s: HSimplex) -> tuple:
 _SIGN_BAND = 1e-12
 _SLIVER = 1e-9
 _RANK_BAND = 1e-6
+_FACT = (1.0, 1.0, 2.0, 6.0)
 
 
 def _fcross(a: tuple, b: tuple) -> tuple:
@@ -686,34 +688,11 @@ def _prune_zero_groups(chain: SimplicialChain) -> SimplicialChain:
 
 
 def _ratio(num, den) -> float:
+    """float(num) / float(den) of exact masses; 0/0 is 0 and x/0 is inf."""
     n, d = float(num), float(den)
     if d == 0.0:
         return 0.0 if n == 0.0 else math.inf
     return n / d
-
-
-def _mass_float(x) -> float:
-    if isinstance(x, SimplicialChain):
-        fact = _FACT[x.k]
-        return sum(math.sqrt(float(simplex_measure_sq(s))) / fact for s in x.simplices)
-    return float(x)
-
-
-def _masses(chain: SimplicialChain, gram) -> tuple[float, RadicalSum]:
-    """_mass_float and the exact mass of a simplicial chain, from one Gram
-    determinant gram(s) per simplex; the float sum runs in _mass_float's
-    order."""
-    grams = [gram(s) for s in chain.simplices]
-    fact = _FACT[chain.k]
-    return (
-        sum(math.sqrt(float(g)) / fact for g in grams),
-        radical_sum(measure_of_gram(g, chain.k) for g in grams),
-    )
-
-
-def _mass_at_most(lhs, rhs_terms) -> bool:
-    """Exact test  lhs <= sum coeff * M(term)  for a mass lhs."""
-    return lhs <= radical_sum(chain_mass(term) * coeff for coeff, term in rhs_terms)
 
 
 def _support_dist_sq(vertices, targets) -> Optional[Fraction]:
@@ -740,8 +719,7 @@ def _track_chain(k: int, tracks: list) -> tuple[SimplicialChain, dict]:
     Each distinct point becomes a Fraction once.  The degeneracy test and
     the Gram come from the integer simplex, and the canonical Fraction
     tuples are toggled in track order as simplicial_chain toggles them, so
-    the chain iterates, and the float mass sums over it add, in the same
-    order as a chain built from Fraction tracks.
+    the chain is the one built from Fraction tracks.
     """
     acc: set = set()
     grams = {}
@@ -776,23 +754,17 @@ def _finish_entry(
     dA = boundary_simplicial(A)
     dP = boundary_grid(P)
     eps = grid.epsilon
-    mA, mdA = _mass_float(A), _mass_float(dA)
-    mP, mdP = mass_grid(P), mass_grid(dP)
-    mQ, exact_Q = _masses(Q, simplex_measure_sq)
-    mR, exact_R = _masses(R, grams.__getitem__)
-    measured = {
-        "cP": _ratio(mP, mA + float(eps) * mdA),
-        "cdP": _ratio(mdP, mdA),
-        "cQ": _ratio(mQ, float(eps) * mdA),
-        "cR": _ratio(mR, float(eps) * mA),
+    mA, mdA = chain_mass(A), chain_mass(dA)
+    mR = radical_sum(measure_of_gram(grams[s], k + 1) for s in R.simplices)
+    # each ratio's exact (mass, ceiling)
+    ratios = {
+        "cP": (mass_grid(P), mA + eps * mdA),
+        "cdP": (mass_grid(dP), mdA),
+        "cQ": (chain_mass(Q), eps * mdA),
+        "cR": (mR, eps * mA),
     }
-    c = cfg.c_max
-    bounds_ok = {
-        "cP": _mass_at_most(mP, [(c, A), (c * eps, dA)]),
-        "cdP": _mass_at_most(mdP, [(c, dA)]),
-        "cQ": _mass_at_most(exact_Q, [(c * eps, dA)]),
-        "cR": _mass_at_most(exact_R, [(c * eps, A)]),
-    }
+    measured = {key: _ratio(m, c) for key, (m, c) in ratios.items()}
+    bounds_ok = {key: m <= cfg.c_max * c for key, (m, c) in ratios.items()}
 
     chain_d2 = _support_dist_sq(
         _grid_vertices(grid, P) + _chain_vertices(R), list(A.simplices)
@@ -845,7 +817,6 @@ class DipoleDeformationReport:
     energy_R: object
     measured: dict
     bounds_ok: dict
-    mass_residual_zero: bool
     fallback_cells: tuple
 
 
@@ -891,34 +862,26 @@ def deform_dipolyhedron(A: Dipolyhedron, gamma, grid: GridSpec, cfg: DeformConfi
 
     eps = grid.epsilon
     dD = boundary_dip(D)
-    e_D, e_dD = energy(D), energy(dD)
-    e_Q = EnergySplit(
-        _mass_float(Q.B) + _mass_float(Q.C), _mass_float(Q.B), _mass_float(Q.C)
-    )
-    e_R = EnergySplit(
-        _mass_float(R.B) + _mass_float(R.C), _mass_float(R.B), _mass_float(R.C)
-    )
-    dB = boundary_simplicial(B)
-    boundary_mass = mass_grid(boundary_grid(D.B) + D.C)
-    measured = {
-        "cE": _ratio(e_D.energy, _mass_float(B) + _mass_float(C) + float(eps) * _mass_float(dB)),
-        "cdD": _ratio(boundary_mass, _mass_float(curve)),
+    e_D = energy(D)
+    ratios = {
+        "cE": (
+            e_D.energy,
+            chain_mass(B) + chain_mass(C) + eps * chain_mass(boundary_simplicial(B)),
+            2 * cfg.c_max,
+        ),
+        "cdD": (mass_grid(boundary_grid(D.B) + D.C), chain_mass(curve), cfg.c_max),
     }
-    two_c = 2 * cfg.c_max
-    bounds_ok = {
-        "cE": _mass_at_most(e_D.energy, [(two_c, B), (two_c, C), (two_c * eps, dB)]),
-        "cdD": _mass_at_most(boundary_mass, [(cfg.c_max, curve)]),
-    }
+    measured = {key: _ratio(m, ceiling) for key, (m, ceiling, _) in ratios.items()}
+    bounds_ok = {key: m <= c * ceiling for key, (m, ceiling, c) in ratios.items()}
     report = DipoleDeformationReport(
         film=film,
         mass=mass,
         energy_D=e_D,
-        energy_dD=e_dD,
-        energy_Q=e_Q,
-        energy_R=e_R,
+        energy_dD=energy(dD),
+        energy_Q=energy(Q),
+        energy_R=energy(R),
         measured=measured,
         bounds_ok=bounds_ok,
-        mass_residual_zero=mass.Q.is_zero_presentation(),
         fallback_cells=fb,
     )
     return D, Q, R, report

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import fsum, gcd, isqrt, prod, sqrt
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, "RadicalSum"]
@@ -29,6 +29,9 @@ _TRIAL_LIMIT = 10_000
 # Default enclosure precision: 2^-40 < 1e-12.
 DEFAULT_BITS = 40
 _MAX_BITS = 320
+
+# Cores of at most this many bits convert to a float for __float__.
+_FLOAT_CORE_BITS = 1000
 
 
 class UndecidableComparison(ArithmeticError):
@@ -296,8 +299,13 @@ class RadicalSum:
         return hash(self._terms)
 
     def __float__(self) -> float:
-        lo, hi = self.enclosure()
-        return float((lo + hi) / 2)
+        """fsum of float(coeff) * sqrt(core) over the terms.
+
+        The terms are canonical (sorted by core), so the float depends on
+        the exact value alone.  A core past the float range is scaled by a
+        power of four into it first.
+        """
+        return fsum(_term_float(core, coeff) for core, coeff in self._terms)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -309,6 +317,13 @@ class RadicalSum:
             else:
                 parts.append(f"{format_fraction(coeff)}*sqrt({core})")
         return " + ".join(parts)
+
+
+def _term_float(core: int, coeff: Fraction) -> float:
+    if core.bit_length() <= _FLOAT_CORE_BITS:
+        return float(coeff) * sqrt(core)
+    shift = (core.bit_length() - _FLOAT_CORE_BITS) // 2 + 1
+    return float(coeff * (1 << shift)) * sqrt(core >> (2 * shift))
 
 
 _ZERO = RadicalSum.__new__(RadicalSum)

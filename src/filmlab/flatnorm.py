@@ -78,7 +78,7 @@ class _Problem:
     effects: list
     own: list
     weight_masks: list  # (integer weight, universe bitmask) pairs
-    branch_order: Optional[list] = None  # variable indices, first branched first
+    branch_order: list  # variable indices, first branched first
 
 
 def _weighted_popcount(x: int, weight_masks) -> int:
@@ -95,7 +95,7 @@ def _solve_bnb(problem: _Problem, node_budget: Optional[int]) -> tuple[int, int,
     "upper-bound".
     """
     n = len(problem.effects)
-    order = problem.branch_order or list(range(n))
+    order = problem.branch_order
     effects = [problem.effects[i] for i in order]
     own = [problem.own[i] for i in order]
     universe = 0
@@ -206,6 +206,49 @@ def _sweep_order(free: Sequence[GridCell], given, grid: GridSpec) -> list[int]:
         return base, c.axes
 
     return sorted(range(len(free)), key=key)
+
+
+def _cell_problem(grid: GridSpec, parts, families) -> _Problem:
+    """The search over free cell families against given chains.
+
+    ``parts`` are (chain, weight) pairs: part j's cells set the starting
+    state, and each set bit of part j pays its integer weight.
+    ``families`` are (cells, cost, toggled) triples: choosing a cell pays
+    cost and flips the state bit of each (part index, cell) pair in
+    toggled(cell).  Variables run family by family, in each family's
+    cell order; each family branches in its _sweep_order towards the
+    given cells.  State bits are numbered as they are first met: the
+    parts' sorted cells, then the toggled cells in variable order.
+    """
+    bits: dict[tuple[int, GridCell], int] = {}
+
+    def bit(key) -> int:
+        return 1 << bits.setdefault(key, len(bits))
+
+    base = 0
+    for j, (chain, _) in enumerate(parts):
+        for cell in sorted(chain.cells):
+            base |= bit((j, cell))
+    effects, own, order = [], [], []
+    given = frozenset().union(*(chain.cells for chain, _ in parts))
+    for cells, cost, toggled in families:
+        order += [len(effects) + i for i in _sweep_order(cells, given, grid)]
+        for cell in cells:
+            eff = 0
+            for key in toggled(cell):
+                eff ^= bit(key)
+            effects.append(eff)
+            own.append(cost)
+    masks = [0] * len(parts)
+    for (j, _), b in bits.items():
+        masks[j] |= 1 << b
+    weight_masks = [(w, m) for (_, w), m in zip(parts, masks) if m]
+    return _Problem(base, effects, own, weight_masks, order)
+
+
+def _first_part_facets(cell: GridCell) -> list:
+    """Choosing a relaxation cell flips its facets in part 0."""
+    return [(0, f) for f in cell.facets()]
 
 
 # ---------------------------------------------------------------------------
@@ -516,25 +559,8 @@ def _searched(P: GridChain, method: str, config: SolverConfig) -> FlatNormCertif
     """flat_norm by the method's search alone, without the cover."""
     p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
     free = sorted(P.grid.cells(P.k + 1))
-    universe: dict[GridCell, int] = {}
-
-    def bit_of(cell: GridCell) -> int:
-        return universe.setdefault(cell, len(universe))
-
-    base = 0
-    for cell in sorted(P.cells):
-        base |= 1 << bit_of(cell)
-    effects = []
-    for cell in free:
-        eff = 0
-        for facet in cell.facets():
-            eff ^= 1 << bit_of(facet)
-        effects.append(eff)
-    q_weight = q  # epsilon^k scaled by q^(k+1)/p^k
-    r_cost = p
-    weight_masks = [(q_weight, (1 << len(universe)) - 1)]
-    order = _sweep_order(free, P.cells, P.grid)
-    problem = _Problem(base, effects, [r_cost] * len(free), weight_masks, order)
+    # epsilon^k scaled by q^(k+1)/p^k is q, epsilon^(k+1) is p
+    problem = _cell_problem(P.grid, [(P, q)], [(free, p, _first_part_facets)])
     return _certified(P, *_solve(problem, method, config))
 
 
@@ -669,50 +695,13 @@ def energy_flat_norm(
     free_br = sorted(grid.cells(k + 1))
     free_cr = sorted(grid.cells(k))
 
-    film_bits: dict[GridCell, int] = {}
-    mass_bits: dict[GridCell, int] = {}
-    counter = [0]
+    def moved(cell):
+        # a chosen mass cell moves into the film (part 0), its boundary into the mass
+        return [(0, cell)] + ([(1, f) for f in cell.facets()] if k >= 1 else [])
 
-    def bit_of(table: dict, cell: GridCell) -> int:
-        if cell not in table:
-            table[cell] = counter[0]
-            counter[0] += 1
-        return table[cell]
-
-    base = 0
-    for cell in sorted(A.B.cells):
-        base |= 1 << bit_of(film_bits, cell)
-    for cell in sorted(A.C.cells):
-        base |= 1 << bit_of(mass_bits, cell)
-    effects = []
-    own = []
-    for cell in free_br:
-        eff = 0
-        for facet in cell.facets():
-            eff ^= 1 << bit_of(film_bits, facet)
-        effects.append(eff)
-        own.append(scaled(k + 1))
-    for cell in free_cr:
-        eff = 1 << bit_of(film_bits, cell)
-        if k >= 1:
-            for facet in cell.facets():
-                eff ^= 1 << bit_of(mass_bits, facet)
-        effects.append(eff)
-        own.append(scaled(k))
-
-    film_mask = 0
-    for b in film_bits.values():
-        film_mask |= 1 << b
-    mass_mask = 0
-    for b in mass_bits.values():
-        mass_mask |= 1 << b
-    weight_masks = [(scaled(k), film_mask)]
-    if mass_mask:
-        weight_masks.append((scaled(k - 1), mass_mask))
-    given = A.B.cells | A.C.cells
-    order = _sweep_order(free_br, given, grid)
-    order += [len(free_br) + i for i in _sweep_order(free_cr, given, grid)]
-    problem = _Problem(base, effects, own, weight_masks, order)
+    parts = [(A.B, scaled(k)), (A.C, scaled(k - 1))]
+    families = [(free_br, scaled(k + 1), _first_part_facets), (free_cr, scaled(k), moved)]
+    problem = _cell_problem(grid, parts, families)
     mask, score, status = _solve(problem, method, config)
 
     br_mask = mask & ((1 << len(free_br)) - 1)

@@ -480,7 +480,7 @@ _TILTED_PINS = {
         16,
         [],
         [("15/16", "53/64", "53/64")],
-        "8af54787eaa650b586cf9bf235b1612dd2162cd626306851b84352256b06a54a",
+        "812b3e09514766d6b238478c8a0b2e3b18faa06ef25924dc277e6b94d0717d35",
     ),
     F(1, 2): (
         4,
@@ -492,7 +492,7 @@ _TILTED_PINS = {
             ("1/32", "43/128", "15/32"), ("3/32", "55/64", "13/32"),
             ("81/128", "19/128", "13/128"), ("13/16", "77/128", "29/64"),
         ],
-        "3400cea13716faeaff43ede75d860e601db78262070ff0da4c54d53ccbb76cb1",
+        "2a332a919ee1f837795b03c3f75570ac2c918c0b13b9e845484bde7f242ea643",
     ),
     F(1, 4): (
         4,
@@ -513,7 +513,7 @@ _TILTED_PINS = {
             ("45/64", "87/128", "103/256"), ("201/256", "113/256", "51/128"),
             ("127/128", "13/64", "113/256"),
         ],
-        "d72d246506092ca569f0a7c7fd53aa1d343d4937a36459fe5018d250f9f78de4",
+        "5f712da7e7e2590690fc2f12618731898c34b54bf8660e291fe863814cbdb27b",
     ),
 }
 
@@ -543,12 +543,13 @@ def test_tilted_triangle_choices_pinned(eps):
 
 
 # report sha256 of the benchmark's other deform shapes, as the Fraction
-# kernels produced them: exact integer kernels must not move a byte
+# kernels produced them with the ratios read off the exact masses: exact
+# integer kernels must not move a byte
 _SHAPE_PINS = {
     # the tilted triangle's boundary at (eps, candidate centres) on the grid
     # of pitch eps around it with one cell of margin
-    (F(1, 2), 16): "394fb2b6a729d1f328dd2516ee7515b63d403c88f1d7595f21bbe2229b866b2e",
-    (F(1, 4), 4): "8e7c48ec8615ba3774bffdb1f02ae4cc9d5aad366bd4fa2f301b814578e46b44",
+    (F(1, 2), 16): "10570b0835fc61086394eb4119f6e7b69a9c1d85ee310ed1830eff6e90abe8b3",
+    (F(1, 4), 4): "d86cb22729501e32d3571bf05b8a46a1aefa438ed5957f4325d08a41c30ffdd5",
 }
 _CONE_HEX1_PIN = "3421672eacf8a6669c890cbc155bd5fd81ac28409d5747f94c2af06ddca12599"
 
@@ -575,55 +576,56 @@ def test_hex_cone_start_report_pinned():
 
 # report sha256 of six random triangles (first) and their boundaries, four
 # candidate centres, on the grid of pitch eps around them with one cell of
-# margin, as the Fraction pipeline produced them
+# margin, as the Fraction pipeline produced them with the ratios read off
+# the exact masses
 _RANDOM_TRIANGLE_PINS = {
     (0, F(1, 2)): (
-        "ed282f634675706de2ba38b0eb062a6b6fa27ead3a0b31ad13ecd9ac3afa9691",
-        "ae062faadc788ea23b4faff25dd515f3f242499d8407c85460ecd6a6555c6523",
+        "be1e74330e0e005949cd6fc3e117dc7bab392dfdaf953a1ffe182b11e3f9a601",
+        "2da1535dd194d6a49909624019c26be66ae71a0cf5aa93d5785f8e10012112fb",
     ),
     (0, F(1, 4)): (
-        "15d9e2b4e70829004af9b41009a29841880dc89a60adac24a453d0fc23f4d45b",
+        "3f8b897c248233d400a712a325e6d560196542800bc68b2aeec39fa8b14680f5",
         "a3f8e82d72def6a2b6170f2e1179b19bce608e1cc58c657ece3e53391bb3fa41",
     ),
     (1, F(1, 2)): (
-        "8443ad255c52414470304211127ae38965176c3920ff3b47bb8f3af17624baca",
-        "274c3114b8e346962b274f9d2380b19d76525b6f622ecfca437aa347e162b363",
+        "7a0b1a51891e5cbcbc93947d2dbc8e4638740d34868456528713469f7a2686f5",
+        "bcf57db805b8b6312c329c1d7b1bf62be13d0ccf00836c9e7529a0bc9ebce750",
     ),
     (1, F(1, 4)): (
-        "1b8df761dd605f4b154fb5dadcac3b9c01cd41bfa429a05ae6eafde67340100a",
-        "f8987aacd7e3feca58a794902cc2a60fc42c5ceba0e416c0b6a5461d10890a44",
+        "72eadc6a55b4d7bcbb8e78e09d2ffd33fe8ec11ebe2f646b92ea2171f299e98e",
+        "369c886e659ef49a73216788bea8d8fe40cdf0650e02a09911196d6743ad77a1",
     ),
     (2, F(1, 2)): (
-        "d559edd3b445c56d45fe438a7880f1222a0470e1e5767e2bb57987b387d541e6",
+        "2a0150ee63f47c808c3b4ba30d49b61356bcec91cbc9abc61d5083551cefd4ee",
         "86b44b413dba605794c596ad4ffeca54226b91915fe2d7a41e236c8a6092a10d",
     ),
     (2, F(1, 4)): (
-        "275149271b92d62fe051f3aebb14984c0ab6dc5bfd18178fbdc61a0c9124ecc8",
-        "fc1a4c8eb806f17ae2d5cc4f29048bcb3ad05818d824a103310f83c19b4868ef",
+        "c6d1ce1052ce59f6dbf705b55076dfb6ca9f9054058805f29fc6fe860feb7f3e",
+        "31de3719c5523f9e4d6737a3ace268b3d55cd047c5b4a3144467d68b184771ab",
     ),
     (3, F(1, 2)): (
-        "fa1e2d1a7f1a21d281c347aa5f0fd27a00d2e5903f9d154403c7ec56a87beb2c",
-        "0932368dcb97c3e0cf36f121510434cf6945cb278295d963a05527833be60911",
+        "fa4c6ced8d9c0a6eabe6e98f7021a17b598ceaae9c3f2d01cbe8ff7020032eb5",
+        "a5146566b76d995b101f80e26dd230e6545e2f957697bf8c9dddcaf2b55bf3be",
     ),
     (3, F(1, 4)): (
-        "6ef4b727dc1facb60b4f292cba741a22bc2bc4bce31fbc354a8b1f7fba5727d1",
-        "855400abe80802a2e36c3d80e07b7368defb72df89537909805b56e0456b0d27",
+        "191394b3800da579b34c6ff9c082b492dca7d2e8012764807a68225c6bfe3f8e",
+        "35d0a3c3f36ac2d99bf4b211676d21042bdb07410efac8399e7ad8e56cd39a78",
     ),
     (4, F(1, 2)): (
-        "bfe1570fd9f8e21c61979f2cbf06075f1d6f418893c0239069cc52c271b9657b",
-        "69ac4058663d31fa4a6ed3e53e7522ad5f3c73b98297bb525decac835e8447cd",
+        "f3351047674575076629fc03371d2ed26352b47f763026742fb9a36fd64b0ac7",
+        "a1a3d87c766ecab2b409fd41659ebf6d91d2eb434fbdee791c3376a37c9a9185",
     ),
     (4, F(1, 4)): (
-        "ca5825461e64ac004fa887493e150295f90193b647c36125545203d1e3cf7e50",
-        "b220b7a8c3ea71ae3111f5c4ac2c05ed966f21afa9a54b28bf4c4007ced4a206",
+        "a4111e7ca7fe712ea9b435ce087d144b8fef75a5f7932fd9e020454a84a47cbc",
+        "3b3ff671adb3eec54a238901832ab3b2b5cc2634fee0447eea2eb9d2f2e111e5",
     ),
     (5, F(1, 2)): (
-        "111492ac440633e1d98ed735a811adea23d1918e0e36f46435f03c3da454e51c",
-        "773dd2d63c4b3a5ec7ed4550c6869eb2ddf01f24493ac13994b9503854b1921a",
+        "76cac03deb50f05f403069b51cebd85ca4e9541179be4e5ea735b32fe5b3497c",
+        "f523a01c79c721efd219a309675a6d78df61a4973c27b3933d77ba54153c314f",
     ),
     (5, F(1, 4)): (
-        "42f6cd7de695fdbcc4c4f6d5d834111f7d83d811a896c80ae62030286ed223da",
-        "91e53dee5e472f38c92f0f85dc77478395496a3d7573288de1164294e069ec10",
+        "38fe51e00ed0dcc58103dbd3d8df9fd4eae97e7f317f2d629003ec5f736450d9",
+        "1dd73eeaf181012d143b2cf69dfef7899363ba2b77db0f4fd4cf98e467f2bec1",
     ),
 }
 
@@ -652,6 +654,49 @@ def test_random_triangle_reports_pinned(index, eps):
     for A, digest in zip((tri, boundary_simplicial(tri)), _RANDOM_TRIANGLE_PINS[index, eps]):
         cfg = DeformConfig(epsilon=eps, candidate_centers=4)
         assert _report_digest(deform_chain(A, _grid_around(A, eps), cfg)) == digest
+
+
+def _float_ratio(mass, ceiling):
+    n, d = float(mass), float(ceiling)
+    if d == 0.0:
+        return 0.0 if n == 0.0 else math.inf
+    return n / d
+
+
+def _measured_from_chains(A, result, eps):
+    """The four ratios, recomputed from the report's own chains."""
+    mA, mdA = mass_simplicial(A), mass_simplicial(boundary_simplicial(A))
+    return {
+        "cP": _float_ratio(mass_grid(result.P), mA + eps * mdA),
+        "cdP": _float_ratio(mass_grid(boundary_grid(result.P)), mdA),
+        "cQ": _float_ratio(mass_simplicial(result.Q), eps * mdA),
+        "cR": _float_ratio(mass_simplicial(result.R), eps * mA),
+    }
+
+
+@pytest.mark.parametrize("eps", [F(1), F(1, 2)], ids=str)
+def test_measured_ratios_are_floats_of_exact_masses(eps):
+    """Each measured ratio is float(mass) / float(ceiling) of exact masses,
+    so no float sum over a chain's simplices, and no iteration order,
+    reaches a report.  At eps 1/2 the triangle's cQ is 1.9841660742319853;
+    a float sum in the chain's iteration order gave 1.9841660742319847."""
+    tri = iof.parse_input(iof.load_document(os.path.join(FIXTURES, "tilted_triangle.json")))
+    n = int(1 / eps) + 2
+    grid = make_grid((n, n, n), origin=(-eps, -eps, -eps), eps=eps)
+    cfg = DeformConfig(epsilon=eps, candidate_centers=4)
+    for A in (tri, boundary_simplicial(tri)):
+        result = deform_chain(A, grid, cfg)
+        assert result.measured == _measured_from_chains(A, result, eps)
+    curve = boundary_simplicial(tri)
+    D, Q, R, report = deform_dipolyhedron(make_dipole(tri), curve, grid, cfg)
+    assert report.film.measured == _measured_from_chains(tri, report.film, eps)
+    assert report.energy_Q == energy(Q) and report.energy_R == energy(R)
+    assert report.measured == {
+        "cE": _float_ratio(energy(D).energy, mass_simplicial(tri) + eps * mass_simplicial(curve)),
+        "cdD": _float_ratio(mass_grid(boundary_grid(D.B) + D.C), mass_simplicial(curve)),
+    }
+    if eps == F(1, 2):
+        assert report.film.measured["cQ"] == 1.9841660742319853
 
 
 def _all_exact_choice(grid, cell, pieces, cfg):
@@ -847,7 +892,9 @@ def test_mass_bound_matches_enclosure_ladder(seed, kind):
         lhs = energy(Dipolyhedron(B, C)).energy
         c, eps = F(rng.randint(0, 3)), F(1, rng.randint(1, 4))
         terms = [(2 * c, B), (2 * c, C), (2 * c * eps, boundary_simplicial(B))]
+    # the deformation's bound test: one exact mass against c times its exact ceiling
     mass = mass_simplicial(lhs) if isinstance(lhs, SimplicialChain) else lhs
-    assert dm._mass_at_most(mass, terms) == _ladder_leq_mass(lhs, terms)
+    ceiling = radical_sum(mass_simplicial(term) * coeff for coeff, term in terms)
+    assert (mass <= ceiling) == _ladder_leq_mass(lhs, terms)
     if kind == "tie":
-        assert dm._mass_at_most(mass, terms)
+        assert mass <= ceiling

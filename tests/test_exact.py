@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import isqrt
@@ -92,6 +93,34 @@ def test_sign_consistent_with_enclosure(a, b):
         assert lo < 0
     else:
         assert lo <= 0 <= hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.fractions(min_value=0, max_value=50, max_denominator=30), min_size=0, max_size=6
+    ),
+    signs=st.lists(st.sampled_from((1, -1)), min_size=6, max_size=6),
+)
+def test_float_is_fsum_of_terms(values, signs):
+    """float() is the fsum of float(coeff) * sqrt(core) over the terms, so
+    every presentation of one exact value converts to one float."""
+    parts = [s * RadicalSum.sqrt(v) for s, v in zip(signs, values)]
+    x = radical_sum(parts)
+    expected = math.fsum(float(q) * math.sqrt(c) for c, q in x.terms())
+    assert float(x) == expected
+    assert float(radical_sum(reversed(parts))) == expected
+    lo, hi = x.enclosure(64)
+    assert abs(float(x) - float((lo + hi) / 2)) <= 1e-12 * (1 + abs(float(hi)))
+
+
+def test_float_of_a_core_past_the_float_range():
+    # the length of (1/p, 1/q, 0) for the Mersenne primes p, q below: trial
+    # division leaves p^2 q^2 (p^2 + q^2) unsplit, a core of over 3000 bits
+    p, q = 2**521 - 1, 2**607 - 1
+    x = RadicalSum.sqrt(Fraction(1, p * p) + Fraction(1, q * q))
+    assert max(core for core, _ in x.terms()).bit_length() > 3000
+    assert math.isclose(float(x), math.hypot(1 / p, 1 / q), rel_tol=1e-15)
 
 
 def test_zero_detection_despite_mixed_presentation():
