@@ -82,6 +82,21 @@ def _emit(args, payload, op: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_meshes(prefix: str, chains: list) -> None:
+    """Write PREFIX-NAME.off for each named 2-chain and PREFIX-NAME.obj for
+    each 1-chain, creating PREFIX's directory first; other dimensions have
+    no mesh format and are skipped.  Callers write meshes before the
+    report, so a failed write leaves no report behind its exit code 2."""
+    parent = os.path.dirname(prefix)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    for name, chain in chains:
+        if chain.k == 2:
+            iof.write_off(chain, f"{prefix}-{name}.off")
+        elif chain.k == 1:
+            iof.write_obj(chain, f"{prefix}-{name}.obj")
+
+
 def _load(path: str):
     return iof.parse_input(iof.load_document(path))
 
@@ -215,14 +230,10 @@ def _cmd_deform(args) -> int:
     else:
         grid = _auto_grid(obj, eps)
     result = deform_chain(obj, grid, cfg)
-    _emit(args, result, "deform")
     if args.mesh_prefix:
         stages = [("P", as_simplicial(result.P)), ("Q", result.Q), ("R", result.R)]
-        for name, chain in stages:
-            if chain.k == 2:
-                iof.write_off(chain, f"{args.mesh_prefix}-{name}.off")
-            elif chain.k == 1:
-                iof.write_obj(chain, f"{args.mesh_prefix}-{name}.obj")
+        _write_meshes(args.mesh_prefix, stages)
+    _emit(args, result, "deform")
     return 0
 
 
@@ -252,14 +263,10 @@ def _cmd_plateau(args) -> int:
     dirs = default_directions(args.seed, args.dirs)
     problem = plateau_problem(curve, lam=lam, dirs=dirs, seed=args.seed)
     solution = minimize_weight(problem, method=args.method, node_budget=args.node_budget)
-    _emit(args, solution, "plateau")
     if args.mesh_prefix:
-        parent = os.path.dirname(args.mesh_prefix)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        iof.write_off(solution.pair.B, f"{args.mesh_prefix}-B.off")
-        iof.write_obj(solution.pair.C, f"{args.mesh_prefix}-C.obj")
-        iof.write_obj(curve, f"{args.mesh_prefix}-gamma.obj")
+        pair = solution.pair
+        _write_meshes(args.mesh_prefix, [("B", pair.B), ("C", pair.C), ("gamma", curve)])
+    _emit(args, solution, "plateau")
     return _status_exit(args, solution.optimality)
 
 
@@ -393,7 +400,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--cmax", type=int, default=100, help="constant ceiling for the report")
     p.add_argument("--origin", help="grid origin x,y,z (default: fit the chain)")
     p.add_argument("--dims", help="grid cell counts a,b,c")
-    p.add_argument("--mesh-prefix", help="write PREFIX-P/Q/R meshes")
+    p.add_argument(
+        "--mesh-prefix",
+        help="write PREFIX-P, -Q and -R meshes, .off for 2-chains and .obj for 1-chains; "
+        "R of a 2-chain is a 3-chain and is not written",
+    )
 
     p = add("span-check", _cmd_span_check, "spanning verdict for a pair")
     p.add_argument("--curve", required=True, help="closed curve JSON")

@@ -20,10 +20,12 @@ exact identity below certifies the result whichever center is used.
 From the grid clip through the parity snap, pieces are homogeneous integer
 simplices (geom.HSimplex): carriers, wedge splits, projections and the
 snap's point tests run in integers, and float copies x / w only rank
-centers.  Fractions appear where they must: once per distinct point for
-the chains that leave the pipeline (R, and through it dR, Q and the
-support distances), and for a cell's pieces only when a clearance needs
-an exact distance.
+centers.  R is assembled on the integer points too: its tracks toggle as
+sorted integer tuples, M(R) comes from their Grams and dR from toggling
+their facets.  Fractions appear where they must: once per distinct point
+of R, for R and dR (which leave the pipeline and feed Q), and for a
+cell's pieces only when a clearance needs an exact distance.  Q and the
+identity check stay on Fraction points.
 
 Every run returns chains Q (dim k) and R (dim k+1) with the exact mod-2
 identity  A = P + Q + dR,  verified geometrically before returning, plus
@@ -53,7 +55,6 @@ from .geom import (
     Plane,
     Point,
     affine,
-    affine_pieces,
     homogeneous,
     homogeneous_measure_sq,
     measure_of_gram,
@@ -695,41 +696,56 @@ def _ratio(num, den) -> float:
     return n / d
 
 
-def _support_dist_sq(vertices, targets) -> Optional[Fraction]:
+def _support_dist_sq(vertices: list, targets) -> Optional[Fraction]:
     """Max-min squared distance from output vertices to target pieces."""
     if not vertices:
         return Fraction(0)
     if not targets:
         return None
-    return _farthest(list(set(vertices)), targets)[1]
+    return _farthest(vertices, targets)[1]
 
 
 def _grid_vertices(grid: GridSpec, chain: GridChain) -> list:
-    return [grid.world(c) for cell in chain.cells for c in cell.corners()]
+    return [grid.world(c) for c in {c for cell in chain.cells for c in cell.corners()}]
 
 
-def _chain_vertices(chain: SimplicialChain) -> list:
-    return [v for s in chain.simplices for v in s]
+def _track_chain(
+    k: int, tracks: list
+) -> tuple[SimplicialChain, SimplicialChain, RadicalSum, list]:
+    """R = simplicial_chain(k, tracks) of homogeneous tracks, with dR, M(R)
+    and the distinct vertices of R, assembled on integer keys.
 
-
-def _track_chain(k: int, tracks: list) -> tuple[SimplicialChain, dict]:
-    """simplicial_chain(k, tracks) of homogeneous tracks, and the Gram of
-    each simplex in it.
-
-    Each distinct point becomes a Fraction once.  The degeneracy test and
-    the Gram come from the integer simplex, and the canonical Fraction
-    tuples are toggled in track order as simplicial_chain toggles them, so
-    the chain is the one built from Fraction tracks.
+    A homogeneous point is reduced (W > 0, gcd 1), so it names exactly one
+    rational point and a sorted tuple of them is a canonical simplex.  The
+    tracks toggle as sorted tuples, and one whose Gram is zero (a repeated
+    vertex included) drops, as simplicial_chain drops it.  M(R) sums the
+    measures of the Grams kept, and dR toggles their facets, which are
+    nondegenerate because the simplices are.
     """
-    acc: set = set()
     grams = {}
-    for t, s in zip(tracks, affine_pieces(tracks, {})):
+    for t in tracks:
         g = homogeneous_measure_sq(t)
         if g != 0:
-            s = tuple(sorted(s))
-            grams[s] = g
-            acc ^= {s}
-    return SimplicialChain(k, frozenset(acc)), grams
+            s = tuple(sorted(t))
+            if grams.pop(s, None) is None:
+                grams[s] = g
+    # each distinct point becomes a Fraction triple once, and its rank in
+    # their order sorts every simplex as canonical_simplex sorts it
+    points = {h: affine(h) for h in {h for s in grams for h in s}}
+    rank = {h: i for i, h in enumerate(sorted(points, key=points.__getitem__))}
+    simplices = [tuple(sorted(s, key=rank.__getitem__)) for s in grams]
+    facets: set = set()
+    for s in simplices:
+        for i in range(k + 1):
+            f = s[:i] + s[i + 1 :]
+            if f in facets:
+                facets.remove(f)
+            else:
+                facets.add(f)
+    R = SimplicialChain(k, frozenset(tuple(map(points.__getitem__, s)) for s in simplices))
+    dR = SimplicialChain(k - 1, frozenset(tuple(map(points.__getitem__, f)) for f in facets))
+    mR = radical_sum(measure_of_gram(g, k) for g in grams.values())
+    return R, dR, mR, list(points.values())
 
 
 def _finish_entry(
@@ -742,9 +758,8 @@ def _finish_entry(
 ) -> DeformationResult:
     """Assemble P, Q, R for one deformed chain and verify the identity."""
     k = A.k
-    R, grams = _track_chain(k + 1, track_raws)
+    R, dR, mR, R_vertices = _track_chain(k + 1, track_raws)
     P = _snap(grid, k, final_pieces, cfg.seed)
-    dR = boundary_simplicial(R)
     embedded_P = embed_grid_chain(P)
     Q = _prune_zero_groups(A + embedded_P + dR)
     cert = chains_equal_mod2(A + embedded_P, Q + dR)
@@ -755,7 +770,6 @@ def _finish_entry(
     dP = boundary_grid(P)
     eps = grid.epsilon
     mA, mdA = chain_mass(A), chain_mass(dA)
-    mR = radical_sum(measure_of_gram(grams[s], k + 1) for s in R.simplices)
     # each ratio's exact (mass, ceiling)
     ratios = {
         "cP": (mass_grid(P), mA + eps * mdA),
@@ -766,12 +780,8 @@ def _finish_entry(
     measured = {key: _ratio(m, c) for key, (m, c) in ratios.items()}
     bounds_ok = {key: m <= cfg.c_max * c for key, (m, c) in ratios.items()}
 
-    chain_d2 = _support_dist_sq(
-        _grid_vertices(grid, P) + _chain_vertices(R), list(A.simplices)
-    )
-    boundary_d2 = _support_dist_sq(
-        _grid_vertices(grid, dP) + _chain_vertices(Q), list(dA.simplices)
-    )
+    chain_d2 = _support_dist_sq(_grid_vertices(grid, P) + R_vertices, list(A.simplices))
+    boundary_d2 = _support_dist_sq(_grid_vertices(grid, dP) + Q.vertices(), list(dA.simplices))
     limit = 36 * eps * eps
     within = (
         chain_d2 is not None

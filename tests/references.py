@@ -9,6 +9,9 @@ the code that replaced it is tested against an independent path:
   search problems to the scan instead.
 - ``sqrt_enclosure``: the rational enclosure of sqrt(value) behind the
   old enclosure ladder of the deformation's mass ratios.
+- ``fraction_track_chain``: the deformation's chain R of homogeneous
+  tracks, built on Fraction keys; the deformation now assembles R, dR and
+  M(R) on the integer points themselves.
 """
 
 import contextlib
@@ -17,6 +20,8 @@ from unittest import mock
 
 from filmlab import flatnorm
 from filmlab.exact import DEFAULT_BITS, _sqrt_bounds
+from filmlab.geom import affine_pieces, homogeneous_measure_sq
+from filmlab.simplicial import SimplicialChain
 
 _MASK64 = (1 << 64) - 1
 _CHUNK_BITS = 20  # the exhaustive scan tabulates 2^20 low-variable choices per block
@@ -105,3 +110,23 @@ def sqrt_enclosure(value: Fraction, bits: int = DEFAULT_BITS) -> tuple[Fraction,
     pq = value.numerator * value.denominator
     lo, hi = _sqrt_bounds(pq, bits)
     return lo / value.denominator, hi / value.denominator
+
+
+def fraction_track_chain(k: int, tracks: list) -> tuple[SimplicialChain, dict]:
+    """simplicial_chain(k, tracks) of homogeneous tracks, and the Gram of
+    each simplex in it.
+
+    Each distinct point becomes a Fraction once.  The degeneracy test and
+    the Gram come from the integer simplex, and the canonical Fraction
+    tuples are toggled in track order as simplicial_chain toggles them, so
+    the chain is the one built from Fraction tracks.
+    """
+    acc: set = set()
+    grams = {}
+    for t, s in zip(tracks, affine_pieces(tracks, {})):
+        g = homogeneous_measure_sq(t)
+        if g != 0:
+            s = tuple(sorted(s))
+            grams[s] = g
+            acc ^= {s}
+    return SimplicialChain(k, frozenset(acc)), grams

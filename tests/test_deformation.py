@@ -22,6 +22,7 @@ from filmlab.geom import (
     affine,
     homogeneous,
     is_degenerate,
+    measure_of_gram,
     point_simplex_dist_sq,
     simplex_measure,
     simplex_measure_sq,
@@ -41,7 +42,7 @@ from filmlab.simplicial import (
 )
 
 from conftest import HEX, make_grid, polygon_curve, random_simplicial_chain, square_curve
-from references import sqrt_enclosure
+from references import fraction_track_chain, sqrt_enclosure
 
 F = Fraction
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -384,6 +385,54 @@ def test_snap_parity_dimension_guard():
         snap_parity(pts, grid)
 
 
+# -- the integer chain R against the Fraction references ----------------------
+
+
+def _random_tracks(rng, k):
+    """k-simplices on a small pool of rational points, so that tracks share
+    vertices and facets; with repeated vertices, flat tracks (a vertex on
+    the line or plane of the others) and repeats that cancel, in any
+    vertex order."""
+    pool = [
+        tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(3))
+        for _ in range(rng.randint(k + 1, 7))
+    ]
+    tracks = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.random()
+        if kind < 0.15:
+            t = [rng.choice(pool) for _ in range(k + 1)]  # may repeat a vertex
+        elif kind < 0.3 and k >= 2:
+            t = rng.sample(pool, k)  # the last vertex on the line of the first two
+            u = F(rng.randint(-2, 3), 2)
+            t.append(tuple(x + u * (y - x) for x, y in zip(t[0], t[1])))
+        else:
+            t = rng.sample(pool, k + 1)
+        tracks.append(tuple(t))
+    tracks += [tuple(rng.sample(t, len(t))) for t in tracks if rng.random() < 0.3]
+    rng.shuffle(tracks)
+    return tracks
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 100_000), k=st.sampled_from((1, 2, 3)))
+def test_integer_track_chain_matches_fraction_chain(seed, k):
+    """R, dR, M(R) and the vertices of R from integer keys are
+    simplicial_chain of the affine tracks, its boundary, mass and vertices,
+    and R is the one the Fraction-keyed assembly built."""
+    tracks = _random_tracks(random.Random(seed), k)
+    homog = [tuple(map(homogeneous, t)) for t in tracks]
+    R, dR, mR, vertices = dm._track_chain(k, homog)
+    expected = simplicial_chain(k, tracks)
+    assert R == expected
+    assert dR == boundary_simplicial(expected)
+    assert mR == mass_simplicial(expected)
+    assert sorted(vertices) == expected.vertices()
+    reference, grams = fraction_track_chain(k, homog)
+    assert R == reference
+    assert mR == radical_sum(measure_of_gram(grams[s], k) for s in reference.simplices)
+
+
 def test_deform_dipolyhedron_aligned_fixed_point():
     grid = make_grid((2, 2, 1), origin=(-1, -1, 0))
     patch = chain_of(
@@ -654,6 +703,26 @@ def test_random_triangle_reports_pinned(index, eps):
     for A, digest in zip((tri, boundary_simplicial(tri)), _RANDOM_TRIANGLE_PINS[index, eps]):
         cfg = DeformConfig(epsilon=eps, candidate_centers=4)
         assert _report_digest(deform_chain(A, _grid_around(A, eps), cfg)) == digest
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_report_does_not_depend_on_track_order(order):
+    """The tracks toggle into R on integer keys, so R and dR iterate in an
+    order of their own; no byte of the report may follow it."""
+    tri = iof.parse_input(iof.load_document(os.path.join(FIXTURES, "tilted_triangle.json")))
+    eps = F(1, 2)
+    grid = make_grid((4, 4, 4), origin=(-eps, -eps, -eps), eps=eps)
+    cfg = DeformConfig(epsilon=eps, candidate_centers=4)
+    finals, tracks, fallbacks = dm._run_pipeline([tri], grid, cfg)
+    moved = list(tracks[0])
+    if order == "reversed":
+        moved.reverse()
+    else:
+        random.Random("filmlab-test:track-order").shuffle(moved)
+    assert moved != tracks[0]
+    result = dm._finish_entry(tri, finals[0], moved, grid, cfg, tuple(fallbacks))
+    assert _report_digest(result) == _report_digest(deform_chain(tri, grid, cfg))
+    assert _report_digest(result) == _TILTED_PINS[eps][3]
 
 
 def _float_ratio(mass, ceiling):

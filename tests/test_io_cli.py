@@ -420,6 +420,35 @@ def test_cli_deform_triangle(capsys):
     assert doc["identity"]["equal"] is True
 
 
+def test_cli_deform_mesh_prefix_creates_directory(capsys, tmp_path):
+    prefix = tmp_path / "missing_dir" / "tri"
+    code, out, err = run_cli(
+        capsys, "deform", f"{FIX}/tilted_triangle.json", "--eps", "1", "--centers", "4",
+        "--mesh-prefix", str(prefix),
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["identity"]["equal"] is True
+    # R of the triangle is a 3-chain, which has no mesh
+    assert sorted(p.name for p in prefix.parent.iterdir()) == ["tri-P.off", "tri-Q.off"]
+    assert (prefix.parent / "tri-Q.off").read_text().splitlines()[1] == "OFF"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("deform", f"{FIX}/tilted_triangle.json", "--eps", "1", "--centers", "4"),
+        ("plateau", "--curve", f"{FIX}/patch2x2.json"),
+    ],
+    ids=["deform", "plateau"],
+)
+def test_cli_failed_mesh_write_prints_no_report(capsys, tmp_path, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, *argv, "--mesh-prefix", str(blocker / "x"))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+
+
 def test_cli_restrict(capsys):
     code, out, _ = run_cli(
         capsys, "restrict", f"{FIX}/square.json", "--box", "0,0,0,1,1,1"
