@@ -76,10 +76,16 @@ def _emit(args, payload, op: str) -> None:
         doc.setdefault("schema", iof.SCHEMA)
     text = iof.dumps_json(doc)
     if args.output:
+        _make_parent(args.output)
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _make_parent(path: str) -> None:
+    """Create the directory that path names a file in, if it is missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
 
 def _write_meshes(prefix: str, chains: list) -> None:
@@ -87,9 +93,7 @@ def _write_meshes(prefix: str, chains: list) -> None:
     each 1-chain, creating PREFIX's directory first; other dimensions have
     no mesh format and are skipped.  Callers write meshes before the
     report, so a failed write leaves no report behind its exit code 2."""
-    parent = os.path.dirname(prefix)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    _make_parent(prefix)
     for name, chain in chains:
         if chain.k == 2:
             iof.write_off(chain, f"{prefix}-{name}.off")
@@ -244,8 +248,6 @@ def _cmd_span_check(args) -> int:
     curve = _load(args.curve)
     if isinstance(curve, Dipolyhedron):
         raise ValueError("--curve must be a chain")
-    if obj.rep == "simplicial":
-        curve = as_simplicial(curve)
     dirs = default_directions(args.seed, args.dirs)
     _emit(args, spanning_check(obj, curve, dirs), "span-check")
     return 0

@@ -18,14 +18,15 @@ pick; RadicalSum comparison of the exact masses decides within it.  The
 exact identity below certifies the result whichever center is used.
 
 From the grid clip through the parity snap, pieces are homogeneous integer
-simplices (geom.HSimplex): carriers, wedge splits, projections and the
-snap's point tests run in integers, and float copies x / w only rank
-centers.  R is assembled on the integer points too: its tracks toggle as
-sorted integer tuples, M(R) comes from their Grams and dR from toggling
-their facets.  Fractions appear where they must: once per distinct point
-of R, for R and dR (which leave the pipeline and feed Q), and for a
-cell's pieces only when a clearance needs an exact distance.  Q and the
-identity check stay on Fraction points.
+simplices (geom.HSimplex): carriers, wedge splits, projections, the
+snap's point tests and every distance (clearances and support distances,
+by geom.homogeneous_dist_sq) run in integers, and float copies x / w only
+rank centers.  R is assembled on the integer points too: its tracks
+toggle as sorted integer tuples, M(R) comes from their Grams and dR from
+toggling their facets.  Fractions appear where they must: once per
+distinct point of R, for R and dR (which leave the pipeline and feed Q),
+and once per support distance.  Q and the identity check stay on
+Fraction points.
 
 Every run returns chains Q (dim k) and R (dim k+1) with the exact mod-2
 identity  A = P + Q + dR,  verified geometrically before returning, plus
@@ -51,14 +52,14 @@ from typing import Optional
 from .dipolyhedra import Dipolyhedron, boundary_dip, chain_mass, energy
 from .exact import RadicalSum, radical_sum
 from .geom import (
+    HPoint,
     HSimplex,
     Plane,
-    Point,
     affine,
     homogeneous,
+    homogeneous_dist_sq,
     homogeneous_measure_sq,
     measure_of_gram,
-    point_simplex_dist_sq,
     reduced,
     split_homogeneous,
     vcross,
@@ -145,6 +146,10 @@ class DeformationResult:
 # -- lattice bookkeeping -----------------------------------------------------
 
 
+def _homogeneous_pieces(chain: SimplicialChain) -> list:
+    return [tuple(map(homogeneous, s)) for s in chain.simplices]
+
+
 def _carrier(grid: GridSpec, s: HSimplex) -> GridCell:
     """Smallest closed grid cell containing the homogeneous simplex.
 
@@ -183,7 +188,7 @@ def _clip_to_grid(chain: SimplicialChain, grid: GridSpec) -> list:
         for a in (0, 1, 2)
         for i in range(1, grid.dims[a])
     )
-    return split_homogeneous((tuple(map(homogeneous, s)) for s in chain.simplices), planes)
+    return split_homogeneous(_homogeneous_pieces(chain), planes)
 
 
 # -- projection centers ------------------------------------------------------
@@ -225,12 +230,12 @@ def _wedge_edges(grid: GridSpec, cell: GridCell) -> list:
     raise ValueError("projection cells must have dimension 2 or 3")
 
 
-def _facet_offsets(grid: GridSpec, cell: GridCell, center: Point):
+def _facet_offsets(grid: GridSpec, cell: GridCell, center: HPoint):
     """Offsets of the cell's two facets per axis from the center, as
     integers over one positive denominator: (K, [(axis, below, above)])."""
     offsets = []
     for a in cell.axes:
-        below = grid.origin[a] + grid.epsilon * cell.base[a] - center[a]
+        below = grid.origin[a] + grid.epsilon * cell.base[a] - Fraction(center[a], center[3])
         offsets.append((a, below, below + grid.epsilon))
     k = lcm(*(q.denominator for _, lo, hi in offsets for q in (lo, hi)))
     return k, [
@@ -240,12 +245,12 @@ def _facet_offsets(grid: GridSpec, cell: GridCell, center: Point):
 
 
 def _project_cell_pieces(
-    grid: GridSpec, cell: GridCell, center: Point, pieces: list, edges: list
+    grid: GridSpec, cell: GridCell, center: HPoint, pieces: list, edges: list
 ):
     """Wedge-split each piece and project it radially onto the cell boundary.
 
-    Pieces and results are homogeneous integer simplices (geom.HSimplex);
-    the wedge planes run through the center and the cell's _wedge_edges.
+    The center, pieces and results are homogeneous (geom.HPoint and
+    HSimplex); the wedge planes run through the center and _wedge_edges.
     Returns, per input piece, a list of (sub-piece, image) pairs; images
     can be degenerate when a sub-piece lies in a plane through the center.
     A sub-piece goes to the facet that the ray from the center through its
@@ -255,10 +260,9 @@ def _project_cell_pieces(
     and the facet at offset O / K from the center along axis a, the image
     is (C K R_a + O Cw R) / (Cw K R_a).
     """
-    c = homogeneous(center)
-    planes = [Plane.through(c, p, q) for p, q in edges]
+    planes = [Plane.through(center, p, q) for p, q in edges]
     k, facets = _facet_offsets(grid, cell, center)
-    cx, cy, cz, cw = c
+    cx, cy, cz, cw = center
     out = []
     for s in pieces:
         pairs = []
@@ -302,10 +306,6 @@ def _projected_mass(proj) -> RadicalSum:
         for pairs in proj
         for _, image in pairs
     )
-
-
-def _float_point(p) -> tuple:
-    return (float(p[0]), float(p[1]), float(p[2]))
 
 
 def _floats(s: HSimplex) -> tuple:
@@ -367,7 +367,7 @@ def _split_float(pieces: list, n: tuple, tol: float) -> list:
 
 
 def _projected_mass_rank(
-    grid: GridSpec, cell: GridCell, center: Point, floats: list, edges: list
+    grid: GridSpec, cell: GridCell, center: HPoint, floats: list, edges: list
 ) -> float:
     """Float twin of _projected_mass(_project_cell_pieces(...)).
 
@@ -376,7 +376,7 @@ def _projected_mass_rank(
     coordinates relative to the center.  It only ranks candidates; the
     exact projection decides among the best.
     """
-    c = _float_point(center)
+    (c,) = _floats((center,))
     tol = _SIGN_BAND * float(grid.epsilon)
     subs = [tuple((v[0] - c[0], v[1] - c[1], v[2] - c[2]) for v in s) for s in floats]
     for p, q in edges:
@@ -385,11 +385,8 @@ def _projected_mass_rank(
         )
         norm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
         subs = _split_float(subs, (n[0] / norm, n[1] / norm, n[2] / norm), tol)
-    # offsets of the cell's two facets per axis, seen from the center
-    facets = []
-    for a in cell.axes:
-        below = grid.origin[a] + grid.epsilon * cell.base[a] - center[a]
-        facets.append((a, float(below), float(below + grid.epsilon)))
+    k, offsets = _facet_offsets(grid, cell, center)
+    facets = [(a, below / k, above / k) for a, below, above in offsets]
     total = 0.0
     for sub in subs:
         best = None
@@ -409,93 +406,38 @@ def _projected_mass_rank(
     return total
 
 
-def _dist_sq_float(p: tuple, s: tuple) -> float:
-    """Float point-to-simplex squared distance (prescreen only)."""
-
-    def sub(a, b):
-        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-    def dot(a, b):
-        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-    if len(s) == 1:
-        d = sub(p, s[0])
-        return dot(d, d)
-    if len(s) == 2:
-        a, b = s
-        ab = sub(b, a)
-        denom = dot(ab, ab)
-        t = 0.0 if denom == 0.0 else max(0.0, min(1.0, dot(sub(p, a), ab) / denom))
-        d = sub(p, (a[0] + t * ab[0], a[1] + t * ab[1], a[2] + t * ab[2]))
-        return dot(d, d)
-    a, b, c = s
-    ab, ac, ap = sub(b, a), sub(c, a), sub(p, a)
-    d1, d2 = dot(ab, ap), dot(ac, ap)
-    if d1 <= 0.0 and d2 <= 0.0:
-        return dot(ap, ap)
-    bp = sub(p, b)
-    d3, d4 = dot(ab, bp), dot(ac, bp)
-    if d3 >= 0.0 and d4 <= d3:
-        return dot(bp, bp)
-    cp = sub(p, c)
-    d5, d6 = dot(ab, cp), dot(ac, cp)
-    if d6 >= 0.0 and d5 <= d6:
-        return dot(cp, cp)
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
-        t = d1 / (d1 - d3)
-        d = sub(ap, (t * ab[0], t * ab[1], t * ab[2]))
-        return dot(d, d)
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
-        t = d2 / (d2 - d6)
-        d = sub(ap, (t * ac[0], t * ac[1], t * ac[2]))
-        return dot(d, d)
-    va = d3 * d6 - d5 * d4
-    if va <= 0.0 and d4 - d3 >= 0.0 and d5 - d6 >= 0.0:
-        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        bc = sub(c, b)
-        d = sub(bp, (t * bc[0], t * bc[1], t * bc[2]))
-        return dot(d, d)
-    denom = va + vb + vc
-    if denom == 0.0:
-        return min(dot(ap, ap), dot(bp, bp), dot(cp, cp))
-    v, w = vb / denom, vc / denom
-    d = sub(ap, (v * ab[0] + w * ac[0], v * ab[1] + w * ac[1], v * ab[2] + w * ac[2]))
-    return dot(d, d)
+def _clears(candidate: HPoint, pieces: list, cut: Fraction) -> bool:
+    """Does the candidate keep a squared distance of at least cut from
+    every homogeneous piece?"""
+    cn, cd = cut.numerator, cut.denominator
+    for s in pieces:
+        num, den = homogeneous_dist_sq(candidate, s)
+        if num * cd < cn * den:
+            return False
+    return True
 
 
-def _clears(candidate: Point, pieces: list, floats: list, cut: Fraction) -> bool:
-    """Clearance test for homogeneous pieces: float prescreen, exact on
-    Fraction copies at the 2% band."""
-    fcut = float(cut)
-    fd = min(_dist_sq_float(_float_point(candidate), fs) for fs in floats)
-    if fd > fcut * 1.02:
-        return True
-    if fd < fcut * 0.98:
-        return False
-    return min(point_simplex_dist_sq(candidate, tuple(map(affine, s))) for s in pieces) >= cut
+def _farthest(points: list, pieces: list) -> tuple[int, Fraction]:
+    """Index and exact squared distance of the homogeneous point farthest
+    from the homogeneous pieces (max over points of the min over pieces);
+    ties go to the lowest index.
 
-
-def _farthest(points: list, pieces: list):
-    """Index and exact squared distance of the point farthest from the pieces
-    (max over points of the min over pieces); ties go to the lowest index.
-
-    A float prescreen picks the band of candidate points; exact distances
-    decide within it.
+    Distances compare by cross-multiplication.  A point stops scanning
+    the pieces once it is no farther than the best so far, since it can
+    then no longer win.
     """
-    floats = [tuple(_float_point(v) for v in s) for s in pieces]
-    scores = [min(_dist_sq_float(_float_point(p), fs) for fs in floats) for p in points]
-    top = max(scores)
-    band = top - 1e-6 * (1.0 + top)
-    best, best_d2 = None, None
-    for i, (p, score) in enumerate(zip(points, scores)):
-        if score < band:
-            continue
-        d2 = min(point_simplex_dist_sq(p, s) for s in pieces)
-        if best_d2 is None or d2 > best_d2:
-            best, best_d2 = i, d2
-    return best, best_d2
+    best, best_num, best_den = None, 0, 1
+    for i, p in enumerate(points):
+        num = den = None
+        for s in pieces:
+            n, d = homogeneous_dist_sq(p, s)
+            if num is None or n * den < num * d:
+                num, den = n, d
+            if best is not None and num * best_den <= best_num * den:
+                break
+        else:
+            best, best_num, best_den = i, num, den
+    return best, Fraction(best_num, best_den)
 
 
 def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConfig):
@@ -504,22 +446,22 @@ def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConf
     the least exact projected mass wins, equal masses going to the lowest
     candidate index.
 
-    The pieces are homogeneous.  Floats rank the cleared candidates; only
+    Pieces, candidates and the returned winner are homogeneous points.
+    Floats rank the cleared candidates when more than one is left: only
     those within _RANK_BAND of the float minimum, which covers every
     candidate the rule can pick, are projected exactly.  A band of one
-    needs no mass.  Fraction copies of the pieces are made only when an
-    exact distance is needed.
+    needs no mass.
     """
-    candidates = _center_candidates(grid, cell, cfg)
+    candidates = [homogeneous(c) for c in _center_candidates(grid, cell, cfg)]
     cut = (cfg.tau * grid.epsilon) ** 2
-    floats = [_floats(s) for s in pieces]
-    admitted = [i for i, c in enumerate(candidates) if _clears(c, pieces, floats, cut)]
+    admitted = [i for i, c in enumerate(candidates) if _clears(c, pieces, cut)]
     fallback = not admitted
     if fallback:
         # every candidate is too close to the chain: take the farthest one
-        admitted = [_farthest(candidates, [tuple(map(affine, s)) for s in pieces])[0]]
+        admitted = [_farthest(candidates, pieces)[0]]
     edges = _wedge_edges(grid, cell)
     if len(admitted) > 1:
+        floats = [_floats(s) for s in pieces]
         fedges = [_floats(e) for e in edges]
         ranks = [
             _projected_mass_rank(grid, cell, candidates[i], floats, fedges) for i in admitted
@@ -562,10 +504,9 @@ def _run_pipeline(entries: list, grid: GridSpec, cfg: DeformConfig):
         for cell in sorted(buckets):
             members = buckets[cell]
             cell_pieces = [states[ei][pi] for ei, pi in members]
-            center, proj, fb = _choose_center(grid, cell, cell_pieces, cfg)
+            c, proj, fb = _choose_center(grid, cell, cell_pieces, cfg)
             if fb:
                 fallbacks.append(cell)
-            c = homogeneous(center)
             for (ei, pi), pairs in zip(members, proj):
                 images = []
                 for sub, image in pairs:
@@ -662,7 +603,7 @@ def snap_parity(residue: SimplicialChain, grid: GridSpec, seed: int = 0) -> Grid
     a generic interior rational point of that cell; sample points landing on
     a piece boundary are redrawn deterministically.
     """
-    return _snap(grid, residue.k, [tuple(map(homogeneous, s)) for s in residue.simplices], seed)
+    return _snap(grid, residue.k, _homogeneous_pieces(residue), seed)
 
 
 def _prune_zero_groups(chain: SimplicialChain) -> SimplicialChain:
@@ -696,7 +637,7 @@ def _ratio(num, den) -> float:
     return n / d
 
 
-def _support_dist_sq(vertices: list, targets) -> Optional[Fraction]:
+def _support_dist_sq(vertices: list, targets: list) -> Optional[Fraction]:
     """Max-min squared distance from output vertices to target pieces."""
     if not vertices:
         return Fraction(0)
@@ -706,14 +647,15 @@ def _support_dist_sq(vertices: list, targets) -> Optional[Fraction]:
 
 
 def _grid_vertices(grid: GridSpec, chain: GridChain) -> list:
-    return [grid.world(c) for c in {c for cell in chain.cells for c in cell.corners()}]
+    corners = {c for cell in chain.cells for c in cell.corners()}
+    return [homogeneous(grid.world(c)) for c in corners]
 
 
 def _track_chain(
     k: int, tracks: list
 ) -> tuple[SimplicialChain, SimplicialChain, RadicalSum, list]:
     """R = simplicial_chain(k, tracks) of homogeneous tracks, with dR, M(R)
-    and the distinct vertices of R, assembled on integer keys.
+    and R's distinct (homogeneous) vertices, assembled on integer keys.
 
     A homogeneous point is reduced (W > 0, gcd 1), so it names exactly one
     rational point and a sorted tuple of them is a canonical simplex.  The
@@ -745,7 +687,7 @@ def _track_chain(
     R = SimplicialChain(k, frozenset(tuple(map(points.__getitem__, s)) for s in simplices))
     dR = SimplicialChain(k - 1, frozenset(tuple(map(points.__getitem__, f)) for f in facets))
     mR = radical_sum(measure_of_gram(g, k) for g in grams.values())
-    return R, dR, mR, list(points.values())
+    return R, dR, mR, list(points)
 
 
 def _finish_entry(
@@ -780,8 +722,10 @@ def _finish_entry(
     measured = {key: _ratio(m, c) for key, (m, c) in ratios.items()}
     bounds_ok = {key: m <= cfg.c_max * c for key, (m, c) in ratios.items()}
 
-    chain_d2 = _support_dist_sq(_grid_vertices(grid, P) + R_vertices, list(A.simplices))
-    boundary_d2 = _support_dist_sq(_grid_vertices(grid, dP) + Q.vertices(), list(dA.simplices))
+    chain_d2 = _support_dist_sq(_grid_vertices(grid, P) + R_vertices, _homogeneous_pieces(A))
+    boundary_d2 = _support_dist_sq(
+        _grid_vertices(grid, dP) + [homogeneous(v) for v in Q.vertices()], _homogeneous_pieces(dA)
+    )
     limit = 36 * eps * eps
     within = (
         chain_d2 is not None

@@ -538,8 +538,12 @@ class SpanningContext:
     its integer frame, whether the curve is admissible along it and why
     not, and the area of the region its projection encloses.  check(A)
     then only projects the mass part of A.  A context is built once per
-    curve (a plateau problem keeps one per representation) and holds no
-    state beyond these per-curve facts.
+    curve (a plateau problem keeps one) and holds no state beyond these
+    per-curve facts.
+
+    A grid curve's context checks simplicial pairs too: their world points
+    project in the same frame, and the embedded curve, built on first use,
+    serves the boundary precondition.
     """
 
     def __init__(self, gamma: Chain, dirs: Optional[Sequence[ProjectionDir]] = None):
@@ -563,6 +567,11 @@ class SpanningContext:
         self.directions = tuple(facts)
         self.max_region_area = max_area
 
+    @cached_property
+    def embedded_gamma(self) -> SimplicialChain:
+        """The curve as a simplicial chain."""
+        return embed_grid_chain(self.gamma) if is_grid_chain(self.gamma) else self.gamma
+
     def check(self, A: Dipolyhedron) -> SpanningReport:
         """Does the pair span the context's curve?
 
@@ -576,8 +585,10 @@ class SpanningContext:
         if A.k != 2:
             raise ValueError("spanning is defined for films of dimension 2")
         gamma = self.gamma
-        if is_grid_chain(gamma) != (A.rep == "grid"):
-            raise ValueError("curve and pair must share one representation")
+        if A.rep == "simplicial":
+            gamma = self.embedded_gamma
+        elif not is_grid_chain(gamma):
+            raise ValueError("a grid pair needs a grid curve")
 
         residual = chain_boundary(A.B) + A.C + gamma
         boundary_ok = chain_is_zero(chain_boundary(A.C)) and chain_is_zero(residual)

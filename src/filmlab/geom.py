@@ -4,9 +4,9 @@ Points are 3-tuples of Fraction.  A k-simplex is a tuple of k+1 points.
 Everything here is deterministic and division-safe; degeneracy is detected
 by exact rank/measure tests, never by epsilon thresholds.
 
-The hot kernels (the plane split and the Gram measure) run on homogeneous
-integer points instead: (X, Y, Z, W) with W > 0 and gcd(X, Y, Z, W) = 1
-stands for (X/W, Y/W, Z/W).  The map from reduced Fraction triples is one
+The hot kernels (the plane split, the Gram measure and the point-to-simplex
+distance) run on homogeneous integer points instead: (X, Y, Z, W) with
+W > 0 and gcd(X, Y, Z, W) = 1 stands for (X/W, Y/W, Z/W).  The map from reduced Fraction triples is one
 to one, so a kernel that converts at its boundary returns the very points
 a Fraction computation would, without a Fraction in between.
 """
@@ -225,84 +225,70 @@ def is_degenerate(simplex: Simplex) -> bool:
 # -- point-to-simplex squared distance --------------------------------------
 
 
-def point_segment_dist_sq(p: Point, a: Point, b: Point) -> Fraction:
-    ab = vsub(b, a)
-    denom = vnorm_sq(ab)
-    if denom == 0:
-        return vnorm_sq(vsub(p, a))
-    t = vdot(vsub(p, a), ab) / denom
-    t = min(max(t, Fraction(0)), Fraction(1))
-    closest = vadd(a, vscale(t, ab))
-    return vnorm_sq(vsub(p, closest))
+def _segment_dist_sq(ap: tuple, ab: tuple) -> tuple[int, int]:
+    """Squared distance from a + ap to the segment [a, a + ab] of integer
+    vectors, as (num, den)."""
+    t = vdot(ap, ab)
+    if t <= 0:
+        return vnorm_sq(ap), 1
+    ee = vnorm_sq(ab)
+    if t >= ee:
+        return vnorm_sq(vsub(ap, ab)), 1
+    return vnorm_sq(ap) * ee - t * t, ee
 
 
-def point_triangle_dist_sq(p: Point, a: Point, b: Point, c: Point) -> Fraction:
-    n = vcross(vsub(b, a), vsub(c, a))
-    nn = vnorm_sq(n)
-    if nn == 0:
-        return min(
-            point_segment_dist_sq(p, a, b),
-            point_segment_dist_sq(p, b, c),
-            point_segment_dist_sq(p, a, c),
-        )
-    # Orthogonal projection of p onto the triangle plane, in barycentric form.
-    ap = vsub(p, a)
-    h = vdot(ap, n)
-    foot = vsub(p, vscale(h / nn, n))
-    # barycentric coordinates of foot with respect to (a, b, c)
-    v0 = vsub(b, a)
-    v1 = vsub(c, a)
-    v2 = vsub(foot, a)
-    d00 = vnorm_sq(v0)
-    d01 = vdot(v0, v1)
-    d11 = vnorm_sq(v1)
-    d20 = vdot(v2, v0)
-    d21 = vdot(v2, v1)
-    denom = d00 * d11 - d01 * d01
-    beta = (d11 * d20 - d01 * d21) / denom
-    gamma = (d00 * d21 - d01 * d20) / denom
-    if beta >= 0 and gamma >= 0 and beta + gamma <= 1:
-        return h * h / nn
-    return min(
-        point_segment_dist_sq(p, a, b),
-        point_segment_dist_sq(p, b, c),
-        point_segment_dist_sq(p, a, c),
-    )
+def homogeneous_dist_sq(p: HPoint, s: HSimplex) -> tuple[int, int]:
+    """Exact squared distance from p to the point, segment or triangle s,
+    as integers (num, den) with den > 0.
+
+    p and the vertices are brought to one common denominator, and the
+    triangle's closest feature is found by the region tests of Ericson,
+    Real-Time Collision Detection (2004), 5.1.5, in integer dot and cross
+    products.  A degenerate triangle is as near as the nearer of its two
+    edges from the first vertex, which cover it.
+    """
+    if len(s) > 3:
+        raise ValueError("distances are to points, segments and triangles only")
+    d = lcm(p[3], *(v[3] for v in s))
+    p, a, *rest = [(x * (d // w), y * (d // w), z * (d // w)) for x, y, z, w in (p, *s)]
+    num, den = _region_dist_sq(vsub(p, a), [vsub(v, a) for v in rest])
+    return num, den * d * d
 
 
-def point_simplex_dist_sq(p: Point, simplex: Simplex) -> Fraction:
-    k = len(simplex) - 1
-    if k == 0:
-        return vnorm_sq(vsub(p, simplex[0]))
-    if k == 1:
-        return point_segment_dist_sq(p, simplex[0], simplex[1])
-    if k == 2:
-        return point_triangle_dist_sq(p, simplex[0], simplex[1], simplex[2])
-    # distance to a tetrahedron: zero inside, else distance to the faces
-    if _point_in_tetra(p, simplex):
-        return Fraction(0)
-    return min(
-        point_triangle_dist_sq(p, *face)
-        for face in (
-            (simplex[0], simplex[1], simplex[2]),
-            (simplex[0], simplex[1], simplex[3]),
-            (simplex[0], simplex[2], simplex[3]),
-            (simplex[1], simplex[2], simplex[3]),
-        )
-    )
-
-
-def _point_in_tetra(p: Point, t: Simplex) -> bool:
-    a, b, c, d = t
-    edges = [vsub(b, a), vsub(c, a), vsub(d, a)]
-    rhs = vsub(p, a)
-    # barycentric solve by Cramer's rule, one edge vector per row: a
-    # determinant is invariant under transposition
-    d0 = det3(edges)
-    if d0 == 0:
-        return False
-    coords = [det3([rhs if r == i else edges[r] for r in range(3)]) / d0 for i in range(3)]
-    return all(c >= 0 for c in coords) and sum(coords) <= 1
+def _region_dist_sq(ap: tuple, edges: list) -> tuple[int, int]:
+    """Squared distance from a + ap to the simplex a + [0, edges], as
+    (num, den): Ericson's closest-feature walk for a triangle."""
+    if not edges:
+        return vnorm_sq(ap), 1
+    ab = edges[0]
+    if len(edges) == 1:
+        return _segment_dist_sq(ap, ab)
+    ac = edges[1]
+    n = vcross(ab, ac)
+    if n == (0, 0, 0):
+        # collinear vertices: the edges from a cover the others
+        sides = [_segment_dist_sq(ap, ab), _segment_dist_sq(ap, ac)]
+        return min(sides, key=lambda nd: Fraction(*nd))
+    d1, d2 = vdot(ab, ap), vdot(ac, ap)
+    if d1 <= 0 and d2 <= 0:
+        return vnorm_sq(ap), 1
+    bp = vsub(ap, ab)
+    d3, d4 = vdot(ab, bp), vdot(ac, bp)
+    if d3 >= 0 and d4 <= d3:
+        return vnorm_sq(bp), 1
+    if d1 * d4 - d3 * d2 <= 0 and d1 >= 0 and d3 <= 0:
+        return _segment_dist_sq(ap, ab)
+    cp = vsub(ap, ac)
+    d5, d6 = vdot(ab, cp), vdot(ac, cp)
+    if d6 >= 0 and d5 <= d6:
+        return vnorm_sq(cp), 1
+    if d5 * d2 - d1 * d6 <= 0 and d2 >= 0 and d6 <= 0:
+        return _segment_dist_sq(ap, ac)
+    if d3 * d6 - d5 * d4 <= 0 and d4 >= d3 and d5 >= d6:
+        return _segment_dist_sq(bp, vsub(ac, ab))
+    # the foot of the perpendicular lies inside the triangle
+    h = vdot(n, ap)
+    return h * h, vnorm_sq(n)
 
 
 # -- halfspace splitting ----------------------------------------------------

@@ -111,7 +111,7 @@ class PlateauProblem:
 
     lam_prime is the side of the centred cube that confines admissible
     pairs; the grid must cover it.  What depends only on the curve (its
-    spanning contexts, box labelling, invisible cycles and shadow bound)
+    spanning context, box labelling, invisible cycles and shadow bound)
     is built on first use and kept on the instance; equality and hashing
     still read only the fields.
     """
@@ -129,16 +129,8 @@ class PlateauProblem:
 
     @cached_property
     def grid_context(self) -> SpanningContext:
-        """Spanning context of the curve, for grid pairs."""
+        """Spanning context of the curve, for grid and simplicial pairs."""
         return SpanningContext(self.gamma, self.dirs)
-
-    @cached_property
-    def simplicial_context(self) -> SpanningContext:
-        """Spanning context of the embedded curve, for simplicial pairs."""
-        return SpanningContext(embed_grid_chain(self.gamma), self.dirs)
-
-    def context(self, rep: str) -> SpanningContext:
-        return self.grid_context if rep == "grid" else self.simplicial_context
 
     @cached_property
     def cube_box(self) -> tuple[tuple, tuple]:
@@ -464,7 +456,7 @@ def gamma_membership(A: Dipolyhedron, problem: PlateauProblem) -> MembershipRepo
     """
     if A.k != 2:
         raise ValueError("membership is defined for films of dimension 2")
-    ctx = problem.context(A.rep)
+    ctx = problem.grid_context
     gamma = problem.gamma
     if A.rep == "grid":
         if A.B.grid != problem.grid:
@@ -474,7 +466,7 @@ def gamma_membership(A: Dipolyhedron, problem: PlateauProblem) -> MembershipRepo
     else:
         # 0-simplices are canonical points, so presentational zero is exact
         cycle_ok = boundary_simplicial(A.C).is_zero_presentation()
-        boundary_ok = bool(chains_equal_mod2(boundary_simplicial(A.B) + A.C, ctx.gamma))
+        boundary_ok = bool(chains_equal_mod2(boundary_simplicial(A.B) + A.C, ctx.embedded_gamma))
     split = energy(A)
     budget_ok = bool(split.energy <= problem.lam)
     support_ok = support_in_cube(A, _ORIGIN, problem.lam_prime)
@@ -767,7 +759,7 @@ def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:
     match, so the report carries both verdicts.
     """
     before_split = energy(A)
-    before_span = problem.context(A.rep).check(A)
+    before_span = problem.grid_context.check(A)
     if support_in_cube(A, _ORIGIN, problem.lam_prime):
         return ClampReport(
             A,
@@ -783,7 +775,7 @@ def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:
         )
     clamped = clamp_dip(problem.cube_half, A)
     after_split = energy(clamped)
-    after_span = problem.context(clamped.rep).check(clamped)
+    after_span = problem.grid_context.check(clamped)
     return ClampReport(
         clamped,
         True,

@@ -12,6 +12,12 @@ the code that replaced it is tested against an independent path:
 - ``fraction_track_chain``: the deformation's chain R of homogeneous
   tracks, built on Fraction keys; the deformation now assembles R, dR and
   M(R) on the integer points themselves.
+- ``point_simplex_dist_sq``: the squared distance from a Fraction point
+  to a point, segment or triangle, by the foot of the perpendicular and
+  its barycentric coordinates; the deformation now measures clearances
+  and support distances with ``geom.homogeneous_dist_sq`` on integer
+  points.  Its tetrahedron branch was dropped with it: nothing measures a
+  distance to a tetrahedron.
 """
 
 import contextlib
@@ -20,7 +26,16 @@ from unittest import mock
 
 from filmlab import flatnorm
 from filmlab.exact import DEFAULT_BITS, _sqrt_bounds
-from filmlab.geom import affine_pieces, homogeneous_measure_sq
+from filmlab.geom import (
+    affine_pieces,
+    homogeneous_measure_sq,
+    vadd,
+    vcross,
+    vdot,
+    vnorm_sq,
+    vscale,
+    vsub,
+)
 from filmlab.simplicial import SimplicialChain
 
 _MASK64 = (1 << 64) - 1
@@ -130,3 +145,60 @@ def fraction_track_chain(k: int, tracks: list) -> tuple[SimplicialChain, dict]:
             grams[s] = g
             acc ^= {s}
     return SimplicialChain(k, frozenset(acc)), grams
+
+
+def point_segment_dist_sq(p, a, b) -> Fraction:
+    ab = vsub(b, a)
+    denom = vnorm_sq(ab)
+    if denom == 0:
+        return vnorm_sq(vsub(p, a))
+    t = vdot(vsub(p, a), ab) / denom
+    t = min(max(t, Fraction(0)), Fraction(1))
+    closest = vadd(a, vscale(t, ab))
+    return vnorm_sq(vsub(p, closest))
+
+
+def point_triangle_dist_sq(p, a, b, c) -> Fraction:
+    n = vcross(vsub(b, a), vsub(c, a))
+    nn = vnorm_sq(n)
+    if nn == 0:
+        return min(
+            point_segment_dist_sq(p, a, b),
+            point_segment_dist_sq(p, b, c),
+            point_segment_dist_sq(p, a, c),
+        )
+    # Orthogonal projection of p onto the triangle plane, in barycentric form.
+    ap = vsub(p, a)
+    h = vdot(ap, n)
+    foot = vsub(p, vscale(h / nn, n))
+    # barycentric coordinates of foot with respect to (a, b, c)
+    v0 = vsub(b, a)
+    v1 = vsub(c, a)
+    v2 = vsub(foot, a)
+    d00 = vnorm_sq(v0)
+    d01 = vdot(v0, v1)
+    d11 = vnorm_sq(v1)
+    d20 = vdot(v2, v0)
+    d21 = vdot(v2, v1)
+    denom = d00 * d11 - d01 * d01
+    beta = (d11 * d20 - d01 * d21) / denom
+    gamma = (d00 * d21 - d01 * d20) / denom
+    if beta >= 0 and gamma >= 0 and beta + gamma <= 1:
+        return h * h / nn
+    return min(
+        point_segment_dist_sq(p, a, b),
+        point_segment_dist_sq(p, b, c),
+        point_segment_dist_sq(p, a, c),
+    )
+
+
+def point_simplex_dist_sq(p, simplex) -> Fraction:
+    """Squared distance from p to a point, segment or triangle of Fraction points."""
+    k = len(simplex) - 1
+    if k == 0:
+        return vnorm_sq(vsub(p, simplex[0]))
+    if k == 1:
+        return point_segment_dist_sq(p, simplex[0], simplex[1])
+    if k == 2:
+        return point_triangle_dist_sq(p, simplex[0], simplex[1], simplex[2])
+    raise ValueError("distances are to points, segments and triangles only")

@@ -23,7 +23,6 @@ from filmlab.geom import (
     homogeneous,
     is_degenerate,
     measure_of_gram,
-    point_simplex_dist_sq,
     simplex_measure,
     simplex_measure_sq,
     vcross,
@@ -42,7 +41,7 @@ from filmlab.simplicial import (
 )
 
 from conftest import HEX, make_grid, polygon_curve, random_simplicial_chain, square_curve
-from references import fraction_track_chain, sqrt_enclosure
+from references import fraction_track_chain, point_simplex_dist_sq, sqrt_enclosure
 
 F = Fraction
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -427,7 +426,7 @@ def test_integer_track_chain_matches_fraction_chain(seed, k):
     assert R == expected
     assert dR == boundary_simplicial(expected)
     assert mR == mass_simplicial(expected)
-    assert sorted(vertices) == expected.vertices()
+    assert sorted(map(affine, vertices)) == expected.vertices()
     reference, grams = fraction_track_chain(k, homog)
     assert R == reference
     assert mR == radical_sum(measure_of_gram(grams[s], k) for s in reference.simplices)
@@ -783,7 +782,7 @@ def _all_exact_choice(grid, cell, pieces, cfg):
     hpieces = [tuple(map(homogeneous, s)) for s in pieces]
     for i in admitted:
         proj = dm._project_cell_pieces(
-            grid, cell, candidates[i], hpieces, dm._wedge_edges(grid, cell)
+            grid, cell, homogeneous(candidates[i]), hpieces, dm._wedge_edges(grid, cell)
         )
         m = radical_sum(
             simplex_measure(tuple(map(affine, image))) for pairs in proj for _, image in pairs
@@ -791,7 +790,7 @@ def _all_exact_choice(grid, cell, pieces, cfg):
         if winner is None or m < winner_mass:
             winner, winner_mass = (i, proj), m
     i, proj = winner
-    return candidates[i], proj, fallback
+    return homogeneous(candidates[i]), proj, fallback
 
 
 def test_boundary_choices_follow_the_exact_rule(monkeypatch):
@@ -817,7 +816,7 @@ def test_boundary_choices_follow_the_exact_rule(monkeypatch):
     wrong = [cell for cell, (ok, _) in calls.items() if not ok]
     assert calls and not wrong, wrong
     face = GridCell((1, 1, 1), (1, 2))
-    assert calls[face][1] == dm._center_candidates(grid, face, cfg)[0]
+    assert calls[face][1] == homogeneous(dm._center_candidates(grid, face, cfg)[0])
 
 
 def _random_pieces(rng, grid, cell, k, count):
@@ -869,6 +868,43 @@ def test_choose_center_matches_all_exact_rule(seed):
         assert dm._choose_center(grid, cell, hpieces, cfg) == _all_exact_choice(
             grid, cell, pieces, cfg
         )
+
+
+def test_clearance_admits_exactly_tau_eps():
+    """A candidate exactly tau * eps from a piece clears and one candidate
+    step (eps / 64) closer does not: above a triangle's face, beside an
+    edge, beyond a vertex, and off a segment, with a far piece first."""
+    eps, tau = F(1, 2), F(1, 8)
+    cut = (tau * eps) ** 2
+    a, b, c = (F(0), F(0), F(0)), (eps, F(0), F(0)), (F(0), eps, F(0))
+    far = tuple(map(homogeneous, ((F(9), F(9), F(9)), (F(10), F(9), F(9)))))
+    cases = [
+        ((a, b, c), (eps / 4, eps / 4, F(0)), (0, 0, 1)),
+        ((a, b, c), (eps / 2, F(0), F(0)), (0, -1, 0)),
+        ((a, b, c), a, (-1, 0, 0)),
+        ((a, b), (eps / 2, F(0), F(0)), (0, 0, -1)),
+    ]
+    for piece, foot, direction in cases:
+        pieces = [far, tuple(map(homogeneous, piece))]
+        for gap, clears in ((tau * eps, True), (tau * eps - eps / 64, False)):
+            candidate = homogeneous(tuple(x + gap * d for x, d in zip(foot, direction)))
+            assert dm._clears(candidate, pieces, cut) is clears
+
+
+def test_farthest_ties_go_to_the_lowest_index():
+    """Two vertices at the same exact distance 1 from the pieces: the lower
+    index wins, whichever of them is listed first."""
+    pieces = [
+        tuple(map(homogeneous, ((F(0), F(0), F(0)), (F(1), F(0), F(0))))),
+        (homogeneous((F(0), F(5), F(0))),),
+    ]
+    near, p, q = (
+        homogeneous(v)
+        for v in ((F(1, 2), F(1, 3), F(0)), (F(1, 2), F(3, 5), F(4, 5)), (F(2), F(0), F(0)))
+    )
+    assert dm._farthest([near, p, q], pieces) == (1, 1)
+    assert dm._farthest([near, q, p], pieces) == (1, 1)
+    assert dm._farthest([p, near, q], pieces) == (0, 1)
 
 
 def _ladder_interval(x, bits):

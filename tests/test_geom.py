@@ -10,9 +10,9 @@ from filmlab.geom import (
     Plane,
     affine_pieces,
     homogeneous,
+    homogeneous_dist_sq,
     is_degenerate,
     measure_of_gram,
-    point_simplex_dist_sq,
     polygon_is_simple,
     primitive_direction,
     shoelace_twice,
@@ -25,6 +25,8 @@ from filmlab.geom import (
     vsub,
     _split_into,
 )
+
+from references import point_simplex_dist_sq
 
 F = Fraction
 O = (F(0), F(0), F(0))
@@ -79,14 +81,26 @@ def test_primitive_direction_normalizes():
     assert a == b
 
 
+def dist_sq(p, simplex):
+    """homogeneous_dist_sq of Fraction points, as a Fraction."""
+    num, den = homogeneous_dist_sq(homogeneous(p), tuple(map(homogeneous, simplex)))
+    assert den > 0
+    return F(num, den)
+
+
 def test_point_simplex_distance():
     tri = (O, EX, EY)
-    assert point_simplex_dist_sq((F(1, 4), F(1, 4), F(0)), tri) == 0
-    assert point_simplex_dist_sq((F(1, 4), F(1, 4), F(2)), tri) == 4
-    assert point_simplex_dist_sq((F(2), F(0), F(0)), tri) == 1
+    assert dist_sq((F(1, 4), F(1, 4), F(0)), tri) == 0
+    assert dist_sq((F(1, 4), F(1, 4), F(2)), tri) == 4
+    assert dist_sq((F(2), F(0), F(0)), tri) == 1
     edge = (O, EX)
-    assert point_simplex_dist_sq((F(1, 2), F(3), F(4)), edge) == 25
-    assert point_simplex_dist_sq((F(-3), F(0), F(4)), edge) == 25
+    assert dist_sq((F(1, 2), F(3), F(4)), edge) == 25
+    assert dist_sq((F(-3), F(0), F(4)), edge) == 25
+
+
+def test_distance_to_a_tetrahedron_is_refused():
+    with pytest.raises(ValueError):
+        homogeneous_dist_sq(homogeneous(O), tuple(map(homogeneous, (O, EX, EY, EZ))))
 
 
 def test_split_simplex_partitions_measure():
@@ -146,11 +160,50 @@ def test_split_preserves_measure_random(a, b, c, n, b0):
 def test_point_segment_distance_bounds(a, b, p):
     if a == b:
         return
-    d2 = point_simplex_dist_sq(p, (a, b))
+    d2 = dist_sq(p, (a, b))
     for end in (a, b):
         gap = tuple(x - y for x, y in zip(p, end))
         assert d2 <= vdot(gap, gap)
     assert d2 >= 0
+
+
+@st.composite
+def distance_cases(draw):
+    """A rational point and a point, segment or triangle: in general
+    position, in the triangle's plane (inside, on an edge, at a vertex, or
+    outside), and against collinear triangles and repeated vertices."""
+    a, b, c, p = (draw(points()) for _ in range(4))
+    kinds = ("point", "segment", "triangle", "inside", "edge", "vertex", "plane", "collinear")
+    kind = draw(st.sampled_from(kinds + ("repeated",)))
+    if kind == "point":
+        return p, (a,)
+    if kind == "segment":
+        return p, (a, b)
+    weight = st.fractions(min_value=0, max_value=1, max_denominator=6)
+    u, v = draw(weight), draw(weight)
+    if kind == "collinear":
+        c = tuple(x + 2 * (u - v) * (y - x) for x, y in zip(a, b))
+    elif kind == "repeated":
+        b = a
+    else:
+        if kind == "inside":
+            v = v * (1 - u)
+        elif kind == "edge":
+            v = 0
+        elif kind == "vertex":
+            u = v = 0
+        elif kind == "plane":
+            u, v = 4 * u - 2, 4 * v - 2
+        if kind != "triangle":
+            p = tuple(x + u * (y - x) + v * (z - x) for x, y, z in zip(a, b, c))
+    return p, tuple(draw(st.permutations((a, b, c))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=distance_cases())
+def test_integer_distance_matches_fraction_reference(case):
+    p, simplex = case
+    assert dist_sq(p, simplex) == point_simplex_dist_sq(p, simplex)
 
 
 def test_cross_orthogonality():

@@ -668,6 +668,24 @@ def test_cli_output_file(capsys, tmp_path):
     assert saved["value"] == "4"
 
 
+@pytest.mark.parametrize(
+    "argv, meshes",
+    [(("mass", f"{FIX}/square.json"), False), (("plateau", "--curve", f"{FIX}/square_curve.json"), True)],
+    ids=["mass", "plateau"],
+)
+def test_cli_output_creates_directory(capsys, tmp_path, argv, meshes):
+    """--output into a missing directory creates it, as --mesh-prefix does,
+    and the file holds the report stdout would carry."""
+    if meshes:
+        argv += ("--mesh-prefix", str(tmp_path / "d1" / "m"))
+    report = tmp_path / "d2" / "r.json"
+    code, out, err = run_cli(capsys, *argv, "--output", str(report))
+    assert code == 0 and out == "" and err == ""
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert report.read_text() == expected
+
+
 def test_cli_flatnorm_node_budget(capsys, tmp_path):
     argv = ("flatnorm", f"{FIX}/square.json", "--method", "bnb", "--node-budget")
     code, out, _ = run_cli(capsys, *argv, "1000")

@@ -617,7 +617,7 @@ def test_one_spanning_context_per_problem(monkeypatch):
     B = start.pair.B + chain_of(problem.grid, 2, [GridCell((0, 0, 0), (0, 1))])
     report = clamp_improvement(Dipolyhedron(B, problem.gamma + boundary_grid(B)), problem)
     assert report.changed and report.pair.rep == "simplicial"
-    assert sorted(built) == ["grid", "simplicial"]
+    assert built == ["grid"]
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +717,11 @@ def test_spanning_in_lattice_frame_matches_world_projection(seed, name, kind, fi
         dirs = extra[-1:]  # t alone: a nonzero mass part that spans
     report = SpanningContext(gamma, dirs).check(A)
     assert report == _world_spanning_check(gamma, dirs, A)
-    # the simplicial path projects world points through the same frame
+    # the simplicial path projects world points through the same frame,
+    # against the embedded curve or the grid curve alike
     curve, S = embed_grid_chain(gamma), to_simplicial(A)
     assert SpanningContext(curve, dirs).check(S) == _world_spanning_check(curve, dirs, S) == report
+    assert SpanningContext(gamma, dirs).check(S) == report
 
 
 # ---------------------------------------------------------------------------
