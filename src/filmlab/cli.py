@@ -5,6 +5,11 @@ a JSON report (stdout or --output) plus optional OFF/OBJ meshes.  All
 runs are deterministic for a fixed argument vector: seeds default to 0
 and every report is emitted with sorted keys.
 
+A subcommand loads only the modules it runs: the solver modules
+(flatnorm, deformation, plateau) are imported inside the handlers that
+call them, so mass, boundary, span-check, cone, clamp, pushforward,
+restrict and every --help start without compiling any of them.
+
 Exit codes: 0 on success, 2 on malformed input or violated
 preconditions, 3 when a solver could certify only an upper bound and
 --require-exact was given, 4 when an internal verification failed (a
@@ -22,7 +27,6 @@ import sys
 from fractions import Fraction
 
 from . import io_formats as iof
-from .deformation import DeformConfig, deform_chain
 from .dipolyhedra import (
     Dipolyhedron,
     boundary_dip,
@@ -36,10 +40,7 @@ from .dipolyhedra import (
     spanning_check,
 )
 from .exact import UndecidableComparison, parse_fraction
-from .flatnorm import SolverConfig, energy_flat_norm, flat_norm, natural_norm_upper
 from .grid import BoxRegion, GridChain, GridSpec, boundary_grid, restrict_grid
-from .plateau import diagnostics as plateau_diagnostics
-from .plateau import minimize_weight, plateau_problem
 from .simplicial import (
     PLMap,
     SimplicialChain,
@@ -76,24 +77,17 @@ def _emit(args, payload, op: str) -> None:
         doc.setdefault("schema", iof.SCHEMA)
     text = iof.dumps_json(doc)
     if args.output:
-        _make_parent(args.output)
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _make_parent(path: str) -> None:
-    """Create the directory that path names a file in, if it is missing."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-
-
 def _write_meshes(prefix: str, chains: list) -> None:
     """Write PREFIX-NAME.off for each named 2-chain and PREFIX-NAME.obj for
-    each 1-chain, creating PREFIX's directory first; other dimensions have
-    no mesh format and are skipped.  Callers write meshes before the
+    each 1-chain (main has created PREFIX's directory); other dimensions
+    have no mesh format and are skipped.  Callers write meshes before the
     report, so a failed write leaves no report behind its exit code 2."""
-    _make_parent(prefix)
     for name, chain in chains:
         if chain.k == 2:
             iof.write_off(chain, f"{prefix}-{name}.off")
@@ -105,7 +99,9 @@ def _load(path: str):
     return iof.parse_input(iof.load_document(path))
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_config(args):
+    from .flatnorm import SolverConfig
+
     overrides = {
         name: getattr(args, name)
         for name in ("node_budget", "exhaustive_limit")
@@ -146,6 +142,8 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_flatnorm(args) -> int:
+    from .flatnorm import flat_norm
+
     obj = _load(args.input)
     if not isinstance(obj, GridChain):
         raise ValueError("flatnorm expects a grid chain")
@@ -155,6 +153,8 @@ def _cmd_flatnorm(args) -> int:
 
 
 def _cmd_eflat(args) -> int:
+    from .flatnorm import energy_flat_norm
+
     obj = _load(args.input)
     if not isinstance(obj, Dipolyhedron):
         raise ValueError("eflat expects a dipolyhedron")
@@ -209,6 +209,8 @@ def _auto_grid(chain: SimplicialChain, eps: Fraction) -> GridSpec:
 
 
 def _cmd_deform(args) -> int:
+    from .deformation import DeformConfig, deform_chain
+
     obj = _load(args.input)
     if isinstance(obj, Dipolyhedron):
         raise ValueError("deform expects a chain; pairs go through the plateau pipeline")
@@ -254,6 +256,8 @@ def _cmd_span_check(args) -> int:
 
 
 def _cmd_plateau(args) -> int:
+    from .plateau import minimize_weight, plateau_problem
+
     curve = _load(args.curve)
     if not isinstance(curve, GridChain):
         raise ValueError("plateau expects a grid 1-chain curve")
@@ -307,6 +311,8 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_natural_norm(args) -> int:
+    from .flatnorm import natural_norm_upper
+
     obj = _load(args.input)
     if not isinstance(obj, GridChain):
         raise ValueError("natural-norm expects a grid chain")
@@ -316,10 +322,12 @@ def _cmd_natural_norm(args) -> int:
 
 
 def _cmd_diagnostics(args) -> int:
+    from .plateau import diagnostics
+
     obj = _load(args.input)
     if not isinstance(obj, Dipolyhedron):
         raise ValueError("diagnostics expects a dipolyhedron")
-    _emit(args, plateau_diagnostics(obj), "diagnostics")
+    _emit(args, diagnostics(obj), "diagnostics")
     return 0
 
 
@@ -445,6 +453,11 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 2
     try:
+        # create the output directories before any work, so a path that
+        # cannot be created fails at once
+        for path in (args.output, getattr(args, "mesh_prefix", None)):
+            if path:
+                os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         return args.handler(args)
     except (iof.SchemaError, ValueError, OSError) as exc:
         print(f"filmlab {args.subcommand}: error: {exc}", file=sys.stderr)

@@ -449,6 +449,38 @@ def test_cli_failed_mesh_write_prints_no_report(capsys, tmp_path, argv):
     assert err.count("\n") == 1
 
 
+class _Computed(BaseException):
+    """Raised by a stubbed solver: the handler got as far as computing."""
+
+
+@pytest.mark.parametrize("flag", ["--output", "--mesh-prefix"])
+@pytest.mark.parametrize(
+    "argv, solver",
+    [
+        (("deform", f"{FIX}/tilted_triangle.json", "--eps", "1/4", "--centers", "16"),
+         "filmlab.deformation.deform_chain"),
+        (("plateau", "--curve", f"{FIX}/square_curve.json"), "filmlab.plateau.plateau_problem"),
+    ],
+    ids=["deform", "plateau"],
+)
+def test_cli_uncreatable_output_fails_before_computing(capsys, monkeypatch, tmp_path, argv, solver, flag):
+    """An output directory that cannot be created (a regular file is in the
+    way) exits 2 before the solver runs, with one stderr line and no report."""
+
+    def computed(*args, **kwargs):
+        raise _Computed(solver)
+
+    monkeypatch.setattr(solver, computed)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, *argv, flag, str(blocker / "x"))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"filmlab {argv[0]}: error: ")
+    # the stub is what the handler calls, so the run above never reached it
+    with pytest.raises(_Computed):
+        main([*argv, flag, str(tmp_path / "free" / "x")])
+
+
 def test_cli_restrict(capsys):
     code, out, _ = run_cli(
         capsys, "restrict", f"{FIX}/square.json", "--box", "0,0,0,1,1,1"
@@ -953,6 +985,84 @@ def test_flat_norm_searches_run_without_numpy(tmp_path):
         assert doc["status"] == "exact"
         if value is not None:
             assert (doc["value"], doc["flow"]) == (value, None)
+
+
+SOLVERS = {"flatnorm", "plateau", "deformation"}
+
+
+@pytest.mark.parametrize(
+    "argv, solvers",
+    [
+        (("mass", f"{FIX}/square.json"), set()),
+        (("boundary", f"{FIX}/square.json"), set()),
+        (("span-check", f"{FIX}/cone.json", "--curve", f"{FIX}/square_curve.json"), set()),
+        (("cone", f"{FIX}/square.json", "--apex", "1/2,1/2,1"), set()),
+        (("clamp", f"{FIX}/cone.json", "--radius", "1/2"), set()),
+        (("pushforward", f"{FIX}/patch2x2.json", "--matrix", "1,0,0,0,1,0,0,0,1",
+          "--lipschitz", "1"), set()),
+        (("restrict", f"{FIX}/tilted_triangle.json", "--box", "0,0,0,1/2,1/2,1/2"), set()),
+        (("--help",), set()),
+        (("flatnorm", "--help"), set()),
+        (("plateau", "--help"), set()),
+        (("flatnorm", f"{FIX}/square.json"), {"flatnorm"}),
+        (("eflat", "{pair}", "--method", "bnb", "--node-budget", "1000"), {"flatnorm"}),
+        (("natural-norm", f"{FIX}/square.json", "--levels", "1"), {"flatnorm"}),
+        (("deform", f"{FIX}/tilted_triangle.json", "--eps", "1", "--centers", "4"), {"deformation"}),
+        # plateau builds its box labelling with the flat norm's doubled cover
+        (("plateau", "--curve", f"{FIX}/square_curve.json"), {"flatnorm", "plateau"}),
+        (("diagnostics", "{pair}"), {"flatnorm", "plateau"}),
+    ],
+    ids=["mass", "boundary", "span-check", "cone", "clamp", "pushforward", "restrict", "help",
+         "flatnorm-help", "plateau-help", "flatnorm", "eflat", "natural-norm", "deform",
+         "plateau", "diagnostics"],
+)
+def test_cli_loads_only_the_solvers_it_runs(argv, solvers, tmp_path):
+    """Each subcommand process imports the solver modules it calls and no other."""
+    curve = parse_input(load_document(f"{FIX}/square_curve.json"))
+    pair = tmp_path / "pair.json"
+    pair.write_text(dumps_report(Dipolyhedron(empty_chain(curve.grid, 2), curve)))
+    argv = [str(pair) if a == "{pair}" else a for a in argv]
+    record = tmp_path / "modules.json"
+    run = (
+        "import json, sys\n"
+        "from filmlab.cli import main\n"
+        "try:\n"
+        "    code = main(sys.argv[2:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "loaded = [m for m in sys.modules if m.startswith('filmlab.')]\n"
+        "open(sys.argv[1], 'w').write(json.dumps([code, loaded]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", run, str(record), *argv], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(record.read_text())
+    assert code == 0, done.stderr
+    assert {m.removeprefix("filmlab.") for m in loaded} & SOLVERS == solvers
+
+
+def test_import_filmlab_loads_submodules_on_first_use():
+    run = (
+        "import json, sys\n"
+        "import filmlab\n"
+        "bare = [m for m in sys.modules if m.startswith('filmlab.')]\n"
+        "same = filmlab.flat_norm is sys.modules['filmlab.flatnorm'].flat_norm\n"
+        "after = [m for m in sys.modules if m.startswith('filmlab.')]\n"
+        "print(json.dumps([bare, same, after]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", run], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    bare, same, after = json.loads(done.stdout)
+    assert bare == []
+    assert same
+    assert "filmlab.flatnorm" in after
+    assert not {"filmlab.plateau", "filmlab.deformation"} & set(after)
 
 
 def test_fixtures_regenerate_byte_for_byte(tmp_path, monkeypatch, capsys):

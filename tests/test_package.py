@@ -1,0 +1,71 @@
+"""The package's public surface: names, their defining modules, lazy access."""
+
+import importlib
+import types
+
+import pytest
+
+import filmlab
+
+# submodule -> the public names it defines
+SURFACE = {
+    "exact": ["RadicalSum", "UndecidableComparison", "format_fraction", "parse_fraction"],
+    "geom": [],
+    "grid": [
+        "BoxRegion", "GridCell", "GridChain", "GridSpec", "boundary_grid", "cell_from_label",
+        "chain_of", "empty_chain", "mass_grid", "restrict_grid",
+    ],
+    "simplicial": [
+        "PLMap", "SimplicialChain", "boundary_simplicial", "clamp_to_cube", "cone",
+        "embed_grid_chain", "mass_simplicial", "pushforward", "restrict_simplicial",
+        "simplicial_chain",
+    ],
+    "overlay": ["chains_equal_mod2", "is_zero_geometric"],
+    "dipolyhedra": [
+        "Dipolyhedron", "ProjectionDir", "SpanningContext", "boundary_dip", "clamp_dip",
+        "cone_dip", "energy", "make_dipole", "make_massive", "pushforward_dip", "restrict_dip",
+        "spanning_check",
+    ],
+    "flatnorm": [
+        "SolverConfig", "energy_flat_norm", "flat_norm", "natural_norm_upper",
+        "verify_certificate",
+    ],
+    "deformation": ["DeformConfig", "deform_chain", "deform_dipolyhedron", "snap_parity"],
+    "plateau": [
+        "BudgetError", "PlateauProblem", "clamp_improvement", "diagnostics",
+        "gamma_membership", "initial_cone_solution", "loop_decomposition", "minimize_weight",
+        "plateau_problem",
+    ],
+}
+NAMES = sorted([*SURFACE, *(name for names in SURFACE.values() for name in names)])
+
+
+def test_all_is_pinned():
+    assert len(NAMES) == 65
+    assert sorted(filmlab.__all__) == NAMES
+
+
+@pytest.mark.parametrize("module", sorted(SURFACE))
+def test_names_are_their_defining_modules_objects(module):
+    mod = importlib.import_module(f"filmlab.{module}")
+    assert getattr(filmlab, module) is mod
+    assert isinstance(mod, types.ModuleType)
+    for name in SURFACE[module]:
+        assert getattr(filmlab, name) is getattr(mod, name), name
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from filmlab import *", namespace)
+    for name in NAMES:
+        assert namespace[name] is getattr(filmlab, name), name
+
+
+def test_dir_lists_every_name():
+    assert set(NAMES) <= set(dir(filmlab))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        filmlab.no_such_name
+    assert not hasattr(filmlab, "no_such_name")
