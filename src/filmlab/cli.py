@@ -377,8 +377,8 @@ def _parser() -> argparse.ArgumentParser:
     add("boundary", _cmd_boundary, "boundary chain/pair")
 
     search = ("exhaustive: the branch-and-bound without a node budget, refused past "
-              "--exhaustive-limit free cells (default 24); bnb: the same under "
-              "--node-budget (default 10^6)")
+              "--exhaustive-limit free cells of the input's lattice box, not of its grid "
+              "(default 24); bnb: the same under --node-budget (default 10^6)")
     p = add("flatnorm", _cmd_flatnorm, "flat norm of a grid chain with certificate")
     p.add_argument("--method", choices=("exhaustive", "bnb"), default="exhaustive",
                    help="search used when the root cannot answer (the cover for k=2, "

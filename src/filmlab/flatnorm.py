@@ -8,6 +8,17 @@ a node budget, exact, and refuses more free cells than its limit; "bnb"
 runs it under a node budget, with an honest "upper-bound" status when
 the budget runs out before the gap closes.
 
+Every path works in the lattice box of the given chains (grid.lattice_box),
+not in the declared grid: clamping into the box is a cellular chain map
+that fixes the input and never raises mass, the cubical case of
+M(f#T) <= Lip(f)^k M(T) (Federer 1969, ch. 4), so some optimum lies in
+the box.  Every optimum does: a cell the clamp collapses lowers the
+mass, and without one the outermost layer outside the box is a cycle
+of its own that can be dropped.  So the least-mask tie rule picks the
+same answer in the box as in the grid.  The free cells, the covers and
+the limit count the box's cells; the certificates stay on the input's
+grid.
+
 A 2-chain first gets one maximum flow in the doubled cover of the 3-cell
 labelling (the plateau's least films use the same cover), whatever the
 method.  When the flow's residual closure is a symmetric cut (every
@@ -36,13 +47,24 @@ the boundary freedom (C = 0), so for r >= 1 it reports an upper bound.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import RadicalSum
 from .dipolyhedra import Dipolyhedron, chain_boundary
-from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, empty_chain, mass_grid
+from .grid import (
+    GridCell,
+    GridChain,
+    GridSpec,
+    boundary_grid,
+    box_cells,
+    chain_of,
+    empty_chain,
+    lattice_box,
+    mass_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -81,77 +103,80 @@ class _Problem:
     branch_order: list  # variable indices, first branched first
 
 
-def _weighted_popcount(x: int, weight_masks) -> int:
-    return sum(w * (x & m).bit_count() for w, m in weight_masks)
-
-
 def _solve_bnb(problem: _Problem, node_budget: Optional[int]) -> tuple[int, int, str]:
     """(mask, score, status) of the least score, by depth-first branch-and-bound.
 
     A state bit's weight counts once no later variable can flip it, so
-    each node's bound never passes its leaves' scores.  The answer is
-    "exact" unless more than ``node_budget`` nodes are needed (None: no
-    budget); then it is the best leaf found, or the empty choice, as an
-    "upper-bound".
+    each node's bound never passes its leaves' scores.  Nodes are counted
+    and pruned (bound above the incumbent) as they are popped, and the 0
+    branch is popped first.  The answer is "exact" unless more than
+    ``node_budget`` nodes are needed (None: no budget); then it is the
+    best leaf found, or the empty choice, as an "upper-bound".
     """
     n = len(problem.effects)
     order = problem.branch_order
-    effects = [problem.effects[i] for i in order]
-    own = [problem.own[i] for i in order]
+    weight_masks = problem.weight_masks
     universe = 0
-    for _, m in problem.weight_masks:
+    for _, m in weight_masks:
         universe |= m
     last_touch: dict[int, int] = {}
-    for i, eff in enumerate(effects):
-        rem = eff & universe
+    for depth, i in enumerate(order):
+        rem = problem.effects[i] & universe
         while rem:
             b = rem & -rem
-            last_touch[b.bit_length() - 1] = i
+            last_touch[b.bit_length() - 1] = depth
             rem ^= b
     decided_after = [0] * n
-    root_decided = 0
-    rem = universe
-    while rem:
-        b = rem & -rem
-        bit = b.bit_length() - 1
-        if bit in last_touch:
-            decided_after[last_touch[bit]] |= b
-        else:
-            root_decided |= b
-        rem ^= b
-    def sectioned(m):
-        return [(w, wm & m) for w, wm in problem.weight_masks]
+    root_decided = universe
+    for bit, depth in last_touch.items():
+        decided_after[depth] |= 1 << bit
+        root_decided ^= 1 << bit
 
-    decided_masks = [sectioned(m) for m in decided_after]
+    def weighed(m):
+        # the nonzero (weight, mask) sections of the weight masks on bits m
+        return tuple((w, wm & m) for w, wm in weight_masks if wm & m)
 
-    best_score = None
+    # per depth: the variable's effect, its cost, its mask bit and the weights it decides
+    steps = [
+        (problem.effects[i], problem.own[i], 1 << i, weighed(decided_after[depth]))
+        for depth, i in enumerate(order)
+    ]
+    limit = sys.maxsize if node_budget is None else node_budget
+    best_score = sum(problem.own) + sum(w * m.bit_count() for w, m in weight_masks) + 1
+    no_leaf = best_score  # above every leaf's score
     best_mask = 0
     nodes = 0
     exhausted = False
-    root_lb = _weighted_popcount(problem.base, sectioned(root_decided))
+    root_lb = sum(w * (problem.base & m).bit_count() for w, m in weighed(root_decided))
     stack = [(0, problem.base, root_lb, 0)]
+    pop = stack.pop
+    push = stack.append
     while stack:
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if nodes > limit:
             exhausted = True
             break
-        depth, state, lb, mask = stack.pop()
-        if best_score is not None and lb > best_score:
+        depth, state, lb, mask = pop()
+        if lb > best_score:
             continue
         if depth == n:
-            if best_score is None or lb < best_score or (lb == best_score and mask < best_mask):
+            if lb < best_score or mask < best_mask:
                 best_score = lb
                 best_mask = mask
             continue
-        for bit in (1, 0):  # LIFO: the 0 branch is explored first
-            state2 = state ^ (effects[depth] if bit else 0)
-            lb2 = lb + (own[depth] if bit else 0)
-            lb2 += _weighted_popcount(state2, decided_masks[depth])
-            stack.append((depth + 1, state2, lb2, mask | (bit << order[depth])))
-    if best_score is None:
+        effect, cost, bit, decided = steps[depth]
+        state1 = state ^ effect
+        lb0 = lb
+        lb1 = lb + cost
+        for w, m in decided:
+            lb0 += w * (state & m).bit_count()
+            lb1 += w * (state1 & m).bit_count()
+        depth += 1
+        push((depth, state1, lb1, mask | bit))  # LIFO: the 0 branch is explored first
+        push((depth, state, lb0, mask))
+    if best_score == no_leaf:
         # budget too small to reach any leaf: fall back to the empty choice
-        state = problem.base
-        best_score = _weighted_popcount(state, problem.weight_masks)
+        best_score = sum(w * (problem.base & m).bit_count() for w, m in weight_masks)
         best_mask = 0
         exhausted = True
     return best_mask, best_score, "upper-bound" if exhausted else "exact"
@@ -161,8 +186,8 @@ def _solve(problem: _Problem, method: str, config: SolverConfig) -> tuple[int, i
     """The branch-and-bound under the method's node budget.
 
     "exhaustive" runs it with no budget, always exact, and refuses more
-    than ``config.exhaustive_limit`` free cells; "bnb" runs it under
-    ``config.node_budget``.
+    than ``config.exhaustive_limit`` free cells (the lattice box's, not
+    the grid's); "bnb" runs it under ``config.node_budget``.
     """
     n = len(problem.effects)
     if method == "exhaustive":
@@ -181,26 +206,27 @@ def _chosen(cells: Sequence[GridCell], mask: int) -> list[GridCell]:
     return [c for i, c in enumerate(cells) if (mask >> i) & 1]
 
 
-def _sweep_order(free: Sequence[GridCell], given, grid: GridSpec) -> list[int]:
+def _sweep_order(free: Sequence[GridCell], given, box) -> list[int]:
     """Branching order of the free cells: a lattice sweep that ends at the input.
 
     Depth-first search starts from the empty choice and first revisits
     the variables it branched on last, so the sweep runs towards the
     input: it reverses every axis along which the given cells' centre
-    lies below the grid's centre.  Reflecting the input along an axis
-    where its centre is off the grid's centre reflects the sweep with
-    it, so the answer under a node budget does not depend on which way
-    the input faces.
+    lies below the centre of the lattice box ``box`` = (lo, hi).
+    Reflecting the input along an axis where its centre is off the box's
+    centre reflects the sweep with it, so the answer under a node budget
+    does not depend on which way the input faces.
     """
+    lo, hi = box
     reverse = []
     for a in range(3):
         doubled = sum(2 * c.base[a] + (a in c.axes) for c in given)
-        reverse.append(doubled < len(given) * grid.dims[a])
+        reverse.append(doubled < len(given) * (lo[a] + hi[a]))
 
     def key(i):
         c = free[i]
         base = tuple(
-            grid.dims[a] - c.base[a] - (a in c.axes) if reverse[a] else c.base[a]
+            lo[a] + hi[a] - c.base[a] - (a in c.axes) if reverse[a] else c.base[a]
             for a in range(3)
         )
         return base, c.axes
@@ -208,7 +234,7 @@ def _sweep_order(free: Sequence[GridCell], given, grid: GridSpec) -> list[int]:
     return sorted(range(len(free)), key=key)
 
 
-def _cell_problem(grid: GridSpec, parts, families) -> _Problem:
+def _cell_problem(box, parts, families) -> _Problem:
     """The search over free cell families against given chains.
 
     ``parts`` are (chain, weight) pairs: part j's cells set the starting
@@ -217,8 +243,9 @@ def _cell_problem(grid: GridSpec, parts, families) -> _Problem:
     cost and flips the state bit of each (part index, cell) pair in
     toggled(cell).  Variables run family by family, in each family's
     cell order; each family branches in its _sweep_order towards the
-    given cells.  State bits are numbered as they are first met: the
-    parts' sorted cells, then the toggled cells in variable order.
+    given cells, across the lattice box ``box``.  State bits are
+    numbered as they are first met: the parts' sorted cells, then the
+    toggled cells in variable order.
     """
     bits: dict[tuple[int, GridCell], int] = {}
 
@@ -232,7 +259,7 @@ def _cell_problem(grid: GridSpec, parts, families) -> _Problem:
     effects, own, order = [], [], []
     given = frozenset().union(*(chain.cells for chain, _ in parts))
     for cells, cost, toggled in families:
-        order += [len(effects) + i for i in _sweep_order(cells, given, grid)]
+        order += [len(effects) + i for i in _sweep_order(cells, given, box)]
         for cell in cells:
             eff = 0
             for key in toggled(cell):
@@ -439,11 +466,11 @@ def _cover_cut(n: int, sides, fixed: dict, face_cap: int, cell_cap: int):
 class CutFlow:
     """A maximum flow of a k = 2 flat norm's doubled cover.
 
-    The cover is the one of the grid's 3-cells around P, with a face
-    capacity of epsilon^2 and a cell capacity of epsilon^3 in scaled
-    units; ``arcs[j]`` is the net flow on its arc j in canonical order
-    (see _cover_arcs), from the arc's first end to its second, negative
-    when it runs the other way.
+    The cover is the one of the 3-cells of P's lattice box (not of the
+    grid's) around P, with a face capacity of epsilon^2 and a cell
+    capacity of epsilon^3 in scaled units; ``arcs[j]`` is the net flow
+    on its arc j in canonical order (see _cover_arcs), from the arc's
+    first end to its second, negative when it runs the other way.
     """
 
     arcs: tuple[int, ...]
@@ -454,9 +481,10 @@ class ProjectionFlows:
     """Maximum flows of a k = 1 flat norm's three projection covers.
 
     ``arcs[a]`` is the net flow on each arc of the doubled cover of the
-    squares normal to axis a around P's projection along a (see
-    _projection_labelling), with an edge capacity of epsilon and a square
-    capacity of ``scale`` epsilon^2 in scaled units.  With flow values
+    squares normal to axis a in P's lattice box around P's projection
+    along a (see _projection_labelling), with an edge capacity of
+    epsilon and a square capacity of ``scale`` epsilon^2 in scaled
+    units.  With flow values
     F_a, the bound is max_a ceil(F_a / 2) when ``scale`` is 1 and
     ceil(sum_a ceil(F_a / 2) / 2) when it is 2.
     """
@@ -466,21 +494,23 @@ class ProjectionFlows:
 
 
 def _projection_labelling(P: GridChain, a: int) -> tuple[_BoxLabelling, list[GridCell]]:
-    """The labelling of the squares normal to axis a, at height 0, around P's projection.
+    """The labelling of the squares normal to axis a around P's projection.
 
-    The projection drops P's edges along a and moves the others to
-    height 0 along a, mod 2: a chain map that never raises mass.  The
-    squares come second, in the labelling's order.
+    The projection drops P's edges along a and moves the others to the
+    lowest height of P's lattice box along a, mod 2: a chain map that
+    never raises mass.  The squares are the box's at that height, and
+    come second, in the labelling's order.
     """
+    lo, hi = lattice_box(P)
     shadow = chain_of(P.grid, 1, [
-        GridCell(tuple(0 if i == a else x for i, x in enumerate(e.base)), e.axes)
+        GridCell(tuple(lo[a] if i == a else x for i, x in enumerate(e.base)), e.axes)
         for e in P.cells
         if a not in e.axes
     ])
-    hi = tuple(1 if i == a else d for i, d in enumerate(P.grid.dims))
+    top = tuple(lo[a] + 1 if i == a else h for i, h in enumerate(hi))
     axes = tuple(i for i in range(3) if i != a)
-    squares = [GridCell(base, axes) for base in itertools.product(*(range(h) for h in hi))]
-    return _box_labelling((0, 0, 0), hi, shadow, axes), squares
+    squares = [GridCell(base, axes) for base in itertools.product(*map(range, lo, top))]
+    return _box_labelling(lo, top, shadow, axes), squares
 
 
 def _projection_bound(values, scale: int) -> int:
@@ -520,7 +550,7 @@ def _flow_certifies(cert, P: GridChain) -> bool:
     p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
     flow = cert.flow
     if isinstance(flow, CutFlow) and P.k == 2:
-        lab = _box_labelling((0, 0, 0), P.grid.dims, P)
+        lab = _box_labelling(*lattice_box(P), P)
         value = _flow_value(lab.cells, _cover_arcs(lab.cells, lab.sides, q, p, {}), flow.arcs)
         if value is None or value % 2:
             return False
@@ -555,12 +585,17 @@ class FlatNormCertificate:
     flow: Optional[CutFlow | ProjectionFlows] = None
 
 
+def _relaxation_cells(P: GridChain) -> list[GridCell]:
+    """The (k+1)-cells of P's lattice box in canonical order: bit i of a mask is the i-th."""
+    return sorted(box_cells(*lattice_box(P), P.k + 1))
+
+
 def _searched(P: GridChain, method: str, config: SolverConfig) -> FlatNormCertificate:
     """flat_norm by the method's search alone, without the cover."""
     p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
-    free = sorted(P.grid.cells(P.k + 1))
+    free = _relaxation_cells(P)
     # epsilon^k scaled by q^(k+1)/p^k is q, epsilon^(k+1) is p
-    problem = _cell_problem(P.grid, [(P, q)], [(free, p, _first_part_facets)])
+    problem = _cell_problem(lattice_box(P), [(P, q)], [(free, p, _first_part_facets)])
     return _certified(P, *_solve(problem, method, config))
 
 
@@ -570,21 +605,21 @@ def flat_norm(
     """Minimal M(Q) + M(R) with P = Q + boundary(R) over grid chains.
 
     Before any search, outside every limit and budget, a 2-chain gets one
-    maximum flow in the doubled cover of its 3-cell labelling, and a
-    1-chain the projection bound (see _projection_root).  When the
-    cover's least-mask closure is consistent (always when the boundary of
-    P vanishes on every edge with four 3-cells around it, a 2-cycle say),
-    or when the best lift of the projections' closures meets the
-    projection bound, that is the answer, and exact: its certificate
-    carries the flows, which ``verify_certificate`` replays as a lower
-    bound equal to the value.  A 2-chain's answer there is the searches'
-    answer, ties included.  Otherwise ``method`` names the search (it
-    does not branch on the cover: a flow per node costs more than its
-    nodes).  Both methods run one branch-and-bound over subsets of the
-    grid's (k+1)-cells, pruning with the mass of already-decided cells:
-    "exhaustive" without a node budget, exact, and refused past
-    ``config.exhaustive_limit`` free cells; "bnb" under
-    ``config.node_budget``, reporting an upper bound if it runs out.
+    maximum flow in the doubled cover of the labelling of its lattice
+    box's 3-cells, and a 1-chain the projection bound (see
+    _projection_root).  When the cover's least-mask closure is
+    consistent (always when the boundary of P vanishes on every edge
+    with four 3-cells around it, a 2-cycle say), or when the best lift
+    of the projections' closures meets the projection bound, that is
+    the answer, and exact: its certificate carries the flows, which
+    ``verify_certificate`` replays as a lower bound equal to the value.  A 2-chain's answer there is the searches'
+    answer, ties included.  Otherwise ``method`` names the search.  Both
+    methods run one branch-and-bound over subsets of the (k+1)-cells of
+    P's lattice box (not of the grid), pruning with the mass of
+    already-decided cells: "exhaustive" without a node budget, exact,
+    and refused past ``config.exhaustive_limit`` free cells of the box;
+    "bnb" under ``config.node_budget``, reporting an upper bound if it
+    runs out.
     """
     if method not in ("exhaustive", "bnb"):
         raise ValueError(f"unknown method: {method}")
@@ -592,7 +627,7 @@ def flat_norm(
         raise ValueError("flat norm needs relaxation cells one dimension up (k <= 2)")
     if P.k == 2:
         p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
-        lab = _box_labelling((0, 0, 0), P.grid.dims, P)
+        lab = _box_labelling(*lattice_box(P), P)
         flow_value, _, closure, arcs = _cover_cut(lab.cells, lab.sides, {}, q, p)
         if closure is not None:
             mask = sum(x << i for i, x in enumerate(closure))
@@ -612,12 +647,13 @@ def _projection_root(P: GridChain) -> Optional[FlatNormCertificate]:
     2 epsilon^2.  The bound is the larger of max_a ceil(F_a / 2) and
     ceil(sum_a ceil(G_a / 2) / 2) in scaled units.  Each axis's
     least-mask closure, or its persistent labels with the undecided
-    squares at 0, is lifted to the squares normal to a at every height;
-    the least (score, mask) of these lifts is the answer when it meets
-    the bound.
+    squares at 0, is lifted to the squares normal to a at every height
+    of P's lattice box; the least (score, mask) of these lifts is the
+    answer when it meets the bound.
     """
     p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
-    index = {face: i for i, face in enumerate(sorted(P.grid.cells(2)))}
+    lo, hi = lattice_box(P)
+    index = {face: i for i, face in enumerate(_relaxation_cells(P))}
     cuts = {1: [], 2: []}  # square capacity / epsilon^2 -> each axis's _cover_cut
     lifts = []
     for a in range(3):
@@ -626,7 +662,7 @@ def _projection_root(P: GridChain) -> Optional[FlatNormCertificate]:
             found.append(_cover_cut(lab.cells, lab.sides, {}, q, scale * p))
         _, labels, closure, _ = cuts[1][a]
         chosen = [s for s, x in zip(squares, labels if closure is None else closure) if x]
-        for height in range(P.grid.dims[a] + 1):
+        for height in range(lo[a], hi[a] + 1):
             R = [GridCell(s.base[:a] + (height,) + s.base[a + 1 :], s.axes) for s in chosen]
             Q = set(P.cells)
             for face in R:
@@ -644,7 +680,7 @@ def _projection_root(P: GridChain) -> Optional[FlatNormCertificate]:
 def _certified(P: GridChain, mask: int, score: int, status: str, flow=None) -> FlatNormCertificate:
     """The certificate of relaxation cells ``mask``, checked against the solver's score."""
     p, q = P.grid.epsilon.numerator, P.grid.epsilon.denominator
-    R = chain_of(P.grid, P.k + 1, _chosen(sorted(P.grid.cells(P.k + 1)), mask))
+    R = chain_of(P.grid, P.k + 1, _chosen(_relaxation_cells(P), mask))
     Q = P + boundary_grid(R)
     value = mass_grid(Q) + mass_grid(R)
     if status == "exact" and value != Fraction(score * p**P.k, q ** (P.k + 1)):
@@ -674,11 +710,13 @@ def energy_flat_norm(
     """Minimal E(Q) + E(R) with B = B_Q + bd(B_R) + C_R, C = C_Q + bd(C_R).
 
     Free variables are the film relaxation cells B_R ((k+1)-cells, when
-    k < 3) and the mass relaxation cells C_R (k-cells); the Q parts are
-    forced by the two GF(2) identities.  ``method`` chooses the search's
-    node budget as in ``flat_norm``: none for "exhaustive", refused past
-    ``config.exhaustive_limit`` free cells, ``config.node_budget`` for
-    "bnb".
+    k < 3) and the mass relaxation cells C_R (k-cells) of the lattice
+    box of B and C (the clamp into it commutes with the pair boundary
+    (bd B + C, bd C), so it holds an optimum); the Q parts are forced by
+    the two GF(2) identities.  ``method`` chooses the search's node
+    budget as in ``flat_norm``: none for "exhaustive", refused past
+    ``config.exhaustive_limit`` free cells of the box,
+    ``config.node_budget`` for "bnb".
     """
     if A.rep != "grid":
         raise ValueError("the energy flat norm solver works on grid pairs")
@@ -692,8 +730,9 @@ def energy_flat_norm(
     def scaled(j: int) -> int:
         return p ** (j - lowp) * q ** (k + 1 - j)
 
-    free_br = sorted(grid.cells(k + 1))
-    free_cr = sorted(grid.cells(k))
+    box = lattice_box(A.B, A.C)
+    free_br = sorted(box_cells(*box, k + 1))
+    free_cr = sorted(box_cells(*box, k))
 
     def moved(cell):
         # a chosen mass cell moves into the film (part 0), its boundary into the mass
@@ -701,7 +740,7 @@ def energy_flat_norm(
 
     parts = [(A.B, scaled(k)), (A.C, scaled(k - 1))]
     families = [(free_br, scaled(k + 1), _first_part_facets), (free_cr, scaled(k), moved)]
-    problem = _cell_problem(grid, parts, families)
+    problem = _cell_problem(box, parts, families)
     mask, score, status = _solve(problem, method, config)
 
     br_mask = mask & ((1 << len(free_br)) - 1)

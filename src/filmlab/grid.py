@@ -71,6 +71,14 @@ def cell_in_bounds(cell: GridCell, lo, hi) -> bool:
     return True
 
 
+def box_cells(lo, hi, k: int) -> Iterator[GridCell]:
+    """The k-cells in the closed lattice box lo <= n <= hi: by axes, then by base."""
+    for axes in itertools.combinations((0, 1, 2), k):
+        ranges = [range(lo[a], hi[a] + (a not in axes)) for a in (0, 1, 2)]
+        for base in itertools.product(*ranges):
+            yield GridCell(base, axes)
+
+
 def cell_from_label(base, axes_label: str) -> GridCell:
     axes = tuple(sorted(AXIS_NAMES.index(ch) for ch in axes_label))
     return GridCell(tuple(int(b) for b in base), axes)
@@ -105,13 +113,7 @@ class GridSpec:
 
     def cells(self, k: int) -> Iterator[GridCell]:
         """All k-cells of the grid, in canonical order."""
-        for axes in itertools.combinations((0, 1, 2), k):
-            ranges = []
-            for a in (0, 1, 2):
-                top = self.dims[a] if a in axes else self.dims[a] + 1
-                ranges.append(range(top))
-            for base in itertools.product(*ranges):
-                yield GridCell(base, axes)
+        return box_cells(_ZERO_INDEX, self.dims, k)
 
     def cell_mass(self, k: int) -> Fraction:
         return self.epsilon ** k
@@ -129,6 +131,24 @@ def lattice_bounds(grid: GridSpec, lo: Point, hi: Point) -> tuple[tuple, tuple]:
     return (
         tuple(math.ceil((Fraction(lo[a]) - grid.origin[a]) / eps) for a in (0, 1, 2)),
         tuple(math.floor((Fraction(hi[a]) - grid.origin[a]) / eps) for a in (0, 1, 2)),
+    )
+
+
+def lattice_box(*chains: "GridChain") -> tuple[tuple, tuple]:
+    """Least and greatest lattice indices of the chains' cells' corners, per axis.
+
+    Clamping every lattice coordinate into this box maps each cell to a
+    cell of the box or to a lower-dimensional face, which counts as zero:
+    a cellular chain map that fixes the chains and never raises a mass.
+    So a least film or decomposition of them can be sought in the box.
+    With no cell at all the box is the origin's vertex.
+    """
+    cells = [c for chain in chains for c in chain.cells]
+    if not cells:
+        return _ZERO_INDEX, _ZERO_INDEX
+    return (
+        tuple(min(c.base[a] for c in cells) for a in (0, 1, 2)),
+        tuple(max(c.base[a] + (a in c.axes) for c in cells) for a in (0, 1, 2)),
     )
 
 

@@ -74,11 +74,12 @@ from .grid import (
     GridChain,
     GridSpec,
     boundary_grid,
-    cell_in_bounds,
+    box_cells,
     chain_of,
     edge_ends,
     empty_chain,
     lattice_bounds,
+    lattice_box,
     mass_grid,
 )
 from .overlay import chains_equal_mod2
@@ -190,7 +191,7 @@ class PlateauProblem:
         box is contractible.  None when the curve's box leaves the
         working cube (a hand-built problem can do that).
         """
-        lo, hi = _lattice_box(self.gamma)
+        lo, hi = lattice_box(self.gamma)
         cube_lo, cube_hi = self.cube_box
         if any(lo[a] < cube_lo[a] or hi[a] > cube_hi[a] for a in range(3)):
             return None
@@ -198,9 +199,11 @@ class PlateauProblem:
 
     @cached_property
     def cube_edges(self) -> tuple[GridCell, ...]:
-        """The working cube's lattice edges in canonical order."""
+        """The lattice edges of the working cube within the grid, in canonical order."""
         lo, hi = self.cube_box
-        return tuple(cell for cell in self.grid.cells(1) if cell_in_bounds(cell, lo, hi))
+        lo = tuple(max(x, 0) for x in lo)
+        hi = tuple(min(x, d) for x, d in zip(hi, self.grid.dims))
+        return tuple(box_cells(lo, hi, 1))
 
     @cached_property
     def invisible_cycles(self) -> tuple[int, ...]:
@@ -315,15 +318,6 @@ class PlateauProblem:
                        for c0, c1, c2, b in rows):
                     values.append(Fraction(sum(num), det))
         return self.grid.epsilon ** 2 * ceil(min(values) / 2)
-
-
-def _lattice_box(cycle: GridChain) -> tuple[tuple, tuple]:
-    """Least and greatest lattice indices of a 1-chain's vertices, per axis."""
-    ends = [v for cell in cycle.cells for v in edge_ends(cell)]
-    return (
-        tuple(min(v[a] for v in ends) for a in range(3)),
-        tuple(max(v[a] for v in ends) for a in range(3)),
-    )
 
 
 def sweep_film(gamma: GridChain) -> GridChain:
@@ -608,7 +602,7 @@ def _least_film(problem: PlateauProblem, C: GridChain, node_budget, limit=None):
         cycle, lab = problem.gamma, problem.box_labelling
     else:
         cycle = problem.gamma + C
-        lab = _box_labelling(*_lattice_box(cycle), sweep_film(cycle))
+        lab = _box_labelling(*lattice_box(cycle), sweep_film(cycle))
     x, cost, root_bound, nodes, closed = _least_labelling(lab.cells, lab.sides, node_budget, limit)
     if x is None:
         return None, nodes, closed

@@ -7,6 +7,12 @@ the code that replaced it is tested against an independent path:
   ``method="exhaustive"`` flat norms; both methods now run the
   branch-and-bound, and ``scanning``/``scanned`` send the product's
   search problems to the scan instead.
+- ``whole_grid``: the flat norms' former search space, every cell of
+  the declared grid; they now work in the input's lattice box, and
+  ``scanned`` scans the whole grid again.
+- ``solve_bnb``: the branch-and-bound's former node loop, one
+  ``weighted_popcount`` generator per child; the product's loop now
+  precomputes each depth's effect, cost, bit and nonzero weight masks.
 - ``sqrt_enclosure``: the rational enclosure of sqrt(value) behind the
   old enclosure ladder of the deformation's mass ratios.
 - ``fraction_track_chain``: the deformation's chain R of homogeneous
@@ -22,6 +28,7 @@ the code that replaced it is tested against an independent path:
 
 import contextlib
 from fractions import Fraction
+from typing import Optional
 from unittest import mock
 
 from filmlab import flatnorm
@@ -101,6 +108,82 @@ def solve_exhaustive(problem) -> tuple[int, int, str]:
     return best_mask, best_score, "exact"
 
 
+def weighted_popcount(x: int, weight_masks) -> int:
+    return sum(w * (x & m).bit_count() for w, m in weight_masks)
+
+
+def solve_bnb(problem, node_budget: Optional[int]) -> tuple[int, int, str]:
+    """(mask, score, status) of the least score, by depth-first branch-and-bound.
+
+    A state bit's weight counts once no later variable can flip it, so
+    each node's bound never passes its leaves' scores.  The answer is
+    "exact" unless more than ``node_budget`` nodes are needed (None: no
+    budget); then it is the best leaf found, or the empty choice, as an
+    "upper-bound".
+    """
+    n = len(problem.effects)
+    order = problem.branch_order
+    effects = [problem.effects[i] for i in order]
+    own = [problem.own[i] for i in order]
+    universe = 0
+    for _, m in problem.weight_masks:
+        universe |= m
+    last_touch: dict[int, int] = {}
+    for i, eff in enumerate(effects):
+        rem = eff & universe
+        while rem:
+            b = rem & -rem
+            last_touch[b.bit_length() - 1] = i
+            rem ^= b
+    decided_after = [0] * n
+    root_decided = 0
+    rem = universe
+    while rem:
+        b = rem & -rem
+        bit = b.bit_length() - 1
+        if bit in last_touch:
+            decided_after[last_touch[bit]] |= b
+        else:
+            root_decided |= b
+        rem ^= b
+    def sectioned(m):
+        return [(w, wm & m) for w, wm in problem.weight_masks]
+
+    decided_masks = [sectioned(m) for m in decided_after]
+
+    best_score = None
+    best_mask = 0
+    nodes = 0
+    exhausted = False
+    root_lb = weighted_popcount(problem.base, sectioned(root_decided))
+    stack = [(0, problem.base, root_lb, 0)]
+    while stack:
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            exhausted = True
+            break
+        depth, state, lb, mask = stack.pop()
+        if best_score is not None and lb > best_score:
+            continue
+        if depth == n:
+            if best_score is None or lb < best_score or (lb == best_score and mask < best_mask):
+                best_score = lb
+                best_mask = mask
+            continue
+        for bit in (1, 0):  # LIFO: the 0 branch is explored first
+            state2 = state ^ (effects[depth] if bit else 0)
+            lb2 = lb + (own[depth] if bit else 0)
+            lb2 += weighted_popcount(state2, decided_masks[depth])
+            stack.append((depth + 1, state2, lb2, mask | (bit << order[depth])))
+    if best_score is None:
+        # budget too small to reach any leaf: fall back to the empty choice
+        state = problem.base
+        best_score = weighted_popcount(state, problem.weight_masks)
+        best_mask = 0
+        exhausted = True
+    return best_mask, best_score, "upper-bound" if exhausted else "exact"
+
+
 @contextlib.contextmanager
 def scanning():
     """Send every flat-norm and energy-flat-norm search to the scan, any method, no limit."""
@@ -108,9 +191,16 @@ def scanning():
         yield
 
 
+@contextlib.contextmanager
+def whole_grid():
+    """Make every flat-norm path work on all cells of the input's grid, not its lattice box."""
+    with mock.patch.object(flatnorm, "lattice_box", lambda *chains: ((0, 0, 0), chains[0].grid.dims)):
+        yield
+
+
 def scanned(P):
-    """P's flat norm by the scan over every subset of its (k+1)-cells, without the root."""
-    with scanning():
+    """P's flat norm by the scan over every subset of its grid's (k+1)-cells, without the root."""
+    with scanning(), whole_grid():
         return flatnorm._searched(P, "exhaustive", flatnorm.DEFAULT_CONFIG)
 
 

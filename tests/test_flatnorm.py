@@ -2,11 +2,13 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from filmlab import flatnorm
 from filmlab.dipolyhedra import Dipolyhedron, make_dipole, make_massive
 from filmlab.flatnorm import (
     DEFAULT_CONFIG,
@@ -26,10 +28,19 @@ from filmlab.flatnorm import (
     _searched,
     verify_certificate,
 )
-from filmlab.grid import GridCell, boundary_grid, chain_of, empty_chain, mass_grid
+from filmlab.grid import (
+    GridCell,
+    GridSpec,
+    boundary_grid,
+    box_cells,
+    chain_of,
+    empty_chain,
+    lattice_box,
+    mass_grid,
+)
 
 from conftest import make_grid, random_grid_chain
-from references import scanned, scanning
+from references import scanned, scanning, solve_bnb, whole_grid
 
 F = Fraction
 
@@ -187,9 +198,12 @@ def test_eflat_methods_agree_seeded():
 
 
 def test_eflat_exhaustive_guard():
+    # the limit counts the free cells of the pair's lattice box: two faces
+    # at opposite corners of a 4^3 grid span a box of 48 3-cells
     grid = make_grid((4, 4, 4))
-    A = Dipolyhedron(empty_chain(grid, 2), empty_chain(grid, 1))
-    with pytest.raises(ValueError):
+    B = chain_of(grid, 2, [GridCell((0, 0, 0), (0, 1)), GridCell((3, 3, 3), (0, 1))])
+    A = Dipolyhedron(B, empty_chain(grid, 1))
+    with pytest.raises(ValueError, match="free cells exceed the exhaustive limit 24"):
         energy_flat_norm(A, method="exhaustive")
 
 
@@ -460,7 +474,7 @@ def test_cover_matches_exhaustive_on_any_chain(dims, eps, seed):
     ex = flat_norm(P, method="exhaustive")
     bb = flat_norm(P, method="bnb")
     assert (bb.value, bb.Q, bb.R, bb.status) == (scan.value, scan.Q, scan.R, scan.status)
-    lab = _box_labelling((0, 0, 0), dims, P)
+    lab = _box_labelling(*lattice_box(P), P)
     p, q = eps.numerator, eps.denominator
     closure = _cover_cut(lab.cells, lab.sides, {}, q, p)[2]
     assert (bb.flow is not None) == (closure is not None)
@@ -587,3 +601,187 @@ def test_unclosed_k1_chain_past_the_exhaustive_limit_is_refused():
     assert (_projection_lower(P), flat_norm(P).value) == (7, 8)
     with pytest.raises(ValueError, match="20 free cells exceed the exhaustive limit 10"):
         flat_norm(P, config=SolverConfig(exhaustive_limit=10))
+
+
+# -- the node loop -------------------------------------------------------------
+
+
+class _Captured(Exception):
+    pass
+
+
+def _search_problem(solve, *args):
+    """The _Problem that a flat-norm call hands to its search."""
+    seen = []
+
+    def capture(problem, method, config):
+        seen.append(problem)
+        raise _Captured
+
+    with mock.patch.object(flatnorm, "_solve", capture), pytest.raises(_Captured):
+        solve(*args)
+    return seen[0]
+
+
+def test_node_loop_matches_the_former_loop():
+    # the search problems of random chains, k = 0..2, and pairs, k = 1, 2,
+    # at budgets that stop the former loop before, during and after its
+    # search: the same (mask, score, status) node for node
+    rng = random.Random("node-loop")
+    problems = []
+    for dims in ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)):
+        grid = make_grid(dims, eps=rng.choice([F(1), F(1, 2), F(2, 3)]))
+        for _ in range(3):
+            for k in (0, 1, 2):
+                P = random_grid_chain(grid, k, rng, density=rng.random())
+                problems.append(_search_problem(_searched, P, "bnb", DEFAULT_CONFIG))
+            for k in (1, 2):
+                A = Dipolyhedron(
+                    random_grid_chain(grid, k, rng, density=rng.random() / 2),
+                    random_grid_chain(grid, k - 1, rng, density=rng.random() / 2),
+                )
+                problems.append(_search_problem(energy_flat_norm, A, "bnb"))
+    mid_search = exact = 0
+    for problem in problems:
+        for budget in (0, 1, 10, 100, 10**3, None):
+            if budget is None and len(problem.effects) > 24:
+                continue
+            answer = flatnorm._solve_bnb(problem, budget)
+            assert answer == solve_bnb(problem, budget), (budget, len(problem.effects))
+            exact += answer[2] == "exact"
+            # a leaf found, then the budget ran out
+            fallback = solve_bnb(problem, 0)[1]
+            mid_search += answer[2] == "upper-bound" and budget and answer[1] < fallback
+    assert mid_search >= 10 and exact >= 50, (mid_search, exact)
+
+
+# -- the lattice box -------------------------------------------------------------
+
+
+def _chain_in_sub_box(grid, k, rng, density):
+    # a random sub-box, at least one cell thick wherever the grid is
+    lo = tuple(rng.randint(0, max(d - 1, 0)) for d in grid.dims)
+    hi = tuple(rng.randint(min(l + 1, d), d) for l, d in zip(lo, grid.dims))
+    return chain_of(grid, k, [c for c in box_cells(lo, hi, k) if rng.random() < density])
+
+
+def _regridded(chains):
+    """The chains on the grid that is exactly their lattice box, moved by -lo."""
+    lo, hi = lattice_box(*chains)
+    grid = chains[0].grid
+    exact = GridSpec(grid.epsilon, grid.world(lo), tuple(h - l for l, h in zip(lo, hi)))
+    return [_moved(chain, exact, tuple(-l for l in lo)) for chain in chains]
+
+
+def _moved(chain, grid, shift):
+    cells = [GridCell(tuple(b + s for b, s in zip(c.base, shift)), c.axes) for c in chain.cells]
+    return chain_of(grid, chain.k, cells)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, "eflat1", "eflat2"])
+def test_box_matches_the_whole_grid_scan(k):
+    # chains and pairs in random sub-boxes of grids small enough to scan
+    # whole: the box's answer is the scan's, value, status and R alike
+    rng = random.Random(f"box-scan:{k}")
+    dims = {0: (2, 1, 1), 1: (2, 2, 1), 2: (3, 2, 2), "eflat1": (1, 1, 1), "eflat2": (2, 1, 1)}[k]
+    for _ in range(12):
+        grid = make_grid(dims, eps=rng.choice([F(1), F(1, 2), F(3)]))
+        if isinstance(k, int):
+            P = _chain_in_sub_box(grid, k, rng, rng.random())
+            scan = _answer(scanned(P))
+            for method in ("exhaustive", "bnb"):
+                assert _answer(flat_norm(P, method=method)) == scan
+            continue
+        j = int(k[-1])
+        A = Dipolyhedron(
+            _chain_in_sub_box(grid, j, rng, rng.random()),
+            _chain_in_sub_box(grid, j - 1, rng, rng.random() / 2),
+        )
+        with scanning(), whole_grid():
+            scan = energy_flat_norm(A)
+        for method in ("exhaustive", "bnb"):
+            assert energy_flat_norm(A, method=method) == scan
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, "eflat"])
+def test_box_answer_does_not_depend_on_the_grid_around_it(k):
+    # chains and pairs in random sub-boxes of a 4x4x3 grid against the same
+    # chains on a grid that is exactly their box: every certificate is the
+    # same up to the move, flows and budgeted answers included
+    rng = random.Random(f"box-regrid:{k}")
+    grid = make_grid((4, 4, 3), eps=F(1, 2))
+    configs = [SolverConfig(exhaustive_limit=16), SolverConfig(node_budget=300)]
+    for _ in range(10):
+        if k == "eflat":
+            j = rng.choice([1, 2])
+            B = _chain_in_sub_box(grid, j, rng, rng.random() / 2)
+            near = box_cells(*lattice_box(B), j - 1)
+            C = chain_of(grid, j - 1, [c for c in near if rng.random() < 0.2])
+            lo, _ = lattice_box(B, C)
+            pairs = (Dipolyhedron(B, C), Dipolyhedron(*_regridded((B, C))))
+            for method, config in zip(("exhaustive", "bnb"), configs):
+                here, there = (_outcome(energy_flat_norm, A, method, config) for A in pairs)
+                if isinstance(here, str):
+                    assert here == there
+                    continue
+                back = [_moved(c, grid, lo) for c in (there.B_Q, there.C_Q, there.B_R, there.C_R)]
+                assert (here.value, here.status) == (there.value, there.status)
+                assert [here.B_Q, here.C_Q, here.B_R, here.C_R] == back
+            continue
+        P = _chain_in_sub_box(grid, k, rng, rng.random())
+        lo, _ = lattice_box(P)
+        (P2,) = _regridded((P,))
+        for method, config in zip(("exhaustive", "bnb"), configs):
+            here, there = (_outcome(flat_norm, chain, method, config) for chain in (P, P2))
+            if isinstance(here, str):
+                assert here == there
+                continue
+            assert (here.value, here.status, here.flow) == (there.value, there.status, there.flow)
+            assert (here.Q, here.R) == (_moved(there.Q, grid, lo), _moved(there.R, grid, lo))
+
+
+def test_flat_norms_never_list_the_grid(monkeypatch):
+    # a block, a square, the seed-16 chain and a pair inside a 64^3 grid:
+    # every path answers in the lattice box, with GridSpec.cells refused
+    grid = make_grid((64, 64, 64))
+    block = _cube(grid, (30, 31, 32), 2)
+    corners = itertools.product(range(10, 13), range(20, 23), [40])
+    square = chain_of(grid, 2, [GridCell(corner, (0, 1)) for corner in corners])
+    frustrated = _moved(_seed16_chain(), grid, (20, 30, 40))
+    face = chain_of(grid, 2, [GridCell((5, 6, 7), (0, 1))])
+    pair = make_dipole(boundary_grid(face))
+
+    def refuse(self, k):
+        raise AssertionError("listed the grid's cells")
+
+    monkeypatch.setattr(GridSpec, "cells", refuse)
+    cases = [(boundary_grid(block), 8, CutFlow), (boundary_grid(square), 9, ProjectionFlows)]
+    cases.append((frustrated, 16, type(None)))
+    for P, value, flow in cases:
+        for method in ("exhaustive", "bnb"):
+            cert = flat_norm(P, method=method)
+            assert (cert.value, cert.status, type(cert.flow)) == (value, "exact", flow)
+            assert verify_certificate(cert, P)
+            assert not verify_certificate(dataclasses.replace(cert, value=cert.value + 1), P)
+    cert = energy_flat_norm(pair)
+    assert (cert.value, cert.status, cert.B_R) == (1, "exact", face)
+    assert verify_certificate(cert, pair)
+
+
+def test_empty_chains_are_zero_exact():
+    grid = make_grid((64, 64, 64))
+    for k in (0, 1, 2):
+        for method in ("exhaustive", "bnb"):
+            cert = flat_norm(empty_chain(grid, k), method=method)
+            assert (cert.value, cert.status) == (0, "exact")
+            assert cert.Q.is_zero() and cert.R.is_zero()
+            A = Dipolyhedron(empty_chain(grid, k), empty_chain(grid, k - 1))
+            eflat = energy_flat_norm(A, method=method)
+            assert (eflat.value, eflat.status) == (0, "exact")

@@ -11,9 +11,12 @@ from filmlab.grid import (
     GridCell,
     GridSpec,
     boundary_grid,
+    box_cells,
     cell_from_label,
+    cell_in_bounds,
     chain_of,
     empty_chain,
+    lattice_box,
     mass_grid,
     restrict_grid,
 )
@@ -134,6 +137,25 @@ def test_grid_cells_count():
     assert len(list(grid.cells(1))) == 2 * 3 * 2 + 3 * 2 * 2 + 3 * 3 * 1
     assert len(list(grid.cells(2))) == 2 * 2 * 2 + 2 * 3 + 3 * 2
     assert len(list(grid.cells(3))) == 4
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(0, 3), density=st.floats(0, 0.3))
+def test_lattice_box_is_the_least_box_around_the_cells(seed, k, density):
+    grid = make_grid((3, 2, 2))
+    chain = random_grid_chain(grid, k, random.Random(seed), density=density)
+    lo, hi = lattice_box(chain, empty_chain(grid, k))
+    if chain.is_zero():
+        assert (lo, hi) == ((0, 0, 0), (0, 0, 0))
+        return
+    corners = [v for cell in chain.cells for v in cell.corners()]
+    assert lo == tuple(min(v[a] for v in corners) for a in range(3))
+    assert hi == tuple(max(v[a] for v in corners) for a in range(3))
+    # box_cells lists exactly the grid's cells in the box, in the grid's order
+    for j in range(4):
+        inside = [cell for cell in grid.cells(j) if cell_in_bounds(cell, lo, hi)]
+        assert list(box_cells(lo, hi, j)) == inside
+    assert chain.cells <= set(box_cells(lo, hi, k))
 
 
 @settings(max_examples=50, deadline=None)

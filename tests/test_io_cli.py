@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ from filmlab import cli
 from filmlab.cli import main
 from filmlab.dipolyhedra import Dipolyhedron, dip_equal, make_dipole
 from filmlab.exact import RadicalSum, UndecidableComparison
-from filmlab.grid import GridCell, boundary_grid, chain_of, empty_chain
+from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, empty_chain
 from filmlab.io_formats import (
     SchemaError,
     chain_from_json,
@@ -985,6 +986,53 @@ def test_flat_norm_searches_run_without_numpy(tmp_path):
         assert doc["status"] == "exact"
         if value is not None:
             assert (doc["value"], doc["flow"]) == (value, None)
+
+
+def _without_grids(doc):
+    if isinstance(doc, dict):
+        return {key: _without_grids(value) for key, value in doc.items() if key != "grid"}
+    if isinstance(doc, list):
+        return [_without_grids(value) for value in doc]
+    return doc
+
+
+def _limit_address_space():
+    # 512 MiB: room for the interpreter, far too little to list a 10^9-cell grid
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("flatnorm",), ("flatnorm", "--method", "bnb", "--node-budget", "5"), ("eflat",)],
+    ids=["flatnorm", "flatnorm-bnb", "eflat"],
+)
+def test_cli_flat_norms_ignore_the_declared_grid_size(argv, tmp_path):
+    # the fixture square, or the pair with it as a bare mass part, declared
+    # in its own grid and in a 10^9 x 1 x 1 one: the flat norms work in the
+    # chain's lattice box, so both answer alike, under an address-space
+    # limit and a timeout that turn a grid-sized allocation into a failure
+    square = parse_input(load_document(f"{FIX}/square.json"))
+    huge = GridSpec(square.grid.epsilon, square.grid.origin, (10**9, 1, 1))
+    env = {**os.environ, "PYTHONPATH": SRC}
+    docs = []
+    for grid in (square.grid, huge):
+        chain = chain_of(grid, 1, square.cells)
+        obj = chain if argv[0] == "flatnorm" else Dipolyhedron(empty_chain(grid, 2), chain)
+        path = tmp_path / f"{grid.dims[0]}.json"
+        path.write_text(dumps_report(obj))
+        done = subprocess.run(
+            [sys.executable, "-m", "filmlab.cli", argv[0], str(path), *argv[1:]],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            preexec_fn=_limit_address_space,
+        )
+        assert done.returncode == 0, done.stderr
+        docs.append(json.loads(done.stdout))
+    small, large = docs
+    assert small["status"] == "exact"
+    assert _without_grids(large) == _without_grids(small)
 
 
 SOLVERS = {"flatnorm", "plateau", "deformation"}

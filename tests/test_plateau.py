@@ -823,6 +823,20 @@ def test_a_lighter_member_can_carry_an_invisible_mass_part():
     assert _candidate(problem, sol.pair.B.cells) == sol.pair
 
 
+@pytest.mark.parametrize("lam_prime", [F(1, 2), F(2), F(9)], ids=["inside", "exact", "past-grid"])
+def test_cube_edges_are_the_grid_edges_in_the_cube(lam_prime):
+    # listed from the cube's box alone, in the order of the grid's listing,
+    # also for hand-built cubes smaller than the grid or reaching past it
+    problems = [plateau_problem(build(), dirs=default_directions(*dirs))
+                for build, dirs, _, _ in INVISIBLE_CASES.values()]
+    grid = make_grid((3, 3, 2), origin=(F(-3, 2), F(-3, 2), F(-1)))
+    problems.append(PlateauProblem(square_curve(grid, 1, 1, 2), F(4), lam_prime, grid, ()))
+    for problem in problems:
+        lo, hi = problem.cube_box
+        listed = tuple(cell for cell in problem.grid.cells(1) if cell_in_bounds(cell, lo, hi))
+        assert problem.cube_edges == listed
+
+
 def _edge_bits(problem, C):
     index = {cell: i for i, cell in enumerate(problem.cube_edges)}
     return sum(1 << index[cell] for cell in C.cells)
