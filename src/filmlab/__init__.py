@@ -39,20 +39,17 @@ _EXPORTS = {
         "simplicial_chain",
     ),
     "overlay": ("chains_equal_mod2", "is_zero_geometric"),
+    "pairs": ("Dipolyhedron", "boundary_dip", "energy", "make_dipole", "make_massive"),
     "dipolyhedra": (
-        "Dipolyhedron",
         "ProjectionDir",
         "SpanningContext",
-        "boundary_dip",
         "clamp_dip",
         "cone_dip",
-        "energy",
-        "make_dipole",
-        "make_massive",
         "pushforward_dip",
         "restrict_dip",
         "spanning_check",
     ),
+    "cover": (),
     "flatnorm": (
         "SolverConfig",
         "energy_flat_norm",

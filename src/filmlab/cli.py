@@ -5,10 +5,14 @@ a JSON report (stdout or --output) plus optional OFF/OBJ meshes.  All
 runs are deterministic for a fixed argument vector: seeds default to 0
 and every report is emitted with sorted keys.
 
-A subcommand loads only the modules it runs: the solver modules
-(flatnorm, deformation, plateau) are imported inside the handlers that
-call them, so mass, boundary, span-check, cone, clamp, pushforward,
-restrict and every --help start without compiling any of them.
+A subcommand loads only the modules it runs.  The solver modules
+(flatnorm, deformation, plateau), the simplicial ops and the spanning
+check (dipolyhedra) are imported inside the handlers that call them.
+The pair algebra (pairs) and io_formats load only the grid
+representation.  So on a grid input, mass, boundary, flatnorm, eflat and
+natural-norm load no geometry, simplicial, overlay or spanning code;
+plateau and diagnostics load no flat-norm solver; and --help loads none
+of them.
 
 Exit codes: 0 on success, 2 on malformed input or violated
 preconditions, 3 when a solver could certify only an upper bound and
@@ -25,32 +29,15 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import io_formats as iof
-from .dipolyhedra import (
-    Dipolyhedron,
-    boundary_dip,
-    chain_mass,
-    clamp_dip,
-    cone_dip,
-    default_directions,
-    energy,
-    pushforward_dip,
-    restrict_dip,
-    spanning_check,
-)
 from .exact import UndecidableComparison, parse_fraction
 from .grid import BoxRegion, GridChain, GridSpec, boundary_grid, restrict_grid
-from .simplicial import (
-    PLMap,
-    SimplicialChain,
-    as_simplicial,
-    boundary_simplicial,
-    clamp_to_cube,
-    cone,
-    pushforward,
-    restrict_simplicial,
-)
+from .pairs import Dipolyhedron, boundary_dip, chain_mass, energy
+
+if TYPE_CHECKING:
+    from .simplicial import SimplicialChain
 
 
 def _fracs(text: str, n: int, what: str) -> list[Fraction]:
@@ -137,6 +124,8 @@ def _cmd_boundary(args) -> int:
     elif isinstance(obj, GridChain):
         _emit(args, boundary_grid(obj), "boundary")
     else:
+        from .simplicial import boundary_simplicial
+
         _emit(args, boundary_simplicial(obj), "boundary")
     return 0
 
@@ -164,6 +153,9 @@ def _cmd_eflat(args) -> int:
 
 
 def _cmd_cone(args) -> int:
+    from .dipolyhedra import cone_dip
+    from .simplicial import as_simplicial, cone
+
     obj = _load(args.input)
     apex = tuple(_fracs(args.apex, 3, "--apex"))
     if isinstance(obj, Dipolyhedron):
@@ -174,6 +166,9 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_clamp(args) -> int:
+    from .dipolyhedra import clamp_dip
+    from .simplicial import as_simplicial, clamp_to_cube
+
     obj = _load(args.input)
     r = parse_fraction(args.radius)
     if isinstance(obj, Dipolyhedron):
@@ -184,6 +179,9 @@ def _cmd_clamp(args) -> int:
 
 
 def _cmd_pushforward(args) -> int:
+    from .dipolyhedra import pushforward_dip
+    from .simplicial import PLMap, as_simplicial, pushforward
+
     obj = _load(args.input)
     m = _fracs(args.matrix, 9, "--matrix")
     matrix = (tuple(m[0:3]), tuple(m[3:6]), tuple(m[6:9]))
@@ -210,6 +208,7 @@ def _auto_grid(chain: SimplicialChain, eps: Fraction) -> GridSpec:
 
 def _cmd_deform(args) -> int:
     from .deformation import DeformConfig, deform_chain
+    from .simplicial import as_simplicial
 
     obj = _load(args.input)
     if isinstance(obj, Dipolyhedron):
@@ -244,6 +243,8 @@ def _cmd_deform(args) -> int:
 
 
 def _cmd_span_check(args) -> int:
+    from .dipolyhedra import default_directions, spanning_check
+
     obj = _load(args.input)
     if not isinstance(obj, Dipolyhedron):
         raise ValueError("span-check expects a dipolyhedron")
@@ -256,6 +257,7 @@ def _cmd_span_check(args) -> int:
 
 
 def _cmd_plateau(args) -> int:
+    from .dipolyhedra import default_directions
     from .plateau import minimize_weight, plateau_problem
 
     curve = _load(args.curve)
@@ -290,12 +292,16 @@ def _cmd_restrict(args) -> int:
         hi = tuple(parse_fraction(v) for v in vals[3:])
         box = (lo, hi)
     if isinstance(obj, Dipolyhedron):
+        from .dipolyhedra import restrict_dip
+
         inside, report = restrict_dip(obj, box)
         _emit(args, {"inside": inside, "report": report}, "restrict")
     else:
         if isinstance(obj, GridChain):
             inside, outside = restrict_grid(obj, box)
         else:
+            from .simplicial import restrict_simplicial
+
             inside, outside = restrict_simplicial(obj, lo, hi)
         _emit(
             args,

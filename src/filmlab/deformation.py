@@ -49,7 +49,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .dipolyhedra import Dipolyhedron, boundary_dip, chain_mass, energy
 from .exact import RadicalSum, radical_sum
 from .geom import (
     HPoint,
@@ -73,6 +72,7 @@ from .overlay import (
     chains_equal_mod2,
     reduce_1chain,
 )
+from .pairs import Dipolyhedron, boundary_dip, chain_mass, energy
 from .simplicial import (
     SimplicialChain,
     as_simplicial,

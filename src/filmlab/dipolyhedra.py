@@ -1,13 +1,9 @@
-"""Film/mass pairs and the spanning test.
+"""Pair operations and the spanning test.
 
-A k-dipolyhedron bundles a k-chain B (the film part, charged by weight)
-with a (k-1)-chain C (the mass part) over a single representation, grid
-or simplicial.  Energy charges both parts.  The boundary mixes them,
-
-    boundary(B, C) = (boundary(B) + C, boundary(C)),
-
-which squares to zero mod 2.  Cone, pushforward, clamp and restriction
-act componentwise.
+The pair algebra (Dipolyhedron, energy, weight, boundary_dip and the
+representation-generic chain helpers) lives in filmlab.pairs, which
+loads only the grid representation; this module re-exports it.  Cone,
+pushforward, clamp and restriction act on pairs componentwise.
 
 Spanning means "the mass part is invisible".  A pair with boundary(C) =
 0 and boundary(B) + C = gamma spans gamma when, along every admissible
@@ -51,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exact import RadicalSum
 from .geom import (
@@ -68,147 +64,34 @@ from .geom import (
     vnorm_sq,
     vsub,
 )
-from .grid import (
-    BoxRegion,
-    GridChain,
-    boundary_grid,
-    cell_in_bounds,
-    edge_ends,
-    empty_chain,
-    lattice_bounds,
-    mass_grid,
-    restrict_grid,
+from .grid import BoxRegion, cell_in_bounds, edge_ends, lattice_bounds, restrict_grid
+from .overlay import chains_equal_mod2, overlay_vanishes
+from .pairs import (
+    Chain,
+    Dipolyhedron,
+    EnergySplit,
+    boundary_dip,
+    chain_boundary,
+    chain_is_zero,
+    chain_mass,
+    energy,
+    is_grid_chain,
+    make_dipole,
+    make_massive,
+    weight,
 )
-from .overlay import chains_equal_mod2, is_zero_geometric, overlay_vanishes
 from .simplicial import (
     PLMap,
     SimplicialChain,
-    boundary_simplicial,
     clamp_to_cube,
     cone,
     embed_grid_chain,
-    empty_simplicial,
-    mass_simplicial,
     pushforward,
     restrict_simplicial,
 )
 
-Chain = Union[GridChain, SimplicialChain]
-
-
 # ---------------------------------------------------------------------------
-# representation-generic chain helpers
-
-def is_grid_chain(chain: Chain) -> bool:
-    return isinstance(chain, GridChain)
-
-
-def chain_mass(chain: Chain):
-    """Mass of either representation: Fraction for grid, RadicalSum else."""
-    if is_grid_chain(chain):
-        return mass_grid(chain)
-    return mass_simplicial(chain)
-
-
-def chain_boundary(chain: Chain) -> Chain:
-    # 0-chains have the empty (-1)-chain as boundary; the per-rep boundary
-    # operators refuse k = 0, so handle that rung here.
-    if chain.k == 0:
-        if is_grid_chain(chain):
-            return empty_chain(chain.grid, -1)
-        return empty_simplicial(-1)
-    if is_grid_chain(chain):
-        return boundary_grid(chain)
-    return boundary_simplicial(chain)
-
-
-def chain_is_zero(chain: Chain) -> bool:
-    """Mod-2 triviality; geometric (not presentational) for simplicial."""
-    if is_grid_chain(chain):
-        return chain.is_zero()
-    return is_zero_geometric(chain)
-
-
-def _empty_like(chain: Chain, k: int) -> Chain:
-    if is_grid_chain(chain):
-        return empty_chain(chain.grid, k)
-    return empty_simplicial(k)
-
-
-# ---------------------------------------------------------------------------
-# the pair type
-
-@dataclass(frozen=True)
-class Dipolyhedron:
-    """Film part B (dimension k) and mass part C (dimension k-1)."""
-
-    B: Chain
-    C: Chain
-
-    def __post_init__(self):
-        if is_grid_chain(self.B) != is_grid_chain(self.C):
-            raise ValueError("film and mass parts must share one representation")
-        if is_grid_chain(self.B) and self.B.grid != self.C.grid:
-            raise ValueError("film and mass parts must live on the same grid")
-        if self.C.k != self.B.k - 1:
-            raise ValueError(
-                f"mass part must sit one dimension below the film: {self.C.k} != {self.B.k} - 1"
-            )
-
-    @property
-    def k(self) -> int:
-        return self.B.k
-
-    @property
-    def rep(self) -> str:
-        return "grid" if is_grid_chain(self.B) else "simplicial"
-
-    def __add__(self, other: "Dipolyhedron") -> "Dipolyhedron":
-        return Dipolyhedron(self.B + other.B, self.C + other.C)
-
-
-def make_dipole(B: Chain) -> Dipolyhedron:
-    """Pure film pair (B, 0)."""
-    return Dipolyhedron(B, _empty_like(B, B.k - 1))
-
-
-def make_massive(C: Chain) -> Dipolyhedron:
-    """Pure mass pair (0, C), one dimension above C."""
-    if C.k >= 3:
-        raise ValueError("mass part of dimension 3 would need a 4-dimensional film")
-    return Dipolyhedron(_empty_like(C, C.k + 1), C)
-
-
-class EnergySplit(tuple):
-    """(energy, weight, mass_part) with named access."""
-
-    __slots__ = ()
-
-    def __new__(cls, energy, weight, mass_part):
-        return tuple.__new__(cls, (energy, weight, mass_part))
-
-    energy = property(lambda self: self[0])
-    weight = property(lambda self: self[1])
-    mass_part = property(lambda self: self[2])
-
-
-def energy(A: Dipolyhedron) -> EnergySplit:
-    """Energy = M(B) + M(C); weight charges the film only."""
-    w = chain_mass(A.B)
-    m = chain_mass(A.C)
-    return EnergySplit(w + m, w, m)
-
-
-def weight(A: Dipolyhedron):
-    return chain_mass(A.B)
-
-
-def boundary_dip(A: Dipolyhedron) -> Dipolyhedron:
-    """(boundary(B) + C, boundary(C)), one dimension down."""
-    if A.k < 1:
-        raise ValueError("0-dimensional pairs have no boundary")
-    return Dipolyhedron(chain_boundary(A.B) + A.C, chain_boundary(A.C))
-
+# equality and support
 
 def dip_equal(A: Dipolyhedron, other: Dipolyhedron) -> bool:
     """Componentwise mod-2 equality (geometric for simplicial reps)."""

@@ -12,9 +12,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .geom import Point
+if TYPE_CHECKING:
+    from .geom import Point
 
 AXIS_NAMES = "xyz"
 

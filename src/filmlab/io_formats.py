@@ -8,19 +8,21 @@ all cell and simplex lists are emitted in canonical order.
 
 OFF and OBJ exports are decimal snapshots for viewers, explicitly lossy;
 nothing reads them back.
+
+The module loads only the grid representation: filmlab.simplicial is
+imported when a document or an object is simplicial.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
-from typing import Optional
 
-from .dipolyhedra import Dipolyhedron, EnergySplit
 from .exact import RadicalSum, parse_fraction
 from .grid import GridCell, GridChain, GridSpec, cell_from_label, edge_ends
-from .simplicial import SimplicialChain, simplicial_chain
+from .pairs import Dipolyhedron, EnergySplit
 
 SCHEMA = "filmlab/1"
 _MESH_DIGITS = 12
@@ -117,6 +119,13 @@ def _parse_cell(doc, path: str) -> GridCell:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+def _is_simplicial_chain(obj) -> bool:
+    """isinstance(obj, SimplicialChain) without loading filmlab.simplicial:
+    no simplicial chain exists before that module is loaded."""
+    simplicial = sys.modules.get(f"{__package__}.simplicial")
+    return simplicial is not None and isinstance(obj, simplicial.SimplicialChain)
+
+
 def chain_to_json(chain) -> dict:
     if isinstance(chain, GridChain):
         return {
@@ -126,7 +135,7 @@ def chain_to_json(chain) -> dict:
             "k": chain.k,
             "cells": [_cell_json(c) for c in chain.sorted_cells()],
         }
-    if isinstance(chain, SimplicialChain):
+    if _is_simplicial_chain(chain):
         return {
             "schema": SCHEMA,
             "type": "simplicial-chain",
@@ -154,6 +163,8 @@ def chain_from_json(doc, path: str = "$"):
         except ValueError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
     if kind == "simplicial-chain":
+        from .simplicial import simplicial_chain
+
         raw = _get(doc, "simplices", path)
         if not isinstance(raw, list):
             raise SchemaError(f"{path}.simplices: expected a list")
@@ -234,7 +245,7 @@ def to_jsonable(obj):
         return _frac_str(obj)
     if isinstance(obj, RadicalSum):
         return _radical_json(obj)
-    if isinstance(obj, (GridChain, SimplicialChain)):
+    if isinstance(obj, GridChain) or _is_simplicial_chain(obj):
         return chain_to_json(obj)
     if isinstance(obj, Dipolyhedron):
         return dip_to_json(obj)

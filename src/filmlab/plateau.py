@@ -33,8 +33,8 @@ cycle's sweep film plus the boundary of a 0/1 label on the box's
 maximum flow in the doubled cover bounds each node below, a node whose
 residual closure is a symmetric cut is solved outright, and otherwise
 the cells its cut decides are fixed and the rest are branched on (see
-_least_labelling).  Flat norms of 2-chains share that cover
-(filmlab.flatnorm).
+_least_labelling).  The cover lives in filmlab.cover, which the flat
+norms of 2-chains share.
 
 minimize_weight solves the coset C = 0 first, then the others in
 Gray-code order under one node budget.  Two certificates make the
@@ -53,6 +53,7 @@ from itertools import combinations
 from math import ceil, gcd
 from typing import Optional, Sequence
 
+from .cover import _box_labelling, _BoxLabelling, _cover_cut
 from .dipolyhedra import (
     Dipolyhedron,
     EnergySplit,
@@ -67,7 +68,6 @@ from .dipolyhedra import (
     support_in_cube,
 )
 from .exact import SQRT3, det3
-from .flatnorm import _box_labelling, _BoxLabelling, _cover_cut
 from .geom import closed_cycle, primitive_direction
 from .grid import (
     GridCell,
@@ -545,7 +545,7 @@ class PlateauSolution:
 
 
 def _least_labelling(n: int, sides, node_budget: Optional[int], limit: Optional[int] = None):
-    """Branch-and-bound for the least labelling of n cells (see flatnorm._cover_cut).
+    """Branch-and-bound for the least labelling of n cells (see cover._cover_cut).
 
     Each node solves the doubled cover with the cells fixed so far:
     ceil(F / 2) bounds the node below.  A consistent closure is a

@@ -1035,37 +1035,57 @@ def test_cli_flat_norms_ignore_the_declared_grid_size(argv, tmp_path):
     assert _without_grids(large) == _without_grids(small)
 
 
-SOLVERS = {"flatnorm", "plateau", "deformation"}
+# every process loads the command, the JSON layer and the grid pair algebra
+BASE = {"cli", "exact", "grid", "io_formats", "pairs"}
+SIMPLICIAL = BASE | {"geom", "simplicial"}
+# the spanning check and the pair ops that leave the grid (dipolyhedra)
+SPANNING = SIMPLICIAL | {"dipolyhedra", "overlay"}
+FLAT = BASE | {"cover", "flatnorm"}
 
 
 @pytest.mark.parametrize(
-    "argv, solvers",
+    "argv, modules",
     [
-        (("mass", f"{FIX}/square.json"), set()),
-        (("boundary", f"{FIX}/square.json"), set()),
-        (("span-check", f"{FIX}/cone.json", "--curve", f"{FIX}/square_curve.json"), set()),
-        (("cone", f"{FIX}/square.json", "--apex", "1/2,1/2,1"), set()),
-        (("clamp", f"{FIX}/cone.json", "--radius", "1/2"), set()),
+        (("mass", f"{FIX}/square.json"), BASE),
+        (("boundary", f"{FIX}/square.json"), BASE),
+        (("span-check", f"{FIX}/cone.json", "--curve", f"{FIX}/square_curve.json"), SPANNING),
+        (("cone", f"{FIX}/square.json", "--apex", "1/2,1/2,1"), SPANNING),
+        (("clamp", f"{FIX}/cone.json", "--radius", "1/2"), SPANNING),
         (("pushforward", f"{FIX}/patch2x2.json", "--matrix", "1,0,0,0,1,0,0,0,1",
-          "--lipschitz", "1"), set()),
-        (("restrict", f"{FIX}/tilted_triangle.json", "--box", "0,0,0,1/2,1/2,1/2"), set()),
-        (("--help",), set()),
-        (("flatnorm", "--help"), set()),
-        (("plateau", "--help"), set()),
-        (("flatnorm", f"{FIX}/square.json"), {"flatnorm"}),
-        (("eflat", "{pair}", "--method", "bnb", "--node-budget", "1000"), {"flatnorm"}),
-        (("natural-norm", f"{FIX}/square.json", "--levels", "1"), {"flatnorm"}),
-        (("deform", f"{FIX}/tilted_triangle.json", "--eps", "1", "--centers", "4"), {"deformation"}),
-        # plateau builds its box labelling with the flat norm's doubled cover
-        (("plateau", "--curve", f"{FIX}/square_curve.json"), {"flatnorm", "plateau"}),
-        (("diagnostics", "{pair}"), {"flatnorm", "plateau"}),
+          "--lipschitz", "1"), SPANNING),
+        (("restrict", f"{FIX}/tilted_triangle.json", "--box", "0,0,0,1/2,1/2,1/2"), SIMPLICIAL),
+        (("--help",), BASE),
+        (("flatnorm", "--help"), BASE),
+        (("plateau", "--help"), BASE),
+        (("flatnorm", f"{FIX}/square.json"), FLAT),
+        (("eflat", "{pair}", "--method", "bnb", "--node-budget", "1000"), FLAT),
+        (("natural-norm", f"{FIX}/square.json", "--levels", "1"), FLAT),
+        (("deform", f"{FIX}/tilted_triangle.json", "--eps", "1", "--centers", "4"),
+         SIMPLICIAL | {"overlay", "deformation"}),
+        # plateau and diagnostics label cells in the doubled cover, not with the flat norms
+        (("plateau", "--curve", f"{FIX}/square_curve.json"), SPANNING | {"cover", "plateau"}),
+        (("diagnostics", "{pair}"), SPANNING | {"cover", "plateau"}),
+        # simplicial inputs: each lazy import runs in a cold process
+        (("mass", f"{FIX}/cone.json"), SIMPLICIAL),
+        (("boundary", f"{FIX}/cone.json"), SIMPLICIAL),
+        (("boundary", f"{FIX}/tilted_triangle.json"), SIMPLICIAL),
+        (("restrict", f"{FIX}/cone.json", "--box", "0,0,0,1/2,1/2,1/2"), SPANNING),
+        (("cone", f"{FIX}/cone.json", "--apex", "1,1,1"), SPANNING),
+        (("cone", f"{FIX}/tilted_triangle.json"), SPANNING),
     ],
     ids=["mass", "boundary", "span-check", "cone", "clamp", "pushforward", "restrict", "help",
          "flatnorm-help", "plateau-help", "flatnorm", "eflat", "natural-norm", "deform",
-         "plateau", "diagnostics"],
+         "plateau", "diagnostics", "mass-simplicial-pair", "boundary-simplicial-pair",
+         "boundary-simplicial", "restrict-simplicial-pair", "cone-simplicial-pair",
+         "cone-simplicial"],
 )
-def test_cli_loads_only_the_solvers_it_runs(argv, solvers, tmp_path):
-    """Each subcommand process imports the solver modules it calls and no other."""
+def test_cli_loads_only_the_solvers_it_runs(argv, modules, tmp_path):
+    """Each subcommand process imports the modules it calls and no other.
+
+    A grid input loads no geometry, simplicial, overlay or spanning code
+    unless its subcommand leaves the grid, and only the flat-norm
+    subcommands load the flat-norm solvers.
+    """
     curve = parse_input(load_document(f"{FIX}/square_curve.json"))
     pair = tmp_path / "pair.json"
     pair.write_text(dumps_report(Dipolyhedron(empty_chain(curve.grid, 2), curve)))
@@ -1089,7 +1109,7 @@ def test_cli_loads_only_the_solvers_it_runs(argv, solvers, tmp_path):
     assert done.returncode == 0, done.stderr
     code, loaded = json.loads(record.read_text())
     assert code == 0, done.stderr
-    assert {m.removeprefix("filmlab.") for m in loaded} & SOLVERS == solvers
+    assert {m.removeprefix("filmlab.") for m in loaded} == modules
 
 
 def test_import_filmlab_loads_submodules_on_first_use():

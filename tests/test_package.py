@@ -1,6 +1,10 @@
 """The package's public surface: names, their defining modules, lazy access."""
 
 import importlib
+import os
+import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -21,11 +25,12 @@ SURFACE = {
         "simplicial_chain",
     ],
     "overlay": ["chains_equal_mod2", "is_zero_geometric"],
+    "pairs": ["Dipolyhedron", "boundary_dip", "energy", "make_dipole", "make_massive"],
     "dipolyhedra": [
-        "Dipolyhedron", "ProjectionDir", "SpanningContext", "boundary_dip", "clamp_dip",
-        "cone_dip", "energy", "make_dipole", "make_massive", "pushforward_dip", "restrict_dip",
-        "spanning_check",
+        "ProjectionDir", "SpanningContext", "clamp_dip", "cone_dip", "pushforward_dip",
+        "restrict_dip", "spanning_check",
     ],
+    "cover": [],
     "flatnorm": [
         "SolverConfig", "energy_flat_norm", "flat_norm", "natural_norm_upper",
         "verify_certificate",
@@ -41,7 +46,7 @@ NAMES = sorted([*SURFACE, *(name for names in SURFACE.values() for name in names
 
 
 def test_all_is_pinned():
-    assert len(NAMES) == 65
+    assert len(NAMES) == 67
     assert sorted(filmlab.__all__) == NAMES
 
 
@@ -69,3 +74,21 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         filmlab.no_such_name
     assert not hasattr(filmlab, "no_such_name")
+
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(filmlab.__path__))
+
+
+def test_every_submodule_is_listed():
+    assert set(SUBMODULES) == set(SURFACE) | {"cli", "io_formats"}
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_imports_first_in_a_fresh_interpreter(module):
+    """No import cycle that only another module's earlier import hides."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(filmlab.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import filmlab.{module}"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
