@@ -4,10 +4,13 @@
 Each subcommand runs on the fixtures as `python -m filmlab.cli ...` in
 --runs fresh processes that compile filmlab from source
 (PYTHONDONTWRITEBYTECODE=1; a src/filmlab/__pycache__ is refused, since
-Python would read it).  One more process records the filmlab modules the
+Python would read it).  One more process records the modules the
 subcommand loaded.  The script prints the median cumulative time of
 `import filmlab.cli` under -X importtime, then per subcommand the median
-wall time in milliseconds and the modules loaded.
+wall time in milliseconds, the filmlab modules loaded and, on a second
+line after "+", the other modules loaded beyond those of a bare
+`python -c pass` of the same interpreter, so a heavy standard-library
+import shows next to the filmlab modules.
 
     python3 scripts/cli_coldstart.py [--runs 7]
 """
@@ -25,6 +28,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 FIX = os.path.join(ROOT, "fixtures")
 
+# writes the names in sys.modules, space-separated, as the last line of stderr
+BARE = "import sys; sys.stderr.write(' '.join(sys.modules) + '\\n')\n"
 RECORD = (
     "import sys\n"
     "from filmlab.cli import main\n"
@@ -32,10 +37,14 @@ RECORD = (
     "    code = main(sys.argv[1:])\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    "names = sorted(m[len('filmlab.'):] for m in sys.modules if m.startswith('filmlab.'))\n"
-    "sys.stderr.write(' '.join(names) + '\\n')\n"
+    "sys.stderr.write(' '.join(sys.modules) + '\\n')\n"
     "sys.exit(code)\n"
 )
+
+
+def loaded_modules(argv: list, env: dict, cwd: str) -> set:
+    done = run(argv, env, cwd, subprocess.PIPE)
+    return set(done.stderr.decode().splitlines()[-1].split())
 
 
 def commands(pair: str) -> list:
@@ -104,15 +113,19 @@ def main(argv=None) -> int:
         pair = write_pair(tmp)
         print(f"Python {sys.version.split()[0]}, median of {runs} fresh processes each")
         print(f"import filmlab.cli: {import_ms(env, tmp, runs):.1f} ms cumulative (-X importtime)")
-        print(f"{'subcommand':<18} {'ms':>7}  filmlab modules loaded")
+        bare = loaded_modules(["-c", BARE], env, tmp)
+        print(f"{'subcommand':<18} {'ms':>7}  filmlab modules loaded / + other modules loaded")
         for name, cmd in commands(pair):
             times = []
             for _ in range(runs):
                 start = time.perf_counter()
                 run(["-m", "filmlab.cli", *cmd], env, tmp)
                 times.append((time.perf_counter() - start) * 1000)
-            loaded = run(["-c", RECORD, *cmd], env, tmp, subprocess.PIPE).stderr.decode().split()
-            print(f"{name:<18} {statistics.median(times):7.1f}  {' '.join(loaded)}")
+            loaded = loaded_modules(["-c", RECORD, *cmd], env, tmp)
+            ours = sorted(m.removeprefix("filmlab.") for m in loaded if m.startswith("filmlab."))
+            others = sorted(loaded - bare - {"filmlab"} - {f"filmlab.{m}" for m in ours})
+            print(f"{name:<18} {statistics.median(times):7.1f}  {' '.join(ours)}")
+            print(f"{'':<28}+ {' '.join(others)}")
     return 0
 
 

@@ -6,13 +6,15 @@ runs are deterministic for a fixed argument vector: seeds default to 0
 and every report is emitted with sorted keys.
 
 A subcommand loads only the modules it runs.  The solver modules
-(flatnorm, deformation, plateau), the simplicial ops and the spanning
-check (dipolyhedra) are imported inside the handlers that call them.
-The pair algebra (pairs) and io_formats load only the grid
-representation.  So on a grid input, mass, boundary, flatnorm, eflat and
-natural-norm load no geometry, simplicial, overlay or spanning code;
-plateau and diagnostics load no flat-norm solver; and --help loads none
-of them.
+(flatnorm, deformation, plateau), the simplicial ops, and the pair ops
+and spanning check (dipolyhedra) are imported inside the handlers, and
+the branches, that call them.  The pair algebra (pairs) and io_formats
+load only the grid representation.  So on a grid input, mass, boundary,
+flatnorm, eflat and natural-norm load no geometry, simplicial, overlay
+or spanning code; cone, clamp and pushforward of a chain load no pair
+op or overlay; plateau and diagnostics load no flat-norm solver; and
+--help loads none of them.  No process loads dataclasses or inspect:
+records are plain classes (filmlab.records).
 
 Exit codes: 0 on success, 2 on malformed input or violated
 preconditions, 3 when a solver could certify only an upper bound and
@@ -24,7 +26,6 @@ decided); each error is one line on stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import re
 import sys
@@ -94,7 +95,7 @@ def _solver_config(args):
         for name in ("node_budget", "exhaustive_limit")
         if getattr(args, name, None) is not None
     }
-    return dataclasses.replace(SolverConfig(), **overrides)
+    return SolverConfig(**overrides)
 
 
 def _status_exit(args, status: str) -> int:
@@ -153,12 +154,13 @@ def _cmd_eflat(args) -> int:
 
 
 def _cmd_cone(args) -> int:
-    from .dipolyhedra import cone_dip
     from .simplicial import as_simplicial, cone
 
     obj = _load(args.input)
     apex = tuple(_fracs(args.apex, 3, "--apex"))
     if isinstance(obj, Dipolyhedron):
+        from .dipolyhedra import cone_dip
+
         _emit(args, cone_dip(apex, obj), "cone")
     else:
         _emit(args, cone(apex, as_simplicial(obj)), "cone")
@@ -166,12 +168,13 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_clamp(args) -> int:
-    from .dipolyhedra import clamp_dip
     from .simplicial import as_simplicial, clamp_to_cube
 
     obj = _load(args.input)
     r = parse_fraction(args.radius)
     if isinstance(obj, Dipolyhedron):
+        from .dipolyhedra import clamp_dip
+
         _emit(args, clamp_dip(r, obj), "clamp")
     else:
         _emit(args, clamp_to_cube(as_simplicial(obj), r), "clamp")
@@ -179,7 +182,6 @@ def _cmd_clamp(args) -> int:
 
 
 def _cmd_pushforward(args) -> int:
-    from .dipolyhedra import pushforward_dip
     from .simplicial import PLMap, as_simplicial, pushforward
 
     obj = _load(args.input)
@@ -188,6 +190,8 @@ def _cmd_pushforward(args) -> int:
     offset = tuple(_fracs(args.offset, 3, "--offset"))
     f = PLMap.affine(matrix, offset, parse_fraction(args.lipschitz))
     if isinstance(obj, Dipolyhedron):
+        from .dipolyhedra import pushforward_dip
+
         _emit(args, pushforward_dip(f, obj), "pushforward")
     else:
         _emit(args, pushforward(f, as_simplicial(obj)), "pushforward")

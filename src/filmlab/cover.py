@@ -21,14 +21,13 @@ grid representation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .grid import GridCell, GridChain
+from .records import Record
 
 
-@dataclass(frozen=True)
-class _BoxLabelling:
+class _BoxLabelling(Record):
     """Chains B + boundary(x) over 0/1 labels x of a lattice box's cells.
 
     The cells are the box's 3-cells, or for the projection bound its
@@ -39,9 +38,14 @@ class _BoxLabelling:
     of B on no box cell has the outside on both sides: a constant term.
     """
 
-    cells: int
-    faces: tuple[GridCell, ...]
-    sides: tuple[tuple[int, int, int], ...]
+    __slots__ = _fields = ("cells", "faces", "sides")
+
+    def __init__(
+        self, cells: int, faces: tuple[GridCell, ...], sides: tuple[tuple[int, int, int], ...]
+    ):
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "sides", sides)
 
 
 def _box_labelling(lo, hi, B: GridChain, axes=(0, 1, 2)) -> _BoxLabelling:
@@ -52,7 +56,7 @@ def _box_labelling(lo, hi, B: GridChain, axes=(0, 1, 2)) -> _BoxLabelling:
     for i, base in enumerate(bases):
         for face in GridCell(base, axes).facets():
             around.setdefault(face, []).append(i)
-    # canonical order; the key skips the dataclass comparisons, half the sort's time
+    # canonical order; the key skips the cell comparisons, half the sort's time
     faces = tuple(sorted(around, key=lambda f: (f.base, f.axes)))
     sides = tuple((*(around[f] + [n, n])[:2], int(f in B.cells)) for f in faces)
     return _BoxLabelling(n, faces, sides)

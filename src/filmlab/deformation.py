@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -73,6 +72,7 @@ from .overlay import (
     reduce_1chain,
 )
 from .pairs import Dipolyhedron, boundary_dip, chain_mass, energy
+from .records import Record
 from .simplicial import (
     SimplicialChain,
     as_simplicial,
@@ -88,8 +88,7 @@ _UNIT = (
 )
 
 
-@dataclass(frozen=True)
-class DeformConfig:
+class DeformConfig(Record):
     """Knobs for the grid deformation.
 
     ``tau`` is the clearance radius for projection centers as a fraction
@@ -98,27 +97,34 @@ class DeformConfig:
     ratios.
     """
 
-    epsilon: Fraction
-    candidate_centers: int = 16
-    tau: Fraction = Fraction(1, 8)
-    seed: int = 0
-    c_max: int = 100
+    __slots__ = _fields = ("epsilon", "candidate_centers", "tau", "seed", "c_max")
 
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        object.__setattr__(self, "tau", Fraction(self.tau))
-        if self.epsilon <= 0:
+    def __init__(
+        self,
+        epsilon: Fraction,
+        candidate_centers: int = 16,
+        tau: Fraction = Fraction(1, 8),
+        seed: int = 0,
+        c_max: int = 100,
+    ):
+        epsilon = Fraction(epsilon)
+        tau = Fraction(tau)
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not Fraction(0) < self.tau < Fraction(1, 2):
+        if not Fraction(0) < tau < Fraction(1, 2):
             raise ValueError("center clearance must lie in (0, 1/2)")
-        if self.candidate_centers < 1:
+        if candidate_centers < 1:
             raise ValueError("need at least one center candidate per cell")
-        if self.c_max <= 0:
+        if c_max <= 0:
             raise ValueError("c_max must be positive")
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "candidate_centers", candidate_centers)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "c_max", c_max)
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(Record):
     """Largest vertex distances of the output from the input supports.
 
     ``chain_dist`` covers vertices of P and R against |A|; ``boundary_dist``
@@ -126,21 +132,43 @@ class SupportReport:
     vertex had no target to compare against (empty input support).
     """
 
-    chain_dist: Optional[RadicalSum]
-    boundary_dist: Optional[RadicalSum]
-    within_6eps: bool
+    __slots__ = _fields = ("chain_dist", "boundary_dist", "within_6eps")
+
+    def __init__(
+        self,
+        chain_dist: Optional[RadicalSum],
+        boundary_dist: Optional[RadicalSum],
+        within_6eps: bool,
+    ):
+        object.__setattr__(self, "chain_dist", chain_dist)
+        object.__setattr__(self, "boundary_dist", boundary_dist)
+        object.__setattr__(self, "within_6eps", within_6eps)
 
 
-@dataclass(frozen=True)
-class DeformationResult:
-    P: GridChain
-    Q: SimplicialChain
-    R: SimplicialChain
-    measured: dict
-    bounds_ok: dict
-    support: SupportReport
-    identity: EqualityCertificate
-    fallback_cells: tuple
+class DeformationResult(Record):
+    __slots__ = _fields = (
+        "P", "Q", "R", "measured", "bounds_ok", "support", "identity", "fallback_cells"
+    )
+
+    def __init__(
+        self,
+        P: GridChain,
+        Q: SimplicialChain,
+        R: SimplicialChain,
+        measured: dict,
+        bounds_ok: dict,
+        support: SupportReport,
+        identity: EqualityCertificate,
+        fallback_cells: tuple,
+    ):
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "measured", measured)
+        object.__setattr__(self, "bounds_ok", bounds_ok)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "fallback_cells", fallback_cells)
 
 
 # -- lattice bookkeeping -----------------------------------------------------
@@ -759,19 +787,35 @@ def deform_chain(A: SimplicialChain, grid: GridSpec, cfg: DeformConfig) -> Defor
 # -- dipolyhedra -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DipoleDeformationReport:
+class DipoleDeformationReport(Record):
     """Per-component results plus assembled energies and measured ratios."""
 
-    film: DeformationResult
-    mass: DeformationResult
-    energy_D: object
-    energy_dD: object
-    energy_Q: object
-    energy_R: object
-    measured: dict
-    bounds_ok: dict
-    fallback_cells: tuple
+    __slots__ = _fields = (
+        "film", "mass", "energy_D", "energy_dD", "energy_Q", "energy_R", "measured",
+        "bounds_ok", "fallback_cells",
+    )
+
+    def __init__(
+        self,
+        film: DeformationResult,
+        mass: DeformationResult,
+        energy_D,
+        energy_dD,
+        energy_Q,
+        energy_R,
+        measured: dict,
+        bounds_ok: dict,
+        fallback_cells: tuple,
+    ):
+        object.__setattr__(self, "film", film)
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "energy_D", energy_D)
+        object.__setattr__(self, "energy_dD", energy_dD)
+        object.__setattr__(self, "energy_Q", energy_Q)
+        object.__setattr__(self, "energy_R", energy_R)
+        object.__setattr__(self, "measured", measured)
+        object.__setattr__(self, "bounds_ok", bounds_ok)
+        object.__setattr__(self, "fallback_cells", fallback_cells)
 
 
 def deform_dipolyhedron(A: Dipolyhedron, gamma, grid: GridSpec, cfg: DeformConfig):

@@ -43,7 +43,6 @@ absolute shoelace sum of its frame cycle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -80,6 +79,7 @@ from .pairs import (
     make_massive,
     weight,
 )
+from .records import Record
 from .simplicial import (
     PLMap,
     SimplicialChain,
@@ -153,14 +153,16 @@ def cone_identity_holds(apex: Sequence, A: Dipolyhedron) -> bool:
     return dip_equal(recomposed, S)
 
 
-@dataclass(frozen=True)
-class ConeBound:
+class ConeBound(Record):
     """Cone energy against the cube bound factor r*sqrt(3)/(k+1)."""
 
-    lhs: RadicalSum
-    rhs: RadicalSum
-    factor: RadicalSum
-    holds: bool
+    __slots__ = _fields = ("lhs", "rhs", "factor", "holds")
+
+    def __init__(self, lhs: RadicalSum, rhs: RadicalSum, factor: RadicalSum, holds: bool):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "holds", holds)
 
 
 def cone_energy_bound(apex: Sequence, A: Dipolyhedron, r) -> ConeBound:
@@ -186,18 +188,18 @@ def clamp_dip(r, A: Dipolyhedron) -> Dipolyhedron:
     return Dipolyhedron(clamp_to_cube(S.B, r), clamp_to_cube(S.C, r))
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(Record):
     """Split of energy carried by a box: nu = omega (film) + mu (mass)."""
 
-    box: object
-    omega: object
-    mu: object
-    nu: object
+    __slots__ = _fields = ("box", "omega", "mu", "nu")
 
-    def __post_init__(self):
-        if self.nu != self.omega + self.mu:
+    def __init__(self, box, omega, mu, nu):
+        if nu != omega + mu:
             raise ValueError("nu must equal omega + mu")
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
 
 
 def restrict_dip(A: Dipolyhedron, box) -> tuple[Dipolyhedron, MeasureReport]:
@@ -228,8 +230,7 @@ def restrict_dip(A: Dipolyhedron, box) -> tuple[Dipolyhedron, MeasureReport]:
 _AXIS_NAMES = "xyz"
 
 
-@dataclass(frozen=True)
-class ProjectionDir:
+class ProjectionDir(Record):
     """Orthogonal projection along `direction` onto its orthogonal plane.
 
     Plane points are reported in rational coordinates (s, t) over an
@@ -240,11 +241,14 @@ class ProjectionDir:
     docstring); project2 gives the world coordinates (s, t).
     """
 
-    direction: Point
+    # the __dict__ holds the cached frames
+    __slots__ = ("direction", "__dict__")
+    _fields = ("direction",)
 
-    def __post_init__(self):
-        if all(x == 0 for x in self.direction):
+    def __init__(self, direction: Point):
+        if all(x == 0 for x in direction):
             raise ValueError("projection direction must be nonzero")
+        object.__setattr__(self, "direction", direction)
 
     @staticmethod
     def along_axis(axis: int) -> "ProjectionDir":
@@ -390,21 +394,38 @@ def _admissibility(ends, U, V):
     return True, "ok", cycle
 
 
-@dataclass(frozen=True)
-class DirectionReport:
-    direction: ProjectionDir
-    admissible: bool
-    reason: str
-    matches: Optional[bool]
-    region_area: Optional[RadicalSum]
+class DirectionReport(Record):
+    __slots__ = _fields = ("direction", "admissible", "reason", "matches", "region_area")
+
+    def __init__(
+        self,
+        direction: ProjectionDir,
+        admissible: bool,
+        reason: str,
+        matches: Optional[bool],
+        region_area: Optional[RadicalSum],
+    ):
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "admissible", admissible)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "matches", matches)
+        object.__setattr__(self, "region_area", region_area)
 
 
-@dataclass(frozen=True)
-class SpanningReport:
-    boundary_ok: bool
-    verdict: str
-    directions: tuple[DirectionReport, ...]
-    max_region_area: Optional[RadicalSum]
+class SpanningReport(Record):
+    __slots__ = _fields = ("boundary_ok", "verdict", "directions", "max_region_area")
+
+    def __init__(
+        self,
+        boundary_ok: bool,
+        verdict: str,
+        directions: tuple[DirectionReport, ...],
+        max_region_area: Optional[RadicalSum],
+    ):
+        object.__setattr__(self, "boundary_ok", boundary_ok)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "max_region_area", max_region_area)
 
     @property
     def spans(self) -> bool:

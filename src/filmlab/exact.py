@@ -13,7 +13,6 @@ human-facing reports and lossy mesh export.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd, isqrt, prod, sqrt

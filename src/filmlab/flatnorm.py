@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -66,18 +65,19 @@ from .grid import (
     mass_grid,
 )
 from .pairs import Dipolyhedron, chain_boundary
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    exhaustive_limit: int = 24
-    node_budget: int = 1_000_000
+class SolverConfig(Record):
+    __slots__ = _fields = ("exhaustive_limit", "node_budget")
 
-    def __post_init__(self):
-        if self.exhaustive_limit < 0:
+    def __init__(self, exhaustive_limit: int = 24, node_budget: int = 1_000_000):
+        if exhaustive_limit < 0:
             raise ValueError("exhaustive limit must be nonnegative")
-        if self.node_budget < 0:
+        if node_budget < 0:
             raise ValueError("node budget must be nonnegative")
+        object.__setattr__(self, "exhaustive_limit", exhaustive_limit)
+        object.__setattr__(self, "node_budget", node_budget)
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -95,13 +95,15 @@ DEFAULT_CONFIG = SolverConfig()
 # order, `branch_order`; it prunes only nodes whose bound exceeds the
 # incumbent, so every tied leaf is still compared.
 
-@dataclass
 class _Problem:
-    base: int
-    effects: list
-    own: list
-    weight_masks: list  # (integer weight, universe bitmask) pairs
-    branch_order: list  # variable indices, first branched first
+    __slots__ = ("base", "effects", "own", "weight_masks", "branch_order")
+
+    def __init__(self, base: int, effects: list, own: list, weight_masks: list, branch_order: list):
+        self.base = base
+        self.effects = effects
+        self.own = own
+        self.weight_masks = weight_masks  # (integer weight, universe bitmask) pairs
+        self.branch_order = branch_order  # variable indices, first branched first
 
 
 def _solve_bnb(problem: _Problem, node_budget: Optional[int]) -> tuple[int, int, str]:
@@ -279,8 +281,7 @@ def _first_part_facets(cell: GridCell) -> list:
     return [(0, f) for f in cell.facets()]
 
 
-@dataclass(frozen=True)
-class CutFlow:
+class CutFlow(Record):
     """A maximum flow of a k = 2 flat norm's doubled cover.
 
     The cover is the one of the 3-cells of P's lattice box (not of the
@@ -290,11 +291,13 @@ class CutFlow:
     first end to its second, negative when it runs the other way.
     """
 
-    arcs: tuple[int, ...]
+    __slots__ = _fields = ("arcs",)
+
+    def __init__(self, arcs: tuple[int, ...]):
+        object.__setattr__(self, "arcs", arcs)
 
 
-@dataclass(frozen=True)
-class ProjectionFlows:
+class ProjectionFlows(Record):
     """Maximum flows of a k = 1 flat norm's three projection covers.
 
     ``arcs[a]`` is the net flow on each arc of the doubled cover of the
@@ -306,8 +309,11 @@ class ProjectionFlows:
     ceil(sum_a ceil(F_a / 2) / 2) when it is 2.
     """
 
-    scale: int
-    arcs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    __slots__ = _fields = ("scale", "arcs")
+
+    def __init__(self, scale: int, arcs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]):
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "arcs", arcs)
 
 
 def _projection_labelling(P: GridChain, a: int) -> tuple[_BoxLabelling, list[GridCell]]:
@@ -391,15 +397,24 @@ def _flow_certifies(cert, P: GridChain) -> bool:
 # ---------------------------------------------------------------------------
 # flat norm
 
-@dataclass(frozen=True)
-class FlatNormCertificate:
-    value: Fraction
-    Q: GridChain
-    R: GridChain
-    status: str
-    # the doubled cover's maximum flow (k = 2) or the projection covers' (k = 1);
-    # None from the searches
-    flow: Optional[CutFlow | ProjectionFlows] = None
+class FlatNormCertificate(Record):
+    __slots__ = _fields = ("value", "Q", "R", "status", "flow")
+
+    def __init__(
+        self,
+        value: Fraction,
+        Q: GridChain,
+        R: GridChain,
+        status: str,
+        # the doubled cover's maximum flow (k = 2) or the projection covers' (k = 1);
+        # None from the searches
+        flow: Optional[CutFlow | ProjectionFlows] = None,
+    ):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "flow", flow)
 
 
 def _relaxation_cells(P: GridChain) -> list[GridCell]:
@@ -511,14 +526,19 @@ def _certified(P: GridChain, mask: int, score: int, status: str, flow=None) -> F
 # ---------------------------------------------------------------------------
 # energy flat norm
 
-@dataclass(frozen=True)
-class EnergyFlatCertificate:
-    value: Fraction
-    B_Q: GridChain
-    C_Q: GridChain
-    B_R: GridChain
-    C_R: GridChain
-    status: str
+class EnergyFlatCertificate(Record):
+    __slots__ = _fields = ("value", "B_Q", "C_Q", "B_R", "C_R", "status")
+
+    def __init__(
+        self, value: Fraction, B_Q: GridChain, C_Q: GridChain, B_R: GridChain, C_R: GridChain,
+        status: str,
+    ):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "B_Q", B_Q)
+        object.__setattr__(self, "C_Q", C_Q)
+        object.__setattr__(self, "B_R", B_R)
+        object.__setattr__(self, "C_R", C_R)
+        object.__setattr__(self, "status", status)
 
 
 def energy_flat_norm(
@@ -583,12 +603,14 @@ def _translate_cell(cell: GridCell, v: tuple[int, int, int]) -> GridCell:
     return GridCell(base, cell.axes)
 
 
-@dataclass(frozen=True)
-class Multicell:
+class Multicell(Record):
     """A cell XORed with its translates: level j uses vectors v1..vj."""
 
-    base: GridCell
-    vectors: tuple[tuple[int, int, int], ...]
+    __slots__ = _fields = ("base", "vectors")
+
+    def __init__(self, base: GridCell, vectors: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def level(self) -> int:
@@ -612,12 +634,15 @@ class Multicell:
         return total
 
 
-@dataclass(frozen=True)
-class MulticellDecomposition:
-    levels: tuple  # levels[j] = tuple of level-j multicells
-    C: GridChain
-    cost: RadicalSum
-    status: str
+class MulticellDecomposition(Record):
+    __slots__ = _fields = ("levels", "C", "cost", "status")
+
+    # levels[j] is the tuple of level-j multicells
+    def __init__(self, levels: tuple, C: GridChain, cost: RadicalSum, status: str):
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "status", status)
 
 
 def _compatible_translation(a: Multicell, b: Multicell) -> Optional[tuple[int, int, int]]:

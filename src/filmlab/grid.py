@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator
+
+from .records import Record
 
 if TYPE_CHECKING:
     from .geom import Point
@@ -20,18 +21,47 @@ if TYPE_CHECKING:
 AXIS_NAMES = "xyz"
 
 
-@dataclass(frozen=True, order=True)
-class GridCell:
-    """k-cell: base corner (lattice coords) plus the axes it spans."""
+class GridCell(Record):
+    """k-cell: base corner (lattice coords) plus the axes it spans, a
+    strictly increasing subset of (0, 1, 2).  Cells order by (base, axes)."""
 
-    base: tuple[int, int, int]
-    axes: tuple[int, ...]  # strictly increasing subset of (0, 1, 2)
+    __slots__ = _fields = ("base", "axes")
 
-    def __post_init__(self):
-        if tuple(sorted(set(self.axes))) != self.axes:
-            raise ValueError(f"axes must be strictly increasing: {self.axes}")
-        if any(a not in (0, 1, 2) for a in self.axes):
-            raise ValueError(f"axes out of range: {self.axes}")
+    def __init__(self, base: tuple[int, int, int], axes: tuple[int, ...]):
+        if tuple(sorted(set(axes))) != axes:
+            raise ValueError(f"axes must be strictly increasing: {axes}")
+        if any(a not in (0, 1, 2) for a in axes):
+            raise ValueError(f"axes out of range: {axes}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "axes", axes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.axes) == (other.base, other.axes)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.axes))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.axes) < (other.base, other.axes)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.axes) <= (other.base, other.axes)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.axes) > (other.base, other.axes)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.axes) >= (other.base, other.axes)
+        return NotImplemented
 
     @property
     def dim(self) -> int:
@@ -88,19 +118,29 @@ def cell_from_label(base, axes_label: str) -> GridCell:
 _ZERO_INDEX = (0, 0, 0)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Axis-aligned grid: spacing epsilon, world origin, cell counts per axis."""
 
-    epsilon: Fraction
-    origin: Point
-    dims: tuple[int, int, int]
+    __slots__ = _fields = ("epsilon", "origin", "dims")
 
-    def __post_init__(self):
-        if self.epsilon <= 0:
+    def __init__(self, epsilon: Fraction, origin: Point, dims: tuple[int, int, int]):
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if any(d < 0 for d in self.dims):
+        if any(d < 0 for d in dims):
             raise ValueError("dims must be nonnegative")
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "dims", dims)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.epsilon, self.origin, self.dims) == (
+                other.epsilon, other.origin, other.dims
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.epsilon, self.origin, self.dims))
 
     def contains_cell(self, cell: GridCell) -> bool:
         return cell_in_bounds(cell, _ZERO_INDEX, self.dims)
@@ -153,25 +193,33 @@ def lattice_box(*chains: "GridChain") -> tuple[tuple, tuple]:
     )
 
 
-@dataclass(frozen=True)
-class GridChain:
+class GridChain(Record):
     """Mod-2 chain on the k-skeleton: a finite set of k-cells."""
 
-    grid: GridSpec
-    k: int
-    cells: frozenset[GridCell]
+    __slots__ = _fields = ("grid", "k", "cells")
 
-    def __post_init__(self):
-        if not -1 <= self.k <= 3:
-            raise ValueError(f"chain dimension out of range: {self.k}")
-        if self.k == -1 and self.cells:
+    def __init__(self, grid: GridSpec, k: int, cells: frozenset[GridCell]):
+        if not -1 <= k <= 3:
+            raise ValueError(f"chain dimension out of range: {k}")
+        if k == -1 and cells:
             raise ValueError("(-1)-chains are identically empty")
-        dims = self.grid.dims
-        for c in self.cells:
-            if c.dim != self.k:
-                raise ValueError(f"cell dimension {c.dim} != chain dimension {self.k}")
+        dims = grid.dims
+        for c in cells:
+            if c.dim != k:
+                raise ValueError(f"cell dimension {c.dim} != chain dimension {k}")
             if not cell_in_bounds(c, _ZERO_INDEX, dims):
                 raise ValueError(f"cell outside grid: {c}")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "cells", cells)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.grid, self.k, self.cells) == (other.grid, other.k, other.cells)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.grid, self.k, self.cells))
 
     def __add__(self, other: "GridChain") -> "GridChain":
         if self.grid != other.grid or self.k != other.k:
@@ -216,16 +264,16 @@ def mass_grid(chain: GridChain) -> Fraction:
     return len(chain.cells) * chain.grid.cell_mass(chain.k)
 
 
-@dataclass(frozen=True)
-class BoxRegion:
+class BoxRegion(Record):
     """Closed axis box given by lattice corners of a grid."""
 
-    lo: tuple[int, int, int]
-    hi: tuple[int, int, int]
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if any(a > b for a, b in zip(self.lo, self.hi)):
+    def __init__(self, lo: tuple[int, int, int], hi: tuple[int, int, int]):
+        if any(a > b for a, b in zip(lo, hi)):
             raise ValueError("box corners out of order")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def contains_cell(self, cell: GridCell) -> bool:
         return cell_in_bounds(cell, self.lo, self.hi)

@@ -15,7 +15,6 @@ imported when a document or an object is simplicial.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -23,6 +22,7 @@ from fractions import Fraction
 from .exact import RadicalSum, parse_fraction
 from .grid import GridCell, GridChain, GridSpec, cell_from_label, edge_ends
 from .pairs import Dipolyhedron, EnergySplit
+from .records import Record
 
 SCHEMA = "filmlab/1"
 _MESH_DIGITS = 12
@@ -259,10 +259,10 @@ def to_jsonable(obj):
             "weight": to_jsonable(obj.weight),
             "mass_part": to_jsonable(obj.mass_part),
         }
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if isinstance(obj, Record):
         out = {"type": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            out[f.name] = to_jsonable(getattr(obj, f.name))
+        for name in obj._fields:
+            out[name] = to_jsonable(getattr(obj, name))
         return out
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}

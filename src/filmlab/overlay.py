@@ -18,7 +18,6 @@ size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable
@@ -32,6 +31,7 @@ from .geom import (
     vdot,
     vscale,
 )
+from .records import Record
 from .simplicial import SimplicialChain, boundary_simplicial, simplicial_chain
 
 Segment = tuple[Point, Point]
@@ -146,10 +146,15 @@ def is_zero_geometric(chain: SimplicialChain) -> bool:
 # -- equality ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EqualityCertificate:
-    equal: bool
-    mode: str  # always "exact"; kept for report readers
+class EqualityCertificate(Record):
+    """Verdict of a chain comparison; ``mode`` is always "exact", kept for
+    report readers."""
+
+    __slots__ = _fields = ("equal", "mode")
+
+    def __init__(self, equal: bool, mode: str):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "mode", mode)
 
     def __bool__(self) -> bool:
         return self.equal

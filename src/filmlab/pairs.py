@@ -16,10 +16,10 @@ and the spanning test live in dipolyhedra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .grid import GridChain, boundary_grid, empty_chain, mass_grid
+from .records import Record
 
 if TYPE_CHECKING:
     from .simplicial import SimplicialChain
@@ -73,22 +73,30 @@ def _empty_like(chain: Chain, k: int) -> Chain:
 # ---------------------------------------------------------------------------
 # the pair type
 
-@dataclass(frozen=True)
-class Dipolyhedron:
+class Dipolyhedron(Record):
     """Film part B (dimension k) and mass part C (dimension k-1)."""
 
-    B: Chain
-    C: Chain
+    __slots__ = _fields = ("B", "C")
 
-    def __post_init__(self):
-        if is_grid_chain(self.B) != is_grid_chain(self.C):
+    def __init__(self, B: Chain, C: Chain):
+        if is_grid_chain(B) != is_grid_chain(C):
             raise ValueError("film and mass parts must share one representation")
-        if is_grid_chain(self.B) and self.B.grid != self.C.grid:
+        if is_grid_chain(B) and B.grid != C.grid:
             raise ValueError("film and mass parts must live on the same grid")
-        if self.C.k != self.B.k - 1:
+        if C.k != B.k - 1:
             raise ValueError(
-                f"mass part must sit one dimension below the film: {self.C.k} != {self.B.k} - 1"
+                f"mass part must sit one dimension below the film: {C.k} != {B.k} - 1"
             )
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "C", C)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.B, self.C) == (other.B, other.C)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.B, self.C))
 
     @property
     def k(self) -> int:
@@ -121,6 +129,9 @@ class EnergySplit(tuple):
 
     def __new__(cls, energy, weight, mass_part):
         return tuple.__new__(cls, (energy, weight, mass_part))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     energy = property(lambda self: self[0])
     weight = property(lambda self: self[1])

@@ -46,7 +46,6 @@ that sees every cube edge apart) proves V = 0 without building it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -83,6 +82,7 @@ from .grid import (
     mass_grid,
 )
 from .overlay import chains_equal_mod2
+from .records import Record
 from .simplicial import boundary_simplicial, embed_grid_chain
 
 
@@ -106,8 +106,7 @@ def _validate_curve(gamma: GridChain) -> None:
         raise ValueError("the curve must be connected")
 
 
-@dataclass(frozen=True)
-class PlateauProblem:
+class PlateauProblem(Record):
     """A spanning problem: curve, energy budget, working cube, directions.
 
     lam_prime is the side of the centred cube that confines admissible
@@ -117,12 +116,25 @@ class PlateauProblem:
     still read only the fields.
     """
 
-    gamma: GridChain
-    lam: Fraction
-    lam_prime: Fraction
-    grid: GridSpec
-    dirs: tuple
-    seed: int = 0
+    # the __dict__ holds what is built on first use
+    __slots__ = ("gamma", "lam", "lam_prime", "grid", "dirs", "seed", "__dict__")
+    _fields = ("gamma", "lam", "lam_prime", "grid", "dirs", "seed")
+
+    def __init__(
+        self,
+        gamma: GridChain,
+        lam: Fraction,
+        lam_prime: Fraction,
+        grid: GridSpec,
+        dirs: tuple,
+        seed: int = 0,
+    ):
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam_prime", lam_prime)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "dirs", dirs)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def cube_half(self) -> Fraction:
@@ -405,17 +417,31 @@ def plateau_problem(
 # membership
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(Record):
     """Itemised admissibility of a pair for one problem."""
 
-    cycle_ok: bool
-    boundary_ok: bool
-    budget: EnergySplit
-    budget_ok: bool
-    support_ok: bool
-    spanning: SpanningReport
-    trivially_spans: bool = False
+    __slots__ = _fields = (
+        "cycle_ok", "boundary_ok", "budget", "budget_ok", "support_ok", "spanning",
+        "trivially_spans",
+    )
+
+    def __init__(
+        self,
+        cycle_ok: bool,
+        boundary_ok: bool,
+        budget: EnergySplit,
+        budget_ok: bool,
+        support_ok: bool,
+        spanning: SpanningReport,
+        trivially_spans: bool = False,
+    ):
+        object.__setattr__(self, "cycle_ok", cycle_ok)
+        object.__setattr__(self, "boundary_ok", boundary_ok)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "budget_ok", budget_ok)
+        object.__setattr__(self, "support_ok", support_ok)
+        object.__setattr__(self, "spanning", spanning)
+        object.__setattr__(self, "trivially_spans", trivially_spans)
 
     @property
     def member(self) -> bool:
@@ -479,8 +505,7 @@ def _is_zero_pair(A: Dipolyhedron) -> bool:
 # cone start
 
 
-@dataclass(frozen=True)
-class ConeStart:
+class ConeStart(Record):
     """Grid-feasible starting pair obtained by deforming the origin cone.
 
     bounds carries two a-priori ceilings on the cone energy: the plain
@@ -488,12 +513,25 @@ class ConeStart:
     cube-geometry factor); the measured energy is checked against both.
     """
 
-    pair: Dipolyhedron
-    cone_energy: object
-    membership: MembershipReport
-    bounds: dict
-    bounds_ok: dict
-    fallback_cells: tuple = ()
+    __slots__ = _fields = (
+        "pair", "cone_energy", "membership", "bounds", "bounds_ok", "fallback_cells"
+    )
+
+    def __init__(
+        self,
+        pair: Dipolyhedron,
+        cone_energy,
+        membership: MembershipReport,
+        bounds: dict,
+        bounds_ok: dict,
+        fallback_cells: tuple = (),
+    ):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "cone_energy", cone_energy)
+        object.__setattr__(self, "membership", membership)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "bounds_ok", bounds_ok)
+        object.__setattr__(self, "fallback_cells", fallback_cells)
 
 
 def initial_cone_solution(problem: PlateauProblem) -> ConeStart:
@@ -532,16 +570,31 @@ def initial_cone_solution(problem: PlateauProblem) -> ConeStart:
 # weight minimisation
 
 
-@dataclass(frozen=True)
-class PlateauSolution:
-    pair: Dipolyhedron
-    weight: Fraction
-    energy: Fraction
-    feasibility: MembershipReport
-    optimality: str  # "exact" | "upper-bound"
-    method: str
-    nodes: int
-    shadow_bound: Fraction  # no member film weighs less
+class PlateauSolution(Record):
+    __slots__ = _fields = (
+        "pair", "weight", "energy", "feasibility", "optimality", "method", "nodes",
+        "shadow_bound",
+    )
+
+    def __init__(
+        self,
+        pair: Dipolyhedron,
+        weight: Fraction,
+        energy: Fraction,
+        feasibility: MembershipReport,
+        optimality: str,  # "exact" | "upper-bound"
+        method: str,
+        nodes: int,
+        shadow_bound: Fraction,  # no member film weighs less
+    ):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "feasibility", feasibility)
+        object.__setattr__(self, "optimality", optimality)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "shadow_bound", shadow_bound)
 
 
 def _least_labelling(n: int, sides, node_budget: Optional[int], limit: Optional[int] = None):
@@ -728,20 +781,37 @@ def minimize_weight(
 # clamping
 
 
-@dataclass(frozen=True)
-class ClampReport:
+class ClampReport(Record):
     """Result of clamping a pair into the working cube."""
 
-    pair: Dipolyhedron
-    changed: bool
-    weight_before: object
-    weight_after: object
-    energy_before: object
-    energy_after: object
-    weight_ok: bool
-    energy_ok: bool
-    spanning_before: SpanningReport
-    spanning_after: SpanningReport
+    __slots__ = _fields = (
+        "pair", "changed", "weight_before", "weight_after", "energy_before", "energy_after",
+        "weight_ok", "energy_ok", "spanning_before", "spanning_after",
+    )
+
+    def __init__(
+        self,
+        pair: Dipolyhedron,
+        changed: bool,
+        weight_before,
+        weight_after,
+        energy_before,
+        energy_after,
+        weight_ok: bool,
+        energy_ok: bool,
+        spanning_before: SpanningReport,
+        spanning_after: SpanningReport,
+    ):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "changed", changed)
+        object.__setattr__(self, "weight_before", weight_before)
+        object.__setattr__(self, "weight_after", weight_after)
+        object.__setattr__(self, "energy_before", energy_before)
+        object.__setattr__(self, "energy_after", energy_after)
+        object.__setattr__(self, "weight_ok", weight_ok)
+        object.__setattr__(self, "energy_ok", energy_ok)
+        object.__setattr__(self, "spanning_before", spanning_before)
+        object.__setattr__(self, "spanning_after", spanning_after)
 
 
 def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:
@@ -788,13 +858,24 @@ def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:
 # diagnostics
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    loops: tuple
-    loop_count: int
-    total_length: Fraction
-    film_components: int
-    has_film_curves: bool
+class DiagnosticsReport(Record):
+    __slots__ = _fields = (
+        "loops", "loop_count", "total_length", "film_components", "has_film_curves"
+    )
+
+    def __init__(
+        self,
+        loops: tuple,
+        loop_count: int,
+        total_length: Fraction,
+        film_components: int,
+        has_film_curves: bool,
+    ):
+        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "loop_count", loop_count)
+        object.__setattr__(self, "total_length", total_length)
+        object.__setattr__(self, "film_components", film_components)
+        object.__setattr__(self, "has_film_curves", has_film_curves)
 
 
 def loop_decomposition(C: GridChain) -> list[list[GridCell]]:

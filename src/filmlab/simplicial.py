@@ -9,7 +9,6 @@ decides the latter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -29,6 +28,7 @@ from .geom import (
     vsub,
 )
 from .grid import GridChain, edge_ends
+from .records import Record
 
 
 def _is_point(v) -> bool:
@@ -47,21 +47,29 @@ def canonical_simplex(vertices: Sequence[Sequence]) -> Simplex:
     return tuple(sorted(v if _is_point(v) else as_point(v) for v in vertices))
 
 
-@dataclass(frozen=True)
-class SimplicialChain:
+class SimplicialChain(Record):
     """k-chain over Z/2: canonical simplices with multiplicity-parity one."""
 
-    k: int
-    simplices: frozenset[Simplex]
+    __slots__ = _fields = ("k", "simplices")
 
-    def __post_init__(self):
-        if not -1 <= self.k <= 3:
-            raise ValueError(f"chain dimension out of range: {self.k}")
-        if self.k == -1 and self.simplices:
+    def __init__(self, k: int, simplices: frozenset[Simplex]):
+        if not -1 <= k <= 3:
+            raise ValueError(f"chain dimension out of range: {k}")
+        if k == -1 and simplices:
             raise ValueError("(-1)-chains are identically empty")
-        for s in self.simplices:
-            if len(s) != self.k + 1:
+        for s in simplices:
+            if len(s) != k + 1:
                 raise ValueError("simplex arity does not match chain dimension")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "simplices", simplices)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.simplices) == (other.k, other.simplices)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.simplices))
 
     def __add__(self, other: "SimplicialChain") -> "SimplicialChain":
         if self.k != other.k:
@@ -139,8 +147,7 @@ def _declared_lipschitz(lipschitz) -> RadicalSum:
     return lip
 
 
-@dataclass(frozen=True)
-class PLMap:
+class PLMap(Record):
     """A piecewise-linear map with a declared Lipschitz bound.
 
     Either an affine map x -> matrix x + offset, or a vertex relocation
@@ -149,10 +156,19 @@ class PLMap:
     every simplex the map is applied to.
     """
 
-    lipschitz: RadicalSum
-    matrix: tuple[tuple[Fraction, ...], ...] | None = None
-    offset: Point | None = None
-    table: Mapping[Point, Point] | None = None
+    __slots__ = _fields = ("lipschitz", "matrix", "offset", "table")
+
+    def __init__(
+        self,
+        lipschitz: RadicalSum,
+        matrix: tuple[tuple[Fraction, ...], ...] | None = None,
+        offset: Point | None = None,
+        table: Mapping[Point, Point] | None = None,
+    ):
+        object.__setattr__(self, "lipschitz", lipschitz)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "table", table)
 
     @staticmethod
     def affine(matrix, offset, lipschitz) -> "PLMap":

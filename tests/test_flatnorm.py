@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -415,17 +414,30 @@ def test_cut_flow_tampering_fails():
         CutFlow(tuple(bool(f) if f in (0, 1) else f for f in arcs)),
     ]
     for bad in bad_flows:
-        assert not verify_certificate(dataclasses.replace(cert, flow=bad), P)
+        assert not verify_certificate(
+            FlatNormCertificate(cert.value, cert.Q, cert.R, cert.status, bad), P
+        )
     # a feasible flow proves no more than its value
-    assert not verify_certificate(dataclasses.replace(cert, value=cert.value + 1), P)
+    assert not verify_certificate(
+        FlatNormCertificate(cert.value + 1, cert.Q, cert.R, cert.status, cert.flow), P
+    )
     zero = CutFlow((0,) * len(arcs))
-    assert not verify_certificate(dataclasses.replace(cert, flow=zero), P)
+    assert not verify_certificate(
+        FlatNormCertificate(cert.value, cert.Q, cert.R, cert.status, zero), P
+    )
     # a flow cannot certify a budgeted answer, nor an input whose flow falls short
-    assert not verify_certificate(dataclasses.replace(cert, status="upper-bound"), P)
+    assert not verify_certificate(
+        FlatNormCertificate(cert.value, cert.Q, cert.R, "upper-bound", cert.flow), P
+    )
     other = _seed16_chain()
     searched = flat_norm(other, method="bnb")
     assert searched.flow is None and verify_certificate(searched, other)
-    assert not verify_certificate(dataclasses.replace(searched, flow=cert.flow), other)
+    assert not verify_certificate(
+        FlatNormCertificate(
+            searched.value, searched.Q, searched.R, searched.status, cert.flow
+        ),
+        other,
+    )
 
 
 def test_bnb_closes_at_the_root_when_boundary_meets_an_interior_edge():
@@ -576,16 +588,26 @@ def test_projection_flows_tampering_fails():
             ProjectionFlows(True, flows),
         ]
         for bad in bad_flows:
-            assert not verify_certificate(dataclasses.replace(cert, flow=bad), P)
-        assert not verify_certificate(dataclasses.replace(cert, value=cert.value + 1), P)
-        assert not verify_certificate(dataclasses.replace(cert, status="upper-bound"), P)
+            assert not verify_certificate(
+                FlatNormCertificate(cert.value, cert.Q, cert.R, cert.status, bad), P
+            )
+        assert not verify_certificate(
+            FlatNormCertificate(cert.value + 1, cert.Q, cert.R, cert.status, cert.flow), P
+        )
+        assert not verify_certificate(
+            FlatNormCertificate(cert.value, cert.Q, cert.R, "upper-bound", cert.flow), P
+        )
     # projection flows certify no k = 2 answer, and a cover flow no k = 1 answer
     grid = make_grid((3, 3, 3))
     block = boundary_grid(_cube(grid, (0, 0, 0), 2))
     covered = flat_norm(block)
     assert isinstance(covered.flow, CutFlow)
-    assert not verify_certificate(dataclasses.replace(covered, flow=cert.flow), block)
-    assert not verify_certificate(dataclasses.replace(cert, flow=covered.flow), P)
+    assert not verify_certificate(
+        FlatNormCertificate(covered.value, covered.Q, covered.R, covered.status, cert.flow), block
+    )
+    assert not verify_certificate(
+        FlatNormCertificate(cert.value, cert.Q, cert.R, cert.status, covered.flow), P
+    )
 
 
 def test_projection_root_answers_past_the_exhaustive_limit():
@@ -769,7 +791,9 @@ def test_flat_norms_never_list_the_grid(monkeypatch):
             cert = flat_norm(P, method=method)
             assert (cert.value, cert.status, type(cert.flow)) == (value, "exact", flow)
             assert verify_certificate(cert, P)
-            assert not verify_certificate(dataclasses.replace(cert, value=cert.value + 1), P)
+            assert not verify_certificate(
+                FlatNormCertificate(cert.value + 1, cert.Q, cert.R, cert.status, cert.flow), P
+            )
     cert = energy_flat_norm(pair)
     assert (cert.value, cert.status, cert.B_R) == (1, "exact", face)
     assert verify_certificate(cert, pair)

@@ -1035,8 +1035,8 @@ def test_cli_flat_norms_ignore_the_declared_grid_size(argv, tmp_path):
     assert _without_grids(large) == _without_grids(small)
 
 
-# every process loads the command, the JSON layer and the grid pair algebra
-BASE = {"cli", "exact", "grid", "io_formats", "pairs"}
+# every process loads the command, the JSON layer, the record base and the grid pair algebra
+BASE = {"cli", "exact", "grid", "io_formats", "pairs", "records"}
 SIMPLICIAL = BASE | {"geom", "simplicial"}
 # the spanning check and the pair ops that leave the grid (dipolyhedra)
 SPANNING = SIMPLICIAL | {"dipolyhedra", "overlay"}
@@ -1049,10 +1049,10 @@ FLAT = BASE | {"cover", "flatnorm"}
         (("mass", f"{FIX}/square.json"), BASE),
         (("boundary", f"{FIX}/square.json"), BASE),
         (("span-check", f"{FIX}/cone.json", "--curve", f"{FIX}/square_curve.json"), SPANNING),
-        (("cone", f"{FIX}/square.json", "--apex", "1/2,1/2,1"), SPANNING),
+        (("cone", f"{FIX}/square.json", "--apex", "1/2,1/2,1"), SIMPLICIAL),
         (("clamp", f"{FIX}/cone.json", "--radius", "1/2"), SPANNING),
         (("pushforward", f"{FIX}/patch2x2.json", "--matrix", "1,0,0,0,1,0,0,0,1",
-          "--lipschitz", "1"), SPANNING),
+          "--lipschitz", "1"), SIMPLICIAL),
         (("restrict", f"{FIX}/tilted_triangle.json", "--box", "0,0,0,1/2,1/2,1/2"), SIMPLICIAL),
         (("--help",), BASE),
         (("flatnorm", "--help"), BASE),
@@ -1071,7 +1071,7 @@ FLAT = BASE | {"cover", "flatnorm"}
         (("boundary", f"{FIX}/tilted_triangle.json"), SIMPLICIAL),
         (("restrict", f"{FIX}/cone.json", "--box", "0,0,0,1/2,1/2,1/2"), SPANNING),
         (("cone", f"{FIX}/cone.json", "--apex", "1,1,1"), SPANNING),
-        (("cone", f"{FIX}/tilted_triangle.json"), SPANNING),
+        (("cone", f"{FIX}/tilted_triangle.json"), SIMPLICIAL),
     ],
     ids=["mass", "boundary", "span-check", "cone", "clamp", "pushforward", "restrict", "help",
          "flatnorm-help", "plateau-help", "flatnorm", "eflat", "natural-norm", "deform",
@@ -1083,8 +1083,9 @@ def test_cli_loads_only_the_solvers_it_runs(argv, modules, tmp_path):
     """Each subcommand process imports the modules it calls and no other.
 
     A grid input loads no geometry, simplicial, overlay or spanning code
-    unless its subcommand leaves the grid, and only the flat-norm
-    subcommands load the flat-norm solvers.
+    unless its subcommand leaves the grid, a chain loads no pair op, and
+    only the flat-norm subcommands load the flat-norm solvers.  No
+    process loads dataclasses or inspect.
     """
     curve = parse_input(load_document(f"{FIX}/square_curve.json"))
     pair = tmp_path / "pair.json"
@@ -1099,7 +1100,8 @@ def test_cli_loads_only_the_solvers_it_runs(argv, modules, tmp_path):
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
         "loaded = [m for m in sys.modules if m.startswith('filmlab.')]\n"
-        "open(sys.argv[1], 'w').write(json.dumps([code, loaded]))\n"
+        "heavy = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "open(sys.argv[1], 'w').write(json.dumps([code, loaded, heavy]))\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run(
@@ -1107,9 +1109,10 @@ def test_cli_loads_only_the_solvers_it_runs(argv, modules, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    code, loaded = json.loads(record.read_text())
+    code, loaded, heavy = json.loads(record.read_text())
     assert code == 0, done.stderr
     assert {m.removeprefix("filmlab.") for m in loaded} == modules
+    assert heavy == []
 
 
 def test_import_filmlab_loads_submodules_on_first_use():

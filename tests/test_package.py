@@ -80,15 +80,21 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(filmlab.__path__))
 
 
 def test_every_submodule_is_listed():
-    assert set(SUBMODULES) == set(SURFACE) | {"cli", "io_formats"}
+    assert set(SUBMODULES) == set(SURFACE) | {"cli", "io_formats", "records"}
 
 
 @pytest.mark.parametrize("module", SUBMODULES)
 def test_submodule_imports_first_in_a_fresh_interpreter(module):
-    """No import cycle that only another module's earlier import hides."""
+    """No import cycle that only another module's earlier import hides, and
+    no import of dataclasses or inspect (the records are plain classes)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(filmlab.__file__)))
+    run = (
+        f"import sys, filmlab.{module}\n"
+        "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", f"import filmlab.{module}"],
+        [sys.executable, "-c", run],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
