@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Where a warm deform pass spends its time, stage by stage.
+
+    python3 scripts/deform_stages.py [--seed N] [--passes P]
+
+Builds the deform benchmark's instances at the seed (bench/workloads.py),
+runs one untimed pass to fill the caches, then P timed passes.  Each stage
+is a module function of filmlab.deformation, wrapped from outside with a
+timer and a call counter for the timed passes; nothing in src/ or bench/
+changes.  Prints, per stage, the median milliseconds and the calls of one
+pass, then the pass itself and the part of it no stage covers.  The stages
+do not nest, except that "centre choice" holds clearance, candidate scores
+and winner projection.  "identity" also counts the dipolyhedron's closure
+check (dB + C = gamma) on the cone start.
+"""
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import workloads  # noqa: E402
+
+from filmlab import deformation  # noqa: E402
+
+STAGES = (
+    ("clip", "_clip_to_grid"),
+    ("clearance", "_clears"),
+    ("candidate scores", "_cone_mass"),
+    ("winner projection", "_project_cell_pieces"),
+    ("track", "_track_chain"),
+    ("prune", "_prune_zero_groups"),
+    ("snap", "_snap"),
+    ("identity", "chains_equal_mod2"),
+    ("support", "_support_dist_sq"),
+)
+CHOICE = ("centre choice", "_choose_center")
+
+
+def timed(fn, tally):
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            tally[0] += time.perf_counter() - start
+            tally[1] += 1
+
+    return wrapper
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=101, help="workload seed (default 101)")
+    ap.add_argument("--passes", type=int, default=5, help="timed passes (default 5)")
+    args = ap.parse_args()
+    if args.passes < 1:
+        ap.error("--passes must be at least 1")
+
+    instances = workloads.deform_instances(args.seed, ROOT, None)
+    for inst in instances:
+        inst.call()
+
+    tallies = {name: [0.0, 0] for name, _ in STAGES + (CHOICE,)}
+    for name, attr in STAGES + (CHOICE,):
+        setattr(deformation, attr, timed(getattr(deformation, attr), tallies[name]))
+    per_pass = {name: [] for name in tallies}
+    calls = {}
+    walls, others = [], []
+    for _ in range(args.passes):
+        for tally in tallies.values():
+            tally[:] = [0.0, 0]
+        start = time.perf_counter()
+        for inst in instances:
+            inst.call()
+        walls.append(time.perf_counter() - start)
+        for name, (seconds, count) in tallies.items():
+            per_pass[name].append(seconds)
+            calls[name] = count
+        others.append(walls[-1] - sum(tallies[name][0] for name, _ in STAGES))
+
+    print(f"deform, seed {args.seed}, median of {args.passes} warm passes")
+    print(f"{'stage':<20} {'ms':>9} {'calls':>7}")
+    for name, _ in STAGES:
+        ms = statistics.median(per_pass[name]) * 1e3
+        print(f"{name:<20} {ms:9.1f} {calls[name]:7d}")
+    choice = statistics.median(per_pass[CHOICE[0]]) * 1e3
+    print(f"{CHOICE[0] + ' (all)':<20} {choice:9.1f} {calls[CHOICE[0]]:7d}")
+    print(f"{'pass':<20} {statistics.median(walls) * 1e3:9.1f}")
+    print(f"{'other':<20} {statistics.median(others) * 1e3:9.1f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -12,21 +12,20 @@ grid chain P.
 
 The center follows one rule: among the candidates that keep clear of the
 chain, the least exact projected mass wins, and equal masses go to the
-lowest candidate index.  A float twin of the wedge split and projection
-only narrows the field to a band that holds every candidate the rule can
-pick; RadicalSum comparison of the exact masses decides within it.  The
-exact identity below certifies the result whichever center is used.
+lowest candidate index.  A candidate's mass is summed cone by cone, its
+pieces clipped to the facet cones from it instead of wedge-split; only the
+winner is projected, and no float enters the choice.  The exact identity
+below certifies the result whichever center is used.
 
 From the grid clip through the parity snap, pieces are homogeneous integer
-simplices (geom.HSimplex): carriers, wedge splits, projections, the
-snap's point tests and every distance (clearances and support distances,
-by geom.homogeneous_dist_sq) run in integers, and float copies x / w only
-rank centers.  R is assembled on the integer points too: its tracks
-toggle as sorted integer tuples, M(R) comes from their Grams and dR from
-toggling their facets.  Fractions appear where they must: once per
-distinct point of R, for R and dR (which leave the pipeline and feed Q),
-and once per support distance.  Q and the identity check stay on
-Fraction points.
+simplices (geom.HSimplex): carriers, wedge splits, cone clips, projections,
+the snap's point tests and every distance (clearances and support
+distances, by geom.homogeneous_dist_sq) run in integers.  R is assembled on
+the integer points too: its tracks toggle as sorted integer tuples, M(R)
+comes from their Grams and dR from toggling their facets.  Fractions appear
+where they must: once per distinct point of R, for R and dR (which leave
+the pipeline and feed Q), and once per support distance.  Q and the
+identity check stay on Fraction points.
 
 Every run returns chains Q (dim k) and R (dim k+1) with the exact mod-2
 identity  A = P + Q + dR,  verified geometrically before returning, plus
@@ -45,10 +44,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
-from .exact import RadicalSum, radical_sum
+from .exact import RadicalSum, _split_square, det3, radical_sum
 from .geom import (
     HPoint,
     HSimplex,
@@ -261,15 +260,15 @@ def _wedge_edges(grid: GridSpec, cell: GridCell) -> list:
 def _facet_offsets(grid: GridSpec, cell: GridCell, center: HPoint):
     """Offsets of the cell's two facets per axis from the center, as
     integers over one positive denominator: (K, [(axis, below, above)])."""
+    eps, cw = grid.epsilon, center[3]
+    planes = [(a, grid.origin[a] + eps * cell.base[a]) for a in cell.axes]
+    k = lcm(cw, eps.denominator, *(q.denominator for _, q in planes))
+    step = eps.numerator * (k // eps.denominator)
     offsets = []
-    for a in cell.axes:
-        below = grid.origin[a] + grid.epsilon * cell.base[a] - Fraction(center[a], center[3])
-        offsets.append((a, below, below + grid.epsilon))
-    k = lcm(*(q.denominator for _, lo, hi in offsets for q in (lo, hi)))
-    return k, [
-        (a, lo.numerator * (k // lo.denominator), hi.numerator * (k // hi.denominator))
-        for a, lo, hi in offsets
-    ]
+    for a, q in planes:
+        below = q.numerator * (k // q.denominator) - center[a] * (k // cw)
+        offsets.append((a, below, below + step))
+    return k, offsets
 
 
 def _project_cell_pieces(
@@ -303,18 +302,7 @@ def _project_cell_pieces(
                 sx, sy, sz = sx + x * f, sy + y * f, sz + z * f
             nd = len(sub) * d
             ray = (sx * cw - cx * nd, sy * cw - cy * nd, sz * cw - cz * nd)
-            best = None
-            for a, below, above in facets:
-                da = ray[a]
-                if da == 0:
-                    continue
-                off = above if da > 0 else below
-                # the ray parameter off / da > 0, compared as |off| / |da|
-                if best is None or abs(off) * best[2] < best[1] * abs(da):
-                    best = (a, abs(off), abs(da), off)
-            if best is None:
-                raise ValueError("projection ray is undefined at the center")
-            a, off = best[0], best[3]
+            a, off = _exit_facet(ray, facets)
             image = []
             for x, y, z, w in sub:
                 r = (x * cw - cx * w, y * cw - cy * w, z * cw - cz * w)
@@ -328,120 +316,131 @@ def _project_cell_pieces(
     return out
 
 
-def _projected_mass(proj) -> RadicalSum:
-    return radical_sum(
-        measure_of_gram(homogeneous_measure_sq(image), len(image) - 1)
-        for pairs in proj
-        for _, image in pairs
-    )
-
-
-def _floats(s: HSimplex) -> tuple:
-    """Float copies x / w of homogeneous points, each float(Fraction(x, w))."""
-    return tuple((x / w, y / w, z / w) for x, y, z, w in s)
-
-
-# Float ranking of candidate centers.  A vertex within _SIGN_BAND (times
-# the grid spacing) of a wedge plane counts as on it, and a split child
-# keeping less than _SLIVER of its parent's measure is dropped; without
-# both, rounding makes the float split recurse on ever thinner slivers.
-# Either moves a score by orders of magnitude less than _RANK_BAND, the
-# band within which candidates are projected exactly.
-_SIGN_BAND = 1e-12
-_SLIVER = 1e-9
-_RANK_BAND = 1e-6
-_FACT = (1.0, 1.0, 2.0, 6.0)
-
-
-def _fcross(a: tuple, b: tuple) -> tuple:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _split_float(pieces: list, n: tuple, tol: float) -> list:
-    """Float twin of geom.split_homogeneous for the plane <n, x> = 0."""
-    out = []
-    stack = list(pieces)
-    while stack:
-        s = stack.pop()
-        signs = []
-        for v in s:
-            x = n[0] * v[0] + n[1] * v[1] + n[2] * v[2]
-            signs.append(0.0 if -tol < x < tol else x)
-        crossing = None
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                if (signs[i] > 0.0 > signs[j]) or (signs[i] < 0.0 < signs[j]):
-                    crossing = (i, j)
-                    break
-            if crossing:
-                break
-        if crossing is None:
-            out.append(s)
-            continue
-        i, j = crossing
-        t = signs[i] / (signs[i] - signs[j])
-        a, b = s[i], s[j]
-        m = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]), a[2] + t * (b[2] - a[2]))
-        # replacing s[j] by m keeps the fraction t of the measure, s[i] by m 1 - t
-        if t > _SLIVER:
-            stack.append(tuple(m if idx == j else v for idx, v in enumerate(s)))
-        if t < 1.0 - _SLIVER:
-            stack.append(tuple(m if idx == i else v for idx, v in enumerate(s)))
-    return out
-
-
-def _projected_mass_rank(
-    grid: GridSpec, cell: GridCell, center: HPoint, floats: list, edges: list
-) -> float:
-    """Float twin of _projected_mass(_project_cell_pieces(...)).
-
-    Same wedge planes (``edges`` are _wedge_edges as floats), same
-    exit-facet rule and the Gram measure, on float copies of the pieces in
-    coordinates relative to the center.  It only ranks candidates; the
-    exact projection decides among the best.
+def _cone_mass(grid: GridSpec, cell: GridCell, center: HPoint, pieces: list) -> RadicalSum:
+    """The exact mass of the images _project_cell_pieces gives the pieces,
+    without its wedge split.  With R = X Cw - C W as there, the facet at
+    offset O / K along axis a is reached through the closed cone where R_a
+    has O's sign and |O| R_b <= above_b |R_a|, -|O| R_b <= |below_b| |R_a|
+    for each other cell axis b; inside it the projection is the one map
+    R -> (O / K) R / R_a.  A piece whose vertices all exit through one facet
+    lies in its cone; any other is clipped to each cone (Sutherland-Hodgman
+    on integer R).  Cones overlap in wedge planes, of image measure zero but
+    for a segment in one, which counts for the earlier axis as the exit-facet
+    rule gives it.
     """
-    (c,) = _floats((center,))
-    tol = _SIGN_BAND * float(grid.epsilon)
-    subs = [tuple((v[0] - c[0], v[1] - c[1], v[2] - c[2]) for v in s) for s in floats]
-    for p, q in edges:
-        n = _fcross(
-            (p[0] - c[0], p[1] - c[1], p[2] - c[2]), (q[0] - c[0], q[1] - c[1], q[2] - c[2])
-        )
-        norm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-        subs = _split_float(subs, (n[0] / norm, n[1] / norm, n[2] / norm), tol)
-    k, offsets = _facet_offsets(grid, cell, center)
-    facets = [(a, below / k, above / k) for a, below, above in offsets]
-    total = 0.0
-    for sub in subs:
-        best = None
-        for a, below, above in facets:
-            d = sum(v[a] for v in sub)
-            if d == 0.0:
-                continue
-            beta = above if d > 0.0 else below
-            t = beta * len(sub) / d
-            if best is None or t < best[0]:
-                best = (t, a, beta)
-        _, a, beta = best
-        image = [(beta / v[a] * v[0], beta / v[a] * v[1], beta / v[a] * v[2]) for v in sub]
-        e = [(w[0] - image[0][0], w[1] - image[0][1], w[2] - image[0][2]) for w in image[1:]]
-        g = e[0] if len(e) == 1 else _fcross(e[0], e[1])
-        total += math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2]) / _FACT[len(e)]
-    return total
+    k, facets = _facet_offsets(grid, cell, center)
+    cx, cy, cz, cw = center
+    terms = []
+    cones = []
+    for s in pieces:
+        rays = [(x * cw - cx * w, y * cw - cy * w, z * cw - cz * w) for x, y, z, w in s]
+        exits = {_exit_facet(r, facets) for r in rays}
+        if len(exits) == 1:
+            ((a, off),) = exits
+            _image_measure(rays, a, abs(off), k, terms)
+            continue
+        # (a, |O|, forms), each form (p, q, b, strict) for p R_a + q R_b >= 0
+        if not cones:
+            for a, below, above in facets:
+                for m, sign in ((-below, -1), (above, 1)):
+                    forms = [(hi * sign, -m, b, b < a) for b, lo, hi in facets if b != a]
+                    forms += [(-lo * sign, m, b, b < a) for b, lo, hi in facets if b != a]
+                    cones.append((a, m, forms))
+        for a, m, forms in cones:
+            poly = rays
+            for p, q, b, _ in forms:
+                vals = [p * r[a] + q * r[b] for r in poly]
+                if max(vals) <= 0 < -min(vals):
+                    break  # at most a face of the piece lies in the cone
+                if min(vals) < 0:
+                    poly = _clip(poly, vals)
+            else:
+                # a segment in a wedge plane counts for the earlier axis alone
+                if len(poly) > 2 or all(
+                    any(p * r[a] + q * r[b] for r in poly) for p, q, b, strict in forms if strict
+                ):
+                    _image_measure(poly, a, m, k, terms)
+    return RadicalSum(terms)
+
+
+def _exit_facet(r: tuple, facets: list) -> tuple:
+    """(axis, offset) of the facet the ray r from the center meets first,
+    the first such axis on equal ray parameters."""
+    best = None
+    for a, below, above in facets:
+        ra = r[a]
+        if ra == 0:
+            continue
+        off = above if ra > 0 else below
+        # the ray parameter off / ra > 0, compared as |off| / |ra|
+        if best is None or abs(off) * best[2] < best[1] * abs(ra):
+            best = (a, abs(off), abs(ra), off)
+    if best is None:
+        raise ValueError("projection ray is undefined at the center")
+    return best[0], best[3]
+
+
+def _image_measure(poly: list, a: int, m: int, k: int, terms: list) -> None:
+    """Append the image measure of a segment or convex polygon of rays R in
+    the cone of the facet at offset +-m / k along axis a: for a segment
+    m |R1 R0_a - R0 R1_a| / (k |R0_a R1_a|), for a polygon the rational area
+    m^2 / (2 k^2) |sum of det(R0, Ri, Ri+1) / (R0_a Ri_a Ri+1_a)| over its fan."""
+    r0 = poly[0]
+    if len(poly) == 2:
+        r1 = poly[1]
+        d = [r1[e] * r0[a] - r0[e] * r1[a] for e in (0, 1, 2) if e != a]
+        g = gcd(*d) or 1
+        n = (d[0] // g) ** 2 + (d[1] // g) ** 2
+        s, core = _split_square(n) if n else (0, 1)
+        terms.append((core, Fraction(m * g * s, k * abs(r0[a] * r1[a]))))
+        return
+    fan = Fraction(0)
+    for r1, r2 in zip(poly[1:], poly[2:]):
+        fan += Fraction(det3((r0, r1, r2)), r0[a] * r1[a] * r2[a])
+    terms.append((1, abs(fan) * Fraction(m * m, 2 * k * k)))
+
+
+def _clip(poly: list, vals: list) -> list:
+    """The part of a segment or convex polygon of rays R where a linear
+    form, vals at the vertices, is at least zero.  A crossing point is the
+    positive combination |l_p| R_q + |l_q| R_p, gcd-reduced."""
+
+    def cross(i, j):
+        r = [abs(vals[i]) * y + abs(vals[j]) * x for x, y in zip(poly[i], poly[j])]
+        g = gcd(*r)
+        return (r[0] // g, r[1] // g, r[2] // g)
+
+    if len(poly) == 2:
+        return [cross(0, 1) if v < 0 else r for v, r in zip(vals, poly)]
+    out = []
+    for j in range(len(poly)):
+        if (vals[j - 1] < 0 < vals[j]) or (vals[j] < 0 < vals[j - 1]):
+            out.append(cross(j - 1, j))
+        if vals[j] >= 0:
+            out.append(poly[j])
+    return out
 
 
 def _clears(candidate: HPoint, pieces: list, cut: Fraction) -> bool:
     """Does the candidate keep a squared distance of at least cut from
-    every homogeneous piece?"""
-    cn, cd = cut.numerator, cut.denominator
+    every homogeneous piece?  A piece whose vertices all lie at least
+    sqrt(cut) beyond it along one axis clears without its distance."""
+    cn, cd, cw = cut.numerator, cut.denominator, candidate[3]
     for s in pieces:
-        num, den = homogeneous_dist_sq(candidate, s)
-        if num * cd < cn * den:
-            return False
+        floors = [cn * (v[3] * cw) ** 2 for v in s]
+        for c, a in zip(candidate, (0, 1, 2)):
+            above = None
+            for v, floor in zip(s, floors):
+                g = v[a] * cw - c * v[3]
+                if g * g * cd < floor or (above is not None and above != (g > 0)):
+                    break
+                above = g > 0
+            else:
+                break
+        else:
+            num, den = homogeneous_dist_sq(candidate, s)
+            if num * cd < cn * den:
+                return False
     return True
 
 
@@ -475,10 +474,8 @@ def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConf
     candidate index.
 
     Pieces, candidates and the returned winner are homogeneous points.
-    Floats rank the cleared candidates when more than one is left: only
-    those within _RANK_BAND of the float minimum, which covers every
-    candidate the rule can pick, are projected exactly.  A band of one
-    needs no mass.
+    Each cleared candidate is scored by _cone_mass, and only the winner is
+    projected.
     """
     candidates = [homogeneous(c) for c in _center_candidates(grid, cell, cfg)]
     cut = (cfg.tau * grid.epsilon) ** 2
@@ -487,22 +484,11 @@ def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConf
     if fallback:
         # every candidate is too close to the chain: take the farthest one
         admitted = [_farthest(candidates, pieces)[0]]
-    edges = _wedge_edges(grid, cell)
+    i = admitted[0]
     if len(admitted) > 1:
-        floats = [_floats(s) for s in pieces]
-        fedges = [_floats(e) for e in edges]
-        ranks = [
-            _projected_mass_rank(grid, cell, candidates[i], floats, fedges) for i in admitted
-        ]
-        top = min(ranks) + _RANK_BAND * (1.0 + min(ranks))
-        admitted = [i for i, r in zip(admitted, ranks) if r <= top]
-    scored = [
-        (i, _project_cell_pieces(grid, cell, candidates[i], pieces, edges)) for i in admitted
-    ]
-    i, proj = scored[0]
-    if len(scored) > 1:
         # min keeps the first of equal masses, so ties go to the lowest index
-        i, proj = min(scored, key=lambda t: _projected_mass(t[1]))
+        i = min(admitted, key=lambda j: _cone_mass(grid, cell, candidates[j], pieces))
+    proj = _project_cell_pieces(grid, cell, candidates[i], pieces, _wedge_edges(grid, cell))
     return candidates[i], proj, fallback
 
 

@@ -232,6 +232,10 @@ class RadicalSum:
             if hi < 0:
                 return -1
             bits *= 2
+        # cores apart by a square past _TRIAL_LIMIT name one radical twice
+        merged = _merge_square_ratios(self._terms)
+        if len(merged._terms) < len(self._terms):
+            return merged.sign()
         raise UndecidableComparison(f"sign undecided at 2^-{_MAX_BITS}: {self}")
 
     def is_zero(self) -> bool:
@@ -323,6 +327,16 @@ def _term_float(core: int, coeff: Fraction) -> float:
         return float(coeff) * sqrt(core)
     shift = (core.bit_length() - _FLOAT_CORE_BITS) // 2 + 1
     return float(coeff * (1 << shift)) * sqrt(core >> (2 * shift))
+
+
+def _merge_square_ratios(terms) -> RadicalSum:
+    """The sum with each core c moved onto the first core c0 for which
+    c0 * c is a square m^2, as sqrt(c) = (m / c0) sqrt(c0)."""
+    out: list[tuple[int, Fraction]] = []
+    for core, coeff in terms:
+        c0 = next((c for c, _ in out if isqrt(c * core) ** 2 == c * core), core)
+        out.append((c0, coeff * Fraction(isqrt(c0 * core), c0)))
+    return RadicalSum(out)
 
 
 _ZERO = RadicalSum.__new__(RadicalSum)

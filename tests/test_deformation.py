@@ -21,6 +21,7 @@ from filmlab.exact import RadicalSum, radical_sum
 from filmlab.geom import (
     affine,
     homogeneous,
+    homogeneous_dist_sq,
     is_degenerate,
     measure_of_gram,
     simplex_measure,
@@ -868,6 +869,74 @@ def test_choose_center_matches_all_exact_rule(seed):
         assert dm._choose_center(grid, cell, hpieces, cfg) == _all_exact_choice(
             grid, cell, pieces, cfg
         )
+
+
+def _wedge_segments(rng, grid, cell, center, count):
+    """Segments in the triangle spanned by the centre and one of the cube's
+    edges: each lies wholly in that edge's wedge plane, on the boundary
+    between the two facet cones that meet there."""
+    c = affine(center)
+    segments = []
+    while len(segments) < count:
+        p, q = map(affine, rng.choice(dm._wedge_edges(grid, cell)))
+        ends = []
+        for _ in range(2):
+            al = F(rng.randint(0, 8), 8)
+            be = F(rng.randint(0, 8), 8) * (1 - al)
+            ends.append(tuple(x + al * (u - x) + be * (v - x) for x, u, v in zip(c, p, q)))
+        # a segment on a line through the centre has no radial projection
+        if vcross(vsub(ends[0], c), vsub(ends[1], c)) != (0, 0, 0):
+            segments.append(tuple(map(homogeneous, ends)))
+    return segments
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_cone_mass_equals_the_wedge_split_image_mass(seed):
+    """The cone score of a centre is the exact mass of _project_cell_pieces's
+    images, equal under RadicalSum ==: triangles and segments in a cube
+    (segments in a wedge plane included), segments in a face, half of the
+    vertices on facets so that pieces run from facet to facet."""
+    rng = random.Random(seed)
+    eps = rng.choice((F(1), F(1, 2)))
+    grid = make_grid((2, 2, 2), origin=(-eps, -eps, -eps), eps=eps)
+    corner = (rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1))
+    cube = GridCell(corner, (0, 1, 2))
+    face = GridCell(corner, rng.choice(((0, 1), (0, 2), (1, 2))))
+    cfg = DeformConfig(epsilon=eps, candidate_centers=3, seed=rng.randint(0, 9))
+    for cell, k in ((cube, 2), (cube, 1), (face, 1)):
+        for candidate in dm._center_candidates(grid, cell, cfg):
+            center = homogeneous(candidate)
+            pieces = [
+                tuple(map(homogeneous, s))
+                for s in _random_pieces(rng, grid, cell, k, rng.randint(1, 3))
+            ]
+            if cell.dim == 3 and k == 1:
+                pieces += _wedge_segments(rng, grid, cell, center, 2)
+            pieces = [s for s in pieces if homogeneous_dist_sq(center, s)[0] > 0]
+            proj = dm._project_cell_pieces(grid, cell, center, pieces, dm._wedge_edges(grid, cell))
+            expected = radical_sum(
+                simplex_measure(tuple(map(affine, image))) for pairs in proj for _, image in pairs
+            )
+            assert dm._cone_mass(grid, cell, center, pieces) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_clears_matches_the_exact_distance(seed):
+    """_clears, box reject included, is the exact test min distance^2 >= cut."""
+    rng = random.Random(seed)
+    eps = rng.choice((F(1), F(1, 2)))
+    grid = make_grid((2, 2, 2), origin=(-eps, -eps, -eps), eps=eps)
+    corner = (rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1))
+    cell = GridCell(corner, rng.choice(((0, 1), (0, 1, 2))))
+    pieces = _random_pieces(rng, grid, cell, rng.choice((1, 2)), rng.randint(1, 4))
+    hpieces = [tuple(map(homogeneous, s)) for s in pieces]
+    cfg = DeformConfig(epsilon=eps, candidate_centers=16, seed=rng.randint(0, 9))
+    cut = (rng.choice((F(1, 8), F(1, 4), F(7, 16))) * eps) ** 2
+    for c in dm._center_candidates(grid, cell, cfg):
+        expected = min(point_simplex_dist_sq(c, s) for s in pieces) >= cut
+        assert dm._clears(homogeneous(c), hpieces, cut) is expected
 
 
 def test_clearance_admits_exactly_tau_eps():

@@ -128,6 +128,22 @@ def test_zero_detection_despite_mixed_presentation():
     assert x.is_zero() and x.sign() == 0
 
 
+def test_equal_values_with_cores_apart_by_a_large_square():
+    """51523265522770 = 284770 * 13451^2, with 13451 past the trial limit,
+    so the two sides name one number through different cores; so do
+    345085973821133 = 285557 * 34763^2 and 285557.  No enclosure can
+    separate them from zero, and sign() merges the cores instead."""
+    a = RadicalSum([(284770, Fraction(5, 36822))])
+    b = RadicalSum([(51523265522770, Fraction(5, 495292722))])
+    assert a == b and not a < b and not b < a
+    four = a - b + RadicalSum([(285557, Fraction(772, 1631359))]) - RadicalSum(
+        [(345085973821133, Fraction(772, 56710932917))]
+    )
+    assert len(four.terms()) == 4 and four.sign() == 0
+    assert (four + Fraction(1, 10**30)).sign() == 1
+    assert (a + b).sign() == 1 and (a - 2 * b).sign() == -1
+
+
 def test_division_by_rational():
     x = (RadicalSum.sqrt(2) + 4) / 2
     assert x == RadicalSum.sqrt(2) / 2 + 2
