@@ -5,13 +5,20 @@
 
 Builds the deform benchmark's instances at the seed (bench/workloads.py),
 runs one untimed pass to fill the caches, then P timed passes.  Each stage
-is a module function of filmlab.deformation, wrapped from outside with a
-timer and a call counter for the timed passes; nothing in src/ or bench/
-changes.  Prints, per stage, the median milliseconds and the calls of one
-pass, then the pass itself and the part of it no stage covers.  The stages
-do not nest, except that "centre choice" holds clearance, candidate scores
-and winner projection.  "identity" also counts the dipolyhedron's closure
-check (dB + C = gamma) on the cone start.
+is a set of module functions of filmlab.deformation, wrapped from outside
+with a timer and a call counter for the timed passes; nothing in src/ or
+bench/ changes.  A function the module does not have is left out, so the
+script also runs on older checkouts, where a stage may read "-".  Prints,
+per stage, the median milliseconds and the calls of one pass, then the
+pass itself and the part of it no stage covers.
+
+The stages do not nest, except that "centre choice" holds clearance,
+candidate scores and winner projection.  The finish (_finish_entry) is
+split into R assembly (the tracks' toggle and dR), Q assembly and prune
+(A + P + dR and its void part), identity (also the dipolyhedron's closure
+check dB + C = gamma on the cone start), masses, support and report
+chains (R and Q as Fraction chains).  Where a checkout builds R, dR or
+M(R) inside _track_chain, they count as R assembly.
 """
 
 import argparse
@@ -29,17 +36,19 @@ import workloads  # noqa: E402
 from filmlab import deformation  # noqa: E402
 
 STAGES = (
-    ("clip", "_clip_to_grid"),
-    ("clearance", "_clears"),
-    ("candidate scores", "_cone_mass"),
-    ("winner projection", "_project_cell_pieces"),
-    ("track", "_track_chain"),
-    ("prune", "_prune_zero_groups"),
-    ("snap", "_snap"),
-    ("identity", "chains_equal_mod2"),
-    ("support", "_support_dist_sq"),
+    ("clip", ("_clip_to_grid",)),
+    ("clearance", ("_clears",)),
+    ("candidate scores", ("_cone_mass",)),
+    ("winner projection", ("_project_cell_pieces",)),
+    ("snap", ("_snap",)),
+    ("R assembly", ("_track_chain", "_boundary")),
+    ("Q assembly, prune", ("embed_grid_chain", "_grid_simplices", "_prune_zero_groups")),
+    ("identity", ("chains_equal_mod2", "_vanishes")),
+    ("masses", ("chain_mass", "mass_grid", "homogeneous_mass", "gram_mass")),
+    ("support", ("_support_dist_sq",)),
+    ("report chains", ("_fraction_chain",)),
 )
-CHOICE = ("centre choice", "_choose_center")
+CHOICE = ("centre choice", ("_choose_center",))
 
 
 def timed(fn, tally):
@@ -67,8 +76,12 @@ def main():
         inst.call()
 
     tallies = {name: [0.0, 0] for name, _ in STAGES + (CHOICE,)}
-    for name, attr in STAGES + (CHOICE,):
-        setattr(deformation, attr, timed(getattr(deformation, attr), tallies[name]))
+    present = set()
+    for name, attrs in STAGES + (CHOICE,):
+        for attr in attrs:
+            if hasattr(deformation, attr):
+                setattr(deformation, attr, timed(getattr(deformation, attr), tallies[name]))
+                present.add(name)
     per_pass = {name: [] for name in tallies}
     calls = {}
     walls, others = [], []
@@ -87,6 +100,9 @@ def main():
     print(f"deform, seed {args.seed}, median of {args.passes} warm passes")
     print(f"{'stage':<20} {'ms':>9} {'calls':>7}")
     for name, _ in STAGES:
+        if name not in present:
+            print(f"{name:<20} {'-':>9} {'-':>7}")
+            continue
         ms = statistics.median(per_pass[name]) * 1e3
         print(f"{name:<20} {ms:9.1f} {calls[name]:7d}")
     choice = statistics.median(per_pass[CHOICE[0]]) * 1e3

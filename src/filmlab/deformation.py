@@ -17,15 +17,15 @@ pieces clipped to the facet cones from it instead of wedge-split; only the
 winner is projected, and no float enters the choice.  The exact identity
 below certifies the result whichever center is used.
 
-From the grid clip through the parity snap, pieces are homogeneous integer
-simplices (geom.HSimplex): carriers, wedge splits, cone clips, projections,
-the snap's point tests and every distance (clearances and support
-distances, by geom.homogeneous_dist_sq) run in integers.  R is assembled on
-the integer points too: its tracks toggle as sorted integer tuples, M(R)
-comes from their Grams and dR from toggling their facets.  Fractions appear
-where they must: once per distinct point of R, for R and dR (which leave
-the pipeline and feed Q), and once per support distance.  Q and the
-identity check stay on Fraction points.
+From the grid clip to the report, pieces are homogeneous integer simplices
+(geom.HSimplex): carriers, wedge splits, cone clips, projections, the
+snap's point tests, every distance (clearances and support distances, by
+geom.homogeneous_dist_sq), and the finish.  There R's tracks toggle as
+sorted integer tuples, dR toggles their facets, Q is pruned from
+A + P + dR by the integer overlay cores, the identity is overlaid afresh
+on A + P + Q + dR, and every mass is one geom.gram_mass over integer
+Grams.  Fractions appear where they must: once per distinct point of the
+R and Q that leave in the report, and once per support distance.
 
 Every run returns chains Q (dim k) and R (dim k+1) with the exact mod-2
 identity  A = P + Q + dR,  verified geometrically before returning, plus
@@ -47,16 +47,17 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .exact import RadicalSum, _split_square, det3, radical_sum
+from .exact import RadicalSum, _split_square, det3
 from .geom import (
     HPoint,
     HSimplex,
     Plane,
-    affine,
+    _gram,
+    gram_mass,
     homogeneous,
     homogeneous_dist_sq,
-    homogeneous_measure_sq,
-    measure_of_gram,
+    homogeneous_mass,
+    homogeneous_pieces,
     reduced,
     split_homogeneous,
     vcross,
@@ -65,27 +66,22 @@ from .geom import (
 from .grid import GridCell, GridChain, GridSpec, boundary_grid, chain_of, mass_grid
 from .overlay import (
     EqualityCertificate,
+    _leftover,
     _plane_groups,
     _plane_vanishes,
+    _vanishes,
     chains_equal_mod2,
-    reduce_1chain,
 )
 from .pairs import Dipolyhedron, boundary_dip, chain_mass, energy
 from .records import Record
 from .simplicial import (
     SimplicialChain,
+    _fraction_chain,
+    _grid_simplices,
     as_simplicial,
     boundary_simplicial,
-    embed_grid_chain,
     empty_simplicial,
 )
-
-_UNIT = (
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1)),
-)
-
 
 class DeformConfig(Record):
     """Knobs for the grid deformation.
@@ -173,10 +169,6 @@ class DeformationResult(Record):
 # -- lattice bookkeeping -----------------------------------------------------
 
 
-def _homogeneous_pieces(chain: SimplicialChain) -> list:
-    return [tuple(map(homogeneous, s)) for s in chain.simplices]
-
-
 def _carrier(grid: GridSpec, s: HSimplex) -> GridCell:
     """Smallest closed grid cell containing the homogeneous simplex.
 
@@ -211,11 +203,11 @@ def _clip_to_grid(chain: SimplicialChain, grid: GridSpec) -> list:
                 if not lo[a] <= v[a] <= hi[a]:
                     raise ValueError("chain extends outside the grid box")
     planes = (
-        Plane(_UNIT[a], grid.origin[a] + grid.epsilon * i)
+        Plane([int(b == a) for b in (0, 1, 2)], grid.origin[a] + grid.epsilon * i)
         for a in (0, 1, 2)
         for i in range(1, grid.dims[a])
     )
-    return split_homogeneous(_homogeneous_pieces(chain), planes)
+    return split_homogeneous(homogeneous_pieces(chain.simplices), planes)
 
 
 # -- projection centers ------------------------------------------------------
@@ -526,7 +518,7 @@ def _run_pipeline(entries: list, grid: GridSpec, cfg: DeformConfig):
                 for sub, image in pairs:
                     tracks[ei].append(sub + (c,))
                     tracks[ei].append(image + (c,))
-                    if homogeneous_measure_sq(image) != 0:
+                    if _gram(image)[0]:
                         images.append(image)
                 replacements[ei][pi] = images
         for ei, repl in enumerate(replacements):
@@ -580,7 +572,7 @@ def _snap(grid: GridSpec, k: int, pieces: list, seed: int) -> GridChain:
         live ^= {tuple(sorted(s))}
     by_cell = {}
     for s in live:
-        if homogeneous_measure_sq(s) == 0:
+        if not _gram(s)[0]:
             continue
         car = _carrier(grid, s)
         if car.dim != k:
@@ -617,26 +609,21 @@ def snap_parity(residue: SimplicialChain, grid: GridSpec, seed: int = 0) -> Grid
     a generic interior rational point of that cell; sample points landing on
     a piece boundary are redrawn deterministically.
     """
-    return _snap(grid, residue.k, _homogeneous_pieces(residue), seed)
+    return _snap(grid, residue.k, homogeneous_pieces(residue.simplices), seed)
 
 
-def _prune_zero_groups(chain: SimplicialChain) -> SimplicialChain:
-    """Drop the geometrically void part of a chain, carrier by carrier.
+def _prune_zero_groups(k: int, simplices: set) -> set:
+    """Drop the geometrically void part of a chain of sorted homogeneous
+    simplices, carrier by carrier.
 
     1-chains are rewritten to the canonical leftover segments per line, so
     their reported mass is the true geometric mass.  2-chains keep their
     presentation on planes that carry actual content.
     """
-    if chain.k == 1:
-        return reduce_1chain(chain)
-    if chain.k == 2:
-        kept = [
-            s
-            for tris in _plane_groups(chain).values()
-            if not _plane_vanishes(tris)
-            for s in tris
-        ]
-        return SimplicialChain(2, frozenset(kept))
+    if k == 1:
+        return {tuple(sorted(run)) for _, runs in _leftover(simplices) for run in runs}
+    if k == 2:
+        return {s for t in _plane_groups(simplices).values() if not _plane_vanishes(t) for s in t}
     raise ValueError("pruning supports 1- and 2-chains only")
 
 
@@ -660,48 +647,32 @@ def _support_dist_sq(vertices: list, targets: list) -> Optional[Fraction]:
     return _farthest(vertices, targets)[1]
 
 
-def _grid_vertices(grid: GridSpec, chain: GridChain) -> list:
-    corners = {c for cell in chain.cells for c in cell.corners()}
-    return [homogeneous(grid.world(c)) for c in corners]
-
-
-def _track_chain(
-    k: int, tracks: list
-) -> tuple[SimplicialChain, SimplicialChain, RadicalSum, list]:
-    """R = simplicial_chain(k, tracks) of homogeneous tracks, with dR, M(R)
-    and R's distinct (homogeneous) vertices, assembled on integer keys.
+def _track_chain(tracks: list) -> dict:
+    """The simplices of R = simplicial_chain(k, tracks) of homogeneous
+    tracks, on integer keys, each with its _gram pair (G, D).
 
     A homogeneous point is reduced (W > 0, gcd 1), so it names exactly one
     rational point and a sorted tuple of them is a canonical simplex.  The
     tracks toggle as sorted tuples, and one whose Gram is zero (a repeated
-    vertex included) drops, as simplicial_chain drops it.  M(R) sums the
-    measures of the Grams kept, and dR toggles their facets, which are
-    nondegenerate because the simplices are.
+    vertex included) drops, as simplicial_chain drops it.
     """
     grams = {}
     for t in tracks:
-        g = homogeneous_measure_sq(t)
-        if g != 0:
+        g = _gram(t)
+        if g[0]:
             s = tuple(sorted(t))
             if grams.pop(s, None) is None:
                 grams[s] = g
-    # each distinct point becomes a Fraction triple once, and its rank in
-    # their order sorts every simplex as canonical_simplex sorts it
-    points = {h: affine(h) for h in {h for s in grams for h in s}}
-    rank = {h: i for i, h in enumerate(sorted(points, key=points.__getitem__))}
-    simplices = [tuple(sorted(s, key=rank.__getitem__)) for s in grams]
+    return grams
+
+
+def _boundary(simplices) -> set:
+    """Mod-2 boundary of sorted homogeneous simplices, all nondegenerate, so
+    their facets are too."""
     facets: set = set()
     for s in simplices:
-        for i in range(k + 1):
-            f = s[:i] + s[i + 1 :]
-            if f in facets:
-                facets.remove(f)
-            else:
-                facets.add(f)
-    R = SimplicialChain(k, frozenset(tuple(map(points.__getitem__, s)) for s in simplices))
-    dR = SimplicialChain(k - 1, frozenset(tuple(map(points.__getitem__, f)) for f in facets))
-    mR = radical_sum(measure_of_gram(g, k) for g in grams.values())
-    return R, dR, mR, list(points)
+        facets ^= {s[:i] + s[i + 1 :] for i in range(len(s))}
+    return facets
 
 
 def _finish_entry(
@@ -712,46 +683,42 @@ def _finish_entry(
     cfg: DeformConfig,
     fallbacks: tuple,
 ) -> DeformationResult:
-    """Assemble P, Q, R for one deformed chain and verify the identity."""
+    """Assemble P, Q, R for one deformed chain and verify the identity, all
+    on sorted homogeneous simplices; only Q and R become Fraction chains."""
     k = A.k
-    R, dR, mR, R_vertices = _track_chain(k + 1, track_raws)
+    grams = _track_chain(track_raws)
     P = _snap(grid, k, final_pieces, cfg.seed)
-    embedded_P = embed_grid_chain(P)
-    Q = _prune_zero_groups(A + embedded_P + dR)
-    cert = chains_equal_mod2(A + embedded_P, Q + dR)
-    if not cert.equal:
+    A_h = homogeneous_pieces(A.simplices)
+    P_h = _grid_simplices(P)
+    total = {tuple(sorted(s)) for s in A_h} ^ P_h ^ _boundary(grams)
+    Q_h = _prune_zero_groups(k, total)
+    # A + P = Q + dR, overlaid afresh on A + P + Q + dR
+    if not _vanishes(k, total ^ Q_h):
         raise RuntimeError("deformation identity failed geometric verification")
 
-    dA = boundary_simplicial(A)
+    dA = homogeneous_pieces(boundary_simplicial(A).simplices)
     dP = boundary_grid(P)
     eps = grid.epsilon
-    mA, mdA = chain_mass(A), chain_mass(dA)
+    mA, mdA = homogeneous_mass(A_h, k), homogeneous_mass(dA, k - 1)
     # each ratio's exact (mass, ceiling)
     ratios = {
         "cP": (mass_grid(P), mA + eps * mdA),
         "cdP": (mass_grid(dP), mdA),
-        "cQ": (chain_mass(Q), eps * mdA),
-        "cR": (mR, eps * mA),
+        "cQ": (homogeneous_mass(Q_h, k), eps * mdA),
+        "cR": (gram_mass(grams.values(), k + 1), eps * mA),
     }
     measured = {key: _ratio(m, c) for key, (m, c) in ratios.items()}
     bounds_ok = {key: m <= cfg.c_max * c for key, (m, c) in ratios.items()}
 
-    chain_d2 = _support_dist_sq(_grid_vertices(grid, P) + R_vertices, _homogeneous_pieces(A))
-    boundary_d2 = _support_dist_sq(
-        _grid_vertices(grid, dP) + [homogeneous(v) for v in Q.vertices()], _homogeneous_pieces(dA)
-    )
-    limit = 36 * eps * eps
-    within = (
-        chain_d2 is not None
-        and boundary_d2 is not None
-        and chain_d2 <= limit
-        and boundary_d2 <= limit
-    )
+    chain_d2 = _support_dist_sq(list({h for s in (*P_h, *grams) for h in s}), A_h)
+    dP_h = _grid_simplices(dP)
+    boundary_d2 = _support_dist_sq(list({h for s in (*dP_h, *Q_h) for h in s}), dA)
+    within = None not in (chain_d2, boundary_d2) and max(chain_d2, boundary_d2) <= 36 * eps**2
     support = SupportReport(
-        None if chain_d2 is None else RadicalSum.sqrt(chain_d2),
-        None if boundary_d2 is None else RadicalSum.sqrt(boundary_d2),
-        within,
+        *(None if d2 is None else RadicalSum.sqrt(d2) for d2 in (chain_d2, boundary_d2)), within
     )
+    Q, R = _fraction_chain(k, Q_h), _fraction_chain(k + 1, grams)
+    cert = EqualityCertificate(True, "exact")
     return DeformationResult(P, Q, R, measured, bounds_ok, support, cert, fallbacks)
 
 
@@ -839,8 +806,8 @@ def deform_dipolyhedron(A: Dipolyhedron, gamma, grid: GridSpec, cfg: DeformConfi
     # _finish_entry verified B + P_B = film.Q + d(film.R) and
     # C + P_C = mass.Q + d(mass.R).  mass.R cancels in Q.B + dR.B, so the
     # film identity is already decided, and the mass identity
-    # C + P_C = dR.C holds iff mass.Q vanishes; reduce_1chain's canonical
-    # presentation of mass.Q vanishes iff it is empty.
+    # C + P_C = dR.C holds iff mass.Q vanishes; mass.Q is the canonical
+    # leftover of a 1-chain, which vanishes iff it is empty.
     if not mass.Q.is_zero_presentation():
         raise RuntimeError("dipolyhedron deformation identity failed verification")
 

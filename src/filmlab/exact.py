@@ -21,8 +21,8 @@ from typing import Iterable, Sequence, Union
 Scalar = Union[int, Fraction, "RadicalSum"]
 
 # Trial-division bound for square extraction.  Radicands whose leftover part
-# exceeds the square of this bound may keep a hidden square factor; they are
-# still handled soundly (grouped by literal radicand, compared numerically).
+# exceeds the square of this bound may keep a hidden square factor; signs
+# still decide soundly, and _kernel looks for the square for hashes and floats.
 _TRIAL_LIMIT = 10_000
 
 # Default enclosure precision: 2^-40 < 1e-12.
@@ -116,10 +116,10 @@ def _sqrt_bounds(core: int, bits: int) -> tuple[Fraction, Fraction]:
 class RadicalSum:
     """An exact number of the form  sum_i coeff_i * sqrt(core_i).
 
-    Cores are positive square-free integers (best effort; see _split_square)
-    and coefficients are nonzero rationals.  The representation is canonical
-    up to complete square extraction, so ``==`` on fully split inputs is a
-    tuple comparison; order predicates fall back to certified enclosures.
+    Cores are positive integers, square-free as far as trial division tells
+    (_split_square), and coefficients are nonzero rationals.  Order and
+    equality come from the exact sign of a difference; hashes and floats
+    read each core's kernel (_kernel), so equal sums hash and convert alike.
     """
 
     __slots__ = ("_terms",)
@@ -217,26 +217,7 @@ class RadicalSum:
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1."""
-        if not self._terms:
-            return 0
-        signs = {1 if q > 0 else -1 for _, q in self._terms}
-        if signs == {1}:
-            return 1
-        if signs == {-1}:
-            return -1
-        bits = DEFAULT_BITS
-        while bits <= _MAX_BITS:
-            lo, hi = self.enclosure(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
-        # cores apart by a square past _TRIAL_LIMIT name one radical twice
-        merged = _merge_square_ratios(self._terms)
-        if len(merged._terms) < len(self._terms):
-            return merged.sign()
-        raise UndecidableComparison(f"sign undecided at 2^-{_MAX_BITS}: {self}")
+        return _sign(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -257,34 +238,25 @@ class RadicalSum:
 
     def enclosure(self, bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
         """Certified rational enclosure [lo, hi] of the value."""
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for core, coeff in self._terms:
-            if core == 1:
-                lo += coeff
-                hi += coeff
-                continue
-            slo, shi = _sqrt_bounds(core, bits)
-            if coeff >= 0:
-                lo += coeff * slo
-                hi += coeff * shi
-            else:
-                lo += coeff * shi
-                hi += coeff * slo
-        return lo, hi
+        return _enclosure(self._terms, bits)
 
     def _cmp(self, other: Scalar) -> int:
+        """sign(self - other), from one merge of the two term lists; two
+        rationals compare as Fractions."""
         o = RadicalSum._coerce(other)
         if o is NotImplemented:
             return NotImplemented  # type: ignore[return-value]
-        return (self - o).sign()
+        if self.is_rational() and o.is_rational():
+            x, y = self.as_fraction(), o.as_fraction()
+            return (x > y) - (x < y)
+        diff = dict(self._terms)
+        for core, coeff in o._terms:
+            diff[core] = diff.get(core, 0) - coeff
+        return _sign(tuple((c, q) for c, q in diff.items() if q))
 
     def __eq__(self, other) -> bool:
         c = self._cmp(other)
         return False if c is NotImplemented else c == 0
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
@@ -299,16 +271,17 @@ class RadicalSum:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        return hash(self._terms)
+        # a rational sum hashes as the Fraction it equals
+        terms = _canonical(self._terms)
+        rational = not terms or (len(terms) == 1 and terms[0][0] == 1)
+        return hash(terms[0][1] if terms else 0) if rational else hash(terms)
 
     def __float__(self) -> float:
-        """fsum of float(coeff) * sqrt(core) over the terms.
-
-        The terms are canonical (sorted by core), so the float depends on
-        the exact value alone.  A core past the float range is scaled by a
-        power of four into it first.
-        """
-        return fsum(_term_float(core, coeff) for core, coeff in self._terms)
+        """fsum of float(coeff) * sqrt(core) over the terms on their cores'
+        kernels (_canonical), so equal sums give one float wherever _kernel
+        finds the squares.  A core past the float range is scaled by a
+        power of four into it first."""
+        return fsum(_term_float(core, coeff) for core, coeff in _canonical(self._terms))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -329,22 +302,104 @@ def _term_float(core: int, coeff: Fraction) -> float:
     return float(coeff * (1 << shift)) * sqrt(core >> (2 * shift))
 
 
-def _merge_square_ratios(terms) -> RadicalSum:
-    """The sum with each core c moved onto the first core c0 for which
+def _merge_square_ratios(terms) -> tuple:
+    """The terms with each core c moved onto the first core c0 for which
     c0 * c is a square m^2, as sqrt(c) = (m / c0) sqrt(c0)."""
     out: list[tuple[int, Fraction]] = []
     for core, coeff in terms:
         c0 = next((c for c, _ in out if isqrt(c * core) ** 2 == c * core), core)
         out.append((c0, coeff * Fraction(isqrt(c0 * core), c0)))
-    return RadicalSum(out)
+    return RadicalSum(out)._terms
+
+
+def _enclosure(terms, bits: int) -> tuple[Fraction, Fraction]:
+    lo = hi = Fraction(0)
+    for core, coeff in terms:
+        slo, shi = (1, 1) if core == 1 else _sqrt_bounds(core, bits)
+        if coeff < 0:
+            slo, shi = shi, slo
+        lo += coeff * slo
+        hi += coeff * shi
+    return lo, hi
+
+
+def _sign(terms) -> int:
+    """Exact sign of the sum of coeff * sqrt(core) over the terms."""
+    if not terms:
+        return 0
+    signs = {1 if q > 0 else -1 for _, q in terms}
+    if len(signs) == 1:
+        return signs.pop()
+    bits = DEFAULT_BITS
+    while bits <= _MAX_BITS:
+        lo, hi = _enclosure(terms, bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+    # cores apart by a square past _TRIAL_LIMIT name one radical twice
+    merged = _merge_square_ratios(terms)
+    if len(merged) < len(terms):
+        return _sign(merged)
+    raise UndecidableComparison(f"sign undecided at 2^-{_MAX_BITS}: {RadicalSum(terms)}")
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the composite n by Pollard's rho, or 0 if none
+    turns up within 4096 steps; a batch of steps that meets every factor
+    at once starts over with a new map."""
+    for c in (1, 2, 3):
+        x = y = q = 2
+        for i in range(1, 4097):
+            x = (x * x + c) % n
+            y = (((y * y + c) % n) ** 2 + c) % n
+            q = q * (x - y) % n
+            if not i % 64 and (g := gcd(q, n)) > 1:
+                if g < n:
+                    return g
+                break
+    return 0
+
+
+@lru_cache(maxsize=None)
+def _kernel(core: int) -> tuple[int, int]:
+    """(s, c) with core = s*s*c and c square-free as far as can be told.
+
+    Trial division leaves a part m free of the primes up to _TRIAL_LIMIT;
+    below _TRIAL_LIMIT**3 it has at most two prime factors and is not a
+    square, so only a larger m can hide one.  An m of up to 256 bits is
+    factored by rho; a part below _TRIAL_LIMIT**2, a base-2 probable prime
+    or one rho cannot split counts as a prime.
+    """
+    s, core = _split_square(core)
+    m = core // gcd(core, _trial_primes()[1])
+    parts, primes = ([m] if _TRIAL_LIMIT**3 <= m < 1 << 256 else []), []
+    while parts:
+        n = parts.pop()
+        if (r := isqrt(n)) ** 2 == n:
+            parts += [r, r]
+        elif n < _TRIAL_LIMIT**2 or pow(2, n - 1, n) == 1 or not (d := _rho(n)):
+            primes.append(n)
+        else:
+            parts += [d, n // d]
+    for p in set(primes):
+        e = primes.count(p) // 2
+        s, core = s * p**e, core // p ** (2 * e)
+    return s, core
+
+
+def _canonical(terms) -> tuple:
+    """The terms with every core reduced to its kernel (equal cores merged):
+    one tuple per exact value, whenever each kernel is square-free."""
+    kernels = [_kernel(core) for core, _ in terms]
+    if all(s == 1 for s, _ in kernels):
+        return terms
+    return RadicalSum((c, q * s) for (s, c), (_, q) in zip(kernels, terms))._terms
 
 
 _ZERO = RadicalSum.__new__(RadicalSum)
 _ZERO._terms = ()
-
-
-def radical_zero() -> RadicalSum:
-    return _ZERO
 
 
 def radical_sum(values: Iterable[RadicalSum]) -> RadicalSum:
@@ -361,15 +416,6 @@ SQRT3 = RadicalSum([(3, Fraction(1))])
 # -- exact linear algebra ---------------------------------------------------
 
 Matrix = Sequence[Sequence[Fraction]]
-
-
-def mat_transpose(m: Matrix) -> list[list[Fraction]]:
-    return [list(row) for row in zip(*m)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    bt = mat_transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
@@ -408,35 +454,3 @@ def is_psd(matrix: Matrix) -> bool:
             for j in idx:
                 m[i][j] -= m[i][pivot] * m[pivot][j] / d
     return True
-
-
-def operator_norm_enclosure(matrix: Matrix, bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of the spectral norm of a rational matrix.
-
-    Bisects on t in [0, sqrt(trace(M^T M))] using the exact predicate
-    "t^2 I - M^T M is PSD".
-    """
-    mt = mat_transpose(matrix)
-    g = mat_mul(mt, matrix)
-    n = len(g)
-    trace = sum(g[i][i] for i in range(n))
-    if trace == 0:
-        return Fraction(0), Fraction(0)
-
-    def norm_le(t: Fraction) -> bool:
-        t2 = t * t
-        shifted = [[t2 - g[i][j] if i == j else -g[i][j] for j in range(n)] for i in range(n)]
-        return is_psd(shifted)
-
-    lo = Fraction(0)
-    hi = Fraction(1)
-    while not norm_le(hi):
-        hi *= 2
-    target = Fraction(1, 1 << bits)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        if norm_le(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exact import RadicalSum, det3, radical_zero
+from .exact import RadicalSum, _split_square, det3
 
 Point = tuple[Fraction, Fraction, Fraction]
 Simplex = tuple[Point, ...]
@@ -32,10 +32,6 @@ def as_point(coords: Sequence) -> Point:
 
 def vsub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def vadd(a: Point, b: Point) -> Point:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def vscale(t: Fraction, a: Point) -> Point:
@@ -87,33 +83,6 @@ def primitive_direction(v: Point) -> tuple[int, int, int]:
                 ints = [-x for x in ints]
             break
     return (ints[0], ints[1], ints[2])
-
-
-def line_key(p: Point, q: Point):
-    """Canonical key of the line through distinct points p, q.
-
-    (primitive direction, foot of the origin's perpendicular) identifies the
-    line independently of the presentation of the segment.
-    """
-    d = primitive_direction(vsub(q, p))
-    dd = Fraction(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-    df = (Fraction(d[0]), Fraction(d[1]), Fraction(d[2]))
-    t = vdot(p, df) / dd
-    anchor = vsub(p, vscale(t, df))
-    return d, anchor
-
-
-def plane_key(a: Point, b: Point, c: Point):
-    """Canonical key (primitive normal, offset) of the plane through a, b, c."""
-    A, B, C = homogeneous(a), homogeneous(b), homogeneous(c)
-    n = _normal(A, B, C)
-    if n == (0, 0, 0):
-        raise ValueError("collinear points do not span a plane")
-    g = gcd(*n)
-    if n[0] < 0 or (n[0] == 0 and (n[1] < 0 or (n[1] == 0 and n[2] < 0))):
-        g = -g
-    dn = (n[0] // g, n[1] // g, n[2] // g)
-    return dn, Fraction(dn[0] * A[0] + dn[1] * A[1] + dn[2] * A[2], A[3])
 
 
 # -- homogeneous integer points ---------------------------------------------
@@ -191,31 +160,42 @@ def _gram(simplex: HSimplex) -> tuple[int, int]:
     raise ValueError(f"unsupported simplex dimension {k}")
 
 
-def homogeneous_measure_sq(simplex: HSimplex) -> Fraction:
-    """Squared k-volume times (k!)^2 of a homogeneous simplex."""
-    g, d = _gram(simplex)
-    return Fraction(g, d ** (2 * len(simplex) - 2))
-
-
 def simplex_measure_sq(simplex: Simplex) -> Fraction:
     """Squared k-volume times (k!)^2, i.e. the Gram determinant."""
-    return homogeneous_measure_sq(tuple(map(homogeneous, simplex)))
+    g, d = _gram(tuple(map(homogeneous, simplex)))
+    return Fraction(g, d ** (2 * len(simplex) - 2))
 
 
 _FACTORIALS = (1, 1, 2, 6)
 
 
-def measure_of_gram(gram: Fraction, k: int) -> RadicalSum:
-    """Exact k-volume sqrt(gram)/k! = sqrt(gram / (k!)^2) of a k-simplex
-    with Gram determinant gram, built as one RadicalSum."""
-    if gram == 0:
-        return radical_zero()
-    return RadicalSum.sqrt(gram / _FACTORIALS[k] ** 2)
+def gram_mass(grams: Iterable[tuple[int, int]], k: int) -> RadicalSum:
+    """Exact total k-volume of k-simplices given by their _gram pairs (G, D):
+    the sum of sqrt(G) / (D^k k!), one RadicalSum.
+
+    The roots are summed in integers per core and D, and then as one
+    Fraction per D into each core's coefficient.
+    """
+    by_core: dict = {}
+    for g, d in grams:
+        if g:
+            s, core = _split_square(g)
+            dens = by_core.setdefault(core, {})
+            dens[d] = dens.get(d, 0) + s
+    f = _FACTORIALS[k]
+    return RadicalSum(
+        (core, sum(Fraction(n, d**k * f) for d, n in dens.items())) for core, dens in by_core.items()
+    )
+
+
+def homogeneous_mass(simplices: Iterable[HSimplex], k: int) -> RadicalSum:
+    """Exact total k-volume of homogeneous k-simplices (gram_mass)."""
+    return gram_mass(map(_gram, simplices), k)
 
 
 def simplex_measure(simplex: Simplex) -> RadicalSum:
     """Exact k-volume: sqrt(Gram)/k!.  Rational whenever the Gram is square."""
-    return measure_of_gram(simplex_measure_sq(simplex), len(simplex) - 1)
+    return homogeneous_mass([tuple(map(homogeneous, simplex))], len(simplex) - 1)
 
 
 def is_degenerate(simplex: Simplex) -> bool:
@@ -391,18 +371,20 @@ def split_homogeneous(pieces: Iterable[HSimplex], planes: Iterable[Plane]) -> li
     return pieces
 
 
+def homogeneous_pieces(pieces: Iterable[Simplex]) -> list[HSimplex]:
+    """Homogeneous pieces of Fraction ones; each point object converts once
+    (a chain shares its points between simplices)."""
+    pieces = list(pieces)  # holds every point, so an id names one point throughout
+    points = {id(p): p for s in pieces for p in s}
+    memo = {i: homogeneous(p) for i, p in points.items()}
+    return [tuple(memo[id(p)] for p in s) for s in pieces]
+
+
 def affine_pieces(pieces: list[HSimplex], points: dict) -> list[Simplex]:
     """Fraction pieces of homogeneous ones; points caches the conversions."""
-    out = []
-    for s in pieces:
-        piece = []
-        for h in s:
-            p = points.get(h)
-            if p is None:
-                p = points[h] = affine(h)
-            piece.append(p)
-        out.append(tuple(piece))
-    return out
+    for h in {h for s in pieces for h in s} - points.keys():
+        points[h] = affine(h)
+    return [tuple(map(points.__getitem__, s)) for s in pieces]
 
 
 def split_by_planes(pieces: Iterable[Simplex], planes: Iterable[Plane]) -> list[Simplex]:
@@ -411,22 +393,14 @@ def split_by_planes(pieces: Iterable[Simplex], planes: Iterable[Plane]) -> list[
     Every output piece lies on one side of (or in) each plane, and the
     pieces partition the input.
     """
-    points: dict = {}
-    hs = []
-    for s in pieces:
-        h = tuple(map(homogeneous, s))
-        points.update(zip(h, s))
-        hs.append(h)
+    pieces = list(pieces)
+    hs = [tuple(map(homogeneous, s)) for s in pieces]
+    points = {h: p for hp, s in zip(hs, pieces) for h, p in zip(hp, s)}
     return affine_pieces(split_homogeneous(hs, planes), points)
 
 
 def centroid(simplex: Simplex) -> Point:
-    n = len(simplex)
-    return (
-        sum(v[0] for v in simplex) / n,
-        sum(v[1] for v in simplex) / n,
-        sum(v[2] for v in simplex) / n,
-    )
+    return tuple(sum(v[a] for v in simplex) / len(simplex) for a in (0, 1, 2))
 
 
 # -- planar (2D) helpers ----------------------------------------------------

@@ -13,7 +13,9 @@ off a measure-zero set.  The exact decision reduces dimension by one twice:
   2-chain, by the same jump argument in space.
 
 This is sound and complete for rational inputs, whatever the presentation
-size.
+size.  The cores work on homogeneous integer points (geom.HPoint); the
+public entry points convert each Fraction point once and call the same
+cores.
 """
 
 from __future__ import annotations
@@ -22,49 +24,43 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .geom import (
-    Point,
-    homogeneous,
-    line_key,
-    plane_key,
-    vadd,
-    vdot,
-    vscale,
-)
+from .geom import HPoint, HSimplex, Point, _normal, affine, homogeneous_pieces, reduced
 from .records import Record
 from .simplicial import SimplicialChain, boundary_simplicial, simplicial_chain
 
 Segment = tuple[Point, Point]
 
 
-def _line_toggles(segments: Iterable[Segment]) -> dict:
+def _primitive(x: int, y: int, z: int) -> tuple[int, int, int]:
+    """The nonzero integer vector divided by its gcd, first nonzero entry positive."""
+    g = gcd(x, y, z)
+    if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
+        g = -g
+    return x // g, y // g, z // g
+
+
+def _line_toggles(segments: Iterable[tuple[HPoint, HPoint]]) -> dict:
     """Endpoint toggles per carrying line, all in Python ints.
 
     Maps each line's integer Pluecker key, the primitive direction d (first
     nonzero entry positive) and the moment p x d as a gcd-reduced integer
-    vector over a positive denominator, to (a representative segment,
-    {parameter: parity}).  A parameter is <x, d> as a reduced pair
-    (numerator, denominator > 0); an endpoint shared by an even number of
-    segments toggles nothing.
+    vector over a positive denominator, to {parameter: parity}.  A
+    parameter is <x, d> as a reduced pair (numerator, denominator > 0); an
+    endpoint shared by an even number of segments toggles nothing.
     """
     groups: dict = {}
     for p, q in segments:
         if p == q:
             continue
-        px, py, pz, pw = homogeneous(p)
-        qx, qy, qz, qw = homogeneous(q)
-        dx, dy, dz = qx * pw - px * qw, qy * pw - py * qw, qz * pw - pz * qw
-        g = gcd(dx, dy, dz)
-        if dx < 0 or (dx == 0 and (dy < 0 or (dy == 0 and dz < 0))):
-            g = -g
-        dx, dy, dz = dx // g, dy // g, dz // g
+        px, py, pz, pw = p
+        qx, qy, qz, qw = q
+        dx, dy, dz = _primitive(qx * pw - px * qw, qy * pw - py * qw, qz * pw - pz * qw)
         mx, my, mz = py * dz - pz * dy, pz * dx - px * dz, px * dy - py * dx
         g = gcd(mx, my, mz, pw)
         key = (dx, dy, dz, mx // g, my // g, mz // g, pw // g)
-        entry = groups.get(key)
-        if entry is None:
-            entry = groups[key] = ((p, q), {})
-        toggles = entry[1]
+        toggles = groups.get(key)
+        if toggles is None:
+            toggles = groups[key] = {}
         for t, w in ((px * dx + py * dy + pz * dz, pw), (qx * dx + qy * dy + qz * dz, qw)):
             g = gcd(t, w)
             t = (t // g, w // g)
@@ -72,41 +68,77 @@ def _line_toggles(segments: Iterable[Segment]) -> dict:
     return groups
 
 
+def _segments_vanish(segments: Iterable[tuple[HPoint, HPoint]]) -> bool:
+    return not any(any(toggles.values()) for toggles in _line_toggles(segments).values())
+
+
+def _leftover(segments: Iterable[tuple[HPoint, HPoint]]) -> list:
+    """Mod-2 geometric cancellation of homogeneous segments.
+
+    Sweeps each carrying line once: every endpoint toggles the coverage
+    parity, and each maximal odd-covered run becomes one segment.  Returns,
+    per line with odd toggles, (its direction d and the foot of the
+    origin's perpendicular, its runs in parameter order).  With the line's
+    key (d, m / mw), the foot is (d x m) / (|d|^2 mw), and the point at
+    parameter t / w is the foot plus (t / (w |d|^2)) d.
+    """
+    lines = []
+    for (dx, dy, dz, mx, my, mz, mw), toggles in _line_toggles(segments).items():
+        odd = [t for t, flip in toggles.items() if flip]
+        if not odd:
+            continue
+        odd.sort(key=lambda tw: Fraction(*tw))
+        cx, cy, cz = dy * mz - dz * my, dz * mx - dx * mz, dx * my - dy * mx
+        dd = dx * dx + dy * dy + dz * dz
+        ends = [
+            reduced(w * cx + t * mw * dx, w * cy + t * mw * dy, w * cz + t * mw * dz, dd * mw * w)
+            for t, w in odd
+        ]
+        foot = (Fraction(cx, dd * mw), Fraction(cy, dd * mw), Fraction(cz, dd * mw))
+        lines.append((((dx, dy, dz), foot), list(zip(ends[::2], ends[1::2]))))
+    return lines
+
+
+def _plane_groups(triangles: Iterable[HSimplex]) -> dict:
+    """Homogeneous triangles grouped by carrying plane: the key is the
+    primitive normal (first nonzero entry positive) and the offset as a
+    reduced pair (numerator, denominator > 0)."""
+    groups: dict = {}
+    for t in triangles:
+        a = t[0]
+        n = _normal(a, t[1], t[2])
+        if n == (0, 0, 0):
+            raise ValueError("collinear points do not span a plane")
+        nx, ny, nz = _primitive(*n)
+        offset = nx * a[0] + ny * a[1] + nz * a[2]
+        h = gcd(offset, a[3])
+        groups.setdefault((nx, ny, nz, offset // h, a[3] // h), []).append(t)
+    return groups
+
+
+def _plane_vanishes(triangles: list) -> bool:
+    """True iff coplanar homogeneous triangles cover their plane evenly a.e."""
+    return _segments_vanish(e for a, b, c in triangles for e in ((a, b), (a, c), (b, c)))
+
+
+def _vanishes(k: int, simplices: Iterable[HSimplex]) -> bool:
+    """Exact test that homogeneous 1- or 2-simplices cover evenly a.e."""
+    if k == 1:
+        return _segments_vanish(simplices)
+    return all(_plane_vanishes(tris) for tris in _plane_groups(simplices).values())
+
+
 def overlay_vanishes(segments: Iterable[Segment]) -> bool:
     """True iff overlay_leftover(segments) is empty; builds no points."""
-    return not any(
-        any(toggles.values()) for _, toggles in _line_toggles(segments).values()
-    )
+    return _segments_vanish(homogeneous_pieces(segments))
 
 
 def overlay_leftover(segments: Iterable[Segment]) -> list[Segment]:
-    """Mod-2 geometric cancellation of segments: odd-covered sub-segments.
-
-    Groups by carrying line (integer Pluecker key) and sweeps each line
-    once: every endpoint toggles the coverage parity, an endpoint shared
-    by an even number of segments toggles nothing, and each maximal
-    odd-covered run becomes one output segment.  Lines with odd toggles
-    are reported in the order of geom.line_key, which is computed once
-    per such line.
-    """
-    live = []
-    for (p, q), toggles in _line_toggles(segments).values():
-        odd = sorted(Fraction(t, w) for (t, w), flip in toggles.items() if flip)
-        if odd:
-            live.append((line_key(p, q), odd))
-    out: list[Segment] = []
-    for (d, anchor), odd in sorted(live):
-        df = (Fraction(d[0]), Fraction(d[1]), Fraction(d[2]))
-        dd = vdot(df, df)
-
-        def at(t: Fraction) -> Point:
-            return vadd(anchor, vscale(t / dd, df))
-
-        # x = anchor + (t / dd) d with t = <x, d>, as the anchor is the foot
-        # of the origin's perpendicular (<anchor, d> = 0)
-        for i in range(0, len(odd), 2):
-            out.append((at(odd[i]), at(odd[i + 1])))
-    return out
+    """Mod-2 geometric cancellation of segments: odd-covered sub-segments,
+    line by line in the order of their keys in _leftover, each line's runs
+    in parameter order."""
+    lines = sorted(_leftover(homogeneous_pieces(segments)))
+    return [(affine(p), affine(q)) for _, runs in lines for p, q in runs]
 
 
 def reduce_1chain(chain: SimplicialChain) -> SimplicialChain:
@@ -116,31 +148,14 @@ def reduce_1chain(chain: SimplicialChain) -> SimplicialChain:
     return simplicial_chain(1, overlay_leftover((s[0], s[1]) for s in chain.simplices))
 
 
-def _plane_groups(chain: SimplicialChain) -> dict:
-    groups: dict = {}
-    for s in chain.simplices:
-        key = plane_key(s[0], s[1], s[2])
-        groups.setdefault(key, []).append(s)
-    return groups
-
-
-def _plane_vanishes(tris: list) -> bool:
-    """True iff coplanar triangles cover their plane evenly a.e."""
-    return overlay_vanishes(
-        e for t in tris for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-    )
-
-
 def is_zero_geometric(chain: SimplicialChain) -> bool:
     """Exact test that a chain's coverage parity vanishes a.e."""
     if chain.k <= 0:
         return chain.is_zero_presentation()
-    if chain.k == 1:
-        return overlay_vanishes((s[0], s[1]) for s in chain.simplices)
-    if chain.k == 2:
-        return all(_plane_vanishes(tris) for tris in _plane_groups(chain).values())
-    # k == 3: coverage jumps across faces
-    return is_zero_geometric(boundary_simplicial(chain))
+    if chain.k == 3:
+        # coverage jumps across faces
+        return is_zero_geometric(boundary_simplicial(chain))
+    return _vanishes(chain.k, homogeneous_pieces(chain.simplices))
 
 
 # -- equality ---------------------------------------------------------------

@@ -12,22 +12,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import RadicalSum, format_fraction, is_psd, mat_vec, radical_sum
+from .exact import RadicalSum, format_fraction, is_psd, mat_vec
 from .geom import (
     Plane,
     Point,
     Simplex,
+    affine,
     as_point,
     centroid,
+    homogeneous,
+    homogeneous_mass,
     is_degenerate,
-    simplex_measure,
     split_by_planes,
     sup_norm,
     vdot,
     vscale,
     vsub,
 )
-from .grid import GridChain, edge_ends
+from .grid import GridChain
 from .records import Record
 
 
@@ -109,7 +111,7 @@ def empty_simplicial(k: int) -> SimplicialChain:
 
 def mass_simplicial(chain: SimplicialChain) -> RadicalSum:
     """Sum of simplex measures over the stored presentation."""
-    return radical_sum(simplex_measure(s) for s in chain.simplices)
+    return homogeneous_mass((tuple(map(homogeneous, s)) for s in chain.simplices), chain.k)
 
 
 def boundary_simplicial(chain: SimplicialChain) -> SimplicialChain:
@@ -299,42 +301,49 @@ def restrict_simplicial(
 # -- grid embedding ---------------------------------------------------------
 
 
+def _grid_simplices(chain: GridChain) -> set:
+    """The simplices of embed_grid_chain(chain), each a sorted tuple of
+    homogeneous points (geom.HPoint)."""
+    g = chain.grid
+    corners = {c: homogeneous(g.world(c)) for cell in chain.cells for c in cell.corners()}
+    out = set()
+    for cell in chain.cells:
+        if chain.k < 2:
+            out.add(tuple(sorted(map(corners.__getitem__, cell.corners()))))
+            continue
+        a, b = cell.axes
+        c00 = cell.base
+        c10, c01 = (c00[:x] + (c00[x] + 1,) + c00[x + 1 :] for x in (a, b))
+        c11 = c10[:b] + (c10[b] + 1,) + c10[b + 1 :]
+        for tri in ((c00, c10, c11), (c00, c11, c01)):
+            out.add(tuple(sorted(map(corners.__getitem__, tri))))
+    return out
+
+
+def _fraction_chain(k: int, simplices) -> SimplicialChain:
+    """The SimplicialChain of distinct sorted homogeneous simplices.  Each
+    distinct point becomes a Fraction triple once, and its rank in their
+    order sorts every simplex as canonical_simplex sorts it."""
+    points = {h: affine(h) for h in {h for s in simplices for h in s}}
+
+    def key(h):  # each coordinate as its float, then exactly where floats tie
+        (x, y, z), w = points[h], h[3]
+        return h[0] / w, x, h[1] / w, y, h[2] / w, z
+
+    rank = {h: i for i, h in enumerate(sorted(points, key=key))}
+    simplices = (tuple(map(points.__getitem__, sorted(s, key=rank.__getitem__))) for s in simplices)
+    return SimplicialChain(k, frozenset(simplices))
+
+
 def embed_grid_chain(chain: GridChain) -> SimplicialChain:
     """Deterministic simplicial presentation of a grid chain (k <= 2).
 
     Vertices map to points, edges to segments, and each square face to two
     triangles split along the base-to-opposite diagonal.
     """
-    g = chain.grid
     if chain.k > 2:
         raise ValueError("grid embedding supports k <= 2")
-    if chain.k <= 0:
-        return SimplicialChain(
-            chain.k, frozenset((g.world(c.base),) for c in chain.cells)
-        )
-    out = []
-    for cell in chain.sorted_cells():
-        if chain.k == 1:
-            p, q = edge_ends(cell)
-            out.append((g.world(p), g.world(q)))
-        else:
-            a, b = cell.axes
-            c00 = list(cell.base)
-            c10 = list(cell.base)
-            c10[a] += 1
-            c01 = list(cell.base)
-            c01[b] += 1
-            c11 = list(c10)
-            c11[b] += 1
-            p00, p10, p01, p11 = (
-                g.world(tuple(c00)),
-                g.world(tuple(c10)),
-                g.world(tuple(c01)),
-                g.world(tuple(c11)),
-            )
-            out.append((p00, p10, p11))
-            out.append((p00, p11, p01))
-    return simplicial_chain(chain.k, out)
+    return _fraction_chain(chain.k, _grid_simplices(chain))
 
 
 def as_simplicial(chain) -> SimplicialChain:

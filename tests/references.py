@@ -18,6 +18,18 @@ the code that replaced it is tested against an independent path:
 - ``fraction_track_chain``: the deformation's chain R of homogeneous
   tracks, built on Fraction keys; the deformation now assembles R, dR and
   M(R) on the integer points themselves.
+- ``fraction_overlay_leftover`` and ``fraction_plane_key``: the overlay
+  as it took Fraction points, converting each to integers inside the
+  line toggles, building the leftover points from each line's Fraction
+  anchor and keying planes by a Fraction offset; the overlay cores now
+  take homogeneous integer points throughout.
+- ``simplex_measure_reference``: a simplex's exact measure as one
+  ``RadicalSum.sqrt`` of its Gram over (k!)^2, the path every mass took
+  before ``geom.gram_mass`` summed sqrt(G) / (D^k k!) in integers.
+- ``operator_norm_enclosure``: a certified enclosure of a rational
+  matrix's spectral norm, by bisection on an exact PSD test; nothing in
+  the product asks for it, and the acceptance tests check declared
+  Lipschitz constants with it.
 - ``point_simplex_dist_sq``: the squared distance from a Fraction point
   to a point, segment or triangle, by the foot of the perpendicular and
   its barycentric coordinates; the deformation now measures clearances
@@ -28,15 +40,18 @@ the code that replaced it is tested against an independent path:
 
 import contextlib
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 from unittest import mock
 
 from filmlab import flatnorm
-from filmlab.exact import DEFAULT_BITS, _sqrt_bounds
+from filmlab.exact import DEFAULT_BITS, Matrix, RadicalSum, _sqrt_bounds, is_psd
 from filmlab.geom import (
+    _normal,
     affine_pieces,
-    homogeneous_measure_sq,
-    vadd,
+    homogeneous,
+    primitive_direction,
+    simplex_measure_sq,
     vcross,
     vdot,
     vnorm_sq,
@@ -229,12 +244,90 @@ def fraction_track_chain(k: int, tracks: list) -> tuple[SimplicialChain, dict]:
     acc: set = set()
     grams = {}
     for t, s in zip(tracks, affine_pieces(tracks, {})):
-        g = homogeneous_measure_sq(t)
+        g = simplex_measure_sq(s)
         if g != 0:
             s = tuple(sorted(s))
             grams[s] = g
             acc ^= {s}
     return SimplicialChain(k, frozenset(acc)), grams
+
+
+def line_key(p, q):
+    """(primitive direction, foot of the origin's perpendicular) of the
+    line through distinct Fraction points p, q."""
+    d = primitive_direction(vsub(q, p))
+    df = (Fraction(d[0]), Fraction(d[1]), Fraction(d[2]))
+    return d, vsub(p, vscale(vdot(p, df) / vdot(df, df), df))
+
+
+def _fraction_line_toggles(segments) -> dict:
+    groups: dict = {}
+    for p, q in segments:
+        if p == q:
+            continue
+        px, py, pz, pw = homogeneous(p)
+        qx, qy, qz, qw = homogeneous(q)
+        dx, dy, dz = qx * pw - px * qw, qy * pw - py * qw, qz * pw - pz * qw
+        g = gcd(dx, dy, dz)
+        if dx < 0 or (dx == 0 and (dy < 0 or (dy == 0 and dz < 0))):
+            g = -g
+        dx, dy, dz = dx // g, dy // g, dz // g
+        mx, my, mz = py * dz - pz * dy, pz * dx - px * dz, px * dy - py * dx
+        g = gcd(mx, my, mz, pw)
+        key = (dx, dy, dz, mx // g, my // g, mz // g, pw // g)
+        entry = groups.get(key)
+        if entry is None:
+            entry = groups[key] = ((p, q), {})
+        toggles = entry[1]
+        for t, w in ((px * dx + py * dy + pz * dz, pw), (qx * dx + qy * dy + qz * dz, qw)):
+            g = gcd(t, w)
+            t = (t // g, w // g)
+            toggles[t] = toggles.get(t, 0) ^ 1
+    return groups
+
+
+def fraction_overlay_leftover(segments) -> list:
+    """Odd-covered sub-segments of Fraction segments, line by line in the
+    order of line_key, each line's runs in parameter order."""
+    live = []
+    for (p, q), toggles in _fraction_line_toggles(segments).values():
+        odd = sorted(Fraction(t, w) for (t, w), flip in toggles.items() if flip)
+        if odd:
+            live.append((line_key(p, q), odd))
+    out = []
+    for (d, anchor), odd in sorted(live):
+        df = (Fraction(d[0]), Fraction(d[1]), Fraction(d[2]))
+        dd = vdot(df, df)
+
+        def at(t):
+            return vadd(anchor, vscale(t / dd, df))
+
+        for i in range(0, len(odd), 2):
+            out.append((at(odd[i]), at(odd[i + 1])))
+    return out
+
+
+def fraction_plane_key(a, b, c):
+    """(primitive normal, Fraction offset) of the plane through a, b, c."""
+    A, B, C = homogeneous(a), homogeneous(b), homogeneous(c)
+    n = _normal(A, B, C)
+    if n == (0, 0, 0):
+        raise ValueError("collinear points do not span a plane")
+    g = gcd(*n)
+    if n[0] < 0 or (n[0] == 0 and (n[1] < 0 or (n[1] == 0 and n[2] < 0))):
+        g = -g
+    dn = (n[0] // g, n[1] // g, n[2] // g)
+    return dn, Fraction(dn[0] * A[0] + dn[1] * A[1] + dn[2] * A[2], A[3])
+
+
+def simplex_measure_reference(simplex) -> RadicalSum:
+    """sqrt(Gram / (k!)^2) of a Fraction simplex, built at once."""
+    k = len(simplex) - 1
+    return RadicalSum.sqrt(simplex_measure_sq(simplex) / [1, 1, 2, 6][k] ** 2)
+
+
+def vadd(a, b):
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def point_segment_dist_sq(p, a, b) -> Fraction:
@@ -292,3 +385,44 @@ def point_simplex_dist_sq(p, simplex) -> Fraction:
     if k == 2:
         return point_triangle_dist_sq(p, simplex[0], simplex[1], simplex[2])
     raise ValueError("distances are to points, segments and triangles only")
+
+
+def mat_transpose(m: Matrix) -> list[list[Fraction]]:
+    return [list(row) for row in zip(*m)]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
+    bt = mat_transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def operator_norm_enclosure(matrix: Matrix, bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
+    """Certified enclosure of the spectral norm of a rational matrix.
+
+    Bisects on t in [0, sqrt(trace(M^T M))] using the exact predicate
+    "t^2 I - M^T M is PSD".
+    """
+    mt = mat_transpose(matrix)
+    g = mat_mul(mt, matrix)
+    n = len(g)
+    trace = sum(g[i][i] for i in range(n))
+    if trace == 0:
+        return Fraction(0), Fraction(0)
+
+    def norm_le(t: Fraction) -> bool:
+        t2 = t * t
+        shifted = [[t2 - g[i][j] if i == j else -g[i][j] for j in range(n)] for i in range(n)]
+        return is_psd(shifted)
+
+    lo = Fraction(0)
+    hi = Fraction(1)
+    while not norm_le(hi):
+        hi *= 2
+    target = Fraction(1, 1 << bits)
+    while hi - lo > target:
+        mid = (lo + hi) / 2
+        if norm_le(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

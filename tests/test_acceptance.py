@@ -20,7 +20,7 @@ from conftest import (
     rational,
     square_curve,
 )
-from references import scanned
+from references import operator_norm_enclosure, scanned
 from filmlab.deformation import DeformConfig, deform_chain
 from filmlab.dipolyhedra import (
     Dipolyhedron,
@@ -36,7 +36,7 @@ from filmlab.dipolyhedra import (
     support_points,
     weight,
 )
-from filmlab.exact import RadicalSum, operator_norm_enclosure
+from filmlab.exact import RadicalSum
 from filmlab.flatnorm import (
     DEFAULT_CONFIG,
     _searched,

@@ -23,7 +23,7 @@ from filmlab.geom import (
     homogeneous,
     homogeneous_dist_sq,
     is_degenerate,
-    measure_of_gram,
+    gram_mass,
     simplex_measure,
     simplex_measure_sq,
     vcross,
@@ -42,7 +42,12 @@ from filmlab.simplicial import (
 )
 
 from conftest import HEX, make_grid, polygon_curve, random_simplicial_chain, square_curve
-from references import fraction_track_chain, point_simplex_dist_sq, sqrt_enclosure
+from references import (
+    fraction_track_chain,
+    point_simplex_dist_sq,
+    simplex_measure_reference,
+    sqrt_enclosure,
+)
 
 F = Fraction
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -422,15 +427,19 @@ def test_integer_track_chain_matches_fraction_chain(seed, k):
     and R is the one the Fraction-keyed assembly built."""
     tracks = _random_tracks(random.Random(seed), k)
     homog = [tuple(map(homogeneous, t)) for t in tracks]
-    R, dR, mR, vertices = dm._track_chain(k, homog)
+    grams = dm._track_chain(homog)
+    R = dm._fraction_chain(k, grams)
+    mR = gram_mass(grams.values(), k)
     expected = simplicial_chain(k, tracks)
     assert R == expected
-    assert dR == boundary_simplicial(expected)
+    assert dm._fraction_chain(k - 1, dm._boundary(grams)) == boundary_simplicial(expected)
     assert mR == mass_simplicial(expected)
-    assert sorted(map(affine, vertices)) == expected.vertices()
-    reference, grams = fraction_track_chain(k, homog)
+    assert sorted(map(affine, {h for s in grams for h in s})) == expected.vertices()
+    reference, _ = fraction_track_chain(k, homog)
     assert R == reference
-    assert mR == radical_sum(measure_of_gram(grams[s], k) for s in reference.simplices)
+    assert mR._terms == radical_sum(
+        simplex_measure_reference(s) for s in reference.simplices
+    )._terms
 
 
 def test_deform_dipolyhedron_aligned_fixed_point():
@@ -723,6 +732,33 @@ def test_report_does_not_depend_on_track_order(order):
     result = dm._finish_entry(tri, finals[0], moved, grid, cfg, tuple(fallbacks))
     assert _report_digest(result) == _report_digest(deform_chain(tri, grid, cfg))
     assert _report_digest(result) == _TILTED_PINS[eps][3]
+
+
+def _misprune(monkeypatch):
+    """Q one simplex short of what the prune keeps or, where the prune
+    leaves Q empty, one simplex of A + P + dR in it."""
+    prune = dm._prune_zero_groups
+
+    def wrong(k, simplices):
+        kept = prune(k, simplices)
+        return set(sorted(kept)[1:]) if kept else {min(simplices)}
+
+    monkeypatch.setattr(dm, "_prune_zero_groups", wrong)
+
+
+@pytest.mark.parametrize("case", ["triangle", "boundary", "cone"])
+def test_identity_check_does_not_trust_the_prune(monkeypatch, case):
+    """The identity is overlaid afresh on A + P + Q + dR, so a Q the prune
+    got wrong fails it instead of passing on the prune's own verdicts."""
+    tri = iof.parse_input(iof.load_document(os.path.join(FIXTURES, "tilted_triangle.json")))
+    eps = F(1, 2)
+    _misprune(monkeypatch)
+    with pytest.raises(RuntimeError, match="identity failed"):
+        if case == "cone":
+            initial_cone_solution(plateau_problem(polygon_curve(HEX, 3)))
+        else:
+            A = tri if case == "triangle" else boundary_simplicial(tri)
+            deform_chain(A, _grid_around(A, eps), DeformConfig(epsilon=eps, candidate_centers=4))
 
 
 def _float_ratio(mass, ceiling):

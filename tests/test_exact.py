@@ -197,3 +197,62 @@ def test_split_square_matches_trial_division(factors, squares, rest):
     assert got == _trial_division_split(n)
     s, f = got
     assert s * s * f == n
+
+
+def test_equal_sums_hash_and_convert_alike():
+    """51523265522770 = 284770 * 13451^2 hides a square past the trial
+    limit; hashes and floats see the core's kernel, so equal sums agree."""
+    a = RadicalSum([(284770, Fraction(1))])
+    b = RadicalSum.sqrt(51523265522770) / 13451
+    assert b.terms() == ((51523265522770, Fraction(1, 13451)),)
+    assert a == b and hash(a) == hash(b) and float(a) == float(b)
+    c = b + RadicalSum([(284770, Fraction(-1, 2))])
+    assert c == a / 2 and hash(c) == hash(a / 2) and float(c) == float(a / 2)
+    assert len({a, b, c, a / 2}) == 2
+    assert {RadicalSum.sqrt(Fraction(9, 4)), RadicalSum.zero()} == {Fraction(3, 2), 0}
+    assert exact._kernel(10007**2 * 999_983**2 * (10**12 + 39) * 7) == (
+        10007 * 999_983,
+        (10**12 + 39) * 7,
+    )
+
+
+_CORES = (1, 2, 3, 6, 284770, 285557)
+# cores apart by a square past the trial limit: (core, its kernel, the root)
+_HIDDEN = ((51523265522770, 284770, 13451), (345085973821133, 285557, 34763))
+
+
+@st.composite
+def _radical_pairs(draw):
+    """Two sums over a few cores, the second sometimes a re-presentation of
+    the first with a kernel's term moved onto its hidden-square core."""
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    a = RadicalSum((draw(st.sampled_from(_CORES)), draw(coeffs)) for _ in range(draw(st.integers(0, 4))))
+    kind = draw(st.sampled_from(("free", "same", "nudged")))
+    if kind == "free":
+        b = RadicalSum((draw(st.sampled_from(_CORES)), draw(coeffs)) for _ in range(draw(st.integers(0, 4))))
+    else:
+        terms = []
+        for core, q in a.terms():
+            hidden = [(big, root) for big, kernel, root in _HIDDEN if kernel == core]
+            if hidden and draw(st.booleans()):
+                big, root = hidden[0]
+                terms.append((big, q / root))
+            else:
+                terms.append((core, q))
+        b = RadicalSum(terms)
+        if kind == "nudged":
+            b = b + Fraction(draw(st.sampled_from((-1, 1))), 10**draw(st.integers(1, 30)))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_radical_pairs(), q=st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_comparison_agrees_with_the_sign_of_the_difference(pair, q):
+    """<, ==, > merge the two term lists once; they decide as
+    (a - b).sign() does, also where cores differ by a hidden square."""
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a, q), (RadicalSum.from_fraction(q), a)):
+        s = (x - y).sign()
+        assert ((x > y) - (x < y), x == y, x <= y, x >= y) == (s, s == 0, s <= 0, s >= 0)
+    if a == b:
+        assert hash(a) == hash(b) and float(a) == float(b)

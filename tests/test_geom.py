@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from filmlab.geom import (
     homogeneous,
     homogeneous_dist_sq,
     is_degenerate,
-    measure_of_gram,
+    gram_mass,
+    homogeneous_mass,
     polygon_is_simple,
     primitive_direction,
     shoelace_twice,
@@ -26,7 +28,7 @@ from filmlab.geom import (
     _split_into,
 )
 
-from references import point_simplex_dist_sq
+from references import point_simplex_dist_sq, simplex_measure_reference
 
 F = Fraction
 O = (F(0), F(0), F(0))
@@ -432,7 +434,43 @@ def test_homogeneous_points_are_primitive(p):
     den=st.one_of(st.integers(1, 10**6), st.integers(1, 10**3).map(lambda n: n * n)),
     k=st.integers(0, 3),
 )
-def test_measure_of_gram_is_one_radical(num, den, k):
-    """sqrt(gram / (k!)^2) built at once is sqrt(gram) / k!, term for term."""
-    gram = F(num, den)
-    assert measure_of_gram(gram, k)._terms == (RadicalSum.sqrt(gram) / math.factorial(k))._terms
+def test_gram_mass_is_one_radical(num, den, k):
+    """sqrt(G) / (D^k k!) summed in integers is sqrt(G / D^(2k)) / k!: equal,
+    hashing and converting alike, and term for term when no prime of D
+    passes the trial limit."""
+    got = gram_mass([(num, den)], k)
+    want = RadicalSum.sqrt(F(num, den ** (2 * k))) / math.factorial(k)
+    assert got == want and hash(got) == hash(want) and float(got) == float(want)
+    rough = den
+    for p in range(2, 10**4):
+        while rough % p == 0:
+            rough //= p
+    if rough == 1:
+        assert got._terms == want._terms
+
+
+def _small_point(rng):
+    # denominators of small primes only, so both paths split every radicand
+    return tuple(F(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 5, 6, 9, 10, 12))) for _ in range(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 100_000), k=st.integers(1, 3))
+def test_gram_mass_matches_simplex_measures(seed, k):
+    """One kernel sums the masses the per-simplex path summed, term for
+    term: mixed denominators, repeated simplices and degenerate ones
+    (which weigh nothing) included."""
+    rng = random.Random(seed)
+    pool = [_small_point(rng) for _ in range(k + 3)]
+    simplices = []
+    for _ in range(rng.randint(0, 8)):
+        s = tuple(rng.sample(pool, k + 1))
+        if rng.random() < 0.2:
+            s = s[:-1] + (s[0],)  # a repeated vertex
+        elif rng.random() < 0.2 and k > 1:
+            s = s[:-1] + (tuple((2 * x - y) for x, y in zip(s[0], s[1])),)  # collinear
+        simplices.append(s)
+    simplices += [s for s in simplices if rng.random() < 0.3]
+    want = radical_sum(simplex_measure_reference(s) for s in simplices)
+    got = homogeneous_mass([tuple(map(homogeneous, s)) for s in simplices], k)
+    assert got._terms == want._terms

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filmlab import overlay as ov
+from filmlab.geom import affine, homogeneous, is_degenerate
 from filmlab.overlay import (
     chains_equal_mod2,
     is_zero_geometric,
@@ -15,6 +17,7 @@ from filmlab.overlay import (
 from filmlab.simplicial import boundary_simplicial, simplicial_chain
 
 from conftest import random_simplicial_chain
+from references import fraction_overlay_leftover, fraction_plane_key
 
 F = Fraction
 
@@ -147,7 +150,8 @@ def test_boundary_of_boundary_zero_geometric(seed):
 
 def _midpoint_scan_overlay(segments):
     """Reference: the per-interval midpoint coverage scan the sweep replaced."""
-    from filmlab.geom import line_key, vadd, vdot, vscale, vsub
+    from filmlab.geom import vdot, vscale, vsub
+    from references import line_key, vadd
 
     groups = {}
     for p, q in segments:
@@ -251,3 +255,92 @@ def test_overlay_vanishes_iff_leftover_empty(seed, cancel):
         for seg in segments
     ]
     assert overlay_vanishes(segments) == (overlay_leftover(segments) == [])
+
+
+def _collinear_segments(rng, cancel):
+    """Segments on a few rational lines with endpoints from a shared pool of
+    parameters; with cancel, every segment once more, reversed or split at
+    a pool point, so that sets that vanish are common."""
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        base = tuple(F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3))
+        direction = (0, 0, 0)
+        while direction == (0, 0, 0):
+            direction = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+        lines.append((base, direction))
+    pool = [F(rng.randint(-12, 12), rng.choice((1, 2, 3, 4))) for _ in range(rng.randint(2, 7))]
+
+    def at(line, t):
+        return tuple(b + t * d for b, d in zip(*line))
+
+    segments = []
+    for _ in range(rng.randint(0, 14)):
+        line = lines[rng.randrange(len(lines))]
+        t1, t2 = rng.choice(pool), rng.choice(pool)
+        segments.append((at(line, t1), at(line, t2)))
+        if cancel:
+            tm = rng.choice(pool)
+            segments += [(at(line, t2), at(line, tm)), (at(line, tm), at(line, t1))]
+    return segments
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 100_000), cancel=st.booleans())
+def test_integer_overlay_matches_fraction_overlay(seed, cancel):
+    """The integer cores give the leftover segments and the verdict the
+    Fraction overlay gave, and the public entry points pass them on."""
+    segments = _collinear_segments(random.Random(seed), cancel)
+    expected = fraction_overlay_leftover(segments)
+    if cancel:
+        assert expected == []
+    hsegs = [tuple(map(homogeneous, s)) for s in segments]
+    lines = sorted(ov._leftover(hsegs))
+    assert [(affine(p), affine(q)) for _, runs in lines for p, q in runs] == expected
+    assert overlay_leftover(segments) == expected
+    assert ov._segments_vanish(hsegs) == overlay_vanishes(segments) == (expected == [])
+    assert ov._vanishes(1, hsegs) == (expected == [])
+
+
+def _coplanar_triangles(rng):
+    """Triangles on two or three rational planes; some come with a reversed
+    copy or cut in two at an edge midpoint, which the whole then cancels."""
+    triangles = []
+    for _ in range(rng.randint(2, 3)):
+        o, u, v = (tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)) for _ in "ouv")
+        for _ in range(rng.randint(1, 4)):
+            tri = tuple(
+                tuple(oi + F(a, 2) * ui + F(b, 2) * vi for oi, ui, vi in zip(o, u, v))
+                for a, b in ((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3))
+            )
+            if is_degenerate(tri):
+                continue
+            triangles.append(tri)
+            kind = rng.random()
+            if kind < 0.3:
+                triangles.append(tuple(reversed(tri)))
+            elif kind < 0.6:
+                m = tuple((x + y) / 2 for x, y in zip(tri[1], tri[2]))
+                triangles += [(tri[0], tri[1], m), (tri[0], m, tri[2])]
+    return triangles
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_integer_plane_groups_match_fraction_plane_keys(seed):
+    """Integer plane keys group triangles as the Fraction plane keys did,
+    and each plane's verdict is the Fraction overlay's of its edges."""
+    triangles = _coplanar_triangles(random.Random(seed))
+    by_fraction = {}
+    for i, t in enumerate(triangles):
+        by_fraction.setdefault(fraction_plane_key(*t), []).append(i)
+    homog = [tuple(map(homogeneous, t)) for t in triangles]
+    index = {id(h): i for i, h in enumerate(homog)}
+    groups = ov._plane_groups(homog)
+    got = sorted(sorted(index[id(t)] for t in tris) for tris in groups.values())
+    assert got == sorted(by_fraction.values())
+    verdicts = []
+    for tris in groups.values():
+        edges = [(affine(a), affine(b)) for a, b, c in tris for a, b in ((a, b), (a, c), (b, c))]
+        verdicts.append(fraction_overlay_leftover(edges) == [])
+        assert ov._plane_vanishes(tris) == verdicts[-1]
+    assert ov._vanishes(2, homog) == all(verdicts)
