@@ -4,15 +4,20 @@
 Each subcommand runs on the fixtures as `python -m filmlab.cli ...` in
 --runs fresh processes that compile filmlab from source
 (PYTHONDONTWRITEBYTECODE=1; a src/filmlab/__pycache__ is refused, since
-Python would read it).  One more process records the modules the
-subcommand loaded.  The script prints the median cumulative time of
+Python would read it).  --runs more processes record what the subcommand
+loaded and compiled: they wrap SourceLoader.source_to_code, the step
+that turns a module's source into code, and time each filmlab module it
+compiles.  The script prints the median cumulative time of
 `import filmlab.cli` under -X importtime, then per subcommand the median
-wall time in milliseconds, the filmlab modules loaded and, on a second
-line after "+", the other modules loaded beyond those of a bare
-`python -c pass` of the same interpreter, so a heavy standard-library
-import shows next to the filmlab modules.
+wall time in milliseconds, the filmlab source lines compiled, the
+median milliseconds spent compiling them, the filmlab modules loaded
+and, on a second line after "+", the other modules loaded beyond those
+of a process of the same interpreter that only sets up the recording,
+so a heavy standard-library import shows next to the filmlab modules.  Last comes
+the same compile record for the ten commands of the benchmark's cli
+workload (bench/workloads.py, inputs written at --seed) and its total.
 
-    python3 scripts/cli_coldstart.py [--runs 7]
+    python3 scripts/cli_coldstart.py [--runs 7] [--seed 101]
 """
 
 import argparse
@@ -28,23 +33,32 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 FIX = os.path.join(ROOT, "fixtures")
 
-# writes the names in sys.modules, space-separated, as the last line of stderr
-BARE = "import sys; sys.stderr.write(' '.join(sys.modules) + '\\n')\n"
+# wraps the compiler; REPORT writes {"modules": [...], "compiled": [[path, lines, seconds], ...]}
+# as the last line of stderr
+RECORDER = (
+    "import json, sys, time\n"
+    "from importlib._bootstrap_external import SourceLoader\n"
+    "compiled = []\n"
+    "source_to_code = SourceLoader.source_to_code\n"
+    "def timed(self, data, path, *args, **kwargs):\n"
+    "    start = time.perf_counter()\n"
+    "    code = source_to_code(self, data, path, *args, **kwargs)\n"
+    "    compiled.append((path, data.count(b'\\n'), time.perf_counter() - start))\n"
+    "    return code\n"
+    "SourceLoader.source_to_code = timed\n"
+)
+REPORT = "sys.stderr.write(json.dumps({'modules': list(sys.modules), 'compiled': compiled}) + '\\n')\n"
+BARE = RECORDER + REPORT
 RECORD = (
-    "import sys\n"
-    "from filmlab.cli import main\n"
+    RECORDER
+    + "from filmlab.cli import main\n"
     "try:\n"
     "    code = main(sys.argv[1:])\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    "sys.stderr.write(' '.join(sys.modules) + '\\n')\n"
-    "sys.exit(code)\n"
+    + REPORT
+    + "sys.exit(code)\n"
 )
-
-
-def loaded_modules(argv: list, env: dict, cwd: str) -> set:
-    done = run(argv, env, cwd, subprocess.PIPE)
-    return set(done.stderr.decode().splitlines()[-1].split())
 
 
 def commands(pair: str) -> list:
@@ -90,6 +104,21 @@ def run(argv: list, env: dict, cwd: str, stderr=subprocess.DEVNULL) -> subproces
     return done
 
 
+def recorded(stderr: str) -> tuple:
+    """(modules loaded, filmlab lines compiled, seconds compiling them) from RECORD's stderr."""
+    doc = json.loads(stderr.splitlines()[-1])
+    ours = [(lines, s) for path, lines, s in doc["compiled"]
+            if os.path.dirname(path) == os.path.join(SRC, "filmlab")]
+    return set(doc["modules"]), sum(n for n, _ in ours), sum(s for _, s in ours)
+
+
+def compile_record(call, runs: int) -> tuple:
+    """(modules, lines, median compile ms) over ``runs`` recording processes; call() -> stderr."""
+    records = [recorded(call()) for _ in range(runs)]
+    modules, lines, _ = records[0]
+    return modules, lines, statistics.median(r[2] for r in records) * 1000
+
+
 def import_ms(env: dict, cwd: str, runs: int) -> float:
     times = []
     for _ in range(runs):
@@ -101,9 +130,28 @@ def import_ms(env: dict, cwd: str, runs: int) -> float:
     return statistics.median(times)
 
 
+def bench_compiles(env: dict, seed: int, runs: int, tmp: str) -> None:
+    """The compile record of each command of the benchmark's cli workload, and the total."""
+    sys.path[:0] = [SRC, os.path.join(ROOT, "bench")]
+    import workloads
+
+    os.makedirs(os.path.join(ROOT, ".bench_work"), exist_ok=True)  # run_cli's output files
+    paths = workloads.cli_inputs(seed, os.path.join(tmp, "inputs"))
+    instances = workloads.cli_instances(seed, ROOT, {}, env, paths, lambda name: ["-c", RECORD])
+    print(f"bench cli workload, seed {seed}: {'lines':>6} {'compile ms':>10}")
+    total_lines, total_ms = 0, 0.0
+    for inst in instances:
+        _, lines, ms = compile_record(lambda: inst.call().stderr, runs)
+        total_lines += lines
+        total_ms += ms
+        print(f"{inst.name:<28} {lines:6d} {ms:10.1f}")
+    print(f"{'total':<28} {total_lines:6d} {total_ms:10.1f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=7, help="fresh processes per subcommand")
+    parser.add_argument("--seed", type=int, default=101, help="cli workload seed (default 101)")
     args = parser.parse_args(argv)
     if os.path.isdir(os.path.join(SRC, "filmlab", "__pycache__")):
         sys.exit("cli_coldstart: remove src/filmlab/__pycache__ first; Python would read it")
@@ -113,19 +161,24 @@ def main(argv=None) -> int:
         pair = write_pair(tmp)
         print(f"Python {sys.version.split()[0]}, median of {runs} fresh processes each")
         print(f"import filmlab.cli: {import_ms(env, tmp, runs):.1f} ms cumulative (-X importtime)")
-        bare = loaded_modules(["-c", BARE], env, tmp)
-        print(f"{'subcommand':<18} {'ms':>7}  filmlab modules loaded / + other modules loaded")
+        bare = recorded(run(["-c", BARE], env, tmp, subprocess.PIPE).stderr.decode())[0]
+        print(f"{'subcommand':<18} {'ms':>7} {'lines':>6} {'compile ms':>10}  "
+              "filmlab modules loaded / + other modules loaded")
         for name, cmd in commands(pair):
             times = []
             for _ in range(runs):
                 start = time.perf_counter()
                 run(["-m", "filmlab.cli", *cmd], env, tmp)
                 times.append((time.perf_counter() - start) * 1000)
-            loaded = loaded_modules(["-c", RECORD, *cmd], env, tmp)
+            loaded, lines, ms = compile_record(
+                lambda: run(["-c", RECORD, *cmd], env, tmp, subprocess.PIPE).stderr.decode(), runs
+            )
             ours = sorted(m.removeprefix("filmlab.") for m in loaded if m.startswith("filmlab."))
             others = sorted(loaded - bare - {"filmlab"} - {f"filmlab.{m}" for m in ours})
-            print(f"{name:<18} {statistics.median(times):7.1f}  {' '.join(ours)}")
-            print(f"{'':<28}+ {' '.join(others)}")
+            print(f"{name:<18} {statistics.median(times):7.1f} {lines:6d} {ms:10.1f}  "
+                  f"{' '.join(ours)}")
+            print(f"{'':<46}+ {' '.join(others)}")
+        bench_compiles(env, args.seed, runs, tmp)
     return 0
 
 

@@ -15,7 +15,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from filmlab.deformation import DeformConfig, deform_chain
 from filmlab.grid import GridSpec, mass_grid
-from filmlab.io_formats import write_off
+from filmlab.meshes import write_off
 from filmlab.simplicial import simplicial_chain
 
 TRIANGLE = [

@@ -15,7 +15,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, mass_grid
-from filmlab.io_formats import write_obj, write_off
+from filmlab.meshes import write_obj, write_off
 from filmlab.plateau import (
     cone_energy,
     initial_cone_solution,

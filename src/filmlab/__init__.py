@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "exact": ("RadicalSum", "UndecidableComparison", "format_fraction", "parse_fraction"),
+    "rationals": ("UndecidableComparison", "format_fraction", "parse_fraction"),
+    "exact": ("RadicalSum",),
     "geom": (),
     "grid": (
         "BoxRegion",
@@ -54,21 +55,20 @@ _EXPORTS = {
         "SolverConfig",
         "energy_flat_norm",
         "flat_norm",
-        "natural_norm_upper",
         "verify_certificate",
     ),
+    "natural_norm": ("natural_norm_upper",),
     "deformation": ("DeformConfig", "deform_chain", "deform_dipolyhedron", "snap_parity"),
     "plateau": (
         "BudgetError",
         "PlateauProblem",
         "clamp_improvement",
-        "diagnostics",
         "gamma_membership",
         "initial_cone_solution",
-        "loop_decomposition",
         "minimize_weight",
         "plateau_problem",
     ),
+    "loops": ("diagnostics", "loop_decomposition"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -5,16 +5,17 @@ a JSON report (stdout or --output) plus optional OFF/OBJ meshes.  All
 runs are deterministic for a fixed argument vector: seeds default to 0
 and every report is emitted with sorted keys.
 
-A subcommand loads only the modules it runs.  The solver modules
-(flatnorm, deformation, plateau), the simplicial ops, and the pair ops
-and spanning check (dipolyhedra) are imported inside the handlers, and
-the branches, that call them.  The pair algebra (pairs) and io_formats
-load only the grid representation.  So on a grid input, mass, boundary,
-flatnorm, eflat and natural-norm load no geometry, simplicial, overlay
-or spanning code; cone, clamp and pushforward of a chain load no pair
-op or overlay; plateau and diagnostics load no flat-norm solver; and
---help loads none of them.  No process loads dataclasses or inspect:
-records are plain classes (filmlab.records).
+A subcommand loads only the modules it runs.  The solvers (flatnorm,
+natural_norm, deformation, plateau), loops, the simplicial ops, the pair
+ops and spanning check (dipolyhedra) and meshes are imported inside the
+handlers, and the branches, that call them; the base (io_formats, grid,
+pairs, rationals, records) loads no radical arithmetic (exact).  So on
+a grid input, mass, boundary, flatnorm and eflat load no exact,
+geometry, simplicial, overlay or spanning code; natural-norm and
+plateau load no flat-norm solver; diagnostics loads only loops beyond
+the base; only --mesh-prefix loads meshes; cone, clamp and pushforward
+of a chain load no pair op or overlay; and --help loads none of them.
+No process loads dataclasses or inspect: records are plain classes.
 
 Exit codes: 0 on success, 2 on malformed input or violated
 preconditions, 3 when a solver could certify only an upper bound and
@@ -33,9 +34,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import io_formats as iof
-from .exact import UndecidableComparison, parse_fraction
 from .grid import BoxRegion, GridChain, GridSpec, boundary_grid, restrict_grid
 from .pairs import Dipolyhedron, boundary_dip, chain_mass, energy
+from .rationals import UndecidableComparison, parse_fraction
 
 if TYPE_CHECKING:
     from .simplicial import SimplicialChain
@@ -76,11 +77,13 @@ def _write_meshes(prefix: str, chains: list) -> None:
     each 1-chain (main has created PREFIX's directory); other dimensions
     have no mesh format and are skipped.  Callers write meshes before the
     report, so a failed write leaves no report behind its exit code 2."""
+    from .meshes import write_obj, write_off
+
     for name, chain in chains:
         if chain.k == 2:
-            iof.write_off(chain, f"{prefix}-{name}.off")
+            write_off(chain, f"{prefix}-{name}.off")
         elif chain.k == 1:
-            iof.write_obj(chain, f"{prefix}-{name}.obj")
+            write_obj(chain, f"{prefix}-{name}.obj")
 
 
 def _load(path: str):
@@ -321,7 +324,7 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_natural_norm(args) -> int:
-    from .flatnorm import natural_norm_upper
+    from .natural_norm import natural_norm_upper
 
     obj = _load(args.input)
     if not isinstance(obj, GridChain):
@@ -332,7 +335,7 @@ def _cmd_natural_norm(args) -> int:
 
 
 def _cmd_diagnostics(args) -> int:
-    from .plateau import diagnostics
+    from .loops import diagnostics
 
     obj = _load(args.input)
     if not isinstance(obj, Dipolyhedron):

@@ -18,6 +18,8 @@ from functools import lru_cache
 from math import fsum, gcd, isqrt, prod, sqrt
 from typing import Iterable, Sequence, Union
 
+from .rationals import UndecidableComparison, format_fraction
+
 Scalar = Union[int, Fraction, "RadicalSum"]
 
 # Trial-division bound for square extraction.  Radicands whose leftover part
@@ -31,31 +33,6 @@ _MAX_BITS = 320
 
 # Cores of at most this many bits convert to a float for __float__.
 _FLOAT_CORE_BITS = 1000
-
-
-class UndecidableComparison(ArithmeticError):
-    """Raised when a sign query survives the maximum refinement precision."""
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Parse an integer, 'p/q' or a plain decimal into an exact Fraction.
-
-    Exponent notation is refused: '1e1000000' would expand to a
-    million-digit integer before anything could reject it.
-    """
-    if "e" in text or "E" in text:
-        raise ValueError(f"exponent notation is not accepted: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator: {text!r}") from exc
-
-
-def format_fraction(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 @lru_cache(maxsize=1)

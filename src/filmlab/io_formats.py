@@ -1,4 +1,4 @@
-"""JSON, OFF, and OBJ serialization.
+"""JSON serialization.
 
 Chains, pairs, and solver reports round-trip through a versioned JSON
 schema ("filmlab/1").  Every exact scalar is written as a rational
@@ -6,11 +6,11 @@ string "p/q"; radical sums carry their term list plus a certified
 rational enclosure.  Outputs are byte-deterministic: keys are sorted and
 all cell and simplex lists are emitted in canonical order.
 
-OFF and OBJ exports are decimal snapshots for viewers, explicitly lossy;
-nothing reads them back.
-
-The module loads only the grid representation: filmlab.simplicial is
-imported when a document or an object is simplicial.
+The module loads only the grid representation and no radical
+arithmetic: filmlab.simplicial is imported when a document is
+simplicial, and a simplicial chain or a RadicalSum is recognised through
+sys.modules, as none exists before its module is loaded.  OFF and OBJ
+meshes are written by filmlab.meshes.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .exact import RadicalSum, parse_fraction
-from .grid import GridCell, GridChain, GridSpec, cell_from_label, edge_ends
+from .grid import GridCell, GridChain, GridSpec, cell_from_label
 from .pairs import Dipolyhedron, EnergySplit
+from .rationals import parse_fraction
 from .records import Record
 
 SCHEMA = "filmlab/1"
-_MESH_DIGITS = 12
 
 
 class SchemaError(ValueError):
@@ -55,7 +54,7 @@ def _parse_frac(value, path: str) -> Fraction:
     raise SchemaError(f"{path}: expected a rational string, got {type(value).__name__}")
 
 
-def _radical_json(x: RadicalSum) -> dict:
+def _radical_json(x) -> dict:
     lo, hi = x.enclosure(96)
     return {
         "terms": [[core, _frac_str(coeff)] for core, coeff in x.terms()],
@@ -124,6 +123,12 @@ def _is_simplicial_chain(obj) -> bool:
     no simplicial chain exists before that module is loaded."""
     simplicial = sys.modules.get(f"{__package__}.simplicial")
     return simplicial is not None and isinstance(obj, simplicial.SimplicialChain)
+
+
+def _is_radical_sum(obj) -> bool:
+    """isinstance(obj, RadicalSum) without loading filmlab.exact, as above."""
+    exact = sys.modules.get(f"{__package__}.exact")
+    return exact is not None and isinstance(obj, exact.RadicalSum)
 
 
 def chain_to_json(chain) -> dict:
@@ -243,7 +248,7 @@ def to_jsonable(obj):
         return obj
     if isinstance(obj, (int, Fraction)):
         return _frac_str(obj)
-    if isinstance(obj, RadicalSum):
+    if _is_radical_sum(obj):
         return _radical_json(obj)
     if isinstance(obj, GridChain) or _is_simplicial_chain(obj):
         return chain_to_json(obj)
@@ -283,71 +288,3 @@ def dumps_report(obj) -> str:
     if isinstance(doc, dict):
         doc.setdefault("schema", SCHEMA)
     return dumps_json(doc)
-
-
-# ---------------------------------------------------------------------------
-# meshes
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.{_MESH_DIGITS}f}"
-
-
-def _vertex_table(point_lists):
-    seen = sorted({p for pts in point_lists for p in pts})
-    return seen, {p: i for i, p in enumerate(seen)}
-
-
-def write_off(chain, path: str) -> None:
-    """OFF mesh of a 2-chain: quads for grid faces, triangles otherwise.
-
-    Coordinates are 12-digit decimals; visual export only.
-    """
-    if chain.k != 2:
-        raise ValueError("OFF export expects a 2-chain")
-    faces = []
-    if isinstance(chain, GridChain):
-        grid = chain.grid
-        for cell in chain.sorted_cells():
-            a, b = cell.axes
-            base = cell.base
-            cycle = []
-            for da, db in ((0, 0), (1, 0), (1, 1), (0, 1)):
-                corner = list(base)
-                corner[a] += da
-                corner[b] += db
-                cycle.append(grid.world(tuple(corner)))
-            faces.append(cycle)
-    else:
-        faces = [list(s) for s in sorted(chain.simplices)]
-    verts, index = _vertex_table(faces)
-    lines = ["# visual export only; coordinates rounded", "OFF"]
-    lines.append(f"{len(verts)} {len(faces)} 0")
-    for v in verts:
-        lines.append(" ".join(_fmt(c) for c in v))
-    for f in faces:
-        lines.append(f"{len(f)} " + " ".join(str(index[p]) for p in f))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _segments_of(chain) -> list:
-    if isinstance(chain, GridChain):
-        world = chain.grid.world
-        return [(world(p), world(q)) for p, q in map(edge_ends, chain.sorted_cells())]
-    return [(s[0], s[1]) for s in sorted(chain.simplices)]
-
-
-def write_obj(chain, path: str) -> None:
-    """OBJ polyline export of a 1-chain; 12-digit decimals, visual only."""
-    if chain.k != 1:
-        raise ValueError("OBJ export expects a 1-chain")
-    segs = _segments_of(chain)
-    verts, index = _vertex_table(segs)
-    lines = ["# visual export only; coordinates rounded"]
-    for v in verts:
-        lines.append("v " + " ".join(_fmt(c) for c in v))
-    for a, b in segs:
-        lines.append(f"l {index[a] + 1} {index[b] + 1}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

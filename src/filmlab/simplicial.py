@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import RadicalSum, format_fraction, is_psd, mat_vec
+from .exact import RadicalSum, is_psd, mat_vec
 from .geom import (
     Plane,
     Point,
@@ -30,6 +30,7 @@ from .geom import (
     vsub,
 )
 from .grid import GridChain
+from .rationals import format_fraction
 from .records import Record
 
 

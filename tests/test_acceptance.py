@@ -42,7 +42,6 @@ from filmlab.flatnorm import (
     _searched,
     energy_flat_norm,
     flat_norm,
-    natural_norm_upper,
     verify_certificate,
 )
 from filmlab.geom import sup_norm
@@ -54,12 +53,13 @@ from filmlab.grid import (
     empty_chain,
     mass_grid,
 )
+from filmlab.loops import loop_decomposition
+from filmlab.natural_norm import natural_norm_upper
 from filmlab.overlay import chains_equal_mod2
 from filmlab.plateau import (
     cone_energy,
     gamma_membership,
     initial_cone_solution,
-    loop_decomposition,
     minimize_weight,
     plateau_problem,
 )

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from filmlab import exact
 from filmlab.exact import (
     RadicalSum,
-    format_fraction,
-    parse_fraction,
     radical_sum,
     SQRT3,
 )
+from filmlab.rationals import format_fraction, parse_fraction
 
 from references import sqrt_enclosure
 

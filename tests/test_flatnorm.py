@@ -18,7 +18,6 @@ from filmlab.flatnorm import (
     SolverConfig,
     energy_flat_norm,
     flat_norm,
-    natural_norm_upper,
     _box_labelling,
     _cover_arcs,
     _cover_cut,
@@ -37,6 +36,7 @@ from filmlab.grid import (
     lattice_box,
     mass_grid,
 )
+from filmlab.natural_norm import MulticellDecomposition, natural_norm_upper
 
 from conftest import make_grid, random_grid_chain
 from references import scanned, scanning, solve_bnb, whole_grid
@@ -91,6 +91,9 @@ def test_flat_norm_tampered_certificate_fails():
     assert not verify_certificate(bad, P)
     wrong_value = FlatNormCertificate(cert.value + 1, cert.Q, cert.R, cert.status)
     assert not verify_certificate(wrong_value, P)
+    # without a flow to replay, the status is still one of the two
+    assert verify_certificate(FlatNormCertificate(cert.value, cert.Q, cert.R, "upper-bound"), P)
+    assert not verify_certificate(FlatNormCertificate(cert.value, cert.Q, cert.R, "bogus"), P)
 
 
 def _answer(cert):
@@ -179,6 +182,8 @@ def test_eflat_tampering_detected():
         cert.status,
     )
     assert not verify_certificate(bad, A)
+    parts = (cert.B_Q, cert.C_Q, cert.B_R, cert.C_R)
+    assert not verify_certificate(EnergyFlatCertificate(cert.value, *parts, "bogus"), A)
 
 
 def test_eflat_methods_agree_seeded():
@@ -259,6 +264,15 @@ def test_natural_norm_parallel_faces_pairs_up():
     assert est1.cost == 1
     assert est1.status == "upper-bound"
     assert verify_certificate(est1, P)
+    # the merged multicell bounds the norm above: it cannot replay as exact,
+    # and no decomposition replays under a status other than the two
+    for status in ("exact", "bogus"):
+        claim = MulticellDecomposition(est1.levels, est1.C, est1.cost, status)
+        assert not verify_certificate(claim, P)
+    # level 0 is M(P), exact; a weaker claim of it replays too
+    for status, replays in (("exact", True), ("upper-bound", True), ("bogus", False)):
+        claim = MulticellDecomposition(est0.levels, est0.C, est0.cost, status)
+        assert verify_certificate(claim, P) is replays
 
 
 def test_natural_norm_monotone_in_level():

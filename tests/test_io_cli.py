@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from filmlab import cli
 from filmlab.cli import main
 from filmlab.dipolyhedra import Dipolyhedron, dip_equal, make_dipole
-from filmlab.exact import RadicalSum, UndecidableComparison
+from filmlab.exact import RadicalSum
 from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, empty_chain
 from filmlab.io_formats import (
     SchemaError,
@@ -33,9 +33,9 @@ from filmlab.io_formats import (
     load_document,
     parse_input,
     to_jsonable,
-    write_obj,
-    write_off,
 )
+from filmlab.meshes import write_obj, write_off
+from filmlab.rationals import UndecidableComparison
 from filmlab.simplicial import simplicial_chain
 
 from conftest import (
@@ -1035,9 +1035,10 @@ def test_cli_flat_norms_ignore_the_declared_grid_size(argv, tmp_path):
     assert _without_grids(large) == _without_grids(small)
 
 
-# every process loads the command, the JSON layer, the record base and the grid pair algebra
-BASE = {"cli", "exact", "grid", "io_formats", "pairs", "records"}
-SIMPLICIAL = BASE | {"geom", "simplicial"}
+# every process loads the command, the JSON layer, the rational parser, the record base
+# and the grid pair algebra; no radical arithmetic (exact) before the geometry needs it
+BASE = {"cli", "grid", "io_formats", "pairs", "rationals", "records"}
+SIMPLICIAL = BASE | {"exact", "geom", "simplicial"}
 # the spanning check and the pair ops that leave the grid (dipolyhedra)
 SPANNING = SIMPLICIAL | {"dipolyhedra", "overlay"}
 FLAT = BASE | {"cover", "flatnorm"}
@@ -1059,12 +1060,15 @@ FLAT = BASE | {"cover", "flatnorm"}
         (("plateau", "--help"), BASE),
         (("flatnorm", f"{FIX}/square.json"), FLAT),
         (("eflat", "{pair}", "--method", "bnb", "--node-budget", "1000"), FLAT),
-        (("natural-norm", f"{FIX}/square.json", "--levels", "1"), FLAT),
+        (("natural-norm", f"{FIX}/square.json", "--levels", "1"), BASE | {"exact", "natural_norm"}),
         (("deform", f"{FIX}/tilted_triangle.json", "--eps", "1", "--centers", "4"),
          SIMPLICIAL | {"overlay", "deformation"}),
-        # plateau and diagnostics label cells in the doubled cover, not with the flat norms
+        (("deform", f"{FIX}/tilted_triangle.json", "--eps", "1", "--centers", "4",
+          "--mesh-prefix", "{out}"), SIMPLICIAL | {"overlay", "deformation", "meshes"}),
+        # plateau labels cells in the doubled cover, not with the flat norms
         (("plateau", "--curve", f"{FIX}/square_curve.json"), SPANNING | {"cover", "plateau"}),
-        (("diagnostics", "{pair}"), SPANNING | {"cover", "plateau"}),
+        # diagnostics walks the grid cells alone
+        (("diagnostics", "{pair}"), BASE | {"loops"}),
         # simplicial inputs: each lazy import runs in a cold process
         (("mass", f"{FIX}/cone.json"), SIMPLICIAL),
         (("boundary", f"{FIX}/cone.json"), SIMPLICIAL),
@@ -1075,22 +1079,24 @@ FLAT = BASE | {"cover", "flatnorm"}
     ],
     ids=["mass", "boundary", "span-check", "cone", "clamp", "pushforward", "restrict", "help",
          "flatnorm-help", "plateau-help", "flatnorm", "eflat", "natural-norm", "deform",
-         "plateau", "diagnostics", "mass-simplicial-pair", "boundary-simplicial-pair",
-         "boundary-simplicial", "restrict-simplicial-pair", "cone-simplicial-pair",
-         "cone-simplicial"],
+         "deform-meshes", "plateau", "diagnostics", "mass-simplicial-pair",
+         "boundary-simplicial-pair", "boundary-simplicial", "restrict-simplicial-pair",
+         "cone-simplicial-pair", "cone-simplicial"],
 )
 def test_cli_loads_only_the_solvers_it_runs(argv, modules, tmp_path):
     """Each subcommand process imports the modules it calls and no other.
 
-    A grid input loads no geometry, simplicial, overlay or spanning code
-    unless its subcommand leaves the grid, a chain loads no pair op, and
-    only the flat-norm subcommands load the flat-norm solvers.  No
-    process loads dataclasses or inspect.
+    A grid input loads no radical arithmetic, geometry, simplicial,
+    overlay or spanning code unless its subcommand leaves the grid or
+    sums radicals, a chain loads no pair op, only the flat-norm
+    subcommands load the flat-norm solvers, and only --mesh-prefix loads
+    the mesh writers.  No process loads dataclasses or inspect.
     """
     curve = parse_input(load_document(f"{FIX}/square_curve.json"))
     pair = tmp_path / "pair.json"
     pair.write_text(dumps_report(Dipolyhedron(empty_chain(curve.grid, 2), curve)))
-    argv = [str(pair) if a == "{pair}" else a for a in argv]
+    places = {"{pair}": str(pair), "{out}": str(tmp_path / "mesh")}
+    argv = [places.get(a, a) for a in argv]
     record = tmp_path / "modules.json"
     run = (
         "import json, sys\n"

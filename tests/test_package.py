@@ -13,7 +13,8 @@ import filmlab
 
 # submodule -> the public names it defines
 SURFACE = {
-    "exact": ["RadicalSum", "UndecidableComparison", "format_fraction", "parse_fraction"],
+    "rationals": ["UndecidableComparison", "format_fraction", "parse_fraction"],
+    "exact": ["RadicalSum"],
     "geom": [],
     "grid": [
         "BoxRegion", "GridCell", "GridChain", "GridSpec", "boundary_grid", "cell_from_label",
@@ -32,21 +33,21 @@ SURFACE = {
     ],
     "cover": [],
     "flatnorm": [
-        "SolverConfig", "energy_flat_norm", "flat_norm", "natural_norm_upper",
-        "verify_certificate",
+        "SolverConfig", "energy_flat_norm", "flat_norm", "verify_certificate",
     ],
+    "natural_norm": ["natural_norm_upper"],
     "deformation": ["DeformConfig", "deform_chain", "deform_dipolyhedron", "snap_parity"],
     "plateau": [
-        "BudgetError", "PlateauProblem", "clamp_improvement", "diagnostics",
-        "gamma_membership", "initial_cone_solution", "loop_decomposition", "minimize_weight",
-        "plateau_problem",
+        "BudgetError", "PlateauProblem", "clamp_improvement", "gamma_membership",
+        "initial_cone_solution", "minimize_weight", "plateau_problem",
     ],
+    "loops": ["diagnostics", "loop_decomposition"],
 }
 NAMES = sorted([*SURFACE, *(name for names in SURFACE.values() for name in names)])
 
 
 def test_all_is_pinned():
-    assert len(NAMES) == 67
+    assert len(NAMES) == 70
     assert sorted(filmlab.__all__) == NAMES
 
 
@@ -80,7 +81,29 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(filmlab.__path__))
 
 
 def test_every_submodule_is_listed():
-    assert set(SUBMODULES) == set(SURFACE) | {"cli", "io_formats", "records"}
+    assert set(SUBMODULES) == set(SURFACE) | {"cli", "io_formats", "meshes", "records"}
+
+
+def test_no_submodule_shadows_a_public_name():
+    """Importing a submodule binds it on the package; a submodule named like
+    a public function (say ``diagnostics``) would replace the function."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(filmlab.__file__)))
+    run = (
+        "import importlib, filmlab\n"
+        f"for module in {SUBMODULES!r}:\n"
+        "    importlib.import_module(f'filmlab.{module}')\n"
+        "for name in filmlab.__all__:\n"
+        "    if name in filmlab._MODULE_OF:\n"
+        "        home = importlib.import_module(f'filmlab.{filmlab._MODULE_OF[name]}')\n"
+        "        assert getattr(filmlab, name) is getattr(home, name), name\n"
+        "    else:\n"
+        "        assert getattr(filmlab, name) is importlib.import_module(f'filmlab.{name}'), name\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", run],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("module", SUBMODULES)

@@ -37,16 +37,15 @@ from filmlab.grid import (
     empty_chain,
     mass_grid,
 )
+from filmlab.loops import diagnostics, loop_decomposition
 from filmlab.overlay import overlay_leftover
 from filmlab.plateau import (
     BudgetError,
     PlateauProblem,
     clamp_improvement,
     cone_energy,
-    diagnostics,
     gamma_membership,
     initial_cone_solution,
-    loop_decomposition,
     minimize_weight,
     plateau_problem,
     sweep_film,

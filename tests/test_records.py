@@ -34,19 +34,18 @@ from filmlab.flatnorm import (
     CutFlow,
     EnergyFlatCertificate,
     FlatNormCertificate,
-    Multicell,
-    MulticellDecomposition,
     ProjectionFlows,
     SolverConfig,
 )
 from filmlab.grid import BoxRegion, GridCell, GridChain, GridSpec, empty_chain
 from filmlab.io_formats import to_jsonable
+from filmlab.loops import DiagnosticsReport
+from filmlab.natural_norm import Multicell, MulticellDecomposition
 from filmlab.overlay import EqualityCertificate
 from filmlab.pairs import Dipolyhedron, EnergySplit
 from filmlab.plateau import (
     ClampReport,
     ConeStart,
-    DiagnosticsReport,
     MembershipReport,
     PlateauProblem,
     PlateauSolution,
