@@ -40,13 +40,6 @@ class _BoxLabelling(Record):
 
     __slots__ = _fields = ("cells", "faces", "sides")
 
-    def __init__(
-        self, cells: int, faces: tuple[GridCell, ...], sides: tuple[tuple[int, int, int], ...]
-    ):
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "sides", sides)
-
 
 def _box_labelling(lo, hi, B: GridChain, axes=(0, 1, 2)) -> _BoxLabelling:
     """The labelling of the cells along ``axes`` with lattice bases in [lo, hi) around B."""

@@ -129,41 +129,11 @@ class SupportReport(Record):
 
     __slots__ = _fields = ("chain_dist", "boundary_dist", "within_6eps")
 
-    def __init__(
-        self,
-        chain_dist: Optional[RadicalSum],
-        boundary_dist: Optional[RadicalSum],
-        within_6eps: bool,
-    ):
-        object.__setattr__(self, "chain_dist", chain_dist)
-        object.__setattr__(self, "boundary_dist", boundary_dist)
-        object.__setattr__(self, "within_6eps", within_6eps)
-
 
 class DeformationResult(Record):
     __slots__ = _fields = (
         "P", "Q", "R", "measured", "bounds_ok", "support", "identity", "fallback_cells"
     )
-
-    def __init__(
-        self,
-        P: GridChain,
-        Q: SimplicialChain,
-        R: SimplicialChain,
-        measured: dict,
-        bounds_ok: dict,
-        support: SupportReport,
-        identity: EqualityCertificate,
-        fallback_cells: tuple,
-    ):
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "measured", measured)
-        object.__setattr__(self, "bounds_ok", bounds_ok)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "fallback_cells", fallback_cells)
 
 
 # -- lattice bookkeeping -----------------------------------------------------
@@ -747,28 +717,6 @@ class DipoleDeformationReport(Record):
         "film", "mass", "energy_D", "energy_dD", "energy_Q", "energy_R", "measured",
         "bounds_ok", "fallback_cells",
     )
-
-    def __init__(
-        self,
-        film: DeformationResult,
-        mass: DeformationResult,
-        energy_D,
-        energy_dD,
-        energy_Q,
-        energy_R,
-        measured: dict,
-        bounds_ok: dict,
-        fallback_cells: tuple,
-    ):
-        object.__setattr__(self, "film", film)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "energy_D", energy_D)
-        object.__setattr__(self, "energy_dD", energy_dD)
-        object.__setattr__(self, "energy_Q", energy_Q)
-        object.__setattr__(self, "energy_R", energy_R)
-        object.__setattr__(self, "measured", measured)
-        object.__setattr__(self, "bounds_ok", bounds_ok)
-        object.__setattr__(self, "fallback_cells", fallback_cells)
 
 
 def deform_dipolyhedron(A: Dipolyhedron, gamma, grid: GridSpec, cfg: DeformConfig):

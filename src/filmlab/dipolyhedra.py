@@ -2,7 +2,7 @@
 
 The pair algebra (Dipolyhedron, energy, weight, boundary_dip and the
 representation-generic chain helpers) lives in filmlab.pairs, which
-loads only the grid representation; this module re-exports it.  Cone,
+loads only the grid representation.  Cone,
 pushforward, clamp and restriction act on pairs componentwise.
 
 Spanning means "the mass part is invisible".  A pair with boundary(C) =
@@ -68,16 +68,12 @@ from .overlay import chains_equal_mod2, overlay_vanishes
 from .pairs import (
     Chain,
     Dipolyhedron,
-    EnergySplit,
     boundary_dip,
     chain_boundary,
     chain_is_zero,
     chain_mass,
     energy,
     is_grid_chain,
-    make_dipole,
-    make_massive,
-    weight,
 )
 from .records import Record
 from .simplicial import (
@@ -157,12 +153,6 @@ class ConeBound(Record):
     """Cone energy against the cube bound factor r*sqrt(3)/(k+1)."""
 
     __slots__ = _fields = ("lhs", "rhs", "factor", "holds")
-
-    def __init__(self, lhs: RadicalSum, rhs: RadicalSum, factor: RadicalSum, holds: bool):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "holds", holds)
 
 
 def cone_energy_bound(apex: Sequence, A: Dipolyhedron, r) -> ConeBound:
@@ -397,35 +387,9 @@ def _admissibility(ends, U, V):
 class DirectionReport(Record):
     __slots__ = _fields = ("direction", "admissible", "reason", "matches", "region_area")
 
-    def __init__(
-        self,
-        direction: ProjectionDir,
-        admissible: bool,
-        reason: str,
-        matches: Optional[bool],
-        region_area: Optional[RadicalSum],
-    ):
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "admissible", admissible)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "matches", matches)
-        object.__setattr__(self, "region_area", region_area)
-
 
 class SpanningReport(Record):
     __slots__ = _fields = ("boundary_ok", "verdict", "directions", "max_region_area")
-
-    def __init__(
-        self,
-        boundary_ok: bool,
-        verdict: str,
-        directions: tuple[DirectionReport, ...],
-        max_region_area: Optional[RadicalSum],
-    ):
-        object.__setattr__(self, "boundary_ok", boundary_ok)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "max_region_area", max_region_area)
 
     @property
     def spans(self) -> bool:

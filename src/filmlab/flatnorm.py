@@ -286,9 +286,6 @@ class CutFlow(Record):
 
     __slots__ = _fields = ("arcs",)
 
-    def __init__(self, arcs: tuple[int, ...]):
-        object.__setattr__(self, "arcs", arcs)
-
 
 class ProjectionFlows(Record):
     """Maximum flows of a k = 1 flat norm's three projection covers.
@@ -303,10 +300,6 @@ class ProjectionFlows(Record):
     """
 
     __slots__ = _fields = ("scale", "arcs")
-
-    def __init__(self, scale: int, arcs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]):
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "arcs", arcs)
 
 
 def _projection_labelling(P: GridChain, a: int) -> tuple[_BoxLabelling, list[GridCell]]:
@@ -391,23 +384,15 @@ def _flow_certifies(cert, P: GridChain) -> bool:
 # flat norm
 
 class FlatNormCertificate(Record):
-    __slots__ = _fields = ("value", "Q", "R", "status", "flow")
+    """A flat norm's value, attained by P = Q + boundary(R).
 
-    def __init__(
-        self,
-        value: Fraction,
-        Q: GridChain,
-        R: GridChain,
-        status: str,
-        # the doubled cover's maximum flow (k = 2) or the projection covers' (k = 1);
-        # None from the searches
-        flow: Optional[CutFlow | ProjectionFlows] = None,
-    ):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "flow", flow)
+    ``flow`` is the doubled cover's maximum flow (a CutFlow, k = 2) or the
+    projection covers' (ProjectionFlows, k = 1) when a cover certified the
+    value, and None from the searches.
+    """
+
+    __slots__ = _fields = ("value", "Q", "R", "status", "flow")
+    _defaults = {"flow": None}
 
 
 def _relaxation_cells(P: GridChain) -> list[GridCell]:
@@ -521,17 +506,6 @@ def _certified(P: GridChain, mask: int, score: int, status: str, flow=None) -> F
 
 class EnergyFlatCertificate(Record):
     __slots__ = _fields = ("value", "B_Q", "C_Q", "B_R", "C_R", "status")
-
-    def __init__(
-        self, value: Fraction, B_Q: GridChain, C_Q: GridChain, B_R: GridChain, C_R: GridChain,
-        status: str,
-    ):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "B_Q", B_Q)
-        object.__setattr__(self, "C_Q", C_Q)
-        object.__setattr__(self, "B_R", B_R)
-        object.__setattr__(self, "C_R", C_R)
-        object.__setattr__(self, "status", status)
 
 
 def energy_flat_norm(

@@ -61,6 +61,14 @@ def sup_norm(a: Point) -> Fraction:
 # -- canonical integer directions ------------------------------------------
 
 
+def _primitive(x: int, y: int, z: int) -> tuple[int, int, int]:
+    """The nonzero integer vector divided by its gcd, first nonzero entry positive."""
+    g = gcd(x, y, z)
+    if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
+        g = -g
+    return x // g, y // g, z // g
+
+
 def primitive_direction(v: Point) -> tuple[int, int, int]:
     """Scale a nonzero rational vector to a canonical coprime integer triple.
 
@@ -69,20 +77,7 @@ def primitive_direction(v: Point) -> tuple[int, int, int]:
     """
     if v == (0, 0, 0):
         raise ValueError("zero vector has no direction")
-    denom_lcm = 1
-    for c in v:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    for c in ints:
-        if c != 0:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
-    return (ints[0], ints[1], ints[2])
+    return _primitive(*homogeneous(v)[:3])
 
 
 # -- homogeneous integer points ---------------------------------------------

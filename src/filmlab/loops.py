@@ -7,8 +7,6 @@ walk the grid cells alone: no geometry, spanning check or solver.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .grid import GridCell, GridChain, edge_ends, mass_grid
 from .pairs import Dipolyhedron
 from .records import Record
@@ -18,20 +16,6 @@ class DiagnosticsReport(Record):
     __slots__ = _fields = (
         "loops", "loop_count", "total_length", "film_components", "has_film_curves"
     )
-
-    def __init__(
-        self,
-        loops: tuple,
-        loop_count: int,
-        total_length: Fraction,
-        film_components: int,
-        has_film_curves: bool,
-    ):
-        object.__setattr__(self, "loops", loops)
-        object.__setattr__(self, "loop_count", loop_count)
-        object.__setattr__(self, "total_length", total_length)
-        object.__setattr__(self, "film_components", film_components)
-        object.__setattr__(self, "has_film_curves", has_film_curves)
 
 
 def loop_decomposition(C: GridChain) -> list[list[GridCell]]:

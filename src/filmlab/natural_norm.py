@@ -25,10 +25,6 @@ class Multicell(Record):
 
     __slots__ = _fields = ("base", "vectors")
 
-    def __init__(self, base: GridCell, vectors: tuple[tuple[int, int, int], ...]):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "vectors", vectors)
-
     @property
     def level(self) -> int:
         return len(self.vectors)
@@ -52,14 +48,10 @@ class Multicell(Record):
 
 
 class MulticellDecomposition(Record):
-    __slots__ = _fields = ("levels", "C", "cost", "status")
+    """P as the expansions of multicells plus boundary(C), at their summed
+    cost; ``levels[j]`` is the tuple of level-j multicells."""
 
-    # levels[j] is the tuple of level-j multicells
-    def __init__(self, levels: tuple, C: GridChain, cost: RadicalSum, status: str):
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "status", status)
+    __slots__ = _fields = ("levels", "C", "cost", "status")
 
 
 def _compatible_translation(a: Multicell, b: Multicell) -> Optional[tuple[int, int, int]]:

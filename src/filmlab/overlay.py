@@ -24,19 +24,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .geom import HPoint, HSimplex, Point, _normal, affine, homogeneous_pieces, reduced
+from .geom import HPoint, HSimplex, Point, _normal, _primitive, affine, homogeneous_pieces, reduced
 from .records import Record
 from .simplicial import SimplicialChain, boundary_simplicial, simplicial_chain
 
 Segment = tuple[Point, Point]
-
-
-def _primitive(x: int, y: int, z: int) -> tuple[int, int, int]:
-    """The nonzero integer vector divided by its gcd, first nonzero entry positive."""
-    g = gcd(x, y, z)
-    if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
-        g = -g
-    return x // g, y // g, z // g
 
 
 def _line_toggles(segments: Iterable[tuple[HPoint, HPoint]]) -> dict:
@@ -166,10 +158,6 @@ class EqualityCertificate(Record):
     report readers."""
 
     __slots__ = _fields = ("equal", "mode")
-
-    def __init__(self, equal: bool, mode: str):
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "mode", mode)
 
     def __bool__(self) -> bool:
         return self.equal

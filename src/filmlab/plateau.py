@@ -55,10 +55,8 @@ from typing import Optional, Sequence
 from .cover import _box_labelling, _BoxLabelling, _cover_cut
 from .dipolyhedra import (
     Dipolyhedron,
-    EnergySplit,
     ProjectionDir,
     SpanningContext,
-    SpanningReport,
     _project,
     clamp_dip,
     cone_dip,
@@ -71,7 +69,6 @@ from .geom import closed_cycle, primitive_direction
 from .grid import (
     GridCell,
     GridChain,
-    GridSpec,
     boundary_grid,
     box_cells,
     chain_of,
@@ -119,22 +116,7 @@ class PlateauProblem(Record):
     # the __dict__ holds what is built on first use
     __slots__ = ("gamma", "lam", "lam_prime", "grid", "dirs", "seed", "__dict__")
     _fields = ("gamma", "lam", "lam_prime", "grid", "dirs", "seed")
-
-    def __init__(
-        self,
-        gamma: GridChain,
-        lam: Fraction,
-        lam_prime: Fraction,
-        grid: GridSpec,
-        dirs: tuple,
-        seed: int = 0,
-    ):
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "lam_prime", lam_prime)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "dirs", dirs)
-        object.__setattr__(self, "seed", seed)
+    _defaults = {"seed": 0}
 
     @property
     def cube_half(self) -> Fraction:
@@ -424,24 +406,7 @@ class MembershipReport(Record):
         "cycle_ok", "boundary_ok", "budget", "budget_ok", "support_ok", "spanning",
         "trivially_spans",
     )
-
-    def __init__(
-        self,
-        cycle_ok: bool,
-        boundary_ok: bool,
-        budget: EnergySplit,
-        budget_ok: bool,
-        support_ok: bool,
-        spanning: SpanningReport,
-        trivially_spans: bool = False,
-    ):
-        object.__setattr__(self, "cycle_ok", cycle_ok)
-        object.__setattr__(self, "boundary_ok", boundary_ok)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "budget_ok", budget_ok)
-        object.__setattr__(self, "support_ok", support_ok)
-        object.__setattr__(self, "spanning", spanning)
-        object.__setattr__(self, "trivially_spans", trivially_spans)
+    _defaults = {"trivially_spans": False}
 
     @property
     def member(self) -> bool:
@@ -516,22 +481,7 @@ class ConeStart(Record):
     __slots__ = _fields = (
         "pair", "cone_energy", "membership", "bounds", "bounds_ok", "fallback_cells"
     )
-
-    def __init__(
-        self,
-        pair: Dipolyhedron,
-        cone_energy,
-        membership: MembershipReport,
-        bounds: dict,
-        bounds_ok: dict,
-        fallback_cells: tuple = (),
-    ):
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "cone_energy", cone_energy)
-        object.__setattr__(self, "membership", membership)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "bounds_ok", bounds_ok)
-        object.__setattr__(self, "fallback_cells", fallback_cells)
+    _defaults = {"fallback_cells": ()}
 
 
 def initial_cone_solution(problem: PlateauProblem) -> ConeStart:
@@ -571,30 +521,16 @@ def initial_cone_solution(problem: PlateauProblem) -> ConeStart:
 
 
 class PlateauSolution(Record):
+    """A least-weight search's film, its audit and its certificate.
+
+    ``optimality`` is "exact" or "upper-bound"; ``shadow_bound`` is a
+    weight no member film undercuts, so a film that meets it is exact.
+    """
+
     __slots__ = _fields = (
         "pair", "weight", "energy", "feasibility", "optimality", "method", "nodes",
         "shadow_bound",
     )
-
-    def __init__(
-        self,
-        pair: Dipolyhedron,
-        weight: Fraction,
-        energy: Fraction,
-        feasibility: MembershipReport,
-        optimality: str,  # "exact" | "upper-bound"
-        method: str,
-        nodes: int,
-        shadow_bound: Fraction,  # no member film weighs less
-    ):
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "energy", energy)
-        object.__setattr__(self, "feasibility", feasibility)
-        object.__setattr__(self, "optimality", optimality)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "shadow_bound", shadow_bound)
 
 
 def _least_labelling(n: int, sides, node_budget: Optional[int], limit: Optional[int] = None):
@@ -788,30 +724,6 @@ class ClampReport(Record):
         "pair", "changed", "weight_before", "weight_after", "energy_before", "energy_after",
         "weight_ok", "energy_ok", "spanning_before", "spanning_after",
     )
-
-    def __init__(
-        self,
-        pair: Dipolyhedron,
-        changed: bool,
-        weight_before,
-        weight_after,
-        energy_before,
-        energy_after,
-        weight_ok: bool,
-        energy_ok: bool,
-        spanning_before: SpanningReport,
-        spanning_after: SpanningReport,
-    ):
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "changed", changed)
-        object.__setattr__(self, "weight_before", weight_before)
-        object.__setattr__(self, "weight_after", weight_after)
-        object.__setattr__(self, "energy_before", energy_before)
-        object.__setattr__(self, "energy_after", energy_after)
-        object.__setattr__(self, "weight_ok", weight_ok)
-        object.__setattr__(self, "energy_ok", energy_ok)
-        object.__setattr__(self, "spanning_before", spanning_before)
-        object.__setattr__(self, "spanning_after", spanning_after)
 
 
 def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:

@@ -160,18 +160,7 @@ class PLMap(Record):
     """
 
     __slots__ = _fields = ("lipschitz", "matrix", "offset", "table")
-
-    def __init__(
-        self,
-        lipschitz: RadicalSum,
-        matrix: tuple[tuple[Fraction, ...], ...] | None = None,
-        offset: Point | None = None,
-        table: Mapping[Point, Point] | None = None,
-    ):
-        object.__setattr__(self, "lipschitz", lipschitz)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "table", table)
+    _defaults = {"matrix": None, "offset": None, "table": None}
 
     @staticmethod
     def affine(matrix, offset, lipschitz) -> "PLMap":

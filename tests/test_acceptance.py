@@ -29,12 +29,9 @@ from filmlab.dipolyhedra import (
     cone_energy_bound,
     cone_identity_holds,
     energy,
-    make_dipole,
-    make_massive,
     restrict_dip,
     spanning_check,
     support_points,
-    weight,
 )
 from filmlab.exact import RadicalSum
 from filmlab.flatnorm import (
@@ -56,6 +53,7 @@ from filmlab.grid import (
 from filmlab.loops import loop_decomposition
 from filmlab.natural_norm import natural_norm_upper
 from filmlab.overlay import chains_equal_mod2
+from filmlab.pairs import make_dipole, make_massive, weight
 from filmlab.plateau import (
     cone_energy,
     gamma_membership,

@@ -16,7 +16,7 @@ from filmlab.deformation import (
     deform_dipolyhedron,
     snap_parity,
 )
-from filmlab.dipolyhedra import Dipolyhedron, energy, make_dipole
+from filmlab.dipolyhedra import Dipolyhedron, energy
 from filmlab.exact import RadicalSum, radical_sum
 from filmlab.geom import (
     affine,
@@ -32,6 +32,7 @@ from filmlab.geom import (
 )
 from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, mass_grid
 from filmlab.overlay import chains_equal_mod2
+from filmlab.pairs import make_dipole
 from filmlab.plateau import initial_cone_solution, plateau_problem
 from filmlab.simplicial import (
     SimplicialChain,

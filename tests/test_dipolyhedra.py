@@ -22,19 +22,17 @@ from filmlab.dipolyhedra import (
     dip_equal,
     energy,
     is_grid_chain,
-    make_dipole,
-    make_massive,
     pushforward_dip,
     restrict_dip,
     spanning_check,
     support_in_cube,
     support_points,
-    weight,
 )
 from filmlab.exact import RadicalSum
 from filmlab.geom import primitive_direction
 from filmlab.grid import BoxRegion, GridCell, boundary_grid, chain_of, empty_chain
 from filmlab.overlay import overlay_leftover
+from filmlab.pairs import make_dipole, make_massive, weight
 from filmlab.simplicial import PLMap, boundary_simplicial, empty_simplicial, simplicial_chain
 
 from conftest import make_grid, random_grid_chain, square_curve, world_shadow

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filmlab import flatnorm
-from filmlab.dipolyhedra import Dipolyhedron, make_dipole, make_massive
+from filmlab.dipolyhedra import Dipolyhedron
 from filmlab.flatnorm import (
     DEFAULT_CONFIG,
     CutFlow,
@@ -37,6 +37,7 @@ from filmlab.grid import (
     mass_grid,
 )
 from filmlab.natural_norm import MulticellDecomposition, natural_norm_upper
+from filmlab.pairs import make_dipole, make_massive
 
 from conftest import make_grid, random_grid_chain
 from references import scanned, scanning, solve_bnb, whole_grid

@@ -74,13 +74,19 @@ def test_degenerate_simplices():
 
 
 def test_primitive_direction_normalizes():
-    assert primitive_direction((F(2), F(-4), F(6))) == (1, -2, -3) or \
-        primitive_direction((F(2), F(-4), F(6))) == (-1, 2, -3) or \
-        primitive_direction((F(2), F(-4), F(6))) == (1, -2, 3)
-    # same line, opposite directions agree
-    a = primitive_direction((F(2), F(-4), F(6)))
-    b = primitive_direction((F(-2), F(4), F(-6)))
-    assert a == b
+    cases = [
+        ((F(2), F(-4), F(6)), (1, -2, 3)),
+        ((F(-2), F(4), F(-6)), (1, -2, 3)),  # the opposite direction agrees
+        ((F(-3), F(6), F(9)), (1, -2, -3)),
+        ((F(0), F(-3), F(6)), (0, 1, -2)),
+        ((F(0), F(0), F(-5, 7)), (0, 0, 1)),
+        ((F(1, 2), F(-1, 3), F(1, 4)), (6, -4, 3)),
+        ((F(-2, 3), F(0), F(4, 9)), (3, 0, -2)),
+    ]
+    for v, expected in cases:
+        assert primitive_direction(v) == expected, v
+    with pytest.raises(ValueError, match="zero vector"):
+        primitive_direction((F(0), F(0), F(0)))
 
 
 def dist_sq(p, simplex):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from filmlab import cli
 from filmlab.cli import main
-from filmlab.dipolyhedra import Dipolyhedron, dip_equal, make_dipole
+from filmlab.dipolyhedra import Dipolyhedron, dip_equal
 from filmlab.exact import RadicalSum
 from filmlab.grid import GridCell, GridSpec, boundary_grid, chain_of, empty_chain
 from filmlab.io_formats import (
@@ -35,6 +35,7 @@ from filmlab.io_formats import (
     to_jsonable,
 )
 from filmlab.meshes import write_obj, write_off
+from filmlab.pairs import make_dipole
 from filmlab.rationals import UndecidableComparison
 from filmlab.simplicial import simplicial_chain
 

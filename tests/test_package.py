@@ -1,5 +1,6 @@
 """The package's public surface: names, their defining modules, lazy access."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -121,3 +122,31 @@ def test_submodule_imports_first_in_a_fresh_interpreter(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with its line; imports under
+    ``if TYPE_CHECKING:`` and from ``__future__`` are left out."""
+    names: dict[str, int] = {}
+    skip: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            skip.update(id(inner) for inner in ast.walk(node))
+        elif id(node) in skip or getattr(node, "module", None) == "__future__":
+            continue
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_no_unused_imports(module):
+    """Every name a module imports is used in it (the package's __init__,
+    which binds names for others, is not a module here)."""
+    path = os.path.join(os.path.dirname(filmlab.__file__), f"{module}.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+    assert unused == {}

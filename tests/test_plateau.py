@@ -18,8 +18,6 @@ from filmlab.dipolyhedra import (
     chain_is_zero,
     default_directions,
     energy,
-    make_dipole,
-    make_massive,
     support_in_cube,
     support_points,
     to_simplicial,
@@ -39,6 +37,7 @@ from filmlab.grid import (
 )
 from filmlab.loops import diagnostics, loop_decomposition
 from filmlab.overlay import overlay_leftover
+from filmlab.pairs import make_dipole, make_massive
 from filmlab.plateau import (
     BudgetError,
     PlateauProblem,

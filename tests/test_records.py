@@ -251,3 +251,41 @@ def test_record_init_checks_keep_their_messages():
     cfg = DeformConfig(1, tau="1/4")
     assert (cfg.epsilon, cfg.tau) == (F(1), F(1, 4))
     assert type(cfg.epsilon) is Fraction and type(cfg.tau) is Fraction
+
+
+# the record classes that check or coerce their arguments; every other
+# record stores its fields through Record.__init__
+CHECKING = {
+    GridCell, GridSpec, GridChain, BoxRegion, Dipolyhedron, SimplicialChain, DeformConfig,
+    SolverConfig, MeasureReport, ProjectionDir,
+}
+
+
+def test_only_checking_records_write_their_own_init():
+    own = {cls for cls in BUILDERS if "__init__" in vars(cls)}
+    assert own == CHECKING
+    assert "__init__" in vars(Record)
+
+
+def test_record_init_binds_positions_keywords_and_defaults():
+    Q, R = empty_chain(_grid(), 1), empty_chain(_grid(), 2)
+    full = FlatNormCertificate(F(4), Q, R, "exact", CutFlow((2,)))
+    assert FlatNormCertificate(F(4), Q, R, status="exact", flow=CutFlow((2,))) == full
+    assert FlatNormCertificate(flow=CutFlow((2,)), status="exact", R=R, Q=Q, value=F(4)) == full
+    # trailing fields left out take their _defaults
+    assert FlatNormCertificate(F(4), Q, R, "exact").flow is None
+    assert PlateauProblem(_curve(), F(4), F(2), _grid(), ()).seed == 0
+    assert PlateauProblem(_curve(), F(4), F(2), _grid(), (), seed=3) == BUILDERS[PlateauProblem]()
+    plm = PLMap(ONE, table={})
+    assert (plm.lipschitz, plm.matrix, plm.offset, plm.table) == (ONE, None, None, {})
+
+    with pytest.raises(TypeError, match=r"takes 5 arguments but 6 were given"):
+        FlatNormCertificate(F(4), Q, R, "exact", None, None)
+    with pytest.raises(TypeError, match=r"missing required argument 'status'"):
+        FlatNormCertificate(F(4), Q, R)
+    with pytest.raises(TypeError, match=r"missing required argument 'lipschitz'"):
+        PLMap(table={})
+    with pytest.raises(TypeError, match=r"unexpected keyword argument 'flows'"):
+        FlatNormCertificate(F(4), Q, R, "exact", flows=None)
+    with pytest.raises(TypeError, match=r"multiple values for argument 'Q'"):
+        FlatNormCertificate(F(4), Q, R, "exact", Q=Q)
