@@ -10,7 +10,10 @@ with a timer and a call counter for the timed passes; nothing in src/ or
 bench/ changes.  A function the module does not have is left out, so the
 script also runs on older checkouts, where a stage may read "-".  Prints,
 per stage, the median milliseconds and the calls of one pass, then the
-pass itself and the part of it no stage covers.
+pass itself and the part of it no stage covers.  Beside three stages
+stands how much they made in one pass: the winner projection's sub-pieces
+(the (sub-piece, image) pairs _project_cell_pieces returns), and the
+simplices of R and of Q (before each becomes a Fraction chain).
 
 The stages do not nest, except that "centre choice" holds clearance,
 candidate scores and winner projection.  The finish (_finish_entry) is
@@ -54,16 +57,25 @@ STAGES = (
     ("report chains", ("_fraction_chain",)),
 )
 CHOICE = ("centre choice", ("_choose_center",))
+# what a stage made, counted off its function's result: (stage, label, size)
+SIZES = {
+    "_project_cell_pieces": ("winner projection", "sub-pieces", lambda out: sum(map(len, out))),
+    "_track_chain": ("R assembly", "R simplices", len),
+    "_prune_zero_groups": ("Q assembly, prune", "Q simplices", len),
+}
 
 
-def timed(fn, tally):
+def timed(fn, tally, size=None):
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
         try:
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
         finally:
             tally[0] += time.perf_counter() - start
             tally[1] += 1
+        if size is not None:
+            tally[2] += size(out)
+        return out
 
     return wrapper
 
@@ -80,29 +92,34 @@ def main():
     for inst in instances:
         inst.call()
 
-    tallies = {name: [0.0, 0] for name, _ in STAGES + (CHOICE,)}
+    tallies = {name: [0.0, 0, 0] for name, _ in STAGES + (CHOICE,)}
     present = set()
+    labels = {}
     for name, attrs in STAGES + (CHOICE,):
         for attr in attrs:
             if hasattr(deformation, attr):
-                setattr(deformation, attr, timed(getattr(deformation, attr), tallies[name]))
+                size = None
+                if attr in SIZES:
+                    _, labels[name], size = SIZES[attr]
+                fn = timed(getattr(deformation, attr), tallies[name], size)
+                setattr(deformation, attr, fn)
                 present.add(name)
     per_pass = {name: [] for name in tallies}
-    calls = {}
+    calls, sizes = {}, {}
     walls, others = [], []
     gc.collect()
     gc.disable()
     try:
         for _ in range(args.passes):
             for tally in tallies.values():
-                tally[:] = [0.0, 0]
+                tally[:] = [0.0, 0, 0]
             start = time.perf_counter()
             for inst in instances:
                 inst.call()
             walls.append(time.perf_counter() - start)
-            for name, (seconds, count) in tallies.items():
+            for name, (seconds, count, size) in tallies.items():
                 per_pass[name].append(seconds)
-                calls[name] = count
+                calls[name], sizes[name] = count, size
             others.append(walls[-1] - sum(tallies[name][0] for name, _ in STAGES))
     finally:
         gc.enable()
@@ -114,7 +131,8 @@ def main():
             print(f"{name:<20} {'-':>9} {'-':>7}")
             continue
         ms = statistics.median(per_pass[name]) * 1e3
-        print(f"{name:<20} {ms:9.1f} {calls[name]:7d}")
+        made = f"  {sizes[name]} {labels[name]}" if name in labels else ""
+        print(f"{name:<20} {ms:9.1f} {calls[name]:7d}{made}")
     choice = statistics.median(per_pass[CHOICE[0]]) * 1e3
     print(f"{CHOICE[0] + ' (all)':<20} {choice:9.1f} {calls[CHOICE[0]]:7d}")
     print(f"{'pass':<20} {statistics.median(walls) * 1e3:9.1f}")

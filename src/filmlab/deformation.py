@@ -3,22 +3,23 @@
 A chain is pushed into the grid skeleton one dimension at a time: inside
 every cube (then every face) that still carries a piece of the chain, a
 well separated interior center is chosen and the cell's content is
-projected radially onto the cell boundary.  Pieces are first subdivided
-along the wedge planes through the center and the cell's boundary edges,
-so each piece lands inside a single facet and projects to an honest
-straight simplex.  Once the chain lies in the k-skeleton, covering parity
+projected radially onto the cell boundary.  A piece is clipped to the
+cones from the center over the cell's facets (one that lies in a single
+cone goes whole), so each part lands inside a single facet and projects
+to an honest straight simplex; a clipped polygon is fanned into
+triangles.  Once the chain lies in the k-skeleton, covering parity
 at a generic point of each k-face decides which whole faces make up the
 grid chain P.
 
 The center follows one rule: among the candidates that keep clear of the
 chain, the least exact projected mass wins, and equal masses go to the
-lowest candidate index.  A candidate's mass is summed cone by cone, its
-pieces clipped to the facet cones from it instead of wedge-split; only the
-winner is projected, and no float enters the choice.  The exact identity
-below certifies the result whichever center is used.
+lowest candidate index.  A candidate's mass is summed over the same cone
+parts that its projection would make, measured without projecting them;
+only the winner is projected, and no float enters the choice.  The exact
+identity below certifies the result whichever center is used.
 
 From the grid clip to the report, pieces are homogeneous integer simplices
-(geom.HSimplex): carriers, wedge splits, cone clips, projections, the
+(geom.HSimplex): carriers, cone clips, projections, the
 snap's point tests, every distance (clearances and support distances, by
 geom.homogeneous_dist_sq), and the finish.  There R's tracks toggle as
 sorted integer tuples, dR toggles their facets, Q is pruned from
@@ -197,28 +198,6 @@ def _center_candidates(grid: GridSpec, cell: GridCell, cfg: DeformConfig) -> lis
     return out
 
 
-def _wedge_edges(grid: GridSpec, cell: GridCell) -> list:
-    """Homogeneous point pairs (p, q) that span a wedge plane together with
-    the center.
-
-    For a 3-cell these are the cell's boundary edges, axis by axis from the
-    corners of its lower facet; for a 2-cell, each corner and that corner
-    moved one unit along the face normal.
-    """
-    corners = {c: homogeneous(grid.world(c)) for c in cell.corners()}
-    if cell.dim == 3:
-        return [
-            (corners[c], corners[c[:a] + (c[a] + 1,) + c[a + 1 :]])
-            for a in (0, 1, 2)
-            for c in corners
-            if c[a] == cell.base[a]
-        ]
-    if cell.dim == 2:
-        (n,) = (a for a in (0, 1, 2) if a not in cell.axes)
-        return [(p, p[:n] + (p[n] + p[3],) + p[n + 1 :]) for p in corners.values()]
-    raise ValueError("projection cells must have dimension 2 or 3")
-
-
 def _facet_offsets(grid: GridSpec, cell: GridCell, center: HPoint):
     """Offsets of the cell's two facets per axis from the center, as
     integers over one positive denominator: (K, [(axis, below, above)])."""
@@ -233,95 +212,102 @@ def _facet_offsets(grid: GridSpec, cell: GridCell, center: HPoint):
     return k, offsets
 
 
-def _project_cell_pieces(
-    grid: GridSpec, cell: GridCell, center: HPoint, pieces: list, edges: list
-):
-    """Wedge-split each piece and project it radially onto the cell boundary.
+def _rays(center: HPoint, s: HSimplex) -> list:
+    """R = X Cw - C W per vertex X / W of s, a positive multiple of the
+    vertex minus the center C / Cw."""
+    cx, cy, cz, cw = center
+    return [(x * cw - cx * w, y * cw - cy * w, z * cw - cz * w) for x, y, z, w in s]
+
+
+def _facet_parts(poly: list, facets: list, cones: list):
+    """Yield (a, O, part) for each facet at offset O / K along axis a that
+    a segment or convex polygon reaches from the center, with the part that
+    projects onto it.
+
+    A vertex is a tuple whose first three entries are its ray R; the rules
+    read those, and _clip carries any further entries along.  A piece whose
+    vertices all exit through one facet (_exit_facet) goes to it whole; any
+    other is clipped to each facet cone (Sutherland-Hodgman), whose list is
+    filled into cones on first need.  The facet at offset O / K along axis a
+    is reached through the closed cone where R_a has O's sign and
+    |O| R_b <= above_b |R_a|, -|O| R_b <= |below_b| |R_a| for each other
+    cell axis b.  Two neighbouring cones share a face, spanned by the center
+    and their facets' common edge (or corner, in a 2-cell); a part lying in
+    it goes to the earlier axis alone, as _exit_facet breaks its ties.
+    """
+    exits = {_exit_facet(v, facets) for v in poly}
+    if len(exits) == 1:
+        ((a, off),) = exits
+        yield a, off, poly
+        return
+    if not cones:
+        # (a, O, forms), each form (p, q, b, strict) for p R_a + q R_b >= 0
+        for a, below, above in facets:
+            for off, sign in ((below, -1), (above, 1)):
+                m = abs(off)
+                forms = [(hi * sign, -m, b, b < a) for b, lo, hi in facets if b != a]
+                forms += [(-lo * sign, m, b, b < a) for b, lo, hi in facets if b != a]
+                cones.append((a, off, forms))
+    for a, off, forms in cones:
+        part = poly
+        for p, q, b, _ in forms:
+            vals = [p * v[a] + q * v[b] for v in part]
+            if max(vals) <= 0 < -min(vals):
+                break  # at most a face of the piece lies in the cone
+            if min(vals) < 0:
+                part = _clip(part, vals)
+        else:
+            if all(any(p * v[a] + q * v[b] for v in part) for p, q, b, strict in forms if strict):
+                yield a, off, part
+
+
+def _project_cell_pieces(grid: GridSpec, cell: GridCell, center: HPoint, pieces: list):
+    """Project each piece radially onto the cell boundary, facet by facet.
 
     The center, pieces and results are homogeneous (geom.HPoint and
-    HSimplex); the wedge planes run through the center and _wedge_edges.
-    Returns, per input piece, a list of (sub-piece, image) pairs; images
-    can be degenerate when a sub-piece lies in a plane through the center.
-    A sub-piece goes to the facet that the ray from the center through its
-    centroid meets first (on equal ray parameters, the first such axis),
-    and each vertex v to c + t (v - c) on that facet.  With the center
-    C / Cw, a vertex X / W, R = X Cw - C W (a positive multiple of v - c)
-    and the facet at offset O / K from the center along axis a, the image
-    is (C K R_a + O Cw R) / (Cw K R_a).
+    HSimplex).  Returns, per input piece, a list of (sub-piece, image)
+    pairs; images can be degenerate when a sub-piece lies in a plane
+    through the center.  The sub-pieces are the piece's _facet_parts, found
+    on its points with their rays in front, and a clipped polygon is cut
+    into a fan from its first vertex.  On the facet at offset O / K along
+    axis a, a vertex with ray R goes to (C K R_a + O Cw R) / (Cw K R_a).
     """
-    planes = [Plane.through(center, p, q) for p, q in edges]
     k, facets = _facet_offsets(grid, cell, center)
     cx, cy, cz, cw = center
+    cones = []
     out = []
     for s in pieces:
         pairs = []
-        for sub in split_homogeneous([s], planes):
-            # the centroid minus the center, times len(sub) * d * Cw > 0
-            d = lcm(*(v[3] for v in sub))
-            sx = sy = sz = 0
-            for x, y, z, w in sub:
-                f = d // w
-                sx, sy, sz = sx + x * f, sy + y * f, sz + z * f
-            nd = len(sub) * d
-            ray = (sx * cw - cx * nd, sy * cw - cy * nd, sz * cw - cz * nd)
-            a, off = _exit_facet(ray, facets)
+        poly = [r + v for r, v in zip(_rays(center, s), s)]
+        for a, off, part in _facet_parts(poly, facets, cones):
+            sub = tuple(reduced(*v[3:]) for v in part)
             image = []
-            for x, y, z, w in sub:
-                r = (x * cw - cx * w, y * cw - cy * w, z * cw - cz * w)
+            for r in part:
                 if r[a] == 0:
                     raise ValueError("projection ray is undefined at the center")
                 u, v = k * r[a], off * cw
                 x, y, z = cx * u + v * r[0], cy * u + v * r[1], cz * u + v * r[2]
                 image.append(reduced(x, y, z, cw * u))
-            pairs.append((sub, tuple(image)))
+            if len(sub) < 4:
+                pairs.append((sub, tuple(image)))
+                continue
+            for i in range(1, len(sub) - 1):
+                # a clipped polygon, fanned out from its first vertex
+                pairs.append(((sub[0], sub[i], sub[i + 1]), (image[0], image[i], image[i + 1])))
         out.append(pairs)
     return out
 
 
 def _cone_mass(grid: GridSpec, cell: GridCell, center: HPoint, pieces: list) -> RadicalSum:
     """The exact mass of the images _project_cell_pieces gives the pieces,
-    without its wedge split.  With R = X Cw - C W as there, the facet at
-    offset O / K along axis a is reached through the closed cone where R_a
-    has O's sign and |O| R_b <= above_b |R_a|, -|O| R_b <= |below_b| |R_a|
-    for each other cell axis b; inside it the projection is the one map
-    R -> (O / K) R / R_a.  A piece whose vertices all exit through one facet
-    lies in its cone; any other is clipped to each cone (Sutherland-Hodgman
-    on integer R).  Cones overlap in wedge planes, of image measure zero but
-    for a segment in one, which counts for the earlier axis as the exit-facet
-    rule gives it.
-    """
+    without projecting them: the same _facet_parts, found on the rays
+    alone, each measured by _image_measure."""
     k, facets = _facet_offsets(grid, cell, center)
-    cx, cy, cz, cw = center
     terms = []
     cones = []
     for s in pieces:
-        rays = [(x * cw - cx * w, y * cw - cy * w, z * cw - cz * w) for x, y, z, w in s]
-        exits = {_exit_facet(r, facets) for r in rays}
-        if len(exits) == 1:
-            ((a, off),) = exits
-            _image_measure(rays, a, abs(off), k, terms)
-            continue
-        # (a, |O|, forms), each form (p, q, b, strict) for p R_a + q R_b >= 0
-        if not cones:
-            for a, below, above in facets:
-                for m, sign in ((-below, -1), (above, 1)):
-                    forms = [(hi * sign, -m, b, b < a) for b, lo, hi in facets if b != a]
-                    forms += [(-lo * sign, m, b, b < a) for b, lo, hi in facets if b != a]
-                    cones.append((a, m, forms))
-        for a, m, forms in cones:
-            poly = rays
-            for p, q, b, _ in forms:
-                vals = [p * r[a] + q * r[b] for r in poly]
-                if max(vals) <= 0 < -min(vals):
-                    break  # at most a face of the piece lies in the cone
-                if min(vals) < 0:
-                    poly = _clip(poly, vals)
-            else:
-                # a segment in a wedge plane counts for the earlier axis alone
-                if len(poly) > 2 or all(
-                    any(p * r[a] + q * r[b] for r in poly) for p, q, b, strict in forms if strict
-                ):
-                    _image_measure(poly, a, m, k, terms)
+        for a, off, part in _facet_parts(_rays(center, s), facets, cones):
+            _image_measure(part, a, abs(off), k, terms)
     return RadicalSum(terms)
 
 
@@ -363,14 +349,15 @@ def _image_measure(poly: list, a: int, m: int, k: int, terms: list) -> None:
 
 
 def _clip(poly: list, vals: list) -> list:
-    """The part of a segment or convex polygon of rays R where a linear
-    form, vals at the vertices, is at least zero.  A crossing point is the
-    positive combination |l_p| R_q + |l_q| R_p, gcd-reduced."""
+    """The part of a segment or convex polygon where a linear form, vals at
+    the vertices, is at least zero.  A vertex is an integer vector (a ray R,
+    or R followed by its homogeneous point); a crossing point is the
+    positive combination |l_p| V_q + |l_q| V_p, gcd-reduced."""
 
     def cross(i, j):
         r = [abs(vals[i]) * y + abs(vals[j]) * x for x, y in zip(poly[i], poly[j])]
         g = gcd(*r)
-        return (r[0] // g, r[1] // g, r[2] // g)
+        return tuple([x // g for x in r])
 
     if len(poly) == 2:
         return [cross(0, 1) if v < 0 else r for v, r in zip(vals, poly)]
@@ -450,7 +437,7 @@ def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConf
     if len(admitted) > 1:
         # min keeps the first of equal masses, so ties go to the lowest index
         i = min(admitted, key=lambda j: _cone_mass(grid, cell, candidates[j], pieces))
-    proj = _project_cell_pieces(grid, cell, candidates[i], pieces, _wedge_edges(grid, cell))
+    proj = _project_cell_pieces(grid, cell, candidates[i], pieces)
     return candidates[i], proj, fallback
 
 

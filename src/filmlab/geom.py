@@ -287,15 +287,6 @@ class Plane:
         self.n = (ints[0] // g, ints[1] // g, ints[2] // g)
         self.b = ints[3] // g
 
-    @staticmethod
-    def through(c: HPoint, p: HPoint, q: HPoint) -> "Plane":
-        """Plane through homogeneous points c, p, q, with normal (p - c) x (q - c)."""
-        n = _normal(c, p, q)
-        if n == (0, 0, 0):
-            raise ValueError("degenerate plane directions")
-        # <n, x> = <n, c> is <Cw n, x> = <n, C>
-        return Plane([x * c[3] for x in n], n[0] * c[0] + n[1] * c[1] + n[2] * c[2])
-
     def __repr__(self):
         return f"Plane(n={self.n}, b={self.b})"
 

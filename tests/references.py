@@ -36,22 +36,32 @@ the code that replaced it is tested against an independent path:
   and support distances with ``geom.homogeneous_dist_sq`` on integer
   points.  Its tetrahedron branch was dropped with it: nothing measures a
   distance to a tetrahedron.
+- ``wedge_project_cell_pieces``: the deformation's former projection,
+  which split every piece along all the wedge planes through the centre
+  and the cell's edges and sent each sub-piece to the facet its
+  centroid's ray meets first; the product now clips each piece to the
+  facet cones.  It builds the planes it was once passed from
+  ``wedge_edges`` and ``plane_through`` (formerly ``geom.Plane.through``),
+  and ``wedge_split`` sends the product's projections to it.
 """
 
 import contextlib
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 from unittest import mock
 
-from filmlab import flatnorm
+from filmlab import deformation, flatnorm
 from filmlab.exact import DEFAULT_BITS, Matrix, RadicalSum, _sqrt_bounds, is_psd
 from filmlab.geom import (
+    Plane,
     _normal,
     affine_pieces,
     homogeneous,
     primitive_direction,
+    reduced,
     simplex_measure_sq,
+    split_homogeneous,
     vcross,
     vdot,
     vnorm_sq,
@@ -385,6 +395,87 @@ def point_simplex_dist_sq(p, simplex) -> Fraction:
     if k == 2:
         return point_triangle_dist_sq(p, simplex[0], simplex[1], simplex[2])
     raise ValueError("distances are to points, segments and triangles only")
+
+
+def wedge_edges(grid, cell) -> list:
+    """Homogeneous point pairs (p, q) that span a wedge plane together with
+    the center.
+
+    For a 3-cell these are the cell's boundary edges, axis by axis from the
+    corners of its lower facet; for a 2-cell, each corner and that corner
+    moved one unit along the face normal.
+    """
+    corners = {c: homogeneous(grid.world(c)) for c in cell.corners()}
+    if cell.dim == 3:
+        return [
+            (corners[c], corners[c[:a] + (c[a] + 1,) + c[a + 1 :]])
+            for a in (0, 1, 2)
+            for c in corners
+            if c[a] == cell.base[a]
+        ]
+    if cell.dim == 2:
+        (n,) = (a for a in (0, 1, 2) if a not in cell.axes)
+        return [(p, p[:n] + (p[n] + p[3],) + p[n + 1 :]) for p in corners.values()]
+    raise ValueError("projection cells must have dimension 2 or 3")
+
+
+def plane_through(c, p, q) -> Plane:
+    """Plane through homogeneous points c, p, q, with normal (p - c) x (q - c)."""
+    n = _normal(c, p, q)
+    if n == (0, 0, 0):
+        raise ValueError("degenerate plane directions")
+    # <n, x> = <n, c> is <Cw n, x> = <n, C>
+    return Plane([x * c[3] for x in n], n[0] * c[0] + n[1] * c[1] + n[2] * c[2])
+
+
+def wedge_project_cell_pieces(grid, cell, center, pieces):
+    """Wedge-split each piece and project it radially onto the cell boundary.
+
+    The center, pieces and results are homogeneous (geom.HPoint and
+    HSimplex); the wedge planes run through the center and wedge_edges.
+    Returns, per input piece, a list of (sub-piece, image) pairs; images
+    can be degenerate when a sub-piece lies in a plane through the center.
+    A sub-piece goes to the facet that the ray from the center through its
+    centroid meets first (on equal ray parameters, the first such axis),
+    and each vertex v to c + t (v - c) on that facet.  With the center
+    C / Cw, a vertex X / W, R = X Cw - C W (a positive multiple of v - c)
+    and the facet at offset O / K from the center along axis a, the image
+    is (C K R_a + O Cw R) / (Cw K R_a).
+    """
+    planes = [plane_through(center, p, q) for p, q in wedge_edges(grid, cell)]
+    k, facets = deformation._facet_offsets(grid, cell, center)
+    cx, cy, cz, cw = center
+    out = []
+    for s in pieces:
+        pairs = []
+        for sub in split_homogeneous([s], planes):
+            # the centroid minus the center, times len(sub) * d * Cw > 0
+            d = lcm(*(v[3] for v in sub))
+            sx = sy = sz = 0
+            for x, y, z, w in sub:
+                f = d // w
+                sx, sy, sz = sx + x * f, sy + y * f, sz + z * f
+            nd = len(sub) * d
+            ray = (sx * cw - cx * nd, sy * cw - cy * nd, sz * cw - cz * nd)
+            a, off = deformation._exit_facet(ray, facets)
+            image = []
+            for x, y, z, w in sub:
+                r = (x * cw - cx * w, y * cw - cy * w, z * cw - cz * w)
+                if r[a] == 0:
+                    raise ValueError("projection ray is undefined at the center")
+                u, v = k * r[a], off * cw
+                x, y, z = cx * u + v * r[0], cy * u + v * r[1], cz * u + v * r[2]
+                image.append(reduced(x, y, z, cw * u))
+            pairs.append((sub, tuple(image)))
+        out.append(pairs)
+    return out
+
+
+@contextlib.contextmanager
+def wedge_split():
+    """Send every projection of the deformation to the wedge-split reference."""
+    with mock.patch.object(deformation, "_project_cell_pieces", wedge_project_cell_pieces):
+        yield
 
 
 def mat_transpose(m: Matrix) -> list[list[Fraction]]:

@@ -129,11 +129,6 @@ def test_split_simplex_keeps_coplanar_pieces():
     assert on == [tri] and not neg and not pos
 
 
-def test_plane_through_rejects_degenerate():
-    with pytest.raises(ValueError):
-        Plane.through(homogeneous(O), homogeneous(EX), homogeneous((F(2), F(0), F(0))))
-
-
 def test_sup_norm():
     assert sup_norm((F(-3), F(2), F(1, 2))) == 3
 
