@@ -15,12 +15,14 @@ stands how much they made in one pass: the winner projection's sub-pieces
 (the (sub-piece, image) pairs _project_cell_pieces returns), and the
 simplices of R and of Q (before each becomes a Fraction chain).
 
-The stages do not nest, except that "centre choice" holds clearance,
-candidate scores and winner projection.  The finish (_finish_entry) is
-split into R assembly (the tracks' toggle and dR), Q assembly and prune
-(A + P + dR and its void part), identity (also the dipolyhedron's closure
-check dB + C = gamma on the cone start), masses, support and report
-chains (R and Q as Fraction chains).  Where a checkout builds R, dR or
+The stages do not nest, except that "centre choice" holds candidates,
+clearance, candidate scores, score comparisons and winner projection.
+Score comparisons are the RadicalSum comparisons (<) made inside the
+centre choice: those of min over the candidates' scores.  The finish
+(_finish_entry) is split into R assembly (the tracks' toggle and dR),
+Q assembly and prune (A + P + dR and its void part), identity (also the
+dipolyhedron's closure check dB + C = gamma on the cone start), masses,
+support and report chains (R and Q as Fraction chains).  Where a checkout builds R, dR or
 M(R) inside _track_chain, they count as R assembly.
 
 The cyclic garbage collector is run once and then switched off for the
@@ -42,11 +44,14 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import workloads  # noqa: E402
 
 from filmlab import deformation  # noqa: E402
+from filmlab.exact import RadicalSum  # noqa: E402
 
 STAGES = (
     ("clip", ("_clip_to_grid",)),
+    ("candidates", ("_center_candidates",)),
     ("clearance", ("_clears",)),
     ("candidate scores", ("_cone_mass",)),
+    ("score comparisons", ()),
     ("winner projection", ("_project_cell_pieces",)),
     ("snap", ("_snap",)),
     ("R assembly", ("_track_chain", "_boundary")),
@@ -104,6 +109,21 @@ def main():
                 fn = timed(getattr(deformation, attr), tallies[name], size)
                 setattr(deformation, attr, fn)
                 present.add(name)
+    # RadicalSum < is timed only while a centre choice runs
+    choosing = [0]
+    choose, less = deformation._choose_center, RadicalSum.__lt__
+    compare = timed(less, tallies["score comparisons"])
+
+    def counted_choice(*args):
+        choosing[0] += 1
+        try:
+            return choose(*args)
+        finally:
+            choosing[0] -= 1
+
+    deformation._choose_center = counted_choice
+    RadicalSum.__lt__ = lambda x, y: compare(x, y) if choosing[0] else less(x, y)
+    present.add("score comparisons")
     per_pass = {name: [] for name in tallies}
     calls, sizes = {}, {}
     walls, others = [], []

@@ -15,18 +15,20 @@ The center follows one rule: among the candidates that keep clear of the
 chain, the least exact projected mass wins, and equal masses go to the
 lowest candidate index.  A candidate's mass is summed over the same cone
 parts that its projection would make, measured without projecting them;
-only the winner is projected, and no float enters the choice.  The exact
-identity below certifies the result whichever center is used.
+only the winner is projected.  Candidates, facet offsets, cone clips and
+image measures are integers over one denominator per grid (_facet_frame),
+and a score makes one Fraction per radical core, its coefficient; no
+float enters the choice.  The exact identity below certifies the result
+whichever center is used.
 
 From the grid clip to the report, pieces are homogeneous integer simplices
-(geom.HSimplex): carriers, cone clips, projections, the
-snap's point tests, every distance (clearances and support distances, by
-geom.homogeneous_dist_sq), and the finish.  There R's tracks toggle as
-sorted integer tuples, dR toggles their facets, Q is pruned from
+(geom.HSimplex): carriers, projections, the snap's point tests, every
+distance (geom.homogeneous_dist_sq) and the finish, where R's tracks
+toggle as sorted integer tuples, dR toggles their facets, Q is pruned from
 A + P + dR by the integer overlay cores, the identity is overlaid afresh
 on A + P + Q + dR, and every mass is one geom.gram_mass over integer
-Grams.  Fractions appear where they must: once per distinct point of the
-R and Q that leave in the report, and once per support distance.
+Grams.  Fractions appear once per distinct point of the R and Q that leave
+in the report, and once per support distance.
 
 Every run returns chains Q (dim k) and R (dim k+1) with the exact mod-2
 identity  A = P + Q + dR,  verified geometrically before returning, plus
@@ -55,7 +57,6 @@ from .geom import (
     Plane,
     _gram,
     gram_mass,
-    homogeneous,
     homogeneous_dist_sq,
     homogeneous_mass,
     homogeneous_pieces,
@@ -168,11 +169,8 @@ def _clip_to_grid(chain: SimplicialChain, grid: GridSpec) -> list:
     """Cut the presentation along all interior lattice planes, into
     homogeneous pieces."""
     lo, hi = grid.box()
-    for s in chain.simplices:
-        for v in s:
-            for a in (0, 1, 2):
-                if not lo[a] <= v[a] <= hi[a]:
-                    raise ValueError("chain extends outside the grid box")
+    if any(not lo[a] <= v[a] <= hi[a] for s in chain.simplices for v in s for a in (0, 1, 2)):
+        raise ValueError("chain extends outside the grid box")
     planes = (
         Plane([int(b == a) for b in (0, 1, 2)], grid.origin[a] + grid.epsilon * i)
         for a in (0, 1, 2)
@@ -184,32 +182,35 @@ def _clip_to_grid(chain: SimplicialChain, grid: GridSpec) -> list:
 # -- projection centers ------------------------------------------------------
 
 
+def _facet_frame(grid: GridSpec, cell: GridCell) -> tuple:
+    """(K, corner, step, axes): the cell's lowest corner over K, the spacing
+    times K and the cell's axes, with K = lcm(origin denominators) times
+    64 and the spacing's denominator: candidates and facets are over K."""
+    eps, dens = grid.epsilon, lcm(*(q.denominator for q in grid.origin))
+    k, step = dens * eps.denominator * 64, dens * eps.numerator * 64
+    corner = [q.numerator * (k // q.denominator) + step * b for q, b in zip(grid.origin, cell.base)]
+    return k, corner, step, cell.axes
+
+
 def _center_candidates(grid: GridSpec, cell: GridCell, cfg: DeformConfig) -> list:
+    """Candidate centres, homogeneous: base + r / 64 steps per cell axis, r in 1..63."""
+    k, corner, step, axes = _facet_frame(grid, cell)
     rng = random.Random(f"filmlab-deform:{cfg.seed}:{cell.axes_label()}:{cell.base}")
     out = []
     for _ in range(cfg.candidate_centers):
-        coords = []
-        for a in (0, 1, 2):
-            q = Fraction(cell.base[a])
-            if a in cell.axes:
-                q += Fraction(rng.randint(1, 63), 64)
-            coords.append(grid.origin[a] + grid.epsilon * q)
-        out.append(tuple(coords))
+        p = list(corner)
+        for a in axes:
+            p[a] += step // 64 * rng.randint(1, 63)
+        out.append(reduced(*p, k))
     return out
 
 
-def _facet_offsets(grid: GridSpec, cell: GridCell, center: HPoint):
-    """Offsets of the cell's two facets per axis from the center, as
-    integers over one positive denominator: (K, [(axis, below, above)])."""
-    eps, cw = grid.epsilon, center[3]
-    planes = [(a, grid.origin[a] + eps * cell.base[a]) for a in cell.axes]
-    k = lcm(cw, eps.denominator, *(q.denominator for _, q in planes))
-    step = eps.numerator * (k // eps.denominator)
-    offsets = []
-    for a, q in planes:
-        below = q.numerator * (k // q.denominator) - center[a] * (k // cw)
-        offsets.append((a, below, below + step))
-    return k, offsets
+def _facet_offsets(frame: tuple, center: HPoint) -> tuple:
+    """(K, [(axis, below, above)]): the offsets of the cell's two facets per
+    axis from a center whose W divides K (a candidate), as integers over K."""
+    k, corner, step, axes = frame
+    f = k // center[3]
+    return k, [(a, corner[a] - center[a] * f, corner[a] - center[a] * f + step) for a in axes]
 
 
 def _rays(center: HPoint, s: HSimplex) -> list:
@@ -234,6 +235,12 @@ def _facet_parts(poly: list, facets: list, cones: list):
     cell axis b.  Two neighbouring cones share a face, spanned by the center
     and their facets' common edge (or corner, in a 2-cell); a part lying in
     it goes to the earlier axis alone, as _exit_facet breaks its ties.
+
+    A cone is skipped when no vertex's R_a has O's sign: the piece then has
+    sign(O) R_a <= 0, and the cone's two forms for any other axis b add up
+    to (above_b - below_b) sign(O) R_a >= 0, so the two meet only where
+    R_a = 0, where the forms make every R_b 0: at most in the center, which
+    has no image and lies on no piece that clears it.
     """
     exits = {_exit_facet(v, facets) for v in poly}
     if len(exits) == 1:
@@ -248,7 +255,10 @@ def _facet_parts(poly: list, facets: list, cones: list):
                 forms = [(hi * sign, -m, b, b < a) for b, lo, hi in facets if b != a]
                 forms += [(-lo * sign, m, b, b < a) for b, lo, hi in facets if b != a]
                 cones.append((a, off, forms))
+    reach = {(a, v[a] > 0) for v in poly for a, _, _ in facets if v[a]}
     for a, off, forms in cones:
+        if (a, off > 0) not in reach:
+            continue
         part = poly
         for p, q, b, _ in forms:
             vals = [p * v[a] + q * v[b] for v in part]
@@ -261,18 +271,19 @@ def _facet_parts(poly: list, facets: list, cones: list):
                 yield a, off, part
 
 
-def _project_cell_pieces(grid: GridSpec, cell: GridCell, center: HPoint, pieces: list):
+def _project_cell_pieces(frame: tuple, center: HPoint, pieces: list):
     """Project each piece radially onto the cell boundary, facet by facet.
 
     The center, pieces and results are homogeneous (geom.HPoint and
-    HSimplex).  Returns, per input piece, a list of (sub-piece, image)
-    pairs; images can be degenerate when a sub-piece lies in a plane
-    through the center.  The sub-pieces are the piece's _facet_parts, found
-    on its points with their rays in front, and a clipped polygon is cut
-    into a fan from its first vertex.  On the facet at offset O / K along
-    axis a, a vertex with ray R goes to (C K R_a + O Cw R) / (Cw K R_a).
+    HSimplex), the facets those of the cell's _facet_frame.  Returns, per
+    input piece, a list of (sub-piece, image) pairs; images can be
+    degenerate when a sub-piece lies in a plane through the center.  The
+    sub-pieces are the piece's _facet_parts, found on its points with their
+    rays in front, and a clipped polygon is cut into a fan from its first
+    vertex.  On the facet at offset O / K along axis a, a vertex with ray R
+    goes to (C K R_a + O Cw R) / (Cw K R_a).
     """
-    k, facets = _facet_offsets(grid, cell, center)
+    k, facets = _facet_offsets(frame, center)
     cx, cy, cz, cw = center
     cones = []
     out = []
@@ -298,17 +309,17 @@ def _project_cell_pieces(grid: GridSpec, cell: GridCell, center: HPoint, pieces:
     return out
 
 
-def _cone_mass(grid: GridSpec, cell: GridCell, center: HPoint, pieces: list) -> RadicalSum:
+def _cone_mass(frame: tuple, center: HPoint, pieces: list) -> RadicalSum:
     """The exact mass of the images _project_cell_pieces gives the pieces,
     without projecting them: the same _facet_parts, found on the rays
-    alone, each measured by _image_measure."""
-    k, facets = _facet_offsets(grid, cell, center)
-    terms = []
+    alone, each measured by _image_measure into one rational per core."""
+    k, facets = _facet_offsets(frame, center)
+    sums = {}
     cones = []
     for s in pieces:
         for a, off, part in _facet_parts(_rays(center, s), facets, cones):
-            _image_measure(part, a, abs(off), k, terms)
-    return RadicalSum(terms)
+            _image_measure(part, a, abs(off), k, sums)
+    return RadicalSum((core, Fraction(n, d)) for core, (n, d) in sums.items())
 
 
 def _exit_facet(r: tuple, facets: list) -> tuple:
@@ -328,24 +339,32 @@ def _exit_facet(r: tuple, facets: list) -> tuple:
     return best[0], best[3]
 
 
-def _image_measure(poly: list, a: int, m: int, k: int, terms: list) -> None:
-    """Append the image measure of a segment or convex polygon of rays R in
-    the cone of the facet at offset +-m / k along axis a: for a segment
+def _image_measure(poly: list, a: int, m: int, k: int, sums: dict) -> None:
+    """Add the image measure of a segment or convex polygon of rays R in the
+    cone of the facet at offset +-m / k along axis a to sums, which maps a
+    core to the integers (n, d) of its coefficient n / d: for a segment
     m |R1 R0_a - R0 R1_a| / (k |R0_a R1_a|), for a polygon the rational area
     m^2 / (2 k^2) |sum of det(R0, Ri, Ri+1) / (R0_a Ri_a Ri+1_a)| over its fan."""
     r0 = poly[0]
     if len(poly) == 2:
         r1 = poly[1]
         d = [r1[e] * r0[a] - r0[e] * r1[a] for e in (0, 1, 2) if e != a]
-        g = gcd(*d) or 1
-        n = (d[0] // g) ** 2 + (d[1] // g) ** 2
-        s, core = _split_square(n) if n else (0, 1)
-        terms.append((core, Fraction(m * g * s, k * abs(r0[a] * r1[a]))))
-        return
-    fan = Fraction(0)
-    for r1, r2 in zip(poly[1:], poly[2:]):
-        fan += Fraction(det3((r0, r1, r2)), r0[a] * r1[a] * r2[a])
-    terms.append((1, abs(fan) * Fraction(m * m, 2 * k * k)))
+        if not (g := gcd(*d)):
+            return  # a segment on a ray from the center has no image length
+        s, core = _split_square((d[0] // g) ** 2 + (d[1] // g) ** 2)
+        n, den = m * g * s, k * abs(r0[a] * r1[a])
+    else:
+        n, den = 0, 1
+        for r1, r2 in zip(poly[1:], poly[2:]):
+            n, den = _add(n, den, det3((r0, r1, r2)), r0[a] * r1[a] * r2[a])
+        core, n, den = 1, abs(n) * m * m, abs(den) * 2 * k * k
+    sums[core] = _add(*sums[core], n, den) if core in sums else (n, den)
+
+
+def _add(n1: int, d1: int, n2: int, d2: int) -> tuple:
+    """n1 / d1 + n2 / d2 as (n, d) over the lcm of the denominators."""
+    g = gcd(d1, d2)
+    return n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2
 
 
 def _clip(poly: list, vals: list) -> list:
@@ -426,7 +445,7 @@ def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConf
     Each cleared candidate is scored by _cone_mass, and only the winner is
     projected.
     """
-    candidates = [homogeneous(c) for c in _center_candidates(grid, cell, cfg)]
+    candidates = _center_candidates(grid, cell, cfg)
     cut = (cfg.tau * grid.epsilon) ** 2
     admitted = [i for i, c in enumerate(candidates) if _clears(c, pieces, cut)]
     fallback = not admitted
@@ -434,10 +453,11 @@ def _choose_center(grid: GridSpec, cell: GridCell, pieces: list, cfg: DeformConf
         # every candidate is too close to the chain: take the farthest one
         admitted = [_farthest(candidates, pieces)[0]]
     i = admitted[0]
+    frame = _facet_frame(grid, cell)
     if len(admitted) > 1:
         # min keeps the first of equal masses, so ties go to the lowest index
-        i = min(admitted, key=lambda j: _cone_mass(grid, cell, candidates[j], pieces))
-    proj = _project_cell_pieces(grid, cell, candidates[i], pieces)
+        i = min(admitted, key=lambda j: _cone_mass(frame, candidates[j], pieces))
+    proj = _project_cell_pieces(frame, candidates[i], pieces)
     return candidates[i], proj, fallback
 
 
@@ -471,23 +491,12 @@ def _run_pipeline(entries: list, grid: GridSpec, cfg: DeformConfig):
             if fb:
                 fallbacks.append(cell)
             for (ei, pi), pairs in zip(members, proj):
-                images = []
                 for sub, image in pairs:
-                    tracks[ei].append(sub + (c,))
-                    tracks[ei].append(image + (c,))
-                    if _gram(image)[0]:
-                        images.append(image)
-                replacements[ei][pi] = images
+                    tracks[ei] += (sub + (c,), image + (c,))
+                replacements[ei][pi] = [image for _, image in pairs if _gram(image)[0]]
         for ei, repl in enumerate(replacements):
-            if not repl:
-                continue
-            rebuilt = []
-            for pi, s in enumerate(states[ei]):
-                if pi in repl:
-                    rebuilt.extend(repl[pi])
-                else:
-                    rebuilt.append(s)
-            states[ei] = rebuilt
+            if repl:
+                states[ei] = [t for pi, s in enumerate(states[ei]) for t in repl.get(pi, (s,))]
     return states, tracks, fallbacks
 
 
@@ -519,8 +528,9 @@ def _snap(grid: GridSpec, k: int, pieces: list, seed: int) -> GridChain:
     """snap_parity of the chain of homogeneous pieces, in integers.
 
     Pieces cancel mod 2 and degenerate ones drop, as in simplicial_chain.
-    Each sample point is tested in its cell's own coordinates against the
-    _inside_forms of the cell's pieces.
+    Each sample point is tested in its cell's own coordinates, integers
+    over a multiple of its _facet_frame's K, against the _inside_forms of
+    the cell's pieces.
     """
     if k not in (1, 2):
         raise ValueError("parity snap supports 1- and 2-chains only")
@@ -540,14 +550,10 @@ def _snap(grid: GridSpec, k: int, pieces: list, seed: int) -> GridChain:
         group = by_cell[cell]
         rng = random.Random(f"filmlab-snap:{seed}:{cell.axes_label()}:{cell.base}")
         parity = None
+        den, corner, step, axes = _facet_frame(grid, cell)
         for _ in range(64):
-            coords = [
-                grid.origin[a]
-                + grid.epsilon * (cell.base[a] + Fraction(rng.randint(1, 9972), 9973))
-                for a in cell.axes
-            ]
-            w = lcm(*(q.denominator for q in coords))
-            point = [q.numerator * (w // q.denominator) for q in coords] + [w]
+            # base + r / 9973 lattice steps along each cell axis, over 9973 K
+            point = [corner[a] * 9973 + step * rng.randint(1, 9972) for a in axes] + [den * 9973]
             lows = [min(sum(x * y for x, y in zip(f, point)) for f in forms) for forms in group]
             if 0 not in lows:
                 parity = sum(low > 0 for low in lows) % 2
@@ -760,14 +766,6 @@ def deform_dipolyhedron(A: Dipolyhedron, gamma, grid: GridSpec, cfg: DeformConfi
     measured = {key: _ratio(m, ceiling) for key, (m, ceiling, _) in ratios.items()}
     bounds_ok = {key: m <= c * ceiling for key, (m, ceiling, c) in ratios.items()}
     report = DipoleDeformationReport(
-        film=film,
-        mass=mass,
-        energy_D=e_D,
-        energy_dD=energy(dD),
-        energy_Q=energy(Q),
-        energy_R=energy(R),
-        measured=measured,
-        bounds_ok=bounds_ok,
-        fallback_cells=fb,
+        film, mass, e_D, energy(dD), energy(Q), energy(R), measured, bounds_ok, fb
     )
     return D, Q, R, report

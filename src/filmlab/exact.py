@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import fsum, gcd, isqrt, prod, sqrt
+from math import fsum, gcd, isqrt, lcm, prod, sqrt
 from typing import Iterable, Sequence, Union
 
 from .rationals import UndecidableComparison, format_fraction
@@ -83,11 +83,9 @@ def _split_square(n: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _sqrt_bounds(core: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of sqrt(core) with width <= 2^-bits."""
-    scale = 1 << bits
-    lo = isqrt(core * scale * scale)
-    return Fraction(lo, scale), Fraction(lo + 1, scale)
+def _sqrt_floor(core: int, bits: int) -> int:
+    """isqrt(core * 4^bits): sqrt(core) lies in [f, f + 1] / 2^bits."""
+    return isqrt(core << 2 * bits)
 
 
 class RadicalSum:
@@ -104,9 +102,8 @@ class RadicalSum:
     def __init__(self, terms: Iterable[tuple[int, Fraction]] = ()):  # internal
         merged: dict[int, Fraction] = {}
         for core, coeff in terms:
-            if coeff == 0:
-                continue
-            merged[core] = merged.get(core, Fraction(0)) + coeff
+            if coeff:
+                merged[core] = merged[core] + coeff if core in merged else coeff
         self._terms = tuple(sorted((c, q) for c, q in merged.items() if q != 0))
 
     # -- constructors -------------------------------------------------------
@@ -215,7 +212,8 @@ class RadicalSum:
 
     def enclosure(self, bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
         """Certified rational enclosure [lo, hi] of the value."""
-        return _enclosure(self._terms, bits)
+        lo, hi, d = _enclosure(self._terms, bits)
+        return Fraction(lo, d), Fraction(hi, d)
 
     def _cmp(self, other: Scalar) -> int:
         """sign(self - other), from one merge of the two term lists; two
@@ -289,15 +287,19 @@ def _merge_square_ratios(terms) -> tuple:
     return RadicalSum(out)._terms
 
 
-def _enclosure(terms, bits: int) -> tuple[Fraction, Fraction]:
-    lo = hi = Fraction(0)
-    for core, coeff in terms:
-        slo, shi = (1, 1) if core == 1 else _sqrt_bounds(core, bits)
-        if coeff < 0:
-            slo, shi = shi, slo
-        lo += coeff * slo
-        hi += coeff * shi
-    return lo, hi
+def _enclosure(terms, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, d): the sum lies in [lo, hi] / d, d = 2^bits lcm(coefficient
+    denominators), with sqrt(core) in [f, f + 1] / 2^bits (_sqrt_floor)."""
+    den = lcm(*(q.denominator for _, q in terms))
+    lo = hi = 0
+    for core, q in terms:
+        c = q.numerator * (den // q.denominator)
+        if core == 1:
+            lo, hi = lo + (c << bits), hi + (c << bits)
+        else:
+            f = _sqrt_floor(core, bits)
+            lo, hi = lo + c * (f + (c < 0)), hi + c * (f + (c > 0))
+    return lo, hi, den << bits
 
 
 def _sign(terms) -> int:
@@ -309,7 +311,7 @@ def _sign(terms) -> int:
         return signs.pop()
     bits = DEFAULT_BITS
     while bits <= _MAX_BITS:
-        lo, hi = _enclosure(terms, bits)
+        lo, hi, _ = _enclosure(terms, bits)
         if lo > 0:
             return 1
         if hi < 0:

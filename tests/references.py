@@ -14,7 +14,10 @@ the code that replaced it is tested against an independent path:
   ``weighted_popcount`` generator per child; the product's loop now
   precomputes each depth's effect, cost, bit and nonzero weight masks.
 - ``sqrt_enclosure``: the rational enclosure of sqrt(value) behind the
-  old enclosure ladder of the deformation's mass ratios.
+  old enclosure ladder of the deformation's mass ratios, on ``sqrt_bounds``.
+- ``sqrt_bounds`` and ``fraction_enclosure``: ``RadicalSum``'s enclosure
+  as it summed one Fraction bound per term; ``exact._enclosure`` now sums
+  integers over one common denominator.
 - ``fraction_track_chain``: the deformation's chain R of homogeneous
   tracks, built on Fraction keys; the deformation now assembles R, dR and
   M(R) on the integer points themselves.
@@ -43,16 +46,23 @@ the code that replaced it is tested against an independent path:
   facet cones.  It builds the planes it was once passed from
   ``wedge_edges`` and ``plane_through`` (formerly ``geom.Plane.through``),
   and ``wedge_split`` sends the product's projections to it.
+- ``fraction_center_candidates``: the deformation's centre candidates as
+  Fraction world points, origin + epsilon (base + r / 64); the product now
+  builds them as homogeneous integer points over one denominator per grid.
+- ``unskipped_facet_parts``: the deformation's facet parts as they clipped
+  a piece to every facet cone; the product skips a cone that no vertex's
+  ray reaches on the facet's side.
 """
 
 import contextlib
+import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional
 from unittest import mock
 
 from filmlab import deformation, flatnorm
-from filmlab.exact import DEFAULT_BITS, Matrix, RadicalSum, _sqrt_bounds, is_psd
+from filmlab.exact import DEFAULT_BITS, Matrix, RadicalSum, is_psd
 from filmlab.geom import (
     Plane,
     _normal,
@@ -229,6 +239,25 @@ def scanned(P):
         return flatnorm._searched(P, "exhaustive", flatnorm.DEFAULT_CONFIG)
 
 
+def sqrt_bounds(core: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Certified enclosure of sqrt(core) with width <= 2^-bits."""
+    scale = 1 << bits
+    lo = isqrt(core * scale * scale)
+    return Fraction(lo, scale), Fraction(lo + 1, scale)
+
+
+def fraction_enclosure(terms, bits: int) -> tuple[Fraction, Fraction]:
+    """[lo, hi] of the sum of coeff * sqrt(core) over the terms."""
+    lo = hi = Fraction(0)
+    for core, coeff in terms:
+        slo, shi = (1, 1) if core == 1 else sqrt_bounds(core, bits)
+        if coeff < 0:
+            slo, shi = shi, slo
+        lo += coeff * slo
+        hi += coeff * shi
+    return lo, hi
+
+
 def sqrt_enclosure(value: Fraction, bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
     """Certified enclosure of sqrt(value) for a nonnegative rational."""
     value = Fraction(value)
@@ -238,7 +267,7 @@ def sqrt_enclosure(value: Fraction, bits: int = DEFAULT_BITS) -> tuple[Fraction,
         return Fraction(0), Fraction(0)
     # sqrt(p/q) = sqrt(p*q)/q
     pq = value.numerator * value.denominator
-    lo, hi = _sqrt_bounds(pq, bits)
+    lo, hi = sqrt_bounds(pq, bits)
     return lo / value.denominator, hi / value.denominator
 
 
@@ -443,7 +472,7 @@ def wedge_project_cell_pieces(grid, cell, center, pieces):
     is (C K R_a + O Cw R) / (Cw K R_a).
     """
     planes = [plane_through(center, p, q) for p, q in wedge_edges(grid, cell)]
-    k, facets = deformation._facet_offsets(grid, cell, center)
+    k, facets = deformation._facet_offsets(deformation._facet_frame(grid, cell), center)
     cx, cy, cz, cw = center
     out = []
     for s in pieces:
@@ -471,11 +500,41 @@ def wedge_project_cell_pieces(grid, cell, center, pieces):
     return out
 
 
+class _CellFrame(tuple):
+    """A facet frame that keeps the (grid, cell) it was made for."""
+
+
 @contextlib.contextmanager
 def wedge_split():
     """Send every projection of the deformation to the wedge-split reference."""
-    with mock.patch.object(deformation, "_project_cell_pieces", wedge_project_cell_pieces):
-        yield
+    facet_frame = deformation._facet_frame
+
+    def framed(grid, cell):
+        frame = _CellFrame(facet_frame(grid, cell))
+        frame.cell = grid, cell
+        return frame
+
+    def project(frame, center, pieces):
+        return wedge_project_cell_pieces(*frame.cell, center, pieces)
+
+    with mock.patch.object(deformation, "_facet_frame", framed):
+        with mock.patch.object(deformation, "_project_cell_pieces", project):
+            yield
+
+
+def fraction_center_candidates(grid, cell, cfg) -> list:
+    """The cell's candidate centres as Fraction world points."""
+    rng = random.Random(f"filmlab-deform:{cfg.seed}:{cell.axes_label()}:{cell.base}")
+    out = []
+    for _ in range(cfg.candidate_centers):
+        coords = []
+        for a in (0, 1, 2):
+            q = Fraction(cell.base[a])
+            if a in cell.axes:
+                q += Fraction(rng.randint(1, 63), 64)
+            coords.append(grid.origin[a] + grid.epsilon * q)
+        out.append(tuple(coords))
+    return out
 
 
 def mat_transpose(m: Matrix) -> list[list[Fraction]]:
@@ -517,3 +576,31 @@ def operator_norm_enclosure(matrix: Matrix, bits: int = DEFAULT_BITS) -> tuple[F
         else:
             lo = mid
     return lo, hi
+
+
+def unskipped_facet_parts(poly: list, facets: list, cones: list):
+    """deformation._facet_parts without its cone skip."""
+    exits = {deformation._exit_facet(v, facets) for v in poly}
+    if len(exits) == 1:
+        ((a, off),) = exits
+        yield a, off, poly
+        return
+    if not cones:
+        # (a, O, forms), each form (p, q, b, strict) for p R_a + q R_b >= 0
+        for a, below, above in facets:
+            for off, sign in ((below, -1), (above, 1)):
+                m = abs(off)
+                forms = [(hi * sign, -m, b, b < a) for b, lo, hi in facets if b != a]
+                forms += [(-lo * sign, m, b, b < a) for b, lo, hi in facets if b != a]
+                cones.append((a, off, forms))
+    for a, off, forms in cones:
+        part = poly
+        for p, q, b, _ in forms:
+            vals = [p * v[a] + q * v[b] for v in part]
+            if max(vals) <= 0 < -min(vals):
+                break  # at most a face of the piece lies in the cone
+            if min(vals) < 0:
+                part = deformation._clip(part, vals)
+        else:
+            if all(any(p * v[a] + q * v[b] for v in part) for p, q, b, strict in forms if strict):
+                yield a, off, part

@@ -46,10 +46,12 @@ from filmlab.simplicial import (
 
 from conftest import HEX, make_grid, polygon_curve, random_simplicial_chain, square_curve
 from references import (
+    fraction_center_candidates,
     fraction_track_chain,
     point_simplex_dist_sq,
     simplex_measure_reference,
     sqrt_enclosure,
+    unskipped_facet_parts,
     wedge_edges,
     wedge_project_cell_pieces,
     wedge_split,
@@ -616,7 +618,7 @@ def test_tilted_triangle_choices_pinned(eps):
     chosen = set()
     for v in {v for s in result.R.simplices for v in s}:
         cell = dm._carrier(grid, (homogeneous(v),))
-        if cell.dim >= 2 and v in dm._center_candidates(grid, cell, cfg):
+        if cell.dim >= 2 and homogeneous(v) in dm._center_candidates(grid, cell, cfg):
             chosen.add(v)
     assert sorted(chosen) == sorted(tuple(F(x) for x in a) for a in apexes)
 
@@ -967,7 +969,7 @@ def _all_exact_choice(grid, cell, pieces, cfg):
     projected by the wedge split, then the least exact projected mass,
     lowest index on ties; with none cleared, the farthest candidate, lowest
     index on ties."""
-    candidates = dm._center_candidates(grid, cell, cfg)
+    candidates = fraction_center_candidates(grid, cell, cfg)
     cut = (cfg.tau * grid.epsilon) ** 2
     dists = [min(point_simplex_dist_sq(c, s) for s in pieces) for c in candidates]
     admitted = [i for i, d2 in enumerate(dists) if d2 >= cut]
@@ -1028,7 +1030,7 @@ def test_boundary_choices_follow_the_exact_rule(monkeypatch):
     wrong = [cell for cell, (ok, _) in calls.items() if not ok]
     assert calls and not wrong, wrong
     face = GridCell((1, 1, 1), (1, 2))
-    assert calls[face][1] == homogeneous(dm._center_candidates(grid, face, cfg)[0])
+    assert calls[face][1] == dm._center_candidates(grid, face, cfg)[0]
 
 
 def _random_pieces(rng, grid, cell, k, count):
@@ -1118,8 +1120,8 @@ def test_cone_mass_equals_the_wedge_split_image_mass(seed):
     face = GridCell(corner, rng.choice(((0, 1), (0, 2), (1, 2))))
     cfg = DeformConfig(epsilon=eps, candidate_centers=3, seed=rng.randint(0, 9))
     for cell, k in ((cube, 2), (cube, 1), (face, 1)):
-        for candidate in dm._center_candidates(grid, cell, cfg):
-            center = homogeneous(candidate)
+        frame = dm._facet_frame(grid, cell)
+        for center in dm._center_candidates(grid, cell, cfg):
             pieces = [
                 tuple(map(homogeneous, s))
                 for s in _random_pieces(rng, grid, cell, k, rng.randint(1, 3))
@@ -1129,7 +1131,7 @@ def test_cone_mass_equals_the_wedge_split_image_mass(seed):
             pieces = [s for s in pieces if homogeneous_dist_sq(center, s)[0] > 0]
             proj = wedge_project_cell_pieces(grid, cell, center, pieces)
             expected = _image_mass(image for pairs in proj for _, image in pairs)
-            assert dm._cone_mass(grid, cell, center, pieces) == expected
+            assert dm._cone_mass(frame, center, pieces) == expected
 
 
 def _image_mass(images):
@@ -1167,8 +1169,8 @@ def test_cone_clip_projection_matches_the_wedge_split(seed):
     face = GridCell(corner, rng.choice(((0, 1), (0, 2), (1, 2))))
     cfg = DeformConfig(epsilon=eps, candidate_centers=2, seed=rng.randint(0, 9))
     for cell, k in ((cube, 2), (cube, 1), (face, 1)):
-        for candidate in dm._center_candidates(grid, cell, cfg):
-            center = homogeneous(candidate)
+        frame = dm._facet_frame(grid, cell)
+        for center in dm._center_candidates(grid, cell, cfg):
             pieces = [
                 tuple(map(homogeneous, s))
                 for s in _random_pieces(rng, grid, cell, k, rng.randint(1, 3))
@@ -1176,7 +1178,7 @@ def test_cone_clip_projection_matches_the_wedge_split(seed):
             if cell.dim == 3:
                 pieces += _wedge_pieces(rng, grid, cell, center, k, 2)
             pieces = [s for s in pieces if homogeneous_dist_sq(center, s)[0] > 0]
-            new = dm._project_cell_pieces(grid, cell, center, pieces)
+            new = dm._project_cell_pieces(frame, center, pieces)
             old = wedge_project_cell_pieces(grid, cell, center, pieces)
             for s, pairs, ref in zip(pieces, new, old):
                 parts = _as_chain(k, [sub for sub, _ in pairs])
@@ -1184,8 +1186,67 @@ def test_cone_clip_projection_matches_the_wedge_split(seed):
                 images, ref_images = ([image for _, image in p] for p in (pairs, ref))
                 assert chains_equal_mod2(_as_chain(k, images), _as_chain(k, ref_images)).equal
                 assert all(_in_one_facet(grid, cell, image) for image in images)
-                mass = dm._cone_mass(grid, cell, center, [s])
+                mass = dm._cone_mass(frame, center, [s])
                 assert mass == _image_mass(images) == _image_mass(ref_images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    origin=st.tuples(*[st.fractions(-3, 3, max_denominator=7)] * 3),
+    eps=st.sampled_from((F(1), F(1, 2), F(2, 3), F(3, 7), F(5, 3))),
+    base=st.tuples(*[st.integers(0, 2)] * 3),
+    axes=st.sampled_from(((0, 1), (0, 2), (1, 2), (0, 1, 2))),
+    seed=st.integers(0, 9),
+)
+def test_integer_candidates_equal_the_fraction_formula(origin, eps, base, axes, seed):
+    """The centre candidates built in integers over one denominator per grid
+    are the reference's Fraction points, in the same order: origins over 3
+    and 7, spacings such as 2/3, in 2- and 3-cells."""
+    grid = make_grid((3, 3, 3), origin=origin, eps=eps)
+    cell = GridCell(base, axes)
+    cfg = DeformConfig(epsilon=eps, candidate_centers=8, seed=seed)
+    got = dm._center_candidates(grid, cell, cfg)
+    assert got == [homogeneous(p) for p in fraction_center_candidates(grid, cell, cfg)]
+    # the facets' offsets from each candidate are integers over the frame's K
+    frame = dm._facet_frame(grid, cell)
+    for c, p in zip(got, fraction_center_candidates(grid, cell, cfg)):
+        k, facets = dm._facet_offsets(frame, c)
+        for a, below, above in facets:
+            lower = grid.origin[a] + eps * base[a]
+            assert (F(below, k), F(above, k)) == (lower - p[a], lower + eps - p[a])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_cone_skip_yields_the_unskipped_parts(seed):
+    """_facet_parts, which skips a cone no vertex's ray reaches on its
+    facet's side, yields the parts the unskipped clip yields, in order: on
+    random segments and triangles in a cube, segments in a face, pieces in a
+    wedge plane, as rays alone and as rays with their points."""
+    rng = random.Random(seed)
+    eps = rng.choice((F(1), F(1, 2)))
+    grid = make_grid((2, 2, 2), origin=(-eps, -eps, -eps), eps=eps)
+    corner = (rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1))
+    cube = GridCell(corner, (0, 1, 2))
+    face = GridCell(corner, rng.choice(((0, 1), (0, 2), (1, 2))))
+    cfg = DeformConfig(epsilon=eps, candidate_centers=3, seed=rng.randint(0, 9))
+    for cell, k in ((cube, 2), (cube, 1), (face, 1)):
+        frame = dm._facet_frame(grid, cell)
+        for center in dm._center_candidates(grid, cell, cfg):
+            _, facets = dm._facet_offsets(frame, center)
+            pieces = [
+                tuple(map(homogeneous, s))
+                for s in _random_pieces(rng, grid, cell, k, rng.randint(2, 4))
+            ]
+            if cell.dim == 3:
+                pieces += _wedge_pieces(rng, grid, cell, center, k, 2)
+            pieces = [s for s in pieces if homogeneous_dist_sq(center, s)[0] > 0]
+            cones, ref_cones = [], []
+            for s in pieces:
+                rays = dm._rays(center, s)
+                for poly in (rays, [r + v for r, v in zip(rays, s)]):
+                    got = list(dm._facet_parts(poly, facets, cones))
+                    assert got == list(unskipped_facet_parts(poly, facets, ref_cones))
 
 
 @pytest.mark.parametrize("case, eps", [("triangle", F(1, 2)), ("boundary", F(1))], ids=str)
@@ -1221,8 +1282,8 @@ def test_clears_matches_the_exact_distance(seed):
     cfg = DeformConfig(epsilon=eps, candidate_centers=16, seed=rng.randint(0, 9))
     cut = (rng.choice((F(1, 8), F(1, 4), F(7, 16))) * eps) ** 2
     for c in dm._center_candidates(grid, cell, cfg):
-        expected = min(point_simplex_dist_sq(c, s) for s in pieces) >= cut
-        assert dm._clears(homogeneous(c), hpieces, cut) is expected
+        expected = min(point_simplex_dist_sq(affine(c), s) for s in pieces) >= cut
+        assert dm._clears(c, hpieces, cut) is expected
 
 
 def test_clearance_admits_exactly_tau_eps():

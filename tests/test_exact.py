@@ -15,7 +15,7 @@ from filmlab.exact import (
 )
 from filmlab.rationals import format_fraction, parse_fraction
 
-from references import sqrt_enclosure
+from references import fraction_enclosure, sqrt_enclosure
 
 
 def test_fraction_round_trip():
@@ -61,6 +61,32 @@ def test_sqrt_enclosure_brackets_value():
         lo, hi = sqrt_enclosure(v, 64)
         assert lo * lo <= v <= hi * hi
         assert lo >= 0
+
+
+_ENCLOSURE_CORES = st.one_of(st.just(1), st.integers(2, 10**6), st.integers(2**64 + 1, 2**90))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(
+            _ENCLOSURE_CORES,
+            st.fractions(min_value=-50, max_value=50, max_denominator=10**6).filter(bool),
+        ),
+        min_size=0,
+        max_size=6,
+    ),
+    bits=st.integers(40, 320),
+)
+def test_integer_enclosure_equals_the_fraction_sums(terms, bits):
+    """exact._enclosure over one common denominator gives the [lo, hi] the
+    Fraction sum of one bound per term gave: negative coefficients, core 1
+    and cores above 2^64 included, as terms and through RadicalSum."""
+    lo, hi, d = exact._enclosure(terms, bits)
+    assert d > 0
+    assert (Fraction(lo, d), Fraction(hi, d)) == fraction_enclosure(terms, bits)
+    x = RadicalSum(terms)
+    assert x.enclosure(bits) == fraction_enclosure(x.terms(), bits)
 
 
 def test_radical_sum_merges_terms():
