@@ -28,12 +28,19 @@ M(R) inside _track_chain, they count as R assembly.
 The cyclic garbage collector is run once and then switched off for the
 timed passes, and switched back on after them: where its collections
 fall moved the stage times by 10-13% from run to run.
+
+Times are corrected for the host's speed as the benchmark corrects them
+(bench/run.py): the process is pinned to one CPU (pin_to_one_cpu), the
+calibration loop (calibration_s) runs before the first timed pass and
+after each one, and every figure is the median over the passes of its
+time scaled to the reference host speed by the mean of the two loops
+around its pass (at_reference_speed).  The loops are left out of the
+pass times.
 """
 
 import argparse
 import gc
 import os
-import statistics
 import sys
 import time
 
@@ -41,6 +48,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
+import run as bench  # noqa: E402
 import workloads  # noqa: E402
 
 from filmlab import deformation  # noqa: E402
@@ -92,6 +100,7 @@ def main():
     args = ap.parse_args()
     if args.passes < 1:
         ap.error("--passes must be at least 1")
+    bench.pin_to_one_cpu()
 
     instances = workloads.deform_instances(args.seed, ROOT, None)
     for inst in instances:
@@ -126,10 +135,11 @@ def main():
     present.add("score comparisons")
     per_pass = {name: [] for name in tallies}
     calls, sizes = {}, {}
-    walls, others = [], []
+    walls, others, calibrations = [], [], []
     gc.collect()
     gc.disable()
     try:
+        before = bench.calibration_s()
         for _ in range(args.passes):
             for tally in tallies.values():
                 tally[:] = [0.0, 0, 0]
@@ -141,22 +151,29 @@ def main():
                 per_pass[name].append(seconds)
                 calls[name], sizes[name] = count, size
             others.append(walls[-1] - sum(tallies[name][0] for name, _ in STAGES))
+            after = bench.calibration_s()
+            calibrations.append((before + after) / 2)
+            before = after
     finally:
         gc.enable()
 
-    print(f"deform, seed {args.seed}, median of {args.passes} warm passes")
+    def ms(times):
+        return bench.at_reference_speed(times, calibrations) * 1e3
+
+    print(
+        f"deform, seed {args.seed}, median of {args.passes} warm passes on one CPU,"
+        f" at the reference host speed (calibration loop {bench.CAL_REF_S * 1e3:.0f} ms)"
+    )
     print(f"{'stage':<20} {'ms':>9} {'calls':>7}")
     for name, _ in STAGES:
         if name not in present:
             print(f"{name:<20} {'-':>9} {'-':>7}")
             continue
-        ms = statistics.median(per_pass[name]) * 1e3
         made = f"  {sizes[name]} {labels[name]}" if name in labels else ""
-        print(f"{name:<20} {ms:9.1f} {calls[name]:7d}{made}")
-    choice = statistics.median(per_pass[CHOICE[0]]) * 1e3
-    print(f"{CHOICE[0] + ' (all)':<20} {choice:9.1f} {calls[CHOICE[0]]:7d}")
-    print(f"{'pass':<20} {statistics.median(walls) * 1e3:9.1f}")
-    print(f"{'other':<20} {statistics.median(others) * 1e3:9.1f}")
+        print(f"{name:<20} {ms(per_pass[name]):9.1f} {calls[name]:7d}{made}")
+    print(f"{CHOICE[0] + ' (all)':<20} {ms(per_pass[CHOICE[0]]):9.1f} {calls[CHOICE[0]]:7d}")
+    print(f"{'pass':<20} {ms(walls):9.1f}")
+    print(f"{'other':<20} {ms(others):9.1f}")
 
 
 if __name__ == "__main__":

@@ -173,7 +173,10 @@ def pushforward_dip(f: PLMap, A: Dipolyhedron) -> Dipolyhedron:
 
 
 def clamp_dip(r, A: Dipolyhedron) -> Dipolyhedron:
-    """Componentwise clamp onto the cube of radius r about the origin."""
+    """Componentwise clamp onto the cube of radius r about the origin, by
+    the nearest-point retraction (each coordinate clamped into [-r, r]).
+    It is 1-Lipschitz and a chain map, so the image is a pair again and
+    weight and energy never increase."""
     S = to_simplicial(A)
     return Dipolyhedron(clamp_to_cube(S.B, r), clamp_to_cube(S.C, r))
 

@@ -9,12 +9,13 @@ runs it under a node budget, with an honest "upper-bound" status when
 the budget runs out before the gap closes.
 
 Every path works in the lattice box of the given chains (grid.lattice_box),
-not in the declared grid: clamping into the box is a cellular chain map
-that fixes the input and never raises mass, the cubical case of
-M(f#T) <= Lip(f)^k M(T) (Federer 1969, ch. 4), so some optimum lies in
-the box.  Every optimum does: a cell the clamp collapses lowers the
-mass, and without one the outermost layer outside the box is a cycle
-of its own that can be dropped.  So the least-mask tie rule picks the
+not in the declared grid: clamping each coordinate into the box, the
+nearest-point retraction that simplicial.clamp_to_cube also uses, is a
+cellular chain map that fixes the input and never raises mass, the
+cubical case of M(f#T) <= Lip(f)^k M(T) (Federer 1969, ch. 4), so some
+optimum lies in the box.  Every optimum does: a cell the clamp collapses
+lowers the mass, and without one the outermost layer outside the box is
+a cycle of its own that can be dropped.  So the least-mask tie rule picks the
 same answer in the box as in the grid.  The free cells, the covers and
 the limit count the box's cells; the certificates stay on the input's
 grid.

@@ -34,10 +34,6 @@ def vsub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def vscale(t: Fraction, a: Point) -> Point:
-    return (t * a[0], t * a[1], t * a[2])
-
-
 def vdot(a: Point, b: Point) -> Fraction:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
@@ -383,10 +379,6 @@ def split_by_planes(pieces: Iterable[Simplex], planes: Iterable[Plane]) -> list[
     hs = [tuple(map(homogeneous, s)) for s in pieces]
     points = {h: p for hp, s in zip(hs, pieces) for h, p in zip(hp, s)}
     return affine_pieces(split_homogeneous(hs, planes), points)
-
-
-def centroid(simplex: Simplex) -> Point:
-    return tuple(sum(v[a] for v in simplex) / len(simplex) for a in (0, 1, 2))
 
 
 # -- planar (2D) helpers ----------------------------------------------------

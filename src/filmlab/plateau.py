@@ -729,10 +729,12 @@ class ClampReport(Record):
 def clamp_improvement(A: Dipolyhedron, problem: PlateauProblem) -> ClampReport:
     """Clamp the pair onto the working cube and audit the effect.
 
-    Clamping is 1-Lipschitz, so weight and energy never increase; both
-    are re-verified exactly.  Spanning is re-checked rather than assumed:
-    the clamp can flatten film onto the cube walls and break a shadow
-    match, so the report carries both verdicts.
+    The clamp is the nearest-point retraction onto the cube (each
+    coordinate clamped into [-r, r]), which is 1-Lipschitz, so weight and
+    energy never increase; both are re-verified exactly.  Spanning is
+    re-checked rather than assumed: the clamp can flatten film onto the
+    cube walls and break a shadow match, so the report carries both
+    verdicts.
     """
     before_split = energy(A)
     before_span = problem.grid_context.check(A)

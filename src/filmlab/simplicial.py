@@ -19,14 +19,11 @@ from .geom import (
     Simplex,
     affine,
     as_point,
-    centroid,
     homogeneous,
     homogeneous_mass,
     is_degenerate,
     split_by_planes,
-    sup_norm,
     vdot,
-    vscale,
     vsub,
 )
 from .grid import GridChain
@@ -221,45 +218,38 @@ def pushforward(f: PLMap, chain: SimplicialChain) -> SimplicialChain:
     return simplicial_chain(chain.k, images)
 
 
-# -- cube clamp -------------------------------------------------------------
+# -- box cuts: clamp and restriction ----------------------------------------
 
-_DIAGONAL_PLANES = [
-    Plane((1, -1, 0), Fraction(0)),
-    Plane((1, 1, 0), Fraction(0)),
-    Plane((1, 0, -1), Fraction(0)),
-    Plane((1, 0, 1), Fraction(0)),
-    Plane((0, 1, -1), Fraction(0)),
-    Plane((0, 1, 1), Fraction(0)),
-]
+
+def _box_pieces(chain: SimplicialChain, lo: Point, hi: Point) -> list[Simplex]:
+    """The chain's simplices cut along the six face planes of the box
+    [lo, hi]: each piece lies on one side of (or in) every face plane."""
+    planes = []
+    for a, n in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        planes.append(Plane(n, lo[a]))
+        planes.append(Plane(n, hi[a]))
+    return split_by_planes(sorted(chain.simplices), planes)
 
 
 def clamp_to_cube(chain: SimplicialChain, r) -> SimplicialChain:
-    """Clamp onto the cube {sup-norm <= r}: identity inside, radial rescale
-    along the sup-norm outside.  1-Lipschitz, so mass never increases.
+    """Clamp onto the cube {sup-norm <= r} by the nearest-point retraction,
+    which clamps each coordinate into [-r, r].  The retraction is
+    1-Lipschitz, so mass never increases (M(f#T) <= Lip(f)^k M(T)).
 
-    Simplices are split by the six cube face planes and the six diagonal
-    planes through the origin and cube edges; on each resulting region the
-    map is projective, so straight pieces map to straight pieces.
+    The chain is cut along the cube's six face planes, so each piece lies
+    in one region where the map is affine (each coordinate is kept or
+    pinned to -r or r); its image is the simplex on its clamped vertices.
+    Degenerate images vanish mod 2: a 3-chain keeps only its inside part.
     """
     r = Fraction(r)
     if r <= 0:
         raise ValueError("clamp radius must be positive")
-    face_planes = [Plane(n, r) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] + [
-        Plane(n, -r) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    ]
-    out = []
-    for piece in split_by_planes(sorted(chain.simplices), face_planes + _DIAGONAL_PLANES):
-        if all(sup_norm(v) <= r for v in piece):
-            out.append(piece)
-            continue
-        c = centroid(piece)
-        axis = max(range(3), key=lambda a: abs(c[a]))
-        # all vertices of an outside piece satisfy |v_axis| >= r > 0
-        out.append(tuple(vscale(r / abs(v[axis]), v) for v in piece))
-    return simplicial_chain(chain.k, out)
 
+    def clamp(v: Point) -> Point:
+        return (min(max(v[0], -r), r), min(max(v[1], -r), r), min(max(v[2], -r), r))
 
-# -- restriction ------------------------------------------------------------
+    pieces = _box_pieces(chain, (-r, -r, -r), (r, r, r))
+    return simplicial_chain(chain.k, (tuple(map(clamp, s)) for s in pieces))
 
 
 def restrict_simplicial(
@@ -275,12 +265,8 @@ def restrict_simplicial(
     hi = as_point(hi)
     if any(lo[a] > hi[a] for a in range(3)):
         raise ValueError("box corners out of order")
-    planes = []
-    for a, n in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-        planes.append(Plane(n, lo[a]))
-        planes.append(Plane(n, hi[a]))
     ins, outs = [], []
-    for piece in split_by_planes(sorted(chain.simplices), planes):
+    for piece in _box_pieces(chain, lo, hi):
         if all(lo[a] <= v[a] <= hi[a] for v in piece for a in range(3)):
             ins.append(piece)
         else:

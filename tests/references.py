@@ -75,7 +75,6 @@ from filmlab.geom import (
     vcross,
     vdot,
     vnorm_sq,
-    vscale,
     vsub,
 )
 from filmlab.simplicial import SimplicialChain
@@ -367,6 +366,10 @@ def simplex_measure_reference(simplex) -> RadicalSum:
 
 def vadd(a, b):
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def vscale(t, a):
+    return (t * a[0], t * a[1], t * a[2])
 
 
 def point_segment_dist_sq(p, a, b) -> Fraction:

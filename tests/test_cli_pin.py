@@ -124,12 +124,12 @@ PINS = {
     'cone fixtures/square.json --apex 1/2,1/2,1': (0, 'e1d0352930126980dc701a7aaea14b68720700f9c3a1861c89ef3fa7737ebfbd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'cone fixtures/square_curve.json --apex 1/2,1/2,1': (0, '6af10566c6dfe6af776590b59c865ab6a53e9768b1db9f978d5ec3528c2e54d3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'cone fixtures/tilted_triangle.json --apex 1/2,1/2,1': (0, 'f51dc4645b7284f6741c4c16eae59872ad1fbdc7b83d522632b4a753edef4da9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'clamp fixtures/cone.json --radius 1/2': (0, 'd89df80ff924b73e3c34043e4a03a2ca1eb7944f9efc2c1f83ad8be026e076f3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'clamp fixtures/cone.json --radius 1/2': (0, '5450e72f5874fd27c3240b272e46cef942d14600eaea3271596cee223f2fafbe', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'clamp fixtures/empty_curve.json --radius 1/2': (0, '97d5831f369b7536e38d657ee661464a950e85a8f13a24aedb3b5d83809b1cfd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'clamp fixtures/patch2x2.json --radius 1/2': (0, 'a0f02287bc56874a759a5c0e459c99506a80af246aabd61b96d7856dbd7e72aa', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'clamp fixtures/square.json --radius 1/2': (0, '5bb4ebf66f6efecb132422f942668e1d9dfa961228010c22e1eb881fd9491be1', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'clamp fixtures/square_curve.json --radius 1/2': (0, '1660a2c40673e11228bd764652617e002a85f8657e2e9d93ef41498016d32ba2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'clamp fixtures/tilted_triangle.json --radius 1/2': (0, 'e2669a239729049ffd8c935a277bfed9a0ea0dd68b49d6f9a4ce8cfce5f39d93', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'clamp fixtures/patch2x2.json --radius 1/2': (0, '1660a2c40673e11228bd764652617e002a85f8657e2e9d93ef41498016d32ba2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'clamp fixtures/square.json --radius 1/2': (0, 'a5ed250d82dcdae7dbca48c1f58fe28afc6b4129a792b8a9dc96ae634dec5f03', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'clamp fixtures/square_curve.json --radius 1/2': (0, 'bb17ae81686e1233cf9470331e013bbe8fef471180ca099c9f472031690c6722', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'clamp fixtures/tilted_triangle.json --radius 1/2': (0, 'cf215ae5b083c9250e9d573e6ad4e11036f6e764c1bf69259055181f02befb6e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'pushforward fixtures/cone.json --matrix 1,0,0,0,1,0,0,0,1 --lipschitz 1': (0, '4e110e99a0ddf6a46fa068fc3372f8eee351b0e9f0102451f783d431a35c25fa', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'pushforward fixtures/empty_curve.json --matrix 1,0,0,0,1,0,0,0,1 --lipschitz 1': (0, '8c742d7621fb21bb099f5db94dc6b34c037dc6315ebb2cb3fe85e9d92d68b3ce', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'pushforward fixtures/patch2x2.json --matrix 1,0,0,0,1,0,0,0,1 --lipschitz 1': (0, '901ac52d8a5a2d6b8770bdc5a4d6fdac185e8cf1c4070d9afce78e5e8f447afd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -178,7 +178,7 @@ PINS = {
     'eflat {pair} --method bnb --node-budget 100': (0, 'ea0bd4a208d60d70380453248db89f1e24afcab3173d077d87bd436360a362de', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'eflat {pair} --node-budget -1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'a908c84e056c01e3cfd41a5a254468c81111a7f51636286586d7ef3a57f6b665'),
     'cone {pair}': (0, '226ce417ab60a8a7e5c8271023c9dfe2795ebe3fd1efd006cbd774b86694b3fe', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'clamp {pair} --radius 1': (0, '3ff772ebda81769ff1be5820031f590c9315de786d752ec6db6136ecfb3d8ffa', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'clamp {pair} --radius 1': (0, 'da81498dc34e9c6235719f659947fcd741df17482fd26f0d7bf52880c8d3d9be', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'restrict {pair} --box 0,0,0,2,2,1': (0, '1fe9df1a1728864655243571016c963612e7898618e86c384e48663c6409545d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'span-check {pair} --curve fixtures/square_curve.json': (0, '831885aefe21207b8199516e803962b0c807a99016544bc8ad06015401ced4fe', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'diagnostics {pair}': (0, '1d3dc9decbfff99cc8e572fac79c9c57774f51c8f8d19c5630e30d2a57e1a686', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

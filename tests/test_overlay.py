@@ -150,8 +150,8 @@ def test_boundary_of_boundary_zero_geometric(seed):
 
 def _midpoint_scan_overlay(segments):
     """Reference: the per-interval midpoint coverage scan the sweep replaced."""
-    from filmlab.geom import vdot, vscale, vsub
-    from references import line_key, vadd
+    from filmlab.geom import vdot, vsub
+    from references import line_key, vadd, vscale
 
     groups = {}
     for p, q in segments:

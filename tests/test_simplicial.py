@@ -172,13 +172,21 @@ def test_relocation_map_applies_table():
 
 
 def test_clamp_inside_is_identity():
-    # subdivision may re-present the chain, but the geometry is untouched
-    from filmlab.overlay import chains_equal_mod2
-
     chain = simplicial_chain(2, [tri((0, 0, 0), (1, 0, 0), (0, 1, 0))])
-    out = clamp_to_cube(chain, F(2))
-    assert mass_simplicial(out) == mass_simplicial(chain)
-    assert chains_equal_mod2(out, chain).equal
+    assert clamp_to_cube(chain, F(2)) == chain
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_clamp_never_raises_mass_at_a_corner(k):
+    # near the cube's edges and corners a radial rescale along the sup
+    # norm stretches these by 1.66 and 1.50; the coordinate clamp cannot
+    corner = tri(
+        (F(51, 50), 1, 1), (F(103, 100), F(199, 200), F(199, 200)), (F(41, 40), 1, F(99, 100))
+    )
+    chain = simplicial_chain(k, [corner[: k + 1]])
+    out = clamp_to_cube(chain, 1)
+    assert out.simplices
+    assert not mass_simplicial(out) > mass_simplicial(chain)
 
 
 def test_clamp_idempotent_and_contained():
@@ -189,7 +197,7 @@ def test_clamp_idempotent_and_contained():
     once = clamp_to_cube(chain, r)
     assert clamp_to_cube(once, r) == once
     assert all(sup_norm(v) <= r for s in once.simplices for v in s)
-    # sup-norm projection is 1-Lipschitz, so mass cannot grow
+    # the nearest-point retraction is 1-Lipschitz, so mass cannot grow
     assert not mass_simplicial(once) > mass_simplicial(chain)
 
 
@@ -255,11 +263,44 @@ def test_boundary_matches_per_facet_degeneracy_rule(seed, k):
     assert boundary_simplicial(chain) == _boundary_testing_every_facet(chain)
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 100_000))
-def test_clamp_support_random(seed):
-    chain = random_simplicial_chain(2, random.Random(seed), span=3)
-    r = F(1)
+def _clamp_case(seed, k):
+    """A random k-chain, a radius from 1/3 to 6 and a random closed box."""
+    rng = random.Random(seed)
+    chain = random_simplicial_chain(k, rng, count=4, span=3)
+    r = F(rng.randint(1, 18), 3)
+    ends = [random_point(rng, span=3, den=2) for _ in range(2)]
+    lo = tuple(map(min, *ends))
+    hi = tuple(map(max, *ends))
+    return chain, r, lo, hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), k=st.integers(0, 3))
+def test_clamp_support_random(seed, k):
+    chain, r, _, _ = _clamp_case(seed, k)
     out = clamp_to_cube(chain, r)
-    assert all(sup_norm(v) <= r for s in out.simplices for v in s)
+    assert all(-r <= x <= r for s in out.simplices for v in s for x in v)
     assert clamp_to_cube(out, r) == out
+    assert not mass_simplicial(out) > mass_simplicial(chain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), k=st.integers(0, 3))
+def test_clamp_adds_over_a_restriction(seed, k):
+    from filmlab.overlay import chains_equal_mod2
+
+    chain, r, lo, hi = _clamp_case(seed, k)
+    inside, outside = restrict_simplicial(chain, lo, hi)
+    whole = clamp_to_cube(chain, r)
+    assert chains_equal_mod2(clamp_to_cube(inside, r) + clamp_to_cube(outside, r), whole).equal
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 100_000), k=st.integers(1, 3))
+def test_clamp_commutes_with_boundary(seed, k):
+    from filmlab.overlay import chains_equal_mod2
+
+    chain, r, _, _ = _clamp_case(seed, k)
+    left = boundary_simplicial(clamp_to_cube(chain, r))
+    right = clamp_to_cube(boundary_simplicial(chain), r)
+    assert chains_equal_mod2(left, right).equal
